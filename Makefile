@@ -15,10 +15,14 @@ test: build
 # The gate runs fmt and vet and forces fresh test execution (no cached
 # results), so a flaky or order-dependent test cannot hide behind the
 # build cache. The persistent store is cross-process shared mutable state,
-# so its whole suite runs under the race detector here.
+# so its whole suite runs under the race detector here. The perfbench
+# harness is a nested module (perfbench/go.mod replaces repro with ../), so
+# the root ./... never compiles it; its smoke tests run separately, with
+# the same module settings as perfbench/run.sh.
 tier1: build fmt vet specs-verify tier1-remote tier1-fleet
 	GOFLAGS=-count=1 $(GO) test -race ./internal/castore
 	GOFLAGS=-count=1 $(GO) test ./...
+	cd perfbench && GOFLAGS='-mod=readonly -count=1' GOPROXY=off GOTOOLCHAIN=local GOWORK=off $(GO) test ./...
 
 # Spec hygiene: every embedded platform spec must strict-parse, build,
 # survive a save/load round trip and keep its persistent-cache identity
@@ -65,11 +69,11 @@ race: tier1 chaos
 vet:
 	$(GO) vet ./...
 
-# Hot-path benchmarks (cold vs cache-served sweep, shmoo, spectra, fitness
-# and lineage evaluation), recorded as $(BENCH_OUT) for regression diffing:
+# Hot-path benchmarks (cold vs cache-served sweep, shmoo, spectra and
+# fitness evaluation), recorded as $(BENCH_OUT) for regression diffing:
 #   make bench BENCH_OUT=BENCH_pr5.json
 bench:
-	$(GO) test -bench 'BenchmarkSpectraEvaluation|BenchmarkFitnessEvaluation|BenchmarkResonanceSweep|BenchmarkShmoo|BenchmarkLineage|BenchmarkGenerationBatch|BenchmarkFleetGeneration|BenchmarkWarmStart' \
+	$(GO) test -bench 'BenchmarkSpectraEvaluation|BenchmarkFitnessEvaluation|BenchmarkResonanceSweep|BenchmarkShmoo|BenchmarkGenerationBatch|BenchmarkFleetGeneration|BenchmarkWarmStart' \
 		-benchmem -benchtime 1s -run '^$$' . | $(GO) run ./cmd/benchjson -o $(BENCH_OUT)
 
 # Diff two benchmark reports; exits nonzero if any benchmark present in

@@ -272,7 +272,7 @@ type (
 	// RemoteBackend speaks the lab protocol to a labtarget daemon.
 	RemoteBackend = backend.Remote
 	// BackendCaps is a domain's capability record (cores, ISA, clock grid,
-	// voltage visibility, DSO kind, lineage support).
+	// voltage visibility, DSO kind).
 	BackendCaps = backend.Caps
 	// BackendDomainState is a domain's current operating point.
 	BackendDomainState = backend.DomainState

@@ -13,16 +13,6 @@ import (
 	"repro/internal/ga"
 )
 
-// scalarOnly forwards a bench measurer's per-individual methods while
-// hiding MeasureBatch, forcing the GA onto the scalar fallback path.
-type scalarOnly struct{ m Measurer }
-
-func (s scalarOnly) Measure(seq []Inst) (float64, float64, error) { return s.m.Measure(seq) }
-
-func (s scalarOnly) MeasureLineage(seq []Inst, lin *ga.Lineage) (float64, float64, error) {
-	return s.m.(ga.LineageMeasurer).MeasureLineage(seq, lin)
-}
-
 // batchGARun executes a small GA on a fresh platform, optionally forcing
 // the scalar path, and returns the result plus the bench for stats checks.
 func batchGARun(t *testing.T, parallelism int, scalar bool) (*GAResult, *Bench) {
@@ -47,7 +37,9 @@ func batchGARun(t *testing.T, parallelism int, scalar bool) (*GAResult, *Bench) 
 	cfg.Parallelism = parallelism
 	var m Measurer = bench.EMMeasurer(d, 2)
 	if scalar {
-		m = scalarOnly{m: m}
+		// A bare MeasurerFunc hides MeasureBatch, forcing the GA onto the
+		// per-individual path.
+		m = MeasurerFunc(m.Measure)
 	}
 	res, err := RunGA(cfg, m, nil)
 	if err != nil {
@@ -84,9 +76,9 @@ func TestBatchMatchesScalarGA(t *testing.T) {
 
 // TestMeasureBatchMatchesScalarRandomPopulations is the direct property
 // test: random populations salted with exact duplicates and with bred
-// (lineage-carrying) children must come back element-for-element identical
-// to scalar MeasureLineage calls, at -j 1 and -j 8, with every duplicate
-// fanned out from one measurement.
+// children must come back element-for-element identical to scalar Measure
+// calls, at -j 1 and -j 8, with every duplicate fanned out from one
+// measurement.
 func TestMeasureBatchMatchesScalarRandomPopulations(t *testing.T) {
 	plat, err := JunoR2()
 	if err != nil {
@@ -107,7 +99,6 @@ func TestMeasureBatchMatchesScalarRandomPopulations(t *testing.T) {
 	if !ok {
 		t.Fatal("bench EM measurer does not implement ga.BatchMeasurer")
 	}
-	lm := m.(ga.LineageMeasurer)
 
 	rng := rand.New(rand.NewSource(43))
 	for trial := 0; trial < 3; trial++ {
@@ -115,12 +106,12 @@ func TestMeasureBatchMatchesScalarRandomPopulations(t *testing.T) {
 		for i := 0; i < 6; i++ {
 			parent := pool.RandomSequence(rng, 12)
 			items = append(items, ga.BatchItem{Seq: parent})
-			// A bred child: shares the parent's prefix, carries a lineage
-			// hint pointing at the divergence index.
+			// A bred child: shares the parent's prefix up to one mutated
+			// gene.
 			div := 4 + rng.Intn(6)
 			child := append([]Inst(nil), parent...)
 			child[div] = pool.RandomInst(rng)
-			items = append(items, ga.BatchItem{Seq: child, Lin: &ga.Lineage{Diverge: div}})
+			items = append(items, ga.BatchItem{Seq: child})
 			// An exact duplicate of the parent (a converged clone).
 			items = append(items, ga.BatchItem{Seq: append([]Inst(nil), parent...)})
 		}
@@ -128,7 +119,7 @@ func TestMeasureBatchMatchesScalarRandomPopulations(t *testing.T) {
 
 		want := make([]ga.BatchResult, len(items))
 		for i, it := range items {
-			fit, dom, err := lm.MeasureLineage(it.Seq, it.Lin)
+			fit, dom, err := m.Measure(it.Seq)
 			if err != nil {
 				t.Fatal(err)
 			}

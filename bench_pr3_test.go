@@ -1,14 +1,13 @@
 package emnoise
 
 // Hot-path benchmarks for the measurement pipeline, each in a cold and a
-// cached variant. Cold disables the uarch trace cache and the checkpoint
-// store, so every operating point pays a full cycle-accurate simulation;
-// cached runs with both warm, so clock and supply changes only
-// re-synthesize and resample the stored charge history and lineaged
-// sequences resume from their parents' snapshots. The spectra memo is
+// cached variant. Cold disables the uarch trace cache, so every operating
+// point pays a full cycle-accurate simulation; cached runs with it warm, so
+// clock and supply changes only re-synthesize and resample the stored
+// charge history. The spectra memo is
 // defeated in both variants (fresh platforms, or per-iteration supply
 // perturbation — the spectra key includes the supply, the trace key does
-// not), so the pairs isolate the simulation-avoidance layers themselves.
+// not), so the pairs isolate the trace cache itself.
 // These are the benchmarks recorded by `make bench` (BENCH_OUT, default
 // BENCH_pr4.json).
 
@@ -16,24 +15,18 @@ import (
 	"math/rand"
 	"testing"
 
-	"repro/internal/ga"
 	"repro/internal/uarch"
 )
 
-// withBenchTraceCache flips the simulation-avoidance layers (trace cache
-// and checkpoint store) together for one benchmark variant, starting from
-// empty stores, and restores the prior state afterwards.
+// withBenchTraceCache flips the trace cache for one benchmark variant,
+// starting from an empty cache, and restores the prior state afterwards.
 func withBenchTraceCache(b *testing.B, on bool) {
 	b.Helper()
-	prevTC := uarch.SetTraceCacheEnabled(on)
-	prevCk := uarch.SetCheckpointsEnabled(on)
+	prev := uarch.SetTraceCacheEnabled(on)
 	uarch.ResetTraceCache()
-	uarch.ResetCheckpointStore()
 	b.Cleanup(func() {
-		uarch.SetTraceCacheEnabled(prevTC)
-		uarch.SetCheckpointsEnabled(prevCk)
+		uarch.SetTraceCacheEnabled(prev)
 		uarch.ResetTraceCache()
-		uarch.ResetCheckpointStore()
 	})
 }
 
@@ -124,59 +117,6 @@ func BenchmarkFitnessEvaluation(b *testing.B) {
 				seq := pool.RandomSequence(rng, 50)
 				b.StartTimer()
 				if _, _, err := m.Measure(seq); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
-// BenchmarkLineage times the GA's dominant measurement: a bred child that
-// shares a 32-instruction prefix with an already-measured parent. Every
-// iteration draws a fresh crossover suffix, so the trace cache and the
-// spectra memo always miss on the child; in the cached variant the
-// checkpoint store resumes the simulation from the parent's deepest
-// matching snapshot instead of replaying the shared prefix.
-func BenchmarkLineage(b *testing.B) {
-	for _, v := range []struct {
-		name string
-		on   bool
-	}{{"cold", false}, {"cached", true}} {
-		b.Run(v.name, func(b *testing.B) {
-			withBenchTraceCache(b, v.on)
-			plat, err := JunoR2()
-			if err != nil {
-				b.Fatal(err)
-			}
-			bench, err := NewBench(plat, 3)
-			if err != nil {
-				b.Fatal(err)
-			}
-			bench.Samples = 3
-			d, err := plat.Domain(DomainA72)
-			if err != nil {
-				b.Fatal(err)
-			}
-			pool := d.Spec.Pool()
-			rng := rand.New(rand.NewSource(29))
-			m, ok := bench.EMMeasurer(d, 2).(ga.LineageMeasurer)
-			if !ok {
-				b.Fatal("EMMeasurer does not implement ga.LineageMeasurer")
-			}
-			parent := pool.RandomSequence(rng, 50)
-			const div = 32
-			// Measure the parent once so its checkpoints are stored (and the
-			// PDN transfer cache is primed in both variants).
-			if _, _, err := m.Measure(parent); err != nil {
-				b.Fatal(err)
-			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				b.StopTimer()
-				child := append(parent[:div:div], pool.RandomSequence(rng, len(parent)-div)...)
-				b.StartTimer()
-				if _, _, err := m.MeasureLineage(child, &ga.Lineage{Diverge: div}); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -61,7 +61,7 @@ func BenchmarkGenerationBatch(b *testing.B) {
 			withBenchTraceCache(b, true)
 			cfg, pop, m, _ := convergedPopulation(b)
 			if v.scalar {
-				m = scalarOnly{m: m}
+				m = MeasurerFunc(m.Measure)
 			}
 			rng := rand.New(rand.NewSource(99))
 			b.ReportAllocs()
@@ -100,8 +100,8 @@ func medianRepeatMeasure(t *testing.T, m Measurer, seq []Inst, k int, tweak func
 
 // TestRepeatMeasurementCachedNotSlower pins the PR6 cached-path guarantee
 // where it actually pays: re-measuring a sequence the rig has already seen.
-// With the caches warm a repeat is a spectra-memo hit; with the simulation
-// caches disabled and the memo defeated it pays the full pipeline. The
+// With the caches warm a repeat is a spectra-memo hit; with the trace cache
+// disabled and the memo defeated it pays the full pipeline. The
 // cached median must not exceed the cold median (the real margin is several
 // fold, so this is robust to container timing noise).
 func TestRepeatMeasurementCachedNotSlower(t *testing.T) {
@@ -122,16 +122,12 @@ func TestRepeatMeasurementCachedNotSlower(t *testing.T) {
 	seq := pool.RandomSequence(rand.New(rand.NewSource(31)), 50)
 	m := bench.EMMeasurer(d, 2)
 
-	prevTC := uarch.SetTraceCacheEnabled(true)
-	prevCk := uarch.SetCheckpointsEnabled(true)
+	prev := uarch.SetTraceCacheEnabled(true)
 	t.Cleanup(func() {
-		uarch.SetTraceCacheEnabled(prevTC)
-		uarch.SetCheckpointsEnabled(prevCk)
+		uarch.SetTraceCacheEnabled(prev)
 		uarch.ResetTraceCache()
-		uarch.ResetCheckpointStore()
 	})
 	uarch.ResetTraceCache()
-	uarch.ResetCheckpointStore()
 
 	// Prime every cache layer, then time warm repeats.
 	if _, _, err := m.Measure(seq); err != nil {
@@ -140,12 +136,10 @@ func TestRepeatMeasurementCachedNotSlower(t *testing.T) {
 	const k = 7
 	warm := medianRepeatMeasure(t, m, seq, k, nil)
 
-	// Cold repeats: simulation caches off, spectra memo defeated by a
-	// per-repeat supply nudge (the memo key includes the supply).
+	// Cold repeats: trace cache off, spectra memo defeated by a per-repeat
+	// supply nudge (the memo key includes the supply).
 	uarch.SetTraceCacheEnabled(false)
-	uarch.SetCheckpointsEnabled(false)
 	uarch.ResetTraceCache()
-	uarch.ResetCheckpointStore()
 	vnom := d.SupplyVolts()
 	cold := medianRepeatMeasure(t, m, seq, k, func(i int) {
 		if err := d.SetSupplyVolts(vnom - float64(i+1)*1e-7); err != nil {

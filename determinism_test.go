@@ -271,77 +271,6 @@ func TestTraceCacheBitIdenticalWorkflows(t *testing.T) {
 	})
 }
 
-// withCheckpoints runs fn with the uarch checkpoint store forced on or
-// off, starting from an empty store either way, and restores the previous
-// setting afterwards.
-func withCheckpoints(t *testing.T, on bool, fn func()) {
-	t.Helper()
-	prev := uarch.SetCheckpointsEnabled(on)
-	uarch.ResetCheckpointStore()
-	defer func() {
-		uarch.SetCheckpointsEnabled(prev)
-		uarch.ResetCheckpointStore()
-	}()
-	fn()
-}
-
-// TestCheckpointBitIdenticalGAWorkflows pins the PR's hard requirement at
-// the workflow level: a GA run is bit-identical with checkpointed replay
-// on or off, serial or at 8 workers — four combinations, one result.
-func TestCheckpointBitIdenticalGAWorkflows(t *testing.T) {
-	combos := []struct {
-		name string
-		ckpt bool
-		jobs int
-	}{
-		{"ckpt-off-j1", false, 1},
-		{"ckpt-off-j8", false, 8},
-		{"ckpt-on-j1", true, 1},
-		{"ckpt-on-j8", true, 8},
-	}
-	var base *GAResult
-	for _, c := range combos {
-		var res *GAResult
-		withCheckpoints(t, c.ckpt, func() { res = gaRun(t, JunoR2, DomainA72, 2, c.jobs) })
-		if base == nil {
-			base = res
-			continue
-		}
-		if !reflect.DeepEqual(res.Best, base.Best) {
-			t.Errorf("%s: best differs from %s:\ngot  %+v\nwant %+v", c.name, combos[0].name, res.Best, base.Best)
-		}
-		if !reflect.DeepEqual(res.History, base.History) {
-			t.Errorf("%s: history differs from %s", c.name, combos[0].name)
-		}
-		if !reflect.DeepEqual(res.FinalPopulation, base.FinalPopulation) {
-			t.Errorf("%s: final population differs from %s", c.name, combos[0].name)
-		}
-	}
-}
-
-// TestCheckpointHitsDuringGA checks the lineage path earns its keep on a
-// default-shaped run: bred children must resume from their parents'
-// snapshots, so the store reports nonzero hits and a positive mean resume
-// depth (the numbers gahunt -v surfaces). The trace cache starts empty so
-// full-sequence memoization cannot mask the prefix reuse.
-func TestCheckpointHitsDuringGA(t *testing.T) {
-	withTraceCache(t, true, func() {
-		withCheckpoints(t, true, func() {
-			gaRun(t, JunoR2, DomainA72, 2, 4)
-			cs := uarch.CheckpointStoreStats()
-			if cs.Stored == 0 {
-				t.Fatal("no snapshots stored across a GA run")
-			}
-			if cs.Hits == 0 {
-				t.Fatalf("no checkpoint hits across a GA run (%d misses, %d stored)", cs.Misses, cs.Stored)
-			}
-			if cs.MeanResumeDepth <= 0 {
-				t.Fatalf("mean resume depth %.2f, want > 0", cs.MeanResumeDepth)
-			}
-		})
-	})
-}
-
 // TestSpectraCacheHitsDuringGA checks the memoization layers earn their
 // keep: a GA run re-measures elites and converged duplicates, and with
 // generation-batched evaluation those repeats are absorbed by the bench's

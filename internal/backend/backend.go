@@ -61,10 +61,6 @@ type Caps struct {
 	// DSOKind names the scope the visibility implies ("oc-dso",
 	// "bench-scope") or is empty when there is none.
 	DSOKind string
-	// Lineage reports whether em measurers support checkpoint-resume
-	// evaluation (ga.LineageMeasurer). True locally; false over the wire,
-	// where checkpoints cannot leave the target process.
-	Lineage bool
 }
 
 // Pool returns the ISA instruction pool matching the domain's

@@ -115,12 +115,6 @@ func TestLocalRemoteEquivalence(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		// Lineage is the one deliberate difference: GA checkpoints cannot
-		// cross the wire.
-		if !lc.Lineage || rc.Lineage {
-			t.Fatalf("%s lineage: local %v remote %v", dom, lc.Lineage, rc.Lineage)
-		}
-		lc.Lineage, rc.Lineage = false, false
 		if lc != rc {
 			t.Fatalf("%s caps diverge:\nlocal  %+v\nremote %+v", dom, lc, rc)
 		}

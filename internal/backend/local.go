@@ -30,7 +30,7 @@ func NewLocal(b *core.Bench) (*Local, error) {
 }
 
 // Bench exposes the wrapped bench for callers that need local-only
-// surfaces (analytic PDN paths, lineage experiments).
+// surfaces (analytic PDN paths).
 func (l *Local) Bench() *core.Bench { return l.bench }
 
 func (l *Local) domain(name string) (*platform.Domain, error) {
@@ -69,7 +69,12 @@ func (l *Local) Caps(name string) (Caps, error) {
 	if err != nil {
 		return Caps{}, err
 	}
-	spec := d.Spec
+	return specCaps(d.Spec), nil
+}
+
+// specCaps is the capability record a domain spec implies; the lab server
+// reports the same fields over CAPS.
+func specCaps(spec platform.Spec) Caps {
 	return Caps{
 		Domain:            spec.Name,
 		TotalCores:        spec.TotalCores,
@@ -78,8 +83,7 @@ func (l *Local) Caps(name string) (Caps, error) {
 		ClockStepHz:       spec.ClockStepHz,
 		VoltageVisibility: spec.VoltageVisibility,
 		DSOKind:           dsoKindFor(spec.VoltageVisibility),
-		Lineage:           true,
-	}, nil
+	}
 }
 
 // State returns a domain's current operating point.
@@ -163,8 +167,7 @@ func (l *Local) EMMeasureN(name string, load platform.Load, samples int) (*instr
 }
 
 // Measurer builds a GA fitness function on the local bench. The em metric
-// returns the bench's lineage-capable measurer unchanged, so checkpoint
-// resume keeps working through the backend layer.
+// returns the bench's own batch-capable measurer unchanged.
 func (l *Local) Measurer(spec MeasurerSpec) (ga.Measurer, error) {
 	d, err := l.domain(spec.Domain)
 	if err != nil {

@@ -130,17 +130,7 @@ func builtinCaps(platformName, domain string) (Caps, error) {
 	if err != nil {
 		return Caps{}, err
 	}
-	spec := d.Spec
-	return Caps{
-		Domain:            spec.Name,
-		TotalCores:        spec.TotalCores,
-		Arch:              spec.ISA,
-		MaxClockHz:        spec.MaxClockHz,
-		ClockStepHz:       spec.ClockStepHz,
-		VoltageVisibility: spec.VoltageVisibility,
-		DSOKind:           dsoKindFor(spec.VoltageVisibility),
-		Lineage:           false,
-	}, nil
+	return specCaps(d.Spec), nil
 }
 
 // NoPoolError reports that a rig's architecture was only interned from
@@ -194,7 +184,6 @@ func (r *Remote) Caps(domain string) (Caps, error) {
 				ClockStepHz:       rc.ClockStepHz,
 				VoltageVisibility: rc.VoltageVisibility,
 				DSOKind:           rc.DSOKind,
-				Lineage:           rc.Lineage,
 			}
 			return nil
 		})

@@ -261,7 +261,7 @@ func (b *Bench) emMeasureBatch(d *platform.Domain, items []ga.BatchItem, activeC
 		ar := arenas[w]
 		ar.Reset()
 		l := platform.Load{Seq: items[i].Seq, ActiveCores: activeCores}
-		freqs, _, iAmp, _, err := d.SpectraLineageArena(l, b.Dt, b.N, uarchLineage(items[i].Lin), ar)
+		freqs, _, iAmp, _, err := d.SpectraArena(l, b.Dt, b.N, ar)
 		if err != nil {
 			return err
 		}

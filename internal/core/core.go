@@ -25,7 +25,6 @@ import (
 	"repro/internal/instrument"
 	"repro/internal/isa"
 	"repro/internal/platform"
-	"repro/internal/uarch"
 )
 
 // Band is the frequency band searched for the first-order resonance
@@ -112,7 +111,27 @@ func (b *Bench) EMMeasure(d *platform.Domain, l platform.Load) (*instrument.Meas
 // that vary the sample count per request (the lab daemon's MEASURE
 // command) without mutating — or copying — the shared bench.
 func (b *Bench) EMMeasureN(d *platform.Domain, l platform.Load, samples int) (*instrument.Measurement, error) {
-	return b.emMeasure(d, l, samples, nil)
+	if err := b.Validate(); err != nil {
+		return nil, err
+	}
+	if samples < 1 {
+		return nil, fmt.Errorf("core: %d samples", samples)
+	}
+	freqs, _, iAmp, _, err := d.Spectra(l, b.Dt, b.N)
+	if err != nil {
+		return nil, err
+	}
+	watts := getWatts(len(freqs))
+	_, err = em.CombineInto(watts, b.Platform.Antenna, []em.Emitter{
+		{Freqs: freqs, IAmp: iAmp, Path: d.Spec.EMPath},
+	})
+	if err != nil {
+		putWatts(watts)
+		return nil, err
+	}
+	m, err := b.Analyzer.MeasurePeak(freqs, watts, b.Band.Lo, b.Band.Hi, samples)
+	putWatts(watts)
+	return m, err
 }
 
 // wattsPool recycles the received-power buffer between measurements; the
@@ -134,45 +153,10 @@ func putWatts(w []float64) {
 	wattsPool.Put(&w)
 }
 
-func (b *Bench) emMeasure(d *platform.Domain, l platform.Load, samples int, lin *uarch.Lineage) (*instrument.Measurement, error) {
-	if err := b.Validate(); err != nil {
-		return nil, err
-	}
-	if samples < 1 {
-		return nil, fmt.Errorf("core: %d samples", samples)
-	}
-	freqs, _, iAmp, _, err := d.SpectraLineage(l, b.Dt, b.N, lin)
-	if err != nil {
-		return nil, err
-	}
-	watts := getWatts(len(freqs))
-	_, err = em.CombineInto(watts, b.Platform.Antenna, []em.Emitter{
-		{Freqs: freqs, IAmp: iAmp, Path: d.Spec.EMPath},
-	})
-	if err != nil {
-		putWatts(watts)
-		return nil, err
-	}
-	m, err := b.Analyzer.MeasurePeak(freqs, watts, b.Band.Lo, b.Band.Hi, samples)
-	putWatts(watts)
-	return m, err
-}
-
-// uarchLineage converts a GA breeding lineage into the simulator's hint
-// form. A nil hint (gen-0 individuals, elites) means no prefix reuse.
-func uarchLineage(lin *ga.Lineage) *uarch.Lineage {
-	if lin == nil {
-		return nil
-	}
-	return &uarch.Lineage{Diverge: lin.Diverge}
-}
-
 // emMeasurer adapts EMMeasure into a GA fitness function: fitness is the
 // averaged peak power in dBm (tournament selection only needs ranks, so
 // the dB compression is harmless), and the dominant frequency is the
-// per-sweep modal peak bin. It implements ga.LineageMeasurer so bred
-// children resume the micro-architectural simulation from their parent's
-// checkpointed prefix.
+// per-sweep modal peak bin.
 type emMeasurer struct {
 	b           *Bench
 	d           *platform.Domain
@@ -181,21 +165,14 @@ type emMeasurer struct {
 
 // Measure implements ga.Measurer.
 func (m emMeasurer) Measure(seq []isa.Inst) (float64, float64, error) {
-	return m.MeasureLineage(seq, nil)
-}
-
-// MeasureLineage implements ga.LineageMeasurer; results are bit-identical
-// to Measure for any lineage value.
-func (m emMeasurer) MeasureLineage(seq []isa.Inst, lin *ga.Lineage) (float64, float64, error) {
-	meas, err := m.b.emMeasure(m.d, platform.Load{Seq: seq, ActiveCores: m.activeCores}, m.b.Samples, uarchLineage(lin))
+	meas, err := m.b.EMMeasureN(m.d, platform.Load{Seq: seq, ActiveCores: m.activeCores}, m.b.Samples)
 	if err != nil {
 		return 0, 0, err
 	}
 	return meas.PeakDBm, meas.PeakHz, nil
 }
 
-// EMMeasurer returns the GA fitness measurer for one domain; the returned
-// value also implements ga.LineageMeasurer.
+// EMMeasurer returns the GA fitness measurer for one domain.
 func (b *Bench) EMMeasurer(d *platform.Domain, activeCores int) ga.Measurer {
 	return emMeasurer{b: b, d: d, activeCores: activeCores}
 }
@@ -221,9 +198,7 @@ func (b *Bench) voltageMeasurer(d *platform.Domain, activeCores int, dso *instru
 	return vMeasurer{b: b, d: d, activeCores: activeCores, dso: dso, metric: metric}
 }
 
-// vMeasurer is the direct-voltage fitness backend; like emMeasurer it
-// implements ga.LineageMeasurer so bred children reuse their parent's
-// checkpointed simulation prefix.
+// vMeasurer is the direct-voltage fitness backend.
 type vMeasurer struct {
 	b           *Bench
 	d           *platform.Domain
@@ -234,17 +209,11 @@ type vMeasurer struct {
 
 // Measure implements ga.Measurer.
 func (m vMeasurer) Measure(seq []isa.Inst) (float64, float64, error) {
-	return m.MeasureLineage(seq, nil)
-}
-
-// MeasureLineage implements ga.LineageMeasurer; results are bit-identical
-// to Measure for any lineage value.
-func (m vMeasurer) MeasureLineage(seq []isa.Inst, lin *ga.Lineage) (float64, float64, error) {
 	if m.d.Spec.VoltageVisibility == "none" {
 		return 0, 0, fmt.Errorf("core: domain %s has no voltage visibility", m.d.Spec.Name)
 	}
 	l := platform.Load{Seq: seq, ActiveCores: m.activeCores}
-	resp, _, err := m.d.SteadyResponseLineage(l, m.b.Dt, m.b.N, uarchLineage(lin))
+	resp, _, err := m.d.SteadyResponse(l, m.b.Dt, m.b.N)
 	if err != nil {
 		return 0, 0, err
 	}

@@ -199,28 +199,13 @@ func (f *Fleet) Domains() []string {
 }
 
 // Caps returns the fleet's capability record for a domain: the first live
-// rig's record, with Lineage reported only when every live rig supports it
-// (a capability the fleet advertises must hold wherever a shard lands).
+// rig's record (every rig serves the same platform).
 func (f *Fleet) Caps(domain string) (backend.Caps, error) {
 	r, err := f.firstLive()
 	if err != nil {
 		return backend.Caps{}, err
 	}
-	caps, err := r.be.Caps(domain)
-	if err != nil {
-		return backend.Caps{}, err
-	}
-	for _, o := range f.rigs {
-		if o.dead.Load() || o == r || !caps.Lineage {
-			continue
-		}
-		oc, err := o.be.Caps(domain)
-		if err != nil {
-			return backend.Caps{}, err
-		}
-		caps.Lineage = caps.Lineage && oc.Lineage
-	}
-	return caps, nil
+	return r.be.Caps(domain)
 }
 
 // State returns the domain's operating point (identical on every rig, so

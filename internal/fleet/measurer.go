@@ -14,10 +14,7 @@ import (
 // individual is one campaign item keyed by its load content hash (the same
 // key the rig-side spectra cache and batch memo use), deduplicated before
 // placement so identical post-mutation children cost one measurement
-// fleet-wide. Breeding lineage hints are forwarded to rigs whose measurers
-// can exploit them; the contract that lineage is a pure performance hint
-// (same bytes either way) is what lets a hinted shard land on a
-// lineage-blind remote without changing the result.
+// fleet-wide.
 type fleetMeasurer struct {
 	f    *Fleet
 	spec backend.MeasurerSpec
@@ -63,15 +60,6 @@ func (f *Fleet) Measurer(spec backend.MeasurerSpec) (ga.Measurer, error) {
 // driver inherits failover and checkpoint replay unchanged.
 func (m *fleetMeasurer) Measure(seq []isa.Inst) (float64, float64, error) {
 	res, err := m.MeasureBatch([]ga.BatchItem{{Seq: seq}}, 1)
-	if err != nil {
-		return 0, 0, err
-	}
-	return res[0].Fitness, res[0].DominantHz, nil
-}
-
-// MeasureLineage is Measure with the breeding hint attached.
-func (m *fleetMeasurer) MeasureLineage(seq []isa.Inst, lin *ga.Lineage) (float64, float64, error) {
-	res, err := m.MeasureBatch([]ga.BatchItem{{Seq: seq, Lin: lin}}, 1)
 	if err != nil {
 		return 0, 0, err
 	}
@@ -126,15 +114,7 @@ func (m *fleetMeasurer) MeasureBatch(items []ga.BatchItem, parallelism int) ([]g
 		slots:    parallelism,
 		eligible: func(r *rig) bool { return m.ms[r] != nil },
 		run: func(r *rig, k int) (ga.BatchResult, error) {
-			it := items[uniq[k]]
-			rm := m.ms[r]
-			var fit, hz float64
-			var err error
-			if lm, ok := rm.(ga.LineageMeasurer); ok && it.Lin != nil {
-				fit, hz, err = lm.MeasureLineage(it.Seq, it.Lin)
-			} else {
-				fit, hz, err = rm.Measure(it.Seq)
-			}
+			fit, hz, err := m.ms[r].Measure(items[uniq[k]].Seq)
 			if err != nil {
 				return ga.BatchResult{}, err
 			}

@@ -6,12 +6,9 @@ import (
 	"repro/internal/isa"
 )
 
-// BatchItem is one individual in a generation-batched measurement request:
-// the sequence plus its breeding lineage when known (nil for gen-0
-// individuals, elites and clones, mirroring the LineageMeasurer routing).
+// BatchItem is one individual in a generation-batched measurement request.
 type BatchItem struct {
 	Seq []isa.Inst
-	Lin *Lineage
 }
 
 // BatchResult is the measured outcome for the same-index BatchItem.
@@ -23,9 +20,8 @@ type BatchResult struct {
 // BatchMeasurer is a Measurer that can evaluate an entire generation in one
 // call — deduplicating identical post-mutation children, sharing slab
 // scratch across the batch, and bounding its own parallelism. MeasureBatch
-// must return one result per item, each bit-identical to what Measure (or
-// MeasureLineage with the same hint) would return for that sequence at any
-// parallelism value; the GA prefers this path when the measurer offers it.
+// must return one result per item, each bit-identical to what Measure would
+// return for that sequence at any parallelism value; the GA prefers this path when the measurer offers it.
 type BatchMeasurer interface {
 	Measurer
 	MeasureBatch(items []BatchItem, parallelism int) ([]BatchResult, error)
@@ -33,9 +29,8 @@ type BatchMeasurer interface {
 
 // EvaluatePopulation measures a population in place exactly the way Run
 // does between generations: through MeasureBatch when the measurer is a
-// BatchMeasurer, otherwise per individual (with lineage routing) on up to
-// parallelism workers. Exposed for drivers and benchmarks that step
-// generations manually.
+// BatchMeasurer, otherwise per individual on up to parallelism workers.
+// Exposed for programs and benchmarks that step generations manually.
 func EvaluatePopulation(pop []Individual, m Measurer, parallelism int) error {
 	return measureAll(pop, m, parallelism)
 }

@@ -12,12 +12,11 @@ import (
 // every scalar call, scoring with the shared synthetic objective so Run's
 // results are comparable with the plain MeasurerFunc path.
 type batchSpy struct {
-	batches      int
-	batchItems   int
-	lineageHints int
-	scalarCalls  int
-	short        bool // return one result too few, to exercise validation
-	err          error
+	batches     int
+	batchItems  int
+	scalarCalls int
+	short       bool // return one result too few, to exercise validation
+	err         error
 }
 
 func (s *batchSpy) Measure(seq []isa.Inst) (float64, float64, error) {
@@ -33,9 +32,6 @@ func (s *batchSpy) MeasureBatch(items []BatchItem, parallelism int) ([]BatchResu
 	s.batchItems += len(items)
 	results := make([]BatchResult, len(items))
 	for i, it := range items {
-		if it.Lin != nil {
-			s.lineageHints++
-		}
 		fit, dom, err := countSIMD(it.Seq)
 		if err != nil {
 			return nil, err
@@ -49,8 +45,8 @@ func (s *batchSpy) MeasureBatch(items []BatchItem, parallelism int) ([]BatchResu
 }
 
 // TestRunPrefersBatchMeasurer checks measureAll's routing: a BatchMeasurer
-// gets one MeasureBatch call per generation covering every individual
-// (including lineage-carrying bred children), never a scalar call, and the
+// gets one MeasureBatch call per generation covering every individual,
+// never a scalar call, and the
 // run's outcome matches the scalar path bit-for-bit.
 func TestRunPrefersBatchMeasurer(t *testing.T) {
 	cfg := testConfig()
@@ -68,9 +64,6 @@ func TestRunPrefersBatchMeasurer(t *testing.T) {
 	}
 	if want := wantBatches * cfg.PopulationSize; spy.batchItems != want {
 		t.Errorf("batched %d individuals, want %d", spy.batchItems, want)
-	}
-	if spy.lineageHints == 0 {
-		t.Error("no batch item carried a breeding lineage hint")
 	}
 
 	scalar, err := Run(cfg, MeasurerFunc(countSIMD), nil)

@@ -10,7 +10,6 @@ import (
 	"fmt"
 	"math/rand"
 
-	"repro/internal/detrand"
 	"repro/internal/isa"
 	"repro/internal/par"
 )
@@ -28,26 +27,6 @@ type MeasurerFunc func(seq []isa.Inst) (float64, float64, error)
 
 // Measure implements Measurer.
 func (f MeasurerFunc) Measure(seq []isa.Inst) (float64, float64, error) { return f(seq) }
-
-// Lineage records how a bred child relates to its first parent: the child
-// is verbatim-identical to that parent up to index Diverge (exactly —
-// child[Diverge] differs unless the whole child is a copy). Parent is a
-// content hash of the parent's sequence. Measurement backends use the
-// lineage to skip re-simulating the shared prefix; it is a hint only and
-// can never change measured values.
-type Lineage struct {
-	Parent  uint64
-	Diverge int
-}
-
-// LineageMeasurer is a Measurer that can exploit breeding lineage. The GA
-// detects it and routes bred individuals through MeasureLineage; gen-0
-// individuals, elites and plain Measurers keep the Measure path. Both
-// methods must return identical values for the same sequence.
-type LineageMeasurer interface {
-	Measurer
-	MeasureLineage(seq []isa.Inst, lin *Lineage) (fitness, dominantHz float64, err error)
-}
 
 // Config holds the GA hyper-parameters. The defaults in DefaultConfig are
 // the paper's empirically chosen values.
@@ -138,10 +117,6 @@ type Individual struct {
 	Seq        []isa.Inst
 	Fitness    float64
 	DominantHz float64
-
-	// lin is the breeding lineage of a child produced by nextGeneration;
-	// nil for gen-0 individuals, elites and clones.
-	lin *Lineage
 }
 
 // clone deep-copies an individual's sequence.
@@ -220,15 +195,13 @@ func Run(cfg Config, m Measurer, progress func(GenerationStats)) (*Result, error
 // measureAll evaluates the population's fitness on up to parallelism
 // workers. Each worker writes only its own index, and the instruments'
 // noise is order-independent, so the measured population is identical at
-// any worker count. Bred individuals carry their lineage to a
-// LineageMeasurer so the backend can resume from the parent's prefix. A
-// BatchMeasurer takes the whole generation in one call instead (dedup,
+// any worker count. A BatchMeasurer takes the whole generation in one call instead (dedup,
 // slab scratch); its contract pins the results to the per-individual path.
 func measureAll(pop []Individual, m Measurer, parallelism int) error {
 	if bm, ok := m.(BatchMeasurer); ok {
 		items := make([]BatchItem, len(pop))
 		for i := range pop {
-			items[i] = BatchItem{Seq: pop[i].Seq, Lin: pop[i].lin}
+			items[i] = BatchItem{Seq: pop[i].Seq}
 		}
 		results, err := bm.MeasureBatch(items, parallelism)
 		if err != nil {
@@ -244,15 +217,8 @@ func measureAll(pop []Individual, m Measurer, parallelism int) error {
 		}
 		return nil
 	}
-	lm, _ := m.(LineageMeasurer)
 	return par.ForEach(parallelism, len(pop), func(i int) error {
-		var fit, dom float64
-		var err error
-		if lm != nil && pop[i].lin != nil {
-			fit, dom, err = lm.MeasureLineage(pop[i].Seq, pop[i].lin)
-		} else {
-			fit, dom, err = m.Measure(pop[i].Seq)
-		}
+		fit, dom, err := m.Measure(pop[i].Seq)
 		if err != nil {
 			return err
 		}
@@ -300,45 +266,9 @@ func nextGeneration(cfg Config, rng *rand.Rand, pop []Individual) []Individual {
 		b := selectParent(cfg, rng, pop, ranked)
 		child := recombine(cfg, rng, a, b)
 		mutate(cfg, rng, child)
-		next = append(next, Individual{Seq: child, lin: lineageOf(a, child)})
+		next = append(next, Individual{Seq: child})
 	}
 	return next
-}
-
-// lineageOf records how a bred child relates to its first parent. Every
-// crossover scheme copies parent a verbatim up to some point and mutation
-// only ever rewrites genes in place, so the first index where the child
-// differs from a is an exact shared-prefix length — computed by comparison,
-// never inferred from operator internals.
-func lineageOf(parent, child []isa.Inst) *Lineage {
-	div := 0
-	for div < len(child) && div < len(parent) && sameInst(parent[div], child[div]) {
-		div++
-	}
-	return &Lineage{Parent: seqHash(parent), Diverge: div}
-}
-
-// sameInst reports whether two instructions are identical in content.
-func sameInst(a, b isa.Inst) bool {
-	if a.Dest != b.Dest || a.Srcs != b.Srcs || a.Addr != b.Addr {
-		return false
-	}
-	return a.Def == b.Def || *a.Def == *b.Def
-}
-
-// seqHash is a content hash of an instruction sequence, identifying the
-// parent in Lineage records.
-func seqHash(seq []isa.Inst) uint64 {
-	h := detrand.NewHash()
-	h.Int(len(seq))
-	for _, in := range seq {
-		h.String(in.Def.Mnemonic)
-		h.Int(in.Dest)
-		h.Int(in.Srcs[0])
-		h.Int(in.Srcs[1])
-		h.Int(in.Addr)
-	}
-	return h.Sum()
 }
 
 // elites returns the n fittest individuals (n small; linear selection).

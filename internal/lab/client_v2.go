@@ -54,7 +54,6 @@ type RemoteCaps struct {
 	ClockStepHz       float64
 	VoltageVisibility string
 	DSOKind           string // "oc-dso", "bench-scope" or "" (no scope)
-	Lineage           bool
 }
 
 // Caps queries a domain's capability record.
@@ -69,7 +68,7 @@ func (c *Client) Caps(domain string) (*RemoteCaps, error) {
 			if caps.TotalCores, err = intField(fields, 0, "cores"); err != nil {
 				return err
 			}
-			if len(fields) < 7 {
+			if len(fields) < 6 {
 				return fmt.Errorf("malformed CAPS reply %q", payload)
 			}
 			if caps.Arch, err = isa.ParseArch(fields[1]); err != nil {
@@ -91,11 +90,6 @@ func (c *Client) Caps(domain string) (*RemoteCaps, error) {
 			if fields[5] != "-" {
 				caps.DSOKind = fields[5]
 			}
-			lineage, err := intField(fields, 6, "lineage")
-			if err != nil {
-				return err
-			}
-			caps.Lineage = lineage != 0
 			return nil
 		},
 	})

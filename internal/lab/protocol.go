@@ -37,7 +37,7 @@
 //
 //	HELLO <version>                 → OK <serverVersion> <platform>
 //	CAPS <domain>                   → OK <cores> <arch> <maxHz> <stepHz>
-//	                                     <visibility> <dsoKind> <lineage>
+//	                                     <visibility> <dsoKind>
 //	STATE <domain>                  → OK <clockHz> <supplyV> <powered>
 //	SWEEPFULL <domain> <cores> <samples>
 //	                                → OK <resHz> <peakLoopHz> <peakDBm> <n>

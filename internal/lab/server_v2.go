@@ -54,12 +54,9 @@ func (s *Server) cmdCaps(w *bufio.Writer, fields []string) error {
 		return err
 	}
 	spec := d.Spec
-	// Lineage-resume measurement cannot cross the wire (checkpoints live in
-	// the target's process), so the remote capability is always 0 even
-	// though the bench behind the daemon supports it locally.
-	return writeLine(w, "%s %d %s %g %g %s %s %d", replyOK,
+	return writeLine(w, "%s %d %s %g %g %s %s", replyOK,
 		spec.TotalCores, spec.ISA, spec.MaxClockHz, spec.ClockStepHz,
-		spec.VoltageVisibility, dsoKindFor(spec.VoltageVisibility), 0)
+		spec.VoltageVisibility, dsoKindFor(spec.VoltageVisibility))
 }
 
 func (s *Server) cmdState(w *bufio.Writer, fields []string) error {

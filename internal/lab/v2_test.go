@@ -1,6 +1,8 @@
 package lab
 
 import (
+	"bufio"
+	"net"
 	"reflect"
 	"strings"
 	"testing"
@@ -56,9 +58,6 @@ func TestCapsAndState(t *testing.T) {
 		caps.VoltageVisibility != spec.VoltageVisibility || caps.DSOKind != "oc-dso" {
 		t.Fatalf("caps %+v do not mirror spec %+v", caps, spec)
 	}
-	if caps.Lineage {
-		t.Fatal("remote caps claim lineage support; checkpoints cannot cross the wire")
-	}
 
 	if err := c.SetClock(platform.DomainA72, 600e6); err != nil {
 		t.Fatal(err)
@@ -75,6 +74,68 @@ func TestCapsAndState(t *testing.T) {
 	}
 	if _, err := c.State("no-such-domain"); err == nil || !IsTargetError(err) {
 		t.Fatalf("STATE on unknown domain: %v", err)
+	}
+}
+
+// replyServer starts a fake daemon that answers every request line with
+// the fixed reply, and returns its address.
+func replyServer(t *testing.T, reply string) string {
+	t.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { ln.Close() })
+	go func() {
+		for {
+			conn, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			go func(conn net.Conn) {
+				defer conn.Close()
+				r := bufio.NewReader(conn)
+				w := bufio.NewWriter(conn)
+				for {
+					if _, err := readLine(r); err != nil {
+						return
+					}
+					if err := writeLine(w, "%s", reply); err != nil {
+						return
+					}
+				}
+			}(conn)
+		}
+	}()
+	return ln.Addr().String()
+}
+
+// TestCapsReplyFieldCount: a CAPS reply carries exactly six fields; a
+// six-field reply parses and a five-field one is rejected as malformed.
+func TestCapsReplyFieldCount(t *testing.T) {
+	opts := fastOpts()
+	opts.MaxAttempts = 2
+	c, err := DialOptions(replyServer(t, "OK 4 arm64 1.2e+09 1e+07 oc-dso oc-dso"), opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	caps, err := c.Caps(platform.DomainA72)
+	if err != nil {
+		t.Fatalf("six-field CAPS reply: %v", err)
+	}
+	if caps.TotalCores != 4 || caps.MaxClockHz != 1.2e9 || caps.ClockStepHz != 1e7 ||
+		caps.VoltageVisibility != "oc-dso" || caps.DSOKind != "oc-dso" {
+		t.Fatalf("caps %+v", caps)
+	}
+
+	c5, err := DialOptions(replyServer(t, "OK 4 arm64 1.2e+09 1e+07 oc-dso"), opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c5.Close()
+	if _, err := c5.Caps(platform.DomainA72); err == nil || !strings.Contains(err.Error(), "malformed CAPS reply") {
+		t.Fatalf("five-field CAPS reply: err = %v, want malformed CAPS reply", err)
 	}
 }
 

@@ -60,7 +60,7 @@ func (d *Domain) Current(l Load, dt float64, n int) ([]float64, *uarch.Result, e
 	d.mu.Lock()
 	clock, supply, powered := d.clockHz, d.supplyVolts, d.poweredCores
 	d.mu.Unlock()
-	return d.currentAt(l, dt, n, clock, supply, powered, nil, nil)
+	return d.currentAt(l, dt, n, clock, supply, powered, nil)
 }
 
 // currentAt is Current with the domain state passed explicitly, so
@@ -69,7 +69,7 @@ func (d *Domain) Current(l Load, dt float64, n int) ([]float64, *uarch.Result, e
 // come from the power wave pool and internal callers that consume it
 // immediately hand it back via power.PutWave; a non-nil buf (a batch slab
 // row of length n) is filled and returned instead, and must not be pooled.
-func (d *Domain) currentAt(l Load, dt float64, n int, clock, supply float64, powered int, lin *uarch.Lineage, buf []float64) ([]float64, *uarch.Result, error) {
+func (d *Domain) currentAt(l Load, dt float64, n int, clock, supply float64, powered int, buf []float64) ([]float64, *uarch.Result, error) {
 	if err := d.validateLoad(l); err != nil {
 		return nil, nil, err
 	}
@@ -79,9 +79,9 @@ func (d *Domain) currentAt(l Load, dt float64, n int, clock, supply float64, pow
 	var err error
 	if buf != nil {
 		wave = buf
-		res, err = cl.CurrentLineageInto(wave, dt, n, lin)
+		res, err = cl.CurrentInto(wave, dt, n)
 	} else {
-		wave, res, err = cl.CurrentLineage(dt, n, lin)
+		wave, res, err = cl.Current(dt, n)
 	}
 	if err != nil {
 		return nil, nil, err
@@ -97,17 +97,10 @@ func (d *Domain) currentAt(l Load, dt float64, n int, clock, supply float64, pow
 // SteadyResponse returns the exact periodic steady-state die voltage and
 // package-inductor current under the workload, using cached PDN transfers.
 func (d *Domain) SteadyResponse(l Load, dt float64, n int) (*pdn.Response, *uarch.Result, error) {
-	return d.SteadyResponseLineage(l, dt, n, nil)
-}
-
-// SteadyResponseLineage is SteadyResponse with an optional simulation
-// lineage hint (see uarch.RunLineage); results are bit-identical for any
-// hint value.
-func (d *Domain) SteadyResponseLineage(l Load, dt float64, n int, lin *uarch.Lineage) (*pdn.Response, *uarch.Result, error) {
 	d.mu.Lock()
 	clock, supply, powered := d.clockHz, d.supplyVolts, d.poweredCores
 	d.mu.Unlock()
-	return d.steadyResponseAt(l, dt, n, clock, supply, powered, lin)
+	return d.steadyResponseAt(l, dt, n, clock, supply, powered)
 }
 
 // SteadyResponseAt is SteadyResponse at an explicit clock and supply
@@ -118,11 +111,11 @@ func (d *Domain) SteadyResponseAt(l Load, dt float64, n int, clockHz, supplyVolt
 	if supplyVolts <= 0 || supplyVolts > 2*d.Spec.PDN.VNominal {
 		return nil, nil, fmt.Errorf("platform: %s: supply %v out of range", d.Spec.Name, supplyVolts)
 	}
-	return d.steadyResponseAt(l, dt, n, clockHz, supplyVolts, d.PoweredCores(), nil)
+	return d.steadyResponseAt(l, dt, n, clockHz, supplyVolts, d.PoweredCores())
 }
 
-func (d *Domain) steadyResponseAt(l Load, dt float64, n int, clock, supply float64, powered int, lin *uarch.Lineage) (*pdn.Response, *uarch.Result, error) {
-	wave, res, err := d.currentAt(l, dt, n, clock, supply, powered, lin, nil)
+func (d *Domain) steadyResponseAt(l Load, dt float64, n int, clock, supply float64, powered int) (*pdn.Response, *uarch.Result, error) {
+	wave, res, err := d.currentAt(l, dt, n, clock, supply, powered, nil)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -143,26 +136,19 @@ func (d *Domain) steadyResponseAt(l Load, dt float64, n int, clock, supply float
 // (see spectraKey); the returned slices are shared and must be treated as
 // read-only.
 func (d *Domain) Spectra(l Load, dt float64, n int) (freqs, vAmp, iAmp []float64, res *uarch.Result, err error) {
-	return d.SpectraLineage(l, dt, n, nil)
+	return d.SpectraArena(l, dt, n, nil)
 }
 
-// SpectraLineage is Spectra with an optional simulation lineage hint (see
-// uarch.RunLineage); results are bit-identical for any hint value.
-func (d *Domain) SpectraLineage(l Load, dt float64, n int, lin *uarch.Lineage) (freqs, vAmp, iAmp []float64, res *uarch.Result, err error) {
-	return d.SpectraLineageArena(l, dt, n, lin, nil)
-}
-
-// SpectraLineageArena is SpectraLineage drawing its transient buffers (the
-// current waveform, the half spectrum and the FFT scratch) from a caller's
-// batch arena instead of the shared pools. The memoized outputs (vAmp, iAmp)
-// are still allocated normally — they outlive the arena in the spectra
-// cache. Results are bit-identical to SpectraLineage; a nil arena is the
-// pooled path.
-func (d *Domain) SpectraLineageArena(l Load, dt float64, n int, lin *uarch.Lineage, ar *slab.Arena) (freqs, vAmp, iAmp []float64, res *uarch.Result, err error) {
+// SpectraArena is Spectra drawing its transient buffers (the current
+// waveform, the half spectrum and the FFT scratch) from a caller's batch
+// arena instead of the shared pools. The memoized outputs (vAmp, iAmp) are
+// still allocated normally — they outlive the arena in the spectra cache.
+// Results are bit-identical to Spectra; a nil arena is the pooled path.
+func (d *Domain) SpectraArena(l Load, dt float64, n int, ar *slab.Arena) (freqs, vAmp, iAmp []float64, res *uarch.Result, err error) {
 	d.mu.Lock()
 	clock, supply, powered := d.clockHz, d.supplyVolts, d.poweredCores
 	d.mu.Unlock()
-	return d.spectraAt(l, dt, n, clock, supply, powered, lin, ar)
+	return d.spectraAt(l, dt, n, clock, supply, powered, ar)
 }
 
 // SpectraAt is Spectra at an explicit clock (the supply and powered-core
@@ -173,10 +159,10 @@ func (d *Domain) SpectraAt(l Load, dt float64, n int, clockHz float64) (freqs, v
 	d.mu.Lock()
 	supply, powered := d.supplyVolts, d.poweredCores
 	d.mu.Unlock()
-	return d.spectraAt(l, dt, n, clockHz, supply, powered, nil, nil)
+	return d.spectraAt(l, dt, n, clockHz, supply, powered, nil)
 }
 
-func (d *Domain) spectraAt(l Load, dt float64, n int, clock, supply float64, powered int, lin *uarch.Lineage, ar *slab.Arena) (freqs, vAmp, iAmp []float64, res *uarch.Result, err error) {
+func (d *Domain) spectraAt(l Load, dt float64, n int, clock, supply float64, powered int, ar *slab.Arena) (freqs, vAmp, iAmp []float64, res *uarch.Result, err error) {
 	key := spectraKey{load: l.Hash(), powered: powered, clock: clock, supply: supply, dt: dt, n: n}
 	d.spectraMu.Lock()
 	if el, ok := d.spectra[key]; ok {
@@ -194,7 +180,7 @@ func (d *Domain) spectraAt(l Load, dt float64, n int, clock, supply float64, pow
 		if ar != nil {
 			buf = ar.FloatsUninit(n) // fillCurrent overwrites (or clears) all n
 		}
-		wave, res, err := d.currentAt(l, dt, n, clock, supply, powered, lin, buf)
+		wave, res, err := d.currentAt(l, dt, n, clock, supply, powered, buf)
 		if err != nil {
 			return nil, err
 		}

@@ -9,8 +9,9 @@ import (
 
 // EvalStats returns a multi-line human-readable summary of the evaluation
 // caches serving this domain: the spectra memo, the clock-invariant uarch
-// trace cache and the lineage checkpoint store. The CLIs print it under -v
-// so every tool reports the same counters in the same format.
+// trace cache, the steady-state extrapolation counter and, when installed,
+// the persistent store. The CLIs print it under -v so every tool reports
+// the same counters in the same format.
 func (d *Domain) EvalStats() string {
 	var b strings.Builder
 	hits, misses, evictions := d.SpectraCacheStats()
@@ -24,9 +25,6 @@ func (d *Domain) EvalStats() string {
 	ts := uarch.TraceCacheStats()
 	fmt.Fprintf(&b, "trace cache: %d hits / %d misses / %d extensions / %d evictions, %d entries (%d cycles held)\n",
 		ts.Hits, ts.Misses, ts.Extensions, ts.Evictions, ts.Entries, ts.Cycles)
-	cs := uarch.CheckpointStoreStats()
-	fmt.Fprintf(&b, "checkpoints: %d hits / %d misses / %d stored / %d evictions, %d entries (mean resume depth %.1f insts)\n",
-		cs.Hits, cs.Misses, cs.Stored, cs.Evictions, cs.Entries, cs.MeanResumeDepth)
 	fmt.Fprintf(&b, "steady-state extrapolation: %d simulated cycles skipped", uarch.ExtrapolatedCycles())
 	if s := PersistentStore(); s != nil {
 		fmt.Fprintf(&b, "\n%s", s.Stats())

@@ -110,7 +110,7 @@ func (cl ClusterLoad) PrimeSteadyCycles(dt float64, n int) int {
 // synthesizes the one Result the caller keeps — the same prefix synthesis
 // the cache performs, so results stay bit-identical whether the trace, the
 // cache, or a per-stage simulation serves the request.
-func (cl ClusterLoad) steadySim(dt float64, n int, lin *uarch.Lineage, tr *uarch.Trace) (SteadySim, error) {
+func (cl ClusterLoad) steadySim(dt float64, n int, tr *uarch.Trace) (SteadySim, error) {
 	maxPhase := cl.maxPhase()
 	window := float64(n) * dt * cl.ClockHz // cycles covered by the sample window
 	minSteady := int(math.Ceil(window+maxPhase)) + 8
@@ -130,7 +130,7 @@ func (cl ClusterLoad) steadySim(dt float64, n int, lin *uarch.Lineage, tr *uarch
 		// cache hit. With the cache disabled the priming window is ignored
 		// and each stage simulates at its own size — bit-identical either way.
 		upfront := int(math.Ceil(window*1.05+maxPhase)) + 2
-		r, err := uarch.RunLineageWindow(cl.Core, cl.Seq, minSteady, upfront, lin)
+		r, err := uarch.RunWindow(cl.Core, cl.Seq, minSteady, upfront)
 		if err != nil {
 			return SteadySim{}, err
 		}
@@ -164,7 +164,7 @@ func (cl ClusterLoad) steadySim(dt float64, n int, lin *uarch.Lineage, tr *uarch
 			// The priming window was sized for the 5% bound, so this is
 			// unreachable from PrimeSteadyCycles-sized traces; fall back to
 			// the scalar stage-2 run for under-primed hand-built ones.
-			r, err := uarch.RunLineage(cl.Core, cl.Seq, size, lin)
+			r, err := uarch.Run(cl.Core, cl.Seq, size)
 			if err != nil {
 				return SteadySim{}, err
 			}
@@ -177,7 +177,7 @@ func (cl ClusterLoad) steadySim(dt float64, n int, lin *uarch.Lineage, tr *uarch
 			res = r
 		}
 	} else if len(res.SteadyCharge()) < needed {
-		r, err := uarch.RunLineage(cl.Core, cl.Seq, needed, lin)
+		r, err := uarch.Run(cl.Core, cl.Seq, needed)
 		if err != nil {
 			return SteadySim{}, err
 		}
@@ -198,7 +198,7 @@ func (cl ClusterLoad) SteadySimTrace(dt float64, n int, tr *uarch.Trace) (Steady
 	if dt <= 0 || n < 1 {
 		return SteadySim{}, fmt.Errorf("power: invalid sampling dt=%v n=%d", dt, n)
 	}
-	return cl.steadySim(dt, n, nil, tr)
+	return cl.steadySim(dt, n, tr)
 }
 
 // wavePool recycles current-waveform buffers between Current calls. The
@@ -215,8 +215,7 @@ func getWave(n int) []float64 {
 	return make([]float64, n)
 }
 
-// PutWave recycles a waveform previously returned by Current (or
-// CurrentLineage). The caller must not touch the slice afterwards. Putting
+// PutWave recycles a waveform previously returned by Current. The caller must not touch the slice afterwards. Putting
 // a waveform that escaped into a cache or result is a bug; only transient,
 // locally consumed waveforms may be recycled.
 func PutWave(w []float64) {
@@ -229,14 +228,8 @@ func PutWave(w []float64) {
 // Current simulates the loop and returns the cluster current sampled at dt
 // over n samples, together with the micro-architectural result.
 func (cl ClusterLoad) Current(dt float64, n int) ([]float64, *uarch.Result, error) {
-	return cl.CurrentLineage(dt, n, nil)
-}
-
-// CurrentLineage is Current with an optional simulation lineage hint (see
-// uarch.RunLineage); results are bit-identical for any hint value.
-func (cl ClusterLoad) CurrentLineage(dt float64, n int, lin *uarch.Lineage) ([]float64, *uarch.Result, error) {
 	out := getWave(n)
-	res, err := cl.CurrentLineageInto(out, dt, n, lin)
+	res, err := cl.CurrentInto(out, dt, n)
 	if err != nil {
 		PutWave(out)
 		return nil, nil, err
@@ -244,11 +237,11 @@ func (cl ClusterLoad) CurrentLineage(dt float64, n int, lin *uarch.Lineage) ([]f
 	return out, res, nil
 }
 
-// CurrentLineageInto is CurrentLineage writing the waveform into a caller-
-// provided buffer of length n (a batch slab row), bypassing the wave pool.
-// dst is fully overwritten, with the same arithmetic in the same order as
-// CurrentLineage, so the filled row is bit-identical.
-func (cl ClusterLoad) CurrentLineageInto(dst []float64, dt float64, n int, lin *uarch.Lineage) (*uarch.Result, error) {
+// CurrentInto is Current writing the waveform into a caller-provided
+// buffer of length n (a batch slab row), bypassing the wave pool. dst is
+// fully overwritten, with the same arithmetic in the same order as
+// Current, so the filled row is bit-identical.
+func (cl ClusterLoad) CurrentInto(dst []float64, dt float64, n int) (*uarch.Result, error) {
 	if err := cl.Validate(); err != nil {
 		return nil, err
 	}
@@ -258,13 +251,13 @@ func (cl ClusterLoad) CurrentLineageInto(dst []float64, dt float64, n int, lin *
 	if len(dst) != n {
 		return nil, fmt.Errorf("power: waveform buffer length %d, want %d", len(dst), n)
 	}
-	return cl.fillCurrent(dst, dt, n, lin)
+	return cl.fillCurrent(dst, dt, n)
 }
 
 // fillCurrent simulates the loop and resamples the cluster current into out
 // (len n).
-func (cl ClusterLoad) fillCurrent(out []float64, dt float64, n int, lin *uarch.Lineage) (*uarch.Result, error) {
-	sim, err := cl.steadySim(dt, n, lin, nil)
+func (cl ClusterLoad) fillCurrent(out []float64, dt float64, n int) (*uarch.Result, error) {
+	sim, err := cl.steadySim(dt, n, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -339,7 +332,7 @@ func (cl ClusterLoad) LoopHz(dt float64, n int) (float64, *uarch.Result, error) 
 	if dt <= 0 || n < 1 {
 		return 0, nil, fmt.Errorf("power: invalid sampling dt=%v n=%d", dt, n)
 	}
-	sim, err := cl.steadySim(dt, n, nil, nil)
+	sim, err := cl.steadySim(dt, n, nil)
 	if err != nil {
 		return 0, nil, err
 	}

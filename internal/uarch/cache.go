@@ -83,8 +83,7 @@ func traceKey(cfg *Config, seq []isa.Inst) uint64 {
 	return h.Sum()
 }
 
-// hashCfg folds every config field a simulation depends on. Shared between
-// the trace cache key and the checkpoint store's prefix keys.
+// hashCfg folds every config field a simulation depends on.
 func hashCfg(h *detrand.Hash, cfg *Config) {
 	h.String(cfg.Name)
 	h.Int(boolBit(cfg.OutOfOrder))
@@ -194,17 +193,12 @@ func (c *traceCache) install(e *traceEntry, prev, h *traceHist) {
 	}
 }
 
-// run serves one Run request through the cache.
-func (c *traceCache) run(cfg Config, seq []isa.Inst, minSteadyCycles int, lin *Lineage) (*Result, error) {
-	return c.runWindow(cfg, seq, minSteadyCycles, minSteadyCycles, lin)
-}
-
 // runWindow serves a Run request sized for minSteadyCycles while ensuring
 // the cached history covers ensureSteady cycles in the same transaction —
 // one key hash, one lookup, one simulation — so a caller that knows it may
 // come back for a slightly longer window (period snapping warps the sample
 // window by at most 5%) never pays a second simulation or a second probe.
-func (c *traceCache) runWindow(cfg Config, seq []isa.Inst, minSteadyCycles, ensureSteady int, lin *Lineage) (*Result, error) {
+func (c *traceCache) runWindow(cfg Config, seq []isa.Inst, minSteadyCycles, ensureSteady int) (*Result, error) {
 	if ensureSteady < minSteadyCycles {
 		ensureSteady = minSteadyCycles
 	}
@@ -215,7 +209,7 @@ func (c *traceCache) runWindow(cfg Config, seq []isa.Inst, minSteadyCycles, ensu
 		// than fight over the slot (counted as a miss). Priming headroom is
 		// pointless without a cache slot, so size for the request alone.
 		c.misses.Add(1)
-		hist, err := simulate(&cfg, seq, minSteadyCycles, lin)
+		hist, err := simulate(&cfg, seq, minSteadyCycles)
 		if err != nil {
 			return nil, err
 		}
@@ -225,7 +219,7 @@ func (c *traceCache) runWindow(cfg Config, seq []isa.Inst, minSteadyCycles, ensu
 		c.hits.Add(1)
 		return h.synth(minSteadyCycles)
 	}
-	h, err := c.fill(e, ensureSteady, lin)
+	h, err := c.fill(e, ensureSteady)
 	if err != nil {
 		// Failure to reach steady state is monotone in the window length,
 		// so a fresh run at the requested window fails too; report the
@@ -239,7 +233,7 @@ func (c *traceCache) runWindow(cfg Config, seq []isa.Inst, minSteadyCycles, ensu
 // covers ensureSteady cycles — simulating on first fill, extending with
 // doubling headroom otherwise — and returns the (possibly pre-existing)
 // covering history.
-func (c *traceCache) fill(e *traceEntry, ensureSteady int, lin *Lineage) (*traceHist, error) {
+func (c *traceCache) fill(e *traceEntry, ensureSteady int) (*traceHist, error) {
 	e.simMu.Lock()
 	defer e.simMu.Unlock()
 	h := e.hist.Load()
@@ -275,7 +269,7 @@ func (c *traceCache) fill(e *traceEntry, ensureSteady int, lin *Lineage) (*trace
 			}
 		}
 	}
-	h2, err := simulate(&e.cfg, e.seq, simSteady, lin)
+	h2, err := simulate(&e.cfg, e.seq, simSteady)
 	if err != nil {
 		return nil, err
 	}

@@ -169,7 +169,7 @@ func TestCacheOffSkipsDisk(t *testing.T) {
 func TestTraceEntryCodecRoundtrip(t *testing.T) {
 	cfg := CortexA72()
 	seq := isa.ARM64Pool().RandomSequence(rand.New(rand.NewSource(12)), 25)
-	hist, err := simulate(&cfg, seq, 800, nil)
+	hist, err := simulate(&cfg, seq, 800)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -80,29 +80,12 @@ type sim struct {
 	// cumIssued[c] is the total instruction count issued through cycle c
 	// (recorded after that cycle's issue stage); it lets a cached history
 	// reproduce the IPC of any shorter run exactly.
-	cumIssued  []int64
-	cycle      int
-	fetched    int
-	issued     int
-	issuedThis int // instructions issued in the cycle currently executing
+	cumIssued []int64
+	cycle     int
+	fetched   int
+	issued    int
 
 	iterStarts []int // fetch cycle of each iteration's first instruction
-
-	// Checkpointing (see checkpoint.go). boundaries[i] is an instruction
-	// count at which a snapshot is taken mid-fetch; keys[i] is the content
-	// hash of the corresponding sequence prefix. nextCk indexes the next
-	// boundary to snapshot; prefix is the shared copy of the sequence prefix
-	// handed to stored snapshots. A resumed sim starts with resumeSlot >= 0:
-	// the slot of the fetch stage to continue from, with resumeIssued
-	// holding the split cycle's issue count.
-	ckpt         *ckptStore
-	boundaries   []int
-	keys         []uint64
-	ckptWant     []bool // per boundary: store a snapshot when crossing it
-	nextCk       int
-	prefix       []isa.Inst
-	resumeSlot   int
-	resumeIssued int
 
 	// Steady-state extrapolation (see extrapolate): anchor signatures are
 	// taken at the first cycle boundary after each post-warmup iteration
@@ -191,18 +174,9 @@ func newSim(cfg *Config, seq []isa.Inst, steadyHint int) *sim {
 		}
 	}
 
-	s.cycle, s.fetched, s.issued, s.issuedThis = 0, 0, 0, 0
+	s.cycle, s.fetched, s.issued = 0, 0, 0
 	s.sigCount, s.pendingP, s.pendingAt = 0, 0, 0
 	s.seenIters = 0
-	s.ckpt = nil
-	// boundaries, keys and ckptWant keep their capacity across pooled runs;
-	// simulate refills them from scratch (or leaves them empty when
-	// checkpointing is off — fetch only consults them behind s.ckpt).
-	s.boundaries, s.keys, s.ckptWant = s.boundaries[:0], s.keys[:0], s.ckptWant[:0]
-	s.nextCk = 0
-	s.prefix = nil
-	s.resumeSlot = -1
-	s.resumeIssued = 0
 	return s
 }
 
@@ -212,8 +186,6 @@ func (s *sim) release() {
 	clear(s.chargeDiff)
 	s.chargeDiff = s.chargeDiff[:0]
 	s.cfg, s.seq = nil, nil
-	s.ckpt = nil
-	s.prefix = nil
 	s.cumIssued, s.iterStarts = nil, nil
 	simPool.Put(s)
 }
@@ -254,6 +226,14 @@ func (s *sim) decode(seq []isa.Inst) {
 	}
 }
 
+// simulate runs the simulator once from cycle 0 and recycles the sim shell.
+func simulate(cfg *Config, seq []isa.Inst, minSteadyCycles int) (*traceHist, error) {
+	s := newSim(cfg, seq, simHint(minSteadyCycles))
+	h, err := s.run(minSteadyCycles)
+	s.release()
+	return h, err
+}
+
 // simHint estimates the total cycle count of a run with the given steady
 // window, leaving room for the warmup iterations.
 func simHint(minSteadyCycles int) int {
@@ -275,11 +255,9 @@ func (s *sim) addCharge(from, cycles int, q float64) {
 	s.chargeDiff[from+cycles] -= q
 }
 
-// fetch renames and inserts instructions into the window, filling issue
-// slots [slot, IssueWidth). A fresh cycle fetches from slot 0; a resumed
-// simulation re-enters mid-cycle at the slot its checkpoint recorded.
-func (s *sim) fetch(slot int) {
-	for n := slot; n < s.cfg.IssueWidth && s.winLen < s.cfg.WindowSize; n++ {
+// fetch renames and inserts up to IssueWidth instructions into the window.
+func (s *sim) fetch() {
+	for n := 0; n < s.cfg.IssueWidth && s.winLen < s.cfg.WindowSize; n++ {
 		pos := s.fetched % len(s.seq)
 		if pos == 0 {
 			s.iterStarts = append(s.iterStarts, s.cycle)
@@ -318,10 +296,6 @@ func (s *sim) fetch(slot int) {
 		}
 		s.unissuedTail = int32(sl)
 		s.fetched++
-		if s.ckpt != nil && s.nextCk < len(s.boundaries) && s.fetched == s.boundaries[s.nextCk] {
-			s.snapshot(n + 1)
-			s.nextCk++
-		}
 	}
 }
 
@@ -420,26 +394,11 @@ func (s *sim) retire() {
 // run simulates until minSteadyCycles of steady state have elapsed and
 // returns the full recorded history. The Result of the run — or of any run
 // with a shorter steady window — is synthesized from the history by
-// traceHist.synth. A sim restored from a checkpoint first completes the
-// cycle its snapshot split — the retire and issue stages already ran, so
-// only the tail of the fetch stage and the cycle's bookkeeping remain —
-// then proceeds exactly like a fresh run.
+// traceHist.synth.
 func (s *sim) run(minSteadyCycles int) (*traceHist, error) {
 	warmupCycle := -1
 	limit := minSteadyCycles*64 + 100000
-	done := false
-	if s.resumeSlot >= 0 {
-		s.issuedThis = s.resumeIssued
-		s.fetch(s.resumeSlot)
-		if warmupCycle < 0 && len(s.iterStarts) > warmupIters {
-			warmupCycle = s.iterStarts[warmupIters]
-		}
-		s.addCharge(s.cycle, 1, s.cfg.BaseCharge+float64(s.cfg.IssueWidth-s.resumeIssued)*s.cfg.IdleSlotCharge)
-		s.cumIssued = append(s.cumIssued, int64(s.issued))
-		s.cycle++
-		done = warmupCycle >= 0 && s.cycle-warmupCycle >= minSteadyCycles
-	}
-	for !done {
+	for {
 		if s.cycle > limit {
 			return nil, steadyStateErr(minSteadyCycles)
 		}
@@ -449,8 +408,7 @@ func (s *sim) run(minSteadyCycles int) (*traceHist, error) {
 		}
 		s.retire()
 		issued := s.issue()
-		s.issuedThis = issued
-		s.fetch(0)
+		s.fetch()
 		if warmupCycle < 0 && len(s.iterStarts) > warmupIters {
 			warmupCycle = s.iterStarts[warmupIters]
 		}

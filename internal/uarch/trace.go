@@ -54,7 +54,7 @@ func PrimeTrace(cfg Config, seq []isa.Inst, steadyCycles int) (*Trace, error) {
 				c.hits.Add(1)
 				return &Trace{hist: h}, nil
 			}
-			h, err := c.fill(e, steadyCycles, nil)
+			h, err := c.fill(e, steadyCycles)
 			if err != nil {
 				// Failure to reach steady state is monotone in the window
 				// length; report the error a run at this window produces.
@@ -66,7 +66,7 @@ func PrimeTrace(cfg Config, seq []isa.Inst, steadyCycles int) (*Trace, error) {
 		// cache itself does.
 		c.misses.Add(1)
 	}
-	h, err := simulate(&cfg, seq, steadyCycles, nil)
+	h, err := simulate(&cfg, seq, steadyCycles)
 	if err != nil {
 		return nil, err
 	}

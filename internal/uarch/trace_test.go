@@ -51,7 +51,7 @@ func TestPrimeTraceSynthMatchesRun(t *testing.T) {
 }
 
 // TestPrimeTraceValidation checks that priming rejects the same degenerate
-// inputs RunLineageWindow does, and that a nil trace is inert.
+// inputs RunWindow does, and that a nil trace is inert.
 func TestPrimeTraceValidation(t *testing.T) {
 	cfg := CortexA72()
 	seq := isa.ARM64Pool().RandomSequence(rand.New(rand.NewSource(3)), 10)

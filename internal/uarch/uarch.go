@@ -163,26 +163,17 @@ const warmupIters = 8
 // minSteadyCycles of steady-state execution have elapsed after the warmup
 // iterations, finishing the iteration in flight.
 func Run(cfg Config, seq []isa.Inst, minSteadyCycles int) (*Result, error) {
-	return RunLineage(cfg, seq, minSteadyCycles, nil)
+	return RunWindow(cfg, seq, minSteadyCycles, 0)
 }
 
-// RunLineage is Run with an optional lineage hint: when the caller knows
-// the sequence shares a prefix with a previously simulated one (a bred GA
-// child and its parent), the hint bounds how deep the checkpoint store
-// probes for a resumable snapshot. Results are bit-identical to Run for any
-// hint value, including nil.
-func RunLineage(cfg Config, seq []isa.Inst, minSteadyCycles int, lin *Lineage) (*Result, error) {
-	return RunLineageWindow(cfg, seq, minSteadyCycles, 0, lin)
-}
-
-// RunLineageWindow is RunLineage with a cache-priming window: when the trace
-// cache is enabled and primeSteadyCycles exceeds minSteadyCycles, the one
-// simulation backing this request is sized to cover primeSteadyCycles, so a
-// follow-up request for any steady window up to that bound is served as a
-// pure cache hit instead of a second simulation. The returned Result is
-// bit-identical to RunLineage(cfg, seq, minSteadyCycles, lin) for any
-// priming window; with the cache disabled the priming window is ignored.
-func RunLineageWindow(cfg Config, seq []isa.Inst, minSteadyCycles, primeSteadyCycles int, lin *Lineage) (*Result, error) {
+// RunWindow is Run with a cache-priming window: when the trace cache is
+// enabled and primeSteadyCycles exceeds minSteadyCycles, the one simulation
+// backing this request is sized to cover primeSteadyCycles, so a follow-up
+// request for any steady window up to that bound is served as a pure cache
+// hit instead of a second simulation. The returned Result is bit-identical
+// to Run(cfg, seq, minSteadyCycles) for any priming window; with the cache
+// disabled the priming window is ignored.
+func RunWindow(cfg Config, seq []isa.Inst, minSteadyCycles, primeSteadyCycles int) (*Result, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
@@ -193,9 +184,9 @@ func RunLineageWindow(cfg Config, seq []isa.Inst, minSteadyCycles, primeSteadyCy
 		return nil, fmt.Errorf("uarch: minSteadyCycles = %d", minSteadyCycles)
 	}
 	if traceCacheOn.Load() {
-		return globalTraceCache.runWindow(cfg, seq, minSteadyCycles, primeSteadyCycles, lin)
+		return globalTraceCache.runWindow(cfg, seq, minSteadyCycles, primeSteadyCycles)
 	}
-	hist, err := simulate(&cfg, seq, minSteadyCycles, lin)
+	hist, err := simulate(&cfg, seq, minSteadyCycles)
 	if err != nil {
 		return nil, err
 	}

@@ -1,6 +1,7 @@
 package uarch
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -380,5 +381,51 @@ func TestLoopCyclesStableAcrossWindowLengths(t *testing.T) {
 	}
 	if math.Abs(a.LoopCycles-b.LoopCycles) > 0.25 {
 		t.Fatalf("LoopCycles drifted with simulation length: %v vs %v", a.LoopCycles, b.LoopCycles)
+	}
+}
+
+// traceCacheOff disables the trace cache for the test and restores the
+// previous setting, with an emptied cache, on cleanup.
+func traceCacheOff(t *testing.T) {
+	t.Helper()
+	prev := SetTraceCacheEnabled(false)
+	t.Cleanup(func() {
+		SetTraceCacheEnabled(prev)
+		ResetTraceCache()
+	})
+}
+
+// TestSteadyExtrapolationBitIdentical pins that fast-forwarding an exactly
+// periodic steady state replicates what per-cycle simulation would have
+// produced, bit for bit — across cores, ISAs, sequence lengths and steady
+// windows — and that the fast path actually engages on GA-shaped runs.
+func TestSteadyExtrapolationBitIdentical(t *testing.T) {
+	traceCacheOff(t)
+	pools := map[string]*isa.Pool{"arm64": isa.ARM64Pool(), "x86": isa.X86Pool()}
+	fired := false
+	for _, cfg := range []Config{CortexA72(), CortexA53(), AthlonII()} {
+		for pname, pool := range pools {
+			rng := rand.New(rand.NewSource(41))
+			for _, seqLen := range []int{2, 5, 17, 50} {
+				for _, steady := range []int{120, 700, 2500} {
+					label := fmt.Sprintf("%s/%s len=%d steady=%d", cfg.Name, pname, seqLen, steady)
+					seq := pool.RandomSequence(rng, seqLen)
+
+					prev := SetSteadyExtrapolationEnabled(false)
+					want := uncachedRun(t, cfg, seq, steady)
+					SetSteadyExtrapolationEnabled(true)
+					before := ExtrapolatedCycles()
+					got := uncachedRun(t, cfg, seq, steady)
+					if ExtrapolatedCycles() > before {
+						fired = true
+					}
+					SetSteadyExtrapolationEnabled(prev)
+					requireSameResult(t, label, got, want)
+				}
+			}
+		}
+	}
+	if !fired {
+		t.Fatal("steady-state extrapolation never engaged")
 	}
 }
