@@ -1,27 +1,87 @@
 package emnoise
 
-// Golden-output fence for the GA virus search: a small seeded run on the
-// Juno A72 cluster is digested and compared against a checked-in golden,
-// so a change that moves every evaluation path together (and therefore
-// passes every path-vs-path comparison) still shows up. Regenerate after
-// an intentional change with:
+// Golden-output fences: small seeded runs are digested and compared
+// against checked-in goldens, so a change that moves every evaluation path
+// together (and therefore passes every path-vs-path comparison) still
+// shows up. TestGAGolden pins the GA virus search on the Juno A72 cluster;
+// TestSweepGolden pins the batched resonance sweep and a probe shmoo,
+// which reach the analyzer with other bands than the GA does. Regenerate
+// after an intentional change with:
 //
-//	go test -run TestGAGolden -update .
+//	go test -run 'TestGAGolden|TestSweepGolden' -update .
 
 import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"hash"
 	"hash/fnv"
 	"math"
 	"os"
 	"path/filepath"
 	"testing"
+
+	"repro/internal/core"
 )
 
 var updateGolden = flag.Bool("update", false, "rewrite testdata/golden instead of comparing against it")
 
-const gaGoldenPath = "testdata/golden/ga.json"
+const (
+	gaGoldenPath    = "testdata/golden/ga.json"
+	sweepGoldenPath = "testdata/golden/sweep.json"
+)
+
+// digestFloats folds the IEEE-754 bits of each value into h, little-endian.
+func digestFloats(h hash.Hash64, fs ...float64) {
+	var b [8]byte
+	for _, f := range fs {
+		bits := math.Float64bits(f)
+		for i := range b {
+			b[i] = byte(bits >> (8 * i))
+		}
+		h.Write(b[:])
+	}
+}
+
+// checkGolden compares got against the golden file at path, or rewrites
+// the file under -update.
+func checkGolden[T comparable](t *testing.T, path string, got map[string]T) {
+	t.Helper()
+	if *updateGolden {
+		buf, err := json.MarshalIndent(got, "", "  ")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, append(buf, '\n'), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	buf, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("%v (regenerate with -update)", err)
+	}
+	var want map[string]T
+	if err := json.Unmarshal(buf, &want); err != nil {
+		t.Fatal(err)
+	}
+	if len(want) != len(got) {
+		t.Errorf("golden has %d runs, test produces %d", len(want), len(got))
+	}
+	for key, g := range got {
+		w, ok := want[key]
+		if !ok {
+			t.Errorf("%s: missing from %s", key, path)
+			continue
+		}
+		if g != w {
+			t.Errorf("%s: output moved:\ngot  %+v\nwant %+v", key, g, w)
+		}
+	}
+}
 
 // gaGolden is one seed's pinned GA outcome. Digest covers every
 // generation's BestFitness, MeanFitness and BestDominant bits plus the
@@ -62,18 +122,8 @@ func gaGoldenRun(t *testing.T, seed int64) gaGolden {
 		t.Fatal(err)
 	}
 	h := fnv.New64a()
-	word := func(f float64) {
-		var b [8]byte
-		bits := math.Float64bits(f)
-		for i := range b {
-			b[i] = byte(bits >> (8 * i))
-		}
-		h.Write(b[:])
-	}
 	for _, g := range res.History {
-		word(g.BestFitness)
-		word(g.MeanFitness)
-		word(g.BestDominant)
+		digestFloats(h, g.BestFitness, g.MeanFitness, g.BestDominant)
 	}
 	prog := FormatProgram(pool, res.Best.Seq)
 	h.Write([]byte(prog))
@@ -90,38 +140,93 @@ func TestGAGolden(t *testing.T) {
 	for _, seed := range []int64{1, 7} {
 		got[fmt.Sprintf("juno-r2/A72/cores=2/pop=16/gens=6/seed=%d", seed)] = gaGoldenRun(t, seed)
 	}
-	if *updateGolden {
-		buf, err := json.MarshalIndent(got, "", "  ")
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := os.MkdirAll(filepath.Dir(gaGoldenPath), 0o755); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(gaGoldenPath, append(buf, '\n'), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		return
-	}
-	buf, err := os.ReadFile(gaGoldenPath)
+	checkGolden(t, gaGoldenPath, got)
+}
+
+// sweepGolden is one domain's pinned operating-point campaign. Digest
+// covers ResonanceHz, PeakLoopHz, PeakDBm, every sweep point's ClockHz,
+// LoopHz and PeakDBm bits (nil points fold as a zero clock), and every
+// shmoo point's ClockHz, VminV, MarginV and outcome.
+type sweepGolden struct {
+	Digest      string  `json:"digest"`
+	ResonanceHz float64 `json:"resonance_hz"`
+	PeakLoopHz  float64 `json:"peak_loop_hz"`
+	Points      int     `json:"points"`
+}
+
+// sweepGoldenRun runs the fenced campaign on one domain: a seeded
+// SweepBatch over every DVFS step, then a probe-loop shmoo over three
+// evenly spread DVFS columns, all serial.
+func sweepGoldenRun(t *testing.T, plat *Platform, domain string, active int) sweepGolden {
+	t.Helper()
+	bench, err := NewBench(plat, 3)
 	if err != nil {
-		t.Fatalf("%v (regenerate with -update)", err)
-	}
-	var want map[string]gaGolden
-	if err := json.Unmarshal(buf, &want); err != nil {
 		t.Fatal(err)
 	}
-	if len(want) != len(got) {
-		t.Errorf("golden has %d runs, test produces %d", len(want), len(got))
+	bench.Parallelism = 1
+	d, err := plat.Domain(domain)
+	if err != nil {
+		t.Fatal(err)
 	}
-	for key, g := range got {
-		w, ok := want[key]
-		if !ok {
-			t.Errorf("%s: missing from %s", key, gaGoldenPath)
+	pts, err := bench.SweepBatch(d, active, core.SweepClockSteps(d))
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := core.AssembleSweep(pts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := fnv.New64a()
+	digestFloats(h, res.ResonanceHz, res.PeakLoopHz, res.PeakDBm)
+	for _, p := range pts {
+		if p == nil {
+			digestFloats(h, 0)
 			continue
 		}
-		if g != w {
-			t.Errorf("%s: GA output moved:\ngot  %+v\nwant %+v", key, g, w)
-		}
+		digestFloats(h, p.ClockHz, p.LoopHz, p.PeakDBm)
 	}
+	probe, err := WorkloadByName("probe")
+	if err != nil {
+		t.Fatal(err)
+	}
+	seq, err := probe.Build(d.Spec.Pool())
+	if err != nil {
+		t.Fatal(err)
+	}
+	steps := d.ClockSteps()
+	cols := make([]float64, 3)
+	for j := range cols {
+		cols[j] = steps[j*len(steps)/len(cols)]
+	}
+	tester := NewVminTester(d, 3)
+	tester.Parallelism = 1
+	shmoo, err := tester.Shmoo(Load{Seq: seq, ActiveCores: active}, cols)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range shmoo {
+		digestFloats(h, p.ClockHz, p.VminV, p.MarginV, float64(p.Outcome))
+	}
+	return sweepGolden{
+		Digest:      fmt.Sprintf("%016x", h.Sum64()),
+		ResonanceHz: res.ResonanceHz,
+		PeakLoopHz:  res.PeakLoopHz,
+		Points:      len(res.Points),
+	}
+}
+
+func TestSweepGolden(t *testing.T) {
+	juno, err := JunoR2()
+	if err != nil {
+		t.Fatal(err)
+	}
+	amd, err := AMDDesktop()
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := map[string]sweepGolden{
+		"juno-r2/A53/active=1/seed=3":        sweepGoldenRun(t, juno, DomainA53, 1),
+		"amd-desktop/Athlon/active=4/seed=3": sweepGoldenRun(t, amd, DomainAthlon, 4),
+	}
+	checkGolden(t, sweepGoldenPath, got)
 }
