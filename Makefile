@@ -70,11 +70,13 @@ vet:
 	$(GO) vet ./...
 
 # Hot-path benchmarks (cold vs cache-served sweep, shmoo, spectra and
-# fitness evaluation), recorded as $(BENCH_OUT) for regression diffing:
+# fitness evaluation) plus the stage benchmarks kept next to their stage
+# (the analyzer's MeasurePeak), recorded as $(BENCH_OUT) for regression
+# diffing:
 #   make bench BENCH_OUT=BENCH_pr5.json
 bench:
-	$(GO) test -bench 'BenchmarkSpectraEvaluation|BenchmarkFitnessEvaluation|BenchmarkResonanceSweep|BenchmarkShmoo|BenchmarkGenerationBatch|BenchmarkFleetGeneration|BenchmarkWarmStart' \
-		-benchmem -benchtime 1s -run '^$$' . | $(GO) run ./cmd/benchjson -o $(BENCH_OUT)
+	$(GO) test -bench 'BenchmarkSpectraEvaluation|BenchmarkFitnessEvaluation|BenchmarkResonanceSweep|BenchmarkShmoo|BenchmarkGenerationBatch|BenchmarkFleetGeneration|BenchmarkWarmStart|BenchmarkMeasurePeak' \
+		-benchmem -benchtime 1s -run '^$$' . ./internal/instrument | $(GO) run ./cmd/benchjson -o $(BENCH_OUT)
 
 # Diff two benchmark reports; exits nonzero if any benchmark present in
 # both regressed more than 20% in ns/op:

@@ -22,7 +22,6 @@ package instrument
 import (
 	"fmt"
 	"math"
-	"math/rand"
 	"sync"
 
 	"repro/internal/detrand"
@@ -121,7 +120,8 @@ func (sa *SpectrumAnalyzer) Capture(freqs, watts []float64) (*Sweep, error) {
 	if len(freqs) != len(watts) {
 		return nil, fmt.Errorf("instrument: spectrum length mismatch %d vs %d", len(freqs), len(watts))
 	}
-	return sa.capture(freqs, watts, detrand.Stream(sa.seed, detrand.HashFloats(freqs, watts), 0)), nil
+	rng := detrand.NewSplitmix(sa.seed, detrand.HashFloats(freqs, watts), 0)
+	return sa.capture(freqs, watts, &rng), nil
 }
 
 // nBins returns the analyzer's RBW bin count.
@@ -133,28 +133,24 @@ func (sa *SpectrumAnalyzer) nBins() int {
 	return n
 }
 
-// rebin sums the incident spectrum into the analyzer's RBW bins. The
-// result depends only on the spectrum, not on any noise draw, so repeated
-// sweeps over the same signal share one re-binning pass.
-func (sa *SpectrumAnalyzer) rebin(freqs, watts []float64) []float64 {
-	acc := make([]float64, sa.nBins())
-	sa.rebinInto(acc, freqs, watts)
-	return acc
+// binOf returns the RBW bin incident power at f sums into, or -1 when f
+// lies outside the span.
+func (sa *SpectrumAnalyzer) binOf(f float64) int {
+	if f < sa.StartHz || f >= sa.StopHz {
+		return -1
+	}
+	return int((f - sa.StartHz) / sa.RBWHz)
 }
 
-// rebinInto is rebin onto a caller-provided (zeroed) prefix of the bin
-// grid; incident power falling past len(acc) is dropped, which is exact
-// when the caller never reads those bins.
-func (sa *SpectrumAnalyzer) rebinInto(acc, freqs, watts []float64) {
+// rebin sums the incident spectrum into the analyzer's RBW bins.
+func (sa *SpectrumAnalyzer) rebin(freqs, watts []float64) []float64 {
+	acc := make([]float64, sa.nBins())
 	for i, f := range freqs {
-		if f < sa.StartHz || f >= sa.StopHz {
-			continue
-		}
-		bin := int((f - sa.StartHz) / sa.RBWHz)
-		if bin >= 0 && bin < len(acc) {
+		if bin := sa.binOf(f); bin >= 0 && bin < len(acc) {
 			acc[bin] += watts[i]
 		}
 	}
+	return acc
 }
 
 // freqVote is one per-sweep peak-bin tally. A short slice replaces the
@@ -166,25 +162,23 @@ type freqVote struct {
 	n int
 }
 
-// peakScratch carries MeasurePeak's per-call accumulators — the re-binned
-// power buffer, the per-sweep peaks, and the peak-bin votes — between
-// calls, so a sweep campaign's measurement loop allocates only its
-// Measurement. The acc buffer grows monotonically toward the widest band
-// measured, after which every call reuses it.
+// peakScratch carries MeasurePeak's per-call buffers between calls, so a
+// sweep campaign's measurement loop allocates only its Measurement: the
+// re-binned power, the per-bin dBm bounds, one sample's noise draws, the
+// per-sweep peaks and the peak-bin votes. The buffers grow monotonically
+// toward the widest band measured, after which every call reuses them.
 type peakScratch struct {
-	acc   []float64
-	peaks []float64
-	votes []freqVote
+	acc, lb, ub, u, g []float64
+	peaks             []float64
+	votes             []freqVote
 }
 
-func (sc *peakScratch) accFor(n int) []float64 {
-	if cap(sc.acc) < n {
-		sc.acc = make([]float64, n)
-		return sc.acc
+// grow returns buf resized to n, reallocating only when it is too small.
+func grow(buf []float64, n int) []float64 {
+	if cap(buf) < n {
+		return make([]float64, n)
 	}
-	sc.acc = sc.acc[:n]
-	clear(sc.acc)
-	return sc.acc
+	return buf[:n]
 }
 
 var peakScratchPool = sync.Pool{New: func() any { return new(peakScratch) }}
@@ -203,8 +197,16 @@ func BinCenters(startHz, rbwHz float64, n int) []float64 {
 	return freqs
 }
 
-// capture is the noise-source-explicit sweep used by Capture and MeasurePeak.
-func (sa *SpectrumAnalyzer) capture(freqs, watts []float64, rng *rand.Rand) *Sweep {
+// noiseSource is the per-bin draw pair a sweep consumes, in bin order.
+// The analyzer draws from a detrand.Splitmix; a math/rand stream over the
+// same generator yields the same values.
+type noiseSource interface {
+	Float64() float64
+	NormFloat64() float64
+}
+
+// capture is the noise-source-explicit full sweep behind Capture.
+func (sa *SpectrumAnalyzer) capture(freqs, watts []float64, rng noiseSource) *Sweep {
 	acc := sa.rebin(freqs, watts)
 	nBins := len(acc)
 	sweep := &Sweep{Freqs: BinCenters(sa.StartHz, sa.RBWHz, nBins), DBm: make([]float64, nBins)}
@@ -236,10 +238,6 @@ func (sa *SpectrumAnalyzer) MeasurePeak(freqs, watts []float64, lo, hi float64, 
 	if len(freqs) != len(watts) {
 		return nil, fmt.Errorf("instrument: spectrum length mismatch %d vs %d", len(freqs), len(watts))
 	}
-	// The frequency grid is a long-lived axis shared by every measurement on
-	// a platform, so its hash-state prefix is memoized; only the watts fold
-	// runs per call.
-	h := detrand.HashFloatsFrom(detrand.GridState(freqs), watts)
 	// Banded sweep, bit-identical to a full capture + PeakInBand: the noise
 	// stream is consumed strictly in bin order, so bins past the band's
 	// upper edge — whose draws come after every in-band draw — can be
@@ -251,31 +249,69 @@ func (sa *SpectrumAnalyzer) MeasurePeak(freqs, watts []float64, lo, hi float64, 
 	for bLimit < nBins && sa.StartHz+(float64(bLimit)+0.5)*sa.RBWHz <= hi {
 		bLimit++
 	}
+	bLo := 0
+	for bLo < bLimit && sa.StartHz+(float64(bLo)+0.5)*sa.RBWHz < lo {
+		bLo++
+	}
 	sc := peakScratchPool.Get().(*peakScratch)
-	acc := sc.accFor(bLimit) // noise-independent; shared by all samples
-	sa.rebinInto(acc, freqs, watts)
+	defer peakScratchPool.Put(sc)
+	sc.acc = grow(sc.acc, bLimit)
+	acc := sc.acc // noise-independent; shared by all samples
+	clear(acc)
+	// One pass over the spectrum both re-bins it and folds the watts into
+	// the noise-identity hash. The frequency grid is a long-lived axis
+	// shared by every measurement on a platform, so its hash-state prefix
+	// is memoized and resumed here.
+	h := detrand.HashFrom(detrand.GridState(freqs))
+	h.Int(len(watts))
+	for i, w := range watts {
+		h.Float64(w)
+		if bin := sa.binOf(freqs[i]); bin >= 0 && bin < len(acc) {
+			acc[bin] += w
+		}
+	}
+	content := h.Sum()
+
+	// Per-bin dBm bounds over every floor draw u in [0, 1): the noisy power
+	// acc+floor*(0.5+u) lies in [acc+0.5*floor, acc+1.5*floor], and dBm is
+	// monotone. The slack absorbs the last-ulp wobble of the logarithm.
+	const slackDB = 1e-6
 	floor := dsp.FromDBm(sa.NoiseFloorDBm)
+	sc.lb, sc.ub = grow(sc.lb, bLimit), grow(sc.ub, bLimit)
+	lb, ub := sc.lb, sc.ub
+	for b := bLo; b < bLimit; b++ {
+		lb[b] = dsp.DBm(acc[b]+floor*0.5) - slackDB
+		ub[b] = dsp.DBm(acc[b]+floor*1.5) + slackDB
+	}
+	sc.u, sc.g = grow(sc.u, bLimit), grow(sc.g, bLimit)
+	u, g := sc.u, sc.g
+	sigma := sa.NoiseSigmaDB
 	peaks := sc.peaks[:0]
 	votes := sc.votes[:0]
+	defer func() { sc.peaks, sc.votes = peaks, votes }()
 	for s := 0; s < samples; s++ {
-		rng := detrand.PooledStream(sa.seed, h, uint64(s))
-		peakF, peakDBm, ok := 0.0, math.Inf(-1), false
-		for b := 0; b < len(acc); b++ {
-			f := sa.StartHz + (float64(b)+0.5)*sa.RBWHz
-			u := rng.Float64()
-			g := rng.NormFloat64()
-			if f < lo {
-				continue
-			}
-			dbm := dsp.DBm(acc[b]+floor*(0.5+u)) + g*sa.NoiseSigmaDB
-			if dbm > peakDBm {
-				peakF, peakDBm, ok = f, dbm, true
+		rng := detrand.NewSplitmix(sa.seed, content, uint64(s))
+		rng.Pairs(u, g)
+		// best is a reading some bin is guaranteed to reach, so a bin whose
+		// upper bound falls short of it cannot hold (or tie) the peak; the
+		// survivors get the exact reading, scanned in bin order.
+		best := math.Inf(-1)
+		for b := bLo; b < bLimit; b++ {
+			if v := lb[b] + g[b]*sigma; v > best {
+				best = v
 			}
 		}
-		detrand.Recycle(rng)
+		peakF, peakDBm, ok := 0.0, math.Inf(-1), false
+		for b := bLo; b < bLimit; b++ {
+			if ub[b]+g[b]*sigma < best {
+				continue
+			}
+			dbm := dsp.DBm(acc[b]+floor*(0.5+u[b])) + g[b]*sigma
+			if dbm > peakDBm {
+				peakF, peakDBm, ok = sa.StartHz+(float64(b)+0.5)*sa.RBWHz, dbm, true
+			}
+		}
 		if !ok {
-			sc.peaks, sc.votes = peaks, votes
-			peakScratchPool.Put(sc)
 			return nil, fmt.Errorf("instrument: band [%v, %v] outside analyzer span", lo, hi)
 		}
 		peaks = append(peaks, peakDBm)
@@ -310,8 +346,6 @@ func (sa *SpectrumAnalyzer) MeasurePeak(freqs, watts []float64, lo, hi float64, 
 			domFreq, best = v.f, v.n
 		}
 	}
-	sc.peaks, sc.votes = peaks, votes
-	peakScratchPool.Put(sc)
 	return &Measurement{
 		PeakDBm:  dsp.DBm(rms),
 		PeakHz:   domFreq,
