@@ -5,6 +5,15 @@ BENCH_OUT ?= BENCH_pr9.json
 
 all: build test
 
+# require-tests REGEX, PACKAGES: fail when REGEX selects no test in one of
+# the packages. `go test -run` passes with "no tests to run" when nothing
+# matches, so a renamed test would otherwise drop out of its gate silently.
+# `go test -list` prints the matching names of each package followed by
+# its "ok"/"?" status line.
+define require-tests
+	@$(GO) test -list '$(1)' $(2) | awk '/^(ok|\?|FAIL)[ \t]/ { if (n == 0) { print "gate: -run \"$(1)\" selects no test in " $$2; bad = 1 } n = 0; next } { n++ } END { exit bad }'
+endef
+
 # Tier-1: the repository's baseline gate.
 build:
 	$(GO) build ./...
@@ -32,13 +41,15 @@ specs-verify:
 	$(GO) run ./cmd/specgen -check-builtin
 	GOFLAGS=-count=1 $(GO) test -run 'Registry|Spec|Arch|DefineArch' ./internal/platform ./internal/isa
 
-# Local/remote backend equivalence: the lab protocol v2 suite and the
-# Backend interface tests, which drive every command's measurement path
-# against an in-process labtarget (including through the chaos proxy) and
-# require bit-identical output to a local bench.
+# Local/remote backend equivalence: the lab protocol suite and the Backend
+# interface tests, which drive every command's measurement path against an
+# in-process labtarget (including through the chaos proxy) and require
+# bit-identical output to a local bench.
+REMOTE_TESTS = Hello|Caps|Verb|Dispatch|Sweep|Vmin|Setpoints|Chaos|Monitor|Stats|Equivalence|Capability|Determinism|FlagInventory
+REMOTE_PKGS = ./internal/lab ./internal/backend ./internal/cli
 tier1-remote:
-	GOFLAGS=-count=1 $(GO) test -run 'Hello|Caps|V2|Chaos|Monitor|Stats|Equivalence|Capability|Determinism|FlagInventory' \
-		./internal/lab ./internal/backend ./internal/cli
+	$(call require-tests,$(REMOTE_TESTS),$(REMOTE_PKGS))
+	GOFLAGS=-count=1 $(GO) test -run '$(REMOTE_TESTS)' $(REMOTE_PKGS)
 
 # Fleet: the campaign orchestrator's chaos suite under the race detector —
 # bit-identity of sharded GA generations / sweeps / shmoo lattices against
@@ -47,17 +58,21 @@ tier1-remote:
 # and the pool close-under-load and batch-parallelism regressions the
 # orchestrator leans on.
 tier1-fleet:
+	$(call require-tests,PoolCloseUnderLoad|SweepPointMatchesDirect,./internal/lab)
+	$(call require-tests,MeasureBatchParallelismZero|BatchMemoKeyedByReceiveChain,./internal/core)
 	GOFLAGS=-count=1 $(GO) test -race ./internal/fleet
-	GOFLAGS=-count=1 $(GO) test -race -run 'PoolCloseUnderLoad|SweepAtMatchesDirect' ./internal/lab
+	GOFLAGS=-count=1 $(GO) test -race -run 'PoolCloseUnderLoad|SweepPointMatchesDirect' ./internal/lab
 	GOFLAGS=-count=1 $(GO) test -race -run 'MeasureBatchParallelismZero|BatchMemoKeyedByReceiveChain' ./internal/core
 
 # Chaos: the remote-lab fault-injection suite (deterministic drop/delay/
 # garble proxy, reconnect-and-replay, pooled GA vs direct equivalence)
 # under the race detector. The transport's retry loop, the per-session
 # server state and the pool checkout all run concurrently here.
+CHAOS_TESTS = Chaos|Reconnect|Deadline|Pool|Concurrent|Shutdown|Desync|Garbled
 chaos:
+	$(call require-tests,$(CHAOS_TESTS),./internal/lab)
 	$(GO) test -race ./internal/lab/chaos
-	$(GO) test -race -run 'Chaos|Reconnect|Deadline|Pool|Concurrent|Shutdown|Desync|Garbled' ./internal/lab
+	$(GO) test -race -run '$(CHAOS_TESTS)' ./internal/lab
 
 # Tier-2: vet plus the race detector over the full module. The concurrent
 # paths (GA worker pool, parallel sweeps/shmoos, the spectra cache, the

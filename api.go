@@ -297,7 +297,7 @@ const (
 func NewLocalBackend(b *Bench) (*LocalBackend, error) { return backend.NewLocal(b) }
 
 // NewRemoteBackend dials a labtarget daemon with a pool of `jobs`
-// sessions, negotiating the protocol version.
+// sessions, checking that it speaks this build's protocol version.
 func NewRemoteBackend(addr string, jobs int, opts LabOptions) (*RemoteBackend, error) {
 	return backend.NewRemote(addr, jobs, opts)
 }

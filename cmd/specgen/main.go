@@ -4,7 +4,7 @@
 //
 //	specgen -list
 //	specgen -platform juno > myboard.json        # whole platform, schema v2
-//	specgen -platform juno -domain cortex-a72 -v1 > mychip.json
+//	specgen -platform juno -domain cortex-a72 > mychip.json  # one domain, schema v1
 //	# edit the file: PDN values, core model, EM path...
 //	specgen -check myboard.json                  # strict parse + round trip
 //	specgen -check-builtin                       # verify every embedded spec
@@ -24,8 +24,7 @@ func main() {
 	var (
 		list         = flag.Bool("list", false, "list the spec registry and exit")
 		plat         = flag.String("platform", "", "registry platform to dump (name or alias)")
-		domName      = flag.String("domain", "", "dump one domain instead of the whole platform")
-		v1           = flag.Bool("v1", false, "with -domain: write the single-domain v1 schema")
+		domName      = flag.String("domain", "", "dump one domain as a single-domain v1 spec instead of the whole platform")
 		check        = flag.String("check", "", "verify a spec file: strict parse, build, save/load round trip")
 		checkBuiltin = flag.Bool("check-builtin", false, "verify every embedded spec the same way -check does")
 	)
@@ -74,17 +73,13 @@ func main() {
 		if err != nil {
 			fatal(err)
 		}
-		if *domName == "" && !*v1 {
+		if *domName == "" {
 			if err := platform.SavePlatformSpecJSON(os.Stdout, p); err != nil {
 				fatal(err)
 			}
 			return
 		}
-		name := *domName
-		if name == "" {
-			name = p.Domains()[0].Spec.Name
-		}
-		d, err := p.Domain(name)
+		d, err := p.Domain(*domName)
 		if err != nil {
 			fatal(err)
 		}

@@ -95,10 +95,9 @@ func main() {
 	defer remote.Close()
 	remote.Samples = 5
 
-	fmt.Printf("connected to %s (protocol v%d, domains %v)\n",
-		remote.PlatformName(), remote.ProtocolVersion(), remote.Domains())
+	fmt.Printf("connected to %s (domains %v)\n", remote.PlatformName(), remote.Domains())
 
-	// Capability negotiation: the daemon advertises what each domain can
+	// Capability query: the daemon advertises what each domain can
 	// measure, so impossible requests fail up front with a typed error
 	// instead of mid-campaign.
 	caps, err := remote.Caps(emnoise.DomainA72)

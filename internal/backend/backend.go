@@ -16,6 +16,7 @@ package backend
 import (
 	"errors"
 	"fmt"
+	"sort"
 
 	"repro/internal/core"
 	"repro/internal/ga"
@@ -72,6 +73,15 @@ func (c Caps) Pool() *isa.Pool { return isa.PoolFor(c.Arch) }
 // same two floats).
 func (c Caps) ClockSteps() []float64 {
 	return platform.ClockStepsFor(c.ClockStepHz, c.MaxClockHz)
+}
+
+// SweepClockSteps lists the clock grid a fast resonance sweep walks,
+// descending like the paper (1.2 GHz down), identical to the local
+// core.SweepClockSteps.
+func (c Caps) SweepClockSteps() []float64 {
+	steps := c.ClockSteps()
+	sort.Sort(sort.Reverse(sort.Float64Slice(steps)))
+	return steps
 }
 
 // DomainState is a domain's current operating point.
@@ -151,10 +161,10 @@ type Backend interface {
 	ResonanceSweep(domain string, activeCores, samples int) (*core.SweepResult, error)
 	// SweepPoint measures one fast-sweep point at an explicit clock
 	// setting without touching the domain's live clock (nil point, nil
-	// error = the probe loop is out of band at that clock). Fleet
-	// coordinators shard core.SweepClockSteps over this; a pre-v3 remote
-	// daemon lacks the verb and returns an error (see Remote.
-	// SweepPointCapable for the placement-time check).
+	// error = the probe loop is out of band at that clock). It is the
+	// one-clock form of the batched sweep, so fleet coordinators shard
+	// Caps.SweepClockSteps over it and agree bit for bit with
+	// ResonanceSweep.
 	SweepPoint(domain string, activeCores, samples int, clockHz float64) (*core.SweepPoint, error)
 	// MonitorAll captures one spectrum with every given domain's load
 	// emitting simultaneously (Figure 15).

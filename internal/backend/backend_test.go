@@ -1,9 +1,12 @@
 package backend_test
 
 import (
+	"bufio"
 	"bytes"
+	"fmt"
 	"net"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 
@@ -97,9 +100,6 @@ func probeLoad(t *testing.T, be backend.Backend, domain string, cores int) platf
 func TestLocalRemoteEquivalence(t *testing.T) {
 	local, remote := backends(t, 4)
 
-	if remote.ProtocolVersion() != lab.ProtocolVersion {
-		t.Fatalf("negotiated v%d, want v%d", remote.ProtocolVersion(), lab.ProtocolVersion)
-	}
 	if local.PlatformName() != remote.PlatformName() {
 		t.Fatalf("platform %q != %q", local.PlatformName(), remote.PlatformName())
 	}
@@ -243,6 +243,45 @@ func TestLocalRemoteEquivalence(t *testing.T) {
 	}
 	if lstats != rstats {
 		t.Fatalf("eval stats diverge:\nlocal:\n%s\nremote:\n%s", lstats, rstats)
+	}
+}
+
+// TestRemoteHelloMismatch: a daemon that answers HELLO with another
+// protocol version is a hard construction error naming the address and
+// both versions.
+func TestRemoteHelloMismatch(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { ln.Close() })
+	go func() {
+		for {
+			conn, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			go func() {
+				defer conn.Close()
+				sc := bufio.NewScanner(conn)
+				for sc.Scan() {
+					if _, err := conn.Write([]byte("OK 3 juno-r2\n")); err != nil {
+						return
+					}
+				}
+			}()
+		}
+	}()
+	addr := ln.Addr().String()
+	r, err := backend.NewRemote(addr, 1, fastOpts())
+	if err == nil {
+		r.Close()
+		t.Fatal("NewRemote accepted a v3 daemon")
+	}
+	for _, want := range []string{addr, "v3", fmt.Sprintf("v%d", lab.ProtocolVersion)} {
+		if !strings.Contains(err.Error(), want) {
+			t.Fatalf("error %q does not name %s", err, want)
+		}
 	}
 }
 

@@ -18,11 +18,8 @@ import (
 )
 
 // Remote drives a lab daemon over TCP through a client pool, presenting
-// it as a Backend. One HELLO negotiation at construction decides the
-// protocol version: a v2 daemon unlocks the full surface; a v1 daemon
-// still serves the EM measurement loop (Measurer with the em metric,
-// EMMeasure, setpoints) while the v2-only operations fail with a clear
-// upgrade message.
+// it as a Backend. A HELLO at construction checks that the daemon speaks
+// this build's protocol version; any other version is a hard error.
 //
 // Everything the daemon measures is content-deterministic and every value
 // crosses the wire as %g (which ParseFloat round-trips exactly), so a
@@ -38,7 +35,6 @@ type Remote struct {
 	addr         string
 	pool         *lab.Pool
 	platformName string
-	version      int
 	domains      []string
 
 	mu   sync.Mutex
@@ -46,7 +42,7 @@ type Remote struct {
 }
 
 // NewRemote dials a lab daemon with a pool of `jobs` sessions (jobs<=0
-// selects GOMAXPROCS) and negotiates the protocol version.
+// selects GOMAXPROCS) and checks its protocol version.
 func NewRemote(addr string, jobs int, opts lab.Options) (*Remote, error) {
 	pool, err := lab.NewPool(addr, par.Workers(jobs), opts)
 	if err != nil {
@@ -59,15 +55,8 @@ func NewRemote(addr string, jobs int, opts lab.Options) (*Remote, error) {
 		caps:    make(map[string]Caps),
 	}
 	err = pool.Do(func(c *lab.Client) error {
-		ver, name, err := c.Hello(lab.ProtocolVersion)
-		switch {
-		case err == nil:
-			r.version, r.platformName = ver, name
-		case lab.IsTargetError(err):
-			// Pre-HELLO daemon: protocol v1.
-			r.version = 1
-		default:
-			return err
+		if _, err := c.Hello(); err != nil {
+			return fmt.Errorf("backend: lab daemon at %s failed the protocol v%d handshake: %w", addr, lab.ProtocolVersion, err)
 		}
 		name, doms, err := c.Info()
 		if err != nil {
@@ -87,22 +76,12 @@ func NewRemote(addr string, jobs int, opts lab.Options) (*Remote, error) {
 	return r, nil
 }
 
-// ProtocolVersion reports the negotiated protocol version.
-func (r *Remote) ProtocolVersion() int { return r.version }
-
 // Addr reports the daemon address this backend drives.
 func (r *Remote) Addr() string { return r.addr }
 
 // TransportStats snapshots the pool's transport counters (latency,
 // retries, reconnects) for -v output.
 func (r *Remote) TransportStats() lab.Stats { return r.pool.Stats() }
-
-func (r *Remote) requireV2(what string) error {
-	if r.version >= 2 {
-		return nil
-	}
-	return fmt.Errorf("backend: lab daemon at %s speaks protocol v1 and lacks %s; redeploy cmd/labtarget from this tree", r.addr, what)
-}
 
 // PlatformName identifies the remote rig.
 func (r *Remote) PlatformName() string { return r.platformName }
@@ -112,25 +91,6 @@ func (r *Remote) Domains() []string {
 	out := make([]string, len(r.domains))
 	copy(out, r.domains)
 	return out
-}
-
-// builtinCaps reconstructs a capability record from the built-in platform
-// catalogue, for v1 daemons that predate CAPS. Every v1 daemon in the
-// field serves one of the built-in boards, so the catalogue is
-// authoritative for them; custom-spec daemons need protocol v2.
-func builtinCaps(platformName, domain string) (Caps, error) {
-	if !platform.Builtin().Has(platformName) {
-		return Caps{}, fmt.Errorf("backend: v1 daemon serves unknown platform %q; CAPS needs protocol v2", platformName)
-	}
-	p, err := platform.Build(platformName)
-	if err != nil {
-		return Caps{}, err
-	}
-	d, err := p.Domain(domain)
-	if err != nil {
-		return Caps{}, err
-	}
-	return specCaps(d.Spec), nil
 }
 
 // NoPoolError reports that a rig's architecture was only interned from
@@ -170,32 +130,24 @@ func (r *Remote) Caps(domain string) (Caps, error) {
 	r.mu.Unlock()
 
 	var caps Caps
-	if r.version >= 2 {
-		err := r.pool.Do(func(c *lab.Client) error {
-			rc, err := c.Caps(domain)
-			if err != nil {
-				return err
-			}
-			caps = Caps{
-				Domain:            domain,
-				TotalCores:        rc.TotalCores,
-				Arch:              rc.Arch,
-				MaxClockHz:        rc.MaxClockHz,
-				ClockStepHz:       rc.ClockStepHz,
-				VoltageVisibility: rc.VoltageVisibility,
-				DSOKind:           rc.DSOKind,
-			}
-			return nil
-		})
+	err := r.pool.Do(func(c *lab.Client) error {
+		rc, err := c.Caps(domain)
 		if err != nil {
-			return Caps{}, err
+			return err
 		}
-	} else {
-		var err error
-		caps, err = builtinCaps(r.platformName, domain)
-		if err != nil {
-			return Caps{}, err
+		caps = Caps{
+			Domain:            domain,
+			TotalCores:        rc.TotalCores,
+			Arch:              rc.Arch,
+			MaxClockHz:        rc.MaxClockHz,
+			ClockStepHz:       rc.ClockStepHz,
+			VoltageVisibility: rc.VoltageVisibility,
+			DSOKind:           rc.DSOKind,
 		}
+		return nil
+	})
+	if err != nil {
+		return Caps{}, err
 	}
 	r.mu.Lock()
 	r.caps[domain] = caps
@@ -205,9 +157,6 @@ func (r *Remote) Caps(domain string) (Caps, error) {
 
 // State queries a domain's current operating point.
 func (r *Remote) State(domain string) (DomainState, error) {
-	if err := r.requireV2("STATE"); err != nil {
-		return DomainState{}, err
-	}
 	var st DomainState
 	err := r.pool.Do(func(c *lab.Client) error {
 		rs, err := c.State(domain)
@@ -269,27 +218,19 @@ func (r *Remote) EMMeasureN(domain string, load platform.Load, samples int) (*in
 	}
 	var m *instrument.Measurement
 	err = r.pool.Do(func(c *lab.Client) error {
-		if err := c.Load(domain, load.ActiveCores, ipool, load.Seq); err != nil {
-			return err
-		}
-		if err := c.Run(); err != nil {
-			return err
-		}
-		rm, err := c.Measure(samples)
-		if err != nil {
-			_ = c.Stop()
-			return err
-		}
-		if err := c.Stop(); err != nil {
-			return err
-		}
-		m = &instrument.Measurement{
-			PeakDBm:  rm.PeakDBm,
-			PeakHz:   rm.PeakHz,
-			Samples:  samples,
-			StdevDBm: rm.StdevDBm,
-		}
-		return nil
+		return c.Cycle(domain, load.ActiveCores, ipool, load.Seq, func() error {
+			rm, err := c.Measure(samples)
+			if err != nil {
+				return err
+			}
+			m = &instrument.Measurement{
+				PeakDBm:  rm.PeakDBm,
+				PeakHz:   rm.PeakHz,
+				Samples:  samples,
+				StdevDBm: rm.StdevDBm,
+			}
+			return nil
+		})
 	})
 	if err != nil {
 		return nil, err
@@ -298,9 +239,9 @@ func (r *Remote) EMMeasureN(domain string, load platform.Load, samples int) (*in
 }
 
 // Measurer builds a GA fitness function that evaluates each individual on
-// the remote target. The em metric uses the v1 MEASURE loop (so it works
-// against old daemons); droop/ptp need the v2 VMEASURE verb and fail
-// client-side with a *CapabilityError when the domain is voltage-blind.
+// the remote target through the load/run/measure/stop cycle: MEASURE for
+// the em metric, VMEASURE for droop/ptp, which fail client-side with a
+// *CapabilityError when the domain is voltage-blind.
 func (r *Remote) Measurer(spec MeasurerSpec) (ga.Measurer, error) {
 	caps, err := r.Caps(spec.Domain)
 	if err != nil {
@@ -316,9 +257,6 @@ func (r *Remote) Measurer(spec MeasurerSpec) (ga.Measurer, error) {
 		if caps.DSOKind == "" {
 			return nil, &CapabilityError{Domain: spec.Domain, Metric: spec.Metric, Visibility: caps.VoltageVisibility}
 		}
-		if err := r.requireV2("the VMEASURE verb (droop/ptp metrics)"); err != nil {
-			return nil, err
-		}
 	default:
 		return nil, fmt.Errorf("backend: unknown metric %q", spec.Metric)
 	}
@@ -329,27 +267,19 @@ func (r *Remote) Measurer(spec MeasurerSpec) (ga.Measurer, error) {
 	return ga.MeasurerFunc(func(seq []isa.Inst) (float64, float64, error) {
 		var fitness, domHz float64
 		err := r.pool.Do(func(c *lab.Client) error {
-			if err := c.Load(spec.Domain, spec.ActiveCores, ipool, seq); err != nil {
-				return err
-			}
-			if err := c.Run(); err != nil {
-				return err
-			}
-			var merr error
-			if spec.Metric == MetricEM {
-				m, err := c.Measure(samples)
-				if err == nil {
-					fitness, domHz = m.PeakDBm, m.PeakHz
+			return c.Cycle(spec.Domain, spec.ActiveCores, ipool, seq, func() error {
+				if spec.Metric != MetricEM {
+					var err error
+					fitness, domHz, err = c.VMeasure(string(spec.Metric), samples, spec.DSOSeed)
+					return err
 				}
-				merr = err
-			} else {
-				fitness, domHz, merr = c.VMeasure(string(spec.Metric), samples, spec.DSOSeed)
-			}
-			if merr != nil {
-				_ = c.Stop()
-				return merr
-			}
-			return c.Stop()
+				m, err := c.Measure(samples)
+				if err != nil {
+					return err
+				}
+				fitness, domHz = m.PeakDBm, m.PeakHz
+				return nil
+			})
 		})
 		if err != nil {
 			return 0, 0, err
@@ -358,51 +288,42 @@ func (r *Remote) Measurer(spec MeasurerSpec) (ga.Measurer, error) {
 	}), nil
 }
 
-// ResonanceSweep runs the fast resonance sweep on the daemon.
+// ResonanceSweep runs the fast resonance sweep on the daemon: one SWEEP
+// over the domain's whole clock grid, assembled here exactly as a local
+// FastResonanceSweep assembles its batch.
 func (r *Remote) ResonanceSweep(domain string, activeCores, samples int) (*core.SweepResult, error) {
-	if err := r.requireV2("the SWEEPFULL verb"); err != nil {
-		return nil, err
-	}
-	if samples <= 0 {
-		samples = r.Samples
-	}
-	var res *core.SweepResult
-	err := r.pool.Do(func(c *lab.Client) error {
-		var err error
-		res, err = c.SweepFull(domain, activeCores, samples)
-		return err
-	})
+	caps, err := r.Caps(domain)
 	if err != nil {
 		return nil, err
 	}
-	return res, nil
+	points, err := r.sweep(domain, activeCores, samples, caps.SweepClockSteps())
+	if err != nil {
+		return nil, err
+	}
+	return core.AssembleSweep(points)
 }
 
-// SweepPointCapable reports whether the daemon speaks the protocol-v3
-// SWEEPAT verb. Fleet coordinators consult this at placement time so a
-// pre-v3 rig is excluded from point-sharded sweeps instead of failing
-// mid-campaign.
-func (r *Remote) SweepPointCapable() bool { return r.version >= 3 }
-
 // SweepPoint measures one fast-sweep point at an explicit clock setting on
-// the daemon.
+// the daemon: a SWEEP with one clock.
 func (r *Remote) SweepPoint(domain string, activeCores, samples int, clockHz float64) (*core.SweepPoint, error) {
-	if r.version < 3 {
-		return nil, fmt.Errorf("backend: lab daemon at %s speaks protocol v%d and lacks the SWEEPAT verb (per-point sweep sharding); redeploy cmd/labtarget from this tree", r.addr, r.version)
-	}
-	if samples <= 0 {
-		samples = r.Samples
-	}
-	var pt *core.SweepPoint
-	err := r.pool.Do(func(c *lab.Client) error {
-		var err error
-		pt, err = c.SweepAt(domain, activeCores, samples, clockHz)
-		return err
-	})
+	points, err := r.sweep(domain, activeCores, samples, []float64{clockHz})
 	if err != nil {
 		return nil, err
 	}
-	return pt, nil
+	return points[0], nil
+}
+
+func (r *Remote) sweep(domain string, activeCores, samples int, clocks []float64) ([]*core.SweepPoint, error) {
+	if samples <= 0 {
+		samples = r.Samples
+	}
+	var points []*core.SweepPoint
+	err := r.pool.Do(func(c *lab.Client) error {
+		var err error
+		points, err = c.Sweep(domain, activeCores, samples, clocks)
+		return err
+	})
+	return points, err
 }
 
 // MonitorAll captures one combined spectrum over several domains' loads.
@@ -410,9 +331,6 @@ func (r *Remote) SweepPoint(domain string, activeCores, samples int, clockHz flo
 // MonitorAll iterates — so the target's float summation matches a local
 // capture exactly.
 func (r *Remote) MonitorAll(loads map[string]platform.Load) (*instrument.Sweep, error) {
-	if err := r.requireV2("the MONITOR verb"); err != nil {
-		return nil, err
-	}
 	if len(loads) == 0 {
 		return nil, fmt.Errorf("backend: no loads to monitor")
 	}
@@ -456,9 +374,6 @@ func (r *Remote) MonitorAll(loads map[string]platform.Load) (*instrument.Sweep, 
 // tester seed. The returned Result carries no Trials (the descent log
 // stays on the target).
 func (r *Remote) Vmin(domain string, load platform.Load, seed int64, repeats int) (*vmin.Result, []float64, error) {
-	if err := r.requireV2("the VMINFULL verb"); err != nil {
-		return nil, nil, err
-	}
 	if err := loadable(load); err != nil {
 		return nil, nil, err
 	}
@@ -476,7 +391,7 @@ func (r *Remote) Vmin(domain string, load platform.Load, seed int64, repeats int
 		if err := c.Load(domain, load.ActiveCores, ipool, load.Seq); err != nil {
 			return err
 		}
-		full, err := c.VminFull(seed, repeats)
+		full, err := c.Vmin(seed, repeats)
 		if err != nil {
 			return err
 		}
@@ -497,9 +412,6 @@ func (r *Remote) Vmin(domain string, load platform.Load, seed int64, repeats int
 
 // VminShmoo traces the frequency/voltage failure boundary on the daemon.
 func (r *Remote) VminShmoo(domain string, load platform.Load, seed int64, clocks []float64) ([]vmin.ShmooPoint, error) {
-	if err := r.requireV2("the SHMOO verb"); err != nil {
-		return nil, err
-	}
 	if err := loadable(load); err != nil {
 		return nil, err
 	}
@@ -528,9 +440,6 @@ func (r *Remote) VminShmoo(domain string, load platform.Load, seed int64, clocks
 
 // EvalStats fetches the daemon-side evaluation-cache counters.
 func (r *Remote) EvalStats(domain string) (string, error) {
-	if err := r.requireV2("the STATS verb"); err != nil {
-		return "", err
-	}
 	var stats string
 	err := r.pool.Do(func(c *lab.Client) error {
 		var err error

@@ -45,9 +45,8 @@ func SweepClockSteps(d *platform.Domain) []float64 {
 }
 
 // buildProbe materializes the fixed two-phase probe loop against the
-// domain's instruction pool. Campaign paths call it once per campaign; the
-// per-point path below pays it once per point, which is why pre-batch rigs
-// (the fleet's SWEEPFULL fallback) route whole grids through SweepBatch.
+// domain's instruction pool. SweepBatch reaches it through cachedProbe, so
+// it runs once per domain however the grid is split into batches.
 func buildProbe(d *platform.Domain) ([]isa.Inst, error) {
 	return workload.Probe().Build(d.Spec.Pool())
 }
@@ -82,11 +81,11 @@ func (b *Bench) cachedProbe(d *platform.Domain) ([]isa.Inst, error) {
 // the received EM amplitude at the loop fundamental. It returns nil (and
 // no error) when the loop frequency falls outside the bench's search band
 // — only in-band points can reveal the resonance. It is the single-point
-// form of SweepBatch (the fleet's SWEEPAT shard handler measures assigned
-// grid slices through it), so the evaluation is stateless — the domain's
-// live clock setting is never touched and concurrent points cannot
-// interfere — and bit-identical to any batched or sharded layout that
-// includes the same snapped clock.
+// form of SweepBatch (what a one-clock lab SWEEP runs, and so what a
+// fleet's per-point shards measure), so the evaluation is stateless — the
+// domain's live clock setting is never touched and concurrent points
+// cannot interfere — and bit-identical to any batched or sharded layout
+// that includes the same snapped clock.
 func (b *Bench) SweepPointAt(d *platform.Domain, activeCores int, clockHz float64) (*SweepPoint, error) {
 	pts, err := b.SweepBatch(d, activeCores, []float64{clockHz})
 	if err != nil {

@@ -113,7 +113,7 @@ func TestSweepBatchSizesSpectraCache(t *testing.T) {
 }
 
 // TestSweepBatchEmptyAndSinglePoint: the degenerate shapes the fleet layer
-// leans on — an empty grid and the one-point SWEEPAT shard form.
+// leans on — an empty grid and the one-clock SWEEP shard form.
 func TestSweepBatchEmptyAndSinglePoint(t *testing.T) {
 	b, p := testBench(t)
 	d := dom(t, p, platform.DomainA72)

@@ -20,8 +20,8 @@ type campaign[R any] struct {
 	items []uint64
 	// eligible filters rigs at placement time (nil = every rig). A rig
 	// excluded here never sees the campaign's items — this is where
-	// capability-aware placement happens (e.g. pre-v3 daemons cannot run
-	// point-sharded sweeps).
+	// capability-aware placement happens (e.g. a GA generation skips rigs
+	// that cannot build the requested measurer).
 	eligible func(r *rig) bool
 	// slots overrides the fleet's per-rig worker count for this campaign
 	// (<= 0 uses the fleet default).

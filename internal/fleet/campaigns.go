@@ -23,38 +23,16 @@ type sweepShard struct {
 // sharded across the fleet: each DVFS step is one campaign item, measured
 // on whichever rig gets to it first, then assembled in grid order — the
 // same argmax/centroid reduction FastResonanceSweep applies locally, so
-// the fleet sweep is bit-identical to a single-rig sweep. Both sides of
-// the shard boundary run core.Bench.SweepBatch — the rig handler as a
-// single-point batch per SWEEPAT item, the SWEEPFULL fallback as one
-// whole-grid batch — so every point is the same pure function of its
-// snapped clock regardless of layout. Rigs without the per-point verb
-// (pre-v3 daemons) are excluded at placement time; if no rig has it, the
-// whole sweep routes to one rig unsharded.
+// the fleet sweep is bit-identical to a single-rig sweep. Every item is a
+// one-clock SweepPoint, and SweepPoint is the one-clock form of the same
+// core.Bench.SweepBatch a whole-grid sweep runs, so every point is the
+// same pure function of its snapped clock regardless of layout.
 func (f *Fleet) ResonanceSweep(domain string, activeCores, samples int) (*core.SweepResult, error) {
 	caps, err := f.Caps(domain)
 	if err != nil {
 		return nil, err
 	}
-	steps := caps.ClockSteps()
-	// Descending like core.SweepClockSteps: the paper sweeps 1.2 GHz down.
-	for i, j := 0, len(steps)-1; i < j; i, j = i+1, j-1 {
-		steps[i], steps[j] = steps[j], steps[i]
-	}
-
-	anyCapable := false
-	for _, r := range f.rigs {
-		if !r.dead.Load() && sweepPointCapable(r.be) {
-			anyCapable = true
-			break
-		}
-	}
-	if !anyCapable {
-		// Whole-sweep fallback: one rig runs it exactly as a single-backend
-		// caller would.
-		return single(f, func(r *rig) (*core.SweepResult, error) {
-			return r.be.ResonanceSweep(domain, activeCores, samples)
-		})
-	}
+	steps := caps.SweepClockSteps()
 
 	st, err := f.State(domain)
 	if err != nil {
@@ -75,10 +53,9 @@ func (f *Fleet) ResonanceSweep(domain string, activeCores, samples int) (*core.S
 	}
 
 	c := &campaign[sweepShard]{
-		kind:     "sweep",
-		key:      key,
-		items:    items,
-		eligible: func(r *rig) bool { return sweepPointCapable(r.be) },
+		kind:  "sweep",
+		key:   key,
+		items: items,
 		run: func(r *rig, i int) (sweepShard, error) {
 			pt, err := r.be.SweepPoint(domain, activeCores, samples, steps[i])
 			if err != nil {

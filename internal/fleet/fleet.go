@@ -282,16 +282,11 @@ func (f *Fleet) EMMeasureN(domain string, load platform.Load, samples int) (*ins
 	})
 }
 
-// SweepPoint measures one fast-sweep point on the first live rig that has
-// the per-point verb.
+// SweepPoint measures one fast-sweep point on the first live rig.
 func (f *Fleet) SweepPoint(domain string, activeCores, samples int, clockHz float64) (*core.SweepPoint, error) {
-	for _, r := range f.rigs {
-		if r.dead.Load() || !sweepPointCapable(r.be) {
-			continue
-		}
+	return single(f, func(r *rig) (*core.SweepPoint, error) {
 		return r.be.SweepPoint(domain, activeCores, samples, clockHz)
-	}
-	return nil, fmt.Errorf("fleet: no live rig supports per-point sweeps (redeploy labd at protocol v3+)")
+	})
 }
 
 // MonitorAll captures one combined spectrum on the first live rig.
@@ -360,15 +355,4 @@ func (f *Fleet) Close() error {
 // it, so failover is pointless and misleading.
 func isDeterministicError(err error) bool {
 	return backend.IsCapabilityError(err) || backend.IsNoPoolError(err) || lab.IsTargetError(err)
-}
-
-// sweepPointCapable reports whether a backend can serve SweepPoint:
-// remotes say so via SweepPointCapable (protocol v3+), everything else
-// (Local, future wrappers) is assumed capable.
-func sweepPointCapable(be backend.Backend) bool {
-	type capable interface{ SweepPointCapable() bool }
-	if c, ok := be.(capable); ok {
-		return c.SweepPointCapable()
-	}
-	return true
 }

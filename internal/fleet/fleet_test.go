@@ -200,14 +200,7 @@ func TestFleetGAMatchesSingle(t *testing.T) {
 	}
 }
 
-// noPointRig hides per-point sweep capability, standing in for a pre-v3
-// daemon.
-type noPointRig struct{ backend.Backend }
-
-func (noPointRig) SweepPointCapable() bool { return false }
-
-// TestFleetSweepMatchesSingle checks the sharded fast sweep (and its
-// whole-sweep fallback for fleets without the per-point verb) against the
+// TestFleetSweepMatchesSingle checks the sharded fast sweep against the
 // single-backend sweep, bit for bit.
 func TestFleetSweepMatchesSingle(t *testing.T) {
 	single := localRig(t)
@@ -226,18 +219,6 @@ func TestFleetSweepMatchesSingle(t *testing.T) {
 	}
 	if !reflect.DeepEqual(got, want) {
 		t.Fatal("sharded fleet sweep differs from single-backend sweep")
-	}
-
-	// No rig point-capable: the fleet must fall back to routing the whole
-	// sweep to one rig, with the same answer.
-	fb := newFleet(t, fleet.Options{Slots: 2},
-		fleet.Rig{Name: "old", Backend: noPointRig{localRig(t)}})
-	got2, err := fb.ResonanceSweep(testDomain, 2, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(got2, want) {
-		t.Fatal("whole-sweep fallback differs from single-backend sweep")
 	}
 }
 
@@ -319,8 +300,6 @@ func (k *killerRig) tick() {
 		k.kill()
 	}
 }
-
-func (k *killerRig) SweepPointCapable() bool { return true }
 
 func (k *killerRig) SweepPoint(domain string, cores, samples int, clockHz float64) (*core.SweepPoint, error) {
 	k.tick()

@@ -5,11 +5,8 @@ import (
 	"fmt"
 	"net"
 	"sort"
-	"strings"
+	"sync"
 	"time"
-
-	"repro/internal/ga"
-	"repro/internal/isa"
 )
 
 // Options tunes the client's resilience envelope. The zero value of any
@@ -52,15 +49,59 @@ func (o Options) withDefaults() Options {
 }
 
 // sessionState is everything the client has established on the target that
-// a fresh connection would lack: domain setpoints and the loaded/running
-// workload. It is replayed verbatim after every reconnect, so a mid-cycle
-// connection drop (say between RUN and MEASURE) is invisible to callers.
+// a fresh connection (or a restarted daemon) would lack: domain setpoints
+// and the loaded/running workload. It is replayed after every reconnect,
+// so a mid-cycle connection drop (say between RUN and MEASURE) is
+// invisible to callers.
 type sessionState struct {
+	set  *setpoints
+	load *loadState
+	run  bool
+}
+
+// setpoints records the domain setpoints written to one daemon. Domain
+// state lives on the daemon, shared by every session, so all clients of a
+// Pool share one record: a RESET sent on any session clears the setting
+// for all of them, and a reconnecting session never writes back a value
+// another session has since replaced or cleared.
+type setpoints struct {
+	mu     sync.Mutex
 	clocks map[string]float64
 	volts  map[string]float64
 	cores  map[string]int
-	load   *loadState
-	run    bool
+}
+
+func newSetpoints() *setpoints {
+	return &setpoints{
+		clocks: make(map[string]float64),
+		volts:  make(map[string]float64),
+		cores:  make(map[string]int),
+	}
+}
+
+// update runs fn with the record locked.
+func (sp *setpoints) update(fn func()) {
+	sp.mu.Lock()
+	defer sp.mu.Unlock()
+	fn()
+}
+
+// commands renders the record as the SET commands that restore it, in a
+// deterministic order: cores, then clocks, then supplies, each by domain.
+func (sp *setpoints) commands() []command {
+	sp.mu.Lock()
+	defer sp.mu.Unlock()
+	var cmds []command
+	for _, dom := range sortedKeys(sp.cores) {
+		cmds = append(cmds, command{verb: "SETCORES", line: fmt.Sprintf("SETCORES %s %d", dom, sp.cores[dom])})
+	}
+	for _, dom := range sortedKeys(sp.clocks) {
+		cmds = append(cmds, command{verb: "SETCLOCK", line: fmt.Sprintf("SETCLOCK %s %g", dom, sp.clocks[dom])})
+	}
+	for _, dom := range sortedKeys(sp.volts) {
+		cmds = append(cmds, command{verb: "SETVOLTS", line: fmt.Sprintf("SETVOLTS %s %g", dom, sp.volts[dom])})
+	}
+	return cmds
 }
 
 type loadState struct {
@@ -96,14 +137,15 @@ func Dial(addr string, timeout time.Duration) (*Client, error) {
 
 // DialOptions connects to a lab daemon with explicit resilience options.
 func DialOptions(addr string, opts Options) (*Client, error) {
+	return dialShared(addr, opts, newSetpoints())
+}
+
+// dialShared connects a client that records its setpoints in sp.
+func dialShared(addr string, opts Options, sp *setpoints) (*Client, error) {
 	c := &Client{
-		addr: addr,
-		opts: opts.withDefaults(),
-		state: sessionState{
-			clocks: make(map[string]float64),
-			volts:  make(map[string]float64),
-			cores:  make(map[string]int),
-		},
+		addr:  addr,
+		opts:  opts.withDefaults(),
+		state: sessionState{set: sp},
 	}
 	if err := c.connect(false); err != nil {
 		return nil, err
@@ -282,41 +324,24 @@ func (c *Client) reconnect() error {
 
 func (c *Client) replay() error {
 	st := &c.state
-	if len(st.cores) == 0 && len(st.clocks) == 0 && len(st.volts) == 0 &&
-		st.load == nil {
-		return nil
-	}
-	c.stats.replay()
-	for _, dom := range sortedKeys(st.cores) {
-		if _, err := c.exchange(command{verb: "SETCORES",
-			line: fmt.Sprintf("SETCORES %s %d", dom, st.cores[dom])}); err != nil {
-			return err
-		}
-	}
-	for _, dom := range sortedKeys(st.clocks) {
-		if _, err := c.exchange(command{verb: "SETCLOCK",
-			line: fmt.Sprintf("SETCLOCK %s %g", dom, st.clocks[dom])}); err != nil {
-			return err
-		}
-	}
-	for _, dom := range sortedKeys(st.volts) {
-		if _, err := c.exchange(command{verb: "SETVOLTS",
-			line: fmt.Sprintf("SETVOLTS %s %g", dom, st.volts[dom])}); err != nil {
-			return err
-		}
-	}
+	cmds := st.set.commands()
 	if st.load != nil {
-		if _, err := c.exchange(command{
+		cmds = append(cmds, command{
 			verb: "LOAD",
 			line: fmt.Sprintf("LOAD %s %d %d", st.load.domain, st.load.cores, st.load.lines),
 			body: st.load.text,
-		}); err != nil {
-			return err
-		}
+		})
 		if st.run {
-			if _, err := c.exchange(command{verb: "RUN", line: "RUN"}); err != nil {
-				return err
-			}
+			cmds = append(cmds, command{verb: "RUN", line: "RUN"})
+		}
+	}
+	if len(cmds) == 0 {
+		return nil
+	}
+	c.stats.replay()
+	for _, cmd := range cmds {
+		if _, err := c.exchange(cmd); err != nil {
+			return err
 		}
 	}
 	return nil
@@ -329,210 +354,4 @@ func sortedKeys[V any](m map[string]V) []string {
 	}
 	sort.Strings(keys)
 	return keys
-}
-
-// Info returns the target's platform name and domain inventory.
-func (c *Client) Info() (string, []string, error) {
-	var name string
-	var domains []string
-	err := c.do(command{verb: "INFO", line: "INFO", parse: func(payload string) error {
-		fields := strings.Fields(payload)
-		if len(fields) < 1 {
-			return fmt.Errorf("malformed INFO reply %q", payload)
-		}
-		name, domains = fields[0], fields[1:]
-		return nil
-	}})
-	return name, domains, err
-}
-
-// Load ships an individual's source to the target, which assembles it.
-func (c *Client) Load(domain string, cores int, pool *isa.Pool, seq []isa.Inst) error {
-	text := isa.FormatProgram(pool, seq)
-	lines := strings.Count(text, "\n")
-	return c.do(command{
-		verb: "LOAD",
-		line: fmt.Sprintf("LOAD %s %d %d", domain, cores, lines),
-		body: text,
-		record: func(st *sessionState) {
-			st.load = &loadState{domain: domain, cores: cores, text: text, lines: lines}
-			st.run = false
-		},
-	})
-}
-
-// Run starts the loaded workload on the target.
-func (c *Client) Run() error {
-	return c.do(command{verb: "RUN", line: "RUN",
-		record: func(st *sessionState) { st.run = true }})
-}
-
-// Stop terminates the running workload.
-func (c *Client) Stop() error {
-	return c.do(command{verb: "STOP", line: "STOP",
-		record: func(st *sessionState) { st.run = false }})
-}
-
-// RemoteMeasurement is the target's analyzer reading.
-type RemoteMeasurement struct {
-	PeakDBm  float64
-	PeakHz   float64
-	StdevDBm float64
-}
-
-// Measure asks the target bench for an averaged EM peak measurement.
-func (c *Client) Measure(samples int) (*RemoteMeasurement, error) {
-	m := &RemoteMeasurement{}
-	err := c.do(command{
-		verb: "MEASURE",
-		line: fmt.Sprintf("MEASURE %d", samples),
-		parse: func(payload string) error {
-			fields := strings.Fields(payload)
-			var err error
-			if m.PeakDBm, err = floatField(fields, 0, "peak dBm"); err != nil {
-				return err
-			}
-			if m.PeakHz, err = floatField(fields, 1, "peak Hz"); err != nil {
-				return err
-			}
-			if m.StdevDBm, err = floatField(fields, 2, "stdev"); err != nil {
-				return err
-			}
-			return nil
-		},
-	})
-	if err != nil {
-		return nil, err
-	}
-	return m, nil
-}
-
-// Sweep runs the fast resonance sweep remotely.
-func (c *Client) Sweep(domain string, cores int) (resonanceHz, peakDBm float64, points int, err error) {
-	err = c.do(command{
-		verb: "SWEEP",
-		line: fmt.Sprintf("SWEEP %s %d", domain, cores),
-		parse: func(payload string) error {
-			fields := strings.Fields(payload)
-			var err error
-			if resonanceHz, err = floatField(fields, 0, "resonance"); err != nil {
-				return err
-			}
-			if peakDBm, err = floatField(fields, 1, "peak"); err != nil {
-				return err
-			}
-			if points, err = intField(fields, 2, "points"); err != nil {
-				return err
-			}
-			return nil
-		},
-	})
-	if err != nil {
-		return 0, 0, 0, err
-	}
-	return resonanceHz, peakDBm, points, nil
-}
-
-// RemoteVmin is a V_MIN search outcome from the target.
-type RemoteVmin struct {
-	VminV   float64
-	MarginV float64
-	Outcome string
-}
-
-// Vmin runs a V_MIN campaign on the currently loaded workload remotely.
-func (c *Client) Vmin(repeats int) (*RemoteVmin, error) {
-	out := &RemoteVmin{}
-	err := c.do(command{
-		verb: "VMIN",
-		line: fmt.Sprintf("VMIN %d", repeats),
-		parse: func(payload string) error {
-			fields := strings.Fields(payload)
-			var err error
-			if out.VminV, err = floatField(fields, 0, "vmin"); err != nil {
-				return err
-			}
-			if out.MarginV, err = floatField(fields, 1, "margin"); err != nil {
-				return err
-			}
-			if len(fields) < 3 {
-				return fmt.Errorf("malformed VMIN reply %q", payload)
-			}
-			out.Outcome = fields[2]
-			return nil
-		},
-	})
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-// SetClock adjusts the target's DVFS point.
-func (c *Client) SetClock(domain string, hz float64) error {
-	return c.do(command{
-		verb:   "SETCLOCK",
-		line:   fmt.Sprintf("SETCLOCK %s %g", domain, hz),
-		record: func(st *sessionState) { st.clocks[domain] = hz },
-	})
-}
-
-// SetVolts adjusts the target's supply setpoint.
-func (c *Client) SetVolts(domain string, v float64) error {
-	return c.do(command{
-		verb:   "SETVOLTS",
-		line:   fmt.Sprintf("SETVOLTS %s %g", domain, v),
-		record: func(st *sessionState) { st.volts[domain] = v },
-	})
-}
-
-// SetCores power-gates cores on the target.
-func (c *Client) SetCores(domain string, n int) error {
-	return c.do(command{
-		verb:   "SETCORES",
-		line:   fmt.Sprintf("SETCORES %s %d", domain, n),
-		record: func(st *sessionState) { st.cores[domain] = n },
-	})
-}
-
-// Reset restores a domain to nominal state.
-func (c *Client) Reset(domain string) error {
-	return c.do(command{
-		verb: "RESET",
-		line: "RESET " + domain,
-		record: func(st *sessionState) {
-			delete(st.clocks, domain)
-			delete(st.volts, domain)
-			delete(st.cores, domain)
-		},
-	})
-}
-
-// measureOn runs the paper's per-individual loop — load, run, measure,
-// stop — on one client. Shared by Client.Measurer and Pool.Measurer.
-func measureOn(c *Client, domain string, cores, samples int, pool *isa.Pool, seq []isa.Inst) (float64, float64, error) {
-	if err := c.Load(domain, cores, pool, seq); err != nil {
-		return 0, 0, err
-	}
-	if err := c.Run(); err != nil {
-		return 0, 0, err
-	}
-	m, err := c.Measure(samples)
-	if err != nil {
-		_ = c.Stop()
-		return 0, 0, err
-	}
-	if err := c.Stop(); err != nil {
-		return 0, 0, err
-	}
-	return m.PeakDBm, m.PeakHz, nil
-}
-
-// Measurer returns a GA fitness function that evaluates each individual on
-// the remote target: load, run, measure, stop — the paper's per-individual
-// loop. For parallel evaluation use Pool.Measurer.
-func (c *Client) Measurer(domain string, cores, samples int, pool *isa.Pool) ga.Measurer {
-	return ga.MeasurerFunc(func(seq []isa.Inst) (float64, float64, error) {
-		return measureOn(c, domain, cores, samples, pool, seq)
-	})
 }

@@ -11,39 +11,53 @@ import (
 	"repro/internal/vmin"
 )
 
-// Protocol-v2 client methods. All of them ride the same resilience loop as
-// the v1 verbs: single-line request, single-line reply, retried on
-// transport faults after a reconnect-and-replay, never retried on target
-// ERR replies.
+// The client's protocol verbs. All of them ride the same resilience loop:
+// single-line request, single-line reply, retried on transport faults
+// after a reconnect-and-replay, never retried on target ERR replies.
 
-// Hello negotiates the protocol version. It returns the version both
-// sides can speak — min(version, server's) — and the target's platform
-// name. A v1 daemon predates HELLO and rejects it; callers detect that
-// with IsTargetError and fall back to the v1 command subset.
-func (c *Client) Hello(version int) (negotiated int, platformName string, err error) {
+// Hello checks that the daemon speaks this package's protocol version and
+// returns the target's platform name. A daemon that answers with any other
+// version is rejected, naming both versions.
+func (c *Client) Hello() (platformName string, err error) {
+	var server int
 	err = c.do(command{
 		verb: "HELLO",
-		line: fmt.Sprintf("HELLO %d", version),
+		line: fmt.Sprintf("HELLO %d", ProtocolVersion),
 		parse: func(payload string) error {
 			fields := strings.Fields(payload)
-			server, err := intField(fields, 0, "version")
-			if err != nil {
+			var err error
+			if server, err = intField(fields, 0, "version"); err != nil {
 				return err
 			}
 			if len(fields) < 2 {
 				return fmt.Errorf("malformed HELLO reply %q", payload)
 			}
-			negotiated, platformName = server, fields[1]
-			if version < negotiated {
-				negotiated = version
-			}
+			platformName = fields[1]
 			return nil
 		},
 	})
 	if err != nil {
-		return 0, "", err
+		return "", err
 	}
-	return negotiated, platformName, nil
+	if server != ProtocolVersion {
+		return "", fmt.Errorf("lab: protocol version mismatch: daemon speaks v%d, this client speaks v%d", server, ProtocolVersion)
+	}
+	return platformName, nil
+}
+
+// Info returns the target's platform name and domain inventory.
+func (c *Client) Info() (string, []string, error) {
+	var name string
+	var domains []string
+	err := c.do(command{verb: "INFO", line: "INFO", parse: func(payload string) error {
+		fields := strings.Fields(payload)
+		if len(fields) < 1 {
+			return fmt.Errorf("malformed INFO reply %q", payload)
+		}
+		name, domains = fields[0], fields[1:]
+		return nil
+	}})
+	return name, domains, err
 }
 
 // RemoteCaps is a domain capability record as reported by CAPS.
@@ -133,46 +147,74 @@ func (c *Client) State(domain string) (*RemoteState, error) {
 	return st, nil
 }
 
-// SweepFull runs the fast resonance sweep remotely with an explicit
-// per-point sample count and returns the full result, point list
-// included — everything a local core.FastResonanceSweep returns, with
-// values that round-trip the wire bit-exactly (%g → ParseFloat).
-func (c *Client) SweepFull(domain string, cores, samples int) (*core.SweepResult, error) {
-	res := &core.SweepResult{}
+// Load ships an individual's source to the target, which assembles it.
+func (c *Client) Load(domain string, cores int, pool *isa.Pool, seq []isa.Inst) error {
+	text := isa.FormatProgram(pool, seq)
+	lines := strings.Count(text, "\n")
+	return c.do(command{
+		verb: "LOAD",
+		line: fmt.Sprintf("LOAD %s %d %d", domain, cores, lines),
+		body: text,
+		record: func(st *sessionState) {
+			st.load = &loadState{domain: domain, cores: cores, text: text, lines: lines}
+			st.run = false
+		},
+	})
+}
+
+// Run starts the loaded workload on the target.
+func (c *Client) Run() error {
+	return c.do(command{verb: "RUN", line: "RUN",
+		record: func(st *sessionState) { st.run = true }})
+}
+
+// Stop terminates the running workload.
+func (c *Client) Stop() error {
+	return c.do(command{verb: "STOP", line: "STOP",
+		record: func(st *sessionState) { st.run = false }})
+}
+
+// Cycle runs the paper's per-individual loop on this session: load the
+// program, run it, take the caller's measurement, stop it. A failed
+// measurement still stops the workload before its error is returned.
+func (c *Client) Cycle(domain string, cores int, pool *isa.Pool, seq []isa.Inst, measure func() error) error {
+	if err := c.Load(domain, cores, pool, seq); err != nil {
+		return err
+	}
+	if err := c.Run(); err != nil {
+		return err
+	}
+	if err := measure(); err != nil {
+		_ = c.Stop()
+		return err
+	}
+	return c.Stop()
+}
+
+// RemoteMeasurement is the target's analyzer reading.
+type RemoteMeasurement struct {
+	PeakDBm  float64
+	PeakHz   float64
+	StdevDBm float64
+}
+
+// Measure asks the target bench for an averaged EM peak measurement.
+func (c *Client) Measure(samples int) (*RemoteMeasurement, error) {
+	m := &RemoteMeasurement{}
 	err := c.do(command{
-		verb: "SWEEPFULL",
-		line: fmt.Sprintf("SWEEPFULL %s %d %d", domain, cores, samples),
+		verb: "MEASURE",
+		line: fmt.Sprintf("MEASURE %d", samples),
 		parse: func(payload string) error {
 			fields := strings.Fields(payload)
 			var err error
-			if res.ResonanceHz, err = floatField(fields, 0, "resonance"); err != nil {
+			if m.PeakDBm, err = floatField(fields, 0, "peak dBm"); err != nil {
 				return err
 			}
-			if res.PeakLoopHz, err = floatField(fields, 1, "peak loop"); err != nil {
+			if m.PeakHz, err = floatField(fields, 1, "peak Hz"); err != nil {
 				return err
 			}
-			if res.PeakDBm, err = floatField(fields, 2, "peak dBm"); err != nil {
+			if m.StdevDBm, err = floatField(fields, 2, "stdev"); err != nil {
 				return err
-			}
-			n, err := intField(fields, 3, "points")
-			if err != nil {
-				return err
-			}
-			if n < 0 || len(fields) != 4+3*n {
-				return fmt.Errorf("malformed SWEEPFULL reply: %d points, %d fields", n, len(fields))
-			}
-			res.Points = make([]core.SweepPoint, n)
-			for i := 0; i < n; i++ {
-				p := &res.Points[i]
-				if p.ClockHz, err = floatField(fields, 4+3*i, "clock"); err != nil {
-					return err
-				}
-				if p.LoopHz, err = floatField(fields, 5+3*i, "loop"); err != nil {
-					return err
-				}
-				if p.PeakDBm, err = floatField(fields, 6+3*i, "dBm"); err != nil {
-					return err
-				}
 			}
 			return nil
 		},
@@ -180,51 +222,101 @@ func (c *Client) SweepFull(domain string, cores, samples int) (*core.SweepResult
 	if err != nil {
 		return nil, err
 	}
-	return res, nil
+	return m, nil
 }
 
-// SweepAt measures one fast-sweep point at an explicit clock setting (the
-// protocol-v3 verb behind fleet-sharded sweeps). A nil point with a nil
-// error means the probe loop falls outside the daemon bench's search band
-// at that clock — the same contract as core.SweepPointAt.
-func (c *Client) SweepAt(domain string, cores, samples int, clockHz float64) (*core.SweepPoint, error) {
-	var pt *core.SweepPoint
-	err := c.do(command{
-		verb: "SWEEPAT",
-		line: fmt.Sprintf("SWEEPAT %s %d %d %g", domain, cores, samples, clockHz),
+// VMeasure measures the running workload's voltage noise under the given
+// metric ("droop" or "ptp") and returns the GA observable: fitness and
+// dominant frequency. dsoSeed fixes the target-side scope noise stream.
+func (c *Client) VMeasure(metric string, samples int, dsoSeed int64) (fitness, domHz float64, err error) {
+	err = c.do(command{
+		verb: "VMEASURE",
+		line: fmt.Sprintf("VMEASURE %s %d %d", metric, samples, dsoSeed),
 		parse: func(payload string) error {
 			fields := strings.Fields(payload)
-			inBand, err := intField(fields, 0, "in-band flag")
+			var err error
+			if fitness, err = floatField(fields, 0, "fitness"); err != nil {
+				return err
+			}
+			if domHz, err = floatField(fields, 1, "dominant Hz"); err != nil {
+				return err
+			}
+			return nil
+		},
+	})
+	if err != nil {
+		return 0, 0, err
+	}
+	return fitness, domHz, nil
+}
+
+// writeFloats appends " %g" per value: the wire form every float takes,
+// which ParseFloat round-trips exactly.
+func writeFloats(b *strings.Builder, vs []float64) {
+	for _, v := range vs {
+		fmt.Fprintf(b, " %g", v)
+	}
+}
+
+// Sweep measures the fast sweep's probe loop at every listed clock in one
+// SWEEP request (Section 5.3). points[i] answers clocks[i] and is nil when
+// the loop falls outside the daemon bench's search band at that clock —
+// the contract of core.Bench.SweepBatch, whose values the reply carries
+// bit-exactly.
+func (c *Client) Sweep(domain string, cores, samples int, clocks []float64) ([]*core.SweepPoint, error) {
+	if len(clocks) == 0 {
+		return nil, fmt.Errorf("lab: no sweep clocks")
+	}
+	var line strings.Builder
+	fmt.Fprintf(&line, "SWEEP %s %d %d", domain, cores, samples)
+	writeFloats(&line, clocks)
+	var points []*core.SweepPoint
+	err := c.do(command{
+		verb: "SWEEP",
+		line: line.String(),
+		parse: func(payload string) error {
+			fields := strings.Fields(payload)
+			n, err := intField(fields, 0, "points")
 			if err != nil {
 				return err
 			}
-			if inBand == 0 {
-				pt = nil
-				return nil
+			if n != len(clocks) || len(fields) != 1+4*n {
+				return fmt.Errorf("malformed SWEEP reply: %d points for %d clocks, %d fields", n, len(clocks), len(fields))
 			}
-			p := &core.SweepPoint{}
-			if p.ClockHz, err = floatField(fields, 1, "clock"); err != nil {
-				return err
+			points = make([]*core.SweepPoint, n)
+			for i := range points {
+				f := fields[1+4*i : 5+4*i]
+				inBand, err := intField(f, 0, "in-band flag")
+				if err != nil {
+					return err
+				}
+				if inBand == 0 {
+					continue
+				}
+				p := &core.SweepPoint{}
+				if p.ClockHz, err = floatField(f, 1, "clock"); err != nil {
+					return err
+				}
+				if p.LoopHz, err = floatField(f, 2, "loop"); err != nil {
+					return err
+				}
+				if p.PeakDBm, err = floatField(f, 3, "dBm"); err != nil {
+					return err
+				}
+				points[i] = p
 			}
-			if p.LoopHz, err = floatField(fields, 2, "loop"); err != nil {
-				return err
-			}
-			if p.PeakDBm, err = floatField(fields, 3, "dBm"); err != nil {
-				return err
-			}
-			pt = p
 			return nil
 		},
 	})
 	if err != nil {
 		return nil, err
 	}
-	return pt, nil
+	return points, nil
 }
 
-// RemoteVminFull is a full V_MIN campaign result: the worst run plus every
+// RemoteVmin is a repeated V_MIN search result: the worst run plus every
 // per-run V_MIN (Figure 10's distribution data).
-type RemoteVminFull struct {
+type RemoteVmin struct {
 	VminV         float64
 	MarginV       float64
 	DroopNominalV float64
@@ -232,13 +324,13 @@ type RemoteVminFull struct {
 	Runs          []float64
 }
 
-// VminFull runs a V_MIN campaign on the loaded workload with the
+// Vmin runs a V_MIN campaign on the loaded workload with the
 // workstation's tester seed.
-func (c *Client) VminFull(seed int64, repeats int) (*RemoteVminFull, error) {
-	out := &RemoteVminFull{}
+func (c *Client) Vmin(seed int64, repeats int) (*RemoteVmin, error) {
+	out := &RemoteVmin{}
 	err := c.do(command{
-		verb: "VMINFULL",
-		line: fmt.Sprintf("VMINFULL %d %d", seed, repeats),
+		verb: "VMIN",
+		line: fmt.Sprintf("VMIN %d %d", seed, repeats),
 		parse: func(payload string) error {
 			fields := strings.Fields(payload)
 			var err error
@@ -252,7 +344,7 @@ func (c *Client) VminFull(seed int64, repeats int) (*RemoteVminFull, error) {
 				return err
 			}
 			if len(fields) < 5 {
-				return fmt.Errorf("malformed VMINFULL reply %q", payload)
+				return fmt.Errorf("malformed VMIN reply %q", payload)
 			}
 			if out.Outcome, err = vmin.ParseKind(fields[3]); err != nil {
 				return err
@@ -262,15 +354,10 @@ func (c *Client) VminFull(seed int64, repeats int) (*RemoteVminFull, error) {
 				return err
 			}
 			if n < 0 || len(fields) != 5+n {
-				return fmt.Errorf("malformed VMINFULL reply: %d runs, %d fields", n, len(fields))
+				return fmt.Errorf("malformed VMIN reply: %d runs, %d fields", n, len(fields))
 			}
-			out.Runs = make([]float64, n)
-			for i := 0; i < n; i++ {
-				if out.Runs[i], err = floatField(fields, 5+i, "run"); err != nil {
-					return err
-				}
-			}
-			return nil
+			out.Runs, err = floatFields(fields[5:], "run")
+			return err
 		},
 	})
 	if err != nil {
@@ -287,9 +374,7 @@ func (c *Client) Shmoo(seed int64, clocks []float64) ([]vmin.ShmooPoint, error) 
 	}
 	var line strings.Builder
 	fmt.Fprintf(&line, "SHMOO %d", seed)
-	for _, hz := range clocks {
-		fmt.Fprintf(&line, " %g", hz)
-	}
+	writeFloats(&line, clocks)
 	var points []vmin.ShmooPoint
 	err := c.do(command{
 		verb: "SHMOO",
@@ -328,32 +413,6 @@ func (c *Client) Shmoo(seed int64, clocks []float64) ([]vmin.ShmooPoint, error) 
 	return points, nil
 }
 
-// VMeasure measures the running workload under the given metric ("em",
-// "droop" or "ptp") and returns the GA observable: fitness and dominant
-// frequency. dsoSeed fixes the target-side scope noise stream for the
-// droop/ptp metrics (ignored for em).
-func (c *Client) VMeasure(metric string, samples int, dsoSeed int64) (fitness, domHz float64, err error) {
-	err = c.do(command{
-		verb: "VMEASURE",
-		line: fmt.Sprintf("VMEASURE %s %d %d", metric, samples, dsoSeed),
-		parse: func(payload string) error {
-			fields := strings.Fields(payload)
-			var err error
-			if fitness, err = floatField(fields, 0, "fitness"); err != nil {
-				return err
-			}
-			if domHz, err = floatField(fields, 1, "dominant Hz"); err != nil {
-				return err
-			}
-			return nil
-		},
-	})
-	if err != nil {
-		return 0, 0, err
-	}
-	return fitness, domHz, nil
-}
-
 // MonitorPart is one domain's workload in a multi-domain Monitor capture.
 type MonitorPart struct {
 	Domain string
@@ -377,9 +436,7 @@ func (c *Client) Monitor(parts []MonitorPart) (*instrument.Sweep, error) {
 		text := isa.FormatProgram(part.Pool, part.Seq)
 		lines := strings.Count(text, "\n")
 		fmt.Fprintf(&body, "%s %d %d %d", part.Domain, part.Cores, lines, len(part.Phases))
-		for _, ph := range part.Phases {
-			fmt.Fprintf(&body, " %g", ph)
-		}
+		writeFloats(&body, part.Phases)
 		body.WriteByte('\n')
 		body.WriteString(text)
 	}
@@ -422,6 +479,48 @@ func (c *Client) Monitor(parts []MonitorPart) (*instrument.Sweep, error) {
 		return nil, err
 	}
 	return sw, nil
+}
+
+// SetClock adjusts the target's DVFS point.
+func (c *Client) SetClock(domain string, hz float64) error {
+	return c.do(command{
+		verb:   "SETCLOCK",
+		line:   fmt.Sprintf("SETCLOCK %s %g", domain, hz),
+		record: func(st *sessionState) { st.set.update(func() { st.set.clocks[domain] = hz }) },
+	})
+}
+
+// SetVolts adjusts the target's supply setpoint.
+func (c *Client) SetVolts(domain string, v float64) error {
+	return c.do(command{
+		verb:   "SETVOLTS",
+		line:   fmt.Sprintf("SETVOLTS %s %g", domain, v),
+		record: func(st *sessionState) { st.set.update(func() { st.set.volts[domain] = v }) },
+	})
+}
+
+// SetCores power-gates cores on the target.
+func (c *Client) SetCores(domain string, n int) error {
+	return c.do(command{
+		verb:   "SETCORES",
+		line:   fmt.Sprintf("SETCORES %s %d", domain, n),
+		record: func(st *sessionState) { st.set.update(func() { st.set.cores[domain] = n }) },
+	})
+}
+
+// Reset restores a domain to nominal state.
+func (c *Client) Reset(domain string) error {
+	return c.do(command{
+		verb: "RESET",
+		line: "RESET " + domain,
+		record: func(st *sessionState) {
+			st.set.update(func() {
+				delete(st.set.clocks, domain)
+				delete(st.set.volts, domain)
+				delete(st.set.cores, domain)
+			})
+		},
+	})
 }
 
 // DomainStats fetches a domain's evaluation-cache counters (the string a

@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"fmt"
 	"net"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -12,6 +13,7 @@ import (
 	"repro/internal/ga"
 	"repro/internal/isa"
 	"repro/internal/platform"
+	"repro/internal/vmin"
 	"repro/internal/workload"
 )
 
@@ -150,30 +152,75 @@ func TestDomainControls(t *testing.T) {
 	}
 }
 
+// TestRemoteSweep: one SWEEP over the whole clock grid, assembled on the
+// workstation, must equal a local FastResonanceSweep bit for bit.
 func TestRemoteSweep(t *testing.T) {
 	addr, _ := startServer(t)
 	c := dial(t, addr)
-	res, peak, points, err := c.Sweep(platform.DomainA72, 2)
+	db, dd := directBench(t)
+	want, err := db.FastResonanceSweep(dd, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res < 60e6 || res > 80e6 {
-		t.Fatalf("remote sweep resonance %v", res)
+	points, err := c.Sweep(platform.DomainA72, 2, db.Samples, core.SweepClockSteps(dd))
+	if err != nil {
+		t.Fatal(err)
 	}
-	if points < 10 || peak > 0 {
-		t.Fatalf("sweep stats %v %d", peak, points)
+	got, err := core.AssembleSweep(points)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("remote sweep diverged:\n got %+v\nwant %+v", got, want)
+	}
+	if got.ResonanceHz < 60e6 || got.ResonanceHz > 80e6 {
+		t.Fatalf("remote sweep resonance %v", got.ResonanceHz)
+	}
+	if len(got.Points) < 10 || got.PeakDBm > 0 {
+		t.Fatalf("sweep stats %v %d", got.PeakDBm, len(got.Points))
+	}
+	if _, err := c.Sweep(platform.DomainA72, 2, 3, nil); err == nil {
+		t.Fatal("sweep with no clocks accepted")
 	}
 }
 
+// emMeasurer is the GA fitness function over a pool: each evaluation
+// borrows a session for one load/run/measure/stop cycle.
+func emMeasurer(p *Pool, domain string, cores, samples int, ipool *isa.Pool) ga.Measurer {
+	return ga.MeasurerFunc(func(seq []isa.Inst) (float64, float64, error) {
+		var fit, dom float64
+		err := p.Do(func(c *Client) error {
+			return c.Cycle(domain, cores, ipool, seq, func() error {
+				m, err := c.Measure(samples)
+				if err != nil {
+					return err
+				}
+				fit, dom = m.PeakDBm, m.PeakHz
+				return nil
+			})
+		})
+		return fit, dom, err
+	})
+}
+
 func TestRemoteGA(t *testing.T) {
-	addr, b := startServer(t)
-	c := dial(t, addr)
-	d, _ := b.Platform.Domain(platform.DomainA72)
-	pool := d.Spec.Pool()
-	cfg := ga.DefaultConfig(pool)
+	addr, _ := startServer(t)
+	db, dd := directBench(t)
+	ipool := dd.Spec.Pool()
+	cfg := ga.DefaultConfig(ipool)
 	cfg.PopulationSize = 8
 	cfg.Generations = 4
-	res, err := ga.Run(cfg, c.Measurer(platform.DomainA72, 2, 3, pool), nil)
+	want, err := ga.Run(cfg, db.EMMeasurer(dd, 2), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	pool, err := NewPool(addr, 1, Options{DialTimeout: 2 * time.Second})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer pool.Close()
+	res, err := ga.Run(cfg, emMeasurer(pool, platform.DomainA72, 2, 3, ipool), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -182,6 +229,9 @@ func TestRemoteGA(t *testing.T) {
 	}
 	if res.Best.Fitness > 0 || res.Best.Fitness < -100 {
 		t.Fatalf("best fitness %v dBm implausible", res.Best.Fitness)
+	}
+	if res.Best.Fitness != want.Best.Fitness || !reflect.DeepEqual(res.History, want.History) {
+		t.Fatal("remote GA diverged from the direct run")
 	}
 }
 
@@ -254,33 +304,44 @@ func TestDialFailure(t *testing.T) {
 	}
 }
 
+// TestRemoteVmin: VMIN carries the workstation's tester seed, so the
+// remote search and its per-run list equal a local one bit for bit.
 func TestRemoteVmin(t *testing.T) {
-	addr, b := startServer(t)
+	addr, _ := startServer(t)
 	c := dial(t, addr)
 	// VMIN before anything is loaded must fail.
-	if _, err := c.Vmin(1); err == nil {
+	if _, err := c.Vmin(5, 1); err == nil {
 		t.Fatal("vmin without a loaded workload succeeded")
 	}
-	d, _ := b.Platform.Domain(platform.DomainA72)
-	pool := d.Spec.Pool()
+	_, dd := directBench(t)
+	pool := dd.Spec.Pool()
 	seq, err := workload.Probe().Build(pool)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, wantRuns, err := vmin.NewTester(dd, 5).Repeat(platform.Load{Seq: seq, ActiveCores: 2}, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if err := c.Load(platform.DomainA72, 2, pool, seq); err != nil {
 		t.Fatal(err)
 	}
-	res, err := c.Vmin(2)
+	res, err := c.Vmin(5, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.VminV <= 0 || res.VminV >= d.Spec.PDN.VNominal {
+	if res.VminV <= 0 || res.VminV >= dd.Spec.PDN.VNominal {
 		t.Fatalf("remote vmin %v", res.VminV)
 	}
-	if res.Outcome == "pass" || res.Outcome == "" {
+	if res.Outcome == vmin.Pass {
 		t.Fatalf("outcome %q", res.Outcome)
 	}
-	if _, err := c.Vmin(0); err == nil {
+	if res.VminV != want.VminV || res.MarginV != want.MarginV ||
+		res.DroopNominalV != want.DroopNominalV || res.Outcome != want.Outcome ||
+		!reflect.DeepEqual(res.Runs, wantRuns) {
+		t.Fatalf("remote vmin %+v != direct %+v runs %v", res, want, wantRuns)
+	}
+	if _, err := c.Vmin(5, 0); err == nil {
 		t.Fatal("0 repeats accepted")
 	}
 }
@@ -358,6 +419,12 @@ func TestConcurrentClients(t *testing.T) {
 		return nil
 	}
 
+	a53, err := b.Platform.Domain(platform.DomainA53)
+	if err != nil {
+		t.Fatal(err)
+	}
+	a53Steps := core.SweepClockSteps(a53)
+
 	done := make(chan error, 3)
 	go func() { done <- cycle(probe, wantProbe) }()
 	go func() { done <- cycle(rev, wantRev) }()
@@ -373,7 +440,7 @@ func TestConcurrentClients(t *testing.T) {
 				done <- err
 				return
 			}
-			if _, _, _, err := c.Sweep(platform.DomainA53, 1); err != nil {
+			if _, err := c.Sweep(platform.DomainA53, 1, 2, a53Steps); err != nil {
 				done <- err
 				return
 			}

@@ -4,9 +4,6 @@ import (
 	"fmt"
 	"sync"
 	"time"
-
-	"repro/internal/ga"
-	"repro/internal/isa"
 )
 
 // Pool is a fixed-size set of lab clients to one daemon. Each concurrent
@@ -36,8 +33,9 @@ func NewPool(addr string, size int, opts Options) (*Pool, error) {
 		size = 1
 	}
 	p := &Pool{free: make(chan *Client, size), done: make(chan struct{})}
+	sp := newSetpoints()
 	for i := 0; i < size; i++ {
-		c, err := DialOptions(addr, opts)
+		c, err := dialShared(addr, opts, sp)
 		if err != nil {
 			_ = p.Close()
 			return nil, fmt.Errorf("lab: pool client %d: %w", i, err)
@@ -74,23 +72,6 @@ func (p *Pool) Do(fn func(*Client) error) error {
 	case <-p.done:
 		return ErrClosed
 	}
-}
-
-// Measurer returns a concurrency-safe GA fitness function: each evaluation
-// borrows a pooled client for its load/run/measure/stop cycle. Fitness is
-// content-deterministic on the target (internal/detrand), so which client
-// measures which individual — and any retries in between — cannot change
-// the result, and a pooled run is bit-identical to a serial one.
-func (p *Pool) Measurer(domain string, cores, samples int, pool *isa.Pool) ga.Measurer {
-	return ga.MeasurerFunc(func(seq []isa.Inst) (float64, float64, error) {
-		var fit, dom float64
-		err := p.Do(func(c *Client) error {
-			var err error
-			fit, dom, err = measureOn(c, domain, cores, samples, pool, seq)
-			return err
-		})
-		return fit, dom, err
-	})
 }
 
 // Stats aggregates the transport counters of every pooled client.

@@ -68,24 +68,17 @@ func TestPoolCloseUnderLoad(t *testing.T) {
 	}
 }
 
-// TestSweepAtMatchesDirect drives the v3 per-point sweep verb and checks
+// TestSweepPointMatchesDirect drives SWEEP one clock at a time and checks
 // each wire answer against the bench's own SweepPointAt: same clock grid,
 // bit-identical in-band points, and the out-of-band clocks (probe loop
 // below the band at low DVFS steps) reported as such rather than faked.
-func TestSweepAtMatchesDirect(t *testing.T) {
+func TestSweepPointMatchesDirect(t *testing.T) {
 	addr, bench := startServer(t)
 	c, err := DialOptions(addr, fastOpts())
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	negotiated, _, err := c.Hello(ProtocolVersion)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if negotiated < 3 {
-		t.Fatalf("negotiated v%d, want v3+", negotiated)
-	}
 
 	d, err := bench.Platform.Domain("cortex-a72")
 	if err != nil {
@@ -94,18 +87,18 @@ func TestSweepAtMatchesDirect(t *testing.T) {
 	steps := core.SweepClockSteps(d)
 	inBand := 0
 	for _, clock := range steps {
-		got, err := c.SweepAt("cortex-a72", 2, bench.Samples, clock)
+		points, err := c.Sweep("cortex-a72", 2, bench.Samples, []float64{clock})
 		if err != nil {
-			t.Fatalf("SWEEPAT %g: %v", clock, err)
+			t.Fatalf("SWEEP %g: %v", clock, err)
 		}
 		want, err := bench.SweepPointAt(d, 2, clock)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("SWEEPAT %g: wire %+v != direct %+v", clock, got, want)
+		if !reflect.DeepEqual(points, []*core.SweepPoint{want}) {
+			t.Fatalf("SWEEP %g: wire %+v != direct %+v", clock, points[0], want)
 		}
-		if got != nil {
+		if want != nil {
 			inBand++
 		}
 	}

@@ -14,61 +14,48 @@
 // `ERR` replies are never retried — the command reached the target and was
 // rejected; only stream integrity failures are.
 //
-// Protocol v1 (requests are single lines; the program body follows LOAD):
+// The grammar (requests are single lines; LOAD and MONITOR bodies follow
+// their header line; every reply is one line):
 //
-//	LOAD <domain> <cores> <lines>   + <lines> lines of assembly
-//	RUN                             start the loaded workload
-//	STOP                            stop the running workload
-//	MEASURE <samples>               averaged EM peak while running
-//	SWEEP <domain> <cores>          fast resonance sweep (Section 5.3)
-//	VMIN [repeats]                  V_MIN search of the loaded workload
-//	SETCLOCK <domain> <hz>          DVFS control (DS-5 / Overdrive role)
-//	SETCORES <domain> <n>           power-gate cores via the SCP
-//	SETVOLTS <domain> <v>           supply control
-//	RESET <domain>                  restore nominal domain state
-//	INFO                            platform and domain inventory
-//	QUIT                            close the session (replies "OK bye")
-//
-// Protocol v2 adds the commands the backend layer (internal/backend)
-// needs to drive a remote rig exactly like a local bench. Versions are
-// negotiated with HELLO: a v1 daemon answers "ERR unknown command" and the
-// client falls back to the v1 subset (enough for gahunt's EM loop), so old
-// targets keep serving while new ones unlock the full surface:
-//
-//	HELLO <version>                 → OK <serverVersion> <platform>
+//	HELLO <version>                 → OK <version> <platform>; a version
+//	                                  other than ProtocolVersion is ERR
+//	INFO                            → OK <platform> <domain>/<cores>...
 //	CAPS <domain>                   → OK <cores> <arch> <maxHz> <stepHz>
 //	                                     <visibility> <dsoKind>
 //	STATE <domain>                  → OK <clockHz> <supplyV> <powered>
-//	SWEEPFULL <domain> <cores> <samples>
-//	                                → OK <resHz> <peakLoopHz> <peakDBm> <n>
-//	                                     then n × "<clock> <loop> <dbm>"
-//	                                     inline on the same reply line
-//	VMINFULL <seed> <repeats>       → OK <vmin> <margin> <droop> <outcome>
-//	                                     <n> <v1> ... <vn>   (loaded slot)
-//	SHMOO <seed> <clock>...         → OK <n> then n × "<clock> <vmin>
-//	                                     <margin> <outcome>" (loaded slot)
+//	LOAD <domain> <cores> <lines>   + <lines> lines of assembly
+//	                                → OK loaded <instructions>
+//	RUN                             start the loaded workload
+//	STOP                            stop the running workload
+//	MEASURE [samples]               → OK <peakDBm> <peakHz> <stdevDBm>
+//	                                  averaged EM peak while running
 //	VMEASURE <metric> <samples> <dsoseed>
-//	                                → OK <fitness> <domHz>  (running slot;
-//	                                     metric em|droop|ptp)
+//	                                → OK <fitness> <domHz>  (running
+//	                                     slot; metric droop|ptp)
+//	SWEEP <domain> <cores> <samples> <clockHz>...
+//	                                → OK <n> then n × "<inBand> <clock>
+//	                                     <loop> <dbm>", one per listed
+//	                                     clock (Section 5.3 fast sweep;
+//	                                     an out-of-band step is "0 0 0 0")
+//	VMIN <seed> <repeats>           → OK <vmin> <margin> <droop> <outcome>
+//	                                     <n> <v1> ... <vn>   (loaded slot)
+//	SHMOO <seed> <clockHz>...       → OK <n> then n × "<clock> <vmin>
+//	                                     <margin> <outcome>" (loaded slot)
 //	MONITOR <nparts>                + per part a header "<domain> <cores>
 //	                                  <lines> <nphase> [phase...]" and
 //	                                  <lines> program lines
 //	                                → OK <n> <startHz> <rbwHz> <dbm...>
+//	SETCLOCK <domain> <hz>          DVFS control (DS-5 / Overdrive role)
+//	SETVOLTS <domain> <v>           supply control
+//	SETCORES <domain> <n>           power-gate cores via the SCP
+//	RESET <domain>                  restore nominal domain state
 //	STATS <domain>                  → OK <quoted eval-stats string>
-//
-// Protocol v3 adds the single verb a fleet coordinator needs to shard a
-// resonance sweep across rigs at clock-step granularity (a v2 daemon still
-// serves everything above; the client falls back to whole-sweep routing):
-//
-//	SWEEPAT <domain> <cores> <samples> <clockHz>
-//	                                → OK 1 <clock> <loop> <dbm>, or
-//	                                  OK 0 when the probe loop falls
-//	                                  outside the search band at that clock
+//	QUIT                            close the session (replies "OK bye")
 //
 // Responses are "OK ..." or "ERR <message>". An ERR reply leaves the
 // session usable; a malformed line (or one longer than the limit) closes
-// it. Requests stay under maxLineLen; v2 replies may carry a whole sweep
-// or spectrum on one line and are bounded by the larger maxReplyLen —
+// it. Requests stay under maxLineLen; replies may carry a whole sweep or
+// spectrum on one line and are bounded by the larger maxReplyLen —
 // single-line replies keep every command a strict request/response pair,
 // which is what makes retry-after-reconnect trivially safe. The
 // loaded/running workload slot is per connection — concurrent sessions
@@ -96,18 +83,16 @@ const (
 	replyErr = "ERR"
 )
 
-// ProtocolVersion is the protocol revision this package speaks. Version 2
-// added the backend-layer verbs (HELLO/CAPS/STATE/SWEEPFULL/VMINFULL/
-// SHMOO/VMEASURE/MONITOR/STATS); version 3 added SWEEPAT (per-point sweep
-// sharding for fleet coordinators). The v1/v2 subsets are still served
-// unchanged and HELLO negotiates down for older peers.
-const ProtocolVersion = 3
+// ProtocolVersion is the protocol revision this package speaks. Daemon and
+// workstation are built from the same tree, so there is nothing to
+// negotiate: HELLO with any other version is a hard error on both sides.
+const ProtocolVersion = 4
 
 // Protocol hard limits: a LOAD body may declare at most maxProgramLines
 // lines, and no single request or program line may exceed maxLineLen
 // bytes — a peer that sends more is desynced or hostile and the connection
 // is closed rather than buffering without bound. Replies get the larger
-// maxReplyLen because v2 ships whole sweeps and spectra on one line.
+// maxReplyLen because a reply can carry a whole sweep or spectrum.
 const (
 	maxProgramLines = 10000
 	maxLineLen      = 1 << 16
@@ -198,4 +183,17 @@ func int64Field(fields []string, i int, what string) (int64, error) {
 		return 0, fmt.Errorf("lab: bad %s %q", what, fields[i])
 	}
 	return v, nil
+}
+
+// floatFields parses every field as a float (nil for no fields).
+func floatFields(fields []string, what string) ([]float64, error) {
+	var out []float64
+	for i := range fields {
+		v, err := floatField(fields, i, what)
+		if err != nil {
+			return nil, err
+		}
+		out = append(out, v)
+	}
+	return out, nil
 }

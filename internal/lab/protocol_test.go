@@ -153,19 +153,54 @@ func TestDispatchMalformed(t *testing.T) {
 		"MEASURE -3",
 		"MEASURE 1001",
 		"MEASURE many",
-		// VMIN: out-of-range and non-numeric repeats
-		"VMIN 0",
-		"VMIN -1",
-		"VMIN 101",
-		"VMIN x",
-		// SWEEP / SET* / RESET: truncated and non-numeric
+		// HELLO: missing, non-numeric and other versions
+		"HELLO",
+		"HELLO zero",
+		"HELLO 3",
+		"HELLO 4 extra",
+		// VMIN: truncated, out-of-range and non-numeric seed/repeats
+		"VMIN",
+		"VMIN 1",
+		"VMIN 1 0",
+		"VMIN 1 -1",
+		"VMIN 1 101",
+		"VMIN x 1",
+		"VMIN 1 x",
+		"VMIN 1 3", // nothing loaded
+		// SWEEP: truncated, non-numeric, out-of-range and non-finite
 		"SWEEP",
 		"SWEEP cortex-a72",
-		"SWEEP cortex-a72 two",
-		"SWEEP nope 2",
+		"SWEEP cortex-a72 2",
+		"SWEEP cortex-a72 2 3",
+		"SWEEP cortex-a72 two 3 6e8",
+		"SWEEP nope 2 3 6e8",
+		"SWEEP cortex-a72 2 0 6e8",
+		"SWEEP cortex-a72 2 1001 6e8",
+		"SWEEP cortex-a72 2 3 fast",
+		"SWEEP cortex-a72 2 3 6e8 NaN",
+		"SWEEP cortex-a72 2 3 +Inf",
+		"SWEEP cortex-a72 2 3 2e9",
+		"SWEEP cortex-a72 0 3 6e8",
+		// the loaded/running-slot verbs in a fresh session
+		"SHMOO 1 6e8",
+		"SHMOO 1",
+		"VMEASURE droop 3 1",
+		"VMEASURE what 3 1",
+		"VMEASURE droop 0 1",
+		// per-domain queries and MONITOR headers
+		"CAPS",
+		"STATE",
+		"MONITOR",
+		"MONITOR 0",
+		"MONITOR 17",
+		"STATS",
+		"STATS no-such-domain",
+		// SET* / RESET: truncated, non-numeric and non-finite
 		"SETCLOCK x",
 		"SETCLOCK cortex-a72 fast",
+		"SETCLOCK cortex-a72 NaN",
 		"SETVOLTS cortex-a72",
+		"SETVOLTS cortex-a72 Inf",
 		"SETCORES a b",
 		"RESET",
 		"RESET nope",
@@ -202,7 +237,7 @@ func TestDispatchMalformed(t *testing.T) {
 		}
 	}
 	// The session survives all of it.
-	if reply := rc.send("INFO"); !strings.HasPrefix(reply, "OK") {
+	if reply := rc.send("INFO"); !strings.HasPrefix(reply, "OK juno") {
 		t.Errorf("INFO after malformed batch -> %q", reply)
 	}
 	if reply := rc.send("QUIT"); !strings.HasPrefix(reply, "OK") {
@@ -223,5 +258,25 @@ func TestOversizedLineClosesConnection(t *testing.T) {
 	}
 	if _, err := readLine(rc.r); err == nil {
 		t.Fatal("server replied to an oversized line instead of closing")
+	}
+}
+
+// TestVerbSet pins the protocol's verbs: each one, sent bare, reaches its
+// handler (a usage or state error, or a reply) rather than the unknown
+// command branch.
+func TestVerbSet(t *testing.T) {
+	addr, _ := startServer(t)
+	rc := rawDial(t, addr)
+	for _, verb := range []string{
+		"HELLO", "INFO", "CAPS", "STATE", "LOAD", "RUN", "STOP", "MEASURE",
+		"VMEASURE", "SWEEP", "VMIN", "SHMOO", "MONITOR", "SETCLOCK",
+		"SETVOLTS", "SETCORES", "RESET", "STATS",
+	} {
+		if reply := rc.send(verb); strings.Contains(reply, "unknown command") {
+			t.Errorf("%s -> %q", verb, reply)
+		}
+	}
+	if reply := rc.send("QUIT"); reply != "OK bye" {
+		t.Errorf("QUIT -> %q", reply)
 	}
 }

@@ -447,7 +447,7 @@ func TestPoolChaosGAMatchesDirect(t *testing.T) {
 
 	rcfg := cfg
 	rcfg.Parallelism = 8
-	got, err := ga.Run(rcfg, pool.Measurer(platform.DomainA72, 2, 3, ipool), nil)
+	got, err := ga.Run(rcfg, emMeasurer(pool, platform.DomainA72, 2, 3, ipool), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -468,4 +468,52 @@ func TestPoolChaosGAMatchesDirect(t *testing.T) {
 	}
 	t.Logf("chaos: %+v; transport: %d dials, %d reconnects, %d replays",
 		cs, st.Dials, st.Reconnects, st.Replays)
+}
+
+// TestPoolReplaySharesSetpoints: domain setpoints live on the daemon,
+// shared by every session, so a RESET sent on one pooled session must
+// stop every other session from writing the cleared setting back when it
+// reconnects.
+func TestPoolReplaySharesSetpoints(t *testing.T) {
+	addr, b := startServer(t)
+	proxy, err := chaos.New(addr, chaos.Config{Seed: 1}) // no probabilistic faults
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer proxy.Close()
+	pool, err := NewPool(proxy.Addr(), 2, fastOpts())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer pool.Close()
+	d, err := b.Platform.Domain(platform.DomainA72)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	err = pool.Do(func(a *Client) error {
+		return pool.Do(func(other *Client) error {
+			if err := a.SetClock(platform.DomainA72, 600e6); err != nil {
+				return err
+			}
+			if err := other.Reset(platform.DomainA72); err != nil {
+				return err
+			}
+			proxy.KillActive()
+			st, err := a.State(platform.DomainA72) // reconnects first
+			if err != nil {
+				return err
+			}
+			if a.Stats().Reconnects == 0 {
+				t.Error("session never reconnected; test is vacuous")
+			}
+			if st.ClockHz != d.Spec.MaxClockHz {
+				t.Errorf("clock %v after RESET on another session, want %v", st.ClockHz, d.Spec.MaxClockHz)
+			}
+			return nil
+		})
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
 }

@@ -11,9 +11,7 @@ import (
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/isa"
 	"repro/internal/platform"
-	"repro/internal/vmin"
 )
 
 // Server is the target-machine daemon: it owns the platform under test and
@@ -233,22 +231,23 @@ func (s *Server) handle(conn net.Conn) {
 	r := bufio.NewReader(conn)
 	w := bufio.NewWriter(conn)
 	sess := &session{}
-	for {
-		line, err := readLine(r)
-		if err != nil {
-			return
-		}
-		quit, err := s.dispatch(sess, r, w, line)
-		if err != nil {
-			if werr := writeLine(w, "%s %v", replyErr, err); werr != nil {
-				return
-			}
-			continue
-		}
-		if quit {
-			return
-		}
+	for s.serveOne(sess, r, w) {
 	}
+}
+
+// serveOne reads and executes one request and writes its one reply line.
+// It reports false when the session is over: after QUIT, or when the
+// request stream is broken or cannot be resynchronized.
+func (s *Server) serveOne(sess *session, r *bufio.Reader, w *bufio.Writer) bool {
+	line, err := readLine(r)
+	if err != nil {
+		return false
+	}
+	quit, err := s.dispatch(sess, r, w, line)
+	if err != nil {
+		return writeLine(w, "%s %v", replyErr, err) == nil
+	}
+	return !quit
 }
 
 // dispatch executes one command; successful commands write their own OK.
@@ -260,11 +259,14 @@ func (s *Server) dispatch(sess *session, r *bufio.Reader, w *bufio.Writer, line 
 	verb := fields[0]
 	defer func() { s.countCmd(verb, err != nil) }()
 	switch verb {
-	case "QUIT":
-		_ = writeLine(w, "%s bye", replyOK)
-		return true, nil
+	case "HELLO":
+		return false, s.cmdHello(w, fields)
 	case "INFO":
 		return false, s.cmdInfo(w)
+	case "CAPS":
+		return false, s.cmdCaps(w, fields)
+	case "STATE":
+		return false, s.cmdState(w, fields)
 	case "LOAD":
 		return false, s.cmdLoad(sess, r, w, fields)
 	case "RUN":
@@ -273,10 +275,16 @@ func (s *Server) dispatch(sess *session, r *bufio.Reader, w *bufio.Writer, line 
 		return false, s.cmdStop(sess, w)
 	case "MEASURE":
 		return false, s.cmdMeasure(sess, w, fields)
+	case "VMEASURE":
+		return false, s.cmdVMeasure(sess, w, fields)
 	case "SWEEP":
 		return false, s.cmdSweep(w, fields)
 	case "VMIN":
 		return false, s.cmdVmin(sess, w, fields)
+	case "SHMOO":
+		return false, s.cmdShmoo(sess, w, fields)
+	case "MONITOR":
+		return false, s.cmdMonitor(r, w, fields)
 	case "SETCLOCK":
 		return false, s.cmdSet(w, fields, func(d *platform.Domain, v float64) error {
 			return d.SetClockHz(v)
@@ -289,26 +297,11 @@ func (s *Server) dispatch(sess *session, r *bufio.Reader, w *bufio.Writer, line 
 		return false, s.cmdSetCores(w, fields)
 	case "RESET":
 		return false, s.cmdReset(w, fields)
-	case "HELLO":
-		return false, s.cmdHello(w, fields)
-	case "CAPS":
-		return false, s.cmdCaps(w, fields)
-	case "STATE":
-		return false, s.cmdState(w, fields)
-	case "SWEEPFULL":
-		return false, s.cmdSweepFull(w, fields)
-	case "SWEEPAT":
-		return false, s.cmdSweepAt(w, fields)
-	case "VMINFULL":
-		return false, s.cmdVminFull(sess, w, fields)
-	case "SHMOO":
-		return false, s.cmdShmoo(sess, w, fields)
-	case "VMEASURE":
-		return false, s.cmdVMeasure(sess, w, fields)
-	case "MONITOR":
-		return false, s.cmdMonitor(r, w, fields)
 	case "STATS":
 		return false, s.cmdStats(w, fields)
+	case "QUIT":
+		_ = writeLine(w, "%s bye", replyOK)
+		return true, nil
 	default:
 		return false, fmt.Errorf("unknown command %q", verb)
 	}
@@ -318,224 +311,14 @@ func (s *Server) domain(name string) (*platform.Domain, error) {
 	return s.Bench.Platform.Domain(name)
 }
 
-func (s *Server) cmdInfo(w *bufio.Writer) error {
-	var names []string
-	for _, d := range s.Bench.Platform.Domains() {
-		names = append(names, fmt.Sprintf("%s/%d", d.Spec.Name, d.Spec.TotalCores))
+// benchWithSamples returns the daemon's bench, re-sampled through a
+// shallow copy when a request asks for a different analyzer averaging
+// depth (the copy shares platform, analyzer and caches).
+func (s *Server) benchWithSamples(samples int) *core.Bench {
+	if samples == s.Bench.Samples {
+		return s.Bench
 	}
-	return writeLine(w, "%s %s %s", replyOK, s.Bench.Platform.Name, strings.Join(names, " "))
-}
-
-// cmdLoad reads a LOAD header and its program body. The client flushes the
-// body together with the header, so on any validation error detected
-// before the body has been consumed the declared lines MUST still be
-// drained — otherwise the daemon would dispatch assembly lines as commands
-// and the session would desync permanently.
-func (s *Server) cmdLoad(sess *session, r *bufio.Reader, w *bufio.Writer, fields []string) error {
-	if len(fields) != 4 {
-		return fmt.Errorf("usage: LOAD <domain> <cores> <lines>")
-	}
-	lines, linesErr := intField(fields, 3, "lines")
-	canDrain := linesErr == nil && lines >= 1 && lines <= maxProgramLines
-	// drain consumes the program body the client already sent, keeping the
-	// stream in sync while the command itself fails. Only possible when
-	// the declared line count is sane.
-	drain := func() {
-		if !canDrain {
-			return
-		}
-		for i := 0; i < lines; i++ {
-			if _, err := readLine(r); err != nil {
-				return
-			}
-		}
-	}
-	d, err := s.domain(fields[1])
-	if err != nil {
-		drain()
-		return err
-	}
-	cores, err := intField(fields, 2, "cores")
-	if err != nil {
-		drain()
-		return err
-	}
-	if cores < 1 || cores > d.Spec.TotalCores {
-		drain()
-		return fmt.Errorf("core count %d out of range [1, %d]", cores, d.Spec.TotalCores)
-	}
-	if linesErr != nil {
-		return linesErr
-	}
-	if !canDrain {
-		return fmt.Errorf("line count %d out of range", lines)
-	}
-	var body strings.Builder
-	for i := 0; i < lines; i++ {
-		ln, err := readLine(r)
-		if err != nil {
-			return fmt.Errorf("reading program: %v", err)
-		}
-		body.WriteString(ln)
-		body.WriteByte('\n')
-	}
-	seq, err := isa.ParseProgram(d.Spec.Pool(), body.String())
-	if err != nil {
-		return err
-	}
-	if len(seq) == 0 {
-		return fmt.Errorf("program has no instructions")
-	}
-	sess.current = &loaded{domain: d, load: platform.Load{Seq: seq, ActiveCores: cores}}
-	sess.running = false
-	return writeLine(w, "%s loaded %d", replyOK, len(seq))
-}
-
-func (s *Server) cmdRun(sess *session, w *bufio.Writer) error {
-	if sess.current == nil {
-		return fmt.Errorf("nothing loaded")
-	}
-	sess.running = true
-	return writeLine(w, "%s running", replyOK)
-}
-
-func (s *Server) cmdStop(sess *session, w *bufio.Writer) error {
-	sess.running = false
-	return writeLine(w, "%s stopped", replyOK)
-}
-
-func (s *Server) cmdMeasure(sess *session, w *bufio.Writer, fields []string) error {
-	samples := s.Bench.Samples
-	if len(fields) > 1 {
-		var err error
-		samples, err = intField(fields, 1, "samples")
-		if err != nil {
-			return err
-		}
-		if samples < 1 || samples > 1000 {
-			return fmt.Errorf("sample count %d out of range", samples)
-		}
-	}
-	if sess.current == nil || !sess.running {
-		return fmt.Errorf("no workload running")
-	}
-	cur := sess.current
-	l := s.domLock(cur.domain.Spec.Name)
-	l.RLock()
-	m, err := s.Bench.EMMeasureN(cur.domain, cur.load, samples)
-	l.RUnlock()
-	if err != nil {
-		return err
-	}
-	return writeLine(w, "%s %g %g %g", replyOK, m.PeakDBm, m.PeakHz, m.StdevDBm)
-}
-
-func (s *Server) cmdSweep(w *bufio.Writer, fields []string) error {
-	if len(fields) != 3 {
-		return fmt.Errorf("usage: SWEEP <domain> <cores>")
-	}
-	d, err := s.domain(fields[1])
-	if err != nil {
-		return err
-	}
-	cores, err := intField(fields, 2, "cores")
-	if err != nil {
-		return err
-	}
-	l := s.domLock(d.Spec.Name)
-	l.RLock()
-	res, err := s.Bench.FastResonanceSweep(d, cores)
-	l.RUnlock()
-	if err != nil {
-		return err
-	}
-	return writeLine(w, "%s %g %g %d", replyOK, res.ResonanceHz, res.PeakDBm, len(res.Points))
-}
-
-// cmdVmin runs a V_MIN search (optionally repeated) on the currently
-// loaded workload and reports the worst observed V_MIN.
-func (s *Server) cmdVmin(sess *session, w *bufio.Writer, fields []string) error {
-	repeats := 1
-	if len(fields) > 1 {
-		var err error
-		repeats, err = intField(fields, 1, "repeats")
-		if err != nil {
-			return err
-		}
-		if repeats < 1 || repeats > 100 {
-			return fmt.Errorf("repeat count %d out of range", repeats)
-		}
-	}
-	if sess.current == nil {
-		return fmt.Errorf("nothing loaded")
-	}
-	cur := sess.current
-	l := s.domLock(cur.domain.Spec.Name)
-	l.RLock()
-	tester := vmin.NewTester(cur.domain, 1)
-	res, _, err := tester.Repeat(cur.load, repeats)
-	l.RUnlock()
-	if err != nil {
-		return err
-	}
-	return writeLine(w, "%s %g %g %s", replyOK, res.VminV, res.MarginV, res.Outcome)
-}
-
-func (s *Server) cmdSet(w *bufio.Writer, fields []string, set func(*platform.Domain, float64) error) error {
-	if len(fields) != 3 {
-		return fmt.Errorf("usage: %s <domain> <value>", fields[0])
-	}
-	d, err := s.domain(fields[1])
-	if err != nil {
-		return err
-	}
-	v, err := floatField(fields, 2, "value")
-	if err != nil {
-		return err
-	}
-	l := s.domLock(d.Spec.Name)
-	l.Lock()
-	err = set(d, v)
-	l.Unlock()
-	if err != nil {
-		return err
-	}
-	return writeLine(w, "%s", replyOK)
-}
-
-func (s *Server) cmdSetCores(w *bufio.Writer, fields []string) error {
-	if len(fields) != 3 {
-		return fmt.Errorf("usage: SETCORES <domain> <n>")
-	}
-	d, err := s.domain(fields[1])
-	if err != nil {
-		return err
-	}
-	n, err := intField(fields, 2, "cores")
-	if err != nil {
-		return err
-	}
-	l := s.domLock(d.Spec.Name)
-	l.Lock()
-	err = d.SetPoweredCores(n)
-	l.Unlock()
-	if err != nil {
-		return err
-	}
-	return writeLine(w, "%s", replyOK)
-}
-
-func (s *Server) cmdReset(w *bufio.Writer, fields []string) error {
-	if len(fields) != 2 {
-		return fmt.Errorf("usage: RESET <domain>")
-	}
-	d, err := s.domain(fields[1])
-	if err != nil {
-		return err
-	}
-	l := s.domLock(d.Spec.Name)
-	l.Lock()
-	d.Reset()
-	l.Unlock()
-	return writeLine(w, "%s", replyOK)
+	b2 := *s.Bench
+	b2.Samples = samples
+	return &b2
 }

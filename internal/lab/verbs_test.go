@@ -2,38 +2,58 @@ package lab
 
 import (
 	"bufio"
+	"fmt"
 	"net"
 	"reflect"
 	"strings"
 	"testing"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/lab/chaos"
 	"repro/internal/platform"
 	"repro/internal/vmin"
 	"repro/internal/workload"
 )
 
-// TestHelloNegotiation: a v2 daemon answers HELLO with its version and
-// platform; the negotiated version is the minimum of both sides.
-func TestHelloNegotiation(t *testing.T) {
+// TestHelloVersionMismatch: HELLO does not negotiate. The daemon accepts
+// exactly its own version and rejects any other with an ERR naming both;
+// the client rejects a daemon that answers with any other version.
+func TestHelloVersionMismatch(t *testing.T) {
 	addr, b := startServer(t)
 	c := dial(t, addr)
-	defer c.Close()
-
-	ver, name, err := c.Hello(ProtocolVersion)
+	name, err := c.Hello()
 	if err != nil {
 		t.Fatal(err)
-	}
-	if ver != ProtocolVersion {
-		t.Fatalf("negotiated %d, want %d", ver, ProtocolVersion)
 	}
 	if name != b.Platform.Name {
 		t.Fatalf("platform %q, want %q", name, b.Platform.Name)
 	}
-	// A future client is negotiated down to the server's version.
-	if ver, _, err = c.Hello(99); err != nil || ver != ProtocolVersion {
-		t.Fatalf("Hello(99) = %d, %v; want %d", ver, err, ProtocolVersion)
+
+	rc := rawDial(t, addr)
+	for _, v := range []int{ProtocolVersion - 1, ProtocolVersion + 1} {
+		reply := rc.send(fmt.Sprintf("HELLO %d", v))
+		want := []string{"ERR", fmt.Sprintf("v%d", v), fmt.Sprintf("v%d", ProtocolVersion)}
+		for _, w := range want {
+			if !strings.Contains(reply, w) {
+				t.Fatalf("HELLO %d -> %q, want an ERR naming v%d and v%d", v, reply, v, ProtocolVersion)
+			}
+		}
+	}
+
+	// An older daemon that answers HELLO with its own version is refused
+	// by the client, without retrying a healthy transport.
+	old, err := DialOptions(replyServer(t, "OK 3 juno-r2"), fastOpts())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer old.Close()
+	_, err = old.Hello()
+	if err == nil || !strings.Contains(err.Error(), "v3") || !strings.Contains(err.Error(), "v4") {
+		t.Fatalf("Hello against a v3 daemon: err = %v, want a mismatch naming v3 and v4", err)
+	}
+	if st := old.Stats(); st.Commands["HELLO"].Retries != 0 {
+		t.Fatalf("version mismatch retried %d times", st.Commands["HELLO"].Retries)
 	}
 }
 
@@ -139,40 +159,55 @@ func TestCapsReplyFieldCount(t *testing.T) {
 	}
 }
 
-// TestV2ProtocolErrors drives the new verbs with malformed arguments over
-// a raw connection; each must produce a single ERR line and leave the
-// session aligned.
-func TestV2ProtocolErrors(t *testing.T) {
+// TestSetpointsRejectNaN: NaN and ±Inf setpoints parse as floats, so the
+// domain's own range checks must reject them, and STATE must read back
+// the untouched operating point.
+func TestSetpointsRejectNaN(t *testing.T) {
 	addr, _ := startServer(t)
 	rc := rawDial(t, addr)
-
-	cases := []string{
-		"HELLO",
-		"HELLO zero",
-		"CAPS",
-		"STATE",
-		"SWEEPFULL cortex-a72 2",
-		"SWEEPFULL cortex-a72 2 0",
-		"SWEEPFULL cortex-a72 2 1001",
-		"VMINFULL 1",      // missing repeats
-		"VMINFULL 1 3",    // nothing loaded
-		"SHMOO 1 6e8",     // nothing loaded
-		"VMEASURE em 3 1", // nothing running
-		"VMEASURE what 3 1",
-		"MONITOR",
-		"MONITOR 0",
-		"MONITOR 17",
-		"STATS",
-		"STATS no-such-domain",
+	before := rc.send("STATE cortex-a72")
+	if !strings.HasPrefix(before, "OK ") {
+		t.Fatalf("STATE -> %q", before)
 	}
-	for _, cmd := range cases {
+	for _, cmd := range []string{
+		"SETCLOCK cortex-a72 NaN",
+		"SETVOLTS cortex-a72 NaN",
+		"SETCLOCK cortex-a72 +Inf",
+		"SETVOLTS cortex-a72 -Inf",
+	} {
 		if reply := rc.send(cmd); !strings.HasPrefix(reply, "ERR") {
-			t.Fatalf("%q -> %q, want ERR", cmd, reply)
+			t.Errorf("%q -> %q, want ERR", cmd, reply)
 		}
 	}
-	// The session survived every rejection.
-	if reply := rc.send("INFO"); !strings.HasPrefix(reply, "OK juno") {
-		t.Fatalf("session desynced: INFO -> %q", reply)
+	if after := rc.send("STATE cortex-a72"); after != before {
+		t.Fatalf("STATE moved from %q to %q", before, after)
+	}
+}
+
+// TestVMeasureRejectsEM: VMEASURE serves the DSO metrics only; EM fitness
+// goes through MEASURE.
+func TestVMeasureRejectsEM(t *testing.T) {
+	addr, b := startServer(t)
+	c := dial(t, addr)
+	d, err := b.Platform.Domain(platform.DomainA72)
+	if err != nil {
+		t.Fatal(err)
+	}
+	seq, err := workload.Probe().Build(d.Spec.Pool())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Load(platform.DomainA72, 2, d.Spec.Pool(), seq); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := c.VMeasure("em", 3, 1); err == nil || !IsTargetError(err) {
+		t.Fatalf("VMEASURE em: err = %v, want a target error", err)
+	}
+	if _, _, err := c.VMeasure("droop", 3, 1); err != nil {
+		t.Fatalf("VMEASURE droop: %v", err)
 	}
 }
 
@@ -233,7 +268,11 @@ func TestChaosSweepAndShmooMatchDirect(t *testing.T) {
 	}
 	defer c.Close()
 
-	got, err := c.SweepFull(platform.DomainA72, 2, 3)
+	points, err := c.Sweep(platform.DomainA72, 2, 3, core.SweepClockSteps(dd))
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := core.AssembleSweep(points)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -252,7 +291,7 @@ func TestChaosSweepAndShmooMatchDirect(t *testing.T) {
 		t.Fatalf("chaos shmoo diverged:\n got %+v\nwant %+v", gotShmoo, wantShmoo)
 	}
 
-	full, err := c.VminFull(7, 3)
+	full, err := c.Vmin(7, 3)
 	if err != nil {
 		t.Fatal(err)
 	}

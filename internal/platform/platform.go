@@ -222,7 +222,7 @@ func (d *Domain) SetClockHz(hz float64) error {
 // state. The stateless measurement paths (SpectraAt, SteadyResponseAt) take
 // snapped clocks so concurrent sweeps never touch the shared clock setting.
 func (d *Domain) SnapClock(hz float64) (float64, error) {
-	if hz <= 0 || hz > d.Spec.MaxClockHz {
+	if !(hz > 0 && hz <= d.Spec.MaxClockHz) { // negated so NaN is rejected
 		return 0, fmt.Errorf("platform: %s: clock %v outside (0, %v]", d.Spec.Name, hz, d.Spec.MaxClockHz)
 	}
 	steps := math.Round(hz / d.Spec.ClockStepHz)
@@ -257,7 +257,7 @@ func (d *Domain) SupplyVolts() float64 {
 
 // SetSupplyVolts adjusts the regulator setpoint (the paper steps in 10 mV).
 func (d *Domain) SetSupplyVolts(v float64) error {
-	if v <= 0 || v > 2*d.Spec.PDN.VNominal {
+	if !(v > 0 && v <= 2*d.Spec.PDN.VNominal) { // negated so NaN is rejected
 		return fmt.Errorf("platform: %s: supply %v out of range", d.Spec.Name, v)
 	}
 	d.mu.Lock()

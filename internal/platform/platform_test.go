@@ -160,6 +160,31 @@ func TestDomainStateControls(t *testing.T) {
 	}
 }
 
+// TestSetpointsRejectNonFinite: NaN compares false against both range
+// bounds, so the checks must be written to reject it; neither it nor ±Inf
+// may reach the domain state.
+func TestSetpointsRejectNonFinite(t *testing.T) {
+	d := domain(t, juno(t), DomainA72)
+	if err := d.SetClockHz(600e6); err != nil {
+		t.Fatal(err)
+	}
+	clock, supply := d.ClockHz(), d.SupplyVolts()
+	for _, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		if _, err := d.SnapClock(v); err == nil {
+			t.Errorf("SnapClock(%v) accepted", v)
+		}
+		if err := d.SetClockHz(v); err == nil {
+			t.Errorf("SetClockHz(%v) accepted", v)
+		}
+		if err := d.SetSupplyVolts(v); err == nil {
+			t.Errorf("SetSupplyVolts(%v) accepted", v)
+		}
+	}
+	if d.ClockHz() != clock || d.SupplyVolts() != supply {
+		t.Fatalf("state moved to clock %v supply %v, want %v %v", d.ClockHz(), d.SupplyVolts(), clock, supply)
+	}
+}
+
 func TestClockSteps(t *testing.T) {
 	d := domain(t, juno(t), DomainA72)
 	steps := d.ClockSteps()

@@ -33,6 +33,11 @@ type ClusterLoad struct {
 	PhaseCycles []float64
 }
 
+// maxPhaseCycles bounds a core's phase offset. Every offset extends the
+// simulated steady window by that many cycles, and the waveform repeats
+// every loop period, so a larger offset only costs memory.
+const maxPhaseCycles = 1 << 20
+
 // Validate reports the first problem with the load description.
 func (cl ClusterLoad) Validate() error {
 	if err := cl.Core.Validate(); err != nil {
@@ -47,6 +52,12 @@ func (cl ClusterLoad) Validate() error {
 		return fmt.Errorf("power: %d active cores", cl.ActiveCores)
 	case len(cl.PhaseCycles) != 0 && len(cl.PhaseCycles) != cl.ActiveCores:
 		return fmt.Errorf("power: %d phase offsets for %d cores", len(cl.PhaseCycles), cl.ActiveCores)
+	}
+	for _, p := range cl.PhaseCycles {
+		// Negated so NaN is rejected: the offset indexes the steady window.
+		if !(p >= 0 && p <= maxPhaseCycles) {
+			return fmt.Errorf("power: phase offset %v outside [0, %d] cycles", p, maxPhaseCycles)
+		}
 	}
 	return nil
 }

@@ -34,6 +34,10 @@ func TestValidate(t *testing.T) {
 		func(c *ClusterLoad) { c.ClockHz = math.NaN() },
 		func(c *ClusterLoad) { c.ActiveCores = 0 },
 		func(c *ClusterLoad) { c.PhaseCycles = []float64{1} }, // 1 offset, 2 cores
+		func(c *ClusterLoad) { c.PhaseCycles = []float64{0, math.NaN()} },
+		func(c *ClusterLoad) { c.PhaseCycles = []float64{-1, 0} },
+		func(c *ClusterLoad) { c.PhaseCycles = []float64{math.Inf(1), 0} },
+		func(c *ClusterLoad) { c.PhaseCycles = []float64{0, maxPhaseCycles + 1} },
 		func(c *ClusterLoad) { c.Core.IssueWidth = 0 },
 	}
 	for i, mut := range cases {
