@@ -45,7 +45,7 @@ specs-verify:
 # interface tests, which drive every command's measurement path against an
 # in-process labtarget (including through the chaos proxy) and require
 # bit-identical output to a local bench.
-REMOTE_TESTS = Hello|Caps|Verb|Dispatch|Sweep|Vmin|Setpoints|Chaos|Monitor|Stats|Equivalence|Capability|Determinism|FlagInventory
+REMOTE_TESTS = Hello|Caps|Verb|Dispatch|ProtocolErrors|Sweep|Vmin|Setpoints|Chaos|Monitor|Stats|Equivalence|Capability|Determinism|FlagInventory
 REMOTE_PKGS = ./internal/lab ./internal/backend ./internal/cli
 tier1-remote:
 	$(call require-tests,$(REMOTE_TESTS),$(REMOTE_PKGS))

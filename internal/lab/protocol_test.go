@@ -129,9 +129,10 @@ func (rc *rawConn) send(line string) string {
 	return reply
 }
 
-// TestDispatchMalformed drives the server with truncated, non-numeric and
-// out-of-range arguments; every one must produce an ERR reply and leave
-// the session usable.
+// TestDispatchMalformed drives the single-domain verbs with truncated,
+// non-numeric and out-of-range arguments; every one must produce an ERR
+// reply and leave the session usable. TestV2ProtocolErrors covers the
+// verbs the multi-domain protocol added.
 func TestDispatchMalformed(t *testing.T) {
 	addr, _ := startServer(t)
 	rc := rawDial(t, addr)
@@ -153,11 +154,6 @@ func TestDispatchMalformed(t *testing.T) {
 		"MEASURE -3",
 		"MEASURE 1001",
 		"MEASURE many",
-		// HELLO: missing, non-numeric and other versions
-		"HELLO",
-		"HELLO zero",
-		"HELLO 3",
-		"HELLO 4 extra",
 		// VMIN: truncated, out-of-range and non-numeric seed/repeats
 		"VMIN",
 		"VMIN 1",
@@ -181,20 +177,6 @@ func TestDispatchMalformed(t *testing.T) {
 		"SWEEP cortex-a72 2 3 +Inf",
 		"SWEEP cortex-a72 2 3 2e9",
 		"SWEEP cortex-a72 0 3 6e8",
-		// the loaded/running-slot verbs in a fresh session
-		"SHMOO 1 6e8",
-		"SHMOO 1",
-		"VMEASURE droop 3 1",
-		"VMEASURE what 3 1",
-		"VMEASURE droop 0 1",
-		// per-domain queries and MONITOR headers
-		"CAPS",
-		"STATE",
-		"MONITOR",
-		"MONITOR 0",
-		"MONITOR 17",
-		"STATS",
-		"STATS no-such-domain",
 		// SET* / RESET: truncated, non-numeric and non-finite
 		"SETCLOCK x",
 		"SETCLOCK cortex-a72 fast",

@@ -211,6 +211,47 @@ func TestVMeasureRejectsEM(t *testing.T) {
 	}
 }
 
+// TestV2ProtocolErrors drives the verbs the multi-domain protocol added
+// (HELLO, CAPS, STATE, SHMOO, VMEASURE, MONITOR, STATS) with malformed
+// arguments over a raw connection; each must produce a single ERR line
+// and leave the session aligned.
+func TestV2ProtocolErrors(t *testing.T) {
+	addr, _ := startServer(t)
+	rc := rawDial(t, addr)
+
+	cases := []string{
+		// HELLO: missing, non-numeric and other versions
+		"HELLO",
+		"HELLO zero",
+		"HELLO 3",
+		"HELLO 4 extra",
+		// per-domain queries
+		"CAPS",
+		"STATE",
+		// the loaded/running-slot verbs in a fresh session
+		"SHMOO 1 6e8", // nothing loaded
+		"SHMOO 1",
+		"VMEASURE droop 3 1", // nothing running
+		"VMEASURE what 3 1",
+		"VMEASURE droop 0 1",
+		// MONITOR headers
+		"MONITOR",
+		"MONITOR 0",
+		"MONITOR 17",
+		"STATS",
+		"STATS no-such-domain",
+	}
+	for _, cmd := range cases {
+		if reply := rc.send(cmd); !strings.HasPrefix(reply, "ERR") {
+			t.Errorf("%q -> %q, want ERR", cmd, reply)
+		}
+	}
+	// The session survived every rejection.
+	if reply := rc.send("INFO"); !strings.HasPrefix(reply, "OK juno") {
+		t.Fatalf("session desynced: INFO -> %q", reply)
+	}
+}
+
 // TestChaosSweepAndShmooMatchDirect is the satellite acceptance test: the
 // fast resonance sweep and a short V_MIN shmoo executed through a chaos
 // proxy injecting seeded drops and garbles must be bit-identical to the
