@@ -75,8 +75,11 @@ chaos:
 	$(GO) test -race -run '$(CHAOS_TESTS)' ./internal/lab
 
 # Tier-2: vet plus the race detector over the full module. The concurrent
-# paths (GA worker pool, parallel sweeps/shmoos, the spectra cache, the
+# paths (GA worker pool, parallel sweeps/shmoos, the measurement memo, the
 # FFT plan caches and the remote-lab client pool) must stay race-clean.
+# The local/remote bit-identity tests use the lab's default 10 s I/O
+# deadline, because one remote SHMOO can take half a second under -race;
+# the chaos and deadline tests keep their 500 ms window.
 race: tier1 chaos
 	$(GO) vet ./...
 	$(GO) test -race ./...

@@ -2,19 +2,47 @@ package emnoise
 
 // Bit-identity tests for generation-batched evaluation: the batch path
 // (dedup + measurement memo + slab arenas) must produce exactly the bytes
-// the per-individual path produces, at any parallelism. `go test -race`
-// over this file also drives the batch workers under the race detector.
+// an independent per-individual reference produces, at any parallelism.
+// `go test -race` over this file also drives the batch workers under the
+// race detector.
 
 import (
 	"math/rand"
 	"reflect"
 	"testing"
 
+	"repro/internal/em"
 	"repro/internal/ga"
+	"repro/internal/platform"
 )
 
-// batchGARun executes a small GA on a fresh platform, optionally forcing
-// the scalar path, and returns the result plus the bench for stats checks.
+// emMeasureRef is the EM fitness computed straight down the pipeline —
+// pooled spectra, antenna fold, analyzer peak — with no memo, dedup or
+// arena. Bench.EMMeasureN is itself a batch of one, so the batch tests
+// compare against this instead.
+func emMeasureRef(b *Bench, d *Domain, activeCores int) Measurer {
+	return MeasurerFunc(func(seq []Inst) (float64, float64, error) {
+		freqs, _, iAmp, _, err := d.Spectra(platform.Load{Seq: seq, ActiveCores: activeCores}, b.Dt, b.N)
+		if err != nil {
+			return 0, 0, err
+		}
+		watts := make([]float64, len(freqs))
+		if _, err := em.CombineInto(watts, b.Platform.Antenna, []em.Emitter{
+			{Freqs: freqs, IAmp: iAmp, Path: d.Spec.EMPath},
+		}); err != nil {
+			return 0, 0, err
+		}
+		m, err := b.Analyzer.MeasurePeak(freqs, watts, b.Band.Lo, b.Band.Hi, b.Samples)
+		if err != nil {
+			return 0, 0, err
+		}
+		return m.PeakDBm, m.PeakHz, nil
+	})
+}
+
+// batchGARun executes a small GA on a fresh platform, optionally through
+// the reference measurer instead of the bench's batch path, and returns the
+// result plus the bench for stats checks.
 func batchGARun(t *testing.T, parallelism int, scalar bool) (*GAResult, *Bench) {
 	t.Helper()
 	plat, err := JunoR2()
@@ -35,11 +63,11 @@ func batchGARun(t *testing.T, parallelism int, scalar bool) (*GAResult, *Bench) 
 	cfg.Generations = 7
 	cfg.Seed = 11
 	cfg.Parallelism = parallelism
-	var m Measurer = bench.EMMeasurer(d, 2)
+	m := bench.EMMeasurer(d, 2)
 	if scalar {
-		// A bare MeasurerFunc hides MeasureBatch, forcing the GA onto the
-		// per-individual path.
-		m = MeasurerFunc(m.Measure)
+		// A bare MeasurerFunc has no MeasureBatch, so the GA measures one
+		// individual at a time, and the reference never touches the bench.
+		m = emMeasureRef(bench, d, 2)
 	}
 	res, err := RunGA(cfg, m, nil)
 	if err != nil {
@@ -48,10 +76,10 @@ func batchGARun(t *testing.T, parallelism int, scalar bool) (*GAResult, *Bench) 
 	return res, bench
 }
 
-// TestBatchMatchesScalarGA pins the tentpole guarantee: a GA run through
-// MeasureBatch is bit-for-bit the run through per-individual Measure calls
-// — same best, same history, same final population — at serial and
-// parallel worker counts.
+// TestBatchMatchesScalarGA pins the batch guarantee: a GA run through
+// MeasureBatch is bit-for-bit the run through per-individual reference
+// measurements — same best, same history, same final population — at
+// serial and parallel worker counts.
 func TestBatchMatchesScalarGA(t *testing.T) {
 	for _, parallelism := range []int{1, 8} {
 		scalarRes, scalarBench := batchGARun(t, parallelism, true)
@@ -76,9 +104,9 @@ func TestBatchMatchesScalarGA(t *testing.T) {
 
 // TestMeasureBatchMatchesScalarRandomPopulations is the direct property
 // test: random populations salted with exact duplicates and with bred
-// children must come back element-for-element identical to scalar Measure
-// calls, at -j 1 and -j 8, with every duplicate fanned out from one
-// measurement.
+// children must come back element-for-element identical to the reference
+// measurer, at -j 1 and -j 8, with every duplicate fanned out from one
+// measurement — and so must the bench's scalar Measure, a batch of one.
 func TestMeasureBatchMatchesScalarRandomPopulations(t *testing.T) {
 	plat, err := JunoR2()
 	if err != nil {
@@ -100,6 +128,16 @@ func TestMeasureBatchMatchesScalarRandomPopulations(t *testing.T) {
 		t.Fatal("bench EM measurer does not implement ga.BatchMeasurer")
 	}
 
+	ref := emMeasureRef(bench, d, 2)
+	// The scalar Measure runs on a bench of its own, so its batch of one
+	// computes rather than reading the batch runs' memo.
+	scalarBench, err := NewBench(plat, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	scalarBench.Samples = 3
+	scalar := scalarBench.EMMeasurer(d, 2)
+
 	rng := rand.New(rand.NewSource(43))
 	for trial := 0; trial < 3; trial++ {
 		var items []ga.BatchItem
@@ -119,7 +157,7 @@ func TestMeasureBatchMatchesScalarRandomPopulations(t *testing.T) {
 
 		want := make([]ga.BatchResult, len(items))
 		for i, it := range items {
-			fit, dom, err := m.Measure(it.Seq)
+			fit, dom, err := ref.Measure(it.Seq)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -135,9 +173,18 @@ func TestMeasureBatchMatchesScalarRandomPopulations(t *testing.T) {
 			}
 			for i := range got {
 				if got[i] != want[i] {
-					t.Errorf("trial %d j=%d item %d: batch %+v, scalar %+v",
+					t.Errorf("trial %d j=%d item %d: batch %+v, reference %+v",
 						trial, parallelism, i, got[i], want[i])
 				}
+			}
+		}
+		for i, it := range items {
+			fit, dom, err := scalar.Measure(it.Seq)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := (ga.BatchResult{Fitness: fit, DominantHz: dom}); got != want[i] {
+				t.Errorf("trial %d item %d: scalar Measure %+v, reference %+v", trial, i, got, want[i])
 			}
 		}
 	}

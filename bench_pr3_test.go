@@ -4,10 +4,9 @@ package emnoise
 // cached variant. Cold disables the uarch trace cache, so every operating
 // point pays a full cycle-accurate simulation; cached runs with it warm, so
 // clock and supply changes only re-synthesize and resample the stored
-// charge history. The spectra memo is
-// defeated in both variants (fresh platforms, or per-iteration supply
-// perturbation — the spectra key includes the supply, the trace key does
-// not), so the pairs isolate the trace cache itself.
+// charge history. Fresh platforms or a per-iteration supply perturbation
+// (the trace key omits the supply) keep every other layer computing, so
+// the pairs isolate the trace cache itself.
 // These are the benchmarks recorded by `make bench` (BENCH_OUT, default
 // BENCH_pr4.json).
 
@@ -32,8 +31,9 @@ func withBenchTraceCache(b *testing.B, on bool) {
 
 // BenchmarkSpectraEvaluation times one spectra evaluation of a fixed
 // workload (uarch trace → current resample → PDN transfer → FFT). The
-// supply is nudged every iteration so the spectra memo never hits; with
-// the trace cache on, only the simulation is skipped.
+// supply is nudged every iteration, as it was when a spectra memo could
+// serve a repeat, so the numbers stay comparable with earlier records;
+// with the trace cache on, only the simulation is skipped.
 func BenchmarkSpectraEvaluation(b *testing.B) {
 	for _, v := range []struct {
 		name string
@@ -126,8 +126,8 @@ func BenchmarkFitnessEvaluation(b *testing.B) {
 
 // BenchmarkResonanceSweep times the Section 5.3 fast resonance sweep over
 // the full clock range. The platform (and its PDN transfer sets) is built
-// once outside the timer; the supply is nudged every iteration so the
-// spectra memo never serves a step. The cached variant therefore measures
+// once outside the timer; the supply is nudged every iteration, as it was
+// when a spectra memo could serve a step. The cached variant therefore measures
 // exactly what the trace cache saves: every clock step re-uses one
 // probe-loop charge history instead of re-simulating it.
 func BenchmarkResonanceSweep(b *testing.B) {

@@ -80,7 +80,7 @@ func BenchmarkGenerationBatch(b *testing.B) {
 
 // medianRepeatMeasure times k repeat measurements of the same sequence and
 // returns the median, bracketing each with the supplied tweak (used to
-// defeat the spectra memo in the cold variant).
+// defeat the measurement memo in the cold variant).
 func medianRepeatMeasure(t *testing.T, m Measurer, seq []Inst, k int, tweak func(i int)) time.Duration {
 	t.Helper()
 	times := make([]time.Duration, k)
@@ -100,7 +100,7 @@ func medianRepeatMeasure(t *testing.T, m Measurer, seq []Inst, k int, tweak func
 
 // TestRepeatMeasurementCachedNotSlower pins the PR6 cached-path guarantee
 // where it actually pays: re-measuring a sequence the rig has already seen.
-// With the caches warm a repeat is a spectra-memo hit; with the trace cache
+// With the caches warm a repeat is a measurement-memo hit; with the trace cache
 // disabled and the memo defeated it pays the full pipeline. The
 // cached median must not exceed the cold median (the real margin is several
 // fold, so this is robust to container timing noise).
@@ -136,8 +136,8 @@ func TestRepeatMeasurementCachedNotSlower(t *testing.T) {
 	const k = 7
 	warm := medianRepeatMeasure(t, m, seq, k, nil)
 
-	// Cold repeats: trace cache off, spectra memo defeated by a per-repeat
-	// supply nudge (the memo key includes the supply).
+	// Cold repeats: trace cache off, measurement memo defeated by a
+	// per-repeat supply nudge (the memo key includes the supply).
 	uarch.SetTraceCacheEnabled(false)
 	uarch.ResetTraceCache()
 	vnom := d.SupplyVolts()

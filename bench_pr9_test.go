@@ -59,7 +59,7 @@ func warmStartPopulation(b *testing.B) []ga.Individual {
 }
 
 // evaluateFreshProcess stands in for one cold process: fresh platform,
-// fresh bench (empty batch memo and spectra memo), empty trace cache, then
+// fresh bench (empty measurement memo), empty trace cache, then
 // one batch evaluation of pop.
 func evaluateFreshProcess(b *testing.B, pop []ga.Individual) {
 	b.Helper()

@@ -15,7 +15,7 @@ import (
 )
 
 // gaRun executes a small GA on a freshly built platform at the given
-// parallelism. A fresh platform per run keeps the spectra caches
+// parallelism. A fresh platform per run keeps the domain caches
 // independent, so any cross-talk would show up as a difference.
 func gaRun(t *testing.T, build func() (*Platform, error), domain string, cores, parallelism int) *GAResult {
 	t.Helper()
@@ -271,13 +271,12 @@ func TestTraceCacheBitIdenticalWorkflows(t *testing.T) {
 	})
 }
 
-// TestSpectraCacheHitsDuringGA checks the memoization layers earn their
-// keep: a GA run re-measures elites and converged duplicates, and with
-// generation-batched evaluation those repeats are absorbed by the bench's
-// dedup + measurement memo before they ever reach the spectra cache — so
-// the batch counters must show the repeat traffic, and every individual
-// must be accounted for as measured, deduped, or memo-served.
-func TestSpectraCacheHitsDuringGA(t *testing.T) {
+// TestBatchAccountingDuringGA checks the measurement memo earns its keep:
+// a GA run re-measures elites and converged duplicates, and the bench's
+// dedup + measurement memo absorb those repeats — so the batch counters
+// must show the repeat traffic, and every individual must be accounted for
+// as measured, deduped, or memo-served.
+func TestBatchAccountingDuringGA(t *testing.T) {
 	plat, err := JunoR2()
 	if err != nil {
 		t.Fatal(err)
@@ -298,10 +297,6 @@ func TestSpectraCacheHitsDuringGA(t *testing.T) {
 	cfg.Parallelism = 4
 	if _, err := RunGA(cfg, bench.EMMeasurer(d, 2), nil); err != nil {
 		t.Fatal(err)
-	}
-	_, misses, _ := d.SpectraCacheStats()
-	if misses == 0 {
-		t.Fatal("no spectra cache traffic at all")
 	}
 	bs := bench.BatchStats()
 	if bs.Batches == 0 || bs.Items == 0 {

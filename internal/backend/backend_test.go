@@ -62,6 +62,16 @@ func fastOpts() lab.Options {
 	}
 }
 
+// identityOpts is fastOpts with the lab's default I/O deadline (a zero
+// IOTimeout), for the local≡remote bit-identity tests: one remote SHMOO
+// can take about half a second under -race, so fastOpts' 500 ms window
+// would fail them spuriously. Deadline tests keep fastOpts.
+func identityOpts() lab.Options {
+	o := fastOpts()
+	o.IOTimeout = 0
+	return o
+}
+
 func backends(t *testing.T, jobs int) (*backend.Local, *backend.Remote) {
 	t.Helper()
 	lb := newBench(t)
@@ -70,7 +80,7 @@ func backends(t *testing.T, jobs int) (*backend.Local, *backend.Remote) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	remote, err := backend.NewRemote(startDaemon(t), jobs, fastOpts())
+	remote, err := backend.NewRemote(startDaemon(t), jobs, identityOpts())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -254,18 +254,14 @@ func (l *Local) VminShmoo(name string, load platform.Load, seed int64, clocks []
 	return tester.Shmoo(load, clocks)
 }
 
-// EvalStats returns the domain's evaluation-cache counters, plus the
-// bench's generation-batched evaluation line once any batch has run.
+// EvalStats returns the bench's evaluation counters for the domain, in the
+// text the lab daemon's STATS verb sends (core.Bench.EvalStats).
 func (l *Local) EvalStats(name string) (string, error) {
 	d, err := l.domain(name)
 	if err != nil {
 		return "", err
 	}
-	stats := d.EvalStats()
-	if bs := l.bench.BatchStats(); bs.Batches > 0 {
-		stats += "\n" + bs.String()
-	}
-	return stats, nil
+	return l.bench.EvalStats(d), nil
 }
 
 // Close is a no-op: the bench lives in-process.

@@ -1,8 +1,8 @@
 // Package castore is a crash-safe, disk-backed, content-addressed artifact
-// store: the persistent tier under the process-lifetime evaluation caches
-// (the uarch trace cache, the platform spectra memo, the bench measurement
-// memo). Entries are keyed by the same 64-bit content hashes the in-memory
-// caches already trust, laid out in a sharded two-level directory tree, and
+// store: the persistent tier of the evaluation pipeline (under the uarch
+// trace cache and the bench measurement memo, and the only cache of platform
+// spectra). Entries are keyed by the same 64-bit content hashes the
+// in-memory caches already trust, laid out in a sharded two-level directory tree, and
 // written atomically (temp file + rename) so concurrent processes over one
 // directory see only whole entries. A truncated or garbled entry is detected
 // by length/checksum framing, quarantined, and treated as a miss — the

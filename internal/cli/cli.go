@@ -151,9 +151,9 @@ func BuildPlatform(name string) (*platform.Platform, error) {
 }
 
 // InstallCache opens the persistent result store named by -cache-dir (or
-// $REPRO_CACHE_DIR) and installs it as the disk tier under every
-// evaluation cache — the uarch trace cache, the platform spectra memo and
-// the bench measurement memo — so this process warm-starts from earlier
+// $REPRO_CACHE_DIR) and installs it as the disk tier of every evaluation
+// stage — the uarch trace cache, the platform spectra and the bench
+// measurement memo — so this process warm-starts from earlier
 // runs and co-located processes share each other's work. A no-op when no
 // directory is configured; idempotent otherwise. Backend calls it, and
 // commands that construct their own benches (repro) call it before

@@ -9,6 +9,7 @@ import (
 	"repro/internal/detrand"
 	"repro/internal/em"
 	"repro/internal/ga"
+	"repro/internal/instrument"
 	"repro/internal/isa"
 	"repro/internal/par"
 	"repro/internal/platform"
@@ -33,17 +34,21 @@ func (s BatchStats) String() string {
 		s.Batches, s.Items, s.Measured, s.DedupHits, s.MemoHits, s.ArenaBytes, s.Workers)
 }
 
-// batchMemoCap bounds the cross-generation measurement memo (mirrors the
-// spectra cache's sizing: a few generations of a large population).
+// batchMemoCap bounds the measurement memo: a few generations of a large
+// population.
 const batchMemoCap = 512
 
-// batchMemoKey identifies a finished EM measurement by content, exactly the
-// way the spectra cache keys its entries: the load's content hash plus
-// everything else the measured value depends on. Entries are tiny (two
-// floats), so memoized repeats — elites re-measured every generation,
-// converged clones — skip the whole pipeline, including the simulator.
+// batchMemoKey identifies a finished EM measurement by content: the load's
+// content hash plus everything else the measured value depends on. Entries
+// are tiny (three floats), so memoized repeats — elites re-measured every
+// generation, converged clones, a lab client's repeated MEASURE of one
+// running load — skip the whole pipeline, including the simulator.
 type batchMemoKey struct {
 	load uint64
+	// spec is the domain's Spec content hash: one bench's domains share the
+	// memo, so two domains with equal EM paths and operating points must
+	// still key apart.
+	spec uint64
 	// em is the content hash of the receive chain (antenna parameters and
 	// the domain's coupling path): a shallow bench copy with a retuned
 	// antenna shares batchState, and without this field it would be served
@@ -74,8 +79,8 @@ func emIdentity(ant em.Antenna, path em.Path) uint64 {
 }
 
 type batchMemoEnt struct {
-	key      batchMemoKey
-	fit, dom float64
+	key batchMemoKey
+	m   instrument.Measurement
 }
 
 // batchState is the per-bench state behind MeasureBatch: the measurement
@@ -129,19 +134,18 @@ func (b *Bench) BatchStats() BatchStats {
 	}
 }
 
-func (st *batchState) memoGet(k batchMemoKey) (fit, dom float64, ok bool) {
+func (st *batchState) memoGet(k batchMemoKey) (instrument.Measurement, bool) {
 	st.mu.Lock()
 	defer st.mu.Unlock()
 	el, ok := st.memo[k]
 	if !ok {
-		return 0, 0, false
+		return instrument.Measurement{}, false
 	}
 	st.order.MoveToFront(el)
-	ent := el.Value.(*batchMemoEnt)
-	return ent.fit, ent.dom, true
+	return el.Value.(*batchMemoEnt).m, true
 }
 
-func (st *batchState) memoAdd(k batchMemoKey, fit, dom float64) {
+func (st *batchState) memoAdd(k batchMemoKey, m instrument.Measurement) {
 	st.mu.Lock()
 	defer st.mu.Unlock()
 	if el, ok := st.memo[k]; ok {
@@ -149,7 +153,7 @@ func (st *batchState) memoAdd(k batchMemoKey, fit, dom float64) {
 		st.order.MoveToFront(el)
 		return
 	}
-	st.memo[k] = st.order.PushFront(&batchMemoEnt{key: k, fit: fit, dom: dom})
+	st.memo[k] = st.order.PushFront(&batchMemoEnt{key: k, m: m})
 	for len(st.memo) > batchMemoCap {
 		back := st.order.Back()
 		st.order.Remove(back)
@@ -173,10 +177,26 @@ func (st *batchState) putArena(ar *slab.Arena) {
 // generation with intra-batch dedup, the cross-generation memo and slab
 // arenas, bit-identical to per-individual Measure calls at any parallelism.
 func (m emMeasurer) MeasureBatch(items []ga.BatchItem, parallelism int) ([]ga.BatchResult, error) {
-	return m.b.emMeasureBatch(m.d, items, m.activeCores, m.b.Samples, parallelism)
+	loads := make([]platform.Load, len(items))
+	for i, it := range items {
+		loads[i] = platform.Load{Seq: it.Seq, ActiveCores: m.activeCores}
+	}
+	meas, err := m.b.emMeasureBatch(m.d, loads, m.b.Samples, parallelism)
+	if err != nil {
+		return nil, err
+	}
+	results := make([]ga.BatchResult, len(meas))
+	for i, r := range meas {
+		results[i] = ga.BatchResult{Fitness: r.PeakDBm, DominantHz: r.PeakHz}
+	}
+	return results, nil
 }
 
-func (b *Bench) emMeasureBatch(d *platform.Domain, items []ga.BatchItem, activeCores, samples, parallelism int) ([]ga.BatchResult, error) {
+// emMeasureBatch is the bench's one EM measurement path: every load is
+// measured on domain d at its current operating point, with intra-batch
+// dedup, the in-memory memo and the disk tier in front of the pipeline.
+// EMMeasureN is a batch of one.
+func (b *Bench) emMeasureBatch(d *platform.Domain, loads []platform.Load, samples, parallelism int) ([]instrument.Measurement, error) {
 	if err := b.Validate(); err != nil {
 		return nil, err
 	}
@@ -184,8 +204,8 @@ func (b *Bench) emMeasureBatch(d *platform.Domain, items []ga.BatchItem, activeC
 		return nil, fmt.Errorf("core: %d samples", samples)
 	}
 	st := b.batchSt()
-	results := make([]ga.BatchResult, len(items))
-	if len(items) == 0 {
+	results := make([]instrument.Measurement, len(loads))
+	if len(loads) == 0 {
 		return results, nil
 	}
 
@@ -194,23 +214,23 @@ func (b *Bench) emMeasureBatch(d *platform.Domain, items []ga.BatchItem, activeC
 	// the contract, just as it is for a half-measured scalar generation.
 	clock, supply, powered := d.ClockHz(), d.SupplyVolts(), d.PoweredCores()
 
-	// Dedup identical post-mutation children by content hash: at a fixed
-	// operating point the measured value is a pure function of the sequence
-	// (instrument noise is content-derived, never order- or index-derived),
-	// so one measurement fans out to every duplicate bit-identically. The
-	// memo then carries results across generations — elites re-measured
-	// every generation, clones of already-measured parents — under the same
-	// 64-bit content key the spectra cache already trusts.
+	// Dedup identical loads by content hash: at a fixed operating point the
+	// measured value is a pure function of the load (instrument noise is
+	// content-derived, never order- or index-derived), so one measurement
+	// fans out to every duplicate bit-identically. The memo then carries
+	// results across calls — elites re-measured every generation, clones of
+	// already-measured parents — under the same 64-bit content key.
 	emID := emIdentity(b.Platform.Antenna, d.Spec.EMPath)
-	disk := newMeasDisk(b, d)
-	firstOf := make(map[uint64]int, len(items))
-	dupOf := make([]int, len(items))
-	keys := make([]batchMemoKey, len(items))
-	work := make([]int, 0, len(items))
+	specHash := d.SpecContentHash()
+	disk := newMeasDisk(b)
+	firstOf := make(map[uint64]int, len(loads))
+	dupOf := make([]int, len(loads))
+	keys := make([]batchMemoKey, len(loads))
+	work := make([]int, 0, len(loads))
 	var dedup, memoHits uint64
-	for i := range items {
-		h := platform.Load{Seq: items[i].Seq, ActiveCores: activeCores}.Hash()
-		keys[i] = batchMemoKey{load: h, em: emID, powered: powered, clock: clock, supply: supply,
+	for i := range loads {
+		h := loads[i].Hash()
+		keys[i] = batchMemoKey{load: h, spec: specHash, em: emID, powered: powered, clock: clock, supply: supply,
 			dt: b.Dt, n: b.N, samples: samples, bandLo: b.Band.Lo, bandHi: b.Band.Hi}
 		if j, ok := firstOf[h]; ok {
 			dupOf[i] = j
@@ -219,17 +239,17 @@ func (b *Bench) emMeasureBatch(d *platform.Domain, items []ga.BatchItem, activeC
 		}
 		firstOf[h] = i
 		dupOf[i] = -1
-		if fit, dom, ok := st.memoGet(keys[i]); ok {
-			results[i] = ga.BatchResult{Fitness: fit, DominantHz: dom}
+		if m, ok := st.memoGet(keys[i]); ok {
+			results[i] = m
 			memoHits++
 			continue
 		}
 		// The persistent tier holds measurements from earlier processes (or
 		// concurrent ones sharing the cache directory); a hit feeds the
 		// in-memory memo so the rest of the campaign never re-reads disk.
-		if fit, dom, ok := disk.get(keys[i]); ok {
-			results[i] = ga.BatchResult{Fitness: fit, DominantHz: dom}
-			st.memoAdd(keys[i], fit, dom)
+		if m, ok := disk.get(keys[i]); ok {
+			results[i] = m
+			st.memoAdd(keys[i], m)
 			memoHits++
 			continue
 		}
@@ -260,8 +280,7 @@ func (b *Bench) emMeasureBatch(d *platform.Domain, items []ga.BatchItem, activeC
 		used[w].Store(true)
 		ar := arenas[w]
 		ar.Reset()
-		l := platform.Load{Seq: items[i].Seq, ActiveCores: activeCores}
-		freqs, _, iAmp, _, err := d.SpectraArena(l, b.Dt, b.N, ar)
+		freqs, _, iAmp, _, err := d.SpectraArena(loads[i], b.Dt, b.N, ar)
 		if err != nil {
 			return err
 		}
@@ -275,9 +294,9 @@ func (b *Bench) emMeasureBatch(d *platform.Domain, items []ga.BatchItem, activeC
 		if err != nil {
 			return err
 		}
-		results[i] = ga.BatchResult{Fitness: meas.PeakDBm, DominantHz: meas.PeakHz}
-		st.memoAdd(keys[i], meas.PeakDBm, meas.PeakHz)
-		disk.put(keys[i], meas.PeakDBm, meas.PeakHz)
+		results[i] = *meas
+		st.memoAdd(keys[i], *meas)
+		disk.put(keys[i], *meas)
 		return nil
 	})
 	var arenaTotal uint64
@@ -298,7 +317,7 @@ func (b *Bench) emMeasureBatch(d *platform.Domain, items []ga.BatchItem, activeC
 		}
 	}
 	st.batches.Add(1)
-	st.items.Add(uint64(len(items)))
+	st.items.Add(uint64(len(loads)))
 	st.measured.Add(uint64(len(work)))
 	st.dedup.Add(dedup)
 	st.memoHits.Add(memoHits)
@@ -311,7 +330,7 @@ func (b *Bench) emMeasureBatch(d *platform.Domain, items []ga.BatchItem, activeC
 	if err != nil {
 		return nil, err
 	}
-	for i := range items {
+	for i := range loads {
 		if j := dupOf[i]; j >= 0 {
 			results[i] = results[j]
 		}

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"repro/internal/ga"
+	"repro/internal/platform"
 )
 
 // TestMeasureBatchParallelismZero is the -j 0 regression: the raw
@@ -107,5 +108,54 @@ func TestBatchMemoKeyedByReceiveChain(t *testing.T) {
 	}
 	if !reflect.DeepEqual(got, want) {
 		t.Fatal("shared batch state served the original antenna's memoized results to the retuned bench")
+	}
+}
+
+// TestBatchMemoKeyedByDomain: one bench's domains share its measurement
+// memo, so two domains whose EM paths and operating points coincide must
+// still key apart. Without the domain's spec hash in the key, the second
+// domain was served the first domain's reading.
+func TestBatchMemoKeyedByDomain(t *testing.T) {
+	// setup aligns the A53 with the A72: same EM path, clock, supply and
+	// powered cores, so only the domain itself tells the two apart.
+	setup := func() (*Bench, *platform.Domain, *platform.Domain) {
+		b, p := testBench(t)
+		a72 := dom(t, p, platform.DomainA72)
+		a53 := dom(t, p, platform.DomainA53)
+		a53.Spec.EMPath = a72.Spec.EMPath
+		for _, d := range []*platform.Domain{a72, a53} {
+			if err := d.SetClockHz(800e6); err != nil {
+				t.Fatal(err)
+			}
+			if err := d.SetSupplyVolts(0.9); err != nil {
+				t.Fatal(err)
+			}
+			if err := d.SetPoweredCores(2); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return b, a72, a53
+	}
+	b, a72, a53 := setup()
+	l := buildLoad(t, a72, "probe", 2)
+	m72, err := b.EMMeasureN(a72, l, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := b.EMMeasureN(a53, l, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	b2, _, a53fresh := setup()
+	want, err := b2.EMMeasureN(a53fresh, l, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if *want == *m72 {
+		t.Fatal("the two domains measure alike; the regression is unobservable")
+	}
+	if *got != *want {
+		t.Fatalf("shared memo served %+v for the A53, a fresh bench measures %+v", got, want)
 	}
 }

@@ -18,9 +18,7 @@ package core
 
 import (
 	"fmt"
-	"sync"
 
-	"repro/internal/em"
 	"repro/internal/ga"
 	"repro/internal/instrument"
 	"repro/internal/isa"
@@ -109,48 +107,26 @@ func (b *Bench) EMMeasure(d *platform.Domain, l platform.Load) (*instrument.Meas
 
 // EMMeasureN is EMMeasure with an explicit averaging count, for callers
 // that vary the sample count per request (the lab daemon's MEASURE
-// command) without mutating — or copying — the shared bench.
+// command) without mutating — or copying — the shared bench. It is a batch
+// of one, served by the same memo and disk tier as MeasureBatch.
 func (b *Bench) EMMeasureN(d *platform.Domain, l platform.Load, samples int) (*instrument.Measurement, error) {
-	if err := b.Validate(); err != nil {
-		return nil, err
-	}
-	if samples < 1 {
-		return nil, fmt.Errorf("core: %d samples", samples)
-	}
-	freqs, _, iAmp, _, err := d.Spectra(l, b.Dt, b.N)
+	ms, err := b.emMeasureBatch(d, []platform.Load{l}, samples, 1)
 	if err != nil {
 		return nil, err
 	}
-	watts := getWatts(len(freqs))
-	_, err = em.CombineInto(watts, b.Platform.Antenna, []em.Emitter{
-		{Freqs: freqs, IAmp: iAmp, Path: d.Spec.EMPath},
-	})
-	if err != nil {
-		putWatts(watts)
-		return nil, err
-	}
-	m, err := b.Analyzer.MeasurePeak(freqs, watts, b.Band.Lo, b.Band.Hi, samples)
-	putWatts(watts)
-	return m, err
+	return &ms[0], nil
 }
 
-// wattsPool recycles the received-power buffer between measurements; the
-// measurement itself only retains rebinned analyzer data, never this
-// intermediate spectrum.
-var wattsPool sync.Pool
-
-func getWatts(n int) []float64 {
-	if p, _ := wattsPool.Get().(*[]float64); p != nil && cap(*p) >= n {
-		return (*p)[:n]
+// EvalStats renders the evaluation counters behind measurements on domain
+// d: the domain's cache block plus, once any measurement has run, the
+// bench's batch line. Local backends and the lab daemon's STATS verb both
+// print exactly this text.
+func (b *Bench) EvalStats(d *platform.Domain) string {
+	stats := d.EvalStats()
+	if bs := b.BatchStats(); bs.Batches > 0 {
+		stats += "\n" + bs.String()
 	}
-	return make([]float64, n)
-}
-
-func putWatts(w []float64) {
-	if cap(w) == 0 {
-		return
-	}
-	wattsPool.Put(&w)
+	return stats
 }
 
 // emMeasurer adapts EMMeasure into a GA fitness function: fitness is the

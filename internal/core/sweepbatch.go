@@ -53,11 +53,6 @@ func (b *Bench) SweepBatch(d *platform.Domain, activeCores int, clocks []float64
 		}
 	}
 
-	// Size the domain's spectra cache to the campaign so a grid wider than
-	// the default cap cannot thrash its own warm entries (grow-only: a small
-	// sweep never shrinks a cap a bigger campaign already established).
-	d.EnsureSpectraCacheCap(len(clocks))
-
 	// Prime the clock-invariant trace once at the largest clock; every
 	// other point's window is a covered prefix. A nil trace (priming
 	// failed) just means each point falls back to its own sizing and

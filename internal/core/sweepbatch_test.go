@@ -97,21 +97,6 @@ func TestSweepBatchMatchesScalar(t *testing.T) {
 	uarch.ResetTraceCache()
 }
 
-// TestSweepBatchSizesSpectraCache: a campaign wider than the configured
-// memo cap must raise the cap so one grid pass cannot thrash itself.
-func TestSweepBatchSizesSpectraCache(t *testing.T) {
-	b, p := testBench(t)
-	d := dom(t, p, platform.DomainA72)
-	d.SetSpectraCacheCap(2)
-	steps := SweepClockSteps(d)
-	if _, err := b.SweepBatch(d, 2, steps); err != nil {
-		t.Fatal(err)
-	}
-	if got := d.SpectraCacheCap(); got < len(steps) {
-		t.Fatalf("campaign of %d points left cap at %d", len(steps), got)
-	}
-}
-
 // TestSweepBatchEmptyAndSinglePoint: the degenerate shapes the fleet layer
 // leans on — an empty grid and the one-clock SWEEP shard form.
 func TestSweepBatchEmptyAndSinglePoint(t *testing.T) {

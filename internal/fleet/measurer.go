@@ -12,7 +12,7 @@ import (
 
 // fleetMeasurer shards GA fitness evaluation across the fleet. Each
 // individual is one campaign item keyed by its load content hash (the same
-// key the rig-side spectra cache and batch memo use), deduplicated before
+// key the rig-side measurement memo uses), deduplicated before
 // placement so identical post-mutation children cost one measurement
 // fleet-wide.
 type fleetMeasurer struct {

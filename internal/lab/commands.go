@@ -523,8 +523,8 @@ func (c *Client) Reset(domain string) error {
 	})
 }
 
-// DomainStats fetches a domain's evaluation-cache counters (the string a
-// local Domain.EvalStats returns, i.e. the -v output).
+// DomainStats fetches a domain's evaluation counters (the string a local
+// core.Bench.EvalStats returns, i.e. the -v output).
 func (c *Client) DomainStats(domain string) (string, error) {
 	var stats string
 	err := c.do(command{

@@ -551,8 +551,9 @@ func (s *Server) cmdReset(w *bufio.Writer, fields []string) error {
 	return writeLine(w, "%s", replyOK)
 }
 
-// cmdStats ships a domain's evaluation-cache counters (the -v output) as
-// one quoted string.
+// cmdStats ships a domain's evaluation counters (the -v output, rendered by
+// core.Bench.EvalStats exactly as a local backend renders them) as one
+// quoted string.
 func (s *Server) cmdStats(w *bufio.Writer, fields []string) error {
 	if len(fields) != 2 {
 		return fmt.Errorf("usage: STATS <domain>")
@@ -561,5 +562,5 @@ func (s *Server) cmdStats(w *bufio.Writer, fields []string) error {
 	if err != nil {
 		return err
 	}
-	return writeLine(w, "%s %s", replyOK, strconv.Quote(d.EvalStats()))
+	return writeLine(w, "%s %s", replyOK, strconv.Quote(s.Bench.EvalStats(d)))
 }

@@ -3,6 +3,7 @@ package lab
 import (
 	"bufio"
 	"fmt"
+	"math"
 	"net"
 	"reflect"
 	"strings"
@@ -107,6 +108,46 @@ func TestLoadRunMeasureStop(t *testing.T) {
 	}
 	if _, err := c.Measure(3); err == nil {
 		t.Fatal("measure after stop succeeded")
+	}
+}
+
+// TestRepeatMeasureServedByMemo: MEASURE is a batch of one on the daemon's
+// bench, so a second MEASURE of the same running load is a memo hit that
+// returns the first reading bit for bit, stdev included.
+func TestRepeatMeasureServedByMemo(t *testing.T) {
+	addr, b := startServer(t)
+	c := dial(t, addr)
+	defer c.Close()
+	d, _ := b.Platform.Domain(platform.DomainA72)
+	pool := d.Spec.Pool()
+	seq, err := workload.Probe().Build(pool)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Load(platform.DomainA72, 2, pool, seq); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Run(); err != nil {
+		t.Fatal(err)
+	}
+	first, err := c.Measure(3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	second, err := c.Measure(3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if math.Float64bits(first.PeakDBm) != math.Float64bits(second.PeakDBm) ||
+		math.Float64bits(first.PeakHz) != math.Float64bits(second.PeakHz) ||
+		math.Float64bits(first.StdevDBm) != math.Float64bits(second.StdevDBm) {
+		t.Fatalf("repeat MEASURE diverged: %+v then %+v", first, second)
+	}
+	if first.StdevDBm == 0 {
+		t.Fatal("MEASURE lost its stdev")
+	}
+	if bs := b.BatchStats(); bs.Batches != 2 || bs.Measured != 1 || bs.MemoHits != 1 {
+		t.Fatalf("daemon bench stats %+v, want 2 batches, 1 measured, 1 memo hit", bs)
 	}
 }
 

@@ -74,7 +74,7 @@ func TestPoolCloseUnderLoad(t *testing.T) {
 // below the band at low DVFS steps) reported as such rather than faked.
 func TestSweepPointMatchesDirect(t *testing.T) {
 	addr, bench := startServer(t)
-	c, err := DialOptions(addr, fastOpts())
+	c, err := DialOptions(addr, identityOpts())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -27,6 +27,17 @@ func fastOpts() Options {
 	}
 }
 
+// identityOpts is fastOpts with the lab's default I/O deadline (a zero
+// IOTimeout), for bit-identity checks over a healthy loopback: a verb that
+// runs a whole campaign before replying can outlast 500 ms under -race, and
+// a timeout there is a spurious failure, not a resilience check. Chaos and
+// deadline tests keep fastOpts.
+func identityOpts() Options {
+	o := fastOpts()
+	o.IOTimeout = 0
+	return o
+}
+
 // directBench builds an independent bench identical to startServer's, for
 // computing the exact measurement a remote client must observe (the
 // instruments are content-deterministic).

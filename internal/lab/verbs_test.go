@@ -393,7 +393,8 @@ func TestMonitorMatchesDirect(t *testing.T) {
 }
 
 // TestStatsRoundTrip: STATS must return the exact multi-line counter block
-// the domain renders locally (strconv quoting preserves the newlines).
+// the daemon's bench renders locally (strconv quoting preserves the
+// newlines), batch line included.
 func TestStatsRoundTrip(t *testing.T) {
 	addr, b := startServer(t)
 	c := dial(t, addr)
@@ -426,8 +427,11 @@ func TestStatsRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if stats != d.EvalStats() {
-		t.Fatalf("remote stats:\n%s\nlocal:\n%s", stats, d.EvalStats())
+	if want := b.EvalStats(d); stats != want {
+		t.Fatalf("remote stats:\n%s\nlocal:\n%s", stats, want)
+	}
+	if !strings.Contains(stats, "batch eval:") {
+		t.Fatal("stats after a MEASURE lack the batch line")
 	}
 	if !strings.Contains(stats, "\n") {
 		t.Fatal("stats lost its line structure on the wire")

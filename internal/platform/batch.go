@@ -21,8 +21,8 @@ package platform
 //     operating point, so repeated trials of a Repeat campaign dedup).
 //
 // All transient rows live in caller-owned slab arenas (one per batch
-// worker; see internal/slab lifetime rules) and are never installed in the
-// domain's memo caches. Every path reproduces the scalar arithmetic
+// worker; see internal/slab lifetime rules) and are never retained past the
+// item. Every path reproduces the scalar arithmetic
 // operation for operation, which the platform/core/vmin property tests pin.
 
 import (
@@ -79,7 +79,6 @@ type PointEval struct {
 
 	d     *Domain
 	load  Load
-	hash  uint64
 	clock float64
 	sim   power.SteadySim
 }
@@ -101,7 +100,6 @@ func (d *Domain) PreparePointAt(l Load, dt float64, n int, clockHz float64, tr *
 		LoopHz: power.LoopFrequency(sim.Res, clockHz),
 		d:      d,
 		load:   l,
-		hash:   l.Hash(),
 		clock:  clockHz,
 		sim:    sim,
 	}, nil
@@ -109,26 +107,11 @@ func (d *Domain) PreparePointAt(l Load, dt float64, n int, clockHz float64, tr *
 
 // SpectraArena evaluates the prepared point's spectra at an explicit
 // (supply, powered) snapshot, drawing every transient row — including the
-// amplitude outputs — from the caller's arena. A warm spectra-memo entry
-// is still honoured (shared read-only slices), but an arena-computed
-// result is NOT installed: its rows die at the arena's next Reset, and
-// keeping a campaign's one-shot grid traffic out of the memo is what lets
-// a converged GA population's elites stay resident. Results are
-// bit-identical to SpectraAt at the same snapshot.
+// amplitude outputs — from the caller's arena, so the results die at the
+// arena's next Reset. Results are bit-identical to SpectraAt at the same
+// snapshot.
 func (pe *PointEval) SpectraArena(supply float64, powered int, ar *slab.Arena) (freqs, vAmp, iAmp []float64, err error) {
 	d := pe.d
-	key := spectraKey{load: pe.hash, powered: powered, clock: pe.clock, supply: supply, dt: pe.sim.Dt, n: pe.sim.N}
-	d.spectraMu.Lock()
-	if el, ok := d.spectra[key]; ok {
-		d.spectraOrder.MoveToFront(el)
-		ent := el.Value.(*spectraNode).ent
-		d.spectraMu.Unlock()
-		d.spectraHits.Add(1)
-		return ent.freqs, ent.vAmp, ent.iAmp, nil
-	}
-	d.spectraMu.Unlock()
-	d.spectraMisses.Add(1)
-
 	n := pe.sim.N
 	wave := ar.FloatsUninit(n) // FillFromSim overwrites (or clears) all n
 	cl := d.clusterLoad(pe.load, pe.clock)
@@ -153,23 +136,6 @@ func (pe *PointEval) SpectraArena(supply float64, powered int, ar *slab.Arena) (
 		return nil, nil, nil, err
 	}
 	return freqs, vAmp, iAmp, nil
-}
-
-// SpectraAtArena is SpectraAt with the transient buffers and amplitude
-// outputs drawn from a caller's batch arena, optionally served from a
-// primed clock-invariant trace. Results are bit-identical to SpectraAt;
-// the returned slices follow the arena's lifetime rules unless they came
-// from a memo hit (either way: treat as read-only, do not retain past the
-// next Reset).
-func (d *Domain) SpectraAtArena(l Load, dt float64, n int, clockHz float64, tr *uarch.Trace, ar *slab.Arena) (freqs, vAmp, iAmp []float64, err error) {
-	d.mu.Lock()
-	supply, powered := d.supplyVolts, d.poweredCores
-	d.mu.Unlock()
-	pe, err := d.PreparePointAt(l, dt, n, clockHz, tr)
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	return pe.SpectraArena(supply, powered, ar)
 }
 
 // Ladder is the batched evaluator of one (load, clock) column of a V_MIN

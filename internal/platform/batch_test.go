@@ -22,9 +22,8 @@ func requireSameFloats(t *testing.T, label string, got, want []float64) {
 }
 
 // TestSpectraAtArenaMatchesSpectraAt pins the batched sweep's evaluation
-// path: an arena-backed spectra computation served from a campaign-primed
-// trace must be bit-identical to the scalar memoized path at every clock,
-// and the memo must still serve warm entries to the arena path.
+// path: an arena-backed spectra computation of a point prepared from a
+// campaign-primed trace must be bit-identical to SpectraAt at every clock.
 func TestSpectraAtArenaMatchesSpectraAt(t *testing.T) {
 	d := domain(t, juno(t), DomainA72)
 	l := Load{Seq: probeLoop(t, d.Spec.Pool()), ActiveCores: 2}
@@ -42,12 +41,15 @@ func TestSpectraAtArenaMatchesSpectraAt(t *testing.T) {
 		t.Fatal("priming failed for a valid campaign")
 	}
 
+	supply, powered := d.SupplyVolts(), d.PoweredCores()
 	var ar slab.Arena
 	for _, clock := range clocks {
 		ar.Reset()
-		// Arena path first: the fresh domain's memo has no entry, so this
-		// exercises the computing branch (which must NOT install).
-		gotF, gotV, gotI, err := d.SpectraAtArena(l, dt, n, clock, tr, &ar)
+		pe, err := d.PreparePointAt(l, dt, n, clock, tr)
+		if err != nil {
+			t.Fatalf("clock %v: prepare: %v", clock, err)
+		}
+		gotF, gotV, gotI, err := pe.SpectraArena(supply, powered, &ar)
 		if err != nil {
 			t.Fatalf("clock %v: arena spectra: %v", clock, err)
 		}
@@ -60,16 +62,6 @@ func TestSpectraAtArenaMatchesSpectraAt(t *testing.T) {
 		requireSameFloats(t, fmt.Sprintf("clock %v iAmp", clock), gotI, wantI)
 	}
 
-	// The scalar calls above installed memo entries; the arena path must
-	// now serve them as hits.
-	hits0, _, _ := d.SpectraCacheStats()
-	ar.Reset()
-	if _, _, _, err := d.SpectraAtArena(l, dt, n, clocks[0], tr, &ar); err != nil {
-		t.Fatal(err)
-	}
-	if hits1, _, _ := d.SpectraCacheStats(); hits1 != hits0+1 {
-		t.Fatalf("warm arena call not served by memo: hits %d -> %d", hits0, hits1)
-	}
 }
 
 // TestLadderMatchesSteadyResponseAt pins the V_MIN ladder: every supply
@@ -139,51 +131,6 @@ func TestLadderMatchesSteadyResponseAt(t *testing.T) {
 	}
 	if math.Float64bits(a1) != math.Float64bits(a2) || math.Float64bits(b1) != math.Float64bits(b2) {
 		t.Fatal("traced ladder diverges from untraced ladder")
-	}
-}
-
-// TestSpectraCacheCapConfig exercises the configurable memo bound: the
-// default, an explicit shrink (which must evict down to the new cap), the
-// grow-only campaign sizing, and the reset back to the default.
-func TestSpectraCacheCapConfig(t *testing.T) {
-	d := domain(t, juno(t), DomainA72)
-	if got := d.SpectraCacheCap(); got != DefaultSpectraCacheCap {
-		t.Fatalf("default cap = %d, want %d", got, DefaultSpectraCacheCap)
-	}
-
-	l := Load{Seq: probeLoop(t, d.Spec.Pool()), ActiveCores: 2}
-	dt, n := 0.5e-9, 1024
-	clocks := d.ClockSteps()
-	if len(clocks) < 3 {
-		t.Fatalf("need at least 3 clock steps, have %d", len(clocks))
-	}
-	d.SetSpectraCacheCap(2)
-	for _, clock := range clocks[:3] {
-		if _, _, _, _, err := d.SpectraAt(l, dt, n, clock); err != nil {
-			t.Fatal(err)
-		}
-	}
-	d.spectraMu.Lock()
-	live := len(d.spectra)
-	d.spectraMu.Unlock()
-	if live > 2 {
-		t.Fatalf("cap 2 holds %d entries", live)
-	}
-	if _, _, evictions := d.SpectraCacheStats(); evictions == 0 {
-		t.Fatal("no evictions counted past the cap")
-	}
-
-	d.EnsureSpectraCacheCap(8)
-	if got := d.SpectraCacheCap(); got != 8 {
-		t.Fatalf("ensured cap = %d, want 8", got)
-	}
-	d.EnsureSpectraCacheCap(4) // grow-only: must not shrink
-	if got := d.SpectraCacheCap(); got != 8 {
-		t.Fatalf("ensure shrank the cap to %d", got)
-	}
-	d.SetSpectraCacheCap(0) // back to the default
-	if got := d.SpectraCacheCap(); got != DefaultSpectraCacheCap {
-		t.Fatalf("reset cap = %d, want %d", got, DefaultSpectraCacheCap)
 	}
 }
 

@@ -1,11 +1,10 @@
 package platform
 
-// Disk tier under the per-domain spectra memo. The in-memory memo is scoped
-// to one Domain, so its key omits the domain itself; the disk store is
-// shared across domains and processes, so the disk key additionally folds a
-// content hash of the full domain Spec — two boards with different PDNs,
-// core models or EM paths can share one cache directory without ever
-// reading each other's spectra.
+// Disk tier for spectra. The spectraKey is scoped to one Domain, so it
+// omits the domain itself; the disk store is shared across domains and
+// processes, so the disk key additionally folds a content hash of the full
+// domain Spec — two boards with different PDNs, core models or EM paths can
+// share one cache directory without ever reading each other's spectra.
 //
 // Unlike the trace tier, the spectra pipeline has no per-key simulation
 // lock, so the store's singleflight (castore.Do) is what keeps a cold
@@ -21,7 +20,7 @@ import (
 	"repro/internal/uarch"
 )
 
-// spectraNS is the store namespace for memoized spectra.
+// spectraNS is the store namespace for persisted spectra.
 const spectraNS = "spectra"
 
 // spectraCodecVersion is bumped whenever the payload layout or the meaning
@@ -30,8 +29,8 @@ const spectraCodecVersion = 1
 
 var spectraPersist atomic.Pointer[castore.Store]
 
-// SetPersistentStore installs (nil removes) the disk-backed tier under
-// every domain's spectra memo and returns the previous store.
+// SetPersistentStore installs (nil removes) the disk-backed spectra tier of
+// every domain and returns the previous store.
 func SetPersistentStore(s *castore.Store) (prev *castore.Store) {
 	return spectraPersist.Swap(s)
 }
@@ -60,7 +59,7 @@ func (d *Domain) SpecContentHash() uint64 {
 	return d.specHashV
 }
 
-// spectraDiskKey folds the domain identity into the memo key.
+// spectraDiskKey folds the domain identity into the spectra key.
 func (d *Domain) spectraDiskKey(k spectraKey) uint64 {
 	h := detrand.NewHash()
 	h.Uint64(d.SpecContentHash())
@@ -73,10 +72,10 @@ func (d *Domain) spectraDiskKey(k spectraKey) uint64 {
 	return h.Sum()
 }
 
-// encodeSpectraEntry flattens one memo entry: the identifying fields first
+// encodeSpectraEntry flattens one entry: the identifying fields first
 // (echoed back for verification on decode), then the three spectra rows and
-// the full simulation Result — everything a memo hit hands out, so a
-// disk-warm hit is indistinguishable from an in-memory one.
+// the full simulation Result — everything Spectra hands out, so a disk-warm
+// result is indistinguishable from a computed one.
 func encodeSpectraEntry(d *Domain, k spectraKey, ent *spectraEntry) []byte {
 	enc := castore.NewEnc(64 + 8*(3*len(ent.freqs)+len(ent.res.Charge)) + 256)
 	enc.Uint64(d.SpecContentHash())
@@ -122,7 +121,7 @@ func decodeSpectraEntry(payload []byte, d *Domain, k spectraKey) *spectraEntry {
 	return ent
 }
 
-// spectraComputeOrDisk serves a spectra-memo miss: straight computation
+// spectraComputeOrDisk serves one spectra evaluation: straight computation
 // when no store is installed, otherwise through the store's singleflight
 // with write-through. A payload that fails verification (a cross-domain
 // key collision) falls back to computing uncached rather than fighting

@@ -11,11 +11,9 @@
 package platform
 
 import (
-	"container/list"
 	"fmt"
 	"math"
 	"sync"
-	"sync/atomic"
 
 	"repro/internal/em"
 	"repro/internal/isa"
@@ -75,22 +73,6 @@ type Domain struct {
 	supplyVolts  float64
 	transfers    map[transferKey]*pdn.TransferSet
 
-	// Spectra memoization: the spectra of a workload are a pure function of
-	// (load, sampling, clock, supply, powered cores), so converged GA
-	// populations that re-simulate the same elites every generation hit the
-	// cache instead of re-running the uarch→power→FFT pipeline. Entries are
-	// shared read-only slices; purity means eviction can never change a
-	// result. Past spectraCacheCap entries the least recently used entry is
-	// evicted (spectraOrder keeps the most recently used at the front), so a
-	// converged population's elites survive a sweep's one-shot traffic.
-	spectraMu        sync.Mutex
-	spectra          map[spectraKey]*list.Element
-	spectraOrder     *list.List // of *spectraNode
-	spectraCap       int        // 0 = DefaultSpectraCacheCap
-	spectraHits      atomic.Uint64
-	spectraMisses    atomic.Uint64
-	spectraEvictions atomic.Uint64
-
 	// specHashV caches SpecContentHash — the Spec is immutable after
 	// NewDomain, so the JSON canonicalization runs at most once.
 	specHashOnce sync.Once
@@ -106,8 +88,8 @@ type transferKey struct {
 	dt    float64
 }
 
-// spectraKey identifies one memoized spectra computation. The load enters
-// as its content hash (sequence, active cores, phase stagger).
+// spectraKey identifies one spectra computation in the disk tier. The load
+// enters as its content hash (sequence, active cores, phase stagger).
 type spectraKey struct {
 	load    uint64
 	powered int
@@ -117,24 +99,11 @@ type spectraKey struct {
 	n       int
 }
 
-// spectraEntry holds the shared, read-only result of one spectra run.
+// spectraEntry holds the result of one spectra run.
 type spectraEntry struct {
 	freqs, vAmp, iAmp []float64
 	res               *uarch.Result
 }
-
-// spectraNode is the LRU-list payload tying a cache key to its entry.
-type spectraNode struct {
-	key spectraKey
-	ent *spectraEntry
-}
-
-// DefaultSpectraCacheCap bounds the memo to the most recently used entries
-// when no per-domain cap has been configured (purity makes the eviction
-// policy invisible to results). Campaigns whose grid exceeds the configured
-// cap raise it via EnsureSpectraCacheCap so one pass over the grid cannot
-// thrash entries the campaign itself still needs.
-const DefaultSpectraCacheCap = 512
 
 // NewDomain returns a domain at nominal conditions with all cores powered.
 func NewDomain(spec Spec) (*Domain, error) {
@@ -162,8 +131,6 @@ func NewDomain(spec Spec) (*Domain, error) {
 		clockHz:      spec.MaxClockHz,
 		supplyVolts:  spec.PDN.VNominal,
 		transfers:    make(map[transferKey]*pdn.TransferSet),
-		spectra:      make(map[spectraKey]*list.Element),
-		spectraOrder: list.New(),
 	}, nil
 }
 
@@ -331,59 +298,8 @@ func (d *Domain) transferSetAt(cores int, supply float64, n int, dt float64) (*p
 	return ts, nil
 }
 
-// SpectraCacheStats reports the spectra memo's hit/miss/eviction counters
-// (logged by cmd/gahunt -v to make cache effectiveness observable).
+// SpectraCacheStats always reports zeros: the domain keeps no in-memory
+// spectra memo. It stays only because perfbench/workloads.go calls it.
 func (d *Domain) SpectraCacheStats() (hits, misses, evictions uint64) {
-	return d.spectraHits.Load(), d.spectraMisses.Load(), d.spectraEvictions.Load()
-}
-
-// SpectraCacheCap returns the domain's effective spectra-memo bound.
-func (d *Domain) SpectraCacheCap() int {
-	d.spectraMu.Lock()
-	defer d.spectraMu.Unlock()
-	return d.spectraCapLocked()
-}
-
-func (d *Domain) spectraCapLocked() int {
-	if d.spectraCap > 0 {
-		return d.spectraCap
-	}
-	return DefaultSpectraCacheCap
-}
-
-// SetSpectraCacheCap sets the spectra-memo bound for this domain; values
-// below 1 restore the default. Shrinking evicts least-recently-used entries
-// immediately — purity makes the eviction invisible to results.
-func (d *Domain) SetSpectraCacheCap(n int) {
-	d.spectraMu.Lock()
-	defer d.spectraMu.Unlock()
-	if n < 1 {
-		n = 0
-	}
-	d.spectraCap = n
-	d.evictSpectraLocked()
-}
-
-// EnsureSpectraCacheCap raises the spectra-memo bound to at least n,
-// never lowering it. Campaign paths call it with their grid size, so a
-// lattice larger than the configured cap cannot evict entries the same
-// campaign is still consuming.
-func (d *Domain) EnsureSpectraCacheCap(n int) {
-	d.spectraMu.Lock()
-	defer d.spectraMu.Unlock()
-	if n > d.spectraCapLocked() {
-		d.spectraCap = n
-	}
-}
-
-// evictSpectraLocked trims the memo to the effective cap; the caller holds
-// spectraMu.
-func (d *Domain) evictSpectraLocked() {
-	limit := d.spectraCapLocked()
-	for len(d.spectra) > limit {
-		back := d.spectraOrder.Back()
-		d.spectraOrder.Remove(back)
-		delete(d.spectra, back.Value.(*spectraNode).key)
-		d.spectraEvictions.Add(1)
-	}
+	return 0, 0, 0
 }

@@ -24,7 +24,7 @@ type Load struct {
 }
 
 // Hash returns a content hash of the load (sequence, active cores, phase
-// stagger) for spectra-cache keys and measurement-noise streams.
+// stagger) for cache keys and measurement-noise streams.
 func (l Load) Hash() uint64 {
 	h := detrand.NewHash()
 	h.Int(len(l.Seq))
@@ -132,18 +132,18 @@ func (d *Domain) steadyResponseAt(l Load, dt float64, n int, clock, supply float
 }
 
 // Spectra returns the single-sided amplitude spectra of the die voltage
-// and package-inductor current under the workload. Results are memoized
-// (see spectraKey); the returned slices are shared and must be treated as
-// read-only.
+// and package-inductor current under the workload, served from the disk
+// tier when one is installed (see spectraKey); the returned slices may be
+// shared and must be treated as read-only.
 func (d *Domain) Spectra(l Load, dt float64, n int) (freqs, vAmp, iAmp []float64, res *uarch.Result, err error) {
 	return d.SpectraArena(l, dt, n, nil)
 }
 
 // SpectraArena is Spectra drawing its transient buffers (the current
-// waveform, the half spectrum and the FFT scratch) from a caller's batch
-// arena instead of the shared pools. The memoized outputs (vAmp, iAmp) are
-// still allocated normally — they outlive the arena in the spectra cache.
-// Results are bit-identical to Spectra; a nil arena is the pooled path.
+// waveform, the half spectrum and the FFT scratch) and the amplitude
+// outputs from a caller's batch arena instead of the shared pools; the
+// outputs then follow the arena's lifetime rules. Results are bit-identical
+// to Spectra; a nil arena is the pooled path.
 func (d *Domain) SpectraArena(l Load, dt float64, n int, ar *slab.Arena) (freqs, vAmp, iAmp []float64, res *uarch.Result, err error) {
 	d.mu.Lock()
 	clock, supply, powered := d.clockHz, d.supplyVolts, d.poweredCores
@@ -164,17 +164,6 @@ func (d *Domain) SpectraAt(l Load, dt float64, n int, clockHz float64) (freqs, v
 
 func (d *Domain) spectraAt(l Load, dt float64, n int, clock, supply float64, powered int, ar *slab.Arena) (freqs, vAmp, iAmp []float64, res *uarch.Result, err error) {
 	key := spectraKey{load: l.Hash(), powered: powered, clock: clock, supply: supply, dt: dt, n: n}
-	d.spectraMu.Lock()
-	if el, ok := d.spectra[key]; ok {
-		d.spectraOrder.MoveToFront(el)
-		ent := el.Value.(*spectraNode).ent
-		d.spectraMu.Unlock()
-		d.spectraHits.Add(1)
-		return ent.freqs, ent.vAmp, ent.iAmp, ent.res, nil
-	}
-	d.spectraMu.Unlock()
-	d.spectraMisses.Add(1)
-
 	compute := func() (*spectraEntry, error) {
 		var buf []float64
 		if ar != nil {
@@ -191,9 +180,10 @@ func (d *Domain) spectraAt(l Load, dt float64, n int, clock, supply float64, pow
 		var freqs, vAmp, iAmp []float64
 		if ar != nil {
 			half := n/2 + 1
-			vAmp = make([]float64, half)
-			iAmp = make([]float64, half)
-			// RFFTInto writes every element of both rows before any read.
+			// RFFTInto writes every element of both complex rows before any
+			// read, and the amplitude fold overwrites every bin.
+			vAmp = ar.FloatsUninit(half)
+			iAmp = ar.FloatsUninit(half)
 			freqs, err = ts.SpectraInto(vAmp, iAmp, wave,
 				ar.ComplexesUninit(half), ar.ComplexesUninit(dsp.RFFTScratchLen(n)))
 		} else {
@@ -205,25 +195,15 @@ func (d *Domain) spectraAt(l Load, dt float64, n int, clock, supply float64, pow
 		}
 		return &spectraEntry{freqs: freqs, vAmp: vAmp, iAmp: iAmp, res: res}, nil
 	}
-	// The disk tier (when installed) serves the miss from a prior process's
-	// work, collapses concurrent misses for this key onto one computation,
+	// The disk tier (when installed) serves the computation from a prior
+	// process's work, collapses concurrent computations of this key onto one,
 	// and writes fresh results through; the closure's arena belongs to this
 	// worker only (waiters receive the encoded payload, never the closure).
 	ent, err := d.spectraComputeOrDisk(key, compute)
 	if err != nil {
 		return nil, nil, nil, nil, err
 	}
-	freqs, vAmp, iAmp, res = ent.freqs, ent.vAmp, ent.iAmp, ent.res
-	d.spectraMu.Lock()
-	if el, ok := d.spectra[key]; ok {
-		// A concurrent miss computed the same pure result; keep the first.
-		d.spectraOrder.MoveToFront(el)
-	} else {
-		d.spectra[key] = d.spectraOrder.PushFront(&spectraNode{key: key, ent: ent})
-		d.evictSpectraLocked()
-	}
-	d.spectraMu.Unlock()
-	return freqs, vAmp, iAmp, res, nil
+	return ent.freqs, ent.vAmp, ent.iAmp, ent.res, nil
 }
 
 // LoopHzAt returns the workload's loop fundamental frequency at an explicit

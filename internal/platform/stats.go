@@ -8,20 +8,12 @@ import (
 )
 
 // EvalStats returns a multi-line human-readable summary of the evaluation
-// caches serving this domain: the spectra memo, the clock-invariant uarch
-// trace cache, the steady-state extrapolation counter and, when installed,
-// the persistent store. The CLIs print it under -v so every tool reports
-// the same counters in the same format.
+// caches serving this domain: the clock-invariant uarch trace cache, the
+// steady-state extrapolation counter and, when installed, the persistent
+// store. core.Bench.EvalStats adds the bench's batch line; the CLIs print
+// that under -v so every tool reports the same counters in the same format.
 func (d *Domain) EvalStats() string {
 	var b strings.Builder
-	hits, misses, evictions := d.SpectraCacheStats()
-	total := hits + misses
-	pct := 0.0
-	if total > 0 {
-		pct = 100 * float64(hits) / float64(total)
-	}
-	fmt.Fprintf(&b, "spectra cache: %d hits / %d misses / %d evictions (%.1f%% hit rate)\n",
-		hits, misses, evictions, pct)
 	ts := uarch.TraceCacheStats()
 	fmt.Fprintf(&b, "trace cache: %d hits / %d misses / %d extensions / %d evictions, %d entries (%d cycles held)\n",
 		ts.Hits, ts.Misses, ts.Extensions, ts.Evictions, ts.Entries, ts.Cycles)
