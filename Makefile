@@ -116,12 +116,13 @@ perf-gate:
 	$(MAKE) bench BENCH_OUT=BENCH_head.json
 	$(MAKE) bench-compare OLD=BENCH_pr8.json NEW=BENCH_head.json
 
-# Hammers the persistent store's concurrent surface (mixed Put/Get/Do under
-# GC pressure, singleflight, cross-handle sharing) repeatedly under the
-# race detector. Longer than tier-1; run before touching castore internals.
+# Hammers the persistent store's concurrent surface (mixed Put/Get under
+# GC pressure, cross-handle sharing) repeatedly under the race detector.
+# Longer than tier-1; run before touching castore internals.
+CACHE_STRESS_TESTS = StoreConcurrentAccess|CrossStoreSharing|GCEvicts
 cache-stress:
-	$(GO) test -race -run 'StoreConcurrentAccess|DoSingleflight|CrossStoreSharing|GCEvicts' \
-		-count=10 ./internal/castore
+	$(call require-tests,$(CACHE_STRESS_TESTS),./internal/castore)
+	$(GO) test -race -run '$(CACHE_STRESS_TESTS)' -count=10 ./internal/castore
 
 # The full benchmark suite, one iteration each (smoke).
 bench-all:

@@ -17,23 +17,16 @@ import (
 	"repro/internal/castore"
 	"repro/internal/core"
 	"repro/internal/ga"
-	"repro/internal/platform"
 	"repro/internal/uarch"
 )
 
-// withBenchPersist installs s under all three caches for the duration of
-// the benchmark, as `-cache-dir` does, restoring the previous stores on
+// withBenchPersist installs s under the measurement memo for the duration
+// of the benchmark, as `-cache-dir` does, restoring the previous store on
 // cleanup.
 func withBenchPersist(b *testing.B, s *castore.Store) {
 	b.Helper()
-	prevU := uarch.SetPersistentStore(s)
-	prevP := platform.SetPersistentStore(s)
-	prevC := core.SetPersistentStore(s)
-	b.Cleanup(func() {
-		uarch.SetPersistentStore(prevU)
-		platform.SetPersistentStore(prevP)
-		core.SetPersistentStore(prevC)
-	})
+	prev := core.SetPersistentStore(s)
+	b.Cleanup(func() { core.SetPersistentStore(prev) })
 }
 
 // warmStartPopulation builds the fixed generation every "process" in the

@@ -1,15 +1,14 @@
 // Package castore is a crash-safe, disk-backed, content-addressed artifact
-// store: the persistent tier of the evaluation pipeline (under the uarch
-// trace cache and the bench measurement memo, and the only cache of platform
-// spectra). Entries are keyed by the same 64-bit content hashes the
-// in-memory caches already trust, laid out in a sharded two-level directory tree, and
-// written atomically (temp file + rename) so concurrent processes over one
-// directory see only whole entries. A truncated or garbled entry is detected
-// by length/checksum framing, quarantined, and treated as a miss — the
-// consumer recomputes and overwrites, so corruption can never change a
-// result, only cost a re-simulation. The store is size-bounded: past the
-// byte budget, the least-recently-used entries (mtime order; hits re-touch)
-// are deleted.
+// store: the persistent tier of the evaluation pipeline, under the bench
+// measurement memo. Entries are keyed by the same 64-bit content hashes the
+// in-memory memo already trusts, laid out in a sharded two-level directory
+// tree, and written atomically (temp file + rename) so concurrent processes
+// over one directory see only whole entries. A truncated or garbled entry
+// is detected by length/checksum framing, quarantined, and treated as a
+// miss — the consumer recomputes and overwrites, so corruption can never
+// change a result, only cost a re-measurement. The store is size-bounded:
+// past the byte budget, the least-recently-used entries (mtime order; hits
+// re-touch) are deleted.
 //
 // Safety model:
 //
@@ -22,8 +21,7 @@
 //     inspection) and reads as a miss.
 //   - Cross-process sharing: no locks are needed for correctness. Two
 //     processes that miss the same key both compute the same pure value and
-//     race to publish; either rename winning leaves a valid entry. Within
-//     one process, Do collapses concurrent misses onto one computation.
+//     race to publish; either rename winning leaves a valid entry.
 //   - Durability: writes are not fsynced by default (the store is a cache;
 //     an entry torn by power loss is quarantined on first read). Opening
 //     with Sync true adds an fsync before every publish.
@@ -111,20 +109,6 @@ type Store struct {
 	hits, misses, puts, corrupt, evictions atomic.Uint64
 
 	gcMu sync.Mutex // one collector at a time
-
-	flightMu sync.Mutex
-	flight   map[flightKey]*flightCall
-}
-
-type flightKey struct {
-	ns  string
-	key uint64
-}
-
-type flightCall struct {
-	done    chan struct{}
-	payload []byte
-	err     error
 }
 
 // Open creates (if needed) and opens a store rooted at dir.
@@ -139,7 +123,6 @@ func Open(dir string, opts Options) (*Store, error) {
 		dir:      dir,
 		maxBytes: opts.MaxBytes,
 		sync:     opts.Sync,
-		flight:   make(map[flightKey]*flightCall),
 	}
 	if s.maxBytes == 0 {
 		s.maxBytes = DefaultMaxBytes
@@ -305,36 +288,6 @@ func (s *Store) Put(ns string, version uint16, key uint64, payload []byte) error
 		s.gc()
 	}
 	return nil
-}
-
-// Do returns the payload for (ns, version, key), computing and publishing
-// it on a miss. Concurrent callers for the same (ns, key) share one
-// computation — the in-process singleflight that keeps a cold sweep's
-// parallel workers from simulating the same workload once per worker.
-func (s *Store) Do(ns string, version uint16, key uint64, compute func() ([]byte, error)) ([]byte, error) {
-	if payload, ok := s.Get(ns, version, key); ok {
-		return payload, nil
-	}
-	k := flightKey{ns: ns, key: key}
-	s.flightMu.Lock()
-	if c, ok := s.flight[k]; ok {
-		s.flightMu.Unlock()
-		<-c.done
-		return c.payload, c.err
-	}
-	c := &flightCall{done: make(chan struct{})}
-	s.flight[k] = c
-	s.flightMu.Unlock()
-
-	c.payload, c.err = compute()
-	if c.err == nil {
-		_ = s.Put(ns, version, key, c.payload)
-	}
-	s.flightMu.Lock()
-	delete(s.flight, k)
-	s.flightMu.Unlock()
-	close(c.done)
-	return c.payload, c.err
 }
 
 // quarantine moves a corrupt entry aside (unique name, atomic rename) so it

@@ -1,11 +1,10 @@
 package castore
 
-// Binary codec for store payloads: little-endian, length-prefixed slices,
-// no reflection. Every consumer namespace (trace histories, spectra
-// entries, batch measurements) encodes with Enc and decodes with Dec; a
-// truncated or malformed payload poisons the decoder instead of panicking,
-// so a corrupt entry that slipped past the frame checksum still degrades
-// to a cache miss rather than a crash.
+// Binary codec for store payloads: little-endian 64-bit words, no
+// reflection. The consumer namespace (batch measurements) encodes with Enc
+// and decodes with Dec; a truncated or malformed payload poisons the
+// decoder instead of panicking, so a corrupt entry that slipped past the
+// frame checksum still degrades to a cache miss rather than a crash.
 
 import (
 	"encoding/binary"
@@ -20,10 +19,6 @@ var ErrTruncated = errors.New("castore: truncated payload")
 // ErrTrailing is the error Finish reports when decoding consumed less than
 // the full payload (a codec/version mismatch the frame checksum cannot see).
 var ErrTrailing = errors.New("castore: trailing bytes after payload")
-
-// maxSliceLen bounds decoded slice lengths so a corrupt length prefix
-// cannot drive a multi-gigabyte allocation before the element reads fail.
-const maxSliceLen = 1 << 28
 
 // Enc accumulates an encoded payload.
 type Enc struct {
@@ -43,48 +38,9 @@ func (e *Enc) Uint64(v uint64) {
 // Int appends an integer as a 64-bit word.
 func (e *Enc) Int(v int) { e.Uint64(uint64(int64(v))) }
 
-// Bool appends a bool as a 64-bit 0/1 word.
-func (e *Enc) Bool(b bool) {
-	if b {
-		e.Uint64(1)
-	} else {
-		e.Uint64(0)
-	}
-}
-
 // Float64 appends the IEEE-754 bits of f, so a decode reproduces the value
 // bit-exactly (including NaN payloads and signed zeros).
 func (e *Enc) Float64(f float64) { e.Uint64(math.Float64bits(f)) }
-
-// String appends a length-prefixed string.
-func (e *Enc) String(s string) {
-	e.Int(len(s))
-	e.buf = append(e.buf, s...)
-}
-
-// Floats appends a length-prefixed []float64.
-func (e *Enc) Floats(xs []float64) {
-	e.Int(len(xs))
-	for _, x := range xs {
-		e.Float64(x)
-	}
-}
-
-// Int64s appends a length-prefixed []int64.
-func (e *Enc) Int64s(xs []int64) {
-	e.Int(len(xs))
-	for _, x := range xs {
-		e.Uint64(uint64(x))
-	}
-}
-
-// Ints appends a length-prefixed []int (as 64-bit words).
-func (e *Enc) Ints(xs []int) {
-	e.Int(len(xs))
-	for _, x := range xs {
-		e.Int(x)
-	}
-}
 
 // Bytes returns the encoded payload.
 func (e *Enc) Bytes() []byte { return e.buf }
@@ -118,81 +74,8 @@ func (d *Dec) Uint64() uint64 {
 // Int reads an integer.
 func (d *Dec) Int() int { return int(int64(d.Uint64())) }
 
-// Bool reads a bool.
-func (d *Dec) Bool() bool { return d.Uint64() != 0 }
-
 // Float64 reads a float bit-exactly.
 func (d *Dec) Float64() float64 { return math.Float64frombits(d.Uint64()) }
-
-// String reads a length-prefixed string.
-func (d *Dec) String() string {
-	n := d.Int()
-	if d.err != nil {
-		return ""
-	}
-	if n < 0 || n > len(d.buf)-d.off {
-		d.err = ErrTruncated
-		return ""
-	}
-	s := string(d.buf[d.off : d.off+n])
-	d.off += n
-	return s
-}
-
-// sliceLen reads and sanity-bounds a slice length prefix.
-func (d *Dec) sliceLen() int {
-	n := d.Int()
-	if d.err != nil {
-		return 0
-	}
-	if n < 0 || n > maxSliceLen || n > (len(d.buf)-d.off)/8 {
-		d.err = ErrTruncated
-		return 0
-	}
-	return n
-}
-
-// Floats reads a length-prefixed []float64.
-func (d *Dec) Floats() []float64 {
-	n := d.sliceLen()
-	if d.err != nil {
-		return nil
-	}
-	out := make([]float64, n)
-	for i := range out {
-		out[i] = d.Float64()
-	}
-	return out
-}
-
-// Int64s reads a length-prefixed []int64.
-func (d *Dec) Int64s() []int64 {
-	n := d.sliceLen()
-	if d.err != nil {
-		return nil
-	}
-	out := make([]int64, n)
-	for i := range out {
-		out[i] = int64(d.Uint64())
-	}
-	return out
-}
-
-// Ints reads a length-prefixed []int.
-func (d *Dec) Ints() []int {
-	n := d.sliceLen()
-	if d.err != nil {
-		return nil
-	}
-	out := make([]int, n)
-	for i := range out {
-		out[i] = d.Int()
-	}
-	return out
-}
-
-// Err returns the sticky decode error, if any.
-func (d *Dec) Err() error { return d.err }
 
 // Finish reports whether the decode consumed the payload exactly: no read
 // error and no trailing bytes.

@@ -24,7 +24,6 @@ import (
 	"repro/internal/platform"
 	"repro/internal/prof"
 	"repro/internal/session"
-	"repro/internal/uarch"
 )
 
 // Spec declares which per-command flags a command carries on top of the
@@ -151,13 +150,12 @@ func BuildPlatform(name string) (*platform.Platform, error) {
 }
 
 // InstallCache opens the persistent result store named by -cache-dir (or
-// $REPRO_CACHE_DIR) and installs it as the disk tier of every evaluation
-// stage — the uarch trace cache, the platform spectra and the bench
-// measurement memo — so this process warm-starts from earlier
-// runs and co-located processes share each other's work. A no-op when no
-// directory is configured; idempotent otherwise. Backend calls it, and
-// commands that construct their own benches (repro) call it before
-// building an experiment context.
+// $REPRO_CACHE_DIR) and installs it as the disk tier of the bench
+// measurement memo, so this process warm-starts from the finished
+// measurements of earlier runs and co-located processes share each
+// other's work. A no-op when no directory is configured; idempotent
+// otherwise. Backend calls it, and commands that construct their own
+// benches (repro) call it before building an experiment context.
 func (a *App) InstallCache() (*castore.Store, error) {
 	if a.cache != nil {
 		return a.cache, nil
@@ -171,7 +169,7 @@ func (a *App) InstallCache() (*castore.Store, error) {
 }
 
 // InstallCacheDir opens a persistent store at dir and installs it under
-// the process's evaluation caches; an empty dir is a no-op returning nil.
+// the bench measurement memo; an empty dir is a no-op returning nil.
 // Shared by App.InstallCache and commands with their own flag sets
 // (labtarget), so every entry point installs the tier the same way.
 func InstallCacheDir(dir string) (*castore.Store, error) {
@@ -183,8 +181,6 @@ func InstallCacheDir(dir string) (*castore.Store, error) {
 	if err != nil {
 		return nil, fmt.Errorf("-cache-dir: %w", err)
 	}
-	uarch.SetPersistentStore(s)
-	platform.SetPersistentStore(s)
 	core.SetPersistentStore(s)
 	return s, nil
 }

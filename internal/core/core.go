@@ -118,11 +118,15 @@ func (b *Bench) EMMeasureN(d *platform.Domain, l platform.Load, samples int) (*i
 }
 
 // EvalStats renders the evaluation counters behind measurements on domain
-// d: the domain's cache block plus, once any measurement has run, the
-// bench's batch line. Local backends and the lab daemon's STATS verb both
-// print exactly this text.
+// d: the domain's cache block, the persistent store's line when one is
+// installed and, once any measurement has run, the bench's batch line.
+// Local backends and the lab daemon's STATS verb both print exactly this
+// text.
 func (b *Bench) EvalStats(d *platform.Domain) string {
 	stats := d.EvalStats()
+	if s := PersistentStore(); s != nil {
+		stats += "\n" + s.Stats().String()
+	}
 	if bs := b.BatchStats(); bs.Batches > 0 {
 		stats += "\n" + bs.String()
 	}

@@ -4,7 +4,9 @@ import (
 	"bufio"
 	"encoding/json"
 	"fmt"
+	"io"
 	"os"
+	"strconv"
 	"sync"
 )
 
@@ -17,11 +19,14 @@ import (
 // coordinator replays a hit only when both hashes match — a changed
 // operating point or a mutated workload misses cleanly and re-measures.
 //
-// The journal is append-only. A torn final line (coordinator killed
-// mid-write) is detected by JSON validity and dropped; every intact line
-// stays usable. Because items are keyed by content rather than position,
-// a GA elite that survives into the next generation replays for free, and
-// two campaigns over overlapping grids share hits.
+// The journal is append-only, and a record counts only once its newline
+// is on disk. A torn final line (coordinator killed mid-write) has none: it
+// is dropped and truncated away on open, so the next record starts on a
+// fresh line. A corrupt line is dropped by JSON validity and strict key
+// parsing; every other line stays usable. Because items are keyed by
+// content rather than position, a GA elite that survives into the next
+// generation replays for free, and two campaigns over overlapping grids
+// share hits.
 type Checkpoint struct {
 	mu   sync.Mutex
 	f    *os.File
@@ -42,43 +47,77 @@ type ckptRecord struct {
 	Result   json.RawMessage `json:"result"`
 }
 
-// OpenCheckpoint opens (creating if needed) a campaign journal and loads
-// every intact record into the in-memory index.
+// OpenCheckpoint opens (creating if needed) a campaign journal, loads
+// every intact record into the in-memory index and truncates a torn tail.
 func OpenCheckpoint(path string) (*Checkpoint, error) {
 	f, err := os.OpenFile(path, os.O_CREATE|os.O_RDWR, 0o644)
 	if err != nil {
 		return nil, fmt.Errorf("fleet: open checkpoint: %w", err)
 	}
 	c := &Checkpoint{f: f, done: make(map[ckptKey]json.RawMessage)}
-	sc := bufio.NewScanner(f)
-	sc.Buffer(make([]byte, 0, 64*1024), 16*1024*1024)
-	for sc.Scan() {
-		line := sc.Bytes()
-		if len(line) == 0 {
-			continue
+	r := bufio.NewReader(f)
+	var end int64 // just past the last newline-terminated line
+	for {
+		line, err := r.ReadBytes('\n')
+		if err == io.EOF {
+			if len(line) > 0 {
+				c.dropped++ // torn tail: no newline, so never committed
+			}
+			break
 		}
-		var rec ckptRecord
-		if err := json.Unmarshal(line, &rec); err != nil {
-			c.dropped++ // torn or corrupt line: ignore, re-measure covers it
-			continue
+		if err != nil {
+			f.Close()
+			return nil, fmt.Errorf("fleet: read checkpoint: %w", err)
 		}
-		var key ckptKey
-		if _, err := fmt.Sscanf(rec.Campaign, "%x", &key.campaign); err != nil {
-			c.dropped++
-			continue
-		}
-		if _, err := fmt.Sscanf(rec.Item, "%x", &key.item); err != nil {
-			c.dropped++
-			continue
-		}
-		c.done[key] = append(json.RawMessage(nil), rec.Result...)
+		end += int64(len(line))
+		c.load(line[:len(line)-1])
 	}
-	if err := sc.Err(); err != nil {
+	// Appending after a torn tail would glue the next record onto the
+	// fragment, and the next open would drop both.
+	if err := f.Truncate(end); err != nil {
 		f.Close()
-		return nil, fmt.Errorf("fleet: read checkpoint: %w", err)
+		return nil, fmt.Errorf("fleet: truncate checkpoint: %w", err)
+	}
+	if _, err := f.Seek(end, io.SeekStart); err != nil {
+		f.Close()
+		return nil, fmt.Errorf("fleet: seek checkpoint: %w", err)
 	}
 	c.w = bufio.NewWriter(f)
 	return c, nil
+}
+
+// load indexes one journal line, counting it as dropped when it is not a
+// record Add could have written.
+func (c *Checkpoint) load(line []byte) {
+	if len(line) == 0 {
+		return
+	}
+	var rec ckptRecord
+	if err := json.Unmarshal(line, &rec); err != nil {
+		c.dropped++ // corrupt line: ignore, re-measure covers it
+		return
+	}
+	campaign, ok1 := parseCkptKey(rec.Campaign)
+	item, ok2 := parseCkptKey(rec.Item)
+	if !ok1 || !ok2 {
+		c.dropped++
+		return
+	}
+	c.done[ckptKey{campaign, item}] = append(json.RawMessage(nil), rec.Result...)
+}
+
+// formatCkptKey is the journal's text form of a key: exactly 16 lower-case
+// hex digits.
+func formatCkptKey(k uint64) string { return fmt.Sprintf("%016x", k) }
+
+// parseCkptKey accepts only the exact text formatCkptKey writes, so a
+// garbled key can never alias a valid one (a lenient scan reads "5zz" as 5).
+func parseCkptKey(s string) (uint64, bool) {
+	k, err := strconv.ParseUint(s, 16, 64)
+	if err != nil || formatCkptKey(k) != s {
+		return 0, false
+	}
+	return k, true
 }
 
 // Lookup returns the stored result for (campaign, item) if present,
@@ -109,8 +148,8 @@ func (c *Checkpoint) Add(campaign, item uint64, result any) error {
 		return fmt.Errorf("fleet: checkpoint result: %w", err)
 	}
 	rec := ckptRecord{
-		Campaign: fmt.Sprintf("%016x", campaign),
-		Item:     fmt.Sprintf("%016x", item),
+		Campaign: formatCkptKey(campaign),
+		Item:     formatCkptKey(item),
 		Result:   raw,
 	}
 	line, err := json.Marshal(rec)

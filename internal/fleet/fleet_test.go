@@ -479,7 +479,8 @@ func TestFleetCheckpointResume(t *testing.T) {
 
 // TestCheckpointToleratesTornTail pins crash recovery: a journal whose
 // final line was cut mid-write must load every intact record and drop the
-// torn one.
+// torn one, and the first record journaled after that recovery must
+// survive the next restart instead of being glued onto the torn fragment.
 func TestCheckpointToleratesTornTail(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "torn.ckpt")
 	ckpt, err := fleet.OpenCheckpoint(path)
@@ -508,7 +509,6 @@ func TestCheckpointToleratesTornTail(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer re.Close()
 	if re.Len() != 2 {
 		t.Fatalf("reloaded %d records, want 2 (torn tail dropped)", re.Len())
 	}
@@ -518,6 +518,25 @@ func TestCheckpointToleratesTornTail(t *testing.T) {
 	}
 	if re.Lookup(1, 4, &out) {
 		t.Fatal("phantom record replayed")
+	}
+	if err := re.Add(1, 5, map[string]float64{"x": 3.5}); err != nil {
+		t.Fatal(err)
+	}
+	if err := re.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	again, err := fleet.OpenCheckpoint(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer again.Close()
+	if !again.Lookup(1, 5, &out) || out["x"] != 3.5 {
+		_, _, dropped := again.Stats()
+		t.Fatalf("record journaled after the torn tail was lost (%d records, %d dropped)", again.Len(), dropped)
+	}
+	if again.Len() != 3 {
+		t.Fatalf("reloaded %d records, want 3", again.Len())
 	}
 }
 

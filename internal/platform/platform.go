@@ -88,23 +88,6 @@ type transferKey struct {
 	dt    float64
 }
 
-// spectraKey identifies one spectra computation in the disk tier. The load
-// enters as its content hash (sequence, active cores, phase stagger).
-type spectraKey struct {
-	load    uint64
-	powered int
-	clock   float64
-	supply  float64
-	dt      float64
-	n       int
-}
-
-// spectraEntry holds the result of one spectra run.
-type spectraEntry struct {
-	freqs, vAmp, iAmp []float64
-	res               *uarch.Result
-}
-
 // NewDomain returns a domain at nominal conditions with all cores powered.
 func NewDomain(spec Spec) (*Domain, error) {
 	if err := spec.PDN.Validate(); err != nil {

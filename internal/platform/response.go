@@ -132,9 +132,8 @@ func (d *Domain) steadyResponseAt(l Load, dt float64, n int, clock, supply float
 }
 
 // Spectra returns the single-sided amplitude spectra of the die voltage
-// and package-inductor current under the workload, served from the disk
-// tier when one is installed (see spectraKey); the returned slices may be
-// shared and must be treated as read-only.
+// and package-inductor current under the workload; freqs is the transfer
+// set's shared grid, so the returned slices must be treated as read-only.
 func (d *Domain) Spectra(l Load, dt float64, n int) (freqs, vAmp, iAmp []float64, res *uarch.Result, err error) {
 	return d.SpectraArena(l, dt, n, nil)
 }
@@ -163,47 +162,34 @@ func (d *Domain) SpectraAt(l Load, dt float64, n int, clockHz float64) (freqs, v
 }
 
 func (d *Domain) spectraAt(l Load, dt float64, n int, clock, supply float64, powered int, ar *slab.Arena) (freqs, vAmp, iAmp []float64, res *uarch.Result, err error) {
-	key := spectraKey{load: l.Hash(), powered: powered, clock: clock, supply: supply, dt: dt, n: n}
-	compute := func() (*spectraEntry, error) {
-		var buf []float64
-		if ar != nil {
-			buf = ar.FloatsUninit(n) // fillCurrent overwrites (or clears) all n
-		}
-		wave, res, err := d.currentAt(l, dt, n, clock, supply, powered, buf)
-		if err != nil {
-			return nil, err
-		}
-		ts, err := d.transferSetAt(powered, supply, n, dt)
-		if err != nil {
-			return nil, err
-		}
-		var freqs, vAmp, iAmp []float64
-		if ar != nil {
-			half := n/2 + 1
-			// RFFTInto writes every element of both complex rows before any
-			// read, and the amplitude fold overwrites every bin.
-			vAmp = ar.FloatsUninit(half)
-			iAmp = ar.FloatsUninit(half)
-			freqs, err = ts.SpectraInto(vAmp, iAmp, wave,
-				ar.ComplexesUninit(half), ar.ComplexesUninit(dsp.RFFTScratchLen(n)))
-		} else {
-			freqs, vAmp, iAmp, err = ts.Spectra(wave)
-			power.PutWave(wave)
-		}
-		if err != nil {
-			return nil, err
-		}
-		return &spectraEntry{freqs: freqs, vAmp: vAmp, iAmp: iAmp, res: res}, nil
+	var buf []float64
+	if ar != nil {
+		buf = ar.FloatsUninit(n) // fillCurrent overwrites (or clears) all n
 	}
-	// The disk tier (when installed) serves the computation from a prior
-	// process's work, collapses concurrent computations of this key onto one,
-	// and writes fresh results through; the closure's arena belongs to this
-	// worker only (waiters receive the encoded payload, never the closure).
-	ent, err := d.spectraComputeOrDisk(key, compute)
+	wave, res, err := d.currentAt(l, dt, n, clock, supply, powered, buf)
 	if err != nil {
 		return nil, nil, nil, nil, err
 	}
-	return ent.freqs, ent.vAmp, ent.iAmp, ent.res, nil
+	ts, err := d.transferSetAt(powered, supply, n, dt)
+	if err != nil {
+		return nil, nil, nil, nil, err
+	}
+	if ar != nil {
+		half := n/2 + 1
+		// RFFTInto writes every element of both complex rows before any
+		// read, and the amplitude fold overwrites every bin.
+		vAmp = ar.FloatsUninit(half)
+		iAmp = ar.FloatsUninit(half)
+		freqs, err = ts.SpectraInto(vAmp, iAmp, wave,
+			ar.ComplexesUninit(half), ar.ComplexesUninit(dsp.RFFTScratchLen(n)))
+	} else {
+		freqs, vAmp, iAmp, err = ts.Spectra(wave)
+		power.PutWave(wave)
+	}
+	if err != nil {
+		return nil, nil, nil, nil, err
+	}
+	return freqs, vAmp, iAmp, res, nil
 }
 
 // LoopHzAt returns the workload's loop fundamental frequency at an explicit

@@ -253,28 +253,12 @@ func (c *traceCache) fill(e *traceEntry, ensureSteady int) (*traceHist, error) {
 		}
 	} else {
 		c.misses.Add(1)
-		// First fill in this process: the disk tier may hold the history
-		// from an earlier process (or a concurrent one sharing the cache
-		// directory). A covering entry is installed as-is — synthesis from
-		// it is bit-identical to re-simulating. A shorter entry still sets
-		// the floor for the simulation window, so the write-through below
-		// never shrinks what the store already holds.
-		if dh := diskLoad(e); dh != nil {
-			if dh.covers(ensureSteady) {
-				c.install(e, nil, dh)
-				return dh, nil
-			}
-			if d := 2 * dh.steady; d > simSteady {
-				simSteady = d
-			}
-		}
 	}
 	h2, err := simulate(&e.cfg, e.seq, simSteady)
 	if err != nil {
 		return nil, err
 	}
 	c.install(e, h, h2)
-	diskStore(e, h2)
 	return h2, nil
 }
 

@@ -1,234 +1,11 @@
 package uarch
 
-// Disk tier under the trace cache. When a store is installed
-// (SetPersistentStore), a first-fill miss consults the store before
-// simulating, and every simulation writes its history through — so a
-// restarted process, or a second process sharing the cache directory,
-// replays charge histories instead of re-simulating them.
-//
-// Keying reuses traceKey, the same 64-bit content hash the in-memory cache
-// trusts, but the stored payload carries the full (Config, Seq) content and
-// every decode verifies it against the request — a hash collision or a
-// mis-filed entry degrades to a miss, never to a wrong trace. Payload
-// floats travel as IEEE-754 bits, so a disk-warm synthesis is bit-identical
-// to a fresh simulation.
-//
-// The disk tier rides the cached path only: it is consulted under the
-// entry's simMu (one disk probe per key per process), and the cache-off
-// path (SetTraceCacheEnabled(false)) never touches it, keeping determinism
-// baselines and cold benchmarks genuinely cold.
+import "repro/internal/castore"
 
-import (
-	"sync/atomic"
+// SetPersistentStore is a no-op that returns nil: a cache directory holds
+// only finished measurements (core.SetPersistentStore), never charge
+// histories. It stays only because the perfbench module calls it.
+func SetPersistentStore(*castore.Store) (prev *castore.Store) { return nil }
 
-	"repro/internal/castore"
-	"repro/internal/isa"
-)
-
-// traceNS is the store namespace for charge histories.
-const traceNS = "trace"
-
-// traceCodecVersion is bumped whenever the payload layout or any upstream
-// producer of the stored arrays changes meaning; stale-version entries read
-// as plain misses and are overwritten in place.
-const traceCodecVersion = 1
-
-var tracePersist atomic.Pointer[castore.Store]
-
-// SetPersistentStore installs (nil removes) the disk-backed tier under the
-// trace cache and returns the previous store.
-func SetPersistentStore(s *castore.Store) (prev *castore.Store) {
-	return tracePersist.Swap(s)
-}
-
-// PersistentStore returns the installed disk tier, or nil.
-func PersistentStore() *castore.Store { return tracePersist.Load() }
-
-// encodeTraceEntry flattens the full simulation content (for collision
-// verification on decode) plus the history arrays.
-func encodeTraceEntry(e *traceEntry, h *traceHist) []byte {
-	enc := castore.NewEnc(26*8 + 16*8*len(e.seq) + 8*(len(h.charge)+len(h.cumIssued)+len(h.iterStarts)+8))
-	encodeCfg(enc, &e.cfg)
-	enc.Int(len(e.seq))
-	for _, in := range e.seq {
-		encodeInst(enc, in)
-	}
-	enc.Int(h.warmup)
-	enc.Int(h.steady)
-	enc.Floats(h.charge)
-	enc.Int64s(h.cumIssued)
-	enc.Ints(h.iterStarts)
-	return enc.Bytes()
-}
-
-func encodeCfg(enc *castore.Enc, cfg *Config) {
-	enc.String(cfg.Name)
-	enc.Bool(cfg.OutOfOrder)
-	enc.Int(cfg.IssueWidth)
-	enc.Int(cfg.WindowSize)
-	for _, n := range cfg.Units {
-		enc.Int(n)
-	}
-	enc.Float64(cfg.ChargeScale)
-	enc.Float64(cfg.BaseCharge)
-	enc.Float64(cfg.IdleSlotCharge)
-	enc.Float64(cfg.CurrentSlewTau)
-}
-
-func encodeInst(enc *castore.Enc, in isa.Inst) {
-	d := in.Def
-	enc.String(d.Mnemonic)
-	enc.Int(int(d.Class))
-	enc.Int(int(d.Unit))
-	enc.Int(d.Latency)
-	enc.Int(d.Block)
-	enc.Float64(d.Charge)
-	enc.Int(int(d.RegFile))
-	enc.Int(d.NSrc)
-	enc.Bool(d.DestIsSrc)
-	enc.Int(int(d.Mem))
-	enc.Bool(d.NoDest)
-	enc.Int(in.Dest)
-	enc.Int(in.Srcs[0])
-	enc.Int(in.Srcs[1])
-	enc.Int(in.Addr)
-}
-
-func decodeCfg(dec *castore.Dec) Config {
-	var cfg Config
-	cfg.Name = dec.String()
-	cfg.OutOfOrder = dec.Bool()
-	cfg.IssueWidth = dec.Int()
-	cfg.WindowSize = dec.Int()
-	for i := range cfg.Units {
-		cfg.Units[i] = dec.Int()
-	}
-	cfg.ChargeScale = dec.Float64()
-	cfg.BaseCharge = dec.Float64()
-	cfg.IdleSlotCharge = dec.Float64()
-	cfg.CurrentSlewTau = dec.Float64()
-	return cfg
-}
-
-func decodeInst(dec *castore.Dec) isa.Inst {
-	d := &isa.Def{}
-	d.Mnemonic = dec.String()
-	d.Class = isa.Class(dec.Int())
-	d.Unit = isa.Unit(dec.Int())
-	d.Latency = dec.Int()
-	d.Block = dec.Int()
-	d.Charge = dec.Float64()
-	d.RegFile = isa.RegFile(dec.Int())
-	d.NSrc = dec.Int()
-	d.DestIsSrc = dec.Bool()
-	d.Mem = isa.MemMode(dec.Int())
-	d.NoDest = dec.Bool()
-	var in isa.Inst
-	in.Def = d
-	in.Dest = dec.Int()
-	in.Srcs[0] = dec.Int()
-	in.Srcs[1] = dec.Int()
-	in.Addr = dec.Int()
-	return in
-}
-
-// maxSeqLen bounds a decoded sequence length so a payload that passed the
-// frame checksum but carries garbage cannot drive a huge allocation.
-const maxSeqLen = 1 << 20
-
-// decodeTraceEntry parses a stored payload and verifies it against the
-// entry's content; any mismatch, truncation, or violated simulator
-// invariant returns nil (a miss).
-func decodeTraceEntry(payload []byte, e *traceEntry) *traceHist {
-	dec := castore.NewDec(payload)
-	cfg := decodeCfg(dec)
-	n := dec.Int()
-	if dec.Err() != nil || n < 0 || n > maxSeqLen {
-		return nil
-	}
-	seq := make([]isa.Inst, n)
-	for i := range seq {
-		seq[i] = decodeInst(dec)
-	}
-	h := &traceHist{}
-	h.warmup = dec.Int()
-	h.steady = dec.Int()
-	h.charge = dec.Floats()
-	h.cumIssued = dec.Int64s()
-	h.iterStarts = dec.Ints()
-	if dec.Finish() != nil {
-		return nil
-	}
-	// Content verification: a hash collision (or an entry written by a
-	// subtly different producer) must never masquerade as this workload.
-	if cfg != e.cfg || !sameSeq(seq, e.seq) {
-		return nil
-	}
-	// Structural invariants synth relies on.
-	if h.warmup < 0 || h.steady <= 0 || len(h.charge) != h.warmup+h.steady || len(h.cumIssued) != len(h.charge) {
-		return nil
-	}
-	for i := 1; i < len(h.iterStarts); i++ {
-		if h.iterStarts[i] < h.iterStarts[i-1] {
-			return nil
-		}
-	}
-	h.cfg = &e.cfg
-	return h
-}
-
-// AppendConfig persists a Config's full content. Exported so downstream
-// artifacts that embed a core config (the platform spectra tier's Result)
-// share one layout with the trace namespace.
-func AppendConfig(enc *castore.Enc, cfg *Config) { encodeCfg(enc, cfg) }
-
-// ReadConfig is the inverse of AppendConfig. Check the decoder's Finish
-// before trusting the value.
-func ReadConfig(dec *castore.Dec) Config { return decodeCfg(dec) }
-
-// AppendResult persists a Result, config content inline.
-func AppendResult(enc *castore.Enc, r *Result) {
-	encodeCfg(enc, r.Config)
-	enc.Floats(r.Charge)
-	enc.Int(r.Warmup)
-	enc.Float64(r.LoopCycles)
-	enc.Float64(r.IPC)
-	enc.Int(r.Iterations)
-}
-
-// ReadResult is the inverse of AppendResult; the returned Result points at
-// a fresh Config copy with content equal to the encoded one.
-func ReadResult(dec *castore.Dec) *Result {
-	cfg := decodeCfg(dec)
-	r := &Result{Config: &cfg}
-	r.Charge = dec.Floats()
-	r.Warmup = dec.Int()
-	r.LoopCycles = dec.Float64()
-	r.IPC = dec.Float64()
-	r.Iterations = dec.Int()
-	return r
-}
-
-// diskLoad probes the disk tier for the entry's history. Called under
-// e.simMu with no in-memory history yet.
-func diskLoad(e *traceEntry) *traceHist {
-	s := tracePersist.Load()
-	if s == nil {
-		return nil
-	}
-	payload, ok := s.Get(traceNS, traceCodecVersion, e.key)
-	if !ok {
-		return nil
-	}
-	return decodeTraceEntry(payload, e)
-}
-
-// diskStore writes a freshly simulated history through to the disk tier.
-// Called under e.simMu; errors degrade to a slower next start.
-func diskStore(e *traceEntry, h *traceHist) {
-	s := tracePersist.Load()
-	if s == nil {
-		return
-	}
-	_ = s.Put(traceNS, traceCodecVersion, e.key, encodeTraceEntry(e, h))
-}
+// PersistentStore returns nil; see SetPersistentStore.
+func PersistentStore() *castore.Store { return nil }

@@ -1,6 +1,6 @@
 package emnoise
 
-// Whole-campaign property tests for the persistent cache tier (PR 9): a
+// Whole-campaign property tests for the persistent measurement tier: a
 // campaign served from a populated disk store in a fresh "process" (empty
 // in-memory caches) must be bit-identical — reflect.DeepEqual on the whole
 // campaign result — to the same campaign with every cache disabled, at any
@@ -19,24 +19,19 @@ import (
 
 	"repro/internal/castore"
 	"repro/internal/core"
-	"repro/internal/platform"
 	"repro/internal/uarch"
 )
 
-// withPersist installs s (which may be nil) as the disk tier under all
-// three evaluation caches — exactly what `-cache-dir` wires up — resets the
+// withPersist installs s (which may be nil) as the disk tier under the
+// measurement memo — exactly what `-cache-dir` wires up — resets the
 // global in-memory trace cache so the run starts process-cold, and restores
 // everything afterwards.
 func withPersist(t *testing.T, s *castore.Store, fn func()) {
 	t.Helper()
-	prevU := uarch.SetPersistentStore(s)
-	prevP := platform.SetPersistentStore(s)
-	prevC := core.SetPersistentStore(s)
+	prev := core.SetPersistentStore(s)
 	uarch.ResetTraceCache()
 	defer func() {
-		uarch.SetPersistentStore(prevU)
-		platform.SetPersistentStore(prevP)
-		core.SetPersistentStore(prevC)
+		core.SetPersistentStore(prev)
 		uarch.ResetTraceCache()
 	}()
 	fn()
@@ -51,12 +46,14 @@ func openCampaignStore(t *testing.T) *castore.Store {
 	return s
 }
 
-// TestPersistentCacheBitIdenticalCampaigns is the PR's acceptance
+// TestPersistentCacheBitIdenticalCampaigns is the store's acceptance
 // property: for each campaign shape (resonance sweep, GA hunt, V_MIN
 // shmoo) and each parallelism, three runs must agree bit-for-bit —
 // cache-off (trace cache disabled, no store), cold (caches on, no store),
 // and disk-warm (fresh in-memory caches over a store populated by a prior
-// run). The disk-warm run must actually hit the store.
+// run). The store holds finished measurements only: the GA's disk-warm run
+// must hit it, while the sweep and the shmoo (which measure through the
+// sweep path, not the measurement memo) must write nothing to it.
 func TestPersistentCacheBitIdenticalCampaigns(t *testing.T) {
 	sweep := func(jobs int) any {
 		plat, err := JunoR2()
@@ -111,12 +108,13 @@ func TestPersistentCacheBitIdenticalCampaigns(t *testing.T) {
 	}
 
 	campaigns := []struct {
-		name string
-		run  func(jobs int) any
+		name   string
+		run    func(jobs int) any
+		stores bool // whether the campaign's readings go through the memo
 	}{
-		{"sweep", sweep},
-		{"ga", gah},
-		{"vmin-shmoo", vminShmoo},
+		{"sweep", sweep, false},
+		{"ga", gah, true},
+		{"vmin-shmoo", vminShmoo, false},
 	}
 	for _, jobs := range []int{1, 8} {
 		for _, c := range campaigns {
@@ -127,13 +125,16 @@ func TestPersistentCacheBitIdenticalCampaigns(t *testing.T) {
 
 				s := openCampaignStore(t)
 				withPersist(t, s, func() { c.run(jobs) }) // populate
-				if s.Stats().Puts == 0 {
-					t.Fatal("populating run wrote nothing through to the store")
-				}
-				hitsBefore := s.Stats().Hits
+				populated := s.Stats()
 				withPersist(t, s, func() { warm = c.run(jobs) })
-				if s.Stats().Hits == hitsBefore {
+				st := s.Stats()
+				switch {
+				case c.stores && populated.Puts == 0:
+					t.Fatal("populating run wrote nothing through to the store")
+				case c.stores && st.Hits == populated.Hits:
 					t.Error("disk-warm run never hit the store")
+				case !c.stores && st.Puts != 0:
+					t.Errorf("campaign wrote %d entries to the store, want 0", st.Puts)
 				}
 
 				if !reflect.DeepEqual(cold, off) {
@@ -151,28 +152,8 @@ func TestPersistentCacheBitIdenticalCampaigns(t *testing.T) {
 // in a populated store must turn the warm run back into a (correct) cold
 // run — entries quarantined, results unchanged.
 func TestPersistentCacheCorruptionRecomputes(t *testing.T) {
-	run := func() *SweepResult {
-		plat, err := JunoR2()
-		if err != nil {
-			t.Fatal(err)
-		}
-		bench, err := NewBench(plat, 5)
-		if err != nil {
-			t.Fatal(err)
-		}
-		bench.Samples = 3
-		bench.Parallelism = 4
-		d, err := plat.Domain(DomainA72)
-		if err != nil {
-			t.Fatal(err)
-		}
-		res, err := bench.FastResonanceSweep(d, 2)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res
-	}
-	var want *SweepResult
+	run := func() *GAResult { return gaRun(t, JunoR2, DomainA72, 2, 4) }
+	var want *GAResult
 	withTraceCache(t, true, func() { want = run() })
 
 	s := openCampaignStore(t)
@@ -204,10 +185,10 @@ func TestPersistentCacheCorruptionRecomputes(t *testing.T) {
 		t.Fatal("populated store holds no entries")
 	}
 
-	var got *SweepResult
+	var got *GAResult
 	withPersist(t, s, func() { got = run() })
 	if !reflect.DeepEqual(got, want) {
-		t.Errorf("sweep over a corrupted store differs from the clean result")
+		t.Errorf("GA run over a corrupted store differs from the clean result")
 	}
 	st := s.Stats()
 	if st.Corrupt == 0 {
