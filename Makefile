@@ -1,5 +1,5 @@
 GO ?= go
-BENCH_OUT ?= BENCH_pr9.json
+BENCH_OUT ?= BENCH_head.json
 
 .PHONY: all build test tier1 tier1-remote tier1-fleet specs-verify race vet bench bench-all bench-compare perf-gate chaos fmt cache-stress
 
@@ -89,12 +89,14 @@ vet:
 
 # Hot-path benchmarks (cold vs cache-served sweep, shmoo, spectra and
 # fitness evaluation) plus the stage benchmarks kept next to their stage
-# (the analyzer's MeasurePeak), recorded as $(BENCH_OUT) for regression
-# diffing:
+# (the analyzer's MeasurePeak, the real-input FFT, the PDN transfer solve
+# and one V_MIN ladder rung), recorded as $(BENCH_OUT) for regression
+# diffing. The default output is the scratch report perf-gate compares;
+# name a checked-in baseline explicitly:
 #   make bench BENCH_OUT=BENCH_pr5.json
 bench:
-	$(GO) test -bench 'BenchmarkSpectraEvaluation|BenchmarkFitnessEvaluation|BenchmarkResonanceSweep|BenchmarkShmoo|BenchmarkGenerationBatch|BenchmarkFleetGeneration|BenchmarkWarmStart|BenchmarkMeasurePeak' \
-		-benchmem -benchtime 1s -run '^$$' . ./internal/instrument | $(GO) run ./cmd/benchjson -o $(BENCH_OUT)
+	$(GO) test -bench 'BenchmarkSpectraEvaluation|BenchmarkFitnessEvaluation|BenchmarkResonanceSweep|BenchmarkShmoo|BenchmarkGenerationBatch|BenchmarkFleetGeneration|BenchmarkWarmStart|BenchmarkMeasurePeak|BenchmarkRFFT8192|BenchmarkTransfers8192|BenchmarkLadderRung' \
+		-benchmem -benchtime 1s -run '^$$' . ./internal/instrument ./internal/dsp ./internal/pdn ./internal/platform | $(GO) run ./cmd/benchjson -o $(BENCH_OUT)
 
 # Diff two benchmark reports; exits nonzero if any benchmark present in
 # both regressed more than 20% in ns/op:
@@ -113,8 +115,8 @@ bench-compare:
 # as a hot-path one; benchmarks absent from the old baseline are reported
 # but not compared.
 perf-gate:
-	$(MAKE) bench BENCH_OUT=BENCH_head.json
-	$(MAKE) bench-compare OLD=BENCH_pr8.json NEW=BENCH_head.json
+	$(MAKE) bench
+	$(MAKE) bench-compare OLD=BENCH_pr8.json NEW=$(BENCH_OUT)
 
 # Hammers the persistent store's concurrent surface (mixed Put/Get under
 # GC pressure, cross-handle sharing) repeatedly under the race detector.

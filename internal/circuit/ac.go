@@ -47,11 +47,23 @@ func (r *ACResult) Current(name string) (complex128, error) {
 // current sources open), which is the standard small-signal treatment.
 type ACStimulus map[string]complex128
 
-// SolveAC solves the small-signal phasor system at frequency f (Hz).
-func (c *Circuit) SolveAC(f float64, stim ACStimulus) (*ACResult, error) {
-	if f < 0 || math.IsNaN(f) || math.IsInf(f, 0) {
-		return nil, fmt.Errorf("circuit: invalid AC frequency %v", f)
-	}
+// ACSolver solves one circuit's small-signal system at frequency after
+// frequency with one MNA buffer and one right-hand side. Each Solve
+// replays every stamp into the zeroed buffer in a fixed order and
+// eliminates in place, so a sweep allocates nothing per frequency and
+// every point is bit for bit a fresh one-frequency solve.
+//
+// The solver snapshots the netlist: adding elements to the circuit after
+// NewACSolver is a bug. An ACSolver is not safe for concurrent use.
+type ACSolver struct {
+	c    *Circuit
+	stim ACStimulus
+	m    *linalg.CMatrix
+	res  ACResult // x is the right-hand side, solved in place
+}
+
+// NewACSolver checks stim against the circuit and sizes the buffers.
+func (c *Circuit) NewACSolver(stim ACStimulus) (*ACSolver, error) {
 	for name := range stim {
 		if _, ok := c.names[name]; !ok {
 			return nil, fmt.Errorf("circuit: AC stimulus references unknown element %q", name)
@@ -61,9 +73,24 @@ func (c *Circuit) SolveAC(f float64, stim ACStimulus) (*ACResult, error) {
 	if n == 0 {
 		return nil, fmt.Errorf("circuit: empty circuit")
 	}
+	return &ACSolver{
+		c:    c,
+		stim: stim,
+		m:    linalg.NewCMatrix(n, n),
+		res:  ACResult{circuit: c, x: make([]complex128, n)},
+	}, nil
+}
+
+// Solve solves the small-signal phasor system at frequency f (Hz). The
+// result shares the solver's buffers and is valid until the next Solve.
+func (s *ACSolver) Solve(f float64) (*ACResult, error) {
+	if f < 0 || math.IsNaN(f) || math.IsInf(f, 0) {
+		return nil, fmt.Errorf("circuit: invalid AC frequency %v", f)
+	}
+	c, m, rhs := s.c, s.m, s.res.x
 	w := 2 * math.Pi * f
-	m := linalg.NewCMatrix(n, n)
-	rhs := make([]complex128, n)
+	m.Zero()
+	clear(rhs)
 
 	cadd := func(i, j int, v complex128) {
 		if i < 0 || j < 0 {
@@ -104,25 +131,25 @@ func (c *Circuit) SolveAC(f float64, stim ACStimulus) (*ACResult, error) {
 		cadd(v.b, v.branch, -1)
 		cadd(v.branch, v.a, 1)
 		cadd(v.branch, v.b, -1)
-		rhs[v.branch] = stim[v.name] // quiet supplies are AC shorts (0)
+		rhs[v.branch] = s.stim[v.name] // quiet supplies are AC shorts (0)
 	}
-	for _, s := range c.is {
-		amp := stim[s.name]
-		caddRHS(s.a, -amp)
-		caddRHS(s.b, amp)
+	for _, src := range c.is {
+		amp := s.stim[src.name]
+		caddRHS(src.a, -amp)
+		caddRHS(src.b, amp)
 	}
-	x, err := linalg.CSolve(m, rhs)
-	if err != nil {
+	if err := linalg.CSolveInPlace(m, rhs); err != nil {
 		return nil, fmt.Errorf("circuit: AC solve at %g Hz: %w", f, err)
 	}
-	return &ACResult{circuit: c, Freq: f, x: x}, nil
+	s.res.Freq = f
+	return &s.res, nil
 }
 
-// Impedance returns the driving-point impedance magnitude seen from the
-// named node to ground at frequency f, by injecting a unit AC current
-// through the named current source (which must connect that node).
-func (c *Circuit) Impedance(f float64, isrcName, node string) (complex128, error) {
-	res, err := c.SolveAC(f, ACStimulus{isrcName: 1})
+// Impedance returns the driving-point impedance seen from node to ground
+// at frequency f, for a solver whose stimulus is a unit AC current through
+// a current source connected to that node.
+func (s *ACSolver) Impedance(f float64, node string) (complex128, error) {
+	res, err := s.Solve(f)
 	if err != nil {
 		return 0, err
 	}
@@ -133,4 +160,25 @@ func (c *Circuit) Impedance(f float64, isrcName, node string) (complex128, error
 	// The source pulls current out of the node, so the driving-point
 	// impedance is -V/I with I = 1.
 	return -v, nil
+}
+
+// SolveAC solves the small-signal phasor system at frequency f (Hz): a
+// one-frequency ACSolver.
+func (c *Circuit) SolveAC(f float64, stim ACStimulus) (*ACResult, error) {
+	s, err := c.NewACSolver(stim)
+	if err != nil {
+		return nil, err
+	}
+	return s.Solve(f)
+}
+
+// Impedance returns the driving-point impedance seen from the named node
+// to ground at frequency f, by injecting a unit AC current through the
+// named current source (which must connect that node).
+func (c *Circuit) Impedance(f float64, isrcName, node string) (complex128, error) {
+	s, err := c.NewACSolver(ACStimulus{isrcName: 1})
+	if err != nil {
+		return 0, err
+	}
+	return s.Impedance(f, node)
 }

@@ -138,11 +138,19 @@ func AssembleSweep(points []*SweepPoint) (*SweepResult, error) {
 	}
 	// Resonance estimate. Two refinements over a bare argmax:
 	//
-	//   - The received power carries a known (f_loop·f_clk)² scaling — the
-	//     radiated field grows with frequency and the probe current with
-	//     clock. Dividing it out leaves the PDN transfer shape, whose
-	//     maximum is the resonance, without the upward bias of the raw
-	//     curve.
+	//   - The received power carries a known f_clk² scaling, which is
+	//     f_loop·f_clk up to the probe's fixed loop length L (f_clk =
+	//     L·f_loop). em.ReceivedPower grows as f_loop²·|I_L|², where I_L
+	//     is the package-inductor current. Near the first-order resonance
+	//     that current is the die voltage over the inductor's reactance,
+	//     |I_L| ≈ |Z|·|I_load|/(2π·f_loop·L_pkg), so the f_loop² cancels.
+	//     A cycle moving charge Q draws Q·f_clk, so the probe's load
+	//     current at f_loop is its fixed charge pattern times f_clk. That
+	//     leaves P ∝ f_clk²·|Z(f_loop)|² (times the current-slew filter's
+	//     gentle roll-off), and one division by f_loop·f_clk leaves the
+	//     impedance shape, whose maximum is the resonance, without the
+	//     upward bias of the raw curve. Dividing by the square would tilt
+	//     the curve down by a further f_loop².
 	//   - The impedance peak can be flat-topped (the paper sees a flat
 	//     66-72 MHz response on the A72), so the estimate is the
 	//     power-weighted centroid of the points within 3 dB of the

@@ -81,31 +81,18 @@ func HashFloats(parts ...[]float64) uint64 {
 // re-folding a shared, immutable prefix on every call.
 func HashFrom(state uint64) Hash { return Hash{sum: state} }
 
-// gridKey identifies an immutable float slice by backing-array identity.
-// Holding the pointer in the key pins the array, so a recycled allocation
-// can never alias a stale entry.
-type gridKey struct {
-	ptr *float64
-	n   int
-}
-
-var gridStates sync.Map // gridKey -> uint64
+var gridStates sync.Map // GridMemoize's entries for GridState
 
 // GridState returns the hash state after folding xs into a fresh hash,
-// memoized per backing array. It is meant for long-lived, read-only grids
-// (frequency axes of cached transfer sets) that prefix many request hashes;
-// mutating a slice after passing it here is a bug.
+// memoized per backing array (see GridMemoize). It is meant for
+// long-lived, read-only grids (frequency axes of cached transfer sets)
+// that prefix many request hashes; mutating a slice after passing it here
+// is a bug.
 func GridState(xs []float64) uint64 {
 	if len(xs) == 0 {
 		return HashFloats(xs)
 	}
-	key := gridKey{ptr: &xs[0], n: len(xs)}
-	if v, ok := gridStates.Load(key); ok {
-		return v.(uint64)
-	}
-	state := HashFloats(xs)
-	gridStates.Store(key, state)
-	return state
+	return GridMemoize(&gridStates, xs, struct{}{}, func() uint64 { return HashFloats(xs) })
 }
 
 // mix64 is the splitmix64 finalizer: a cheap bijective scrambler that turns

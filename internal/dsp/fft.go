@@ -68,34 +68,62 @@ func FFTReal(x []float64) []complex128 {
 // fftRadix2 performs an in-place iterative radix-2 Cooley-Tukey FFT.
 // len(x) must be a power of two. inverse selects conjugated twiddles
 // (without the 1/N normalization).
+//
+// The stages run in pairs (size s, then 2s): one pass loads four values,
+// runs the same four butterflies with the same twiddles as two separate
+// stages would, and stores the results, halving the passes over x. A lone
+// size-2 stage goes first when log2(n) is odd. Every output value is the
+// same chain of operations as stage-by-stage, so the result is bit for
+// bit unchanged.
 func fftRadix2(x []complex128, inverse bool) {
 	n := len(x)
 	if n <= 1 {
 		return
 	}
 	// Bit-reversal permutation.
-	shift := 64 - uint(bits.TrailingZeros(uint(n)))
+	logn := bits.TrailingZeros(uint(n))
+	shift := 64 - uint(logn)
 	for i := 0; i < n; i++ {
 		j := int(bits.Reverse64(uint64(i)) >> shift)
 		if j > i {
 			x[i], x[j] = x[j], x[i]
 		}
 	}
-	for size := 2; size <= n; size <<= 1 {
-		half := size >> 1
-		tw := stageTwiddles(size, inverse)[:half]
-		for start := 0; start < n; start += size {
-			// Split the block into its two halves so the inner loop indexes
-			// three equal-length slices by k alone; the compiler then proves
-			// every access in bounds and drops the checks. The butterfly
-			// arithmetic is unchanged operation for operation.
-			lo := x[start : start+half : start+half]
-			hi := x[start+half : start+size : start+size]
-			for k := range tw {
-				a := lo[k]
-				b := hi[k] * tw[k]
-				lo[k] = a + b
-				hi[k] = a - b
+	size := 2
+	if logn%2 == 1 {
+		w := stageTwiddles(2, inverse)[0]
+		for start := 0; start < n; start += 2 {
+			a := x[start]
+			b := x[start+1] * w
+			x[start] = a + b
+			x[start+1] = a - b
+		}
+		size = 4
+	}
+	for ; size < n; size <<= 2 {
+		// Stage size s butterflies (j, j+h) and (s+j, s+j+h) of each 2s
+		// block with tw1[j]; stage 2s then butterflies (j, s+j) with
+		// tw2[j] and (j+h, s+j+h) with tw2[h+j]. Splitting the block into
+		// quarters lets the compiler drop the bounds checks.
+		h := size >> 1
+		tw1 := stageTwiddles(size, inverse)[:h]
+		tw2 := stageTwiddles(2*size, inverse)[:size]
+		tw2lo, tw2hi := tw2[:h:h], tw2[h:size:size]
+		for start := 0; start < n; start += 2 * size {
+			q0 := x[start : start+h : start+h]
+			q1 := x[start+h : start+size : start+size]
+			q2 := x[start+size : start+size+h : start+size+h]
+			q3 := x[start+size+h : start+2*size : start+2*size]
+			for j := range tw1 {
+				w := tw1[j]
+				a0, b0 := q0[j], q1[j]*w
+				a1, b1 := q2[j], q3[j]*w
+				y0, y1 := a0+b0, a0-b0
+				y2, y3 := a1+b1, a1-b1
+				c := y2 * tw2lo[j]
+				d := y3 * tw2hi[j]
+				q0[j], q2[j] = y0+c, y0-c
+				q1[j], q3[j] = y1+d, y1-d
 			}
 		}
 	}

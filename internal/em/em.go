@@ -15,6 +15,8 @@ import (
 	"fmt"
 	"math"
 	"sync"
+
+	"repro/internal/detrand"
 )
 
 // Antenna models the square-loop receiver used in the paper: a flat
@@ -165,33 +167,27 @@ type pathCoeff struct {
 	gain []float64
 }
 
-// pathCoeffKey identifies a coefficient table. The grid is keyed by backing
-// array identity; holding the pointer in the key pins the array, so a
-// recycled allocation can never alias a stale entry. Grids are the
-// long-lived freqs slices of cached PDN transfer sets, so the cache stays
-// small.
-type pathCoeffKey struct {
+// pathKey is the grid-independent part of a coefficient table's identity.
+type pathKey struct {
 	ant  Antenna
 	path Path
-	ptr  *float64
-	n    int
 }
 
-var pathCoeffs sync.Map // pathCoeffKey -> *pathCoeff
+// pathCoeffs memoizes coefficient tables per (grid, antenna, path). Grids
+// are the freqs slices of PDN transfer sets; detrand.GridMemoize keys them
+// by backing array without pinning them, so a freed grid's table goes too.
+var pathCoeffs sync.Map
 
 func coeffsFor(ant Antenna, p Path, freqs []float64) *pathCoeff {
-	key := pathCoeffKey{ant: ant, path: p, ptr: &freqs[0], n: len(freqs)}
-	if v, ok := pathCoeffs.Load(key); ok {
-		return v.(*pathCoeff)
-	}
-	c := &pathCoeff{pre: make([]float64, len(freqs)), gain: make([]float64, len(freqs))}
-	for i, f := range freqs {
-		fr := f / p.RefHz
-		c.pre[i] = p.CouplingK * fr * fr
-		c.gain[i] = ant.Gain(f)
-	}
-	v, _ := pathCoeffs.LoadOrStore(key, c)
-	return v.(*pathCoeff)
+	return detrand.GridMemoize(&pathCoeffs, freqs, pathKey{ant: ant, path: p}, func() *pathCoeff {
+		c := &pathCoeff{pre: make([]float64, len(freqs)), gain: make([]float64, len(freqs))}
+		for i, f := range freqs {
+			fr := f / p.RefHz
+			c.pre[i] = p.CouplingK * fr * fr
+			c.gain[i] = ant.Gain(f)
+		}
+		return c
+	})
 }
 
 // CombineInto is CombinedSpectrum writing into a caller-provided buffer of

@@ -3,8 +3,11 @@ package em
 import (
 	"math"
 	"math/rand"
+	"runtime"
+	"sync"
 	"testing"
 	"testing/quick"
+	"time"
 )
 
 func TestAntennaValidate(t *testing.T) {
@@ -207,5 +210,63 @@ func TestPowerMonotoneProperty(t *testing.T) {
 	cfg := &quick.Config{MaxCount: 100, Rand: rand.New(rand.NewSource(37))}
 	if err := quick.Check(prop, cfg); err != nil {
 		t.Fatal(err)
+	}
+}
+
+func syncMapLen(m *sync.Map) int {
+	n := 0
+	m.Range(func(_, _ any) bool { n++; return true })
+	return n
+}
+
+// TestPathCoeffsReleaseFreedGrids: the coefficient memo must not pin the
+// grids it is keyed by. Tables for 200 throwaway grids must drain from it
+// once the grids are garbage.
+func TestPathCoeffsReleaseFreedGrids(t *testing.T) {
+	const grids = 200
+	before := syncMapLen(&pathCoeffs)
+	ant, p := DefaultLoopAntenna(), DefaultPath()
+	for i := 0; i < grids; i++ {
+		grid := make([]float64, 64)
+		for j := range grid {
+			grid[j] = float64(j+1) * 1e6
+		}
+		coeffsFor(ant, p, grid)
+	}
+	if got := syncMapLen(&pathCoeffs); got < before+grids {
+		t.Fatalf("memo holds %d tables after %d fresh grids, want at least %d", got, grids, before+grids)
+	}
+	for deadline := time.Now().Add(5 * time.Second); ; {
+		runtime.GC()
+		if got := syncMapLen(&pathCoeffs); got <= before+grids/2 {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("memo still holds %d tables after the grids were freed (had %d before)", syncMapLen(&pathCoeffs), before)
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+}
+
+// staticFreqs lives outside the heap: the linker lays out a package-level
+// composite literal.
+var staticFreqs = []float64{50e6, 60e6, 70e6}
+
+// TestCombineIntoStaticGrid: a grid in a package-level variable goes
+// through the coefficient memo like any other and folds the same power as
+// ReceivedPower.
+func TestCombineIntoStaticGrid(t *testing.T) {
+	ant, p := DefaultLoopAntenna(), DefaultPath()
+	iAmp := []float64{0.1, 0.2, 0.3}
+	for i := 0; i < 2; i++ {
+		dst := make([]float64, len(staticFreqs))
+		if _, err := CombineInto(dst, ant, []Emitter{{Freqs: staticFreqs, IAmp: iAmp, Path: p}}); err != nil {
+			t.Fatal(err)
+		}
+		for j, f := range staticFreqs {
+			if want := p.ReceivedPower(ant, f, iAmp[j]); math.Float64bits(dst[j]) != math.Float64bits(want) {
+				t.Fatalf("call %d bin %d: %v, want %v", i, j, dst[j], want)
+			}
+		}
 	}
 }

@@ -37,30 +37,47 @@ func (m *CMatrix) Zero() {
 }
 
 // CSolve solves A·x = b by Gaussian elimination with partial pivoting.
-// A and b are not modified. The matrices are small, so a fresh elimination
-// per frequency point is cheap and keeps the AC path simple.
+// A and b are not modified: it copies them and runs CSolveInPlace.
 func CSolve(a *CMatrix, b []complex128) ([]complex128, error) {
+	m := &CMatrix{Rows: a.Rows, Cols: a.Cols, Data: append([]complex128(nil), a.Data...)}
+	x := append([]complex128(nil), b...)
+	if err := CSolveInPlace(m, x); err != nil {
+		return nil, err
+	}
+	return x, nil
+}
+
+// CSolveInPlace solves A·x = b by Gaussian elimination with partial
+// pivoting, overwriting a with its eliminated form and b with x. Callers
+// that rebuild the system per solve (the AC sweep) reuse both buffers.
+//
+// Entries that are exactly zero are skipped in the pivot search and as
+// elimination rows. Both skips are exact: a zero entry can never beat the
+// running maximum, and a zero multiplier 0/pv was already skipped, so
+// the result is bit for bit that of the full search.
+func CSolveInPlace(a *CMatrix, b []complex128) error {
 	if a.Rows != a.Cols {
-		return nil, fmt.Errorf("linalg: CSolve needs square matrix, got %dx%d", a.Rows, a.Cols)
+		return fmt.Errorf("linalg: CSolve needs square matrix, got %dx%d", a.Rows, a.Cols)
 	}
 	n := a.Rows
 	if len(b) != n {
-		return nil, fmt.Errorf("linalg: CSolve dimension mismatch: %d vs %d", len(b), n)
+		return fmt.Errorf("linalg: CSolve dimension mismatch: %d vs %d", len(b), n)
 	}
-	m := make([]complex128, n*n)
-	copy(m, a.Data)
-	x := make([]complex128, n)
-	copy(x, b)
-
+	m, x := a.Data, b
 	for k := 0; k < n; k++ {
-		p, pmax := k, cmplx.Abs(m[k*n+k])
+		p, pmax := k, 0.0
+		if v := m[k*n+k]; v != 0 {
+			pmax = cmplx.Abs(v)
+		}
 		for i := k + 1; i < n; i++ {
-			if v := cmplx.Abs(m[i*n+k]); v > pmax {
-				p, pmax = i, v
+			if v := m[i*n+k]; v != 0 {
+				if av := cmplx.Abs(v); av > pmax {
+					p, pmax = i, av
+				}
 			}
 		}
 		if pmax == 0 {
-			return nil, ErrSingular
+			return ErrSingular
 		}
 		if p != k {
 			for j := k; j < n; j++ {
@@ -70,6 +87,9 @@ func CSolve(a *CMatrix, b []complex128) ([]complex128, error) {
 		}
 		pv := m[k*n+k]
 		for i := k + 1; i < n; i++ {
+			if m[i*n+k] == 0 {
+				continue
+			}
 			l := m[i*n+k] / pv
 			if l == 0 {
 				continue
@@ -88,5 +108,5 @@ func CSolve(a *CMatrix, b []complex128) ([]complex128, error) {
 		}
 		x[i] = s / m[i*n+i]
 	}
-	return x, nil
+	return nil
 }

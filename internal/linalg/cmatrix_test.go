@@ -53,6 +53,41 @@ func TestCSolveSingular(t *testing.T) {
 	}
 }
 
+// TestCSolveInPlaceSingular: a system whose only nonzero entries leave a
+// later column empty must be reported singular, not divided through. The
+// zero-skipping pivot search sees no candidate in column 1.
+func TestCSolveInPlaceSingular(t *testing.T) {
+	m := NewCMatrix(3, 3)
+	m.Set(0, 0, 2)
+	m.Set(1, 0, 1i)
+	m.Set(2, 2, 4)
+	if err := CSolveInPlace(m, []complex128{1, 2, 3}); err != ErrSingular {
+		t.Fatalf("err = %v, want ErrSingular", err)
+	}
+	if err := CSolveInPlace(NewCMatrix(2, 3), make([]complex128, 2)); err == nil {
+		t.Fatal("non-square CSolveInPlace succeeded")
+	}
+	if err := CSolveInPlace(NewCMatrix(2, 2), make([]complex128, 3)); err == nil {
+		t.Fatal("mismatched RHS CSolveInPlace succeeded")
+	}
+}
+
+// TestCSolveInPlaceSolves: the in-place solve overwrites b with x.
+func TestCSolveInPlaceSolves(t *testing.T) {
+	m := NewCMatrix(2, 2)
+	m.Set(0, 1, 2) // zero diagonal forces a row swap
+	m.Set(1, 0, 1i)
+	m.Set(1, 1, 1)
+	b := []complex128{4, 1 + 1i}
+	if err := CSolveInPlace(m, b); err != nil {
+		t.Fatalf("CSolveInPlace: %v", err)
+	}
+	// 2y = 4 -> y = 2; ix + y = 1+i -> x = (i-1)/i = 1+i
+	if !cApproxEq(b[0], 1+1i, 1e-12) || !cApproxEq(b[1], 2, 1e-12) {
+		t.Fatalf("x = %v, want [1+1i 2]", b)
+	}
+}
+
 func TestCSolveDimensionErrors(t *testing.T) {
 	if _, err := CSolve(NewCMatrix(2, 3), make([]complex128, 2)); err == nil {
 		t.Fatal("non-square CSolve succeeded")

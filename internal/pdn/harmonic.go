@@ -4,8 +4,6 @@ import (
 	"fmt"
 	"math"
 	"math/cmplx"
-
-	"repro/internal/circuit"
 )
 
 // HarmonicResponse computes the exact periodic steady-state die voltage and
@@ -24,11 +22,14 @@ func (m *Model) HarmonicResponse(f0 float64, coeffs []complex128, samples int) (
 	if len(coeffs) == 0 || samples < 2 {
 		return nil, fmt.Errorf("pdn: need coefficients and >=2 samples")
 	}
-	ckt := m.build(circuit.DC(0))
+	s, err := m.loadSolver()
+	if err != nil {
+		return nil, err
+	}
 	type hk struct{ hv, hi complex128 }
 	hs := make([]hk, len(coeffs))
 	for k := range coeffs {
-		res, err := ckt.SolveAC(float64(k)*f0, circuit.ACStimulus{ElemLoad: 1})
+		res, err := s.Solve(float64(k) * f0)
 		if err != nil {
 			return nil, err
 		}

@@ -162,10 +162,20 @@ func (m *Model) build(load circuit.Waveform) *circuit.Circuit {
 	return c
 }
 
+// loadSolver builds the quiet netlist once and returns an AC solver driven
+// by a unit load current. Every frequency-domain analysis reuses one
+// solver across its frequencies.
+func (m *Model) loadSolver() (*circuit.ACSolver, error) {
+	return m.build(circuit.DC(0)).NewACSolver(circuit.ACStimulus{ElemLoad: 1})
+}
+
 // Impedance returns the driving-point impedance seen by the die at f.
 func (m *Model) Impedance(f float64) (complex128, error) {
-	ckt := m.build(circuit.DC(0))
-	return ckt.Impedance(f, ElemLoad, NodeDie)
+	s, err := m.loadSolver()
+	if err != nil {
+		return 0, err
+	}
+	return s.Impedance(f, NodeDie)
 }
 
 // ImpedancePoint pairs a frequency with an impedance magnitude.
@@ -180,12 +190,15 @@ func (m *Model) ImpedanceProfile(fLo, fHi float64, points int) ([]ImpedancePoint
 	if fLo <= 0 || fHi <= fLo || points < 2 {
 		return nil, fmt.Errorf("pdn: invalid impedance sweep [%v, %v] x%d", fLo, fHi, points)
 	}
-	ckt := m.build(circuit.DC(0))
+	s, err := m.loadSolver()
+	if err != nil {
+		return nil, err
+	}
 	out := make([]ImpedancePoint, points)
 	ratio := math.Pow(fHi/fLo, 1/float64(points-1))
 	f := fLo
 	for i := 0; i < points; i++ {
-		z, err := ckt.Impedance(f, ElemLoad, NodeDie)
+		z, err := s.Impedance(f, NodeDie)
 		if err != nil {
 			return nil, err
 		}
@@ -215,8 +228,12 @@ func (m *Model) ResonancePeak(fLo, fHi float64) (freq, zmag float64, err error) 
 	if best < len(prof)-1 {
 		hi = prof[best+1].Freq
 	}
+	s, err := m.loadSolver()
+	if err != nil {
+		return 0, 0, err
+	}
 	zAt := func(f float64) float64 {
-		z, zerr := m.Impedance(f)
+		z, zerr := s.Impedance(f, NodeDie)
 		if zerr != nil {
 			err = zerr
 			return 0

@@ -401,9 +401,9 @@ func TestTransientUsesLoadWaveform(t *testing.T) {
 }
 
 // TestSteadyStateIntoBitIdentical: the slab-row steady-state solver must
-// reproduce SteadyStateAt bit for bit — both time series, at several
-// lengths and supplies — since the V_MIN ladder's per-supply remainder is
-// exactly this call.
+// reproduce SteadyStateAt's die voltage bit for bit, at several lengths and
+// supplies, since the V_MIN ladder's per-supply remainder is exactly this
+// call.
 func TestSteadyStateIntoBitIdentical(t *testing.T) {
 	m := newTestModel(t, 2)
 	rng := rand.New(rand.NewSource(21))
@@ -423,20 +423,16 @@ func TestSteadyStateIntoBitIdentical(t *testing.T) {
 				t.Fatal(err)
 			}
 			vdie := make([]float64, n)
-			idie := make([]float64, n)
 			half := n/2 + 1
 			spec := make([]complex128, half)
 			prod := make([]complex128, half)
 			scratch := make([]complex128, dsp.RFFTScratchLen(n))
-			if err := ts.SteadyStateInto(vdie, idie, load, supply, spec, prod, scratch); err != nil {
+			if err := ts.SteadyStateInto(vdie, load, supply, spec, prod, scratch); err != nil {
 				t.Fatal(err)
 			}
 			for i := 0; i < n; i++ {
 				if math.Float64bits(vdie[i]) != math.Float64bits(want.VDie[i]) {
 					t.Fatalf("n=%d supply=%v: VDie[%d] %v != %v", n, supply, i, vdie[i], want.VDie[i])
-				}
-				if math.Float64bits(idie[i]) != math.Float64bits(want.IDie[i]) {
-					t.Fatalf("n=%d supply=%v: IDie[%d] %v != %v", n, supply, i, idie[i], want.IDie[i])
 				}
 			}
 		}
@@ -454,22 +450,34 @@ func TestSteadyStateIntoValidation(t *testing.T) {
 	}
 	load := make([]float64, n)
 	half := n/2 + 1
-	good := func() ([]float64, []float64, []complex128, []complex128, []complex128) {
-		return make([]float64, n), make([]float64, n),
-			make([]complex128, half), make([]complex128, half),
-			make([]complex128, dsp.RFFTScratchLen(n))
-	}
-	vdie, idie, spec, prod, scratch := good()
-	if err := ts.SteadyStateInto(vdie, idie, load[:n-1], 1.0, spec, prod, scratch); err == nil {
+	vdie := make([]float64, n)
+	spec, prod := make([]complex128, half), make([]complex128, half)
+	scratch := make([]complex128, dsp.RFFTScratchLen(n))
+	if err := ts.SteadyStateInto(vdie, load[:n-1], 1.0, spec, prod, scratch); err == nil {
 		t.Fatal("short load accepted")
 	}
-	if err := ts.SteadyStateInto(vdie[:n-1], idie, load, 1.0, spec, prod, scratch); err == nil {
+	if err := ts.SteadyStateInto(vdie[:n-1], load, 1.0, spec, prod, scratch); err == nil {
 		t.Fatal("short vdie accepted")
 	}
-	if err := ts.SteadyStateInto(vdie, idie, load, 1.0, spec[:half-1], prod, scratch); err == nil {
+	if err := ts.SteadyStateInto(vdie, load, 1.0, spec[:half-1], prod, scratch); err == nil {
 		t.Fatal("short spec accepted")
 	}
-	if err := ts.SteadyStateInto(vdie, idie, load, 1.0, spec, prod, scratch[:0]); err == nil {
+	if err := ts.SteadyStateInto(vdie, load, 1.0, spec, prod, scratch[:0]); err == nil {
 		t.Fatal("short scratch accepted")
+	}
+}
+
+// BenchmarkTransfers8192 times one transfer set on the analysis grid the
+// benches use (8192 samples at 4 GS/s): 4097 AC solves.
+func BenchmarkTransfers8192(b *testing.B) {
+	m, err := NewModel(testParams(), 2)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := m.Transfers(8192, 0.25e-9); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

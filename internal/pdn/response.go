@@ -96,7 +96,10 @@ func (m *Model) Transfers(n int, dt float64) (*TransferSet, error) {
 	if err := dsp.Validate(n, 1/dt); err != nil {
 		return nil, err
 	}
-	ckt := m.build(circuit.DC(0))
+	s, err := m.loadSolver()
+	if err != nil {
+		return nil, err
+	}
 	half := n/2 + 1
 	ts := &TransferSet{
 		N: n, Dt: dt,
@@ -110,7 +113,7 @@ func (m *Model) Transfers(n int, dt float64) (*TransferSet, error) {
 	fs := 1 / dt
 	for k := 0; k < half; k++ {
 		f := dsp.BinFreq(k, n, fs)
-		res, err := ckt.SolveAC(f, circuit.ACStimulus{ElemLoad: 1})
+		res, err := s.Solve(f)
 		if err != nil {
 			return nil, fmt.Errorf("pdn: transfer at bin %d (%g Hz): %w", k, f, err)
 		}
@@ -176,22 +179,21 @@ func (ts *TransferSet) SteadyStateAt(load []float64, vnominal float64) (*Respons
 	return out, nil
 }
 
-// SteadyStateInto is SteadyStateAt writing the time-domain responses into
-// caller-provided rows, for batched V_MIN campaigns: vdie and idie must
-// have length N, spec and prod length N/2+1, and fftScratch at least
+// SteadyStateInto is the voltage half of SteadyStateAt writing into
+// caller-provided rows, for batched V_MIN campaigns: vdie must have length
+// N, spec and prod length N/2+1, and fftScratch at least
 // dsp.RFFTScratchLen(N) entries (all batch slab rows; every element is
-// overwritten before any read). The load spectrum computes once; the
-// voltage and current responses then derive per bin from it, so one
-// product row serves both inversions in turn — each per-bin value is the
-// same arithmetic SteadyStateAt performs, so the filled responses are
-// bit-identical.
-func (ts *TransferSet) SteadyStateInto(vdie, idie, load []float64, vnominal float64, spec, prod, fftScratch []complex128) error {
+// overwritten before any read). A V_MIN rung reads only the die voltage,
+// so the inductor-current inversion is not run. Each per-bin value is the
+// same arithmetic SteadyStateAt performs, so vdie is bit-identical to its
+// VDie.
+func (ts *TransferSet) SteadyStateInto(vdie, load []float64, vnominal float64, spec, prod, fftScratch []complex128) error {
 	n := ts.N
 	if len(load) != n {
 		return fmt.Errorf("pdn: steady-state load length %d, want %d", len(load), n)
 	}
-	if len(vdie) != n || len(idie) != n {
-		return fmt.Errorf("pdn: steady-state destinations %d/%d samples, want %d", len(vdie), len(idie), n)
+	if len(vdie) != n {
+		return fmt.Errorf("pdn: steady-state destination %d samples, want %d", len(vdie), n)
 	}
 	half := n/2 + 1
 	if len(spec) != half || len(prod) != half {
@@ -205,10 +207,6 @@ func (ts *TransferSet) SteadyStateInto(vdie, idie, load []float64, vnominal floa
 		prod[k] = spec[k] * ts.HV[k]
 	}
 	dsp.IRFFTInto(vdie, prod, n, fftScratch)
-	for k := 0; k < half; k++ {
-		prod[k] = spec[k] * ts.HI[k]
-	}
-	dsp.IRFFTInto(idie, prod, n, fftScratch)
 	for i := 0; i < n; i++ {
 		vdie[i] = vnominal + vdie[i]
 	}

@@ -164,7 +164,6 @@ type Ladder struct {
 	base    []float64 // post-slew cluster current, before idle lift / supply scale
 	wave    []float64
 	vdie    []float64
-	idie    []float64
 	spec    []complex128
 	prod    []complex128
 	scratch []complex128
@@ -211,7 +210,6 @@ func (d *Domain) LadderAt(l Load, dt float64, n int, clockHz float64, tr *uarch.
 		base:    base,
 		wave:    ar.FloatsUninit(n),
 		vdie:    ar.FloatsUninit(n),
-		idie:    ar.FloatsUninit(n),
 		spec:    ar.ComplexesUninit(half),
 		prod:    ar.ComplexesUninit(half),
 		scratch: ar.ComplexesUninit(dsp.RFFTScratchLen(n)),
@@ -235,10 +233,10 @@ func (ld *Ladder) MinVDroop(supply float64) (minV, droopV float64, err error) {
 	for i, v := range ld.base {
 		ld.wave[i] = (v + ld.idle) * scale
 	}
-	if err := ld.ts.SteadyStateInto(ld.vdie, ld.idie, ld.wave, supply, ld.spec, ld.prod, ld.scratch); err != nil {
+	if err := ld.ts.SteadyStateInto(ld.vdie, ld.wave, supply, ld.spec, ld.prod, ld.scratch); err != nil {
 		return 0, 0, err
 	}
-	resp := pdn.Response{Dt: ld.dt, VDie: ld.vdie, IDie: ld.idie}
+	resp := pdn.Response{Dt: ld.dt, VDie: ld.vdie}
 	minV = resp.MinVoltage()
 	droopV = resp.MaxDroop(supply)
 	ld.memo[supply] = ladderPoint{minV: minV, droop: droopV}

@@ -153,3 +153,36 @@ func TestPrimeTraceAtDegenerateInputs(t *testing.T) {
 		t.Fatal("nil trace claims coverage")
 	}
 }
+
+// BenchmarkLadderRung times one V_MIN ladder rung on the default analysis
+// grid: rescale the base waveform, then one RFFT and one IRFFT. The
+// per-supply memo is cleared so every iteration solves.
+func BenchmarkLadderRung(b *testing.B) {
+	p, err := JunoR2()
+	if err != nil {
+		b.Fatal(err)
+	}
+	d, err := p.Domain(DomainA72)
+	if err != nil {
+		b.Fatal(err)
+	}
+	l := Load{Seq: probeLoop(b, d.Spec.Pool()), ActiveCores: 2}
+	clock, err := d.SnapClock(0.9e9)
+	if err != nil {
+		b.Fatal(err)
+	}
+	var ar slab.Arena
+	ld, err := d.LadderAt(l, 0.25e-9, 8192, clock, nil, &ar)
+	if err != nil {
+		b.Fatal(err)
+	}
+	supply := d.Spec.PDN.VNominal - 0.05
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		clear(ld.memo)
+		if _, _, err := ld.MinVDroop(supply); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

@@ -39,7 +39,7 @@ func domain(t *testing.T, p *Platform, name string) *Domain {
 
 // probeLoop is the Section 5.3 two-phase loop: a burst of adds then a
 // divide.
-func probeLoop(t *testing.T, pool *isa.Pool) []isa.Inst {
+func probeLoop(t testing.TB, pool *isa.Pool) []isa.Inst {
 	t.Helper()
 	add, ok := pool.DefByMnemonic("add")
 	if !ok {
