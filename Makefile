@@ -87,12 +87,12 @@ race: tier1 chaos
 vet:
 	$(GO) vet ./...
 
-# Hot-path benchmarks (cold vs cache-served sweep, shmoo, spectra and
-# fitness evaluation) plus the stage benchmarks kept next to their stage
-# (the analyzer's MeasurePeak, the real-input FFT, the PDN transfer solve
-# and one V_MIN ladder rung), recorded as $(BENCH_OUT) for regression
-# diffing. The default output is the scratch report perf-gate compares;
-# name a checked-in baseline explicitly:
+# Hot-path benchmarks (sweep, shmoo, spectra and fitness evaluation,
+# batched and fleet generations, warm start) plus the stage benchmarks
+# kept next to their stage (the analyzer's MeasurePeak, the real-input
+# FFT, the PDN transfer solve and one V_MIN ladder rung), recorded as
+# $(BENCH_OUT) for regression diffing. The default output is the scratch
+# report perf-gate compares; name a checked-in baseline explicitly:
 #   make bench BENCH_OUT=BENCH_pr5.json
 bench:
 	$(GO) test -bench 'BenchmarkSpectraEvaluation|BenchmarkFitnessEvaluation|BenchmarkResonanceSweep|BenchmarkShmoo|BenchmarkGenerationBatch|BenchmarkFleetGeneration|BenchmarkWarmStart|BenchmarkMeasurePeak|BenchmarkRFFT8192|BenchmarkTransfers8192|BenchmarkLadderRung' \

@@ -13,7 +13,6 @@ import (
 	"time"
 
 	"repro/internal/ga"
-	"repro/internal/uarch"
 )
 
 // convergedPopulation runs a real GA to convergence and returns its config,
@@ -58,7 +57,6 @@ func BenchmarkGenerationBatch(b *testing.B) {
 		scalar bool
 	}{{"scalar64", true}, {"batch64", false}} {
 		b.Run(v.name, func(b *testing.B) {
-			withBenchTraceCache(b, true)
 			cfg, pop, m, _ := convergedPopulation(b)
 			if v.scalar {
 				m = MeasurerFunc(m.Measure)
@@ -100,10 +98,10 @@ func medianRepeatMeasure(t *testing.T, m Measurer, seq []Inst, k int, tweak func
 
 // TestRepeatMeasurementCachedNotSlower pins the PR6 cached-path guarantee
 // where it actually pays: re-measuring a sequence the rig has already seen.
-// With the caches warm a repeat is a measurement-memo hit; with the trace cache
-// disabled and the memo defeated it pays the full pipeline. The
-// cached median must not exceed the cold median (the real margin is several
-// fold, so this is robust to container timing noise).
+// With the memo warm a repeat is a measurement-memo hit; with the memo
+// defeated it pays the full pipeline. The cached median must not exceed the
+// cold median (the real margin is several fold, so this is robust to
+// container timing noise).
 func TestRepeatMeasurementCachedNotSlower(t *testing.T) {
 	plat, err := JunoR2()
 	if err != nil {
@@ -122,13 +120,6 @@ func TestRepeatMeasurementCachedNotSlower(t *testing.T) {
 	seq := pool.RandomSequence(rand.New(rand.NewSource(31)), 50)
 	m := bench.EMMeasurer(d, 2)
 
-	prev := uarch.SetTraceCacheEnabled(true)
-	t.Cleanup(func() {
-		uarch.SetTraceCacheEnabled(prev)
-		uarch.ResetTraceCache()
-	})
-	uarch.ResetTraceCache()
-
 	// Prime every cache layer, then time warm repeats.
 	if _, _, err := m.Measure(seq); err != nil {
 		t.Fatal(err)
@@ -136,10 +127,8 @@ func TestRepeatMeasurementCachedNotSlower(t *testing.T) {
 	const k = 7
 	warm := medianRepeatMeasure(t, m, seq, k, nil)
 
-	// Cold repeats: trace cache off, measurement memo defeated by a
-	// per-repeat supply nudge (the memo key includes the supply).
-	uarch.SetTraceCacheEnabled(false)
-	uarch.ResetTraceCache()
+	// Cold repeats: measurement memo defeated by a per-repeat supply nudge
+	// (the memo key includes the supply).
 	vnom := d.SupplyVolts()
 	cold := medianRepeatMeasure(t, m, seq, k, func(i int) {
 		if err := d.SetSupplyVolts(vnom - float64(i+1)*1e-7); err != nil {

@@ -54,7 +54,6 @@ func BenchmarkFleetGeneration(b *testing.B) {
 		rigs int
 	}{{"fleet1x64", 1}, {"fleet2x64", 2}} {
 		b.Run(v.name, func(b *testing.B) {
-			withBenchTraceCache(b, true)
 			cfg, pop, _, _ := convergedPopulation(b)
 			f := localFleet(b, v.rigs)
 			defer f.Close()

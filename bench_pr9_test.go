@@ -1,10 +1,9 @@
 package emnoise
 
 // BenchmarkWarmStart is the PR9 headline number: a repeat campaign from a
-// COLD PROCESS. Every iteration rebuilds the platform, bench, and domain
-// and empties the global trace cache — exactly what a new `gahunt`
-// invocation sees — then evaluates one fixed 32-individual generation
-// through the batch path. The cold variant has no persistent store, so the
+// COLD PROCESS. Every iteration rebuilds the platform, bench, and domain —
+// exactly what a new `gahunt` invocation sees — then evaluates one fixed
+// 32-individual generation through the batch path. The cold variant has no persistent store, so the
 // whole simulate→respond→FFT→measure pipeline runs; the cached variant
 // runs over a store populated once up front, so every individual is served
 // by the disk tier. ns/op is per individual, directly comparable to
@@ -17,7 +16,6 @@ import (
 	"repro/internal/castore"
 	"repro/internal/core"
 	"repro/internal/ga"
-	"repro/internal/uarch"
 )
 
 // withBenchPersist installs s under the measurement memo for the duration
@@ -52,11 +50,9 @@ func warmStartPopulation(b *testing.B) []ga.Individual {
 }
 
 // evaluateFreshProcess stands in for one cold process: fresh platform,
-// fresh bench (empty measurement memo), empty trace cache, then
-// one batch evaluation of pop.
+// fresh bench (empty measurement memo), then one batch evaluation of pop.
 func evaluateFreshProcess(b *testing.B, pop []ga.Individual) {
 	b.Helper()
-	uarch.ResetTraceCache()
 	plat, err := JunoR2()
 	if err != nil {
 		b.Fatal(err)
@@ -81,7 +77,6 @@ func BenchmarkWarmStart(b *testing.B) {
 		store bool
 	}{{"cold", false}, {"cached", true}} {
 		b.Run(v.name, func(b *testing.B) {
-			withBenchTraceCache(b, true)
 			pop := warmStartPopulation(b)
 			if v.store {
 				s, err := castore.Open(b.TempDir(), castore.Options{})

@@ -10,8 +10,6 @@ package emnoise
 import (
 	"reflect"
 	"testing"
-
-	"repro/internal/uarch"
 )
 
 // gaRun executes a small GA on a freshly built platform at the given
@@ -170,105 +168,6 @@ func TestShmooDeterministicAcrossParallelism(t *testing.T) {
 		t.Errorf("shmoo differs between parallelism 1 and 8:\nserial   %+v\nparallel %+v",
 			serial, parallel)
 	}
-}
-
-// withTraceCache runs fn with the uarch trace cache forced on or off,
-// starting from an empty cache either way, and restores the previous
-// setting afterwards.
-func withTraceCache(t *testing.T, on bool, fn func()) {
-	t.Helper()
-	prev := uarch.SetTraceCacheEnabled(on)
-	uarch.ResetTraceCache()
-	defer func() {
-		uarch.SetTraceCacheEnabled(prev)
-		uarch.ResetTraceCache()
-	}()
-	fn()
-}
-
-// TestTraceCacheBitIdenticalWorkflows pins the trace cache's core contract
-// at the workflow level: a fast sweep, a shmoo and a GA run must produce
-// bit-identical results whether every operating point simulates from
-// scratch or synthesizes from cached (and extended) charge histories.
-func TestTraceCacheBitIdenticalWorkflows(t *testing.T) {
-	sweep := func() *SweepResult {
-		plat, err := JunoR2()
-		if err != nil {
-			t.Fatal(err)
-		}
-		bench, err := NewBench(plat, 5)
-		if err != nil {
-			t.Fatal(err)
-		}
-		bench.Samples = 3
-		bench.Parallelism = 4
-		d, err := plat.Domain(DomainA72)
-		if err != nil {
-			t.Fatal(err)
-		}
-		res, err := bench.FastResonanceSweep(d, 2)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res
-	}
-	shmoo := func() []ShmooPoint {
-		plat, err := JunoR2()
-		if err != nil {
-			t.Fatal(err)
-		}
-		d, err := plat.Domain(DomainA72)
-		if err != nil {
-			t.Fatal(err)
-		}
-		w, err := WorkloadByName("probe")
-		if err != nil {
-			t.Fatal(err)
-		}
-		seq, err := w.Build(d.Spec.Pool())
-		if err != nil {
-			t.Fatal(err)
-		}
-		tester := NewVminTester(d, 13)
-		tester.Parallelism = 4
-		steps := d.ClockSteps()
-		clocks := []float64{steps[len(steps)-1], steps[len(steps)/2], steps[len(steps)/4]}
-		points, err := tester.Shmoo(Load{Seq: seq, ActiveCores: 2}, clocks)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return points
-	}
-	t.Run("sweep", func(t *testing.T) {
-		var on, off *SweepResult
-		withTraceCache(t, true, func() { on = sweep() })
-		withTraceCache(t, false, func() { off = sweep() })
-		if !reflect.DeepEqual(on, off) {
-			t.Errorf("sweep differs cache-on vs cache-off:\non  %+v\noff %+v", on, off)
-		}
-	})
-	t.Run("shmoo", func(t *testing.T) {
-		var on, off []ShmooPoint
-		withTraceCache(t, true, func() { on = shmoo() })
-		withTraceCache(t, false, func() { off = shmoo() })
-		if !reflect.DeepEqual(on, off) {
-			t.Errorf("shmoo differs cache-on vs cache-off:\non  %+v\noff %+v", on, off)
-		}
-	})
-	t.Run("ga", func(t *testing.T) {
-		var on, off *GAResult
-		withTraceCache(t, true, func() { on = gaRun(t, JunoR2, DomainA72, 2, 4) })
-		withTraceCache(t, false, func() { off = gaRun(t, JunoR2, DomainA72, 2, 4) })
-		if !reflect.DeepEqual(on.Best, off.Best) {
-			t.Errorf("GA best differs cache-on vs cache-off:\non  %+v\noff %+v", on.Best, off.Best)
-		}
-		if !reflect.DeepEqual(on.History, off.History) {
-			t.Error("GA history differs cache-on vs cache-off")
-		}
-		if !reflect.DeepEqual(on.FinalPopulation, off.FinalPopulation) {
-			t.Error("GA final population differs cache-on vs cache-off")
-		}
-	})
 }
 
 // TestBatchAccountingDuringGA checks the measurement memo earns its keep:

@@ -6,7 +6,6 @@ import (
 
 	"repro/internal/em"
 	"repro/internal/platform"
-	"repro/internal/uarch"
 )
 
 // scalarSweepPointAt is the pre-batch reference implementation of one
@@ -57,9 +56,9 @@ func scalarSweepPointAt(t *testing.T, b *Bench, d *platform.Domain, activeCores 
 
 // TestSweepBatchMatchesScalar is the whole-campaign pin: the batched sweep
 // must reproduce the per-point reference pipeline point for point — same
-// in-band set, same bits — at serial and wide parallelism, with the trace
-// cache on and off. The scalar reference runs on a separate platform
-// instance so the batch cannot be served by caches the reference warmed.
+// in-band set, same bits — at serial and wide parallelism. The scalar
+// reference runs on a separate platform instance so the batch cannot be
+// served by caches the reference warmed.
 func TestSweepBatchMatchesScalar(t *testing.T) {
 	refBench, refPlat := testBench(t)
 	refDom := dom(t, refPlat, platform.DomainA72)
@@ -78,23 +77,17 @@ func TestSweepBatchMatchesScalar(t *testing.T) {
 		t.Fatalf("degenerate grid: %d/%d in band", inBand, len(want))
 	}
 
-	for _, cache := range []bool{true, false} {
-		for _, workers := range []int{1, 8} {
-			uarch.ResetTraceCache()
-			prev := uarch.SetTraceCacheEnabled(cache)
-			b, p := testBench(t)
-			b.Parallelism = workers
-			got, err := b.SweepBatch(dom(t, p, platform.DomainA72), 2, steps)
-			uarch.SetTraceCacheEnabled(prev)
-			if err != nil {
-				t.Fatalf("cache=%v workers=%d: %v", cache, workers, err)
-			}
-			if !reflect.DeepEqual(got, want) {
-				t.Fatalf("cache=%v workers=%d: batched sweep diverges from scalar reference", cache, workers)
-			}
+	for _, workers := range []int{1, 8} {
+		b, p := testBench(t)
+		b.Parallelism = workers
+		got, err := b.SweepBatch(dom(t, p, platform.DomainA72), 2, steps)
+		if err != nil {
+			t.Fatalf("workers=%d: %v", workers, err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("workers=%d: batched sweep diverges from scalar reference", workers)
 		}
 	}
-	uarch.ResetTraceCache()
 }
 
 // TestSweepBatchEmptyAndSinglePoint: the degenerate shapes the fleet layer

@@ -195,8 +195,8 @@ func (d *Domain) spectraAt(l Load, dt float64, n int, clock, supply float64, pow
 // LoopHzAt returns the workload's loop fundamental frequency at an explicit
 // (snapped) clock, sharing SpectraAt's exact simulation sizing so the
 // underlying uarch result is the one a full spectra evaluation would carry.
-// With the uarch trace cache warm this costs a cache lookup, letting sweeps
-// band-filter clock steps before paying for resample + FFT + instruments.
+// It pays the simulation but not the resample + FFT + instruments; batched
+// sweeps band-filter from one primed trace instead (PreparePointAt).
 func (d *Domain) LoopHzAt(l Load, dt float64, n int, clockHz float64) (float64, *uarch.Result, error) {
 	if err := d.validateLoad(l); err != nil {
 		return 0, nil, err

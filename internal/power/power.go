@@ -108,44 +108,30 @@ func (cl ClusterLoad) PrimeSteadyCycles(dt float64, n int) int {
 }
 
 // steadySim sizes the simulation for a dt×n sample window. The sizing is
-// two-stage: the snap decision reads the loop period from a minimally sized
-// run, and the snapped window may then need a slightly longer trace (the
-// warp is bounded at 5%). With the trace cache enabled, one simulation
-// covering the 5% bound is primed up front so both stages are served as
-// pure cache hits — prefix-consistent synthesis keeps every stage
-// bit-identical to running the simulator per stage, which is what happens
-// when the cache is disabled.
-//
-// A non-nil covering tr short-circuits both stages onto the primed history:
-// stage 1 reads only the loop period (no Result materialized) and stage 2
-// synthesizes the one Result the caller keeps — the same prefix synthesis
-// the cache performs, so results stay bit-identical whether the trace, the
-// cache, or a per-stage simulation serves the request.
+// two-stage: the snap decision reads the loop period at the minimal
+// window, and the snapped window may then need a slightly longer trace (the
+// warp is bounded at 5%). Both stages are served from one trace covering
+// PrimeSteadyCycles: the passed tr when it covers that demand (a campaign
+// primed at its largest clock), otherwise a call-local trace primed here.
+// Stage 1 reads only the loop period (no Result materialized) and stage 2
+// synthesizes the one Result the caller keeps, bit-identical to running
+// the simulator at each stage's own window (the prefix lemma; see
+// uarch.Trace).
 func (cl ClusterLoad) steadySim(dt float64, n int, tr *uarch.Trace) (SteadySim, error) {
 	maxPhase := cl.maxPhase()
 	window := float64(n) * dt * cl.ClockHz // cycles covered by the sample window
 	minSteady := int(math.Ceil(window+maxPhase)) + 8
 
-	var res *uarch.Result
-	var loopCycles float64
-	fromTrace := tr.Covers(minSteady)
-	if fromTrace {
-		lc, err := tr.LoopCyclesAt(minSteady)
+	if prime := cl.PrimeSteadyCycles(dt, n); !tr.Covers(prime) {
+		local, err := uarch.PrimeTrace(cl.Core, cl.Seq, prime)
 		if err != nil {
-			return SteadySim{}, err
+			return SteadySim{}, uarch.SteadyStateError(minSteady)
 		}
-		loopCycles = lc
-	} else {
-		// Prime the one backing simulation to cover any snapped window (the
-		// warp is bounded at 5%), so the possible re-run below is a pure
-		// cache hit. With the cache disabled the priming window is ignored
-		// and each stage simulates at its own size — bit-identical either way.
-		upfront := int(math.Ceil(window*1.05+maxPhase)) + 2
-		r, err := uarch.RunWindow(cl.Core, cl.Seq, minSteady, upfront)
-		if err != nil {
-			return SteadySim{}, err
-		}
-		res, loopCycles = r, r.LoopCycles
+		tr = local
+	}
+	loopCycles, err := tr.LoopCyclesAt(minSteady)
+	if err != nil {
+		return SteadySim{}, err
 	}
 	// Period snapping: warp the time base slightly so an integer number of
 	// loop periods fills the window exactly. Downstream FFT analyses then
@@ -162,45 +148,21 @@ func (cl ClusterLoad) steadySim(dt float64, n int, tr *uarch.Trace) (SteadySim, 
 			}
 		}
 	}
-	needed := int(math.Ceil(window*scale+maxPhase)) + 2
-	if fromTrace {
-		// The scalar path re-runs at `needed` only when it exceeds the
-		// stage-1 window (stage 1 always holds exactly minSteady steady
-		// cycles), so synthesize at whichever window that run would keep.
-		size := minSteady
-		if needed > minSteady {
-			size = needed
-		}
-		if !tr.Covers(size) {
-			// The priming window was sized for the 5% bound, so this is
-			// unreachable from PrimeSteadyCycles-sized traces; fall back to
-			// the scalar stage-2 run for under-primed hand-built ones.
-			r, err := uarch.Run(cl.Core, cl.Seq, size)
-			if err != nil {
-				return SteadySim{}, err
-			}
-			res = r
-		} else {
-			r, err := tr.Synth(size)
-			if err != nil {
-				return SteadySim{}, err
-			}
-			res = r
-		}
-	} else if len(res.SteadyCharge()) < needed {
-		r, err := uarch.Run(cl.Core, cl.Seq, needed)
-		if err != nil {
-			return SteadySim{}, err
-		}
-		res = r
+	// Stage 2 widens the window only when the snapped demand exceeds the
+	// stage-1 one. Both are within PrimeSteadyCycles (scale <= 1.05), so the
+	// trace covers the synthesis.
+	size := max(minSteady, int(math.Ceil(window*scale+maxPhase))+2)
+	res, err := tr.Synth(size)
+	if err != nil {
+		return SteadySim{}, err
 	}
 	return SteadySim{Res: res, Dt: dt, N: n, scale: scale}, nil
 }
 
 // SteadySimTrace sizes the simulation for a dt×n sample window, drawing
-// from tr when it covers the demand (see PrimeSteadyCycles) and falling
-// back to the scalar per-point sizing otherwise — including for a nil
-// trace, so campaign paths thread an optional priming unconditionally.
+// from tr when it covers the demand (see PrimeSteadyCycles) and priming a
+// call-local trace otherwise — including for a nil trace, so campaign
+// paths thread an optional priming unconditionally.
 // The returned sim feeds FillFromSim and LoopFrequency.
 func (cl ClusterLoad) SteadySimTrace(dt float64, n int, tr *uarch.Trace) (SteadySim, error) {
 	if err := cl.Validate(); err != nil {
@@ -334,8 +296,9 @@ func (cl ClusterLoad) fillFromSim(sim SteadySim, out []float64) {
 // LoopHz returns the loop fundamental frequency a Current call with the
 // same sampling grid would report, without resampling the waveform. It
 // shares Current's exact simulation sizing, so the underlying uarch result
-// is identical — with the trace cache warm this is nearly free, letting
-// callers band-filter operating points before paying for spectra.
+// is identical. It still pays that simulation; a campaign that
+// band-filters many clocks sizes its points from one primed trace instead
+// (SteadySimTrace).
 func (cl ClusterLoad) LoopHz(dt float64, n int) (float64, *uarch.Result, error) {
 	if err := cl.Validate(); err != nil {
 		return 0, nil, err

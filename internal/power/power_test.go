@@ -1,6 +1,7 @@
 package power
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -187,71 +188,122 @@ func TestCurrentBoundsProperty(t *testing.T) {
 	}
 }
 
-// TestSteadySimTraceMatchesCurrent pins the batched sizing path: a
-// simulation served from a campaign-primed trace, resampled via
-// FillFromSim, must reproduce the scalar Current waveform bit for bit at
-// every clock the prime covers — including clocks whose stage-2 resize
-// exceeds the stage-1 window.
+// refSteadySim is the two-stage window sizing as two fresh simulations,
+// kept as an independent reference for steadySim's trace-served path: a
+// run at the minimal window reads the loop period, and a second run at the
+// snapped window replaces it when that window is longer (widened reports
+// which happened).
+func refSteadySim(t *testing.T, cl ClusterLoad, dt float64, n int) (sim SteadySim, widened bool) {
+	t.Helper()
+	maxPhase := cl.maxPhase()
+	window := float64(n) * dt * cl.ClockHz
+	minSteady := int(math.Ceil(window+maxPhase)) + 8
+	res, err := uarch.Run(cl.Core, cl.Seq, minSteady)
+	if err != nil {
+		t.Fatal(err)
+	}
+	scale := 1.0
+	if res.LoopCycles > 0 {
+		if k := math.Round(window / res.LoopCycles); k >= 1 {
+			if s := k * res.LoopCycles / window; math.Abs(s-1) <= 0.05 {
+				scale = s
+			}
+		}
+	}
+	if needed := int(math.Ceil(window*scale+maxPhase)) + 2; needed > minSteady {
+		if res, err = uarch.Run(cl.Core, cl.Seq, needed); err != nil {
+			t.Fatal(err)
+		}
+		widened = true
+	}
+	return SteadySim{Res: res, Dt: dt, N: n, scale: scale}, widened
+}
+
+// requireSameWave compares two waveforms bit for bit.
+func requireSameWave(t *testing.T, label string, got, want []float64) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%s: %d samples, want %d", label, len(got), len(want))
+	}
+	for i := range want {
+		if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+			t.Fatalf("%s: wave[%d] = %v != %v", label, i, got[i], want[i])
+		}
+	}
+}
+
+// TestSteadySimTraceMatchesCurrent pins the one sizing path against the
+// two-fresh-run reference, bit for bit: Current, SteadySimTrace from a
+// trace primed at the campaign's largest clock, and SteadySimTrace with a
+// nil trace (call-local priming) must each reproduce the reference's loop
+// frequency, charge trace and resampled waveform at every clock —
+// including clocks whose snapped window exceeds the minimal one, and a
+// phase-staggered load, whose offsets widen every window.
 func TestSteadySimTraceMatchesCurrent(t *testing.T) {
+	// Four chained divides make a 24-cycle loop: long enough for the snap
+	// to widen some windows past the minimal one by more than its 6-cycle
+	// margin (testSeq's 6-cycle loop never does).
 	seq := testSeq(t)
+	for i := 0; i < 3; i++ {
+		seq = append(seq, seq[len(seq)-1])
+	}
 	cfg := uarch.CortexA72()
 	dt, n := 0.5e-9, 2048
 	clocks := []float64{1.2e9, 0.9e9, 0.6e9, 0.12e9}
 
-	uarch.ResetTraceCache()
-	prev := uarch.SetTraceCacheEnabled(false)
-	defer func() { uarch.SetTraceCacheEnabled(prev); uarch.ResetTraceCache() }()
+	for _, phases := range [][]float64{nil, {0, 37.5}} {
+		load := func(clock float64) ClusterLoad {
+			return ClusterLoad{Core: cfg, Seq: seq, ClockHz: clock, ActiveCores: 2, PhaseCycles: phases}
+		}
+		tr, err := uarch.PrimeTrace(cfg, seq, load(clocks[0]).PrimeSteadyCycles(dt, n))
+		if err != nil {
+			t.Fatal(err)
+		}
+		widenedAny, keptAny := false, false
+		for _, clock := range clocks {
+			cl := load(clock)
+			label := fmt.Sprintf("phases %v clock %v", phases, clock)
+			ref, widened := refSteadySim(t, cl, dt, n)
+			widenedAny = widenedAny || widened
+			keptAny = keptAny || !widened
+			want := make([]float64, n)
+			cl.fillFromSim(ref, want)
+			wantHz := LoopFrequency(ref.Res, clock)
 
-	maxCl := ClusterLoad{Core: cfg, Seq: seq, ClockHz: clocks[0], ActiveCores: 2}
-	tr, err := uarch.PrimeTrace(cfg, seq, maxCl.PrimeSteadyCycles(dt, n))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, clock := range clocks {
-		cl := ClusterLoad{Core: cfg, Seq: seq, ClockHz: clock, ActiveCores: 2}
-		want, wantRes, err := cl.Current(dt, n)
-		if err != nil {
-			t.Fatal(err)
-		}
-		sim, err := cl.SteadySimTrace(dt, n, tr)
-		if err != nil {
-			t.Fatalf("clock %v: %v", clock, err)
-		}
-		if math.Float64bits(LoopFrequency(sim.Res, clock)) != math.Float64bits(LoopFrequency(wantRes, clock)) {
-			t.Fatalf("clock %v: loop frequency diverges", clock)
-		}
-		got := make([]float64, n)
-		if err := cl.FillFromSim(sim, got); err != nil {
-			t.Fatal(err)
-		}
-		for i := range want {
-			if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
-				t.Fatalf("clock %v: wave[%d] = %v != %v", clock, i, got[i], want[i])
+			cur, curRes, err := cl.Current(dt, n)
+			if err != nil {
+				t.Fatalf("%s: %v", label, err)
+			}
+			if len(curRes.Charge) != len(ref.Res.Charge) ||
+				math.Float64bits(LoopFrequency(curRes, clock)) != math.Float64bits(wantHz) {
+				t.Fatalf("%s: Current's simulation diverges from the reference", label)
+			}
+			requireSameWave(t, label+" Current", cur, want)
+			PutWave(cur)
+
+			for _, src := range []struct {
+				name string
+				tr   *uarch.Trace
+			}{{"primed", tr}, {"nil", nil}} {
+				sim, err := cl.SteadySimTrace(dt, n, src.tr)
+				if err != nil {
+					t.Fatalf("%s %s trace: %v", label, src.name, err)
+				}
+				if len(sim.Res.Charge) != len(ref.Res.Charge) ||
+					math.Float64bits(LoopFrequency(sim.Res, clock)) != math.Float64bits(wantHz) {
+					t.Fatalf("%s %s trace: simulation diverges from the reference", label, src.name)
+				}
+				got := make([]float64, n)
+				if err := cl.FillFromSim(sim, got); err != nil {
+					t.Fatal(err)
+				}
+				requireSameWave(t, label+" "+src.name+" trace", got, want)
 			}
 		}
-		PutWave(want)
-	}
-
-	// A nil trace must fall back to per-point sizing with identical bits.
-	cl := ClusterLoad{Core: cfg, Seq: seq, ClockHz: clocks[1], ActiveCores: 2}
-	want, _, err := cl.Current(dt, n)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sim, err := cl.SteadySimTrace(dt, n, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got := make([]float64, n)
-	if err := cl.FillFromSim(sim, got); err != nil {
-		t.Fatal(err)
-	}
-	for i := range want {
-		if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
-			t.Fatalf("nil trace: wave[%d] = %v != %v", i, got[i], want[i])
+		if !widenedAny || !keptAny {
+			t.Fatalf("phases %v: clocks exercise only one sizing stage (widened %v, kept %v)", phases, widenedAny, keptAny)
 		}
 	}
-	PutWave(want)
 }
 
 // TestFillFromSimValidation: an empty sim and a mis-sized row are rejected.

@@ -78,7 +78,7 @@ type sim struct {
 	// reslice in addCharge never exposes stale data.
 	chargeDiff []float64
 	// cumIssued[c] is the total instruction count issued through cycle c
-	// (recorded after that cycle's issue stage); it lets a cached history
+	// (recorded after that cycle's issue stage); it lets a primed history
 	// reproduce the IPC of any shorter run exactly.
 	cumIssued []int64
 	cycle     int
@@ -97,7 +97,10 @@ type sim struct {
 	sigs      [sigRing][]uint64
 	sigCycles [sigRing]int
 	sigCount  int
-	pendingP  int // proven period; 0 = still searching, -1 = disabled
+	// pendingP is the proven period: 0 while still searching, -1 when
+	// extrapolation is off for this run (a limit-bound window, or the
+	// full-simulation reference TestSteadyExtrapolationBitIdentical builds).
+	pendingP  int
 	pendingAt int
 	seenIters int
 	maxBlock  int
@@ -110,7 +113,7 @@ const sigRing = 8
 // simPool recycles sim shells between runs. Everything a published
 // traceHist retains (the folded charge trace, cumIssued, iterStarts) is
 // either freshly allocated per run or ownership-transferred out of the sim
-// before release, so pooling can never alias cached state.
+// before release, so pooling can never alias a primed Trace.
 var simPool sync.Pool
 
 // newSim prepares a simulation. steadyHint sizes the per-cycle buffers for
@@ -402,8 +405,7 @@ func (s *sim) run(minSteadyCycles int) (*traceHist, error) {
 		if s.cycle > limit {
 			return nil, steadyStateErr(minSteadyCycles)
 		}
-		if warmupCycle >= 0 && steadyExtrapOn.Load() &&
-			s.extrapolate(warmupCycle, minSteadyCycles, limit) {
+		if warmupCycle >= 0 && s.extrapolate(warmupCycle, minSteadyCycles, limit) {
 			break
 		}
 		s.retire()
@@ -437,27 +439,13 @@ func (s *sim) run(minSteadyCycles int) (*traceHist, error) {
 		steady:     s.cycle - warmupCycle,
 	}
 	// The history owns cumIssued and iterStarts from here on; detach them so
-	// a pooled sim can never scribble over a cached trace.
+	// a pooled sim can never scribble over a primed trace.
 	s.cumIssued, s.iterStarts = nil, nil
 	return h, nil
 }
 
-// steadyExtrapOn gates steady-state extrapolation. It is on by default;
-// results are bit-identical either way (pinned by
-// TestSteadyExtrapolationBitIdentical), the toggle exists for that test and
-// for benchmarking the full simulation.
-var steadyExtrapOn atomic.Bool
-
 // extrapolatedCycles counts simulation cycles skipped by extrapolation.
 var extrapolatedCycles atomic.Uint64
-
-func init() { steadyExtrapOn.Store(true) }
-
-// SetSteadyExtrapolationEnabled turns steady-state extrapolation on or off
-// and returns the previous setting.
-func SetSteadyExtrapolationEnabled(on bool) (prev bool) {
-	return steadyExtrapOn.Swap(on)
-}
 
 // ExtrapolatedCycles returns the total simulation cycles skipped by
 // steady-state extrapolation since process start.

@@ -5,14 +5,13 @@ package uarch
 // A sweep, shmoo or V_MIN campaign evaluates one workload at many operating
 // points, and the simulator is purely cycle-domain: every point asks for the
 // identical simulation, only the steady-window length varies (with the
-// clock). The global trace cache already exploits this when it is enabled,
-// but batched campaigns want the same amortization unconditionally — cold
-// benchmarks and cache-off determinism runs included — without routing every
-// point through the shared cache's locks. PrimeTrace runs (or looks up) the
-// one backing simulation sized for the campaign's largest demand and hands
-// back a Trace: an immutable history handle whose Synth reconstructs the
-// Result of any covered window bit-identically to a fresh Run, by the same
-// prefix lemma the cache relies on (see traceHist.synth).
+// clock). PrimeTrace runs the one backing simulation sized for the
+// campaign's largest demand and hands back a Trace: an immutable history
+// handle whose Synth reconstructs the Result of any covered window
+// bit-identically to a fresh Run, by the prefix lemma (see traceHist.synth).
+// It is the only simulation reuse there is: a caller without a campaign
+// (one GA fitness evaluation) primes a call-local trace that serves its own
+// sizing stages and is dropped with the call.
 
 import (
 	"fmt"
@@ -30,12 +29,7 @@ type Trace struct {
 }
 
 // PrimeTrace simulates the loop once, covering steadyCycles of steady
-// state, and returns the history handle. When the global trace cache is
-// enabled the simulation goes through it — sharing a covering entry or
-// installing the freshly simulated one, so scalar traffic benefits too;
-// when disabled (or on a key collision) the history is private to the
-// handle, which is what lets a batched campaign keep its one-simulation
-// cost even in cache-off runs.
+// state, and returns the history handle.
 func PrimeTrace(cfg Config, seq []isa.Inst, steadyCycles int) (*Trace, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -45,26 +39,6 @@ func PrimeTrace(cfg Config, seq []isa.Inst, steadyCycles int) (*Trace, error) {
 	}
 	if steadyCycles < 1 {
 		return nil, fmt.Errorf("uarch: minSteadyCycles = %d", steadyCycles)
-	}
-	if traceCacheOn.Load() {
-		c := globalTraceCache
-		key := traceKey(&cfg, seq)
-		if e, ok := c.lookup(key, &cfg, seq); ok {
-			if h := e.hist.Load(); h != nil && h.covers(steadyCycles) {
-				c.hits.Add(1)
-				return &Trace{hist: h}, nil
-			}
-			h, err := c.fill(e, steadyCycles)
-			if err != nil {
-				// Failure to reach steady state is monotone in the window
-				// length; report the error a run at this window produces.
-				return nil, steadyStateErr(steadyCycles)
-			}
-			return &Trace{hist: h}, nil
-		}
-		// Hash collision with different content: simulate uncached, as the
-		// cache itself does.
-		c.misses.Add(1)
 	}
 	h, err := simulate(&cfg, seq, steadyCycles)
 	if err != nil {

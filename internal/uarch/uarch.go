@@ -163,32 +163,16 @@ const warmupIters = 8
 // minSteadyCycles of steady-state execution have elapsed after the warmup
 // iterations, finishing the iteration in flight.
 func Run(cfg Config, seq []isa.Inst, minSteadyCycles int) (*Result, error) {
-	return RunWindow(cfg, seq, minSteadyCycles, 0)
-}
-
-// RunWindow is Run with a cache-priming window: when the trace cache is
-// enabled and primeSteadyCycles exceeds minSteadyCycles, the one simulation
-// backing this request is sized to cover primeSteadyCycles, so a follow-up
-// request for any steady window up to that bound is served as a pure cache
-// hit instead of a second simulation. The returned Result is bit-identical
-// to Run(cfg, seq, minSteadyCycles) for any priming window; with the cache
-// disabled the priming window is ignored.
-func RunWindow(cfg Config, seq []isa.Inst, minSteadyCycles, primeSteadyCycles int) (*Result, error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
-	if len(seq) == 0 {
-		return nil, fmt.Errorf("uarch: empty instruction sequence")
-	}
-	if minSteadyCycles < 1 {
-		return nil, fmt.Errorf("uarch: minSteadyCycles = %d", minSteadyCycles)
-	}
-	if traceCacheOn.Load() {
-		return globalTraceCache.runWindow(cfg, seq, minSteadyCycles, primeSteadyCycles)
-	}
-	hist, err := simulate(&cfg, seq, minSteadyCycles)
+	tr, err := PrimeTrace(cfg, seq, minSteadyCycles)
 	if err != nil {
 		return nil, err
 	}
-	return hist.synth(minSteadyCycles)
+	return tr.Synth(minSteadyCycles)
 }
+
+// SteadyStateError is the error a Run with the given steady window reports
+// when the loop does not reach steady state within its cycle limit. The
+// limit grows 64 times faster than the window, so a loop that fails at a
+// window fails at every shorter one: a caller whose larger priming failed
+// reports the error its own window would have produced.
+func SteadyStateError(minSteadyCycles int) error { return steadyStateErr(minSteadyCycles) }

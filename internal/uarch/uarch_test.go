@@ -384,23 +384,11 @@ func TestLoopCyclesStableAcrossWindowLengths(t *testing.T) {
 	}
 }
 
-// traceCacheOff disables the trace cache for the test and restores the
-// previous setting, with an emptied cache, on cleanup.
-func traceCacheOff(t *testing.T) {
-	t.Helper()
-	prev := SetTraceCacheEnabled(false)
-	t.Cleanup(func() {
-		SetTraceCacheEnabled(prev)
-		ResetTraceCache()
-	})
-}
-
 // TestSteadyExtrapolationBitIdentical pins that fast-forwarding an exactly
 // periodic steady state replicates what per-cycle simulation would have
 // produced, bit for bit — across cores, ISAs, sequence lengths and steady
 // windows — and that the fast path actually engages on GA-shaped runs.
 func TestSteadyExtrapolationBitIdentical(t *testing.T) {
-	traceCacheOff(t)
 	pools := map[string]*isa.Pool{"arm64": isa.ARM64Pool(), "x86": isa.X86Pool()}
 	fired := false
 	for _, cfg := range []Config{CortexA72(), CortexA53(), AthlonII()} {
@@ -411,15 +399,12 @@ func TestSteadyExtrapolationBitIdentical(t *testing.T) {
 					label := fmt.Sprintf("%s/%s len=%d steady=%d", cfg.Name, pname, seqLen, steady)
 					seq := pool.RandomSequence(rng, seqLen)
 
-					prev := SetSteadyExtrapolationEnabled(false)
-					want := uncachedRun(t, cfg, seq, steady)
-					SetSteadyExtrapolationEnabled(true)
+					want := exactRun(t, cfg, seq, steady, false)
 					before := ExtrapolatedCycles()
-					got := uncachedRun(t, cfg, seq, steady)
+					got := exactRun(t, cfg, seq, steady, true)
 					if ExtrapolatedCycles() > before {
 						fired = true
 					}
-					SetSteadyExtrapolationEnabled(prev)
 					requireSameResult(t, label, got, want)
 				}
 			}

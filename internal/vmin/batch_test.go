@@ -3,34 +3,26 @@ package vmin
 import (
 	"reflect"
 	"testing"
-
-	"repro/internal/uarch"
 )
 
 // TestBatchedSearchMatchesScalar pins the ladder descent against the
 // scalar reference (per-supply SteadyResponseAt): same trials, same V_MIN,
-// bit for bit, with the trace cache on and off.
+// bit for bit.
 func TestBatchedSearchMatchesScalar(t *testing.T) {
 	d := a72Domain(t)
 	tst := NewTester(d, 5)
 	l := load(t, d, "lbm", 2)
-	for _, cache := range []bool{true, false} {
-		uarch.ResetTraceCache()
-		prev := uarch.SetTraceCacheEnabled(cache)
-		want, err := tst.search(l, d.ClockHz(), 0)
-		if err != nil {
-			t.Fatalf("cache=%v: scalar search: %v", cache, err)
-		}
-		got, err := tst.Search(l)
-		uarch.SetTraceCacheEnabled(prev)
-		if err != nil {
-			t.Fatalf("cache=%v: batched search: %v", cache, err)
-		}
-		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("cache=%v: batched search diverges:\n got %+v\nwant %+v", cache, got, want)
-		}
+	want, err := tst.search(l, d.ClockHz(), 0)
+	if err != nil {
+		t.Fatalf("scalar search: %v", err)
 	}
-	uarch.ResetTraceCache()
+	got, err := tst.Search(l)
+	if err != nil {
+		t.Fatalf("batched search: %v", err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("batched search diverges:\n got %+v\nwant %+v", got, want)
+	}
 }
 
 // TestRepeatMatchesScalarRepeats: n ladder-shared descents must reproduce

@@ -3,8 +3,8 @@ package emnoise
 // Whole-campaign property tests for the persistent measurement tier: a
 // campaign served from a populated disk store in a fresh "process" (empty
 // in-memory caches) must be bit-identical — reflect.DeepEqual on the whole
-// campaign result — to the same campaign with every cache disabled, at any
-// parallelism. Corruption anywhere in the store must degrade to
+// campaign result — to the same campaign computed cold, with no store, at
+// any parallelism. Corruption anywhere in the store must degrade to
 // recomputation, never to a changed result; and two bench instances with
 // separate in-memory caches over one store must share each other's work.
 
@@ -19,21 +19,15 @@ import (
 
 	"repro/internal/castore"
 	"repro/internal/core"
-	"repro/internal/uarch"
 )
 
 // withPersist installs s (which may be nil) as the disk tier under the
-// measurement memo — exactly what `-cache-dir` wires up — resets the
-// global in-memory trace cache so the run starts process-cold, and restores
-// everything afterwards.
+// measurement memo — exactly what `-cache-dir` wires up — and restores the
+// previous store afterwards.
 func withPersist(t *testing.T, s *castore.Store, fn func()) {
 	t.Helper()
 	prev := core.SetPersistentStore(s)
-	uarch.ResetTraceCache()
-	defer func() {
-		core.SetPersistentStore(prev)
-		uarch.ResetTraceCache()
-	}()
+	defer core.SetPersistentStore(prev)
 	fn()
 }
 
@@ -48,9 +42,8 @@ func openCampaignStore(t *testing.T) *castore.Store {
 
 // TestPersistentCacheBitIdenticalCampaigns is the store's acceptance
 // property: for each campaign shape (resonance sweep, GA hunt, V_MIN
-// shmoo) and each parallelism, three runs must agree bit-for-bit —
-// cache-off (trace cache disabled, no store), cold (caches on, no store),
-// and disk-warm (fresh in-memory caches over a store populated by a prior
+// shmoo) and each parallelism, two runs must agree bit-for-bit — cold (no
+// store) and disk-warm (a fresh bench over a store populated by a prior
 // run). The store holds finished measurements only: the GA's disk-warm run
 // must hit it, while the sweep and the shmoo (which measure through the
 // sweep path, not the measurement memo) must write nothing to it.
@@ -119,9 +112,8 @@ func TestPersistentCacheBitIdenticalCampaigns(t *testing.T) {
 	for _, jobs := range []int{1, 8} {
 		for _, c := range campaigns {
 			t.Run(fmt.Sprintf("%s-j%d", c.name, jobs), func(t *testing.T) {
-				var off, cold, warm any
-				withTraceCache(t, false, func() { off = c.run(jobs) })
-				withTraceCache(t, true, func() { cold = c.run(jobs) })
+				cold := c.run(jobs)
+				var warm any
 
 				s := openCampaignStore(t)
 				withPersist(t, s, func() { c.run(jobs) }) // populate
@@ -137,11 +129,8 @@ func TestPersistentCacheBitIdenticalCampaigns(t *testing.T) {
 					t.Errorf("campaign wrote %d entries to the store, want 0", st.Puts)
 				}
 
-				if !reflect.DeepEqual(cold, off) {
-					t.Errorf("cold differs from cache-off:\ncold %+v\noff  %+v", cold, off)
-				}
-				if !reflect.DeepEqual(warm, off) {
-					t.Errorf("disk-warm differs from cache-off:\nwarm %+v\noff  %+v", warm, off)
+				if !reflect.DeepEqual(warm, cold) {
+					t.Errorf("disk-warm differs from cold:\nwarm %+v\ncold %+v", warm, cold)
 				}
 			})
 		}
@@ -153,8 +142,7 @@ func TestPersistentCacheBitIdenticalCampaigns(t *testing.T) {
 // run — entries quarantined, results unchanged.
 func TestPersistentCacheCorruptionRecomputes(t *testing.T) {
 	run := func() *GAResult { return gaRun(t, JunoR2, DomainA72, 2, 4) }
-	var want *GAResult
-	withTraceCache(t, true, func() { want = run() })
+	want := run()
 
 	s := openCampaignStore(t)
 	withPersist(t, s, func() { run() })
