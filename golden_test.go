@@ -4,11 +4,13 @@ package emnoise
 // against checked-in goldens, so a change that moves every evaluation path
 // together (and therefore passes every path-vs-path comparison) still
 // shows up. TestGAGolden pins the GA virus search on the Juno A72 cluster;
-// TestSweepGolden pins the batched resonance sweep and a probe shmoo,
-// which reach the analyzer with other bands than the GA does. Regenerate
-// after an intentional change with:
+// TestVoltageGAGolden pins the scope-driven GAs (OC-DSO droop on the A72,
+// bench-scope peak-to-peak on the Athlon), whose scope noise is keyed by
+// the captured rail; TestSweepGolden pins the batched resonance sweep and
+// a probe shmoo, which reach the analyzer with other bands than the GA
+// does. Regenerate after an intentional change with:
 //
-//	go test -run 'TestGAGolden|TestSweepGolden' -update .
+//	go test -run 'TestGAGolden|TestVoltageGAGolden|TestSweepGolden' -update .
 
 import (
 	"encoding/json"
@@ -27,8 +29,9 @@ import (
 var updateGolden = flag.Bool("update", false, "rewrite testdata/golden instead of comparing against it")
 
 const (
-	gaGoldenPath    = "testdata/golden/ga.json"
-	sweepGoldenPath = "testdata/golden/sweep.json"
+	gaGoldenPath        = "testdata/golden/ga.json"
+	voltageGAGoldenPath = "testdata/golden/voltage_ga.json"
+	sweepGoldenPath     = "testdata/golden/sweep.json"
 )
 
 // digestFloats folds the IEEE-754 bits of each value into h, little-endian.
@@ -102,12 +105,22 @@ func gaGoldenRun(t *testing.T, seed int64) gaGolden {
 	if err != nil {
 		t.Fatal(err)
 	}
+	return goldenGARun(t, plat, DomainA72, seed, func(b *Bench, d *Domain) Measurer {
+		return b.EMMeasurer(d, 2)
+	})
+}
+
+// goldenGARun runs a population-16, 6-generation serial GA on one domain
+// of plat against the measurer fitness builds, and digests the outcome.
+func goldenGARun(t *testing.T, plat *Platform, domain string, seed int64,
+	fitness func(*Bench, *Domain) Measurer) gaGolden {
+	t.Helper()
 	bench, err := NewBench(plat, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
 	bench.Samples = 3
-	d, err := plat.Domain(DomainA72)
+	d, err := plat.Domain(domain)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,7 +130,7 @@ func gaGoldenRun(t *testing.T, seed int64) gaGolden {
 	cfg.Generations = 6
 	cfg.Seed = seed
 	cfg.Parallelism = 1
-	res, err := RunGA(cfg, bench.EMMeasurer(d, 2), nil)
+	res, err := RunGA(cfg, fitness(bench, d), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -141,6 +154,29 @@ func TestGAGolden(t *testing.T) {
 		got[fmt.Sprintf("juno-r2/A72/cores=2/pop=16/gens=6/seed=%d", seed)] = gaGoldenRun(t, seed)
 	}
 	checkGolden(t, gaGoldenPath, got)
+}
+
+// TestVoltageGAGolden pins the direct-voltage fitness: a DroopMeasurer GA
+// through the Juno A72's OC-DSO and a PtpMeasurer GA through the Athlon's
+// bench scope. Both scopes draw their noise from a hash of the captured
+// rail, so a single moved bit of the steady-state die voltage shows up.
+func TestVoltageGAGolden(t *testing.T) {
+	juno, err := JunoR2()
+	if err != nil {
+		t.Fatal(err)
+	}
+	amd, err := AMDDesktop()
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := map[string]gaGolden{}
+	for _, seed := range []int64{1, 7} {
+		got[fmt.Sprintf("juno-r2/A72/droop/oc-dso/cores=2/pop=16/gens=6/seed=%d", seed)] = goldenGARun(t, juno, DomainA72, seed,
+			func(b *Bench, d *Domain) Measurer { return b.DroopMeasurer(d, 2, NewOCDSO(seed+20)) })
+		got[fmt.Sprintf("amd-desktop/Athlon/ptp/bench-scope/cores=4/pop=16/gens=6/seed=%d", seed)] = goldenGARun(t, amd, DomainAthlon, seed,
+			func(b *Bench, d *Domain) Measurer { return b.PtpMeasurer(d, 4, NewBenchScope(seed+21)) })
+	}
+	checkGolden(t, voltageGAGoldenPath, got)
 }
 
 // sweepGolden is one domain's pinned operating-point campaign. Digest
