@@ -14,15 +14,16 @@ import (
 	"repro/internal/em"
 	"repro/internal/ga"
 	"repro/internal/platform"
+	"repro/internal/slab"
 )
 
 // emMeasureRef is the EM fitness computed straight down the pipeline —
-// pooled spectra, antenna fold, analyzer peak — with no memo, dedup or
-// arena. Bench.EMMeasureN is itself a batch of one, so the batch tests
-// compare against this instead.
+// spectra into a fresh arena, antenna fold, analyzer peak — with no memo,
+// dedup or recycled arena. Bench.EMMeasureN is itself a batch of one, so
+// the batch tests compare against this instead.
 func emMeasureRef(b *Bench, d *Domain, activeCores int) Measurer {
 	return MeasurerFunc(func(seq []Inst) (float64, float64, error) {
-		freqs, _, iAmp, _, err := d.Spectra(platform.Load{Seq: seq, ActiveCores: activeCores}, b.Dt, b.N)
+		freqs, _, iAmp, _, err := d.SpectraArena(platform.Load{Seq: seq, ActiveCores: activeCores}, b.Dt, b.N, &slab.Arena{})
 		if err != nil {
 			return 0, 0, err
 		}

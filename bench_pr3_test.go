@@ -11,12 +11,14 @@ package emnoise
 import (
 	"math/rand"
 	"testing"
+
+	"repro/internal/slab"
 )
 
 // BenchmarkSpectraEvaluation times one spectra evaluation of a fixed
-// workload (uarch trace → current resample → PDN transfer → FFT). The
-// supply is nudged every iteration, as it was when a spectra memo could
-// serve a repeat, so the numbers stay comparable with earlier records.
+// workload at a fixed operating point (uarch sizing → current resample →
+// PDN transfer → FFT), the body a sweep point runs: PreparePointAt on an
+// unprimed point, then PointEval.SpectraArena into a per-iteration arena.
 func BenchmarkSpectraEvaluation(b *testing.B) {
 	plat, err := JunoR2()
 	if err != nil {
@@ -32,25 +34,24 @@ func BenchmarkSpectraEvaluation(b *testing.B) {
 		dt = 0.25e-9
 		n  = 8192
 	)
-	clock := d.Spec.MaxClockHz
-	vnom := d.SupplyVolts()
-	seq := pool.RandomSequence(rng, 50)
-	l := Load{Seq: seq, ActiveCores: 2}
-	// Prime the PDN transfer cache (computed once per domain).
-	if _, _, _, _, err := d.SpectraAt(l, dt, n, clock); err != nil {
-		b.Fatal(err)
+	clock, supply, powered := d.Spec.MaxClockHz, d.SupplyVolts(), d.PoweredCores()
+	l := Load{Seq: pool.RandomSequence(rng, 50), ActiveCores: 2}
+	var ar slab.Arena
+	eval := func() {
+		ar.Reset()
+		pe, err := d.PreparePointAt(l, dt, n, clock, nil)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if _, _, _, err := pe.SpectraArena(supply, powered, &ar); err != nil {
+			b.Fatal(err)
+		}
 	}
+	eval() // prime the PDN transfer cache (computed once per domain)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		b.StopTimer()
-		if err := d.SetSupplyVolts(vnom - float64(i%100000+1)*1e-7); err != nil {
-			b.Fatal(err)
-		}
-		b.StartTimer()
-		if _, _, _, _, err := d.SpectraAt(l, dt, n, clock); err != nil {
-			b.Fatal(err)
-		}
+		eval()
 	}
 }
 
@@ -131,10 +132,10 @@ func BenchmarkResonanceSweep(b *testing.B) {
 }
 
 // BenchmarkShmoo times a three-clock V_MIN shmoo on the Juno A72 domain.
-// The V_MIN search path (SteadyResponseAt) is unmemoized, so one shared
-// platform suffices: every iteration re-runs the whole clock×supply grid,
-// and one primed trace carries the workload's charge history across all of
-// its operating points.
+// The per-column supply ladders live only as long as one Shmoo call, so one
+// shared platform suffices: every iteration re-runs the whole clock×supply
+// grid, and one primed trace carries the workload's charge history across
+// all of its operating points.
 func BenchmarkShmoo(b *testing.B) {
 	plat, err := JunoR2()
 	if err != nil {

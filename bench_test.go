@@ -18,6 +18,7 @@ import (
 	"repro/internal/ga"
 	"repro/internal/isa"
 	"repro/internal/platform"
+	"repro/internal/slab"
 )
 
 var (
@@ -123,8 +124,10 @@ func BenchmarkAblationFreqVsTransient(b *testing.B) {
 	)
 	b.Run("steady-state", func(b *testing.B) {
 		var ptp float64
+		var ar slab.Arena
 		for i := 0; i < b.N; i++ {
-			resp, _, err := d.SteadyResponse(l, dt, n)
+			ar.Reset()
+			resp, _, err := d.SteadyVDie(l, dt, n, &ar)
 			if err != nil {
 				b.Fatal(err)
 			}

@@ -2,6 +2,8 @@ package emnoise
 
 import (
 	"testing"
+
+	"repro/internal/slab"
 )
 
 func TestPublicGPUPlatform(t *testing.T) {
@@ -110,7 +112,7 @@ func TestPublicFingerprintAndMitigation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	resp, _, err := d.SteadyResponse(Load{Seq: seq, ActiveCores: 2}, 0.25e-9, 4096)
+	resp, _, err := d.SteadyVDie(Load{Seq: seq, ActiveCores: 2}, 0.25e-9, 4096, &slab.Arena{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -50,19 +50,6 @@ func (l *Local) Domains() []string {
 	return names
 }
 
-// dsoKindFor mirrors the lab server's visibility→scope mapping so both
-// backends report identical capability records.
-func dsoKindFor(visibility string) string {
-	switch visibility {
-	case "oc-dso":
-		return "oc-dso"
-	case "kelvin-pads":
-		return "bench-scope"
-	default:
-		return ""
-	}
-}
-
 // Caps returns a domain's capability record.
 func (l *Local) Caps(name string) (Caps, error) {
 	d, err := l.domain(name)
@@ -75,6 +62,7 @@ func (l *Local) Caps(name string) (Caps, error) {
 // specCaps is the capability record a domain spec implies; the lab server
 // reports the same fields over CAPS.
 func specCaps(spec platform.Spec) Caps {
+	kind, _ := instrument.ScopeFor(spec.VoltageVisibility)
 	return Caps{
 		Domain:            spec.Name,
 		TotalCores:        spec.TotalCores,
@@ -82,7 +70,7 @@ func specCaps(spec platform.Spec) Caps {
 		MaxClockHz:        spec.MaxClockHz,
 		ClockStepHz:       spec.ClockStepHz,
 		VoltageVisibility: spec.VoltageVisibility,
-		DSOKind:           dsoKindFor(spec.VoltageVisibility),
+		DSOKind:           kind,
 	}
 }
 
@@ -179,16 +167,11 @@ func (l *Local) Measurer(spec MeasurerSpec) (ga.Measurer, error) {
 		return b.EMMeasurer(d, spec.ActiveCores), nil
 	case MetricDroop, MetricPtp:
 		vis := d.Spec.VoltageVisibility
-		kind := dsoKindFor(vis)
-		if kind == "" {
+		_, newScope := instrument.ScopeFor(vis)
+		if newScope == nil {
 			return nil, &CapabilityError{Domain: spec.Domain, Metric: spec.Metric, Visibility: vis}
 		}
-		var dso *instrument.DSO
-		if kind == "bench-scope" {
-			dso = instrument.NewBenchScope(spec.DSOSeed)
-		} else {
-			dso = instrument.NewOCDSO(spec.DSOSeed)
-		}
+		dso := newScope(spec.DSOSeed)
 		if spec.Metric == MetricDroop {
 			return b.DroopMeasurer(d, spec.ActiveCores, dso), nil
 		}

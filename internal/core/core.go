@@ -189,11 +189,13 @@ type vMeasurer struct {
 
 // Measure implements ga.Measurer.
 func (m vMeasurer) Measure(seq []isa.Inst) (float64, float64, error) {
-	if m.d.Spec.VoltageVisibility == "none" {
+	if m.dso == nil || m.d.Spec.VoltageVisibility == "none" {
 		return 0, 0, fmt.Errorf("core: domain %s has no voltage visibility", m.d.Spec.Name)
 	}
-	l := platform.Load{Seq: seq, ActiveCores: m.activeCores}
-	resp, _, err := m.d.SteadyResponse(l, m.b.Dt, m.b.N)
+	st := m.b.batchSt()
+	ar := st.getArena()
+	defer st.putArena(ar)
+	resp, _, err := m.d.SteadyVDie(platform.Load{Seq: seq, ActiveCores: m.activeCores}, m.b.Dt, m.b.N, ar)
 	if err != nil {
 		return 0, 0, err
 	}

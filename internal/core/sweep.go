@@ -196,14 +196,18 @@ func (b *Bench) MonitorAll(loads map[string]platform.Load) (*instrument.Sweep, e
 		names = append(names, name)
 	}
 	sort.Strings(names)
+	// Every emitter's rows stay live until the combine, so the one arena
+	// holds all of them.
+	st := b.batchSt()
+	ar := st.getArena()
+	defer st.putArena(ar)
 	var emitters []em.Emitter
 	for _, name := range names {
-		l := loads[name]
 		d, err := b.Platform.Domain(name)
 		if err != nil {
 			return nil, err
 		}
-		freqs, _, iAmp, _, err := d.Spectra(l, b.Dt, b.N)
+		freqs, _, iAmp, _, err := d.SpectraArena(loads[name], b.Dt, b.N, ar)
 		if err != nil {
 			return nil, err
 		}

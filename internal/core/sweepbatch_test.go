@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/em"
 	"repro/internal/platform"
+	"repro/internal/slab"
 )
 
 // scalarSweepPointAt is the pre-batch reference implementation of one
@@ -35,7 +36,11 @@ func scalarSweepPointAt(t *testing.T, b *Bench, d *platform.Domain, activeCores 
 	if loopHz < b.Band.Lo || loopHz > b.Band.Hi {
 		return nil
 	}
-	freqs, _, iAmp, _, err := d.SpectraAt(l, b.Dt, b.N, clock)
+	pe, err := d.PreparePointAt(l, b.Dt, b.N, clock, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	freqs, _, iAmp, err := pe.SpectraArena(d.SupplyVolts(), d.PoweredCores(), &slab.Arena{})
 	if err != nil {
 		t.Fatal(err)
 	}

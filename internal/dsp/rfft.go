@@ -24,52 +24,16 @@ import (
 )
 
 // rfftPlan caches the length-dependent setup for a real transform of length
-// n: the untangle twiddles w^k (k = 0..n/2) and a scratch pool for the
-// packed n/2-point work buffer.
+// n: the untangle twiddles w^k (k = 0..n/2).
 type rfftPlan struct {
-	n       int
-	w       []complex128 // w[k] = exp(-2πi·k/n), read-only
-	scratch sync.Pool    // *[]complex128 of length n/2
+	n int
+	w []complex128 // w[k] = exp(-2πi·k/n), read-only
 }
 
 var (
 	rfftMu    sync.Mutex
 	rfftPlans = map[int]*rfftPlan{}
 )
-
-// specPools recycles half-spectrum buffers per length; RFFT draws from it
-// and callers that consume a spectrum locally hand it back via PutSpectrum.
-var specPools sync.Map // int (len) -> *sync.Pool of *[]complex128
-
-func specPoolFor(n int) *sync.Pool {
-	if p, ok := specPools.Load(n); ok {
-		return p.(*sync.Pool)
-	}
-	p, _ := specPools.LoadOrStore(n, &sync.Pool{})
-	return p.(*sync.Pool)
-}
-
-// GetSpectrum returns an uninitialized half-spectrum buffer of length n,
-// recycled when possible. Callers must overwrite every element.
-func GetSpectrum(n int) []complex128 {
-	if n == 0 {
-		return nil
-	}
-	if ptr, _ := specPoolFor(n).Get().(*[]complex128); ptr != nil {
-		return *ptr
-	}
-	return make([]complex128, n)
-}
-
-// PutSpectrum recycles a half-spectrum previously returned by RFFT or
-// GetSpectrum. The caller must not touch the slice afterwards; spectra that
-// escaped into a cache or result must never be recycled.
-func PutSpectrum(spec []complex128) {
-	if len(spec) == 0 || len(spec) != cap(spec) {
-		return
-	}
-	specPoolFor(len(spec)).Put(&spec)
-}
 
 func rfftPlanFor(n int) *rfftPlan {
 	rfftMu.Lock()
@@ -84,10 +48,6 @@ func rfftPlanFor(n int) *rfftPlan {
 		w[k] = cmplx.Exp(complex(0, -2*math.Pi*float64(k)/float64(n)))
 	}
 	p = &rfftPlan{n: n, w: w}
-	p.scratch.New = func() any {
-		buf := make([]complex128, m)
-		return &buf
-	}
 	rfftMu.Lock()
 	if prior, ok := rfftPlans[n]; ok {
 		p = prior // concurrent builders produce identical plans; keep one
@@ -98,8 +58,7 @@ func rfftPlanFor(n int) *rfftPlan {
 	return p
 }
 
-// rfftEven is the even-length transform core shared by RFFT and RFFTInto:
-// pack x into the m-point work buffer z, transform, untangle into out
+// rfftEven is the even-length transform core of RFFTInto: pack x into the m-point work buffer z, transform, untangle into out
 // (length m+1). The untangle loop is written without the modular indexing of
 // the textbook formulation — bins 0 and m both read Z[0], interior bins read
 // Z[k] and Z[m-k] directly — with arithmetic identical operation for
@@ -134,23 +93,14 @@ func rfftEven(out []complex128, x []float64, z []complex128, p *rfftPlan) {
 // RFFT transforms a real signal and returns the non-redundant half spectrum,
 // bins 0..N/2 inclusive (the remaining bins of the full transform are the
 // conjugate mirror). Even lengths cost one N/2-point complex transform; odd
-// lengths fall back to the full transform.
+// lengths fall back to the full transform. It allocates the result and the
+// work buffer; RFFTInto is the same transform into caller-provided rows.
 func RFFT(x []float64) []complex128 {
 	n := len(x)
 	if n == 0 {
 		return nil
 	}
-	half := n/2 + 1
-	if n%2 != 0 {
-		spec := FFTReal(x)
-		return spec[:half:half]
-	}
-	p := rfftPlanFor(n)
-	zptr := p.scratch.Get().(*[]complex128)
-	out := GetSpectrum(half)
-	rfftEven(out, x, *zptr, p)
-	p.scratch.Put(zptr)
-	return out
+	return RFFTInto(make([]complex128, n/2+1), x, make([]complex128, RFFTScratchLen(n)))
 }
 
 // RFFTScratchLen returns the scratch length RFFTInto needs for a real
@@ -165,8 +115,7 @@ func RFFTScratchLen(n int) int {
 // RFFTInto is RFFT writing the half spectrum into dst — len(dst) must be
 // n/2+1 — using a caller-provided work buffer of at least RFFTScratchLen(n)
 // entries. Batch pipelines use it to keep whole generations of spectra in
-// one contiguous slab with per-worker scratch instead of drawing both from
-// pools per call. Results are bit-identical to RFFT; dst is returned.
+// one contiguous slab with per-worker scratch; dst is returned.
 func RFFTInto(dst []complex128, x []float64, scratch []complex128) []complex128 {
 	n := len(x)
 	if n == 0 {
@@ -191,62 +140,20 @@ func RFFTInto(dst []complex128, x []float64, scratch []complex128) []complex128 
 
 // IRFFT inverts RFFT: given the half spectrum of a real signal of length n
 // (len(spec) must be n/2+1) it returns the time-domain signal, normalized
-// by 1/n to match IFFT.
+// by 1/n to match IFFT. It allocates the result and the work buffer;
+// IRFFTInto is the same inversion into caller-provided rows.
 func IRFFT(spec []complex128, n int) []float64 {
 	if n == 0 {
 		return nil
 	}
-	half := n/2 + 1
-	if len(spec) != half {
-		panic(fmt.Sprintf("dsp: IRFFT of %d bins for length %d (want %d)", len(spec), n, half))
-	}
-	if n%2 != 0 {
-		full := make([]complex128, n)
-		copy(full, spec)
-		for k := half; k < n; k++ {
-			full[k] = cmplx.Conj(spec[n-k])
-		}
-		t := IFFT(full)
-		out := make([]float64, n)
-		for i, c := range t {
-			out[i] = real(c)
-		}
-		return out
-	}
-	m := n / 2
-	p := rfftPlanFor(n)
-	zptr := p.scratch.Get().(*[]complex128)
-	z := *zptr
-	for k := 0; k < m; k++ {
-		xk := spec[k]
-		xmk := cmplx.Conj(spec[m-k])
-		e := (xk + xmk) * 0.5
-		o := (xk - xmk) * 0.5 * cmplx.Conj(p.w[k])
-		z[k] = e + complex(0, 1)*o
-	}
-	Z := z
-	if m&(m-1) == 0 {
-		fftRadix2(Z, true)
-	} else {
-		Z = bluestein(Z, true)
-	}
-	out := make([]float64, n)
-	inv := 1 / float64(m)
-	for j := 0; j < m; j++ {
-		out[2*j] = real(Z[j]) * inv
-		out[2*j+1] = imag(Z[j]) * inv
-	}
-	p.scratch.Put(zptr)
-	return out
+	return IRFFTInto(make([]float64, n), spec, n, make([]complex128, RFFTScratchLen(n)))
 }
 
 // IRFFTInto is IRFFT writing the time-domain signal into dst — len(dst)
 // must be n — using a caller-provided work buffer of at least
-// RFFTScratchLen(n) entries instead of the plan's scratch pool. Batched
-// response paths (the V_MIN ladder) use it to keep every per-supply
-// inversion in per-worker slab rows. The untangle, transform and
-// deinterleave run the same arithmetic in the same order as IRFFT, so the
-// filled signal is bit-identical; dst is returned.
+// RFFTScratchLen(n) entries. Batched response paths (the V_MIN ladder) use
+// it to keep every per-supply inversion in per-worker slab rows; dst is
+// returned.
 func IRFFTInto(dst []float64, spec []complex128, n int, scratch []complex128) []float64 {
 	if n == 0 {
 		return dst[:0]
@@ -259,8 +166,15 @@ func IRFFTInto(dst []float64, spec []complex128, n int, scratch []complex128) []
 		panic(fmt.Sprintf("dsp: IRFFTInto dst of %d for length %d", len(dst), n))
 	}
 	if n%2 != 0 {
-		// Odd lengths use the full-transform fallback either way.
-		copy(dst, IRFFT(spec, n))
+		// Odd lengths fall back to the full complex transform.
+		full := make([]complex128, n)
+		copy(full, spec)
+		for k := half; k < n; k++ {
+			full[k] = cmplx.Conj(spec[n-k])
+		}
+		for i, c := range IFFT(full) {
+			dst[i] = real(c)
+		}
 		return dst
 	}
 	m := n / 2

@@ -98,13 +98,13 @@ func TestIRFFTMatchesIFFT(t *testing.T) {
 }
 
 // TestRFFTDeterministic: repeated transforms of the same input are
-// bit-identical (the pooled scratch buffers must not leak state).
+// bit-identical (the cached plans must not leak state between calls).
 func TestRFFTDeterministic(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))
 	for _, n := range []int{64, 100, 101, 1024} {
 		x := randSignal(rng, n)
 		a := RFFT(x)
-		// Transform unrelated signals in between to dirty the pools.
+		// Transform unrelated signals in between.
 		RFFT(randSignal(rng, n))
 		IRFFT(a, n)
 		b := RFFT(x)
@@ -149,17 +149,26 @@ func BenchmarkFFTReal8192(b *testing.B) {
 	}
 }
 
+// dirtyComplexes returns a row of n NaNs, standing in for a recycled slab
+// row that still holds another item's values.
+func dirtyComplexes(n int) []complex128 {
+	row := make([]complex128, n)
+	for i := range row {
+		row[i] = complex(math.NaN(), math.NaN())
+	}
+	return row
+}
+
 // TestRFFTIntoBitIdentical: the slab-row variant must reproduce RFFT bit for
-// bit at every length — the batch evaluation path's bit-identity to the
-// per-individual path rests on it.
+// bit at every length when its destination and scratch rows hold stale
+// values, as recycled batch arena rows do — the batch evaluation path's
+// bit-identity to the per-individual path rests on it.
 func TestRFFTIntoBitIdentical(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for _, n := range rfftLengths {
 		x := randSignal(rng, n)
 		want := RFFT(x)
-		dst := make([]complex128, n/2+1)
-		scratch := make([]complex128, RFFTScratchLen(n))
-		got := RFFTInto(dst, x, scratch)
+		got := RFFTInto(dirtyComplexes(n/2+1), x, dirtyComplexes(RFFTScratchLen(n)))
 		if len(got) != len(want) {
 			t.Fatalf("n=%d: %d bins, want %d", n, len(got), len(want))
 		}
@@ -172,16 +181,18 @@ func TestRFFTIntoBitIdentical(t *testing.T) {
 }
 
 // TestIRFFTIntoBitIdentical: the slab-row inverse must reproduce IRFFT bit
-// for bit at every length — the V_MIN ladder's bit-identity to the scalar
-// SteadyState path rests on it.
+// for bit at every length when its destination and scratch rows hold stale
+// values — the V_MIN ladder reuses both rows on every rung.
 func TestIRFFTIntoBitIdentical(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	for _, n := range rfftLengths {
 		spec := RFFT(randSignal(rng, n))
 		want := IRFFT(spec, n)
 		dst := make([]float64, n)
-		scratch := make([]complex128, RFFTScratchLen(n))
-		got := IRFFTInto(dst, spec, n, scratch)
+		for i := range dst {
+			dst[i] = math.NaN()
+		}
+		got := IRFFTInto(dst, spec, n, dirtyComplexes(RFFTScratchLen(n)))
 		if len(got) != len(want) {
 			t.Fatalf("n=%d: %d samples, want %d", n, len(got), len(want))
 		}

@@ -7,6 +7,7 @@ import (
 	"repro/internal/instrument"
 	"repro/internal/platform"
 	"repro/internal/report"
+	"repro/internal/slab"
 )
 
 // runFig7 reproduces Figure 7: the EM-driven GA on the Cortex-A72. The
@@ -29,9 +30,11 @@ func runFig7(c *Context) (*Result, error) {
 	// Re-run each generation's best individual under the OC-DSO (the
 	// paper obtains droop by re-running after the GA search finishes).
 	droops := make([]float64, len(res.History))
+	var ar slab.Arena
 	for i, g := range res.History {
-		resp, _, err := d.SteadyResponse(platform.Load{Seq: g.Best.Seq, ActiveCores: cores},
-			c.JunoBench.Dt, c.JunoBench.N)
+		ar.Reset()
+		resp, _, err := d.SteadyVDie(platform.Load{Seq: g.Best.Seq, ActiveCores: cores},
+			c.JunoBench.Dt, c.JunoBench.N, &ar)
 		if err != nil {
 			return nil, err
 		}
@@ -133,7 +136,7 @@ func runFig9(c *Context) (*Result, error) {
 		return nil, err
 	}
 	// OC-DSO FFT view.
-	resp, ur, err := d.SteadyResponse(virus, c.JunoBench.Dt, c.JunoBench.N)
+	resp, ur, err := d.SteadyVDie(virus, c.JunoBench.Dt, c.JunoBench.N, &slab.Arena{})
 	if err != nil {
 		return nil, err
 	}

@@ -10,6 +10,7 @@ import (
 	"repro/internal/platform"
 	"repro/internal/predict"
 	"repro/internal/report"
+	"repro/internal/slab"
 )
 
 // Extensions returns the experiments that go beyond the paper: its own
@@ -262,7 +263,7 @@ func runExtSDR(c *Context) (*Result, error) {
 		return nil, err
 	}
 	// Incident spectrum at the antenna.
-	freqs, _, iAmp, _, err := d.Spectra(virusLoad, c.JunoBench.Dt, c.JunoBench.N)
+	freqs, _, iAmp, _, err := d.SpectraArena(virusLoad, c.JunoBench.Dt, c.JunoBench.N, &slab.Arena{})
 	if err != nil {
 		return nil, err
 	}

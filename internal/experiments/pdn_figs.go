@@ -9,6 +9,7 @@ import (
 	"repro/internal/instrument"
 	"repro/internal/platform"
 	"repro/internal/report"
+	"repro/internal/slab"
 )
 
 // runFig1b reproduces Figure 1(b): the PDN driving-point impedance seen by
@@ -174,8 +175,10 @@ func runFig4(c *Context) (*Result, error) {
 	}
 	tb := report.NewTable("OC-DSO capture per workload", "workload", "p2p", "max droop")
 	vals := make(map[string]float64)
+	var ar slab.Arena
 	for _, name := range []string{"idle", "lbm", "virus"} {
-		resp, _, err := d.SteadyResponse(loads[name], c.JunoBench.Dt, c.JunoBench.N)
+		ar.Reset()
+		resp, _, err := d.SteadyVDie(loads[name], c.JunoBench.Dt, c.JunoBench.N, &ar)
 		if err != nil {
 			return nil, err
 		}

@@ -5,7 +5,6 @@ import (
 
 	"repro/internal/isa"
 	"repro/internal/platform"
-	"repro/internal/power"
 	"repro/internal/report"
 	"repro/internal/vmin"
 )
@@ -53,12 +52,10 @@ func runTab2(c *Context) (*Result, error) {
 		}
 		load := platform.Load{Seq: res.Best.Seq, ActiveCores: cores}
 		// Loop metrics from the micro-architectural model at max clock.
-		_, ur, err := d.Current(load, c.JunoBench.Dt, 2048)
+		loopHz, ur, err := d.LoopHzAt(load, c.JunoBench.Dt, 2048, d.ClockHz())
 		if err != nil {
 			return nil, err
 		}
-		clock := d.ClockHz()
-		loopHz := power.LoopFrequency(ur, clock)
 		periodNs := 1e9 / loopHz
 		// Margin from a V_MIN search on the virus.
 		tester := vmin.NewTester(d, c.Opts.Seed+60)

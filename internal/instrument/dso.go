@@ -51,6 +51,21 @@ func NewBenchScope(seed int64) *DSO {
 	}
 }
 
+// ScopeFor maps a domain's voltage visibility to the scope that reads its
+// rail: the kind name capability records carry ("oc-dso" for the Juno's
+// on-chip monitor, "bench-scope" for a differential probe on Kelvin pads)
+// and the scope's constructor. A domain without rail access ("none", or
+// any visibility not listed here) gets an empty kind and a nil constructor.
+func ScopeFor(visibility string) (kind string, newScope func(seed int64) *DSO) {
+	switch visibility {
+	case "oc-dso":
+		return "oc-dso", NewOCDSO
+	case "kelvin-pads":
+		return "bench-scope", NewBenchScope
+	}
+	return "", nil
+}
+
 // Validate reports the first problem with the scope configuration.
 func (d *DSO) Validate() error {
 	if d.SampleRateHz <= 0 || d.BandwidthHz <= 0 || d.Bits < 1 || d.Bits > 24 ||

@@ -115,6 +115,32 @@ func TestMeasurePeakAveragesNoise(t *testing.T) {
 	}
 }
 
+// TestScopeFor pins the one visibility→scope mapping the lab's CAPS reply,
+// the local backend's capability record and both measurer builders share.
+func TestScopeFor(t *testing.T) {
+	for _, c := range []struct {
+		visibility, kind, model string
+	}{
+		{"oc-dso", "oc-dso", NewOCDSO(0).Model},
+		{"kelvin-pads", "bench-scope", NewBenchScope(0).Model},
+		{"none", "", ""},
+		{"", "", ""},
+	} {
+		kind, newScope := ScopeFor(c.visibility)
+		if kind != c.kind {
+			t.Errorf("%q: kind %q, want %q", c.visibility, kind, c.kind)
+		}
+		if (newScope == nil) != (c.model == "") {
+			t.Fatalf("%q: constructor presence mismatch", c.visibility)
+		}
+		if newScope != nil {
+			if dso := newScope(9); dso.Model != c.model || dso.seed != 9 {
+				t.Errorf("%q: built %s seeded %d", c.visibility, dso.Model, dso.seed)
+			}
+		}
+	}
+}
+
 func TestDSOValidate(t *testing.T) {
 	if err := NewOCDSO(1).Validate(); err != nil {
 		t.Errorf("OC-DSO invalid: %v", err)

@@ -42,19 +42,6 @@ func (s *Server) cmdInfo(w *bufio.Writer) error {
 	return writeLine(w, "%s %s %s", replyOK, s.Bench.Platform.Name, strings.Join(names, " "))
 }
 
-// dsoKindFor names the scope a domain's voltage visibility implies; "-" is
-// the explicit "no scope" token so the reply stays a fixed field count.
-func dsoKindFor(visibility string) string {
-	switch visibility {
-	case "oc-dso":
-		return "oc-dso"
-	case "kelvin-pads":
-		return "bench-scope"
-	default:
-		return "-"
-	}
-}
-
 func (s *Server) cmdCaps(w *bufio.Writer, fields []string) error {
 	if len(fields) != 2 {
 		return fmt.Errorf("usage: CAPS <domain>")
@@ -64,9 +51,13 @@ func (s *Server) cmdCaps(w *bufio.Writer, fields []string) error {
 		return err
 	}
 	spec := d.Spec
+	kind, _ := instrument.ScopeFor(spec.VoltageVisibility)
+	if kind == "" {
+		kind = "-" // the explicit "no scope" token keeps the reply a fixed field count
+	}
 	return writeLine(w, "%s %d %s %g %g %s %s", replyOK,
 		spec.TotalCores, spec.ISA, spec.MaxClockHz, spec.ClockStepHz,
-		spec.VoltageVisibility, dsoKindFor(spec.VoltageVisibility))
+		spec.VoltageVisibility, kind)
 }
 
 func (s *Server) cmdState(w *bufio.Writer, fields []string) error {
@@ -196,16 +187,6 @@ func (s *Server) cmdMeasure(sess *session, w *bufio.Writer, fields []string) err
 	return writeLine(w, "%s %g %g %g", replyOK, m.PeakDBm, m.PeakHz, m.StdevDBm)
 }
 
-// scopeForVisibility builds the DSO a domain's visibility implies, seeded
-// by the workstation so a remote droop/ptp measurement reuses the exact
-// noise stream a local one would.
-func scopeForVisibility(visibility string, seed int64) *instrument.DSO {
-	if visibility == "kelvin-pads" {
-		return instrument.NewBenchScope(seed)
-	}
-	return instrument.NewOCDSO(seed)
-}
-
 // cmdVMeasure measures the running workload's voltage noise through the
 // bench's DSO measurers (droop depth or peak-to-peak swing), which reject
 // domains without voltage visibility with the same typed error a local
@@ -228,7 +209,13 @@ func (s *Server) cmdVMeasure(sess *session, w *bufio.Writer, fields []string) er
 	}
 	cur := sess.current
 	bench := s.benchWithSamples(samples)
-	dso := scopeForVisibility(cur.domain.Spec.VoltageVisibility, dsoSeed)
+	// The scope is seeded by the workstation so a remote droop/ptp
+	// measurement reuses the exact noise stream a local one would; a domain
+	// without one leaves dso nil and the measurer rejects it.
+	var dso *instrument.DSO
+	if _, newScope := instrument.ScopeFor(cur.domain.Spec.VoltageVisibility); newScope != nil {
+		dso = newScope(dsoSeed)
+	}
 	var m ga.Measurer
 	switch metric {
 	case "droop":

@@ -211,6 +211,31 @@ func TestVMeasureRejectsEM(t *testing.T) {
 	}
 }
 
+// TestVMeasureRejectsDomainWithoutScope: a domain whose visibility maps to
+// no scope answers VMEASURE with the bench measurer's own target error.
+func TestVMeasureRejectsDomainWithoutScope(t *testing.T) {
+	addr, b := startServer(t)
+	c := dial(t, addr)
+	d, err := b.Platform.Domain(platform.DomainA53)
+	if err != nil {
+		t.Fatal(err)
+	}
+	seq, err := workload.Probe().Build(d.Spec.Pool())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Load(platform.DomainA53, 1, d.Spec.Pool(), seq); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Run(); err != nil {
+		t.Fatal(err)
+	}
+	_, _, err = c.VMeasure("droop", 3, 1)
+	if err == nil || !IsTargetError(err) || !strings.Contains(err.Error(), "no voltage visibility") {
+		t.Fatalf("VMEASURE droop on %s: err = %v, want the no-visibility target error", platform.DomainA53, err)
+	}
+}
+
 // TestV2ProtocolErrors drives the verbs the multi-domain protocol added
 // (HELLO, CAPS, STATE, SHMOO, VMEASURE, MONITOR, STATS) with malformed
 // arguments over a raw connection; each must produce a single ERR line

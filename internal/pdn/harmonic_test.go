@@ -95,7 +95,7 @@ func TestHarmonicResponseDCOnly(t *testing.T) {
 
 func TestHarmonicResponseMatchesSteadyState(t *testing.T) {
 	// A square wave synthesized via HarmonicResponse must agree with the
-	// FFT-based SteadyState path on peak-to-peak swing.
+	// FFT-based SteadyStateInto path on peak-to-peak swing.
 	m := newTestModel(t, 2)
 	f0 := m.FirstOrderResonance()
 	coeffs := SquareWaveCoeffs(0.5, 63)
@@ -117,12 +117,12 @@ func TestHarmonicResponseMatchesSteadyState(t *testing.T) {
 			load[i] = 0.5
 		}
 	}
-	ss, err := ts.SteadyState(load)
+	vdie, err := steadyVDie(ts, load, m.Params.VNominal)
 	if err != nil {
 		t.Fatal(err)
 	}
 	hrPtp := hr.PeakToPeak()
-	ssPtp := ss.PeakToPeak()
+	ssPtp := ptp(vdie)
 	if math.Abs(hrPtp-ssPtp) > 0.1*hrPtp {
 		t.Fatalf("harmonic p2p %v vs steady-state p2p %v", hrPtp, ssPtp)
 	}

@@ -81,14 +81,13 @@ type TransferSet struct {
 
 	// freqs, absHV and absHI are per-bin values that depend only on (N, Dt)
 	// and the model: the bin frequencies and transfer magnitudes. They are
-	// computed once here rather than on every Spectra call, and shared
+	// computed once here rather than on every SpectraInto call, and shared
 	// read-only with every caller.
 	freqs []float64
 	absHV []float64
 	absHI []float64
 
-	vnominal float64
-	rSeries  float64 // total DC series resistance, for the DC droop term
+	rSeries float64 // total DC series resistance, for the DC droop term
 }
 
 // Transfers computes the transfer set for n samples at spacing dt.
@@ -103,12 +102,11 @@ func (m *Model) Transfers(n int, dt float64) (*TransferSet, error) {
 	half := n/2 + 1
 	ts := &TransferSet{
 		N: n, Dt: dt,
-		HV:       make([]complex128, half),
-		HI:       make([]complex128, half),
-		freqs:    make([]float64, half),
-		absHV:    make([]float64, half),
-		absHI:    make([]float64, half),
-		vnominal: m.Params.VNominal,
+		HV:    make([]complex128, half),
+		HI:    make([]complex128, half),
+		freqs: make([]float64, half),
+		absHV: make([]float64, half),
+		absHI: make([]float64, half),
 	}
 	fs := 1 / dt
 	for k := 0; k < half; k++ {
@@ -136,57 +134,16 @@ func (m *Model) Transfers(n int, dt float64) (*TransferSet, error) {
 	return ts, nil
 }
 
-// SteadyState returns the exact periodic steady-state response to the load
-// waveform (len must be N): VDie includes the nominal DC level, IDie is the
-// package-inductor current including its DC component.
-func (ts *TransferSet) SteadyState(load []float64) (*Response, error) {
-	return ts.SteadyStateAt(load, ts.vnominal)
-}
-
-// SteadyStateAt is SteadyState with an explicit regulator setpoint. The
-// transfer functions themselves are independent of the supply (the network
-// is linear), so one TransferSet serves every voltage step of a V_MIN
-// search.
-func (ts *TransferSet) SteadyStateAt(load []float64, vnominal float64) (*Response, error) {
-	if len(load) != ts.N {
-		return nil, fmt.Errorf("pdn: steady-state load length %d, want %d", len(load), ts.N)
-	}
-	spec := dsp.RFFT(load)
-	n := ts.N
-	half := n/2 + 1
-	vspec := dsp.GetSpectrum(half)
-	ispec := dsp.GetSpectrum(half)
-	for k := 0; k < half; k++ {
-		vspec[k] = spec[k] * ts.HV[k]
-		ispec[k] = spec[k] * ts.HI[k]
-	}
-	dsp.PutSpectrum(spec)
-	// The load is real and the transfers are evaluated on the half grid, so
-	// the responses are real too: invert on the half spectrum directly.
-	vt := dsp.IRFFT(vspec, n)
-	it := dsp.IRFFT(ispec, n)
-	dsp.PutSpectrum(vspec)
-	dsp.PutSpectrum(ispec)
-	// Lift the voltage perturbation to the DC level in place; vt is freshly
-	// allocated by IRFFT, so the Response owns it.
-	for i := 0; i < n; i++ {
-		vt[i] = vnominal + vt[i]
-	}
-	out := &Response{Dt: ts.Dt, VDie: vt, IDie: it}
-	// IDie from the transfer is the *perturbation*; its DC component equals
-	// the load's mean already via HI[0] (at DC all load current flows
-	// through the inductor), so nothing more to add.
-	return out, nil
-}
-
-// SteadyStateInto is the voltage half of SteadyStateAt writing into
-// caller-provided rows, for batched V_MIN campaigns: vdie must have length
-// N, spec and prod length N/2+1, and fftScratch at least
-// dsp.RFFTScratchLen(N) entries (all batch slab rows; every element is
-// overwritten before any read). A V_MIN rung reads only the die voltage,
-// so the inductor-current inversion is not run. Each per-bin value is the
-// same arithmetic SteadyStateAt performs, so vdie is bit-identical to its
-// VDie.
+// SteadyStateInto writes the exact periodic steady-state die voltage under
+// the load waveform (len N) into vdie, lifted to the regulator setpoint
+// vnominal. The transfer functions themselves are independent of the
+// supply (the network is linear), so one TransferSet serves every voltage
+// step of a V_MIN search. vdie must have length N, spec and prod length
+// N/2+1, and fftScratch at least dsp.RFFTScratchLen(N) entries (batch slab
+// rows; every element is overwritten before any read). Steady-state readers
+// (the scopes, the V_MIN failure model) need only the die voltage, so no
+// inductor-current inversion is run; the EM path folds the current
+// spectrum directly (SpectraInto).
 func (ts *TransferSet) SteadyStateInto(vdie, load []float64, vnominal float64, spec, prod, fftScratch []complex128) error {
 	n := ts.N
 	if len(load) != n {
@@ -213,52 +170,29 @@ func (ts *TransferSet) SteadyStateInto(vdie, load []float64, vnominal float64, s
 	return nil
 }
 
-// Spectra returns the single-sided amplitude spectra of the die voltage and
-// inductor current under the given load waveform (len N): freqs[k] in Hz,
-// amplitudes in volts and amps. The returned freqs slice is shared across
-// calls (it depends only on the transfer set) and must not be modified.
-func (ts *TransferSet) Spectra(load []float64) (freqs, vAmp, iAmp []float64, err error) {
-	if len(load) != ts.N {
-		return nil, nil, nil, fmt.Errorf("pdn: spectra load length %d, want %d", len(load), ts.N)
-	}
-	spec := dsp.RFFT(load)
-	half := ts.N/2 + 1
-	vAmp = make([]float64, half)
-	iAmp = make([]float64, half)
-	ts.foldAmp(vAmp, iAmp, spec)
-	dsp.PutSpectrum(spec)
-	return ts.freqs, vAmp, iAmp, nil
-}
-
-// SpectraInto is Spectra with caller-provided destinations and FFT scratch,
-// for generation-batched evaluation: vAmp, iAmp and spec must have length
+// SpectraInto fills the single-sided amplitude spectra of the die voltage
+// and inductor current under the given load waveform (len N): freqs[k] in
+// Hz, amplitudes in volts and amps. vAmp, iAmp and spec must have length
 // N/2+1 and fftScratch at least dsp.RFFTScratchLen(N) (batch slab rows).
-// The FFT and the per-bin fold run the same arithmetic in the same order as
-// Spectra, so the filled amplitudes are bit-identical. The returned freqs
-// slice is shared across calls and must not be modified.
+// The returned freqs slice is shared across calls (it depends only on the
+// transfer set) and must not be modified.
 func (ts *TransferSet) SpectraInto(vAmp, iAmp, load []float64, spec, fftScratch []complex128) (freqs []float64, err error) {
-	if len(load) != ts.N {
-		return nil, fmt.Errorf("pdn: spectra load length %d, want %d", len(load), ts.N)
+	n := ts.N
+	if len(load) != n {
+		return nil, fmt.Errorf("pdn: spectra load length %d, want %d", len(load), n)
 	}
-	half := ts.N/2 + 1
+	half := n/2 + 1
 	if len(vAmp) != half || len(iAmp) != half || len(spec) != half {
 		return nil, fmt.Errorf("pdn: spectra destinations %d/%d/%d bins, want %d",
 			len(vAmp), len(iAmp), len(spec), half)
 	}
-	if len(fftScratch) < dsp.RFFTScratchLen(ts.N) {
-		return nil, fmt.Errorf("pdn: FFT scratch %d, want %d", len(fftScratch), dsp.RFFTScratchLen(ts.N))
+	if len(fftScratch) < dsp.RFFTScratchLen(n) {
+		return nil, fmt.Errorf("pdn: FFT scratch %d, want %d", len(fftScratch), dsp.RFFTScratchLen(n))
 	}
-	ts.foldAmp(vAmp, iAmp, dsp.RFFTInto(spec, load, fftScratch))
-	return ts.freqs, nil
-}
-
-// foldAmp folds a half spectrum into single-sided voltage and current
-// amplitudes; the one shared body keeps Spectra and SpectraInto bit-identical.
-func (ts *TransferSet) foldAmp(vAmp, iAmp []float64, spec []complex128) {
-	n := ts.N
+	dsp.RFFTInto(spec, load, fftScratch)
 	scale0 := 1 / float64(n)
 	s2 := scale0 * 2
-	for k := 0; k < len(spec); k++ {
+	for k := 0; k < half; k++ {
 		scale := s2
 		if k == 0 || (n%2 == 0 && k == n/2) {
 			scale = scale0
@@ -267,6 +201,7 @@ func (ts *TransferSet) foldAmp(vAmp, iAmp []float64, spec []complex128) {
 		vAmp[k] = mag * ts.absHV[k]
 		iAmp[k] = mag * ts.absHI[k]
 	}
+	return ts.freqs, nil
 }
 
 // RSeries returns the total DC series resistance of the network as seen by

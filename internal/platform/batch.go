@@ -19,11 +19,13 @@ package platform
 //     once and each supply step pays only the scale + FFT remainder,
 //     memoized per supply (the response is a pure function of the
 //     operating point, so repeated trials of a Repeat campaign dedup).
+//     SteadyVDie is a one-rung ladder at the domain's current operating
+//     point: every steady-state die-voltage reading runs this body.
 //
 // All transient rows live in caller-owned slab arenas (one per batch
 // worker; see internal/slab lifetime rules) and are never retained past the
-// item. Every path reproduces the scalar arithmetic
-// operation for operation, which the platform/core/vmin property tests pin.
+// item. The platform/core/vmin property tests pin every path bit for bit
+// against references composed from the stage primitives.
 
 import (
 	"fmt"
@@ -36,7 +38,7 @@ import (
 )
 
 // clusterLoad is the power-layer view of a load at an explicit clock — the
-// single construction point shared by the scalar and batched paths.
+// single construction point of every evaluation path.
 func (d *Domain) clusterLoad(l Load, clockHz float64) power.ClusterLoad {
 	return power.ClusterLoad{
 		Core:        d.Spec.Core,
@@ -86,8 +88,8 @@ type PointEval struct {
 // PreparePointAt sizes one batched operating point at an explicit
 // (snapped) clock, serving the simulation from tr when it covers the
 // window (a nil trace falls back to per-point sizing). The underlying
-// uarch result is the one a LoopHzAt or SpectraAt call would carry, so
-// prefilter decisions and spectra stay bit-identical to the scalar path.
+// uarch result is the one a LoopHzAt call would carry, so prefilter
+// decisions and spectra agree with the unprimed path bit for bit.
 func (d *Domain) PreparePointAt(l Load, dt float64, n int, clockHz float64, tr *uarch.Trace) (PointEval, error) {
 	if err := d.validateLoad(l); err != nil {
 		return PointEval{}, err
@@ -108,8 +110,8 @@ func (d *Domain) PreparePointAt(l Load, dt float64, n int, clockHz float64, tr *
 // SpectraArena evaluates the prepared point's spectra at an explicit
 // (supply, powered) snapshot, drawing every transient row — including the
 // amplitude outputs — from the caller's arena, so the results die at the
-// arena's next Reset. Results are bit-identical to SpectraAt at the same
-// snapshot.
+// arena's next Reset. Domain.SpectraArena is this call on an unprimed
+// point at the domain's current operating point.
 func (pe *PointEval) SpectraArena(supply float64, powered int, ar *slab.Arena) (freqs, vAmp, iAmp []float64, err error) {
 	d := pe.d
 	n := pe.sim.N
@@ -142,24 +144,20 @@ func (pe *PointEval) SpectraArena(supply float64, powered int, ar *slab.Arena) (
 // campaign. Everything supply-invariant is frozen at construction: the
 // sized simulation, the resampled and slew-filtered base current waveform
 // (idle lift and supply scaling apply after the slew filter, exactly as in
-// the scalar path), and the PDN transfer set. Each supply step then pays
+// currentAt), and the PDN transfer set. Each supply step then pays
 // only the scale + FFT + inverse-FFT remainder, streamed through the
 // owning arena's rows, and the (minV, droop) outcome is memoized per
 // supply — the response is a pure function of (load, clock, supply,
 // powered), so the repeated descents of a Repeat campaign and the shared
-// nominal trial dedup to one evaluation. Responses are bit-identical to
-// SteadyResponseAt at the same point.
+// nominal trial dedup to one evaluation.
 //
 // A Ladder is not safe for concurrent use; batch paths keep one per
 // worker. Its rows live in the construction arena and die at that arena's
 // next Reset.
 type Ladder struct {
 	d       *Domain
-	clock   float64
-	powered int
 	idle    float64
 	dt      float64
-	n       int
 	ts      *pdn.TransferSet
 	base    []float64 // post-slew cluster current, before idle lift / supply scale
 	wave    []float64
@@ -177,35 +175,38 @@ type ladderPoint struct {
 // LadderAt prepares the supply-invariant parts of one V_MIN column at an
 // explicit (snapped) clock, serving the simulation from tr when it covers
 // the window (nil falls back to per-point sizing). The powered-core count
-// snapshots the domain, matching SteadyResponseAt's contract.
+// snapshots the domain.
 func (d *Domain) LadderAt(l Load, dt float64, n int, clockHz float64, tr *uarch.Trace, ar *slab.Arena) (*Ladder, error) {
+	ld, _, err := d.ladderAt(l, dt, n, clockHz, d.PoweredCores(), tr, ar)
+	return ld, err
+}
+
+// ladderAt is LadderAt at an explicit powered-core count; it also returns
+// the column's micro-architectural result.
+func (d *Domain) ladderAt(l Load, dt float64, n int, clockHz float64, powered int, tr *uarch.Trace, ar *slab.Arena) (*Ladder, *uarch.Result, error) {
 	if err := d.validateLoad(l); err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	powered := d.PoweredCores()
 	cl := d.clusterLoad(l, clockHz)
 	sim, err := cl.SteadySimTrace(dt, n, tr)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	// The transfer set is supply-independent (the network is linear); the
 	// nominal supply here only seeds a cache miss's model build.
 	ts, err := d.transferSetAt(powered, d.Spec.PDN.VNominal, n, dt)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	base := ar.FloatsUninit(n)
 	if err := cl.FillFromSim(sim, base); err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	half := n/2 + 1
 	return &Ladder{
 		d:       d,
-		clock:   clockHz,
-		powered: powered,
 		idle:    power.IdleCurrent(d.Spec.Core, clockHz) * float64(powered-l.ActiveCores),
 		dt:      dt,
-		n:       n,
 		ts:      ts,
 		base:    base,
 		wave:    ar.FloatsUninit(n),
@@ -213,32 +214,58 @@ func (d *Domain) LadderAt(l Load, dt float64, n int, clockHz float64, tr *uarch.
 		spec:    ar.ComplexesUninit(half),
 		prod:    ar.ComplexesUninit(half),
 		scratch: ar.ComplexesUninit(dsp.RFFTScratchLen(n)),
-		memo:    make(map[float64]ladderPoint),
-	}, nil
+	}, sim.Res, nil
 }
 
-// MinVDroop evaluates the column at one supply: the response's minimum die
-// voltage and its worst droop below the supply — the two scalars the V_MIN
-// failure model consumes. Values are bit-identical to running
-// SteadyResponseAt and reading MinVoltage/MaxDroop off the response.
-func (ld *Ladder) MinVDroop(supply float64) (minV, droopV float64, err error) {
-	if p, ok := ld.memo[supply]; ok {
-		return p.minV, p.droop, nil
+// SteadyVDie returns the exact periodic steady-state die voltage under the
+// workload at the domain's current operating point, plus the
+// micro-architectural result for the loop: one rung of a fresh ladder.
+// The clock, supply and powered-core count are snapshotted together. The
+// response's VDie row lives in the caller's arena and dies at its next
+// Reset; IDie is not computed.
+func (d *Domain) SteadyVDie(l Load, dt float64, n int, ar *slab.Arena) (*pdn.Response, *uarch.Result, error) {
+	d.mu.Lock()
+	clock, supply, powered := d.clockHz, d.supplyVolts, d.poweredCores
+	d.mu.Unlock()
+	ld, res, err := d.ladderAt(l, dt, n, clock, powered, nil, ar)
+	if err != nil {
+		return nil, nil, err
 	}
+	if err := ld.rung(supply); err != nil {
+		return nil, nil, err
+	}
+	return &pdn.Response{Dt: dt, VDie: ld.vdie}, res, nil
+}
+
+// rung solves the column at one supply into ld.vdie.
+func (ld *Ladder) rung(supply float64) error {
 	d := ld.d
 	if supply <= 0 || supply > 2*d.Spec.PDN.VNominal {
-		return 0, 0, fmt.Errorf("platform: %s: supply %v out of range", d.Spec.Name, supply)
+		return fmt.Errorf("platform: %s: supply %v out of range", d.Spec.Name, supply)
 	}
 	scale := supply / d.Spec.PDN.VNominal
 	for i, v := range ld.base {
 		ld.wave[i] = (v + ld.idle) * scale
 	}
-	if err := ld.ts.SteadyStateInto(ld.vdie, ld.wave, supply, ld.spec, ld.prod, ld.scratch); err != nil {
+	return ld.ts.SteadyStateInto(ld.vdie, ld.wave, supply, ld.spec, ld.prod, ld.scratch)
+}
+
+// MinVDroop evaluates the column at one supply: the response's minimum die
+// voltage and its worst droop below the supply — the two scalars the V_MIN
+// failure model consumes, memoized per supply.
+func (ld *Ladder) MinVDroop(supply float64) (minV, droopV float64, err error) {
+	if p, ok := ld.memo[supply]; ok {
+		return p.minV, p.droop, nil
+	}
+	if err := ld.rung(supply); err != nil {
 		return 0, 0, err
 	}
 	resp := pdn.Response{Dt: ld.dt, VDie: ld.vdie}
 	minV = resp.MinVoltage()
 	droopV = resp.MaxDroop(supply)
+	if ld.memo == nil {
+		ld.memo = make(map[float64]ladderPoint)
+	}
 	ld.memo[supply] = ladderPoint{minV: minV, droop: droopV}
 	return minV, droopV, nil
 }

@@ -5,6 +5,8 @@ import (
 	"math"
 	"testing"
 
+	"repro/internal/dsp"
+	"repro/internal/pdn"
 	"repro/internal/slab"
 	"repro/internal/uarch"
 )
@@ -21,9 +23,63 @@ func requireSameFloats(t *testing.T, label string, got, want []float64) {
 	}
 }
 
+// current is currentAt at the domain's current operating point into a
+// freshly allocated row.
+func current(d *Domain, l Load, dt float64, n int) ([]float64, *uarch.Result, error) {
+	wave := make([]float64, n)
+	res, err := d.currentAt(l, dt, n, d.ClockHz(), d.SupplyVolts(), d.PoweredCores(), wave)
+	return wave, res, err
+}
+
+// steadyRef is the steady-state reference every die-voltage path is pinned
+// against, composed from the stage primitives on plain buffers: currentAt,
+// then the transfer set and SteadyStateInto.
+func steadyRef(t *testing.T, d *Domain, l Load, dt float64, n int, clock, supply float64, powered int) []float64 {
+	t.Helper()
+	wave := make([]float64, n)
+	if _, err := d.currentAt(l, dt, n, clock, supply, powered, wave); err != nil {
+		t.Fatal(err)
+	}
+	ts, err := d.transferSetAt(powered, supply, n, dt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	half := n/2 + 1
+	vdie := make([]float64, n)
+	if err := ts.SteadyStateInto(vdie, wave, supply, make([]complex128, half), make([]complex128, half),
+		make([]complex128, dsp.RFFTScratchLen(n))); err != nil {
+		t.Fatal(err)
+	}
+	return vdie
+}
+
+// spectraRef is the spectra reference: currentAt on a plain buffer, then
+// the transfer set and SpectraInto.
+func spectraRef(t *testing.T, d *Domain, l Load, dt float64, n int, clock, supply float64, powered int) (freqs, vAmp, iAmp []float64) {
+	t.Helper()
+	wave := make([]float64, n)
+	if _, err := d.currentAt(l, dt, n, clock, supply, powered, wave); err != nil {
+		t.Fatal(err)
+	}
+	ts, err := d.transferSetAt(powered, supply, n, dt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	half := n/2 + 1
+	vAmp = make([]float64, half)
+	iAmp = make([]float64, half)
+	freqs, err = ts.SpectraInto(vAmp, iAmp, wave, make([]complex128, half), make([]complex128, dsp.RFFTScratchLen(n)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return freqs, vAmp, iAmp
+}
+
 // TestSpectraAtArenaMatchesSpectraAt pins the batched sweep's evaluation
 // path: an arena-backed spectra computation of a point prepared from a
-// campaign-primed trace must be bit-identical to SpectraAt at every clock.
+// campaign-primed trace must be bit-identical to the plain-buffer reference
+// at every clock, and so must Domain.SpectraArena at the domain's own
+// operating point.
 func TestSpectraAtArenaMatchesSpectraAt(t *testing.T) {
 	d := domain(t, juno(t), DomainA72)
 	l := Load{Seq: probeLoop(t, d.Spec.Pool()), ActiveCores: 2}
@@ -53,84 +109,115 @@ func TestSpectraAtArenaMatchesSpectraAt(t *testing.T) {
 		if err != nil {
 			t.Fatalf("clock %v: arena spectra: %v", clock, err)
 		}
-		wantF, wantV, wantI, _, err := d.SpectraAt(l, dt, n, clock)
-		if err != nil {
-			t.Fatalf("clock %v: scalar spectra: %v", clock, err)
-		}
+		wantF, wantV, wantI := spectraRef(t, d, l, dt, n, clock, supply, powered)
 		requireSameFloats(t, fmt.Sprintf("clock %v freqs", clock), gotF, wantF)
 		requireSameFloats(t, fmt.Sprintf("clock %v vAmp", clock), gotV, wantV)
 		requireSameFloats(t, fmt.Sprintf("clock %v iAmp", clock), gotI, wantI)
 	}
 
+	ar.Reset()
+	gotF, gotV, gotI, _, err := d.SpectraArena(l, dt, n, &ar)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantF, wantV, wantI := spectraRef(t, d, l, dt, n, d.ClockHz(), supply, powered)
+	requireSameFloats(t, "domain freqs", gotF, wantF)
+	requireSameFloats(t, "domain vAmp", gotV, wantV)
+	requireSameFloats(t, "domain iAmp", gotI, wantI)
 }
 
-// TestLadderMatchesSteadyResponseAt pins the V_MIN ladder: every supply
-// step's (minV, droop) must match the scalar SteadyResponseAt pipeline bit
-// for bit, the per-supply memo must be transparent, and the out-of-range
-// error must be the scalar path's.
+// TestLadderMatchesSteadyResponseAt pins the one die-voltage path against
+// the plain-buffer reference: at nominal and three descending supplies, for
+// an aligned load (one active core beside a powered idle one, so the idle
+// lift is non-zero) and a phase-staggered one, every Ladder rung's whole
+// VDie row and SteadyVDie's row at the same operating point must match bit
+// for bit, (minV, droop) must be the row's, the per-supply memo must be
+// transparent, and the out-of-range error must be the domain setter's.
 func TestLadderMatchesSteadyResponseAt(t *testing.T) {
 	d := domain(t, juno(t), DomainA72)
-	l := Load{Seq: probeLoop(t, d.Spec.Pool()), ActiveCores: 2}
+	seq := probeLoop(t, d.Spec.Pool())
 	dt, n := 0.5e-9, 2048
 	clock, err := d.SnapClock(0.9e9)
 	if err != nil {
 		t.Fatal(err)
 	}
-
-	var ar slab.Arena
-	ld, err := d.LadderAt(l, dt, n, clock, nil, &ar)
-	if err != nil {
-		t.Fatal(err)
-	}
 	nominal := d.Spec.PDN.VNominal
-	for _, supply := range []float64{nominal, nominal - 0.03, nominal - 0.11, nominal * 0.7} {
-		minV, droop, err := ld.MinVDroop(supply)
-		if err != nil {
-			t.Fatalf("supply %v: %v", supply, err)
-		}
-		resp, _, err := d.SteadyResponseAt(l, dt, n, clock, supply)
+	powered := d.PoweredCores()
+	defer d.Reset()
+
+	for _, l := range []Load{
+		{Seq: seq, ActiveCores: 1},
+		{Seq: seq, ActiveCores: 2, PhaseCycles: []float64{0, 37.5}},
+	} {
+		var ar, one slab.Arena
+		ld, err := d.LadderAt(l, dt, n, clock, nil, &ar)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if math.Float64bits(minV) != math.Float64bits(resp.MinVoltage()) {
-			t.Fatalf("supply %v: minV %v != %v", supply, minV, resp.MinVoltage())
+		for _, supply := range []float64{nominal, nominal - 0.03, nominal - 0.11, nominal * 0.7} {
+			label := fmt.Sprintf("phases %v supply %v", l.PhaseCycles, supply)
+			want := steadyRef(t, d, l, dt, n, clock, supply, powered)
+			minV, droop, err := ld.MinVDroop(supply)
+			if err != nil {
+				t.Fatalf("%s: %v", label, err)
+			}
+			requireSameFloats(t, label+" ladder VDie", ld.vdie, want)
+			ref := pdn.Response{Dt: dt, VDie: want}
+			if math.Float64bits(minV) != math.Float64bits(ref.MinVoltage()) ||
+				math.Float64bits(droop) != math.Float64bits(ref.MaxDroop(supply)) {
+				t.Fatalf("%s: (minV, droop) (%v, %v) != (%v, %v)", label, minV, droop, ref.MinVoltage(), ref.MaxDroop(supply))
+			}
+			// The memoized revisit must return the same bits.
+			minV2, droop2, err := ld.MinVDroop(supply)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if math.Float64bits(minV2) != math.Float64bits(minV) || math.Float64bits(droop2) != math.Float64bits(droop) {
+				t.Fatalf("%s: memoized revisit diverges", label)
+			}
+
+			if err := d.SetClockHz(clock); err != nil {
+				t.Fatal(err)
+			}
+			if err := d.SetSupplyVolts(supply); err != nil {
+				t.Fatal(err)
+			}
+			one.Reset()
+			resp, res, err := d.SteadyVDie(l, dt, n, &one)
+			if err != nil {
+				t.Fatalf("%s: SteadyVDie: %v", label, err)
+			}
+			if res == nil || resp.Dt != dt || resp.IDie != nil {
+				t.Fatalf("%s: SteadyVDie response %+v / result %v", label, resp, res)
+			}
+			requireSameFloats(t, label+" SteadyVDie", resp.VDie, want)
+			d.Reset()
 		}
-		if math.Float64bits(droop) != math.Float64bits(resp.MaxDroop(supply)) {
-			t.Fatalf("supply %v: droop %v != %v", supply, droop, resp.MaxDroop(supply))
+
+		_, _, gotErr := ld.MinVDroop(-0.1)
+		wantErr := d.SetSupplyVolts(-0.1)
+		if gotErr == nil || wantErr == nil || gotErr.Error() != wantErr.Error() {
+			t.Fatalf("out-of-range error mismatch: ladder %v, domain %v", gotErr, wantErr)
 		}
-		// The memoized revisit must return the same bits.
-		minV2, droop2, err := ld.MinVDroop(supply)
+
+		// A ladder served from a primed trace must agree with the untraced one.
+		tr := d.PrimeTraceAt(l, dt, n, clock)
+		var ar2 slab.Arena
+		ld2, err := d.LadderAt(l, dt, n, clock, tr, &ar2)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if math.Float64bits(minV2) != math.Float64bits(minV) || math.Float64bits(droop2) != math.Float64bits(droop) {
-			t.Fatalf("supply %v: memoized revisit diverges", supply)
+		a1, b1, err := ld.MinVDroop(nominal - 0.05)
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-
-	_, _, gotErr := ld.MinVDroop(-0.1)
-	_, _, wantErr := d.SteadyResponseAt(l, dt, n, clock, -0.1)
-	if gotErr == nil || wantErr == nil || gotErr.Error() != wantErr.Error() {
-		t.Fatalf("out-of-range error mismatch: ladder %v, scalar %v", gotErr, wantErr)
-	}
-
-	// A ladder served from a primed trace must agree with the untraced one.
-	tr := d.PrimeTraceAt(l, dt, n, clock)
-	var ar2 slab.Arena
-	ld2, err := d.LadderAt(l, dt, n, clock, tr, &ar2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	a1, b1, err := ld.MinVDroop(nominal - 0.05)
-	if err != nil {
-		t.Fatal(err)
-	}
-	a2, b2, err := ld2.MinVDroop(nominal - 0.05)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Float64bits(a1) != math.Float64bits(a2) || math.Float64bits(b1) != math.Float64bits(b2) {
-		t.Fatal("traced ladder diverges from untraced ladder")
+		a2, b2, err := ld2.MinVDroop(nominal - 0.05)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if math.Float64bits(a1) != math.Float64bits(a2) || math.Float64bits(b1) != math.Float64bits(b2) {
+			t.Fatal("traced ladder diverges from untraced ladder")
+		}
 	}
 }
 

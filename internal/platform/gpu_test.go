@@ -3,6 +3,8 @@ package platform
 import (
 	"math"
 	"testing"
+
+	"repro/internal/slab"
 )
 
 func TestGPUCard(t *testing.T) {
@@ -73,7 +75,7 @@ func TestGPUWorkloadRuns(t *testing.T) {
 		t.Fatal(err)
 	}
 	seq := probeLoop(t, d.Spec.Pool())
-	resp, ur, err := d.SteadyResponse(Load{Seq: seq, ActiveCores: 8}, 0.25e-9, 4096)
+	resp, ur, err := d.SteadyVDie(Load{Seq: seq, ActiveCores: 8}, 0.25e-9, 4096, &slab.Arena{})
 	if err != nil {
 		t.Fatal(err)
 	}

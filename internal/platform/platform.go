@@ -169,7 +169,7 @@ func (d *Domain) SetClockHz(hz float64) error {
 
 // SnapClock validates a clock request and returns the setting the domain
 // would actually run at (quantized to ClockStepHz), without changing any
-// state. The stateless measurement paths (SpectraAt, SteadyResponseAt) take
+// state. The stateless campaign paths (PreparePointAt, LadderAt) take
 // snapped clocks so concurrent sweeps never touch the shared clock setting.
 func (d *Domain) SnapClock(hz float64) (float64, error) {
 	if !(hz > 0 && hz <= d.Spec.MaxClockHz) { // negated so NaN is rejected

@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/isa"
 	"repro/internal/power"
+	"repro/internal/slab"
 	"repro/internal/workload"
 )
 
@@ -199,10 +200,10 @@ func TestClockSteps(t *testing.T) {
 func TestLoadValidation(t *testing.T) {
 	d := domain(t, juno(t), DomainA72)
 	seq := probeLoop(t, d.Spec.Pool())
-	if _, _, err := d.Current(Load{Seq: nil, ActiveCores: 1}, 1e-9, 64); err == nil {
+	if _, _, err := current(d, Load{Seq: nil, ActiveCores: 1}, 1e-9, 64); err == nil {
 		t.Error("empty workload accepted")
 	}
-	if _, _, err := d.Current(Load{Seq: seq, ActiveCores: 3}, 1e-9, 64); err == nil {
+	if _, _, err := current(d, Load{Seq: seq, ActiveCores: 3}, 1e-9, 64); err == nil {
 		t.Error("more active than powered cores accepted")
 	}
 }
@@ -210,7 +211,7 @@ func TestLoadValidation(t *testing.T) {
 func TestCurrentIncludesIdleCoresAndSupplyScaling(t *testing.T) {
 	d := domain(t, juno(t), DomainA53)
 	seq := probeLoop(t, d.Spec.Pool())
-	one, _, err := d.Current(Load{Seq: seq, ActiveCores: 1}, 1e-9, 512)
+	one, _, err := current(d, Load{Seq: seq, ActiveCores: 1}, 1e-9, 512)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -218,7 +219,7 @@ func TestCurrentIncludesIdleCoresAndSupplyScaling(t *testing.T) {
 	if err := d.SetPoweredCores(1); err != nil {
 		t.Fatal(err)
 	}
-	alone, _, err := d.Current(Load{Seq: seq, ActiveCores: 1}, 1e-9, 512)
+	alone, _, err := current(d, Load{Seq: seq, ActiveCores: 1}, 1e-9, 512)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -232,7 +233,7 @@ func TestCurrentIncludesIdleCoresAndSupplyScaling(t *testing.T) {
 	if err := d.SetSupplyVolts(0.9); err != nil {
 		t.Fatal(err)
 	}
-	scaled, _, err := d.Current(Load{Seq: seq, ActiveCores: 1}, 1e-9, 512)
+	scaled, _, err := current(d, Load{Seq: seq, ActiveCores: 1}, 1e-9, 512)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -246,7 +247,7 @@ func TestCurrentIncludesIdleCoresAndSupplyScaling(t *testing.T) {
 func TestSteadyResponseDroops(t *testing.T) {
 	d := domain(t, juno(t), DomainA72)
 	seq := probeLoop(t, d.Spec.Pool())
-	resp, res, err := d.SteadyResponse(Load{Seq: seq, ActiveCores: 2}, 0.25e-9, 4096)
+	resp, res, err := d.SteadyVDie(Load{Seq: seq, ActiveCores: 2}, 0.25e-9, 4096, &slab.Arena{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -264,7 +265,7 @@ func TestSpectraDominantInBand(t *testing.T) {
 	// spectra must show it.
 	d := domain(t, juno(t), DomainA72)
 	seq := probeLoop(t, d.Spec.Pool())
-	freqs, vAmp, iAmp, _, err := d.Spectra(Load{Seq: seq, ActiveCores: 2}, 0.25e-9, 8192)
+	freqs, vAmp, iAmp, _, err := d.SpectraArena(Load{Seq: seq, ActiveCores: 2}, 0.25e-9, 8192, &slab.Arena{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -300,7 +301,7 @@ func TestTransientMatchesSteadyStatePeakToPeak(t *testing.T) {
 		dt = 0.25e-9
 		n  = 8192
 	)
-	ss, _, err := d.SteadyResponse(l, dt, n)
+	ss, _, err := d.SteadyVDie(l, dt, n, &slab.Arena{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -13,7 +13,6 @@ package power
 import (
 	"fmt"
 	"math"
-	"sync"
 
 	"repro/internal/isa"
 	"repro/internal/uarch"
@@ -63,14 +62,14 @@ func (cl ClusterLoad) Validate() error {
 }
 
 // SteadySim is the sized simulation behind one evaluation of a load on a
-// dt×n sample window: the micro-architectural result Current resamples,
+// dt×n sample window: the micro-architectural result CurrentInto resamples,
 // the grid it was sized for, and the period-snap scale. Batched campaign
 // paths obtain one per operating point (optionally served from a primed
 // uarch.Trace) and share it between the loop-frequency prefilter and the
 // waveform resample, so no point pays the sizing twice.
 type SteadySim struct {
-	// Res is the micro-architectural result a Current call with the same
-	// grid would return.
+	// Res is the micro-architectural result a CurrentInto call with the
+	// same grid would return.
 	Res *uarch.Result
 	// Dt and N are the sampling grid the simulation was sized for.
 	Dt float64
@@ -174,46 +173,9 @@ func (cl ClusterLoad) SteadySimTrace(dt float64, n int, tr *uarch.Trace) (Steady
 	return cl.steadySim(dt, n, tr)
 }
 
-// wavePool recycles current-waveform buffers between Current calls. The
-// waveform is the largest per-evaluation allocation (n float64s); callers
-// that are done with it hand it back via PutWave.
-var wavePool sync.Pool
-
-// getWave returns a waveform buffer of length n; fillCurrent overwrites (or
-// clears) every element, so recycled buffers are not re-zeroed here.
-func getWave(n int) []float64 {
-	if p, _ := wavePool.Get().(*[]float64); p != nil && cap(*p) >= n {
-		return (*p)[:n]
-	}
-	return make([]float64, n)
-}
-
-// PutWave recycles a waveform previously returned by Current. The caller must not touch the slice afterwards. Putting
-// a waveform that escaped into a cache or result is a bug; only transient,
-// locally consumed waveforms may be recycled.
-func PutWave(w []float64) {
-	if cap(w) == 0 {
-		return
-	}
-	wavePool.Put(&w)
-}
-
-// Current simulates the loop and returns the cluster current sampled at dt
-// over n samples, together with the micro-architectural result.
-func (cl ClusterLoad) Current(dt float64, n int) ([]float64, *uarch.Result, error) {
-	out := getWave(n)
-	res, err := cl.CurrentInto(out, dt, n)
-	if err != nil {
-		PutWave(out)
-		return nil, nil, err
-	}
-	return out, res, nil
-}
-
-// CurrentInto is Current writing the waveform into a caller-provided
-// buffer of length n (a batch slab row), bypassing the wave pool. dst is
-// fully overwritten, with the same arithmetic in the same order as
-// Current, so the filled row is bit-identical.
+// CurrentInto simulates the loop and writes the cluster current sampled at
+// dt over n samples into dst (length n, fully overwritten), returning the
+// micro-architectural result.
 func (cl ClusterLoad) CurrentInto(dst []float64, dt float64, n int) (*uarch.Result, error) {
 	if err := cl.Validate(); err != nil {
 		return nil, err
@@ -224,24 +186,18 @@ func (cl ClusterLoad) CurrentInto(dst []float64, dt float64, n int) (*uarch.Resu
 	if len(dst) != n {
 		return nil, fmt.Errorf("power: waveform buffer length %d, want %d", len(dst), n)
 	}
-	return cl.fillCurrent(dst, dt, n)
-}
-
-// fillCurrent simulates the loop and resamples the cluster current into out
-// (len n).
-func (cl ClusterLoad) fillCurrent(out []float64, dt float64, n int) (*uarch.Result, error) {
 	sim, err := cl.steadySim(dt, n, nil)
 	if err != nil {
 		return nil, err
 	}
-	cl.fillFromSim(sim, out)
+	cl.fillFromSim(sim, dst)
 	return sim.Res, nil
 }
 
 // FillFromSim resamples a prepared simulation into out (len sim.N),
-// exactly as a Current call that performed the sizing itself would — the
-// shared body is what keeps batched campaign points bit-identical to the
-// scalar path.
+// exactly as a CurrentInto call that performed the sizing itself would —
+// the shared body is what keeps batched campaign points bit-identical to
+// per-point evaluation.
 func (cl ClusterLoad) FillFromSim(sim SteadySim, out []float64) error {
 	if sim.Res == nil {
 		return fmt.Errorf("power: empty steady sim")
@@ -293,9 +249,9 @@ func (cl ClusterLoad) fillFromSim(sim SteadySim, out []float64) {
 	applySlew(out, dt, cl.Core.CurrentSlewTau)
 }
 
-// LoopHz returns the loop fundamental frequency a Current call with the
-// same sampling grid would report, without resampling the waveform. It
-// shares Current's exact simulation sizing, so the underlying uarch result
+// LoopHz returns the loop fundamental frequency a CurrentInto call with
+// the same sampling grid would report, without resampling the waveform. It
+// shares CurrentInto's exact simulation sizing, so the underlying uarch result
 // is identical. It still pays that simulation; a campaign that
 // band-filters many clocks sizes its points from one primed trace instead
 // (SteadySimTrace).

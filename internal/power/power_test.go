@@ -50,12 +50,19 @@ func TestValidate(t *testing.T) {
 	}
 }
 
+// current runs CurrentInto on a freshly allocated waveform row.
+func current(cl ClusterLoad, dt float64, n int) ([]float64, *uarch.Result, error) {
+	w := make([]float64, n)
+	res, err := cl.CurrentInto(w, dt, n)
+	return w, res, err
+}
+
 func TestCurrentBadSampling(t *testing.T) {
 	cl := ClusterLoad{Core: uarch.CortexA53(), Seq: testSeq(t), ClockHz: 1e9, ActiveCores: 1}
-	if _, _, err := cl.Current(0, 10); err == nil {
+	if _, _, err := current(cl, 0, 10); err == nil {
 		t.Error("dt=0 accepted")
 	}
-	if _, _, err := cl.Current(1e-9, 0); err == nil {
+	if _, _, err := current(cl, 1e-9, 0); err == nil {
 		t.Error("n=0 accepted")
 	}
 }
@@ -63,9 +70,9 @@ func TestCurrentBadSampling(t *testing.T) {
 func TestCurrentScalesWithCores(t *testing.T) {
 	mk := func(cores int) []float64 {
 		cl := ClusterLoad{Core: uarch.CortexA53(), Seq: testSeq(t), ClockHz: 950e6, ActiveCores: cores}
-		w, _, err := cl.Current(0.5e-9, 2048)
+		w, _, err := current(cl, 0.5e-9, 2048)
 		if err != nil {
-			t.Fatalf("Current(%d cores): %v", cores, err)
+			t.Fatalf("CurrentInto(%d cores): %v", cores, err)
 		}
 		return w
 	}
@@ -79,7 +86,7 @@ func TestCurrentScalesWithCores(t *testing.T) {
 func TestCurrentScalesWithClock(t *testing.T) {
 	mean := func(clock float64) float64 {
 		cl := ClusterLoad{Core: uarch.CortexA53(), Seq: testSeq(t), ClockHz: clock, ActiveCores: 1}
-		w, _, err := cl.Current(0.5e-9, 2048)
+		w, _, err := current(cl, 0.5e-9, 2048)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -96,14 +103,14 @@ func TestCurrentScalesWithClock(t *testing.T) {
 
 func TestPhaseOffsetsShiftWaveform(t *testing.T) {
 	base := ClusterLoad{Core: uarch.CortexA53(), Seq: testSeq(t), ClockHz: 1e9, ActiveCores: 1}
-	w0, res, err := base.Current(1e-9, 1024)
+	w0, res, err := current(base, 1e-9, 1024)
 	if err != nil {
 		t.Fatal(err)
 	}
 	period := res.LoopCycles
 	shifted := base
 	shifted.PhaseCycles = []float64{period} // one full loop: same waveform
-	w1, _, err := shifted.Current(1e-9, 1024)
+	w1, _, err := current(shifted, 1e-9, 1024)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,7 +122,7 @@ func TestPhaseOffsetsShiftWaveform(t *testing.T) {
 	// A half-period shift must differ somewhere (the loop has phases).
 	half := base
 	half.PhaseCycles = []float64{period / 2}
-	w2, _, err := half.Current(1e-9, 1024)
+	w2, _, err := current(half, 1e-9, 1024)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -169,7 +176,7 @@ func TestCurrentBoundsProperty(t *testing.T) {
 		clock := 0.2e9 + 1.0e9*rng.Float64()
 		cores := 1 + rng.Intn(4)
 		cl := ClusterLoad{Core: uarch.CortexA53(), Seq: seq, ClockHz: clock, ActiveCores: cores}
-		w, _, err := cl.Current(0.5e-9, 512)
+		w, _, err := current(cl, 0.5e-9, 512)
 		if err != nil {
 			return false
 		}
@@ -233,7 +240,7 @@ func requireSameWave(t *testing.T, label string, got, want []float64) {
 }
 
 // TestSteadySimTraceMatchesCurrent pins the one sizing path against the
-// two-fresh-run reference, bit for bit: Current, SteadySimTrace from a
+// two-fresh-run reference, bit for bit: CurrentInto, SteadySimTrace from a
 // trace primed at the campaign's largest clock, and SteadySimTrace with a
 // nil trace (call-local priming) must each reproduce the reference's loop
 // frequency, charge trace and resampled waveform at every clock —
@@ -270,16 +277,15 @@ func TestSteadySimTraceMatchesCurrent(t *testing.T) {
 			cl.fillFromSim(ref, want)
 			wantHz := LoopFrequency(ref.Res, clock)
 
-			cur, curRes, err := cl.Current(dt, n)
+			cur, curRes, err := current(cl, dt, n)
 			if err != nil {
 				t.Fatalf("%s: %v", label, err)
 			}
 			if len(curRes.Charge) != len(ref.Res.Charge) ||
 				math.Float64bits(LoopFrequency(curRes, clock)) != math.Float64bits(wantHz) {
-				t.Fatalf("%s: Current's simulation diverges from the reference", label)
+				t.Fatalf("%s: CurrentInto's simulation diverges from the reference", label)
 			}
-			requireSameWave(t, label+" Current", cur, want)
-			PutWave(cur)
+			requireSameWave(t, label+" CurrentInto", cur, want)
 
 			for _, src := range []struct {
 				name string

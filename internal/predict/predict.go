@@ -19,6 +19,7 @@ import (
 	"repro/internal/em"
 	"repro/internal/linalg"
 	"repro/internal/platform"
+	"repro/internal/slab"
 )
 
 // Features are the EM observables extracted from one workload run.
@@ -45,7 +46,7 @@ func Extract(b *core.Bench, d *platform.Domain, l platform.Load) (Features, erro
 	if err := b.Validate(); err != nil {
 		return Features{}, err
 	}
-	freqs, _, iAmp, _, err := d.Spectra(l, b.Dt, b.N)
+	freqs, _, iAmp, _, err := d.SpectraArena(l, b.Dt, b.N, &slab.Arena{})
 	if err != nil {
 		return Features{}, err
 	}
@@ -86,7 +87,7 @@ func Collect(b *core.Bench, d *platform.Domain, name string, l platform.Load) (S
 	if err != nil {
 		return Sample{}, err
 	}
-	resp, _, err := d.SteadyResponse(l, b.Dt, b.N)
+	resp, _, err := d.SteadyVDie(l, b.Dt, b.N, &slab.Arena{})
 	if err != nil {
 		return Sample{}, err
 	}

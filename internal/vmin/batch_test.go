@@ -3,18 +3,27 @@ package vmin
 import (
 	"reflect"
 	"testing"
+
+	"repro/internal/platform"
+	"repro/internal/slab"
 )
 
-// TestBatchedSearchMatchesScalar pins the ladder descent against the
-// scalar reference (per-supply SteadyResponseAt): same trials, same V_MIN,
-// bit for bit.
+// freshSearch is the per-trial reference the campaign paths are pinned
+// against: one descent on its own unprimed ladder in a fresh arena, so no
+// ladder memo, primed trace or recycled arena row is shared with anything.
+func freshSearch(tst *Tester, l platform.Load, clock float64, trial int) (*Result, error) {
+	return tst.searchLadder(l, clock, trial, nil, &slab.Arena{})
+}
+
+// TestBatchedSearchMatchesScalar pins Search (pooled arena) against a
+// fresh per-trial column: same trials, same V_MIN, bit for bit.
 func TestBatchedSearchMatchesScalar(t *testing.T) {
 	d := a72Domain(t)
 	tst := NewTester(d, 5)
 	l := load(t, d, "lbm", 2)
-	want, err := tst.search(l, d.ClockHz(), 0)
+	want, err := freshSearch(tst, l, d.ClockHz(), 0)
 	if err != nil {
-		t.Fatalf("scalar search: %v", err)
+		t.Fatalf("fresh search: %v", err)
 	}
 	got, err := tst.Search(l)
 	if err != nil {
@@ -26,8 +35,8 @@ func TestBatchedSearchMatchesScalar(t *testing.T) {
 }
 
 // TestRepeatMatchesScalarRepeats: n ladder-shared descents must reproduce
-// n independent scalar searches — the shared supply memo may change cost,
-// never values.
+// n independent fresh-column searches — the shared supply memo may change
+// cost, never values.
 func TestRepeatMatchesScalarRepeats(t *testing.T) {
 	d := a72Domain(t)
 	tst := NewTester(d, 6)
@@ -38,7 +47,7 @@ func TestRepeatMatchesScalarRepeats(t *testing.T) {
 	var wantAll []float64
 	var wantWorst *Result
 	for i := 0; i < n; i++ {
-		r, err := tst.search(l, clock, i)
+		r, err := freshSearch(tst, l, clock, i)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -61,7 +70,7 @@ func TestRepeatMatchesScalarRepeats(t *testing.T) {
 
 // TestShmooMatchesScalarAtAnyParallelism is the whole-campaign pin: the
 // batched shmoo — primed trace, snapped-clock dedup, per-worker ladders —
-// must reproduce per-clock scalar searches at every parallelism setting.
+// must reproduce fresh per-clock searches at every parallelism setting.
 func TestShmooMatchesScalarAtAnyParallelism(t *testing.T) {
 	d := a72Domain(t)
 	tst := NewTester(d, 7)
@@ -74,7 +83,7 @@ func TestShmooMatchesScalarAtAnyParallelism(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := tst.search(l, snapped, 0)
+		res, err := freshSearch(tst, l, snapped, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -117,13 +126,13 @@ func TestShmooDedupsSnappedClocks(t *testing.T) {
 	if points[3] == points[0] {
 		t.Fatalf("distinct steps collapsed: %+v", points)
 	}
-	// And the fanned-out points are still the scalar values.
-	res, err := tst.search(l, s0, 0)
+	// And the fanned-out points are still the fresh-column values.
+	res, err := freshSearch(tst, l, s0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	wantP := ShmooPoint{ClockHz: s0, VminV: res.VminV, MarginV: res.MarginV, Outcome: res.Outcome}
 	if points[0] != wantP {
-		t.Fatalf("deduped point diverges from scalar: got %+v want %+v", points[0], wantP)
+		t.Fatalf("deduped point diverges from a fresh column: got %+v want %+v", points[0], wantP)
 	}
 }

@@ -128,27 +128,10 @@ type Trial struct {
 	VCritEff float64 // the jittered threshold used for this trial
 }
 
-// RunAt executes the workload once at the given supply (and the domain's
-// current clock) and classifies the outcome. The domain's supply setting is
-// never touched: the evaluation goes through the stateless
-// SteadyResponseAt path.
-func (t *Tester) RunAt(load platform.Load, supply float64) (Trial, error) {
-	return t.runAt(load, t.Domain.ClockHz(), supply, 0)
-}
-
-// runAt is RunAt at an explicit clock with a trial nonce.
-func (t *Tester) runAt(load platform.Load, clockHz, supply float64, trial int) (Trial, error) {
-	resp, _, err := t.Domain.SteadyResponseAt(load, t.Dt, t.N, clockHz, supply)
-	if err != nil {
-		return Trial{}, err
-	}
-	return t.classify(load, clockHz, supply, trial, resp.MinVoltage(), resp.MaxDroop(supply)), nil
-}
-
 // classify applies the failure model to one execution's supply-response
 // scalars. It is pure in (load, operating point, trial, minV, droopV) —
-// the jitter stream is content-keyed — which is what lets the batched
-// descent reuse one electrical evaluation across deduped trials.
+// the jitter stream is content-keyed — which is what lets the descent
+// reuse one electrical evaluation across deduped trials.
 func (t *Tester) classify(load platform.Load, clockHz, supply float64, trial int, minV, droopV float64) Trial {
 	rng := t.trialRNG(load, clockHz, supply, trial)
 	vcrit := t.vcritAt(clockHz) + rng.NormFloat64()*t.ThresholdJitterV
@@ -190,26 +173,6 @@ type Result struct {
 	Trials []Trial
 }
 
-// pointEval produces the supply-response scalars the failure model
-// consumes at one supply setting of a fixed (load, clock) column. The
-// descent is written against this signature so the scalar reference path
-// (per-point SteadyResponseAt) and the batched ladder (supply-invariant
-// state frozen in an arena, per-supply memo) are interchangeable — the
-// property tests pin them bit-identical.
-type pointEval func(supply float64) (minV, droopV float64, err error)
-
-// scalarEval is the reference evaluator: every supply step pays the full
-// stateless SteadyResponseAt pipeline.
-func (t *Tester) scalarEval(load platform.Load, clockHz float64) pointEval {
-	return func(supply float64) (float64, float64, error) {
-		resp, _, err := t.Domain.SteadyResponseAt(load, t.Dt, t.N, clockHz, supply)
-		if err != nil {
-			return 0, 0, err
-		}
-		return resp.MinVoltage(), resp.MaxDroop(supply), nil
-	}
-}
-
 // Search lowers the supply from the domain's nominal voltage in the
 // board's V_MIN step size until a deviation is observed. The search runs at
 // the domain's current clock without mutating any domain state, descending
@@ -222,13 +185,6 @@ func (t *Tester) Search(load platform.Load) (*Result, error) {
 	return t.searchLadder(load, t.Domain.ClockHz(), 0, nil, ar)
 }
 
-// search is the scalar-reference Search at an explicit clock with a trial
-// nonce, kept (package-internal) as the bit-identity baseline the batched
-// ladder is tested against.
-func (t *Tester) search(load platform.Load, clockHz float64, trial int) (*Result, error) {
-	return t.searchEval(load, clockHz, trial, t.scalarEval(load, clockHz))
-}
-
 // searchLadder is Search at an explicit clock with a trial nonce, its
 // column state frozen in the caller's arena and optionally served from a
 // primed clock-invariant trace (nil falls back to per-column sizing).
@@ -237,18 +193,17 @@ func (t *Tester) searchLadder(load platform.Load, clockHz float64, trial int, tr
 	if err != nil {
 		return nil, err
 	}
-	return t.searchEval(load, clockHz, trial, ld.MinVDroop)
+	return t.searchEval(load, clockHz, trial, ld)
 }
 
-// searchEval is the descent itself, agnostic of how supply points are
-// evaluated.
-func (t *Tester) searchEval(load platform.Load, clockHz float64, trial int, eval pointEval) (*Result, error) {
+// searchEval is the descent itself down one column's ladder.
+func (t *Tester) searchEval(load platform.Load, clockHz float64, trial int, ld *platform.Ladder) (*Result, error) {
 	spec := t.Domain.Spec
 	step := spec.VminStepVolts()
 	nominal := spec.PDN.VNominal
 
 	// Droop at nominal conditions first.
-	_, nomDroop, err := eval(nominal)
+	_, nomDroop, err := ld.MinVDroop(nominal)
 	if err != nil {
 		return nil, err
 	}
@@ -260,7 +215,7 @@ func (t *Tester) searchEval(load platform.Load, clockHz float64, trial int, eval
 		if supply <= 0 {
 			return nil, fmt.Errorf("vmin: %s: no failure found down to 0V (model miscalibrated?)", spec.Name)
 		}
-		minV, droopV, err := eval(supply)
+		minV, droopV, err := ld.MinVDroop(supply)
 		if err != nil {
 			return nil, err
 		}
@@ -296,7 +251,7 @@ func (t *Tester) Repeat(load platform.Load, n int) (worst *Result, all []float64
 		return nil, nil, err
 	}
 	for i := 0; i < n; i++ {
-		r, err := t.searchEval(load, clock, i, ld.MinVDroop)
+		r, err := t.searchEval(load, clock, i, ld)
 		if err != nil {
 			return nil, nil, err
 		}

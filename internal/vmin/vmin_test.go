@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/platform"
+	"repro/internal/slab"
 	"repro/internal/workload"
 )
 
@@ -66,13 +67,29 @@ func TestVCritTracksClock(t *testing.T) {
 	}
 }
 
+// runAt executes the workload once at the given supply (and the domain's
+// current clock) on a one-rung ladder and classifies the outcome.
+func runAt(t *testing.T, tst *Tester, l platform.Load, supply float64) (Trial, error) {
+	t.Helper()
+	clock := tst.Domain.ClockHz()
+	ld, err := tst.Domain.LadderAt(l, tst.Dt, tst.N, clock, nil, &slab.Arena{})
+	if err != nil {
+		return Trial{}, err
+	}
+	minV, droopV, err := ld.MinVDroop(supply)
+	if err != nil {
+		return Trial{}, err
+	}
+	return tst.classify(l, clock, supply, 0, minV, droopV), nil
+}
+
 func TestRunAtClassifies(t *testing.T) {
 	d := a72Domain(t)
 	tst := NewTester(d, 2)
 	tst.ThresholdJitterV = 0 // deterministic classification
 	l := load(t, d, "lbm", 2)
 
-	pass, err := tst.RunAt(l, d.Spec.PDN.VNominal)
+	pass, err := runAt(t, tst, l, d.Spec.PDN.VNominal)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,7 +100,7 @@ func TestRunAtClassifies(t *testing.T) {
 		t.Fatal("no droop recorded")
 	}
 	// Far below vcrit: certain system crash.
-	crash, err := tst.RunAt(l, tst.VCrit())
+	crash, err := runAt(t, tst, l, tst.VCrit())
 	if err != nil {
 		t.Fatal(err)
 	}

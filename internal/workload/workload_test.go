@@ -81,8 +81,8 @@ func TestWorkloadCurrentOrdering(t *testing.T) {
 			t.Fatal(err)
 		}
 		cl := power.ClusterLoad{Core: cfg, Seq: seq, ClockHz: 1.2e9, ActiveCores: 1}
-		wave, _, err := cl.Current(0.5e-9, 2048)
-		if err != nil {
+		wave := make([]float64, 2048)
+		if _, err := cl.CurrentInto(wave, 0.5e-9, 2048); err != nil {
 			t.Fatal(err)
 		}
 		return power.MeanCurrent(wave)
@@ -141,8 +141,8 @@ func TestWorkloadCurrentOrderingX86(t *testing.T) {
 			t.Fatal(err)
 		}
 		cl := power.ClusterLoad{Core: cfg, Seq: seq, ClockHz: 3.1e9, ActiveCores: 1}
-		wave, _, err := cl.Current(0.25e-9, 2048)
-		if err != nil {
+		wave := make([]float64, 2048)
+		if _, err := cl.CurrentInto(wave, 0.25e-9, 2048); err != nil {
 			t.Fatal(err)
 		}
 		return power.MeanCurrent(wave)
