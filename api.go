@@ -214,8 +214,8 @@ func Workloads() []Workload { return workload.All() }
 
 // Remote lab orchestration (the paper's workstation/target split).
 type (
-	// LabServer is the target-machine daemon (per-session workload slots,
-	// graceful Shutdown, per-command counters).
+	// LabServer is the target-machine daemon (self-contained measurement
+	// requests, graceful Shutdown, per-command counters).
 	LabServer = lab.Server
 	// LabClient is the workstation side of the measurement loop:
 	// per-command deadlines, classified errors, bounded-backoff retry with

@@ -256,6 +256,66 @@ func TestLocalRemoteEquivalence(t *testing.T) {
 	}
 }
 
+// TestPhaseLoadEquivalence: a load with staggered cores crosses the wire
+// in its request part, so a Remote accepts every load a Local does and
+// answers it bit for bit: the EM peak, a repeated V_MIN search (Trials
+// aside; the descent log stays on the target) and a two-clock shmoo.
+func TestPhaseLoadEquivalence(t *testing.T) {
+	local, remote := backends(t, 2)
+	load := probeLoad(t, local, platform.DomainA72, 2)
+	load.PhaseCycles = []float64{0, 37.5}
+
+	lm, err := local.EMMeasureN(platform.DomainA72, load, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rm, err := remote.EMMeasureN(platform.DomainA72, load, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(lm, rm) {
+		t.Fatalf("phased EM measurement: local %+v remote %+v", lm, rm)
+	}
+	aligned, err := local.EMMeasureN(platform.DomainA72, probeLoad(t, local, platform.DomainA72, 2), 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if reflect.DeepEqual(aligned, lm) {
+		t.Fatal("phased and aligned loads measure the same; the test is vacuous")
+	}
+
+	lv, lruns, err := local.Vmin(platform.DomainA72, load, 9, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rv, rruns, err := remote.Vmin(platform.DomainA72, load, 9, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lv.Trials = nil
+	if !reflect.DeepEqual(lv, rv) || !reflect.DeepEqual(lruns, rruns) {
+		t.Fatalf("phased vmin: local %+v %v remote %+v %v", lv, lruns, rv, rruns)
+	}
+
+	caps, err := local.Caps(platform.DomainA72)
+	if err != nil {
+		t.Fatal(err)
+	}
+	steps := caps.ClockSteps()
+	clocks := []float64{steps[len(steps)-1], steps[0]}
+	lsh, err := local.VminShmoo(platform.DomainA72, load, 9, clocks)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rsh, err := remote.VminShmoo(platform.DomainA72, load, 9, clocks)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(lsh, rsh) {
+		t.Fatalf("phased shmoo: local %+v remote %+v", lsh, rsh)
+	}
+}
+
 // TestRemoteHelloMismatch: a daemon that answers HELLO with another
 // protocol version is a hard construction error naming the address and
 // both versions.

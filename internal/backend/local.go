@@ -124,18 +124,6 @@ func (l *Local) Reset(name string) error {
 	return nil
 }
 
-// benchWithSamples returns the bench, re-sampled via a shallow copy when
-// the caller wants a different analyzer averaging depth (the copy shares
-// platform, analyzer and caches; Samples is read per call).
-func (l *Local) benchWithSamples(samples int) *core.Bench {
-	if samples <= 0 || samples == l.bench.Samples {
-		return l.bench
-	}
-	b2 := *l.bench
-	b2.Samples = samples
-	return &b2
-}
-
 // EMMeasure measures a load's EM peak at the bench's default averaging.
 func (l *Local) EMMeasure(name string, load platform.Load) (*instrument.Measurement, error) {
 	d, err := l.domain(name)
@@ -161,7 +149,7 @@ func (l *Local) Measurer(spec MeasurerSpec) (ga.Measurer, error) {
 	if err != nil {
 		return nil, err
 	}
-	b := l.benchWithSamples(spec.Samples)
+	b := l.bench.WithSamples(spec.Samples)
 	switch spec.Metric {
 	case MetricEM:
 		return b.EMMeasurer(d, spec.ActiveCores), nil
@@ -190,7 +178,7 @@ func (l *Local) ResonanceSweep(name string, activeCores, samples int) (*core.Swe
 	if err != nil {
 		return nil, err
 	}
-	return l.benchWithSamples(samples).FastResonanceSweep(d, activeCores)
+	return l.bench.WithSamples(samples).FastResonanceSweep(d, activeCores)
 }
 
 // SweepPoint measures one fast-sweep point at an explicit clock setting
@@ -201,7 +189,7 @@ func (l *Local) SweepPoint(name string, activeCores, samples int, clockHz float6
 	if err != nil {
 		return nil, err
 	}
-	return l.benchWithSamples(samples).SweepPointAt(d, activeCores, clockHz)
+	return l.bench.WithSamples(samples).SweepPointAt(d, activeCores, clockHz)
 }
 
 // MonitorAll captures one combined spectrum over several domains' loads.

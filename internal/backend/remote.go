@@ -189,12 +189,17 @@ func (r *Remote) Reset(domain string) error {
 	return r.pool.Do(func(c *lab.Client) error { return c.Reset(domain) })
 }
 
-// loadable rejects loads the LOAD verb cannot express.
-func loadable(load platform.Load) error {
-	if len(load.PhaseCycles) > 0 {
-		return fmt.Errorf("backend: remote EM measurement cannot carry phase annotations; use MonitorAll")
+// part renders a load on a domain as the program part a request carries.
+func (r *Remote) part(domain string, load platform.Load) (lab.Part, error) {
+	caps, err := r.Caps(domain)
+	if err != nil {
+		return lab.Part{}, err
 	}
-	return nil
+	ipool, err := capsPool(caps)
+	if err != nil {
+		return lab.Part{}, err
+	}
+	return lab.Part{Domain: domain, Cores: load.ActiveCores, Pool: ipool, Seq: load.Seq, Phases: load.PhaseCycles}, nil
 }
 
 // EMMeasure measures a load's EM peak at the backend's default averaging.
@@ -202,35 +207,18 @@ func (r *Remote) EMMeasure(domain string, load platform.Load) (*instrument.Measu
 	return r.EMMeasureN(domain, load, r.Samples)
 }
 
-// EMMeasureN measures a load's EM peak with explicit averaging via the
-// paper's load/run/measure/stop cycle.
+// EMMeasureN measures a load's EM peak with explicit averaging: one
+// MEASURE carrying the load.
 func (r *Remote) EMMeasureN(domain string, load platform.Load, samples int) (*instrument.Measurement, error) {
-	if err := loadable(load); err != nil {
-		return nil, err
-	}
-	caps, err := r.Caps(domain)
-	if err != nil {
-		return nil, err
-	}
-	ipool, err := capsPool(caps)
+	p, err := r.part(domain, load)
 	if err != nil {
 		return nil, err
 	}
 	var m *instrument.Measurement
 	err = r.pool.Do(func(c *lab.Client) error {
-		return c.Cycle(domain, load.ActiveCores, ipool, load.Seq, func() error {
-			rm, err := c.Measure(samples)
-			if err != nil {
-				return err
-			}
-			m = &instrument.Measurement{
-				PeakDBm:  rm.PeakDBm,
-				PeakHz:   rm.PeakHz,
-				Samples:  samples,
-				StdevDBm: rm.StdevDBm,
-			}
-			return nil
-		})
+		var err error
+		m, err = c.Measure(p, samples)
+		return err
 	})
 	if err != nil {
 		return nil, err
@@ -239,8 +227,8 @@ func (r *Remote) EMMeasureN(domain string, load platform.Load, samples int) (*in
 }
 
 // Measurer builds a GA fitness function that evaluates each individual on
-// the remote target through the load/run/measure/stop cycle: MEASURE for
-// the em metric, VMEASURE for droop/ptp, which fail client-side with a
+// the remote target in one request carrying its program: MEASURE for the
+// em metric, VMEASURE for droop/ptp, which fail client-side with a
 // *CapabilityError when the domain is voltage-blind.
 func (r *Remote) Measurer(spec MeasurerSpec) (ga.Measurer, error) {
 	caps, err := r.Caps(spec.Domain)
@@ -265,21 +253,20 @@ func (r *Remote) Measurer(spec MeasurerSpec) (ga.Measurer, error) {
 		return nil, err
 	}
 	return ga.MeasurerFunc(func(seq []isa.Inst) (float64, float64, error) {
+		p := lab.Part{Domain: spec.Domain, Cores: spec.ActiveCores, Pool: ipool, Seq: seq}
 		var fitness, domHz float64
 		err := r.pool.Do(func(c *lab.Client) error {
-			return c.Cycle(spec.Domain, spec.ActiveCores, ipool, seq, func() error {
-				if spec.Metric != MetricEM {
-					var err error
-					fitness, domHz, err = c.VMeasure(string(spec.Metric), samples, spec.DSOSeed)
-					return err
-				}
-				m, err := c.Measure(samples)
-				if err != nil {
-					return err
-				}
-				fitness, domHz = m.PeakDBm, m.PeakHz
-				return nil
-			})
+			if spec.Metric != MetricEM {
+				var err error
+				fitness, domHz, err = c.VMeasure(p, string(spec.Metric), samples, spec.DSOSeed)
+				return err
+			}
+			m, err := c.Measure(p, samples)
+			if err != nil {
+				return err
+			}
+			fitness, domHz = m.PeakDBm, m.PeakHz
+			return nil
 		})
 		if err != nil {
 			return 0, 0, err
@@ -339,24 +326,12 @@ func (r *Remote) MonitorAll(loads map[string]platform.Load) (*instrument.Sweep, 
 		names = append(names, name)
 	}
 	sort.Strings(names)
-	parts := make([]lab.MonitorPart, 0, len(names))
-	for _, name := range names {
-		caps, err := r.Caps(name)
-		if err != nil {
+	parts := make([]lab.Part, len(names))
+	for i, name := range names {
+		var err error
+		if parts[i], err = r.part(name, loads[name]); err != nil {
 			return nil, err
 		}
-		ipool, err := capsPool(caps)
-		if err != nil {
-			return nil, err
-		}
-		l := loads[name]
-		parts = append(parts, lab.MonitorPart{
-			Domain: name,
-			Cores:  l.ActiveCores,
-			Pool:   ipool,
-			Seq:    l.Seq,
-			Phases: l.PhaseCycles,
-		})
 	}
 	var sw *instrument.Sweep
 	err := r.pool.Do(func(c *lab.Client) error {
@@ -371,38 +346,19 @@ func (r *Remote) MonitorAll(loads map[string]platform.Load) (*instrument.Sweep, 
 }
 
 // Vmin runs a repeated V_MIN search on the daemon with the workstation's
-// tester seed. The returned Result carries no Trials (the descent log
-// stays on the target).
+// tester seed: one VMIN carrying the load. The returned Result carries no
+// Trials (the descent log stays on the target).
 func (r *Remote) Vmin(domain string, load platform.Load, seed int64, repeats int) (*vmin.Result, []float64, error) {
-	if err := loadable(load); err != nil {
-		return nil, nil, err
-	}
-	caps, err := r.Caps(domain)
-	if err != nil {
-		return nil, nil, err
-	}
-	ipool, err := capsPool(caps)
+	p, err := r.part(domain, load)
 	if err != nil {
 		return nil, nil, err
 	}
 	var res *vmin.Result
 	var runs []float64
 	err = r.pool.Do(func(c *lab.Client) error {
-		if err := c.Load(domain, load.ActiveCores, ipool, load.Seq); err != nil {
-			return err
-		}
-		full, err := c.Vmin(seed, repeats)
-		if err != nil {
-			return err
-		}
-		res = &vmin.Result{
-			VminV:         full.VminV,
-			Outcome:       full.Outcome,
-			MarginV:       full.MarginV,
-			DroopNominalV: full.DroopNominalV,
-		}
-		runs = full.Runs
-		return nil
+		var err error
+		res, runs, err = c.Vmin(p, seed, repeats)
+		return err
 	})
 	if err != nil {
 		return nil, nil, err
@@ -410,26 +366,17 @@ func (r *Remote) Vmin(domain string, load platform.Load, seed int64, repeats int
 	return res, runs, nil
 }
 
-// VminShmoo traces the frequency/voltage failure boundary on the daemon.
+// VminShmoo traces the frequency/voltage failure boundary on the daemon:
+// one SHMOO carrying the load.
 func (r *Remote) VminShmoo(domain string, load platform.Load, seed int64, clocks []float64) ([]vmin.ShmooPoint, error) {
-	if err := loadable(load); err != nil {
-		return nil, err
-	}
-	caps, err := r.Caps(domain)
-	if err != nil {
-		return nil, err
-	}
-	ipool, err := capsPool(caps)
+	p, err := r.part(domain, load)
 	if err != nil {
 		return nil, err
 	}
 	var points []vmin.ShmooPoint
 	err = r.pool.Do(func(c *lab.Client) error {
-		if err := c.Load(domain, load.ActiveCores, ipool, load.Seq); err != nil {
-			return err
-		}
 		var err error
-		points, err = c.Shmoo(seed, clocks)
+		points, err = c.Shmoo(p, seed, clocks)
 		return err
 	})
 	if err != nil {

@@ -54,7 +54,8 @@ type Bench struct {
 
 	// batch holds the generation-batched evaluation state (measurement memo,
 	// worker arenas, counters). A pointer so shallow bench copies — the
-	// backends' per-request re-sampled views — share one state; see batch.go.
+	// per-request re-sampled views of WithSamples — share one state; see
+	// batch.go.
 	batch *batchState
 }
 
@@ -97,6 +98,18 @@ func (b *Bench) Validate() error {
 		return fmt.Errorf("core: negative parallelism %d", b.Parallelism)
 	}
 	return nil
+}
+
+// WithSamples returns the bench re-sampled to a different analyzer
+// averaging depth: a shallow copy sharing platform, analyzer and batch
+// state, or b itself when n <= 0 or n already is b.Samples.
+func (b *Bench) WithSamples(n int) *Bench {
+	if n <= 0 || n == b.Samples {
+		return b
+	}
+	b2 := *b
+	b2.Samples = n
+	return &b2
 }
 
 // EMMeasure runs a workload on one domain and measures the received EM

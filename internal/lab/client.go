@@ -48,21 +48,13 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
-// sessionState is everything the client has established on the target that
-// a fresh connection (or a restarted daemon) would lack: domain setpoints
-// and the loaded/running workload. It is replayed after every reconnect,
-// so a mid-cycle connection drop (say between RUN and MEASURE) is
-// invisible to callers.
-type sessionState struct {
-	set  *setpoints
-	load *loadState
-	run  bool
-}
-
-// setpoints records the domain setpoints written to one daemon. Domain
-// state lives on the daemon, shared by every session, so all clients of a
-// Pool share one record: a RESET sent on any session clears the setting
-// for all of them, and a reconnecting session never writes back a value
+// setpoints records the domain setpoints written to one daemon: the only
+// state a client establishes on the target that a fresh connection (or a
+// restarted daemon) would lack, since every measurement request carries
+// its own program. It is replayed after every reconnect. Domain state
+// lives on the daemon, shared by every session, so all clients of a Pool
+// share one record: a RESET sent on any session clears the setting for
+// all of them, and a reconnecting session never writes back a value
 // another session has since replaced or cleared.
 type setpoints struct {
 	mu     sync.Mutex
@@ -79,11 +71,11 @@ func newSetpoints() *setpoints {
 	}
 }
 
-// update runs fn with the record locked.
-func (sp *setpoints) update(fn func()) {
+// update runs fn on the record with it locked.
+func (sp *setpoints) update(fn func(sp *setpoints)) {
 	sp.mu.Lock()
 	defer sp.mu.Unlock()
-	fn()
+	fn(sp)
 }
 
 // commands renders the record as the SET commands that restore it, in a
@@ -104,16 +96,9 @@ func (sp *setpoints) commands() []command {
 	return cmds
 }
 
-type loadState struct {
-	domain string
-	cores  int
-	text   string // formatted program body
-	lines  int
-}
-
 // Client is the workstation side: it drives a remote lab daemon over TCP
 // and exposes the measurement loop the GA needs. Every command runs under
-// Options.IOTimeout; transport faults trigger reconnect + state replay +
+// Options.IOTimeout; transport faults trigger reconnect + setpoint replay +
 // retry with exponential backoff. A Client serves one goroutine at a time;
 // use Pool for concurrent evaluation.
 type Client struct {
@@ -124,9 +109,9 @@ type Client struct {
 	r    *bufio.Reader
 	w    *bufio.Writer
 
-	state  sessionState
-	stats  statsCollector
-	closed bool
+	setpoints *setpoints
+	stats     statsCollector
+	closed    bool
 }
 
 // Dial connects to a lab daemon with default resilience options and the
@@ -143,9 +128,9 @@ func DialOptions(addr string, opts Options) (*Client, error) {
 // dialShared connects a client that records its setpoints in sp.
 func dialShared(addr string, opts Options, sp *setpoints) (*Client, error) {
 	c := &Client{
-		addr:  addr,
-		opts:  opts.withDefaults(),
-		state: sessionState{set: sp},
+		addr:      addr,
+		opts:      opts.withDefaults(),
+		setpoints: sp,
 	}
 	if err := c.connect(false); err != nil {
 		return nil, err
@@ -200,18 +185,17 @@ func (c *Client) Close() error {
 func (c *Client) Stats() Stats { return c.stats.snapshot() }
 
 // command is one protocol exchange: a request line, an optional body (the
-// LOAD program text), a payload parser run on the OK reply, and a recorder
-// that captures the session-state effect of a successful execution.
+// program parts of a load-carrying verb) and a payload parser run on the
+// OK reply.
 type command struct {
-	verb   string
-	line   string
-	body   string
-	parse  func(payload string) error
-	record func(st *sessionState)
+	verb  string
+	line  string
+	body  string
+	parse func(payload string) error
 }
 
 // do runs one command through the resilience loop: attempt, classify,
-// back off, reconnect (replaying session state), retry. Target ERR
+// back off, reconnect (replaying setpoints), retry. Target ERR
 // replies return immediately; only stream-integrity faults are retried.
 func (c *Client) do(cmd command) error {
 	if c.closed {
@@ -249,9 +233,6 @@ func (c *Client) attemptLoop(cmd command) error {
 					c.dropConn()
 					continue
 				}
-			}
-			if cmd.record != nil {
-				cmd.record(&c.state)
 			}
 			return nil
 		}
@@ -307,10 +288,9 @@ func (c *Client) exchange(cmd command) (string, error) {
 	return payload, nil
 }
 
-// reconnect re-dials and replays the recorded session state so the fresh
+// reconnect re-dials and replays the recorded setpoints so the fresh
 // connection is indistinguishable from the broken one: per-domain
-// SETCORES/SETCLOCK/SETVOLTS, then LOAD, then RUN if a workload was
-// running.
+// SETCORES, SETCLOCK and SETVOLTS.
 func (c *Client) reconnect() error {
 	if err := c.connect(true); err != nil {
 		return err
@@ -323,18 +303,7 @@ func (c *Client) reconnect() error {
 }
 
 func (c *Client) replay() error {
-	st := &c.state
-	cmds := st.set.commands()
-	if st.load != nil {
-		cmds = append(cmds, command{
-			verb: "LOAD",
-			line: fmt.Sprintf("LOAD %s %d %d", st.load.domain, st.load.cores, st.load.lines),
-			body: st.load.text,
-		})
-		if st.run {
-			cmds = append(cmds, command{verb: "RUN", line: "RUN"})
-		}
-	}
+	cmds := c.setpoints.commands()
 	if len(cmds) == 0 {
 		return nil
 	}

@@ -12,8 +12,9 @@ import (
 )
 
 // The client's protocol verbs. All of them ride the same resilience loop:
-// single-line request, single-line reply, retried on transport faults
-// after a reconnect-and-replay, never retried on target ERR replies.
+// one request (a line, plus the program parts of a load-carrying verb),
+// one reply line, retried on transport faults after a reconnect and
+// setpoint replay, never retried on target ERR replies.
 
 // Hello checks that the daemon speaks this package's protocol version and
 // returns the target's platform name. A daemon that answers with any other
@@ -60,7 +61,9 @@ func (c *Client) Info() (string, []string, error) {
 	return name, domains, err
 }
 
-// RemoteCaps is a domain capability record as reported by CAPS.
+// RemoteCaps is a domain capability record as reported by CAPS. It
+// mirrors backend.Caps field for field; lab cannot return that type
+// because backend imports lab.
 type RemoteCaps struct {
 	TotalCores        int
 	Arch              isa.Arch
@@ -113,7 +116,8 @@ func (c *Client) Caps(domain string) (*RemoteCaps, error) {
 	return caps, nil
 }
 
-// RemoteState is a domain's current operating point as reported by STATE.
+// RemoteState is a domain's current operating point as reported by STATE,
+// the wire twin of backend.DomainState (lab cannot import backend).
 type RemoteState struct {
 	ClockHz      float64
 	SupplyV      float64
@@ -147,63 +151,44 @@ func (c *Client) State(domain string) (*RemoteState, error) {
 	return st, nil
 }
 
-// Load ships an individual's source to the target, which assembles it.
-func (c *Client) Load(domain string, cores int, pool *isa.Pool, seq []isa.Inst) error {
-	text := isa.FormatProgram(pool, seq)
-	lines := strings.Count(text, "\n")
-	return c.do(command{
-		verb: "LOAD",
-		line: fmt.Sprintf("LOAD %s %d %d", domain, cores, lines),
-		body: text,
-		record: func(st *sessionState) {
-			st.load = &loadState{domain: domain, cores: cores, text: text, lines: lines}
-			st.run = false
-		},
-	})
+// Part is one domain's workload as a request carries it. MEASURE,
+// VMEASURE, VMIN and SHMOO each send exactly one, MONITOR one per domain,
+// so every measurement request is self-contained: the paper's loop for
+// one individual (ship the source, run it, measure, kill it) is one
+// round trip, and a reconnect has no workload to restore.
+type Part struct {
+	Domain string
+	Cores  int
+	Pool   *isa.Pool
+	Seq    []isa.Inst
+	Phases []float64
 }
 
-// Run starts the loaded workload on the target.
-func (c *Client) Run() error {
-	return c.do(command{verb: "RUN", line: "RUN",
-		record: func(st *sessionState) { st.run = true }})
+// writePart appends a part in its wire form: the header "<domain> <cores>
+// <lines> <nphase> [phase...]", then the assembly text.
+func writePart(b *strings.Builder, p Part) {
+	text := isa.FormatProgram(p.Pool, p.Seq)
+	fmt.Fprintf(b, "%s %d %d %d", p.Domain, p.Cores, strings.Count(text, "\n"), len(p.Phases))
+	writeFloats(b, p.Phases)
+	b.WriteByte('\n')
+	b.WriteString(text)
 }
 
-// Stop terminates the running workload.
-func (c *Client) Stop() error {
-	return c.do(command{verb: "STOP", line: "STOP",
-		record: func(st *sessionState) { st.run = false }})
+// partBody is the request body of a single-part verb.
+func partBody(p Part) string {
+	var b strings.Builder
+	writePart(&b, p)
+	return b.String()
 }
 
-// Cycle runs the paper's per-individual loop on this session: load the
-// program, run it, take the caller's measurement, stop it. A failed
-// measurement still stops the workload before its error is returned.
-func (c *Client) Cycle(domain string, cores int, pool *isa.Pool, seq []isa.Inst, measure func() error) error {
-	if err := c.Load(domain, cores, pool, seq); err != nil {
-		return err
-	}
-	if err := c.Run(); err != nil {
-		return err
-	}
-	if err := measure(); err != nil {
-		_ = c.Stop()
-		return err
-	}
-	return c.Stop()
-}
-
-// RemoteMeasurement is the target's analyzer reading.
-type RemoteMeasurement struct {
-	PeakDBm  float64
-	PeakHz   float64
-	StdevDBm float64
-}
-
-// Measure asks the target bench for an averaged EM peak measurement.
-func (c *Client) Measure(samples int) (*RemoteMeasurement, error) {
-	m := &RemoteMeasurement{}
+// Measure ships a part to the target and takes its averaged EM peak
+// measurement (core.Bench.EMMeasureN on the daemon's bench).
+func (c *Client) Measure(p Part, samples int) (*instrument.Measurement, error) {
+	m := &instrument.Measurement{Samples: samples}
 	err := c.do(command{
 		verb: "MEASURE",
 		line: fmt.Sprintf("MEASURE %d", samples),
+		body: partBody(p),
 		parse: func(payload string) error {
 			fields := strings.Fields(payload)
 			var err error
@@ -225,13 +210,15 @@ func (c *Client) Measure(samples int) (*RemoteMeasurement, error) {
 	return m, nil
 }
 
-// VMeasure measures the running workload's voltage noise under the given
-// metric ("droop" or "ptp") and returns the GA observable: fitness and
-// dominant frequency. dsoSeed fixes the target-side scope noise stream.
-func (c *Client) VMeasure(metric string, samples int, dsoSeed int64) (fitness, domHz float64, err error) {
+// VMeasure measures a part's voltage noise under the given metric
+// ("droop" or "ptp") and returns the GA observable: fitness and dominant
+// frequency. dsoSeed fixes the target-side scope noise stream; the part
+// carries no phases.
+func (c *Client) VMeasure(p Part, metric string, samples int, dsoSeed int64) (fitness, domHz float64, err error) {
 	err = c.do(command{
 		verb: "VMEASURE",
 		line: fmt.Sprintf("VMEASURE %s %d %d", metric, samples, dsoSeed),
+		body: partBody(p),
 		parse: func(payload string) error {
 			fields := strings.Fields(payload)
 			var err error
@@ -314,39 +301,33 @@ func (c *Client) Sweep(domain string, cores, samples int, clocks []float64) ([]*
 	return points, nil
 }
 
-// RemoteVmin is a repeated V_MIN search result: the worst run plus every
-// per-run V_MIN (Figure 10's distribution data).
-type RemoteVmin struct {
-	VminV         float64
-	MarginV       float64
-	DroopNominalV float64
-	Outcome       vmin.FailureKind
-	Runs          []float64
-}
-
-// Vmin runs a V_MIN campaign on the loaded workload with the
-// workstation's tester seed.
-func (c *Client) Vmin(seed int64, repeats int) (*RemoteVmin, error) {
-	out := &RemoteVmin{}
+// Vmin runs a repeated V_MIN campaign on a part with the workstation's
+// tester seed and returns the worst run plus every per-run V_MIN (Figure
+// 10's distribution data). The Result carries no Trials: the descent log
+// stays on the target.
+func (c *Client) Vmin(p Part, seed int64, repeats int) (*vmin.Result, []float64, error) {
+	res := &vmin.Result{}
+	var runs []float64
 	err := c.do(command{
 		verb: "VMIN",
 		line: fmt.Sprintf("VMIN %d %d", seed, repeats),
+		body: partBody(p),
 		parse: func(payload string) error {
 			fields := strings.Fields(payload)
 			var err error
-			if out.VminV, err = floatField(fields, 0, "vmin"); err != nil {
+			if res.VminV, err = floatField(fields, 0, "vmin"); err != nil {
 				return err
 			}
-			if out.MarginV, err = floatField(fields, 1, "margin"); err != nil {
+			if res.MarginV, err = floatField(fields, 1, "margin"); err != nil {
 				return err
 			}
-			if out.DroopNominalV, err = floatField(fields, 2, "droop"); err != nil {
+			if res.DroopNominalV, err = floatField(fields, 2, "droop"); err != nil {
 				return err
 			}
 			if len(fields) < 5 {
 				return fmt.Errorf("malformed VMIN reply %q", payload)
 			}
-			if out.Outcome, err = vmin.ParseKind(fields[3]); err != nil {
+			if res.Outcome, err = vmin.ParseKind(fields[3]); err != nil {
 				return err
 			}
 			n, err := intField(fields, 4, "runs")
@@ -356,19 +337,19 @@ func (c *Client) Vmin(seed int64, repeats int) (*RemoteVmin, error) {
 			if n < 0 || len(fields) != 5+n {
 				return fmt.Errorf("malformed VMIN reply: %d runs, %d fields", n, len(fields))
 			}
-			out.Runs, err = floatFields(fields[5:], "run")
+			runs, err = floatFields(fields[5:], "run")
 			return err
 		},
 	})
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	return out, nil
+	return res, runs, nil
 }
 
-// Shmoo runs the loaded workload's frequency/voltage shmoo at the given
-// clock settings with the workstation's tester seed.
-func (c *Client) Shmoo(seed int64, clocks []float64) ([]vmin.ShmooPoint, error) {
+// Shmoo runs a part's frequency/voltage shmoo at the given clock settings
+// with the workstation's tester seed.
+func (c *Client) Shmoo(p Part, seed int64, clocks []float64) ([]vmin.ShmooPoint, error) {
 	if len(clocks) == 0 {
 		return nil, fmt.Errorf("lab: no shmoo clocks")
 	}
@@ -379,6 +360,7 @@ func (c *Client) Shmoo(seed int64, clocks []float64) ([]vmin.ShmooPoint, error) 
 	err := c.do(command{
 		verb: "SHMOO",
 		line: line.String(),
+		body: partBody(p),
 		parse: func(payload string) error {
 			fields := strings.Fields(payload)
 			n, err := intField(fields, 0, "points")
@@ -390,17 +372,17 @@ func (c *Client) Shmoo(seed int64, clocks []float64) ([]vmin.ShmooPoint, error) 
 			}
 			points = make([]vmin.ShmooPoint, n)
 			for i := 0; i < n; i++ {
-				p := &points[i]
-				if p.ClockHz, err = floatField(fields, 1+4*i, "clock"); err != nil {
+				pt := &points[i]
+				if pt.ClockHz, err = floatField(fields, 1+4*i, "clock"); err != nil {
 					return err
 				}
-				if p.VminV, err = floatField(fields, 2+4*i, "vmin"); err != nil {
+				if pt.VminV, err = floatField(fields, 2+4*i, "vmin"); err != nil {
 					return err
 				}
-				if p.MarginV, err = floatField(fields, 3+4*i, "margin"); err != nil {
+				if pt.MarginV, err = floatField(fields, 3+4*i, "margin"); err != nil {
 					return err
 				}
-				if p.Outcome, err = vmin.ParseKind(fields[4+4*i]); err != nil {
+				if pt.Outcome, err = vmin.ParseKind(fields[4+4*i]); err != nil {
 					return err
 				}
 			}
@@ -413,32 +395,18 @@ func (c *Client) Shmoo(seed int64, clocks []float64) ([]vmin.ShmooPoint, error) 
 	return points, nil
 }
 
-// MonitorPart is one domain's workload in a multi-domain Monitor capture.
-type MonitorPart struct {
-	Domain string
-	Cores  int
-	Pool   *isa.Pool
-	Seq    []isa.Inst
-	Phases []float64
-}
-
 // Monitor captures one combined spectrum over several domains' loads
 // (Figure 15's one-antenna multi-domain observation). The reply carries
 // only (n, startHz, rbwHz, dBm...); the frequency axis is reconstructed
 // with instrument.BinCenters, the same expression the analyzer itself
 // uses, so the sweep equals a local MonitorAll bit-for-bit.
-func (c *Client) Monitor(parts []MonitorPart) (*instrument.Sweep, error) {
+func (c *Client) Monitor(parts []Part) (*instrument.Sweep, error) {
 	if len(parts) == 0 {
 		return nil, fmt.Errorf("lab: no monitor parts")
 	}
 	var body strings.Builder
-	for _, part := range parts {
-		text := isa.FormatProgram(part.Pool, part.Seq)
-		lines := strings.Count(text, "\n")
-		fmt.Fprintf(&body, "%s %d %d %d", part.Domain, part.Cores, lines, len(part.Phases))
-		writeFloats(&body, part.Phases)
-		body.WriteByte('\n')
-		body.WriteString(text)
+	for _, p := range parts {
+		writePart(&body, p)
 	}
 	var sw *instrument.Sweep
 	err := c.do(command{
@@ -481,45 +449,40 @@ func (c *Client) Monitor(parts []MonitorPart) (*instrument.Sweep, error) {
 	return sw, nil
 }
 
+// setpoint sends a SET or RESET command and, once the target has
+// acknowledged it, records its effect for replay.
+func (c *Client) setpoint(cmd command, record func(sp *setpoints)) error {
+	if err := c.do(cmd); err != nil {
+		return err
+	}
+	c.setpoints.update(record)
+	return nil
+}
+
 // SetClock adjusts the target's DVFS point.
 func (c *Client) SetClock(domain string, hz float64) error {
-	return c.do(command{
-		verb:   "SETCLOCK",
-		line:   fmt.Sprintf("SETCLOCK %s %g", domain, hz),
-		record: func(st *sessionState) { st.set.update(func() { st.set.clocks[domain] = hz }) },
-	})
+	return c.setpoint(command{verb: "SETCLOCK", line: fmt.Sprintf("SETCLOCK %s %g", domain, hz)},
+		func(sp *setpoints) { sp.clocks[domain] = hz })
 }
 
 // SetVolts adjusts the target's supply setpoint.
 func (c *Client) SetVolts(domain string, v float64) error {
-	return c.do(command{
-		verb:   "SETVOLTS",
-		line:   fmt.Sprintf("SETVOLTS %s %g", domain, v),
-		record: func(st *sessionState) { st.set.update(func() { st.set.volts[domain] = v }) },
-	})
+	return c.setpoint(command{verb: "SETVOLTS", line: fmt.Sprintf("SETVOLTS %s %g", domain, v)},
+		func(sp *setpoints) { sp.volts[domain] = v })
 }
 
 // SetCores power-gates cores on the target.
 func (c *Client) SetCores(domain string, n int) error {
-	return c.do(command{
-		verb:   "SETCORES",
-		line:   fmt.Sprintf("SETCORES %s %d", domain, n),
-		record: func(st *sessionState) { st.set.update(func() { st.set.cores[domain] = n }) },
-	})
+	return c.setpoint(command{verb: "SETCORES", line: fmt.Sprintf("SETCORES %s %d", domain, n)},
+		func(sp *setpoints) { sp.cores[domain] = n })
 }
 
 // Reset restores a domain to nominal state.
 func (c *Client) Reset(domain string) error {
-	return c.do(command{
-		verb: "RESET",
-		line: "RESET " + domain,
-		record: func(st *sessionState) {
-			st.set.update(func() {
-				delete(st.set.clocks, domain)
-				delete(st.set.volts, domain)
-				delete(st.set.cores, domain)
-			})
-		},
+	return c.setpoint(command{verb: "RESET", line: "RESET " + domain}, func(sp *setpoints) {
+		delete(sp.clocks, domain)
+		delete(sp.volts, domain)
+		delete(sp.cores, domain)
 	})
 }
 

@@ -14,12 +14,12 @@ import (
 )
 
 // FuzzDispatch feeds the daemon one request — a command line followed by
-// whatever bytes the client sent after it (a LOAD or MONITOR body) — on a
-// fresh session, optionally one that already has the probe loop loaded
-// and running. Invariants: no panic; the request yields exactly one reply
-// line that parseReply accepts, or a clean close (after QUIT's reply, or
-// with no output for a stream that cannot be resynchronized); and a
-// session that got ERR still answers INFO.
+// whatever bytes the client sent after it (the program parts of a
+// load-carrying verb) — on a fresh session. Invariants: no panic; the
+// request yields exactly one reply line that parseReply accepts, or a
+// clean close (after QUIT's reply, or with no output for a stream that
+// cannot be resynchronized); and a session that got ERR still answers
+// INFO.
 func FuzzDispatch(f *testing.F) {
 	p, err := platform.JunoR2()
 	if err != nil {
@@ -44,75 +44,72 @@ func FuzzDispatch(f *testing.F) {
 	}
 	text := isa.FormatProgram(a72.Spec.Pool(), probe)
 	lines := strings.Count(text, "\n")
+	part := fmt.Sprintf("cortex-a72 2 %d 0\n%s", lines, text)
+	phased := fmt.Sprintf("cortex-a72 2 %d 2 0 37.5\n%s", lines, text)
 
-	for _, seed := range []struct {
-		line, body string
-		running    bool
-	}{
-		{"HELLO 4", "", false},
-		{"HELLO 3", "", false},
-		{"HELLO", "", false},
-		{"INFO", "", false},
-		{"CAPS cortex-a72", "", false},
-		{"CAPS", "", false},
-		{"STATE cortex-a53", "", false},
-		{fmt.Sprintf("LOAD cortex-a72 2 %d", lines), text, false},
-		{"LOAD cortex-a72 2 2", "bogus line\nnop\n", false},
-		{"LOAD nope 2 1", "add x1, x2, x3\n", false},
-		{"LOAD cortex-a72 2 -1", "", false},
-		{"RUN", "", true},
-		{"RUN", "", false},
-		{"STOP", "", true},
-		{"MEASURE 1", "", true},
-		{"MEASURE", "", false},
-		{"MEASURE NaN", "", true},
-		{"VMEASURE droop 1 1", "", true},
-		{"VMEASURE em 1 1", "", true},
-		{"VMEASURE ptp Inf 1", "", true},
-		{"SWEEP cortex-a72 2 1 6e8", "", false},
-		{"SWEEP cortex-a72 2 1 1.2e9 2e7", "", false},
-		{"SWEEP cortex-a72 2 1 NaN", "", false},
-		{"SWEEP cortex-a72 2 1 -Inf", "", false},
-		{"SWEEP cortex-a72 2 1", "", false},
-		{"VMIN 1 1", "", true},
-		{"VMIN 1 1", "", false},
-		{"VMIN 1 NaN", "", true},
-		{"SHMOO 1 1.2e9", "", true},
-		{"SHMOO 1 NaN", "", true},
-		{"MONITOR 1", fmt.Sprintf("cortex-a72 2 %d 0\n%s", lines, text), false},
-		{"MONITOR 1", fmt.Sprintf("cortex-a72 2 %d 2 10 NaN\n%s", lines, text), false},
-		{"MONITOR 1", fmt.Sprintf("cortex-a72 2 %d 2 -5 1e300\n%s", lines, text), false},
-		{"MONITOR 1", "cortex-a72 2\n", false},
-		{"MONITOR 2", "cortex-a72 2 1 0\nnop\n", false},
-		{"SETCLOCK cortex-a72 6e8", "", false},
-		{"SETCLOCK cortex-a72 NaN", "", false},
-		{"SETVOLTS cortex-a72 Inf", "", false},
-		{"SETVOLTS cortex-a72 0.95", "", false},
-		{"SETCORES cortex-a53 2", "", false},
-		{"RESET cortex-a72", "", false},
-		{"STATS cortex-a72", "", false},
-		{"QUIT", "", false},
-		{"", "", false},
-		{"\x00\x15", "", false},
+	for _, seed := range []struct{ line, body string }{
+		{"HELLO 5", ""},
+		{"HELLO 4", ""},
+		{"HELLO", ""},
+		{"INFO", ""},
+		{"CAPS cortex-a72", ""},
+		{"CAPS", ""},
+		{"STATE cortex-a53", ""},
+		{"MEASURE 1", part},
+		{"MEASURE 1", phased},
+		{"MEASURE", part},
+		{"MEASURE NaN", part},
+		{"MEASURE 1", "cortex-a72 2 2 0\nbogus line\nnop\n"},
+		{"MEASURE 1", "nope 2 1 0\nadd x1, x2, x3\n"},
+		{"MEASURE 1", "cortex-a72 2 -1 0\n"},
+		{"MEASURE 1", ""},
+		{"VMEASURE droop 1 1", part},
+		{"VMEASURE em 1 1", part},
+		{"VMEASURE ptp Inf 1", part},
+		{"VMEASURE droop 1 1", phased},
+		{"SWEEP cortex-a72 2 1 6e8", ""},
+		{"SWEEP cortex-a72 2 1 1.2e9 2e7", ""},
+		{"SWEEP cortex-a72 2 1 NaN", ""},
+		{"SWEEP cortex-a72 2 1 -Inf", ""},
+		{"SWEEP cortex-a72 2 1", ""},
+		{"VMIN 1 1", part},
+		{"VMIN 1 1", phased},
+		{"VMIN 1 NaN", part},
+		{"VMIN 1 1", "cortex-a72 99 1 0\nnop\n"},
+		{"SHMOO 1 1.2e9", part},
+		{"SHMOO 1 NaN", part},
+		{"SHMOO 1 1.2e9", "cortex-a72 2 1 1 5\nnop\n"},
+		{"MONITOR 1", part},
+		{"MONITOR 1", fmt.Sprintf("cortex-a72 2 %d 2 10 NaN\n%s", lines, text)},
+		{"MONITOR 1", fmt.Sprintf("cortex-a72 2 %d 2 -5 1e300\n%s", lines, text)},
+		{"MONITOR 1", "cortex-a72 2\n"},
+		{"MONITOR 2", "cortex-a72 2 1 0\nnop\n"},
+		{"SETCLOCK cortex-a72 6e8", ""},
+		{"SETCLOCK cortex-a72 NaN", ""},
+		{"SETVOLTS cortex-a72 Inf", ""},
+		{"SETVOLTS cortex-a72 0.95", ""},
+		{"SETCORES cortex-a53 2", ""},
+		{"RESET cortex-a72", ""},
+		{"STATS cortex-a72", ""},
+		{"QUIT", ""},
+		{"", ""},
+		{"\x00\x15", ""},
+		{fmt.Sprintf("LOAD cortex-a72 2 %d", lines), text},
+		{"RUN", ""},
 	} {
-		f.Add(seed.line, seed.body, seed.running)
+		f.Add(seed.line, seed.body)
 	}
 
-	f.Fuzz(func(t *testing.T, line, body string, running bool) {
+	f.Fuzz(func(t *testing.T, line, body string) {
 		defer func() {
 			for _, d := range p.Domains() {
 				d.Reset()
 			}
 		}()
-		sess := &session{}
-		if running {
-			sess.current = &loaded{domain: a72, load: platform.Load{Seq: probe, ActiveCores: 2}}
-			sess.running = true
-		}
 		var out bytes.Buffer
 		w := bufio.NewWriter(&out)
 		r := bufio.NewReader(strings.NewReader(line + "\n" + body))
-		more := srv.serveOne(sess, r, w)
+		more := srv.serveOne(r, w)
 
 		reply := out.String()
 		if reply == "" {
@@ -138,7 +135,7 @@ func FuzzDispatch(f *testing.F) {
 			return
 		}
 		out.Reset()
-		if !srv.serveOne(sess, bufio.NewReader(strings.NewReader("INFO\n")), w) ||
+		if !srv.serveOne(bufio.NewReader(strings.NewReader("INFO\n")), w) ||
 			!strings.HasPrefix(out.String(), "OK "+p.Name+" ") {
 			t.Fatalf("%q: session stopped answering INFO after ERR: %q", line, out.String())
 		}

@@ -2,12 +2,12 @@ package lab
 
 import (
 	"bufio"
+	"errors"
 	"fmt"
 	"sort"
 	"strconv"
 	"strings"
 
-	"repro/internal/ga"
 	"repro/internal/instrument"
 	"repro/internal/isa"
 	"repro/internal/platform"
@@ -75,82 +75,101 @@ func (s *Server) cmdState(w *bufio.Writer, fields []string) error {
 	return writeLine(w, "%s %g %g %d", replyOK, clock, supply, powered)
 }
 
-// cmdLoad reads a LOAD header and its program body. The client flushes the
-// body together with the header, so on any validation error detected
-// before the body has been consumed the declared lines MUST still be
-// drained — otherwise the daemon would dispatch assembly lines as commands
-// and the session would desync permanently.
-func (s *Server) cmdLoad(sess *session, r *bufio.Reader, w *bufio.Writer, fields []string) error {
-	if len(fields) != 4 {
-		return fmt.Errorf("usage: LOAD <domain> <cores> <lines>")
-	}
-	lines, linesErr := intField(fields, 3, "lines")
-	canDrain := linesErr == nil && lines >= 1 && lines <= maxProgramLines
-	// drain consumes the program body the client already sent, keeping the
-	// stream in sync while the command itself fails. Only possible when
-	// the declared line count is sane.
-	drain := func() {
-		if !canDrain {
-			return
-		}
-		for i := 0; i < lines; i++ {
-			if _, err := readLine(r); err != nil {
-				return
-			}
-		}
-	}
-	d, err := s.domain(fields[1])
+// part is one domain's workload as a request carries it: a header
+// "<domain> <cores> <lines> <nphase> [phase...]" and <lines> program
+// lines. MEASURE, VMEASURE, VMIN and SHMOO are each followed by exactly
+// one part, MONITOR by one per domain.
+type part struct {
+	domain string
+	cores  int
+	phases []float64
+	body   string
+	err    error // first bad header field, reported once the body is read
+}
+
+// errStreamLost marks a request whose remaining bytes cannot be located: a
+// part header without a readable line count leaves nothing to tell where
+// its program ends, so the session is closed rather than left to dispatch
+// assembly lines as commands.
+var errStreamLost = errors.New("lab: request stream lost")
+
+// readPart consumes one part in full before anything in it or in its
+// request line is validated. The client flushes the parts together with
+// the request, so a rejected request can never leave program lines in the
+// stream to be dispatched as commands. Only an unreadable line count is an
+// error here (errStreamLost); any other bad header field is kept in
+// part.err and reported once the body is read.
+func readPart(r *bufio.Reader) (part, error) {
+	hdr, err := readLine(r)
 	if err != nil {
-		drain()
-		return err
+		return part{}, fmt.Errorf("%w: reading part header: %v", errStreamLost, err)
 	}
-	cores, err := intField(fields, 2, "cores")
+	hf := strings.Fields(hdr)
+	lines, err := intField(hf, 2, "lines")
+	if err == nil && (lines < 1 || lines > maxProgramLines) {
+		err = fmt.Errorf("line count %d out of range", lines)
+	}
 	if err != nil {
-		drain()
-		return err
+		return part{}, fmt.Errorf("%w: part header %q: %v", errStreamLost, hdr, err)
 	}
-	if cores < 1 || cores > d.Spec.TotalCores {
-		drain()
-		return fmt.Errorf("core count %d out of range [1, %d]", cores, d.Spec.TotalCores)
-	}
-	if linesErr != nil {
-		return linesErr
-	}
-	if !canDrain {
-		return fmt.Errorf("line count %d out of range", lines)
+	p := part{domain: hf[0]}
+	nphase, err := intField(hf, 3, "phases")
+	switch {
+	case err != nil:
+		p.err = err
+	case nphase < 0 || nphase > 64 || len(hf) != 4+nphase:
+		p.err = fmt.Errorf("phase count mismatch in part header %q", hdr)
+	default:
+		if p.cores, p.err = intField(hf, 1, "cores"); p.err == nil {
+			p.phases, p.err = floatFields(hf[4:], "phase")
+		}
 	}
 	var body strings.Builder
 	for i := 0; i < lines; i++ {
 		ln, err := readLine(r)
 		if err != nil {
-			return fmt.Errorf("reading program: %v", err)
+			return part{}, fmt.Errorf("%w: reading part program: %v", errStreamLost, err)
 		}
 		body.WriteString(ln)
 		body.WriteByte('\n')
 	}
-	seq, err := isa.ParseProgram(d.Spec.Pool(), body.String())
+	p.body = body.String()
+	return p, nil
+}
+
+// load resolves a part on the daemon's platform: a known domain, a core
+// count within it and a non-empty program in the domain's instruction
+// pool.
+func (s *Server) load(p part) (*platform.Domain, platform.Load, error) {
+	if p.err != nil {
+		return nil, platform.Load{}, p.err
+	}
+	d, err := s.domain(p.domain)
 	if err != nil {
-		return err
+		return nil, platform.Load{}, err
+	}
+	if p.cores < 1 || p.cores > d.Spec.TotalCores {
+		return nil, platform.Load{}, fmt.Errorf("core count %d out of range [1, %d]", p.cores, d.Spec.TotalCores)
+	}
+	seq, err := isa.ParseProgram(d.Spec.Pool(), p.body)
+	if err != nil {
+		return nil, platform.Load{}, err
 	}
 	if len(seq) == 0 {
-		return fmt.Errorf("program has no instructions")
+		return nil, platform.Load{}, fmt.Errorf("part %s has no instructions", p.domain)
 	}
-	sess.current = &loaded{domain: d, load: platform.Load{Seq: seq, ActiveCores: cores}}
-	sess.running = false
-	return writeLine(w, "%s loaded %d", replyOK, len(seq))
+	return d, platform.Load{Seq: seq, ActiveCores: p.cores, PhaseCycles: p.phases}, nil
 }
 
-func (s *Server) cmdRun(sess *session, w *bufio.Writer) error {
-	if sess.current == nil {
-		return fmt.Errorf("nothing loaded")
+// readRequestPart reads the part that follows a single-part request, then
+// rejects a request line of the wrong shape. The caller validates the
+// request's fields next and resolves the part last.
+func readRequestPart(r *bufio.Reader, shapeOK bool, usage string) (part, error) {
+	p, err := readPart(r)
+	if err == nil && !shapeOK {
+		err = fmt.Errorf("usage: %s", usage)
 	}
-	sess.running = true
-	return writeLine(w, "%s running", replyOK)
-}
-
-func (s *Server) cmdStop(sess *session, w *bufio.Writer) error {
-	sess.running = false
-	return writeLine(w, "%s stopped", replyOK)
+	return p, err
 }
 
 // sampleCount parses an analyzer averaging depth and bounds it.
@@ -165,21 +184,24 @@ func sampleCount(fields []string, i int) (int, error) {
 	return samples, nil
 }
 
-func (s *Server) cmdMeasure(sess *session, w *bufio.Writer, fields []string) error {
-	samples := s.Bench.Samples
-	if len(fields) > 1 {
-		var err error
-		if samples, err = sampleCount(fields, 1); err != nil {
-			return err
-		}
+// cmdMeasure measures the part's averaged EM peak: Bench.EMMeasureN, the
+// GA's fitness observable.
+func (s *Server) cmdMeasure(r *bufio.Reader, w *bufio.Writer, fields []string) error {
+	p, err := readRequestPart(r, len(fields) == 2, "MEASURE <samples> + part")
+	if err != nil {
+		return err
 	}
-	if sess.current == nil || !sess.running {
-		return fmt.Errorf("no workload running")
+	samples, err := sampleCount(fields, 1)
+	if err != nil {
+		return err
 	}
-	cur := sess.current
-	l := s.domLock(cur.domain.Spec.Name)
+	d, load, err := s.load(p)
+	if err != nil {
+		return err
+	}
+	l := s.domLock(d.Spec.Name)
 	l.RLock()
-	m, err := s.Bench.EMMeasureN(cur.domain, cur.load, samples)
+	m, err := s.Bench.EMMeasureN(d, load, samples)
 	l.RUnlock()
 	if err != nil {
 		return err
@@ -187,15 +209,20 @@ func (s *Server) cmdMeasure(sess *session, w *bufio.Writer, fields []string) err
 	return writeLine(w, "%s %g %g %g", replyOK, m.PeakDBm, m.PeakHz, m.StdevDBm)
 }
 
-// cmdVMeasure measures the running workload's voltage noise through the
-// bench's DSO measurers (droop depth or peak-to-peak swing), which reject
-// domains without voltage visibility with the same typed error a local
-// bench raises. EM fitness goes through MEASURE.
-func (s *Server) cmdVMeasure(sess *session, w *bufio.Writer, fields []string) error {
-	if len(fields) != 4 {
-		return fmt.Errorf("usage: VMEASURE <droop|ptp> <samples> <dsoseed>")
+// cmdVMeasure measures the part's voltage noise through the bench's DSO
+// measurers (droop depth or peak-to-peak swing), which reject domains
+// without voltage visibility with the same typed error a local bench
+// raises. The measurers take a bare program, so a phased part is
+// rejected. EM fitness goes through MEASURE.
+func (s *Server) cmdVMeasure(r *bufio.Reader, w *bufio.Writer, fields []string) error {
+	p, err := readRequestPart(r, len(fields) == 4, "VMEASURE <droop|ptp> <samples> <dsoseed> + part")
+	if err != nil {
+		return err
 	}
 	metric := fields[1]
+	if metric != "droop" && metric != "ptp" {
+		return fmt.Errorf("unknown metric %q", metric)
+	}
 	samples, err := sampleCount(fields, 2)
 	if err != nil {
 		return err
@@ -204,30 +231,28 @@ func (s *Server) cmdVMeasure(sess *session, w *bufio.Writer, fields []string) er
 	if err != nil {
 		return err
 	}
-	if sess.current == nil || !sess.running {
-		return fmt.Errorf("no workload running")
+	d, load, err := s.load(p)
+	if err != nil {
+		return err
 	}
-	cur := sess.current
-	bench := s.benchWithSamples(samples)
+	if len(load.PhaseCycles) > 0 {
+		return fmt.Errorf("VMEASURE takes no phase annotations")
+	}
+	bench := s.Bench.WithSamples(samples)
 	// The scope is seeded by the workstation so a remote droop/ptp
 	// measurement reuses the exact noise stream a local one would; a domain
 	// without one leaves dso nil and the measurer rejects it.
 	var dso *instrument.DSO
-	if _, newScope := instrument.ScopeFor(cur.domain.Spec.VoltageVisibility); newScope != nil {
+	if _, newScope := instrument.ScopeFor(d.Spec.VoltageVisibility); newScope != nil {
 		dso = newScope(dsoSeed)
 	}
-	var m ga.Measurer
-	switch metric {
-	case "droop":
-		m = bench.DroopMeasurer(cur.domain, cur.load.ActiveCores, dso)
-	case "ptp":
-		m = bench.PtpMeasurer(cur.domain, cur.load.ActiveCores, dso)
-	default:
-		return fmt.Errorf("unknown metric %q", metric)
+	m := bench.DroopMeasurer(d, load.ActiveCores, dso)
+	if metric == "ptp" {
+		m = bench.PtpMeasurer(d, load.ActiveCores, dso)
 	}
-	l := s.domLock(cur.domain.Spec.Name)
+	l := s.domLock(d.Spec.Name)
 	l.RLock()
-	fitness, domHz, err := m.Measure(cur.load.Seq)
+	fitness, domHz, err := m.Measure(load.Seq)
 	l.RUnlock()
 	if err != nil {
 		return err
@@ -264,7 +289,7 @@ func (s *Server) cmdSweep(w *bufio.Writer, fields []string) error {
 	}
 	l := s.domLock(d.Spec.Name)
 	l.RLock()
-	points, err := s.benchWithSamples(samples).SweepBatch(d, cores, clocks)
+	points, err := s.Bench.WithSamples(samples).SweepBatch(d, cores, clocks)
 	l.RUnlock()
 	if err != nil {
 		return err
@@ -281,13 +306,14 @@ func (s *Server) cmdSweep(w *bufio.Writer, fields []string) error {
 	return writeLine(w, "%s", b.String())
 }
 
-// cmdVmin runs a repeated V_MIN search of the loaded workload with the
+// cmdVmin runs a repeated V_MIN search of the part's load with the
 // workstation's tester seed and reports the worst run plus every per-run
 // V_MIN; carrying the seed is what lets a remote campaign reproduce a
 // local one bit for bit.
-func (s *Server) cmdVmin(sess *session, w *bufio.Writer, fields []string) error {
-	if len(fields) != 3 {
-		return fmt.Errorf("usage: VMIN <seed> <repeats>")
+func (s *Server) cmdVmin(r *bufio.Reader, w *bufio.Writer, fields []string) error {
+	p, err := readRequestPart(r, len(fields) == 3, "VMIN <seed> <repeats> + part")
+	if err != nil {
+		return err
 	}
 	seed, err := int64Field(fields, 1, "seed")
 	if err != nil {
@@ -300,15 +326,15 @@ func (s *Server) cmdVmin(sess *session, w *bufio.Writer, fields []string) error 
 	if repeats < 1 || repeats > 100 {
 		return fmt.Errorf("repeat count %d out of range", repeats)
 	}
-	if sess.current == nil {
-		return fmt.Errorf("nothing loaded")
+	d, load, err := s.load(p)
+	if err != nil {
+		return err
 	}
-	cur := sess.current
-	l := s.domLock(cur.domain.Spec.Name)
+	l := s.domLock(d.Spec.Name)
 	l.RLock()
-	tester := vmin.NewTester(cur.domain, seed)
+	tester := vmin.NewTester(d, seed)
 	tester.Parallelism = s.Bench.Parallelism
-	res, runs, err := tester.Repeat(cur.load, repeats)
+	res, runs, err := tester.Repeat(load, repeats)
 	l.RUnlock()
 	if err != nil {
 		return err
@@ -322,15 +348,16 @@ func (s *Server) cmdVmin(sess *session, w *bufio.Writer, fields []string) error 
 	return writeLine(w, "%s", b.String())
 }
 
-// cmdShmoo runs the frequency/voltage shmoo of the loaded workload over
-// the clock list in the request, through vmin's batched campaign path
-// (one primed trace, snapped-clock dedup, per-column supply ladders).
+// cmdShmoo runs the frequency/voltage shmoo of the part's load over the
+// clock list in the request, through vmin's batched campaign path (one
+// primed trace, snapped-clock dedup, per-column supply ladders).
 // Per-point trial noise is keyed by content (seed, load, operating
 // point), so neither the target's parallelism nor a fleet's one-cell
 // shard layout can change any value.
-func (s *Server) cmdShmoo(sess *session, w *bufio.Writer, fields []string) error {
-	if len(fields) < 3 {
-		return fmt.Errorf("usage: SHMOO <seed> <clockHz>...")
+func (s *Server) cmdShmoo(r *bufio.Reader, w *bufio.Writer, fields []string) error {
+	p, err := readRequestPart(r, len(fields) >= 3, "SHMOO <seed> <clockHz>... + part")
+	if err != nil {
+		return err
 	}
 	seed, err := int64Field(fields, 1, "seed")
 	if err != nil {
@@ -340,15 +367,15 @@ func (s *Server) cmdShmoo(sess *session, w *bufio.Writer, fields []string) error
 	if err != nil {
 		return err
 	}
-	if sess.current == nil {
-		return fmt.Errorf("nothing loaded")
+	d, load, err := s.load(p)
+	if err != nil {
+		return err
 	}
-	cur := sess.current
-	l := s.domLock(cur.domain.Spec.Name)
+	l := s.domLock(d.Spec.Name)
 	l.RLock()
-	tester := vmin.NewTester(cur.domain, seed)
+	tester := vmin.NewTester(d, seed)
 	tester.Parallelism = s.Bench.Parallelism
-	points, err := tester.Shmoo(cur.load, clocks)
+	points, err := tester.Shmoo(load, clocks)
 	l.RUnlock()
 	if err != nil {
 		return err
@@ -361,21 +388,12 @@ func (s *Server) cmdShmoo(sess *session, w *bufio.Writer, fields []string) error
 	return writeLine(w, "%s", b.String())
 }
 
-// monitorPart is one domain's workload in a MONITOR request.
-type monitorPart struct {
-	domain string
-	cores  int
-	phases []float64
-	body   string
-}
-
 // cmdMonitor captures one combined spectrum over several domains' loads
-// (Figure 15). All part bodies are consumed before validation so a
-// rejected part cannot leave program lines in the stream to be dispatched
-// as commands.
+// (Figure 15), one part per domain. Every part is read before any is
+// validated.
 func (s *Server) cmdMonitor(r *bufio.Reader, w *bufio.Writer, fields []string) error {
 	if len(fields) != 2 {
-		return fmt.Errorf("usage: MONITOR <nparts>")
+		return fmt.Errorf("usage: MONITOR <nparts> + parts")
 	}
 	nparts, err := intField(fields, 1, "parts")
 	if err != nil {
@@ -384,82 +402,25 @@ func (s *Server) cmdMonitor(r *bufio.Reader, w *bufio.Writer, fields []string) e
 	if nparts < 1 || nparts > 16 {
 		return fmt.Errorf("part count %d out of range [1, 16]", nparts)
 	}
-	parts := make([]monitorPart, 0, nparts)
-	var firstErr error
-	keep := func(err error) {
-		if firstErr == nil {
-			firstErr = err
-		}
-	}
-	for i := 0; i < nparts; i++ {
-		hdr, err := readLine(r)
-		if err != nil {
-			return fmt.Errorf("reading part header: %v", err)
-		}
-		hf := strings.Fields(hdr)
-		if len(hf) < 4 {
-			// Cannot know how many lines follow: the stream is lost.
-			return fmt.Errorf("malformed MONITOR part header %q", hdr)
-		}
-		lines, err := intField(hf, 2, "lines")
-		if err != nil {
+	parts := make([]part, nparts)
+	for i := range parts {
+		if parts[i], err = readPart(r); err != nil {
 			return err
 		}
-		if lines < 1 || lines > maxProgramLines {
-			return fmt.Errorf("line count %d out of range", lines)
-		}
-		nphase, err := intField(hf, 3, "phases")
-		if err != nil {
-			return err
-		}
-		if nphase < 0 || nphase > 64 || len(hf) != 4+nphase {
-			return fmt.Errorf("phase count mismatch in MONITOR part header %q", hdr)
-		}
-		part := monitorPart{domain: hf[0]}
-		if part.cores, err = intField(hf, 1, "cores"); err != nil {
-			keep(err)
-		}
-		if part.phases, err = floatFields(hf[4:], "phase"); err != nil {
-			keep(err)
-		}
-		var body strings.Builder
-		for j := 0; j < lines; j++ {
-			ln, err := readLine(r)
-			if err != nil {
-				return fmt.Errorf("reading part program: %v", err)
-			}
-			body.WriteString(ln)
-			body.WriteByte('\n')
-		}
-		part.body = body.String()
-		parts = append(parts, part)
 	}
-	if firstErr != nil {
-		return firstErr
-	}
-
 	loads := make(map[string]platform.Load, len(parts))
 	var names []string
-	for _, part := range parts {
-		d, err := s.domain(part.domain)
+	for _, p := range parts {
+		d, load, err := s.load(p)
 		if err != nil {
 			return err
 		}
-		if part.cores < 1 || part.cores > d.Spec.TotalCores {
-			return fmt.Errorf("core count %d out of range [1, %d]", part.cores, d.Spec.TotalCores)
+		name := d.Spec.Name
+		if _, dup := loads[name]; dup {
+			return fmt.Errorf("duplicate MONITOR part for domain %s", name)
 		}
-		seq, err := isa.ParseProgram(d.Spec.Pool(), part.body)
-		if err != nil {
-			return err
-		}
-		if len(seq) == 0 {
-			return fmt.Errorf("part %s has no instructions", part.domain)
-		}
-		if _, dup := loads[part.domain]; dup {
-			return fmt.Errorf("duplicate MONITOR part for domain %s", part.domain)
-		}
-		loads[part.domain] = platform.Load{Seq: seq, ActiveCores: part.cores, PhaseCycles: part.phases}
-		names = append(names, part.domain)
+		loads[name] = load
+		names = append(names, name)
 	}
 	sort.Strings(names)
 	for _, name := range names {

@@ -74,26 +74,27 @@ func TestInfo(t *testing.T) {
 	}
 }
 
-func TestLoadRunMeasureStop(t *testing.T) {
-	addr, b := startServer(t)
-	c := dial(t, addr)
-	d, _ := b.Platform.Domain(platform.DomainA72)
+// probePart is the probe loop on both A72 cores as a request part, and
+// the load it stands for.
+func probePart(t *testing.T, d *platform.Domain) (Part, platform.Load) {
+	t.Helper()
 	pool := d.Spec.Pool()
 	seq, err := workload.Probe().Build(pool)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := c.Load(platform.DomainA72, 2, pool, seq); err != nil {
-		t.Fatal(err)
-	}
-	// Measuring before RUN must fail, like a real bench with no binary up.
-	if _, err := c.Measure(3); err == nil {
-		t.Fatal("measure without run succeeded")
-	}
-	if err := c.Run(); err != nil {
-		t.Fatal(err)
-	}
-	m, err := c.Measure(3)
+	return Part{Domain: d.Spec.Name, Cores: 2, Pool: pool, Seq: seq}, platform.Load{Seq: seq, ActiveCores: 2}
+}
+
+// TestMeasureCarriesLoad: one MEASURE ships its program with the request
+// and reads back exactly what a direct bench measures for that load, the
+// averaging depth included.
+func TestMeasureCarriesLoad(t *testing.T) {
+	addr, _ := startServer(t)
+	c := dial(t, addr)
+	db, dd := directBench(t)
+	p, load := probePart(t, dd)
+	m, err := c.Measure(p, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,38 +104,29 @@ func TestLoadRunMeasureStop(t *testing.T) {
 	if m.PeakHz < 50e6 || m.PeakHz > 200e6 {
 		t.Fatalf("peak frequency %v outside band", m.PeakHz)
 	}
-	if err := c.Stop(); err != nil {
+	want, err := db.EMMeasureN(dd, load, 3)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.Measure(3); err == nil {
-		t.Fatal("measure after stop succeeded")
+	if !reflect.DeepEqual(m, want) {
+		t.Fatalf("remote MEASURE %+v != direct %+v", m, want)
 	}
 }
 
 // TestRepeatMeasureServedByMemo: MEASURE is a batch of one on the daemon's
-// bench, so a second MEASURE of the same running load is a memo hit that
-// returns the first reading bit for bit, stdev included.
+// bench, so a second MEASURE of the same load is a memo hit that returns
+// the first reading bit for bit, stdev included.
 func TestRepeatMeasureServedByMemo(t *testing.T) {
 	addr, b := startServer(t)
 	c := dial(t, addr)
 	defer c.Close()
 	d, _ := b.Platform.Domain(platform.DomainA72)
-	pool := d.Spec.Pool()
-	seq, err := workload.Probe().Build(pool)
+	p, _ := probePart(t, d)
+	first, err := c.Measure(p, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := c.Load(platform.DomainA72, 2, pool, seq); err != nil {
-		t.Fatal(err)
-	}
-	if err := c.Run(); err != nil {
-		t.Fatal(err)
-	}
-	first, err := c.Measure(3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	second, err := c.Measure(3)
+	second, err := c.Measure(p, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -226,19 +218,17 @@ func TestRemoteSweep(t *testing.T) {
 }
 
 // emMeasurer is the GA fitness function over a pool: each evaluation
-// borrows a session for one load/run/measure/stop cycle.
+// borrows a session for one MEASURE carrying the individual.
 func emMeasurer(p *Pool, domain string, cores, samples int, ipool *isa.Pool) ga.Measurer {
 	return ga.MeasurerFunc(func(seq []isa.Inst) (float64, float64, error) {
 		var fit, dom float64
 		err := p.Do(func(c *Client) error {
-			return c.Cycle(domain, cores, ipool, seq, func() error {
-				m, err := c.Measure(samples)
-				if err != nil {
-					return err
-				}
-				fit, dom = m.PeakDBm, m.PeakHz
-				return nil
-			})
+			m, err := c.Measure(Part{Domain: domain, Cores: cores, Pool: ipool, Seq: seq}, samples)
+			if err != nil {
+				return err
+			}
+			fit, dom = m.PeakDBm, m.PeakHz
+			return nil
 		})
 		return fit, dom, err
 	})
@@ -297,10 +287,9 @@ func TestProtocolErrors(t *testing.T) {
 	}
 	for _, cmd := range []string{
 		"FROBNICATE",
-		"LOAD onearg",
-		"LOAD cortex-a72 2 -5",
-		"RUN",          // nothing loaded
-		"MEASURE 0",    // bad sample count
+		"MEASURE 0\ncortex-a72 2 1 0\nnop", // bad sample count
+		"LOAD cortex-a72 2 1",              // the verb is gone
+		"RUN",
 		"SWEEP",        // missing args
 		"SETCLOCK x",   // missing value
 		"SETCORES a b", // non-numeric
@@ -315,6 +304,8 @@ func TestProtocolErrors(t *testing.T) {
 	}
 }
 
+// TestLoadRejectsBadProgram: a part whose program does not assemble is an
+// ERR reply, not a measurement of whatever parsed.
 func TestLoadRejectsBadProgram(t *testing.T) {
 	addr, _ := startServer(t)
 	conn, err := net.Dial("tcp", addr)
@@ -324,10 +315,7 @@ func TestLoadRejectsBadProgram(t *testing.T) {
 	defer conn.Close()
 	r := bufio.NewReader(conn)
 	w := bufio.NewWriter(conn)
-	if err := writeLine(w, "LOAD cortex-a72 2 1"); err != nil {
-		t.Fatal(err)
-	}
-	if err := writeLine(w, "bogus instruction here"); err != nil {
+	if err := writeLine(w, "MEASURE 3\ncortex-a72 2 1 0\nbogus instruction here"); err != nil {
 		t.Fatal(err)
 	}
 	reply, err := readLine(r)
@@ -345,29 +333,20 @@ func TestDialFailure(t *testing.T) {
 	}
 }
 
-// TestRemoteVmin: VMIN carries the workstation's tester seed, so the
-// remote search and its per-run list equal a local one bit for bit.
-func TestRemoteVmin(t *testing.T) {
+// TestVminCarriesLoad: VMIN carries its load and the workstation's tester
+// seed, so the remote search and its per-run list equal a local one bit
+// for bit.
+func TestVminCarriesLoad(t *testing.T) {
 	addr, _ := startServer(t)
 	c := dial(t, addr)
-	// VMIN before anything is loaded must fail.
-	if _, err := c.Vmin(5, 1); err == nil {
-		t.Fatal("vmin without a loaded workload succeeded")
-	}
 	_, dd := directBench(t)
-	pool := dd.Spec.Pool()
-	seq, err := workload.Probe().Build(pool)
+	p, load := probePart(t, dd)
+	want, wantRuns, err := vmin.NewTester(dd, 5).Repeat(load, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, wantRuns, err := vmin.NewTester(dd, 5).Repeat(platform.Load{Seq: seq, ActiveCores: 2}, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := c.Load(platform.DomainA72, 2, pool, seq); err != nil {
-		t.Fatal(err)
-	}
-	res, err := c.Vmin(5, 2)
+	want.Trials = nil // the descent log stays on the target
+	res, runs, err := c.Vmin(p, 5, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -377,22 +356,20 @@ func TestRemoteVmin(t *testing.T) {
 	if res.Outcome == vmin.Pass {
 		t.Fatalf("outcome %q", res.Outcome)
 	}
-	if res.VminV != want.VminV || res.MarginV != want.MarginV ||
-		res.DroopNominalV != want.DroopNominalV || res.Outcome != want.Outcome ||
-		!reflect.DeepEqual(res.Runs, wantRuns) {
-		t.Fatalf("remote vmin %+v != direct %+v runs %v", res, want, wantRuns)
+	if !reflect.DeepEqual(res, want) || !reflect.DeepEqual(runs, wantRuns) {
+		t.Fatalf("remote vmin %+v runs %v != direct %+v runs %v", res, runs, want, wantRuns)
 	}
-	if _, err := c.Vmin(5, 0); err == nil {
+	if _, _, err := c.Vmin(p, 5, 0); err == nil {
 		t.Fatal("0 repeats accepted")
 	}
 }
 
 // Two workstations talking to the same daemon concurrently must not
-// corrupt each other or the shared instruments (run under -race). Each
-// session owns its own load/run slot, so both clients interleave full
-// LOAD/RUN/MEASURE cycles on the SAME domain with DIFFERENT programs —
-// and each must read back exactly the measurement its own program
-// produces on a fault-free serial bench. A third client hammers domain
+// corrupt each other or the shared instruments (run under -race). Every
+// MEASURE carries its own program, so both clients interleave requests
+// on the SAME domain with DIFFERENT programs — and each must read back
+// exactly the measurement its own program produces on a fault-free
+// serial bench. A third client hammers domain
 // setpoints and sweeps at the same time on the other domain.
 func TestConcurrentClients(t *testing.T) {
 	addr, b := startServer(t)
@@ -440,21 +417,12 @@ func TestConcurrentClients(t *testing.T) {
 		}
 		defer c.Close()
 		for rep := 0; rep < 3; rep++ {
-			if err := c.Load(platform.DomainA72, 2, pool, seq); err != nil {
-				return err
-			}
-			if err := c.Run(); err != nil {
-				return err
-			}
-			m, err := c.Measure(2)
+			m, err := c.Measure(Part{Domain: platform.DomainA72, Cores: 2, Pool: pool, Seq: seq}, 2)
 			if err != nil {
 				return err
 			}
 			if m.PeakDBm != want {
 				return fmt.Errorf("session measured %v, want its own program's %v", m.PeakDBm, want)
-			}
-			if err := c.Stop(); err != nil {
-				return err
 			}
 		}
 		return nil

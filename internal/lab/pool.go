@@ -7,12 +7,12 @@ import (
 )
 
 // Pool is a fixed-size set of lab clients to one daemon. Each concurrent
-// evaluation checks a client out, runs its command cycle on it, and
-// returns it — so N GA workers drive N independent sessions instead of
-// serializing on one stateful connection. Every client carries the full
-// resilience envelope (deadlines, retry, reconnect, replay), and because
-// the daemon's workload slot is per session, interleaved LOAD/RUN/MEASURE
-// cycles from different clients cannot clobber each other.
+// evaluation checks a client out, sends its request on it, and returns it
+// — so N GA workers drive N independent sessions instead of serializing
+// on one connection. Every client carries the full resilience envelope
+// (deadlines, retry, reconnect, replay), and because every measurement
+// request carries its own program, interleaved requests from different
+// clients cannot clobber each other.
 type Pool struct {
 	free chan *Client
 	// done is closed by Close before the free channel is drained, so a Do

@@ -2,20 +2,25 @@
 // 3.2): the GA runs on a workstation, ships each individual's assembly
 // source to the target machine, starts it, drives the spectrum analyzer to
 // take the measurement, and then kills the binary. Here the transport is a
-// line-oriented TCP protocol instead of SSH plus an instrument bus, but the
-// control flow — and the failure modes a distributed measurement loop must
-// tolerate — are the same, and the workstation side is built to tolerate
-// them: every command runs under a read/write deadline, transport faults
-// (dropped connections, timeouts, corrupted replies) trigger a bounded
-// exponential-backoff reconnect that replays the session's recorded
-// setpoints (LOAD/RUN plus SETCLOCK/SETVOLTS/SETCORES) before retrying,
-// and a Pool of concurrent clients lets the GA evaluate a whole population
-// in parallel against one daemon (`gahunt -remote -j N`). Target-side
-// `ERR` replies are never retried — the command reached the target and was
-// rejected; only stream integrity failures are.
+// line-oriented TCP protocol instead of SSH plus an instrument bus, and
+// that whole per-individual loop is one request: every measurement verb
+// carries the program it measures, so the daemon keeps no per-connection
+// state. The failure modes a distributed measurement loop must tolerate
+// are the same, and the workstation side is built to tolerate them: every
+// command runs under a read/write deadline, transport faults (dropped
+// connections, timeouts, corrupted replies) trigger a bounded
+// exponential-backoff reconnect that replays the recorded domain
+// setpoints (SETCLOCK/SETVOLTS/SETCORES) before retrying, and a Pool of
+// concurrent clients lets the GA evaluate a whole population in parallel
+// against one daemon (`gahunt -remote -j N`). Target-side `ERR` replies
+// are never retried — the command reached the target and was rejected;
+// only stream integrity failures are.
 //
-// The grammar (requests are single lines; LOAD and MONITOR bodies follow
-// their header line; every reply is one line):
+// The grammar (requests are single lines, each load-carrying verb
+// followed by its program parts; every reply is one line). A part is a
+// header "<domain> <cores> <lines> <nphase> [phase...]" and <lines> lines
+// of assembly; MEASURE, VMEASURE, VMIN and SHMOO are each followed by
+// exactly one, MONITOR by <nparts>:
 //
 //	HELLO <version>                 → OK <version> <platform>; a version
 //	                                  other than ProtocolVersion is ERR
@@ -23,28 +28,22 @@
 //	CAPS <domain>                   → OK <cores> <arch> <maxHz> <stepHz>
 //	                                     <visibility> <dsoKind>
 //	STATE <domain>                  → OK <clockHz> <supplyV> <powered>
-//	LOAD <domain> <cores> <lines>   + <lines> lines of assembly
-//	                                → OK loaded <instructions>
-//	RUN                             start the loaded workload
-//	STOP                            stop the running workload
-//	MEASURE [samples]               → OK <peakDBm> <peakHz> <stdevDBm>
-//	                                  averaged EM peak while running
+//	MEASURE <samples>      + part   → OK <peakDBm> <peakHz> <stdevDBm>
+//	                                  averaged EM peak of the part's load
 //	VMEASURE <metric> <samples> <dsoseed>
-//	                                → OK <fitness> <domHz>  (running
-//	                                     slot; metric droop|ptp)
+//	                       + part   → OK <fitness> <domHz>  (metric
+//	                                     droop|ptp; the part has no phases)
 //	SWEEP <domain> <cores> <samples> <clockHz>...
 //	                                → OK <n> then n × "<inBand> <clock>
 //	                                     <loop> <dbm>", one per listed
 //	                                     clock (Section 5.3 fast sweep;
 //	                                     an out-of-band step is "0 0 0 0")
-//	VMIN <seed> <repeats>           → OK <vmin> <margin> <droop> <outcome>
-//	                                     <n> <v1> ... <vn>   (loaded slot)
-//	SHMOO <seed> <clockHz>...       → OK <n> then n × "<clock> <vmin>
-//	                                     <margin> <outcome>" (loaded slot)
-//	MONITOR <nparts>                + per part a header "<domain> <cores>
-//	                                  <lines> <nphase> [phase...]" and
-//	                                  <lines> program lines
-//	                                → OK <n> <startHz> <rbwHz> <dbm...>
+//	VMIN <seed> <repeats>  + part   → OK <vmin> <margin> <droop> <outcome>
+//	                                     <n> <v1> ... <vn>
+//	SHMOO <seed> <clockHz>... + part
+//	                                → OK <n> then n × "<clock> <vmin>
+//	                                     <margin> <outcome>"
+//	MONITOR <nparts>       + parts  → OK <n> <startHz> <rbwHz> <dbm...>
 //	SETCLOCK <domain> <hz>          DVFS control (DS-5 / Overdrive role)
 //	SETVOLTS <domain> <v>           supply control
 //	SETCORES <domain> <n>           power-gate cores via the SCP
@@ -53,21 +52,22 @@
 //	QUIT                            close the session (replies "OK bye")
 //
 // Responses are "OK ..." or "ERR <message>". An ERR reply leaves the
-// session usable; a malformed line (or one longer than the limit) closes
-// it. Requests stay under maxLineLen; replies may carry a whole sweep or
+// session usable: the daemon reads a request's parts in full before it
+// validates anything, so a rejected request never leaves assembly lines
+// in the stream. A line longer than the limit closes the session, and so
+// does a part header whose line count cannot be read: nothing then tells
+// where its program ends.
+// Requests stay under maxLineLen; replies may carry a whole sweep or
 // spectrum on one line and are bounded by the larger maxReplyLen —
 // single-line replies keep every command a strict request/response pair,
-// which is what makes retry-after-reconnect trivially safe. The
-// loaded/running workload slot is per connection — concurrent sessions
-// each own their own slot and the daemon serializes conflicting domain
-// access internally — so N pooled clients can interleave LOAD/RUN/MEASURE
-// cycles without clobbering each other.
+// which is what makes retry-after-reconnect trivially safe.
 //
-// All commands are idempotent (LOAD replaces the slot, RUN/STOP set a
-// flag, SETx write absolute setpoints, the measurement verbs are
-// content-deterministic reads — see internal/detrand), which is what makes
-// the client's retry-after-reconnect safe even when a reply was lost after
-// the target executed the command.
+// Every measurement verb maps to one backend operation with the same
+// arguments, and all commands are idempotent (the SETx family writes
+// absolute setpoints, the measurement verbs are content-deterministic
+// reads — see internal/detrand), which is what makes the client's
+// retry-after-reconnect safe even when a reply was lost after the target
+// executed the command.
 package lab
 
 import (
@@ -86,12 +86,12 @@ const (
 // ProtocolVersion is the protocol revision this package speaks. Daemon and
 // workstation are built from the same tree, so there is nothing to
 // negotiate: HELLO with any other version is a hard error on both sides.
-const ProtocolVersion = 4
+const ProtocolVersion = 5
 
-// Protocol hard limits: a LOAD body may declare at most maxProgramLines
-// lines, and no single request or program line may exceed maxLineLen
-// bytes — a peer that sends more is desynced or hostile and the connection
-// is closed rather than buffering without bound. Replies get the larger
+// Protocol hard limits: a program part may declare at most
+// maxProgramLines lines, and no single request or program line may exceed
+// maxLineLen bytes — a peer that sends more is desynced or hostile and the
+// connection is closed rather than buffering without bound. Replies get the larger
 // maxReplyLen because a reply can carry a whole sweep or spectrum.
 const (
 	maxProgramLines = 10000

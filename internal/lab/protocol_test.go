@@ -2,6 +2,7 @@ package lab
 
 import (
 	"bufio"
+	"fmt"
 	"net"
 	"strings"
 	"testing"
@@ -131,8 +132,9 @@ func (rc *rawConn) send(line string) string {
 
 // TestDispatchMalformed drives the single-domain verbs with truncated,
 // non-numeric and out-of-range arguments; every one must produce an ERR
-// reply and leave the session usable. TestV2ProtocolErrors covers the
-// verbs the multi-domain protocol added.
+// reply and leave the session usable. The load-carrying verbs get a
+// well-formed part after each bad request line, as a client sends it.
+// TestV2ProtocolErrors covers the verbs the multi-domain protocol added.
 func TestDispatchMalformed(t *testing.T) {
 	addr, _ := startServer(t)
 	rc := rawDial(t, addr)
@@ -140,29 +142,10 @@ func TestDispatchMalformed(t *testing.T) {
 		// unknown / empty-ish
 		"FROBNICATE",
 		"   ",
-		// LOAD: truncated fields, bad types, out-of-range args
-		"LOAD",
-		"LOAD cortex-a72",
-		"LOAD cortex-a72 2",
-		"LOAD cortex-a72 2 3 extra",
-		"LOAD cortex-a72 2 -5",
-		"LOAD cortex-a72 2 0",
-		"LOAD cortex-a72 2 10001",
-		"LOAD cortex-a72 2 nope",
-		// MEASURE: out-of-range and non-numeric sample counts
-		"MEASURE 0",
-		"MEASURE -3",
-		"MEASURE 1001",
-		"MEASURE many",
-		// VMIN: truncated, out-of-range and non-numeric seed/repeats
-		"VMIN",
-		"VMIN 1",
-		"VMIN 1 0",
-		"VMIN 1 -1",
-		"VMIN 1 101",
-		"VMIN x 1",
-		"VMIN 1 x",
-		"VMIN 1 3", // nothing loaded
+		// the deleted session verbs
+		"LOAD cortex-a72 2 1",
+		"RUN",
+		"STOP",
 		// SWEEP: truncated, non-numeric, out-of-range and non-finite
 		"SWEEP",
 		"SWEEP cortex-a72",
@@ -186,36 +169,50 @@ func TestDispatchMalformed(t *testing.T) {
 		"SETCORES a b",
 		"RESET",
 		"RESET nope",
-		"RUN", // nothing loaded in this session
 	}
 	for _, cmd := range cases {
 		if reply := rc.send(cmd); !strings.HasPrefix(reply, "ERR") {
 			t.Errorf("%q -> %q, want ERR", cmd, reply)
 		}
 	}
-	// LOAD headers with a sane declared line count but invalid
-	// domain/cores: per the wire contract the body is flushed with the
-	// header, and the server must drain it (the desync satellite fix).
-	loadCases := []struct {
-		header string
-		lines  int
-	}{
-		{"LOAD cortex-a72 two 3", 3},
-		{"LOAD cortex-a72 0 1", 1},
-		{"LOAD cortex-a72 99 1", 1},
-		{"LOAD nope 2 2", 2},
+	_, dd := directBench(t)
+	p, _ := probePart(t, dd)
+	part := strings.TrimSuffix(partBody(p), "\n")
+	for _, req := range []string{
+		// MEASURE: missing, out-of-range and non-numeric sample counts
+		"MEASURE",
+		"MEASURE 0",
+		"MEASURE -3",
+		"MEASURE 1001",
+		"MEASURE many",
+		"MEASURE 3 extra",
+		// VMIN: truncated, out-of-range and non-numeric seed/repeats
+		"VMIN",
+		"VMIN 1",
+		"VMIN 1 0",
+		"VMIN 1 -1",
+		"VMIN 1 101",
+		"VMIN x 1",
+		"VMIN 1 x",
+	} {
+		if reply := rc.send(req + "\n" + part); !strings.HasPrefix(reply, "ERR") {
+			t.Errorf("%q + part -> %q, want ERR", req, reply)
+		}
 	}
-	for _, lc := range loadCases {
-		body := strings.Repeat("bogus body line\n", lc.lines)
-		if err := writeLine(rc.w, "%s\n%s", lc.header, strings.TrimSuffix(body, "\n")); err != nil {
-			t.Fatal(err)
-		}
-		reply, err := readLine(rc.r)
-		if err != nil {
-			t.Fatalf("%q: %v", lc.header, err)
-		}
-		if !strings.HasPrefix(reply, "ERR") {
-			t.Errorf("%q -> %q, want ERR", lc.header, reply)
+	// Part headers whose line count is sane but whose domain, cores or
+	// phases are not: the body must still be drained.
+	body := strings.TrimSuffix(strings.SplitN(partBody(p), "\n", 2)[1], "\n")
+	lines := strings.Count(body, "\n") + 1
+	for _, hdr := range []string{
+		fmt.Sprintf("cortex-a72 two %d 0", lines),
+		fmt.Sprintf("cortex-a72 0 %d 0", lines),
+		fmt.Sprintf("cortex-a72 99 %d 0", lines),
+		fmt.Sprintf("nope 2 %d 0", lines),
+		fmt.Sprintf("cortex-a72 2 %d 1 5", lines),
+		fmt.Sprintf("cortex-a72 2 %d 2 0 x", lines),
+	} {
+		if reply := rc.send("MEASURE 3\n" + hdr + "\n" + body); !strings.HasPrefix(reply, "ERR") {
+			t.Errorf("MEASURE 3 + %q -> %q, want ERR", hdr, reply)
 		}
 	}
 	// The session survives all of it.
@@ -227,35 +224,59 @@ func TestDispatchMalformed(t *testing.T) {
 	}
 }
 
-// An oversized command line cannot be resynchronized, so the server must
-// drop the connection rather than buffer without bound.
+// TestOversizedLineClosesConnection: a stream that cannot be
+// resynchronized — an oversized line, or a part header whose line count
+// cannot be read, so nothing tells where its program ends — must close the
+// connection rather than buffer without bound or dispatch program lines
+// as commands.
 func TestOversizedLineClosesConnection(t *testing.T) {
 	addr, _ := startServer(t)
-	rc := rawDial(t, addr)
-	if _, err := rc.w.WriteString(strings.Repeat("x", maxLineLen+100) + "\n"); err != nil {
-		t.Fatal(err)
-	}
-	if err := rc.w.Flush(); err != nil {
-		return // server already hung up mid-write: also acceptable
-	}
-	if _, err := readLine(rc.r); err == nil {
-		t.Fatal("server replied to an oversized line instead of closing")
+	for _, req := range []string{
+		strings.Repeat("x", maxLineLen+100),
+		"MEASURE 3\ncortex-a72 2 many 0\nnop",
+		"VMIN 1 2\ncortex-a72 2 0 0\nnop",
+		"MONITOR 2\ncortex-a72 2 1 0\nnop\ncortex-a53 2\nnop",
+	} {
+		rc := rawDial(t, addr)
+		if _, err := rc.w.WriteString(req + "\n"); err != nil {
+			t.Fatal(err)
+		}
+		if err := rc.w.Flush(); err != nil {
+			continue // server already hung up mid-write: also acceptable
+		}
+		if reply, err := readLine(rc.r); err == nil {
+			t.Errorf("%.40q: server replied %q instead of closing", req, reply)
+		}
 	}
 }
 
-// TestVerbSet pins the protocol's verbs: each one, sent bare, reaches its
-// handler (a usage or state error, or a reply) rather than the unknown
-// command branch.
+// TestVerbSet pins the protocol's verbs: each one, sent bare (the
+// single-part verbs followed by their part), reaches its handler (a usage
+// error or a reply) rather than the unknown command branch, and the
+// deleted session verbs do not.
 func TestVerbSet(t *testing.T) {
 	addr, _ := startServer(t)
 	rc := rawDial(t, addr)
+	_, dd := directBench(t)
+	p, _ := probePart(t, dd)
+	part := strings.TrimSuffix(partBody(p), "\n")
 	for _, verb := range []string{
-		"HELLO", "INFO", "CAPS", "STATE", "LOAD", "RUN", "STOP", "MEASURE",
-		"VMEASURE", "SWEEP", "VMIN", "SHMOO", "MONITOR", "SETCLOCK",
-		"SETVOLTS", "SETCORES", "RESET", "STATS",
+		"HELLO", "INFO", "CAPS", "STATE", "MEASURE", "VMEASURE", "SWEEP",
+		"VMIN", "SHMOO", "MONITOR", "SETCLOCK", "SETVOLTS", "SETCORES",
+		"RESET", "STATS",
 	} {
-		if reply := rc.send(verb); strings.Contains(reply, "unknown command") {
+		req := verb
+		switch verb {
+		case "MEASURE", "VMEASURE", "VMIN", "SHMOO":
+			req += "\n" + part
+		}
+		if reply := rc.send(req); strings.Contains(reply, "unknown command") {
 			t.Errorf("%s -> %q", verb, reply)
+		}
+	}
+	for _, verb := range []string{"LOAD", "RUN", "STOP"} {
+		if reply := rc.send(verb); !strings.Contains(reply, "unknown command") {
+			t.Errorf("deleted verb %s -> %q, want unknown command", verb, reply)
 		}
 	}
 	if reply := rc.send("QUIT"); reply != "OK bye" {

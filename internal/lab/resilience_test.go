@@ -59,49 +59,64 @@ func directBench(t *testing.T) (*core.Bench, *platform.Domain) {
 	return b, d
 }
 
-// TestLoadDesyncRegression is the satellite regression: a LOAD rejected
-// before its body was read (unknown domain here) must still drain the
-// declared body lines — otherwise the server dispatches assembly as
-// commands and every later reply is off by the body length. On the old
-// server the INFO below reads back "ERR unknown command ..." instead of
-// the platform inventory.
+// TestLoadDesyncRegression: every load-carrying request is followed by
+// its program parts, flushed together with the request line, and the
+// daemon must consume them in full before it rejects anything — otherwise
+// it dispatches assembly as commands and every later reply is off by the
+// body length. Each row is rejected for a bad request field or a bad part;
+// the reply must be ERR naming the fault, and the very next INFO must
+// round-trip.
 func TestLoadDesyncRegression(t *testing.T) {
 	addr, _ := startServer(t)
-	rc := rawDial(t, addr)
-	// Header plus the three body lines a well-behaved client flushes
-	// together; the domain does not exist.
-	if err := writeLine(rc.w, "LOAD no-such-domain 2 3\nADD R1, R2\nMUL R3, R4\nADD R5, R6"); err != nil {
-		t.Fatal(err)
-	}
-	reply, err := readLine(rc.r)
+	_, dd := directBench(t)
+	pool := dd.Spec.Pool()
+	seq, err := workload.Probe().Build(pool)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !strings.HasPrefix(reply, "ERR") {
-		t.Fatalf("bad LOAD accepted: %q", reply)
+	good := partBody(Part{Domain: platform.DomainA72, Cores: 2, Pool: pool, Seq: seq})
+	if strings.Count(good, "\n") < 3 {
+		t.Fatalf("probe part has too few lines to show a desync: %q", good)
 	}
-	// The very next command must round-trip: its reply must be the INFO
-	// payload, not a leftover complaint about a swallowed assembly line.
-	reply = rc.send("INFO")
-	if !strings.HasPrefix(reply, "OK juno") {
-		t.Fatalf("session desynced after rejected LOAD: INFO -> %q", reply)
-	}
-	// Same for a LOAD rejected on the cores argument.
-	if err := writeLine(rc.w, "LOAD cortex-a72 99 2\nADD R1, R2\nMUL R3, R4"); err != nil {
-		t.Fatal(err)
-	}
-	if reply, err = readLine(rc.r); err != nil || !strings.HasPrefix(reply, "ERR") {
-		t.Fatalf("bad-cores LOAD -> %q, %v", reply, err)
-	}
-	if reply = rc.send("INFO"); !strings.HasPrefix(reply, "OK juno") {
-		t.Fatalf("session desynced after bad-cores LOAD: INFO -> %q", reply)
+	unknownDomain := partBody(Part{Domain: "no-such-domain", Cores: 2, Pool: pool, Seq: seq})
+	tooManyCores := partBody(Part{Domain: platform.DomainA72, Cores: 99, Pool: pool, Seq: seq})
+	badProgram := "cortex-a72 2 3 0\nADD R1, R2\nMUL R3, R4\nADD R5, R6\n"
+	for _, tc := range []struct {
+		request, body, want string
+	}{
+		{"MEASURE 0", good, "sample count"},
+		{"MEASURE 3", unknownDomain, "no domain"},
+		{"VMEASURE em 3 1", good, "unknown metric"},
+		{"VMEASURE droop 3 1", tooManyCores, "core count"},
+		{"VMIN 1 0", good, "repeat count"},
+		{"VMIN 1 2", badProgram, "ADD"},
+		{"SHMOO 1 fast", good, "bad clock"},
+		{"SHMOO 1 1.2e9", unknownDomain, "no domain"},
+		{"MONITOR 1", unknownDomain, "no domain"},
+		{"MONITOR 2", good + tooManyCores, "core count"},
+		{"MONITOR 2", badProgram + good, "ADD"},
+	} {
+		rc := rawDial(t, addr)
+		if err := writeLine(rc.w, "%s\n%s", tc.request, strings.TrimSuffix(tc.body, "\n")); err != nil {
+			t.Fatal(err)
+		}
+		reply, err := readLine(rc.r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !strings.HasPrefix(reply, "ERR") || !strings.Contains(reply, tc.want) {
+			t.Errorf("%s: reply %q, want ERR naming %q", tc.request, reply, tc.want)
+		}
+		if reply := rc.send("INFO"); !strings.HasPrefix(reply, "OK juno") {
+			t.Errorf("%s: session desynced after the rejection: INFO -> %q", tc.request, reply)
+		}
 	}
 }
 
-// TestReconnectReplay severs the connection between RUN and MEASURE and
-// checks the client transparently reconnects, replays the session
-// (setpoints + LOAD + RUN) and completes the measurement with the exact
-// value a fault-free session yields.
+// TestReconnectReplay severs the connection after a SETCLOCK and checks
+// that the next MEASURE, which carries its own program, transparently
+// reconnects, replays the clock and reads the exact value a fault-free
+// direct bench yields at that clock.
 func TestReconnectReplay(t *testing.T) {
 	addr, _ := startServer(t)
 	proxy, err := chaos.New(addr, chaos.Config{Seed: 1}) // no probabilistic faults
@@ -117,42 +132,35 @@ func TestReconnectReplay(t *testing.T) {
 	defer c.Close()
 
 	db, dd := directBench(t)
-	pool := dd.Spec.Pool()
-	seq, err := workload.Probe().Build(pool)
+	p, load := probePart(t, dd)
+	nominal, err := db.EMMeasureN(dd, load, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if err := c.SetClock(platform.DomainA72, 600e6); err != nil {
 		t.Fatal(err)
 	}
-	if err := c.Load(platform.DomainA72, 2, pool, seq); err != nil {
-		t.Fatal(err)
-	}
-	if err := c.Run(); err != nil {
-		t.Fatal(err)
-	}
 
-	// Kill the live connection: the next command must reconnect and
-	// replay SETCORES + LOAD + RUN before retrying, or the target answers
-	// "no workload running".
+	// Kill the live connection: the MEASURE must reconnect and replay
+	// SETCLOCK before retrying, or it measures at the nominal clock.
 	proxy.KillActive()
-	m, err := c.Measure(3)
+	m, err := c.Measure(p, 3)
 	if err != nil {
 		t.Fatalf("measure after severed connection: %v", err)
 	}
 
-	// SETCLOCK was replayed too, so the measurement must equal a direct
-	// one at the same DVFS point.
 	if err := dd.SetClockHz(600e6); err != nil {
 		t.Fatal(err)
 	}
-	want, err := db.EMMeasureN(dd, platform.Load{Seq: seq, ActiveCores: 2}, 3)
+	want, err := db.EMMeasureN(dd, load, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if m.PeakDBm != want.PeakDBm || m.PeakHz != want.PeakHz {
-		t.Fatalf("replayed measurement (%v, %v) != direct (%v, %v)",
-			m.PeakDBm, m.PeakHz, want.PeakDBm, want.PeakHz)
+	if reflect.DeepEqual(want, nominal) {
+		t.Fatal("600 MHz and nominal readings agree; the replay check is vacuous")
+	}
+	if !reflect.DeepEqual(m, want) {
+		t.Fatalf("replayed measurement %+v != direct %+v", m, want)
 	}
 
 	st := c.Stats()
@@ -242,7 +250,8 @@ func TestTargetErrorNotRetried(t *testing.T) {
 // TestGarbledPayloadRetried: an OK reply whose payload does not parse
 // means the stream is suspect; the client must reconnect and retry rather
 // than surface a parse error. A scripted fake server returns a truncated
-// MEASURE payload once, then a well-formed one.
+// MEASURE payload once, then a well-formed one; it consumes each MEASURE's
+// part the way the daemon does.
 func TestGarbledPayloadRetried(t *testing.T) {
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -264,8 +273,14 @@ func TestGarbledPayloadRetried(t *testing.T) {
 				r := bufio.NewReader(conn)
 				w := bufio.NewWriter(conn)
 				for {
-					if _, err := readLine(r); err != nil {
+					line, err := readLine(r)
+					if err != nil {
 						return
+					}
+					if strings.HasPrefix(line, "MEASURE") {
+						if _, err := readPart(r); err != nil {
+							return
+						}
 					}
 					reply := "OK -40.5 7e+07 0.25"
 					if id == 1 {
@@ -284,11 +299,13 @@ func TestGarbledPayloadRetried(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	m, err := c.Measure(3)
+	_, dd := directBench(t)
+	p, _ := probePart(t, dd)
+	m, err := c.Measure(p, 3)
 	if err != nil {
 		t.Fatalf("measure through garbled payload: %v", err)
 	}
-	if m.PeakDBm != -40.5 || m.PeakHz != 7e7 || m.StdevDBm != 0.25 {
+	if m.PeakDBm != -40.5 || m.PeakHz != 7e7 || m.StdevDBm != 0.25 || m.Samples != 3 {
 		t.Fatalf("measurement %+v", m)
 	}
 	st := c.Stats()

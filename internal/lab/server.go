@@ -18,13 +18,13 @@ import (
 // the instruments physically attached to the bench, and executes the
 // workstation's commands.
 //
-// Each connection is an independent session with its own loaded/running
-// workload slot, so pooled workstation clients can interleave
-// LOAD/RUN/MEASURE cycles freely (the daemon time-slices the one physical
-// target; the simulated instruments are content-deterministic, so the
-// interleaving cannot change any reading). Domain state is guarded by a
-// per-domain reader/writer lock: measurements (MEASURE/SWEEP/VMIN) share
-// the domain, setpoint changes (SETCLOCK/SETVOLTS/SETCORES/RESET) take it
+// Connections hold no state of their own: every measurement request
+// carries its program, so pooled workstation clients can interleave
+// requests freely (the daemon time-slices the one physical target; the
+// simulated instruments are content-deterministic, so the interleaving
+// cannot change any reading). Domain state is guarded by a per-domain
+// reader/writer lock: measurements (MEASURE/SWEEP/VMIN/...) share the
+// domain, setpoint changes (SETCLOCK/SETVOLTS/SETCORES/RESET) take it
 // exclusively — a setpoint can never change in the middle of a
 // measurement.
 type Server struct {
@@ -42,17 +42,6 @@ type Server struct {
 type ServerCommandStats struct {
 	Calls  int64
 	Errors int64
-}
-
-// session is the per-connection state: the workload slot this client owns.
-type session struct {
-	current *loaded
-	running bool
-}
-
-type loaded struct {
-	domain *platform.Domain
-	load   platform.Load
 }
 
 // NewServer wraps a bench as a lab daemon.
@@ -230,20 +219,22 @@ func (s *Server) handle(conn net.Conn) {
 	}()
 	r := bufio.NewReader(conn)
 	w := bufio.NewWriter(conn)
-	sess := &session{}
-	for s.serveOne(sess, r, w) {
+	for s.serveOne(r, w) {
 	}
 }
 
 // serveOne reads and executes one request and writes its one reply line.
 // It reports false when the session is over: after QUIT, or when the
 // request stream is broken or cannot be resynchronized.
-func (s *Server) serveOne(sess *session, r *bufio.Reader, w *bufio.Writer) bool {
+func (s *Server) serveOne(r *bufio.Reader, w *bufio.Writer) bool {
 	line, err := readLine(r)
 	if err != nil {
 		return false
 	}
-	quit, err := s.dispatch(sess, r, w, line)
+	quit, err := s.dispatch(r, w, line)
+	if errors.Is(err, errStreamLost) {
+		return false
+	}
 	if err != nil {
 		return writeLine(w, "%s %v", replyErr, err) == nil
 	}
@@ -251,7 +242,7 @@ func (s *Server) serveOne(sess *session, r *bufio.Reader, w *bufio.Writer) bool 
 }
 
 // dispatch executes one command; successful commands write their own OK.
-func (s *Server) dispatch(sess *session, r *bufio.Reader, w *bufio.Writer, line string) (quit bool, err error) {
+func (s *Server) dispatch(r *bufio.Reader, w *bufio.Writer, line string) (quit bool, err error) {
 	fields := strings.Fields(line)
 	if len(fields) == 0 {
 		return false, fmt.Errorf("empty command")
@@ -267,22 +258,16 @@ func (s *Server) dispatch(sess *session, r *bufio.Reader, w *bufio.Writer, line 
 		return false, s.cmdCaps(w, fields)
 	case "STATE":
 		return false, s.cmdState(w, fields)
-	case "LOAD":
-		return false, s.cmdLoad(sess, r, w, fields)
-	case "RUN":
-		return false, s.cmdRun(sess, w)
-	case "STOP":
-		return false, s.cmdStop(sess, w)
 	case "MEASURE":
-		return false, s.cmdMeasure(sess, w, fields)
+		return false, s.cmdMeasure(r, w, fields)
 	case "VMEASURE":
-		return false, s.cmdVMeasure(sess, w, fields)
+		return false, s.cmdVMeasure(r, w, fields)
 	case "SWEEP":
 		return false, s.cmdSweep(w, fields)
 	case "VMIN":
-		return false, s.cmdVmin(sess, w, fields)
+		return false, s.cmdVmin(r, w, fields)
 	case "SHMOO":
-		return false, s.cmdShmoo(sess, w, fields)
+		return false, s.cmdShmoo(r, w, fields)
 	case "MONITOR":
 		return false, s.cmdMonitor(r, w, fields)
 	case "SETCLOCK":
@@ -309,16 +294,4 @@ func (s *Server) dispatch(sess *session, r *bufio.Reader, w *bufio.Writer, line 
 
 func (s *Server) domain(name string) (*platform.Domain, error) {
 	return s.Bench.Platform.Domain(name)
-}
-
-// benchWithSamples returns the daemon's bench, re-sampled through a
-// shallow copy when a request asks for a different analyzer averaging
-// depth (the copy shares platform, analyzer and caches).
-func (s *Server) benchWithSamples(samples int) *core.Bench {
-	if samples == s.Bench.Samples {
-		return s.Bench
-	}
-	b2 := *s.Bench
-	b2.Samples = samples
-	return &b2
 }

@@ -31,7 +31,7 @@ func (c CommandStats) Avg() time.Duration {
 type Stats struct {
 	Dials      int64 // connections established (including the first)
 	Reconnects int64 // connections re-established after a transport fault
-	Replays    int64 // setpoint/workload replay passes run on reconnect
+	Replays    int64 // setpoint replay passes run on reconnect
 	Commands   map[string]CommandStats
 }
 

@@ -43,14 +43,14 @@ func TestHelloVersionMismatch(t *testing.T) {
 
 	// An older daemon that answers HELLO with its own version is refused
 	// by the client, without retrying a healthy transport.
-	old, err := DialOptions(replyServer(t, "OK 3 juno-r2"), fastOpts())
+	old, err := DialOptions(replyServer(t, "OK 4 juno-r2"), fastOpts())
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer old.Close()
 	_, err = old.Hello()
-	if err == nil || !strings.Contains(err.Error(), "v3") || !strings.Contains(err.Error(), "v4") {
-		t.Fatalf("Hello against a v3 daemon: err = %v, want a mismatch naming v3 and v4", err)
+	if cur := fmt.Sprintf("v%d", ProtocolVersion); err == nil || !strings.Contains(err.Error(), "v4") || !strings.Contains(err.Error(), cur) {
+		t.Fatalf("Hello against a v4 daemon: err = %v, want a mismatch naming v4 and %s", err, cur)
 	}
 	if st := old.Stats(); st.Commands["HELLO"].Retries != 0 {
 		t.Fatalf("version mismatch retried %d times", st.Commands["HELLO"].Retries)
@@ -193,21 +193,17 @@ func TestVMeasureRejectsEM(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	seq, err := workload.Probe().Build(d.Spec.Pool())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := c.Load(platform.DomainA72, 2, d.Spec.Pool(), seq); err != nil {
-		t.Fatal(err)
-	}
-	if err := c.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := c.VMeasure("em", 3, 1); err == nil || !IsTargetError(err) {
+	p, _ := probePart(t, d)
+	if _, _, err := c.VMeasure(p, "em", 3, 1); err == nil || !IsTargetError(err) {
 		t.Fatalf("VMEASURE em: err = %v, want a target error", err)
 	}
-	if _, _, err := c.VMeasure("droop", 3, 1); err != nil {
+	if _, _, err := c.VMeasure(p, "droop", 3, 1); err != nil {
 		t.Fatalf("VMEASURE droop: %v", err)
+	}
+	// The voltage measurers take a bare program: a phased part is rejected.
+	p.Phases = []float64{0, 37.5}
+	if _, _, err := c.VMeasure(p, "droop", 3, 1); err == nil || !IsTargetError(err) {
+		t.Fatalf("VMEASURE with phases: err = %v, want a target error", err)
 	}
 }
 
@@ -224,22 +220,17 @@ func TestVMeasureRejectsDomainWithoutScope(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := c.Load(platform.DomainA53, 1, d.Spec.Pool(), seq); err != nil {
-		t.Fatal(err)
-	}
-	if err := c.Run(); err != nil {
-		t.Fatal(err)
-	}
-	_, _, err = c.VMeasure("droop", 3, 1)
+	_, _, err = c.VMeasure(Part{Domain: platform.DomainA53, Cores: 1, Pool: d.Spec.Pool(), Seq: seq}, "droop", 3, 1)
 	if err == nil || !IsTargetError(err) || !strings.Contains(err.Error(), "no voltage visibility") {
 		t.Fatalf("VMEASURE droop on %s: err = %v, want the no-visibility target error", platform.DomainA53, err)
 	}
 }
 
 // TestV2ProtocolErrors drives the verbs the multi-domain protocol added
-// (HELLO, CAPS, STATE, SHMOO, VMEASURE, MONITOR, STATS) with malformed
-// arguments over a raw connection; each must produce a single ERR line
-// and leave the session aligned.
+// (HELLO, CAPS, STATE, MONITOR, STATS) with malformed arguments over a
+// raw connection; each must produce a single ERR line and leave the
+// session aligned. The load-carrying verbs' rejections, each followed by
+// its part, are TestLoadDesyncRegression's table.
 func TestV2ProtocolErrors(t *testing.T) {
 	addr, _ := startServer(t)
 	rc := rawDial(t, addr)
@@ -248,17 +239,11 @@ func TestV2ProtocolErrors(t *testing.T) {
 		// HELLO: missing, non-numeric and other versions
 		"HELLO",
 		"HELLO zero",
-		"HELLO 3",
-		"HELLO 4 extra",
+		"HELLO 4",
+		"HELLO 5 extra",
 		// per-domain queries
 		"CAPS",
 		"STATE",
-		// the loaded/running-slot verbs in a fresh session
-		"SHMOO 1 6e8", // nothing loaded
-		"SHMOO 1",
-		"VMEASURE droop 3 1", // nothing running
-		"VMEASURE what 3 1",
-		"VMEASURE droop 0 1",
 		// MONITOR headers
 		"MONITOR",
 		"MONITOR 0",
@@ -346,10 +331,8 @@ func TestChaosSweepAndShmooMatchDirect(t *testing.T) {
 		t.Fatalf("chaos sweep diverged:\n got %+v\nwant %+v", got, want)
 	}
 
-	if err := c.Load(platform.DomainA72, 2, pool, seq); err != nil {
-		t.Fatal(err)
-	}
-	gotShmoo, err := c.Shmoo(7, clocks)
+	part := Part{Domain: platform.DomainA72, Cores: 2, Pool: pool, Seq: seq}
+	gotShmoo, err := c.Shmoo(part, 7, clocks)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -357,16 +340,16 @@ func TestChaosSweepAndShmooMatchDirect(t *testing.T) {
 		t.Fatalf("chaos shmoo diverged:\n got %+v\nwant %+v", gotShmoo, wantShmoo)
 	}
 
-	full, err := c.Vmin(7, 3)
+	gotVmin, gotRuns, err := c.Vmin(part, 7, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if full.VminV != wantVmin.VminV || full.MarginV != wantVmin.MarginV ||
-		full.DroopNominalV != wantVmin.DroopNominalV || full.Outcome != wantVmin.Outcome {
-		t.Fatalf("chaos vmin %+v != direct %+v", full, wantVmin)
+	wantVmin.Trials = nil // the descent log stays on the target
+	if !reflect.DeepEqual(gotVmin, wantVmin) {
+		t.Fatalf("chaos vmin %+v != direct %+v", gotVmin, wantVmin)
 	}
-	if !reflect.DeepEqual(full.Runs, wantRuns) {
-		t.Fatalf("chaos vmin runs %v != direct %v", full.Runs, wantRuns)
+	if !reflect.DeepEqual(gotRuns, wantRuns) {
+		t.Fatalf("chaos vmin runs %v != direct %v", gotRuns, wantRuns)
 	}
 
 	cs := proxy.Stats()
@@ -405,7 +388,7 @@ func TestMonitorMatchesDirect(t *testing.T) {
 	addr, _ := startServer(t)
 	c := dial(t, addr)
 	defer c.Close()
-	got, err := c.Monitor([]MonitorPart{
+	got, err := c.Monitor([]Part{
 		{Domain: platform.DomainA53, Cores: 4, Pool: pool, Seq: idleSeq},
 		{Domain: platform.DomainA72, Cores: 2, Pool: pool, Seq: probe, Phases: []float64{10, 10}},
 	})
@@ -430,21 +413,8 @@ func TestStatsRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pool := d.Spec.Pool()
-	seq, err := workload.Probe().Build(pool)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := c.Load(platform.DomainA72, 2, pool, seq); err != nil {
-		t.Fatal(err)
-	}
-	if err := c.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := c.Measure(3); err != nil {
-		t.Fatal(err)
-	}
-	if err := c.Stop(); err != nil {
+	p, _ := probePart(t, d)
+	if _, err := c.Measure(p, 3); err != nil {
 		t.Fatal(err)
 	}
 
