@@ -24,13 +24,17 @@ test: build
 # The gate runs fmt and vet and forces fresh test execution (no cached
 # results), so a flaky or order-dependent test cannot hide behind the
 # build cache. The golden-output fences must exist: a renamed golden test
-# would otherwise leave tier-1 silently. The persistent store is cross-process shared mutable state,
+# would otherwise leave tier-1 silently; so must the V_MIN descent fences
+# (the bounded descent against its exhaustive oracle, and the rung
+# prediction's rounding bound). The persistent store is cross-process shared mutable state,
 # so its whole suite runs under the race detector here. The perfbench
 # harness is a nested module (perfbench/go.mod replaces repro with ../), so
 # the root ./... never compiles it; its smoke tests run separately, with
 # the same module settings as perfbench/run.sh.
 tier1: build fmt vet specs-verify tier1-remote tier1-fleet
 	$(call require-tests,GAGolden|SweepGolden|VoltageGAGolden,.)
+	$(call require-tests,BoundedDescentMatchesExhaustive,./internal/vmin)
+	$(call require-tests,RungPredictionWithinBound,./internal/vmin)
 	GOFLAGS=-count=1 $(GO) test -race ./internal/castore
 	GOFLAGS=-count=1 $(GO) test ./...
 	cd perfbench && GOFLAGS='-mod=readonly -count=1' GOPROXY=off GOTOOLCHAIN=local GOWORK=off $(GO) test ./...

@@ -83,19 +83,22 @@ func main() {
 		}
 		defer closeAll()
 		opts.Backends = backends
-		if *app.Verbose {
-			defer func() {
-				for name, be := range backends {
-					if r, ok := be.(*backend.Remote); ok {
-						fmt.Printf("%s: %s\n", name, r.TransportStats().String())
-					}
-				}
-			}()
-		}
 	}
 	ctx, err := experiments.NewContext(opts)
 	if err != nil {
 		fatal(err)
+	}
+	if *app.Verbose {
+		// After the reports: each experiment backend's evaluation
+		// statistics (transport counters for a remote rig).
+		defer func() {
+			for _, be := range []backend.Backend{ctx.JunoBE, ctx.AMDBE} {
+				if doms := be.Domains(); len(doms) > 0 {
+					fmt.Printf("%s: ", be.PlatformName())
+					app.MaybePrintStats(be, doms[0])
+				}
+			}
+		}()
 	}
 	var toRun []experiments.Experiment
 	switch *exp {

@@ -171,8 +171,7 @@ type Backend interface {
 	MonitorAll(loads map[string]platform.Load) (*instrument.Sweep, error)
 
 	// Vmin runs a repeated V_MIN search and returns the worst result plus
-	// every per-run V_MIN; repeats=1 is a single search. The Trials field
-	// of the result is populated locally only.
+	// every per-run V_MIN; repeats=1 is a single search.
 	Vmin(domain string, load platform.Load, seed int64, repeats int) (*vmin.Result, []float64, error)
 	// VminShmoo traces the frequency/voltage failure boundary at the given
 	// clocks.

@@ -258,8 +258,8 @@ func TestLocalRemoteEquivalence(t *testing.T) {
 
 // TestPhaseLoadEquivalence: a load with staggered cores crosses the wire
 // in its request part, so a Remote accepts every load a Local does and
-// answers it bit for bit: the EM peak, a repeated V_MIN search (Trials
-// aside; the descent log stays on the target) and a two-clock shmoo.
+// answers it bit for bit: the EM peak, a repeated V_MIN search and a
+// two-clock shmoo.
 func TestPhaseLoadEquivalence(t *testing.T) {
 	local, remote := backends(t, 2)
 	load := probeLoad(t, local, platform.DomainA72, 2)
@@ -292,7 +292,6 @@ func TestPhaseLoadEquivalence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	lv.Trials = nil
 	if !reflect.DeepEqual(lv, rv) || !reflect.DeepEqual(lruns, rruns) {
 		t.Fatalf("phased vmin: local %+v %v remote %+v %v", lv, lruns, rv, rruns)
 	}

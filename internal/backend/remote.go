@@ -35,6 +35,7 @@ type Remote struct {
 	addr         string
 	pool         *lab.Pool
 	platformName string
+	seed         int64
 	domains      []string
 
 	mu   sync.Mutex
@@ -55,9 +56,11 @@ func NewRemote(addr string, jobs int, opts lab.Options) (*Remote, error) {
 		caps:    make(map[string]Caps),
 	}
 	err = pool.Do(func(c *lab.Client) error {
-		if _, err := c.Hello(); err != nil {
+		_, seed, err := c.Hello()
+		if err != nil {
 			return fmt.Errorf("backend: lab daemon at %s failed the protocol v%d handshake: %w", addr, lab.ProtocolVersion, err)
 		}
+		r.seed = seed
 		name, doms, err := c.Info()
 		if err != nil {
 			return err
@@ -85,6 +88,10 @@ func (r *Remote) TransportStats() lab.Stats { return r.pool.Stats() }
 
 // PlatformName identifies the remote rig.
 func (r *Remote) PlatformName() string { return r.platformName }
+
+// Seed reports the daemon bench's analyzer seed (its labtarget -seed):
+// the rig's measurements match a local bench with this seed.
+func (r *Remote) Seed() int64 { return r.seed }
 
 // Domains lists the remote rig's voltage domains.
 func (r *Remote) Domains() []string {
@@ -346,8 +353,7 @@ func (r *Remote) MonitorAll(loads map[string]platform.Load) (*instrument.Sweep, 
 }
 
 // Vmin runs a repeated V_MIN search on the daemon with the workstation's
-// tester seed: one VMIN carrying the load. The returned Result carries no
-// Trials (the descent log stays on the target).
+// tester seed: one VMIN carrying the load.
 func (r *Remote) Vmin(domain string, load platform.Load, seed int64, repeats int) (*vmin.Result, []float64, error) {
 	p, err := r.part(domain, load)
 	if err != nil {

@@ -10,6 +10,7 @@ package cli
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"runtime"
 	"strings"
@@ -85,8 +86,9 @@ type App struct {
 	// calling Backend.
 	BenchSamples int
 
-	fs    *flag.FlagSet
-	cache *castore.Store
+	fs     *flag.FlagSet
+	cache  *castore.Store
+	stderr io.Writer // warnings
 }
 
 // New registers the command's flag profile on fs (flag.CommandLine in the
@@ -97,7 +99,7 @@ func New(name string, fs *flag.FlagSet) *App {
 	if !ok {
 		panic(fmt.Sprintf("cli: no flag profile for command %q", name))
 	}
-	a := &App{Name: name, Spec: spec, fs: fs}
+	a := &App{Name: name, Spec: spec, fs: fs, stderr: os.Stderr}
 	a.Seed = fs.Int64("seed", spec.SeedDefault, "random seed")
 	a.Jobs = fs.Int("j", runtime.NumCPU(), "parallel evaluations (results are identical at any setting)")
 	a.Verbose = fs.Bool("v", false, "print evaluation statistics (transport counters when -remote, cache counters otherwise)")
@@ -220,6 +222,7 @@ func (a *App) Backend() (backend.Backend, error) {
 		if err != nil {
 			return nil, err
 		}
+		a.warnRigSeed(*a.Remote, be)
 		if s := a.samples(); s > 0 {
 			be.Samples = s
 		}
@@ -305,6 +308,7 @@ func (a *App) fleetBackend() (backend.Backend, error) {
 			closeAll()
 			return nil, fmt.Errorf("rig %s: %w", entry, err)
 		}
+		a.warnRigSeed(entry, be)
 		if s := a.samples(); s > 0 {
 			be.Samples = s
 		}
@@ -331,6 +335,16 @@ func (a *App) fleetBackend() (backend.Backend, error) {
 		return nil, err
 	}
 	return f, nil
+}
+
+// warnRigSeed prints a one-line stderr warning when a rig's analyzer seed
+// (its labtarget -seed) differs from -seed: the rig's measurements then
+// differ from a local run with the same flags.
+func (a *App) warnRigSeed(addr string, be *backend.Remote) {
+	if s := be.Seed(); s != *a.Seed {
+		fmt.Fprintf(a.stderr, "%s: warning: rig %s measures with seed %d, not -seed %d; results will differ from a local run\n",
+			a.Name, addr, s, *a.Seed)
+	}
 }
 
 // fleetSalt derives the campaign-key salt from the run identity the

@@ -1,10 +1,15 @@
 package cli
 
 import (
+	"bytes"
 	"flag"
+	"fmt"
+	"net"
 	"strconv"
 	"testing"
 
+	"repro/internal/core"
+	"repro/internal/lab"
 	"repro/internal/platform"
 )
 
@@ -112,5 +117,65 @@ func TestBuildPlatform(t *testing.T) {
 	}
 	if _, err := BuildPlatform("vax"); err == nil {
 		t.Error("unknown platform accepted")
+	}
+}
+
+// TestHelloSeedWarning: a rig whose analyzer seed differs from -seed
+// measures differently from the local run the flags describe, so -remote
+// and -backends warn about it on one stderr line, and stay quiet when the
+// seeds agree.
+func TestHelloSeedWarning(t *testing.T) {
+	p, err := platform.JunoR2()
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := core.NewBench(p, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv, err := lab.NewServer(b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	go srv.Serve(ln)
+	t.Cleanup(func() { _ = srv.Shutdown() })
+	addr := ln.Addr().String()
+
+	for _, c := range []struct {
+		flag, seed string
+		warn       bool
+	}{
+		{"-remote", "5", true},
+		{"-remote", "3", false},
+		{"-backends", "5", true},
+		{"-backends", "3", false},
+	} {
+		fs := flag.NewFlagSet("gahunt", flag.ContinueOnError)
+		a := New("gahunt", fs)
+		var stderr bytes.Buffer
+		a.stderr = &stderr
+		if err := fs.Parse([]string{c.flag, addr, "-seed", c.seed, "-j", "1"}); err != nil {
+			t.Fatal(err)
+		}
+		be, err := a.Backend()
+		if err != nil {
+			t.Fatal(err)
+		}
+		be.Close()
+		got := stderr.String()
+		if !c.warn {
+			if got != "" {
+				t.Errorf("%s with matching seed warned: %q", c.flag, got)
+			}
+			continue
+		}
+		want := fmt.Sprintf("gahunt: warning: rig %s measures with seed 3, not -seed 5; results will differ from a local run\n", addr)
+		if got != want {
+			t.Errorf("%s -seed 5: stderr %q, want %q", c.flag, got, want)
+		}
 	}
 }

@@ -80,9 +80,7 @@ func (f *Fleet) ResonanceSweep(domain string, activeCores, samples int) (*core.S
 	return core.AssembleSweep(points)
 }
 
-// vminShard is one V_MIN search result in checkpoint/JSON form. Trials are
-// deliberately absent: the backend contract already populates them locally
-// only, so a layout-independent fleet result must not carry them.
+// vminShard is one V_MIN search result in checkpoint/JSON form.
 type vminShard struct {
 	VminV         float64          `json:"vmin_v"`
 	Outcome       vmin.FailureKind `json:"outcome"`
@@ -101,9 +99,7 @@ func (s vminShard) result() (*vmin.Result, []float64) {
 }
 
 // Vmin runs one repeated V_MIN search as a single-item campaign: it lands
-// on one rig, but inherits failover and checkpoint replay. The result's
-// Trials field is always nil — fleet results must not depend on whether
-// the shard happened to land on a Local rig.
+// on one rig, but inherits failover and checkpoint replay.
 func (f *Fleet) Vmin(domain string, load platform.Load, seed int64, repeats int) (*vmin.Result, []float64, error) {
 	res, err := f.vminMany("vmin", domain, []platform.Load{load}, seed, repeats)
 	if err != nil {

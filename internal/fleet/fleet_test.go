@@ -224,7 +224,7 @@ func TestFleetSweepMatchesSingle(t *testing.T) {
 
 // TestFleetVminAndShmooMatchSingle checks the V_MIN surfaces: sharded
 // shmoo lattices and workload campaigns agree with the single-backend
-// answers (modulo Trials, which the fleet strips for layout independence).
+// answers, whole results compared.
 func TestFleetVminAndShmooMatchSingle(t *testing.T) {
 	single := localRig(t)
 	caps, err := single.Caps(testDomain)
@@ -279,7 +279,6 @@ func TestFleetVminAndShmooMatchSingle(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		wres.Trials = nil // fleet results are layout-independent
 		if !reflect.DeepEqual(results[i], wres) || !reflect.DeepEqual(runs[i], wruns) {
 			t.Fatalf("fleet vmin of load %d differs from single-backend search", i)
 		}
@@ -595,7 +594,6 @@ func TestFleetThreeRigShardLayout(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	wantVmin.Trials = nil // fleet results are layout-independent
 
 	remote, _ := remoteRig(t)
 	f := newFleet(t, fleet.Options{Slots: 2},

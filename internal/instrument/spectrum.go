@@ -58,6 +58,9 @@ func NewSpectrumAnalyzer(model string, startHz, stopHz, rbwHz float64, seed int6
 	}, nil
 }
 
+// Seed returns the base of the analyzer's measurement-noise streams.
+func (sa *SpectrumAnalyzer) Seed() int64 { return sa.seed }
+
 // ContentHash identifies the analyzer's complete measurement behaviour:
 // every reading is a deterministic function of (signal, these parameters,
 // seed), so two analyzers with equal hashes produce bit-identical readings

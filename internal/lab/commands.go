@@ -17,9 +17,9 @@ import (
 // setpoint replay, never retried on target ERR replies.
 
 // Hello checks that the daemon speaks this package's protocol version and
-// returns the target's platform name. A daemon that answers with any other
-// version is rejected, naming both versions.
-func (c *Client) Hello() (platformName string, err error) {
+// returns the target's platform name and analyzer seed. A daemon that
+// answers with any other version is rejected, naming both versions.
+func (c *Client) Hello() (platformName string, seed int64, err error) {
 	var server int
 	err = c.do(command{
 		verb: "HELLO",
@@ -30,20 +30,24 @@ func (c *Client) Hello() (platformName string, err error) {
 			if server, err = intField(fields, 0, "version"); err != nil {
 				return err
 			}
-			if len(fields) < 2 {
+			if server != ProtocolVersion {
+				return nil // refused below, whatever the rest says
+			}
+			if len(fields) != 3 {
 				return fmt.Errorf("malformed HELLO reply %q", payload)
 			}
 			platformName = fields[1]
-			return nil
+			seed, err = int64Field(fields, 2, "seed")
+			return err
 		},
 	})
 	if err != nil {
-		return "", err
+		return "", 0, err
 	}
 	if server != ProtocolVersion {
-		return "", fmt.Errorf("lab: protocol version mismatch: daemon speaks v%d, this client speaks v%d", server, ProtocolVersion)
+		return "", 0, fmt.Errorf("lab: protocol version mismatch: daemon speaks v%d, this client speaks v%d", server, ProtocolVersion)
 	}
-	return platformName, nil
+	return platformName, seed, nil
 }
 
 // Info returns the target's platform name and domain inventory.
@@ -303,8 +307,7 @@ func (c *Client) Sweep(domain string, cores, samples int, clocks []float64) ([]*
 
 // Vmin runs a repeated V_MIN campaign on a part with the workstation's
 // tester seed and returns the worst run plus every per-run V_MIN (Figure
-// 10's distribution data). The Result carries no Trials: the descent log
-// stays on the target.
+// 10's distribution data).
 func (c *Client) Vmin(p Part, seed int64, repeats int) (*vmin.Result, []float64, error) {
 	res := &vmin.Result{}
 	var runs []float64

@@ -48,8 +48,8 @@ func FuzzDispatch(f *testing.F) {
 	phased := fmt.Sprintf("cortex-a72 2 %d 2 0 37.5\n%s", lines, text)
 
 	for _, seed := range []struct{ line, body string }{
+		{"HELLO 6", ""},
 		{"HELLO 5", ""},
-		{"HELLO 4", ""},
 		{"HELLO", ""},
 		{"INFO", ""},
 		{"CAPS cortex-a72", ""},

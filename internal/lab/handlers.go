@@ -19,7 +19,9 @@ import (
 // delivered multi-line response.
 
 // cmdHello checks the client's protocol version. There is one version, so
-// a mismatch is rejected outright with both versions named.
+// a mismatch is rejected outright with both versions named. The reply
+// names the platform and the analyzer seed, so a workstation can tell a
+// rig whose measurements will differ from its own -seed.
 func (s *Server) cmdHello(w *bufio.Writer, fields []string) error {
 	if len(fields) != 2 {
 		return fmt.Errorf("usage: HELLO <version>")
@@ -31,7 +33,7 @@ func (s *Server) cmdHello(w *bufio.Writer, fields []string) error {
 	if v != ProtocolVersion {
 		return fmt.Errorf("protocol version mismatch: client speaks v%d, this daemon speaks v%d", v, ProtocolVersion)
 	}
-	return writeLine(w, "%s %d %s", replyOK, ProtocolVersion, s.Bench.Platform.Name)
+	return writeLine(w, "%s %d %s %d", replyOK, ProtocolVersion, s.Bench.Platform.Name, s.Bench.Analyzer.Seed())
 }
 
 func (s *Server) cmdInfo(w *bufio.Writer) error {

@@ -22,8 +22,9 @@
 // of assembly; MEASURE, VMEASURE, VMIN and SHMOO are each followed by
 // exactly one, MONITOR by <nparts>:
 //
-//	HELLO <version>                 → OK <version> <platform>; a version
-//	                                  other than ProtocolVersion is ERR
+//	HELLO <version>                 → OK <version> <platform> <seed>
+//	                                  (the analyzer seed); a version other
+//	                                  than ProtocolVersion is ERR
 //	INFO                            → OK <platform> <domain>/<cores>...
 //	CAPS <domain>                   → OK <cores> <arch> <maxHz> <stepHz>
 //	                                     <visibility> <dsoKind>
@@ -86,7 +87,7 @@ const (
 // ProtocolVersion is the protocol revision this package speaks. Daemon and
 // workstation are built from the same tree, so there is nothing to
 // negotiate: HELLO with any other version is a hard error on both sides.
-const ProtocolVersion = 5
+const ProtocolVersion = 6
 
 // Protocol hard limits: a program part may declare at most
 // maxProgramLines lines, and no single request or program line may exceed

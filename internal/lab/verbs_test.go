@@ -22,12 +22,15 @@ import (
 func TestHelloVersionMismatch(t *testing.T) {
 	addr, b := startServer(t)
 	c := dial(t, addr)
-	name, err := c.Hello()
+	name, seed, err := c.Hello()
 	if err != nil {
 		t.Fatal(err)
 	}
 	if name != b.Platform.Name {
 		t.Fatalf("platform %q, want %q", name, b.Platform.Name)
+	}
+	if seed != b.Analyzer.Seed() {
+		t.Fatalf("seed %d, want the daemon analyzer's %d", seed, b.Analyzer.Seed())
 	}
 
 	rc := rawDial(t, addr)
@@ -41,16 +44,17 @@ func TestHelloVersionMismatch(t *testing.T) {
 		}
 	}
 
-	// An older daemon that answers HELLO with its own version is refused
-	// by the client, without retrying a healthy transport.
-	old, err := DialOptions(replyServer(t, "OK 4 juno-r2"), fastOpts())
+	// An older daemon that answers HELLO with its own version (and the
+	// previous reply shape, without a seed) is refused by the client,
+	// without retrying a healthy transport.
+	old, err := DialOptions(replyServer(t, "OK 5 juno-r2"), fastOpts())
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer old.Close()
-	_, err = old.Hello()
-	if cur := fmt.Sprintf("v%d", ProtocolVersion); err == nil || !strings.Contains(err.Error(), "v4") || !strings.Contains(err.Error(), cur) {
-		t.Fatalf("Hello against a v4 daemon: err = %v, want a mismatch naming v4 and %s", err, cur)
+	_, _, err = old.Hello()
+	if cur := fmt.Sprintf("v%d", ProtocolVersion); err == nil || !strings.Contains(err.Error(), "v5") || !strings.Contains(err.Error(), cur) {
+		t.Fatalf("Hello against a v5 daemon: err = %v, want a mismatch naming v5 and %s", err, cur)
 	}
 	if st := old.Stats(); st.Commands["HELLO"].Retries != 0 {
 		t.Fatalf("version mismatch retried %d times", st.Commands["HELLO"].Retries)
@@ -344,7 +348,6 @@ func TestChaosSweepAndShmooMatchDirect(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	wantVmin.Trials = nil // the descent log stays on the target
 	if !reflect.DeepEqual(gotVmin, wantVmin) {
 		t.Fatalf("chaos vmin %+v != direct %+v", gotVmin, wantVmin)
 	}

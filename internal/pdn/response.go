@@ -2,6 +2,7 @@ package pdn
 
 import (
 	"fmt"
+	"math"
 	"math/cmplx"
 
 	"repro/internal/circuit"
@@ -87,7 +88,8 @@ type TransferSet struct {
 	absHV []float64
 	absHI []float64
 
-	rSeries float64 // total DC series resistance, for the DC droop term
+	maxAbsHV float64 // the largest |HV| over the bins
+	rSeries  float64 // total DC series resistance, for the DC droop term
 }
 
 // Transfers computes the transfer set for n samples at spacing dt.
@@ -128,6 +130,7 @@ func (m *Model) Transfers(n int, dt float64) (*TransferSet, error) {
 		ts.freqs[k] = f
 		ts.absHV[k] = cmplx.Abs(hv)
 		ts.absHI[k] = cmplx.Abs(hi)
+		ts.maxAbsHV = math.Max(ts.maxAbsHV, ts.absHV[k])
 	}
 	// At DC, HV is -R_series; remember it for reporting.
 	ts.rSeries = -real(ts.HV[0])
@@ -207,3 +210,8 @@ func (ts *TransferSet) SpectraInto(vAmp, iAmp, load []float64, spec, fftScratch 
 // RSeries returns the total DC series resistance of the network as seen by
 // the die (used for IR-drop reporting).
 func (ts *TransferSet) RSeries() float64 { return ts.rSeries }
+
+// MaxAbsHV returns the largest die-voltage transfer magnitude over the
+// bins: the 2-norm of the steady-state map from load current to die-voltage
+// ripple (the map is a circulant convolution, diagonal in the DFT basis).
+func (ts *TransferSet) MaxAbsHV() float64 { return ts.maxAbsHV }

@@ -14,6 +14,15 @@
 // stream keyed by (tester seed, load, operating point, trial index) — see
 // internal/detrand — so trials are order-independent and shmoo points can
 // be evaluated concurrently with bit-identical results.
+//
+// Descent: a step's outcome depends on its electrical response only
+// through the minimum die voltage compared against the trial's two
+// thresholds. The PDN is linear in the supply, so the nominal rung of a
+// column predicts every lower rung's minimum within a proven rounding
+// bound (platform.Ladder.PredictMinV), and the descent solves a step's
+// rung only when the prediction lies within that bound of a threshold.
+// The results are bit-identical to solving every step, at about one
+// solved rung per column instead of one per step.
 package vmin
 
 import (
@@ -119,45 +128,6 @@ func (t *Tester) vcritAt(clockHz float64) float64 {
 	return spec.Failure.VCritAtMax - spec.Failure.SlackPerHz*(spec.MaxClockHz-clockHz)
 }
 
-// Trial is one execution at one supply setting.
-type Trial struct {
-	SupplyV  float64
-	MinVDie  float64
-	DroopV   float64
-	Outcome  FailureKind
-	VCritEff float64 // the jittered threshold used for this trial
-}
-
-// classify applies the failure model to one execution's supply-response
-// scalars. It is pure in (load, operating point, trial, minV, droopV) —
-// the jitter stream is content-keyed — which is what lets the descent
-// reuse one electrical evaluation across deduped trials.
-func (t *Tester) classify(load platform.Load, clockHz, supply float64, trial int, minV, droopV float64) Trial {
-	rng := t.trialRNG(load, clockHz, supply, trial)
-	vcrit := t.vcritAt(clockHz) + rng.NormFloat64()*t.ThresholdJitterV
-	tr := Trial{
-		SupplyV:  supply,
-		MinVDie:  minV,
-		DroopV:   droopV,
-		VCritEff: vcrit,
-	}
-	sdcBand := t.Domain.Spec.Failure.SDCBand
-	switch {
-	case minV < vcrit:
-		tr.Outcome = SystemCrash
-	case minV < vcrit+sdcBand:
-		// In the marginal band, lighter failures surface first.
-		if rng.Intn(2) == 0 {
-			tr.Outcome = SDC
-		} else {
-			tr.Outcome = AppCrash
-		}
-	default:
-		tr.Outcome = Pass
-	}
-	return tr
-}
-
 // Result is a completed V_MIN search.
 type Result struct {
 	// VminV is the highest supply at which any deviation was observed.
@@ -169,16 +139,15 @@ type Result struct {
 	// DroopNominalV is the workload's worst droop at nominal supply
 	// (Figure 10's red curve).
 	DroopNominalV float64
-	// Trials records every step of the descent.
-	Trials []Trial
 }
 
 // Search lowers the supply from the domain's nominal voltage in the
 // board's V_MIN step size until a deviation is observed. The search runs at
 // the domain's current clock without mutating any domain state, descending
 // a batched supply ladder: the simulation, base waveform and PDN transfers
-// freeze once per search and each voltage step pays only the scale + FFT
-// remainder.
+// freeze once per search, the nominal rung is solved once, and each lower
+// step is decided from the nominal rung's prediction unless its outcome is
+// ambiguous within the prediction's rounding bound (see searchEval).
 func (t *Tester) Search(load platform.Load) (*Result, error) {
 	ar := getArena()
 	defer putArena(ar)
@@ -196,7 +165,10 @@ func (t *Tester) searchLadder(load platform.Load, clockHz float64, trial int, tr
 	return t.searchEval(load, clockHz, trial, ld)
 }
 
-// searchEval is the descent itself down one column's ladder.
+// searchEval is the descent itself down one column's ladder: the paper's
+// step-by-step descent, each step decided by stepOutcome from the nominal
+// rung's prediction where that is proven exact, so the result is
+// bit-identical to solving every step.
 func (t *Tester) searchEval(load platform.Load, clockHz float64, trial int, ld *platform.Ladder) (*Result, error) {
 	spec := t.Domain.Spec
 	step := spec.VminStepVolts()
@@ -207,7 +179,6 @@ func (t *Tester) searchEval(load platform.Load, clockHz float64, trial int, ld *
 	if err != nil {
 		return nil, err
 	}
-	res := &Result{DroopNominalV: nomDroop}
 
 	maxSteps := int(nominal/step) + 1
 	for i := 0; i <= maxSteps; i++ {
@@ -215,30 +186,71 @@ func (t *Tester) searchEval(load platform.Load, clockHz float64, trial int, ld *
 		if supply <= 0 {
 			return nil, fmt.Errorf("vmin: %s: no failure found down to 0V (model miscalibrated?)", spec.Name)
 		}
-		minV, droopV, err := ld.MinVDroop(supply)
+		kind, err := t.stepOutcome(load, clockHz, supply, trial, ld)
 		if err != nil {
 			return nil, err
 		}
-		tr := t.classify(load, clockHz, supply, trial, minV, droopV)
-		res.Trials = append(res.Trials, tr)
-		if tr.Outcome != Pass {
-			res.VminV = supply
-			res.Outcome = tr.Outcome
-			res.MarginV = nominal - supply
-			return res, nil
+		if kind != Pass {
+			return &Result{
+				VminV:         supply,
+				Outcome:       kind,
+				MarginV:       nominal - supply,
+				DroopNominalV: nomDroop,
+			}, nil
 		}
 	}
 	return nil, fmt.Errorf("vmin: %s: search exhausted", spec.Name)
+}
+
+// stepOutcome applies the failure model to one step of a descent. The
+// step's minimum die voltage is predicted from the nominal rung
+// (platform.Ladder.PredictMinV) and its rung solved only when a threshold
+// — vcrit or vcrit+SDCBand — lies within the prediction's bound delta, or
+// the prediction is NaN. The jittered threshold comes from the trial's
+// content-keyed stream, pure in (load, operating point, trial), so the
+// outcome does not depend on whether the rung was solved.
+func (t *Tester) stepOutcome(load platform.Load, clockHz, supply float64, trial int, ld *platform.Ladder) (FailureKind, error) {
+	rng := t.trialRNG(load, clockHz, supply, trial)
+	vcrit := t.vcritAt(clockHz) + rng.NormFloat64()*t.ThresholdJitterV
+	band := vcrit + t.Domain.Spec.Failure.SDCBand
+	minV, delta, err := ld.PredictMinV(supply)
+	if err != nil {
+		return 0, err
+	}
+	// A solved rung lies within delta/PredictSafety of the prediction, so
+	// beyond delta the comparisons below agree with the solved rung's
+	// (rounding the thresholds themselves moves them by ulps of a volt).
+	// NaN fails every comparison and so is never decisive.
+	decided := minV < vcrit-delta ||
+		(minV > vcrit+delta && minV < band-delta) ||
+		minV > band+delta
+	if !decided {
+		if minV, _, err = ld.MinVDroop(supply); err != nil {
+			return 0, err
+		}
+	}
+	switch {
+	case minV < vcrit:
+		return SystemCrash, nil
+	case minV < band:
+		// In the marginal band, lighter failures surface first.
+		if rng.Intn(2) == 0 {
+			return SDC, nil
+		}
+		return AppCrash, nil
+	default:
+		return Pass, nil
+	}
 }
 
 // Repeat performs n independent V_MIN searches (the paper runs 30 per
 // virus) and returns the per-run V_MIN values plus the worst (highest).
 // The run index is the trial nonce, so each repetition sees independent
 // threshold jitter. All n descents share one ladder: the supply response
-// is a pure function of the operating point, so revisited voltage steps —
-// the nominal point and the whole common prefix of every descent — dedup
-// to one electrical evaluation, and only the jittered classification
-// differs per run.
+// is a pure function of the operating point, so the nominal rung (which
+// predicts every other) and any rung a descent had to solve dedup to one
+// electrical evaluation, and only the jittered classification differs per
+// run.
 func (t *Tester) Repeat(load platform.Load, n int) (worst *Result, all []float64, err error) {
 	if n < 1 {
 		return nil, nil, fmt.Errorf("vmin: need at least 1 repetition")

@@ -69,18 +69,18 @@ func TestVCritTracksClock(t *testing.T) {
 
 // runAt executes the workload once at the given supply (and the domain's
 // current clock) on a one-rung ladder and classifies the outcome.
-func runAt(t *testing.T, tst *Tester, l platform.Load, supply float64) (Trial, error) {
+func runAt(t *testing.T, tst *Tester, l platform.Load, supply float64) (kind FailureKind, minV, droopV float64, err error) {
 	t.Helper()
 	clock := tst.Domain.ClockHz()
 	ld, err := tst.Domain.LadderAt(l, tst.Dt, tst.N, clock, nil, &slab.Arena{})
 	if err != nil {
-		return Trial{}, err
+		return 0, 0, 0, err
 	}
-	minV, droopV, err := ld.MinVDroop(supply)
+	minV, droopV, err = ld.MinVDroop(supply)
 	if err != nil {
-		return Trial{}, err
+		return 0, 0, 0, err
 	}
-	return tst.classify(l, clock, supply, 0, minV, droopV), nil
+	return exhaustiveClassify(tst, l, clock, supply, 0, minV), minV, droopV, nil
 }
 
 func TestRunAtClassifies(t *testing.T) {
@@ -89,25 +89,25 @@ func TestRunAtClassifies(t *testing.T) {
 	tst.ThresholdJitterV = 0 // deterministic classification
 	l := load(t, d, "lbm", 2)
 
-	pass, err := runAt(t, tst, l, d.Spec.PDN.VNominal)
+	pass, passMin, passDroop, err := runAt(t, tst, l, d.Spec.PDN.VNominal)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if pass.Outcome != Pass {
-		t.Fatalf("nominal run outcome %v", pass.Outcome)
+	if pass != Pass {
+		t.Fatalf("nominal run outcome %v", pass)
 	}
-	if pass.DroopV <= 0 {
+	if passDroop <= 0 {
 		t.Fatal("no droop recorded")
 	}
 	// Far below vcrit: certain system crash.
-	crash, err := runAt(t, tst, l, tst.VCrit())
+	crash, crashMin, _, err := runAt(t, tst, l, tst.VCrit())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if crash.Outcome != SystemCrash {
-		t.Fatalf("outcome at vcrit supply = %v, want system-crash", crash.Outcome)
+	if crash != SystemCrash {
+		t.Fatalf("outcome at vcrit supply = %v, want system-crash", crash)
 	}
-	if crash.MinVDie >= pass.MinVDie {
+	if crashMin >= passMin {
 		t.Fatal("min die voltage did not drop with supply")
 	}
 }
@@ -133,17 +133,33 @@ func TestSearchFindsVmin(t *testing.T) {
 	if res.DroopNominalV <= 0 {
 		t.Fatal("no nominal droop recorded")
 	}
-	// All but the last trial passed.
-	for i, tr := range res.Trials[:len(res.Trials)-1] {
-		if tr.Outcome != Pass {
-			t.Fatalf("trial %d failed early at %vV", i, tr.SupplyV)
-		}
-	}
 	// Vmin is on the board's step grid.
 	step := d.Spec.VminStepVolts()
 	steps := (nominal - res.VminV) / step
 	if math.Abs(steps-math.Round(steps)) > 1e-9 {
 		t.Fatalf("Vmin %v not on the %v step grid", res.VminV, step)
+	}
+	// Every step above Vmin passes with its rung solved, and the solved
+	// rung at Vmin fails the way the search reported.
+	ld, err := d.LadderAt(l, tst.Dt, tst.N, d.ClockHz(), nil, &slab.Arena{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := int(math.Round(steps))
+	for i := 0; i <= n; i++ {
+		supply := nominal - float64(i)*step
+		minV, _, err := ld.MinVDroop(supply)
+		if err != nil {
+			t.Fatal(err)
+		}
+		kind := exhaustiveClassify(tst, l, d.ClockHz(), supply, 0, minV)
+		want := Pass
+		if i == n {
+			want = res.Outcome
+		}
+		if kind != want {
+			t.Fatalf("solved step %d at %vV: %v, want %v", i, supply, kind, want)
+		}
 	}
 }
 
