@@ -26,8 +26,12 @@ test: build
 # build cache. The golden-output fences must exist: a renamed golden test
 # would otherwise leave tier-1 silently; so must the V_MIN descent fences
 # (the bounded descent against its exhaustive oracle, and the rung
-# prediction's rounding bound). The persistent store is cross-process shared mutable state,
-# so its whole suite runs under the race detector here. The perfbench
+# prediction's rounding bound), and so must the persistent store's read-path,
+# LRU-touch and block-accounting tests. The persistent store is cross-process
+# shared mutable state, so its whole suite runs under the race detector here.
+# Its read path works at the system-call level, so the module must also build
+# for darwin, windows and freebsd: a field of one GOOS's syscall types fails
+# here rather than on a user's machine. The perfbench
 # harness is a nested module (perfbench/go.mod replaces repro with ../), so
 # the root ./... never compiles it; its smoke tests run separately, with
 # the same module settings as perfbench/run.sh.
@@ -35,6 +39,12 @@ tier1: build fmt vet specs-verify tier1-remote tier1-fleet
 	$(call require-tests,GAGolden|SweepGolden|VoltageGAGolden,.)
 	$(call require-tests,BoundedDescentMatchesExhaustive,./internal/vmin)
 	$(call require-tests,RungPredictionWithinBound,./internal/vmin)
+	$(call require-tests,GetReadPathEdges,./internal/castore)
+	$(call require-tests,GCEvictsUnreadBeforeTouched,./internal/castore)
+	$(call require-tests,BudgetChargesWholeBlocks,./internal/castore)
+	GOOS=darwin $(GO) build ./...
+	GOOS=windows $(GO) build ./...
+	GOOS=freebsd $(GO) build ./...
 	GOFLAGS=-count=1 $(GO) test -race ./internal/castore
 	GOFLAGS=-count=1 $(GO) test ./...
 	cd perfbench && GOFLAGS='-mod=readonly -count=1' GOPROXY=off GOTOOLCHAIN=local GOWORK=off $(GO) test ./...

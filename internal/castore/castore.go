@@ -7,8 +7,8 @@
 // is detected by length/checksum framing, quarantined, and treated as a
 // miss — the consumer recomputes and overwrites, so corruption can never
 // change a result, only cost a re-measurement. The store is size-bounded:
-// past the byte budget, the least-recently-used entries (mtime order; hits
-// re-touch) are deleted.
+// past the byte budget, the least-recently-used entries (mtime order; a hit
+// re-touches an entry last touched over an hour ago) are deleted.
 //
 // Safety model:
 //
@@ -31,6 +31,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"io"
 	"io/fs"
 	"os"
 	"path/filepath"
@@ -38,6 +39,7 @@ import (
 	"strings"
 	"sync"
 	"sync/atomic"
+	"syscall"
 	"time"
 )
 
@@ -54,9 +56,26 @@ const (
 	tmpPrefix = ".tmp-"
 )
 
-// DefaultMaxBytes is the GC budget when Options.MaxBytes is zero (1 GiB —
-// roughly a week of mixed campaign traffic at the default analysis grid).
+// DefaultMaxBytes is the GC budget when Options.MaxBytes is zero: 1 GiB of
+// disk, which holds 262,144 one-block entries (a full
+// `repro -exp everything` writes 10,859).
 const DefaultMaxBytes = 1 << 30
+
+// blockSize is the allocation unit the budget charges: every entry file
+// occupies at least one filesystem block however small its frame, and
+// 4 KiB is the block of ext4, XFS, APFS and NTFS at their defaults.
+const blockSize = 4096
+
+// diskBytes is the space one file of n bytes is charged against the
+// budget: n rounded up to a whole block.
+func diskBytes(n int64) int64 { return (n + blockSize - 1) &^ (blockSize - 1) }
+
+// touchAge is how stale a hit entry's mtime must be before Get re-touches
+// it. LRU therefore has one-hour granularity: a hit skips the extra
+// system call unless the entry was last written or touched over an hour
+// ago, and GC, which evicts oldest mtime first, can only mistake the
+// order of entries used within the same hour.
+const touchAge = time.Hour
 
 // gcLowWater is the fraction of MaxBytes the collector trims down to, so
 // each GC pass buys headroom instead of running again on the next put.
@@ -66,8 +85,8 @@ var crcTable = crc32.MakeTable(crc32.Castagnoli)
 
 // Options configures Open.
 type Options struct {
-	// MaxBytes bounds the store's total size; 0 means DefaultMaxBytes,
-	// negative disables GC.
+	// MaxBytes bounds the store's disk use, each file charged in whole
+	// 4 KiB blocks; 0 means DefaultMaxBytes, negative disables GC.
 	MaxBytes int64
 	// Sync fsyncs every entry before publishing it. Off by default: the
 	// store is a cache, and a torn entry is quarantined on first read.
@@ -76,7 +95,8 @@ type Options struct {
 
 // Stats is a snapshot of the store's counters. Hits/Misses count Get
 // traffic; Puts counts published entries; Corrupt counts quarantined
-// entries; Evictions counts GC deletions; Bytes is the tracked residency.
+// entries; Evictions counts GC deletions; Bytes is the tracked residency,
+// each file counted in whole 4 KiB blocks.
 type Stats struct {
 	Hits      uint64
 	Misses    uint64
@@ -120,7 +140,7 @@ func Open(dir string, opts Options) (*Store, error) {
 		return nil, fmt.Errorf("castore: %w", err)
 	}
 	s := &Store{
-		dir:      dir,
+		dir:      filepath.Clean(dir),
 		maxBytes: opts.MaxBytes,
 		sync:     opts.Sync,
 	}
@@ -149,9 +169,20 @@ func (s *Store) Stats() Stats {
 // entryPath is the sharded location of one entry: ns/<first key byte>/<key>.
 // Two levels keep directory fan-out bounded (256 shards per namespace) while
 // the full hex key in the leaf name makes entries greppable and collision-
-// free by construction.
+// free by construction. Every Get builds one, so the hex digits are
+// appended into a single buffer rather than formatted.
 func (s *Store) entryPath(ns string, key uint64) string {
-	return filepath.Join(s.dir, ns, fmt.Sprintf("%02x", byte(key>>56)), fmt.Sprintf("%016x.e", key))
+	const digits = "0123456789abcdef"
+	b := make([]byte, 0, len(s.dir)+len(ns)+len("//00/0123456789abcdef.e"))
+	b = append(b, s.dir...)
+	b = append(b, filepath.Separator)
+	b = append(b, ns...)
+	b = append(b, filepath.Separator, digits[key>>60], digits[key>>56&0xf], filepath.Separator)
+	for shift := 60; shift >= 0; shift -= 4 {
+		b = append(b, digits[key>>shift&0xf])
+	}
+	b = append(b, ".e"...)
+	return string(b)
 }
 
 // encodeFrame wraps a payload in the store's framing.
@@ -224,12 +255,23 @@ func decodeFrame(buf []byte, version uint16, key uint64) ([]byte, frameStatus) {
 }
 
 // Get returns the payload stored under (ns, version, key), or ok=false on
-// a miss. A corrupt entry is quarantined and reads as a miss; a hit
-// re-touches the entry's mtime so GC approximates LRU.
+// a miss. A corrupt entry is quarantined and reads as a miss; a hit on an
+// entry whose mtime is more than touchAge old re-touches it so GC
+// approximates LRU.
+//
+// A hit costs one open, one fstat, one read and one close, plus the one
+// fcntl os.NewFile makes to query the descriptor's flags. Opening through
+// syscall.Open and os.NewFile keeps a blocking descriptor out of the
+// runtime poller: os.Open would set it non-blocking, offer it to the
+// poller, which refuses a regular file, and set it blocking again, five
+// system calls for nothing. Sizing the buffer from the fstat makes one
+// full read replace os.ReadFile's read-until-EOF loop. The header's
+// length field never sizes an allocation; decodeFrame checks it against
+// the bytes actually read.
 func (s *Store) Get(ns string, version uint16, key uint64) ([]byte, bool) {
 	path := s.entryPath(ns, key)
-	buf, err := os.ReadFile(path)
-	if err != nil {
+	buf, mtime, ok := readEntry(path)
+	if !ok {
 		s.misses.Add(1)
 		return nil, false
 	}
@@ -243,10 +285,31 @@ func (s *Store) Get(ns string, version uint16, key uint64) ([]byte, bool) {
 		s.misses.Add(1)
 		return nil, false
 	}
-	now := time.Now()
-	_ = os.Chtimes(path, now, now) // best-effort LRU touch
+	if now := time.Now(); now.Sub(mtime) > touchAge {
+		_ = os.Chtimes(path, now, now) // best-effort LRU touch
+	}
 	s.hits.Add(1)
 	return payload, true
+}
+
+// readEntry reads one entry file whole and returns its bytes and mtime;
+// ok is false when the file is missing or cannot be read in full.
+func readEntry(path string) (buf []byte, mtime time.Time, ok bool) {
+	fd, err := syscall.Open(path, syscall.O_RDONLY|syscall.O_CLOEXEC, 0)
+	if err != nil {
+		return nil, time.Time{}, false
+	}
+	f := os.NewFile(uintptr(fd), path)
+	defer f.Close()
+	info, err := f.Stat()
+	if err != nil {
+		return nil, time.Time{}, false
+	}
+	buf = make([]byte, info.Size())
+	if _, err := io.ReadFull(f, buf); err != nil {
+		return nil, time.Time{}, false
+	}
+	return buf, info.ModTime(), true
 }
 
 // Put publishes a payload under (ns, version, key) via an atomic temp-file
@@ -277,14 +340,14 @@ func (s *Store) Put(ns string, version uint16, key uint64, payload []byte) error
 	}
 	var prev int64
 	if st, err := os.Stat(path); err == nil {
-		prev = st.Size() // overwriting: don't double-count
+		prev = diskBytes(st.Size()) // overwriting: don't double-count
 	}
 	if err := os.Rename(tmp, path); err != nil {
 		os.Remove(tmp)
 		return fmt.Errorf("castore: %w", err)
 	}
 	s.puts.Add(1)
-	if n := s.size.Add(int64(len(buf)) - prev); s.maxBytes > 0 && n > s.maxBytes {
+	if n := s.size.Add(diskBytes(int64(len(buf))) - prev); s.maxBytes > 0 && n > s.maxBytes {
 		s.gc()
 	}
 	return nil
@@ -292,9 +355,11 @@ func (s *Store) Put(ns string, version uint16, key uint64, payload []byte) error
 
 // quarantine moves a corrupt entry aside (unique name, atomic rename) so it
 // stops being re-parsed, stays available for inspection, and remains inside
-// the GC budget. Failure to quarantine falls back to deletion.
-func (s *Store) quarantine(path string, size int64) {
+// the GC budget. Failure to quarantine falls back to deletion, which
+// releases the file's charge.
+func (s *Store) quarantine(path string, n int64) {
 	s.corrupt.Add(1)
+	size := diskBytes(n)
 	qdir := filepath.Join(s.dir, quarantineDir)
 	if err := os.MkdirAll(qdir, 0o755); err != nil {
 		os.Remove(path)
@@ -315,7 +380,7 @@ func (s *Store) quarantine(path string, size int64) {
 	}
 }
 
-// walkSize sums the store's current on-disk bytes.
+// walkSize sums the store's current on-disk bytes, block-rounded.
 func (s *Store) walkSize() int64 {
 	var total int64
 	_ = filepath.WalkDir(s.dir, func(path string, d fs.DirEntry, err error) error {
@@ -323,7 +388,7 @@ func (s *Store) walkSize() int64 {
 			return nil
 		}
 		if info, err := d.Info(); err == nil {
-			total += info.Size()
+			total += diskBytes(info.Size())
 		}
 		return nil
 	})
@@ -360,8 +425,9 @@ func (s *Store) gc() {
 			os.Remove(path)
 			return nil
 		}
-		files = append(files, gcFile{path: path, size: info.Size(), mtime: info.ModTime()})
-		total += info.Size()
+		size := diskBytes(info.Size())
+		files = append(files, gcFile{path: path, size: size, mtime: info.ModTime()})
+		total += size
 		return nil
 	})
 	limit := int64(gcLowWater * float64(s.maxBytes))

@@ -1,10 +1,15 @@
 package castore
 
 import (
+	"bytes"
+	"encoding/binary"
+	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
 	"sync"
 	"testing"
+	"time"
 )
 
 func openT(t *testing.T, opts Options) *Store {
@@ -48,6 +53,25 @@ func TestPutGetRoundtrip(t *testing.T) {
 	}
 	if st.Bytes <= 0 {
 		t.Errorf("tracked bytes %d, want > 0", st.Bytes)
+	}
+}
+
+// TestEntryPathLayout pins the on-disk layout: stores written by earlier
+// binaries, which formatted the path with fmt and filepath.Join, must keep
+// being read.
+func TestEntryPathLayout(t *testing.T) {
+	root := t.TempDir()
+	for _, dir := range []string{root, root + "/", root + "/./sub/.."} {
+		s, err := Open(dir, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, key := range []uint64{0, 1, 0xab, 0x0f00000000000000, 0xfedcba9876543210, ^uint64(0)} {
+			want := filepath.Join(dir, "meas", fmt.Sprintf("%02x", byte(key>>56)), fmt.Sprintf("%016x.e", key))
+			if got := s.entryPath("meas", key); got != want {
+				t.Errorf("entryPath(%q, %#x) = %q, want %q", dir, key, got, want)
+			}
+		}
 	}
 }
 
@@ -205,6 +229,185 @@ func TestGCEvictsOldestFirst(t *testing.T) {
 	// The most recent entry must have survived.
 	if _, ok := s.Get("ns", 1, 7); !ok {
 		t.Error("most recently written entry was evicted")
+	}
+}
+
+// TestBudgetChargesWholeBlocks: every entry file occupies at least one
+// filesystem block, so the budget charges each one in whole 4 KiB blocks —
+// at Put, at Open's walk and at GC — and a budget of N blocks holds N small
+// entries, not N·4096 / frame-size of them.
+func TestBudgetChargesWholeBlocks(t *testing.T) {
+	const n = 8
+	dir := t.TempDir()
+	s, err := Open(dir, Options{MaxBytes: n * blockSize})
+	if err != nil {
+		t.Fatal(err)
+	}
+	payload := make([]byte, 120) // a meas record's size
+	for k := uint64(0); k < n; k++ {
+		if err := s.Put("ns", 1, k, payload); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if st := s.Stats(); st.Bytes != n*blockSize || st.Evictions != 0 {
+		t.Fatalf("after %d small puts: %d bytes / %d evictions, want %d / 0", n, st.Bytes, st.Evictions, n*blockSize)
+	}
+	// Overwriting an entry replaces its charge rather than adding one.
+	if err := s.Put("ns", 1, 0, payload[:1]); err != nil {
+		t.Fatal(err)
+	}
+	if got := s.Stats().Bytes; got != n*blockSize {
+		t.Fatalf("after an overwrite: %d bytes, want %d", got, n*blockSize)
+	}
+	other, err := Open(dir, Options{MaxBytes: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := other.Stats().Bytes; got != n*blockSize {
+		t.Fatalf("Open's walk counted %d bytes, want %d", got, n*blockSize)
+	}
+	// One more entry crosses the budget; GC trims to the low-water mark
+	// counted in entries: 75% of n blocks.
+	if err := s.Put("ns", 1, n, payload); err != nil {
+		t.Fatal(err)
+	}
+	keep := int64(gcLowWater * n)
+	st := s.Stats()
+	if st.Evictions != uint64(n+1-keep) || st.Bytes != keep*blockSize {
+		t.Fatalf("GC past %d entries: %d evictions, %d bytes; want %d evictions, %d bytes",
+			n, st.Evictions, st.Bytes, n+1-keep, keep*blockSize)
+	}
+}
+
+func mtimeOf(t *testing.T, s *Store, key uint64) time.Time {
+	t.Helper()
+	info, err := os.Stat(s.entryPath("ns", key))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return info.ModTime()
+}
+
+// TestGCEvictsUnreadBeforeTouched pins the LRU touch: a hit on an entry
+// last touched more than touchAge ago moves its mtime to now, so GC evicts
+// older entries nobody read before it; a hit on a fresh entry leaves its
+// mtime alone.
+func TestGCEvictsUnreadBeforeTouched(t *testing.T) {
+	s := openT(t, Options{MaxBytes: 4 * blockSize})
+	payload := []byte("entry")
+	for k := uint64(0); k < 4; k++ {
+		if err := s.Put("ns", 1, k, payload); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// Keys 0-2 were written two hours ago (key 0 last); key 3 just now.
+	for k := uint64(0); k < 3; k++ {
+		old := time.Now().Add(-2*time.Hour - time.Duration(k)*time.Minute)
+		if err := os.Chtimes(s.entryPath("ns", k), old, old); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, ok := s.Get("ns", 1, 0); !ok {
+		t.Fatal("backdated entry missed")
+	}
+	if age := time.Since(mtimeOf(t, s, 0)); age < -time.Minute || age > time.Minute {
+		t.Fatalf("hit on a two-hour-old entry left its mtime %v old, want about now", age)
+	}
+	fresh := mtimeOf(t, s, 3)
+	if _, ok := s.Get("ns", 1, 3); !ok {
+		t.Fatal("fresh entry missed")
+	}
+	if got := mtimeOf(t, s, 3); !got.Equal(fresh) {
+		t.Fatalf("hit on a fresh entry moved its mtime %v -> %v", fresh, got)
+	}
+	// A fifth entry crosses the budget; GC keeps three, evicting the two
+	// unread backdated entries and sparing the one the hit touched.
+	if err := s.Put("ns", 1, 4, payload); err != nil {
+		t.Fatal(err)
+	}
+	if got := s.Stats().Evictions; got != 2 {
+		t.Fatalf("%d evictions, want 2", got)
+	}
+	for k, want := range []bool{true, false, false, true, true} {
+		if _, err := os.Stat(s.entryPath("ns", uint64(k))); (err == nil) != want {
+			t.Errorf("key %d present=%v after GC, want %v", k, err == nil, want)
+		}
+	}
+}
+
+// TestGetReadPathEdges drives Get's single sized read through the cases
+// its buffer sizing must get right.
+func TestGetReadPathEdges(t *testing.T) {
+	big := make([]byte, 64<<10+1)
+	for i := range big {
+		big[i] = byte(i * 7)
+	}
+	small := []byte("payload under test")
+	rewrite := func(mutate func([]byte) []byte) func(*testing.T, *Store) {
+		return func(t *testing.T, s *Store) { corruptEntry(t, s, "ns", 5, mutate) }
+	}
+	cases := []struct {
+		name    string
+		payload []byte
+		setup   func(*testing.T, *Store)
+		hit     bool
+		corrupt uint64
+	}{
+		{name: "64KiB-payload", payload: big, hit: true},
+		{name: "shorter-than-header", payload: small, corrupt: 1,
+			setup: rewrite(func(b []byte) []byte { return append(b[:headerLen], b[headerLen+1:]...) })},
+		{name: "longer-than-header", payload: small, corrupt: 1,
+			setup: rewrite(func(b []byte) []byte { return append(b, 0) })},
+		{name: "huge-length-header", payload: small, corrupt: 1,
+			setup: rewrite(func(b []byte) []byte { binary.LittleEndian.PutUint64(b[16:], 1<<62); return b })},
+		{name: "missing-file", payload: nil,
+			setup: func(t *testing.T, s *Store) {
+				if err := os.Remove(s.entryPath("ns", 5)); err != nil {
+					t.Fatal(err)
+				}
+			}},
+		{name: "directory-at-entry-path", payload: nil,
+			setup: func(t *testing.T, s *Store) {
+				if err := os.Remove(s.entryPath("ns", 5)); err != nil {
+					t.Fatal(err)
+				}
+				if err := os.Mkdir(s.entryPath("ns", 5), 0o755); err != nil {
+					t.Fatal(err)
+				}
+			}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			s := openT(t, Options{})
+			if err := s.Put("ns", 1, 5, tc.payload); err != nil {
+				t.Fatal(err)
+			}
+			if tc.setup != nil {
+				tc.setup(t, s)
+			}
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			got, ok := s.Get("ns", 1, 5)
+			runtime.ReadMemStats(&after)
+			if ok != tc.hit {
+				t.Fatalf("hit=%v, want %v", ok, tc.hit)
+			}
+			if ok && !bytes.Equal(got, tc.payload) {
+				t.Fatalf("payload of %d bytes came back as %d different bytes", len(tc.payload), len(got))
+			}
+			// One Get allocates about the file's size, never what a
+			// garbled header claims.
+			if alloc := after.TotalAlloc - before.TotalAlloc; alloc > 2*uint64(len(tc.payload))+1<<16 {
+				t.Errorf("Get allocated %d bytes for a %d-byte payload", alloc, len(tc.payload))
+			}
+			st := s.Stats()
+			if st.Corrupt != tc.corrupt || quarantined(t, s) != int(tc.corrupt) {
+				t.Errorf("%d corrupt counted, %d quarantined; want %d", st.Corrupt, quarantined(t, s), tc.corrupt)
+			}
+			if !tc.hit && st.Misses != 1 {
+				t.Errorf("%d misses, want 1", st.Misses)
+			}
+		})
 	}
 }
 
