@@ -26,8 +26,10 @@ test: build
 # build cache. The golden-output fences must exist: a renamed golden test
 # would otherwise leave tier-1 silently; so must the V_MIN descent fences
 # (the bounded descent against its exhaustive oracle, and the rung
-# prediction's rounding bound), and so must the persistent store's read-path,
-# LRU-touch and block-accounting tests. The persistent store is cross-process
+# prediction's rounding bound), the AC solve's bit-identity pins (the PDN
+# transfers against the original solve, the pattern elimination against
+# its dense oracle), and the persistent store's read-path, LRU-touch and
+# block-accounting tests. The persistent store is cross-process
 # shared mutable state, so its whole suite runs under the race detector here.
 # Its read path works at the system-call level, so the module must also build
 # for darwin, windows and freebsd: a field of one GOOS's syscall types fails
@@ -39,6 +41,8 @@ tier1: build fmt vet specs-verify tier1-remote tier1-fleet
 	$(call require-tests,GAGolden|SweepGolden|VoltageGAGolden,.)
 	$(call require-tests,BoundedDescentMatchesExhaustive,./internal/vmin)
 	$(call require-tests,RungPredictionWithinBound,./internal/vmin)
+	$(call require-tests,TransfersMatchSolveACRef,./internal/pdn)
+	$(call require-tests,CSolvePatternMatchesDense,./internal/linalg)
 	$(call require-tests,GetReadPathEdges,./internal/castore)
 	$(call require-tests,GCEvictsUnreadBeforeTouched,./internal/castore)
 	$(call require-tests,BudgetChargesWholeBlocks,./internal/castore)

@@ -88,18 +88,9 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	if *app.Verbose {
-		// After the reports: each experiment backend's evaluation
-		// statistics (transport counters for a remote rig).
-		defer func() {
-			for _, be := range []backend.Backend{ctx.JunoBE, ctx.AMDBE} {
-				if doms := be.Domains(); len(doms) > 0 {
-					fmt.Printf("%s: ", be.PlatformName())
-					app.MaybePrintStats(be, doms[0])
-				}
-			}
-		}()
-	}
+	// After the reports: each experiment backend's evaluation statistics
+	// (transport counters for a remote rig), then the process-wide lines.
+	defer app.MaybePrintStatsEach([]backend.Backend{ctx.JunoBE, ctx.AMDBE})
 	var toRun []experiments.Experiment
 	switch *exp {
 	case "all":

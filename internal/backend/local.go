@@ -225,14 +225,14 @@ func (l *Local) VminShmoo(name string, load platform.Load, seed int64, clocks []
 	return tester.Shmoo(load, clocks)
 }
 
-// EvalStats returns the bench's evaluation counters for the domain, in the
-// text the lab daemon's STATS verb sends (core.Bench.EvalStats).
+// EvalStats returns the bench's evaluation counters, in the text the lab
+// daemon's STATS verb sends (core.Bench.EvalStats); name must be one of
+// the platform's domains.
 func (l *Local) EvalStats(name string) (string, error) {
-	d, err := l.domain(name)
-	if err != nil {
+	if _, err := l.domain(name); err != nil {
 		return "", err
 	}
-	return l.bench.EvalStats(d), nil
+	return l.bench.EvalStats(), nil
 }
 
 // Close is a no-op: the bench lives in-process.

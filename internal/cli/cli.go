@@ -418,6 +418,51 @@ func (a *App) MaybePrintStats(be backend.Backend, domain string) {
 	fmt.Println(stats)
 }
 
+// MaybePrintStatsEach prints the -v diagnostics of a command that drives
+// several backends in one process (repro's experiment platforms): each
+// backend's own counters under its platform name, then once the
+// process-wide lines its local benches share (core.ProcessStats), which
+// would otherwise repeat under every backend.
+func (a *App) MaybePrintStatsEach(bes []backend.Backend) {
+	if !*a.Verbose {
+		return
+	}
+	if err := writeStatsEach(os.Stdout, bes); err != nil {
+		fmt.Fprintf(os.Stderr, "%s: stats: %v\n", a.Name, err)
+	}
+}
+
+// writeStatsEach renders MaybePrintStatsEach's text: a remote rig's
+// transport counters, a local bench's batch line, any other backend's
+// EvalStats for its first domain.
+func writeStatsEach(w io.Writer, bes []backend.Backend) error {
+	local := false
+	for _, be := range bes {
+		var stats string
+		switch be := be.(type) {
+		case *backend.Remote:
+			stats = be.TransportStats().String()
+		case *backend.Local:
+			local = true
+			stats = be.Bench().BatchStats().String()
+		default:
+			doms := be.Domains()
+			if len(doms) == 0 {
+				continue
+			}
+			var err error
+			if stats, err = be.EvalStats(doms[0]); err != nil {
+				return err
+			}
+		}
+		fmt.Fprintf(w, "%s: %s\n", be.PlatformName(), stats)
+	}
+	if local {
+		fmt.Fprintln(w, core.ProcessStats())
+	}
+	return nil
+}
+
 // NewSession starts a session report for the domain's current state as
 // the backend observes it.
 func (a *App) NewSession(be backend.Backend, domain string, now time.Time) (*session.Report, error) {

@@ -6,8 +6,11 @@ import (
 	"fmt"
 	"net"
 	"strconv"
+	"strings"
 	"testing"
 
+	"repro/internal/backend"
+	"repro/internal/castore"
 	"repro/internal/core"
 	"repro/internal/lab"
 	"repro/internal/platform"
@@ -176,6 +179,50 @@ func TestHelloSeedWarning(t *testing.T) {
 		want := fmt.Sprintf("gahunt: warning: rig %s measures with seed 3, not -seed 5; results will differ from a local run\n", addr)
 		if got != want {
 			t.Errorf("%s -seed 5: stderr %q, want %q", c.flag, got, want)
+		}
+	}
+}
+
+// TestStatsEachPrintsProcessLinesOnce: a command driving two local
+// benches prints each bench's batch line under its platform name and the
+// process-wide lines (steady-state extrapolation, the one installed
+// persistent store) once, not once per bench.
+func TestStatsEachPrintsProcessLinesOnce(t *testing.T) {
+	store, err := castore.Open(t.TempDir(), castore.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	prev := core.SetPersistentStore(store)
+	t.Cleanup(func() { core.SetPersistentStore(prev) })
+	var bes []backend.Backend
+	for _, build := range []func() (*platform.Platform, error){platform.JunoR2, platform.AMDDesktop} {
+		p, err := build()
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, err := core.NewBench(p, 7)
+		if err != nil {
+			t.Fatal(err)
+		}
+		be, err := backend.NewLocal(b)
+		if err != nil {
+			t.Fatal(err)
+		}
+		bes = append(bes, be)
+	}
+	var out bytes.Buffer
+	if err := writeStatsEach(&out, bes); err != nil {
+		t.Fatal(err)
+	}
+	got := out.String()
+	for line, want := range map[string]int{
+		"persistent cache:":          1,
+		"steady-state extrapolation": 1,
+		"juno-r2: batch eval:":       1,
+		"amd-desktop: batch eval:":   1,
+	} {
+		if n := strings.Count(got, line); n != want {
+			t.Errorf("%q appears %d times, want %d:\n%s", line, n, want, got)
 		}
 	}
 }

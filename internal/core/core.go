@@ -23,6 +23,7 @@ import (
 	"repro/internal/instrument"
 	"repro/internal/isa"
 	"repro/internal/platform"
+	"repro/internal/uarch"
 )
 
 // Band is the frequency band searched for the first-order resonance
@@ -130,18 +131,26 @@ func (b *Bench) EMMeasureN(d *platform.Domain, l platform.Load, samples int) (*i
 	return &ms[0], nil
 }
 
-// EvalStats renders the evaluation counters behind measurements on domain
-// d: the domain's cache block, the persistent store's line when one is
-// installed and, once any measurement has run, the bench's batch line.
-// Local backends and the lab daemon's STATS verb both print exactly this
-// text.
-func (b *Bench) EvalStats(d *platform.Domain) string {
-	stats := d.EvalStats()
-	if s := PersistentStore(); s != nil {
-		stats += "\n" + s.Stats().String()
-	}
+// EvalStats renders the evaluation counters behind the bench's
+// measurements: the process-wide lines (ProcessStats) and, once any
+// measurement has run, the bench's batch line. Local backends and the lab
+// daemon's STATS verb both print exactly this text.
+func (b *Bench) EvalStats() string {
+	stats := ProcessStats()
 	if bs := b.BatchStats(); bs.Batches > 0 {
 		stats += "\n" + bs.String()
+	}
+	return stats
+}
+
+// ProcessStats renders the evaluation counters every bench in the process
+// shares: the steady-state extrapolation line and, when a persistent store
+// is installed, the store's line. A command driving several benches
+// prints these once, beside each bench's own batch line.
+func ProcessStats() string {
+	stats := fmt.Sprintf("steady-state extrapolation: %d simulated cycles skipped", uarch.ExtrapolatedCycles())
+	if s := PersistentStore(); s != nil {
+		stats += "\n" + s.Stats().String()
 	}
 	return stats
 }

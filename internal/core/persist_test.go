@@ -198,14 +198,13 @@ func FuzzDecodeMeas(f *testing.F) {
 // TestEvalStatsReportsPersistentStore: the -v store line comes from the
 // bench, so it appears exactly when a measurement store is installed.
 func TestEvalStatsReportsPersistentStore(t *testing.T) {
-	b, p := testBench(t)
-	d := dom(t, p, platform.DomainA72)
+	b, _ := testBench(t)
 	withMeasStore(t, nil)
-	if got := b.EvalStats(d); strings.Contains(got, "persistent cache:") {
+	if got := b.EvalStats(); strings.Contains(got, "persistent cache:") {
 		t.Errorf("store line without a store:\n%s", got)
 	}
 	withMeasStore(t, openStore(t, t.TempDir()))
-	if got := b.EvalStats(d); !strings.Contains(got, "persistent cache:") {
+	if got := b.EvalStats(); !strings.Contains(got, "persistent cache:") {
 		t.Errorf("no store line with a store installed:\n%s", got)
 	}
 }

@@ -508,9 +508,8 @@ func (s *Server) cmdStats(w *bufio.Writer, fields []string) error {
 	if len(fields) != 2 {
 		return fmt.Errorf("usage: STATS <domain>")
 	}
-	d, err := s.domain(fields[1])
-	if err != nil {
+	if _, err := s.domain(fields[1]); err != nil {
 		return err
 	}
-	return writeLine(w, "%s %s", replyOK, strconv.Quote(s.Bench.EvalStats(d)))
+	return writeLine(w, "%s %s", replyOK, strconv.Quote(s.Bench.EvalStats()))
 }

@@ -425,7 +425,7 @@ func TestStatsRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if want := b.EvalStats(d); stats != want {
+	if want := b.EvalStats(); stats != want {
 		t.Fatalf("remote stats:\n%s\nlocal:\n%s", stats, want)
 	}
 	if !strings.Contains(stats, "batch eval:") {

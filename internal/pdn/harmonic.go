@@ -22,22 +22,14 @@ func (m *Model) HarmonicResponse(f0 float64, coeffs []complex128, samples int) (
 	if len(coeffs) == 0 || samples < 2 {
 		return nil, fmt.Errorf("pdn: need coefficients and >=2 samples")
 	}
-	s, err := m.loadSolver()
+	s, err := m.newLoadSolver()
 	if err != nil {
 		return nil, err
 	}
 	type hk struct{ hv, hi complex128 }
 	hs := make([]hk, len(coeffs))
 	for k := range coeffs {
-		res, err := s.Solve(float64(k) * f0)
-		if err != nil {
-			return nil, err
-		}
-		hv, err := res.Voltage(NodeDie)
-		if err != nil {
-			return nil, err
-		}
-		hi, err := res.Current(ElemLPkg)
+		hv, hi, err := s.transfer(float64(k) * f0)
 		if err != nil {
 			return nil, err
 		}

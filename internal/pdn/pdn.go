@@ -162,20 +162,55 @@ func (m *Model) build(load circuit.Waveform) *circuit.Circuit {
 	return c
 }
 
-// loadSolver builds the quiet netlist once and returns an AC solver driven
-// by a unit load current. Every frequency-domain analysis reuses one
-// solver across its frequencies.
-func (m *Model) loadSolver() (*circuit.ACSolver, error) {
-	return m.build(circuit.DC(0)).NewACSolver(circuit.ACStimulus{ElemLoad: 1})
+// loadSolver is an AC solver of the quiet netlist driven by a unit load
+// current, with the die node and the package-inductor branch resolved
+// once. Every frequency-domain analysis reuses one across its frequencies.
+type loadSolver struct {
+	s        *circuit.ACSolver
+	die, ipk circuit.Probe
+}
+
+// newLoadSolver builds the quiet netlist and its solver.
+func (m *Model) newLoadSolver() (*loadSolver, error) {
+	s, err := m.build(circuit.DC(0)).NewACSolver(circuit.ACStimulus{ElemLoad: 1})
+	if err != nil {
+		return nil, err
+	}
+	die, err := s.VoltageProbe(NodeDie)
+	if err != nil {
+		return nil, err
+	}
+	ipk, err := s.CurrentProbe(ElemLPkg)
+	if err != nil {
+		return nil, err
+	}
+	return &loadSolver{s: s, die: die, ipk: ipk}, nil
+}
+
+// transfer returns the die-voltage and package-inductor-current phasors
+// per unit load current at f.
+func (ls *loadSolver) transfer(f float64) (hv, hi complex128, err error) {
+	res, err := ls.s.Solve(f)
+	if err != nil {
+		return 0, 0, err
+	}
+	return res.At(ls.die), res.At(ls.ipk), nil
+}
+
+// impedance returns the driving-point impedance seen by the die at f. The
+// load pulls current out of the die node, so it is -V/I with I = 1.
+func (ls *loadSolver) impedance(f float64) (complex128, error) {
+	hv, _, err := ls.transfer(f)
+	return -hv, err
 }
 
 // Impedance returns the driving-point impedance seen by the die at f.
 func (m *Model) Impedance(f float64) (complex128, error) {
-	s, err := m.loadSolver()
+	s, err := m.newLoadSolver()
 	if err != nil {
 		return 0, err
 	}
-	return s.Impedance(f, NodeDie)
+	return s.impedance(f)
 }
 
 // ImpedancePoint pairs a frequency with an impedance magnitude.
@@ -187,18 +222,23 @@ type ImpedancePoint struct {
 // ImpedanceProfile samples |Z(f)| at points log-spaced frequencies between
 // fLo and fHi inclusive.
 func (m *Model) ImpedanceProfile(fLo, fHi float64, points int) ([]ImpedancePoint, error) {
-	if fLo <= 0 || fHi <= fLo || points < 2 {
-		return nil, fmt.Errorf("pdn: invalid impedance sweep [%v, %v] x%d", fLo, fHi, points)
-	}
-	s, err := m.loadSolver()
+	s, err := m.newLoadSolver()
 	if err != nil {
 		return nil, err
+	}
+	return s.profile(fLo, fHi, points)
+}
+
+// profile is ImpedanceProfile on an existing solver.
+func (ls *loadSolver) profile(fLo, fHi float64, points int) ([]ImpedancePoint, error) {
+	if fLo <= 0 || fHi <= fLo || points < 2 {
+		return nil, fmt.Errorf("pdn: invalid impedance sweep [%v, %v] x%d", fLo, fHi, points)
 	}
 	out := make([]ImpedancePoint, points)
 	ratio := math.Pow(fHi/fLo, 1/float64(points-1))
 	f := fLo
 	for i := 0; i < points; i++ {
-		z, err := s.Impedance(f, NodeDie)
+		z, err := ls.impedance(f)
 		if err != nil {
 			return nil, err
 		}
@@ -209,9 +249,14 @@ func (m *Model) ImpedanceProfile(fLo, fHi float64, points int) ([]ImpedancePoint
 }
 
 // ResonancePeak numerically locates the impedance maximum within [fLo, fHi]
-// by a coarse log sweep followed by golden-section refinement.
+// by a coarse log sweep followed by golden-section refinement, both on one
+// solver.
 func (m *Model) ResonancePeak(fLo, fHi float64) (freq, zmag float64, err error) {
-	prof, err := m.ImpedanceProfile(fLo, fHi, 200)
+	s, err := m.newLoadSolver()
+	if err != nil {
+		return 0, 0, err
+	}
+	prof, err := s.profile(fLo, fHi, 200)
 	if err != nil {
 		return 0, 0, err
 	}
@@ -228,12 +273,8 @@ func (m *Model) ResonancePeak(fLo, fHi float64) (freq, zmag float64, err error) 
 	if best < len(prof)-1 {
 		hi = prof[best+1].Freq
 	}
-	s, err := m.loadSolver()
-	if err != nil {
-		return 0, 0, err
-	}
 	zAt := func(f float64) float64 {
-		z, zerr := s.Impedance(f, NodeDie)
+		z, zerr := s.impedance(f)
 		if zerr != nil {
 			err = zerr
 			return 0

@@ -97,7 +97,7 @@ func (m *Model) Transfers(n int, dt float64) (*TransferSet, error) {
 	if err := dsp.Validate(n, 1/dt); err != nil {
 		return nil, err
 	}
-	s, err := m.loadSolver()
+	s, err := m.newLoadSolver()
 	if err != nil {
 		return nil, err
 	}
@@ -113,17 +113,9 @@ func (m *Model) Transfers(n int, dt float64) (*TransferSet, error) {
 	fs := 1 / dt
 	for k := 0; k < half; k++ {
 		f := dsp.BinFreq(k, n, fs)
-		res, err := s.Solve(f)
+		hv, hi, err := s.transfer(f)
 		if err != nil {
 			return nil, fmt.Errorf("pdn: transfer at bin %d (%g Hz): %w", k, f, err)
-		}
-		hv, err := res.Voltage(NodeDie)
-		if err != nil {
-			return nil, err
-		}
-		hi, err := res.Current(ElemLPkg)
-		if err != nil {
-			return nil, err
 		}
 		ts.HV[k] = hv
 		ts.HI[k] = hi
