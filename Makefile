@@ -1,7 +1,6 @@
 GO ?= go
-BENCH_OUT ?= BENCH_head.json
 
-.PHONY: all build test tier1 tier1-remote tier1-fleet specs-verify race vet bench bench-all bench-compare perf-gate chaos fmt cache-stress
+.PHONY: all build test tier1 tier1-remote tier1-fleet specs-verify race vet reach bench bench-all chaos fmt cache-stress
 
 all: build test
 
@@ -36,8 +35,9 @@ test: build
 # here rather than on a user's machine. The perfbench
 # harness is a nested module (perfbench/go.mod replaces repro with ../), so
 # the root ./... never compiles it; its smoke tests run separately, with
-# the same module settings as perfbench/run.sh.
-tier1: build fmt vet specs-verify tier1-remote tier1-fleet
+# the same module settings as perfbench/run.sh. Non-test code no program
+# links fails the gate (reach).
+tier1: build fmt vet reach specs-verify tier1-remote tier1-fleet
 	$(call require-tests,GAGolden|SweepGolden|VoltageGAGolden,.)
 	$(call require-tests,BoundedDescentMatchesExhaustive,./internal/vmin)
 	$(call require-tests,RungPredictionWithinBound,./internal/vmin)
@@ -107,36 +107,21 @@ race: tier1 chaos
 vet:
 	$(GO) vet ./...
 
+# Non-test functions under internal/ that no command, example or the
+# perfbench driver links, less the allowlist cmd/reach/allow.txt; fails on
+# any other and on a stale allowlist entry.
+reach:
+	$(GO) run ./cmd/reach
+
 # Hot-path benchmarks (sweep, shmoo, spectra and fitness evaluation,
 # batched and fleet generations, warm start) plus the stage benchmarks
 # kept next to their stage (the analyzer's MeasurePeak, the real-input
-# FFT, the PDN transfer solve and one V_MIN ladder rung), recorded as
-# $(BENCH_OUT) for regression diffing. The default output is the scratch
-# report perf-gate compares; name a checked-in baseline explicitly:
-#   make bench BENCH_OUT=BENCH_pr5.json
+# FFT, the PDN transfer solve and one V_MIN ladder rung), printed as plain
+# `go test -bench` output. The end-to-end benchmark is perfbench
+# (BENCHMARK.json).
 bench:
 	$(GO) test -bench 'BenchmarkSpectraEvaluation|BenchmarkFitnessEvaluation|BenchmarkResonanceSweep|BenchmarkShmoo|BenchmarkGenerationBatch|BenchmarkFleetGeneration|BenchmarkWarmStart|BenchmarkMeasurePeak|BenchmarkRFFT8192|BenchmarkTransfers8192|BenchmarkLadderRung' \
-		-benchmem -benchtime 1s -run '^$$' . ./internal/instrument ./internal/dsp ./internal/pdn ./internal/platform | $(GO) run ./cmd/benchjson -o $(BENCH_OUT)
-
-# Diff two benchmark reports; exits nonzero if any benchmark present in
-# both regressed more than 20% in ns/op:
-#   make bench-compare OLD=BENCH_pr3.json NEW=BENCH_pr4.json
-OLD ?= BENCH_pr3.json
-NEW ?= $(BENCH_OUT)
-bench-compare:
-	$(GO) run ./cmd/benchjson -compare $(OLD) $(NEW)
-
-# One-shot perf gate: record the current head's hot-path numbers and diff
-# them against the last checked-in baseline (fails on a >20% ns/op
-# regression, and prints the cross-PR trajectory table on success):
-#   make perf-gate
-# The bench regex includes the fleet merge path (BenchmarkFleetGeneration),
-# so a coordination-tax regression in the orchestrator trips the same gate
-# as a hot-path one; benchmarks absent from the old baseline are reported
-# but not compared.
-perf-gate:
-	$(MAKE) bench
-	$(MAKE) bench-compare OLD=BENCH_pr8.json NEW=$(BENCH_OUT)
+		-benchmem -benchtime 1s -run '^$$' . ./internal/instrument ./internal/dsp ./internal/pdn ./internal/platform
 
 # Hammers the persistent store's concurrent surface (mixed Put/Get under
 # GC pressure, cross-handle sharing) repeatedly under the race detector.

@@ -4,9 +4,7 @@ package emnoise
 // pays its cycle-accurate simulation, except that a campaign (a sweep or a
 // shmoo) primes one charge history and synthesizes every clock from it.
 // Fresh platforms or a per-iteration supply perturbation keep every other
-// layer computing.
-// These are the benchmarks recorded by `make bench` (BENCH_OUT, default
-// BENCH_head.json).
+// layer computing. `make bench` runs these.
 
 import (
 	"math/rand"

@@ -18,7 +18,6 @@ import (
 	"repro/internal/ga"
 	"repro/internal/isa"
 	"repro/internal/platform"
-	"repro/internal/slab"
 )
 
 var (
@@ -95,71 +94,6 @@ func BenchmarkFig17GAAMD(b *testing.B)            { runExperiment(b, "fig17") }
 func BenchmarkFig18VminAMD(b *testing.B)          { runExperiment(b, "fig18") }
 func BenchmarkTable1Platforms(b *testing.B)       { runExperiment(b, "tab1") }
 func BenchmarkTable2Viruses(b *testing.B)         { runExperiment(b, "tab2") }
-
-// BenchmarkAblationFreqVsTransient compares the fast frequency-domain
-// steady-state path against the reference transient solver: the fitness
-// loop runs thousands of evaluations, so the speedup is the reason the GA
-// finishes in minutes instead of hours.
-func BenchmarkAblationFreqVsTransient(b *testing.B) {
-	plat, err := JunoR2()
-	if err != nil {
-		b.Fatal(err)
-	}
-	d, err := plat.Domain(DomainA72)
-	if err != nil {
-		b.Fatal(err)
-	}
-	w, err := WorkloadByName("lbm")
-	if err != nil {
-		b.Fatal(err)
-	}
-	seq, err := w.Build(d.Spec.Pool())
-	if err != nil {
-		b.Fatal(err)
-	}
-	l := Load{Seq: seq, ActiveCores: 2}
-	const (
-		dt = 0.25e-9
-		n  = 8192
-	)
-	b.Run("steady-state", func(b *testing.B) {
-		var ptp float64
-		var ar slab.Arena
-		for i := 0; i < b.N; i++ {
-			ar.Reset()
-			resp, _, err := d.SteadyVDie(l, dt, n, &ar)
-			if err != nil {
-				b.Fatal(err)
-			}
-			ptp = resp.PeakToPeak()
-		}
-		b.ReportMetric(ptp*1e3, "ptp_mv")
-	})
-	b.Run("transient", func(b *testing.B) {
-		var ptp float64
-		for i := 0; i < b.N; i++ {
-			resp, _, err := d.TransientResponse(l, dt, n)
-			if err != nil {
-				b.Fatal(err)
-			}
-			ptp = ptpOf(resp.VDie[n/2:])
-		}
-		b.ReportMetric(ptp*1e3, "ptp_mv")
-	})
-}
-
-func ptpOf(x []float64) float64 {
-	min, max := x[0], x[0]
-	for _, v := range x {
-		if v < min {
-			min = v
-		}
-		if v > max {
-			max = v
-		}
-	}
-	return max - min
-}
 
 // BenchmarkAblationGAOperators sweeps the GA mutation rate (the paper uses
 // 2-4%) and reports the best fitness each rate reaches under a fixed

@@ -140,17 +140,14 @@ type Backend interface {
 
 	// State returns a domain's current operating point.
 	State(domain string) (DomainState, error)
-	// SetClock, SetSupply and SetPoweredCores write absolute setpoints;
-	// Reset restores the nominal operating point.
-	SetClock(domain string, hz float64) error
-	SetSupply(domain string, volts float64) error
+	// SetPoweredCores writes an absolute setpoint; Reset restores the
+	// nominal operating point.
 	SetPoweredCores(domain string, n int) error
 	Reset(domain string) error
 
 	// EMMeasure takes an averaged EM peak measurement of a load at the
-	// backend's default sample count; EMMeasureN makes the count explicit.
+	// backend's default sample count.
 	EMMeasure(domain string, load platform.Load) (*instrument.Measurement, error)
-	EMMeasureN(domain string, load platform.Load, samples int) (*instrument.Measurement, error)
 	// Measurer builds a GA fitness function for the spec's metric. A
 	// droop/ptp request on a domain without voltage visibility returns a
 	// *CapabilityError.

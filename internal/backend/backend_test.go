@@ -13,6 +13,7 @@ import (
 	"repro/internal/backend"
 	"repro/internal/core"
 	"repro/internal/ga"
+	"repro/internal/instrument"
 	"repro/internal/lab"
 	"repro/internal/platform"
 	"repro/internal/session"
@@ -70,6 +71,16 @@ func identityOpts() lab.Options {
 	o := fastOpts()
 	o.IOTimeout = 0
 	return o
+}
+
+// localEMN measures on the local backend's bench with explicit averaging,
+// the reference a Remote's EMMeasureN must match.
+func localEMN(l *backend.Local, domain string, load platform.Load, samples int) (*instrument.Measurement, error) {
+	d, err := l.Bench().Platform.Domain(domain)
+	if err != nil {
+		return nil, err
+	}
+	return l.Bench().EMMeasureN(d, load, samples)
 }
 
 func backends(t *testing.T, jobs int) (*backend.Local, *backend.Remote) {
@@ -146,9 +157,6 @@ func TestLocalRemoteEquivalence(t *testing.T) {
 
 	// Setpoints propagate identically.
 	for _, be := range []backend.Backend{local, remote} {
-		if err := be.SetClock(platform.DomainA72, 600e6); err != nil {
-			t.Fatal(err)
-		}
 		if err := be.SetPoweredCores(platform.DomainA53, 2); err != nil {
 			t.Fatal(err)
 		}
@@ -169,7 +177,7 @@ func TestLocalRemoteEquivalence(t *testing.T) {
 
 	load := probeLoad(t, local, platform.DomainA72, 2)
 
-	lm, err := local.EMMeasureN(platform.DomainA72, load, 3)
+	lm, err := localEMN(local, platform.DomainA72, load, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -265,7 +273,7 @@ func TestPhaseLoadEquivalence(t *testing.T) {
 	load := probeLoad(t, local, platform.DomainA72, 2)
 	load.PhaseCycles = []float64{0, 37.5}
 
-	lm, err := local.EMMeasureN(platform.DomainA72, load, 3)
+	lm, err := localEMN(local, platform.DomainA72, load, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -276,7 +284,7 @@ func TestPhaseLoadEquivalence(t *testing.T) {
 	if !reflect.DeepEqual(lm, rm) {
 		t.Fatalf("phased EM measurement: local %+v remote %+v", lm, rm)
 	}
-	aligned, err := local.EMMeasureN(platform.DomainA72, probeLoad(t, local, platform.DomainA72, 2), 3)
+	aligned, err := localEMN(local, platform.DomainA72, probeLoad(t, local, platform.DomainA72, 2), 3)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -87,24 +87,6 @@ func (l *Local) State(name string) (DomainState, error) {
 	}, nil
 }
 
-// SetClock adjusts a domain's DVFS point.
-func (l *Local) SetClock(name string, hz float64) error {
-	d, err := l.domain(name)
-	if err != nil {
-		return err
-	}
-	return d.SetClockHz(hz)
-}
-
-// SetSupply adjusts a domain's supply setpoint.
-func (l *Local) SetSupply(name string, volts float64) error {
-	d, err := l.domain(name)
-	if err != nil {
-		return err
-	}
-	return d.SetSupplyVolts(volts)
-}
-
 // SetPoweredCores power-gates cores.
 func (l *Local) SetPoweredCores(name string, n int) error {
 	d, err := l.domain(name)
@@ -131,15 +113,6 @@ func (l *Local) EMMeasure(name string, load platform.Load) (*instrument.Measurem
 		return nil, err
 	}
 	return l.bench.EMMeasure(d, load)
-}
-
-// EMMeasureN measures a load's EM peak with explicit averaging.
-func (l *Local) EMMeasureN(name string, load platform.Load, samples int) (*instrument.Measurement, error) {
-	d, err := l.domain(name)
-	if err != nil {
-		return nil, err
-	}
-	return l.bench.EMMeasureN(d, load, samples)
 }
 
 // Measurer builds a GA fitness function on the local bench. The em metric

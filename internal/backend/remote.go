@@ -32,7 +32,6 @@ type Remote struct {
 	// core.NewBench).
 	Samples int
 
-	addr         string
 	pool         *lab.Pool
 	platformName string
 	seed         int64
@@ -51,7 +50,6 @@ func NewRemote(addr string, jobs int, opts lab.Options) (*Remote, error) {
 	}
 	r := &Remote{
 		Samples: 30,
-		addr:    addr,
 		pool:    pool,
 		caps:    make(map[string]Caps),
 	}
@@ -78,9 +76,6 @@ func NewRemote(addr string, jobs int, opts lab.Options) (*Remote, error) {
 	}
 	return r, nil
 }
-
-// Addr reports the daemon address this backend drives.
-func (r *Remote) Addr() string { return r.addr }
 
 // TransportStats snapshots the pool's transport counters (latency,
 // retries, reconnects) for -v output.
@@ -174,16 +169,6 @@ func (r *Remote) State(domain string) (DomainState, error) {
 		return nil
 	})
 	return st, err
-}
-
-// SetClock adjusts the remote domain's DVFS point.
-func (r *Remote) SetClock(domain string, hz float64) error {
-	return r.pool.Do(func(c *lab.Client) error { return c.SetClock(domain, hz) })
-}
-
-// SetSupply adjusts the remote domain's supply setpoint.
-func (r *Remote) SetSupply(domain string, volts float64) error {
-	return r.pool.Do(func(c *lab.Client) error { return c.SetVolts(domain, volts) })
 }
 
 // SetPoweredCores power-gates cores on the remote domain.

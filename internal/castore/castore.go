@@ -151,9 +151,6 @@ func Open(dir string, opts Options) (*Store, error) {
 	return s, nil
 }
 
-// Dir returns the store's root directory.
-func (s *Store) Dir() string { return s.dir }
-
 // Stats returns a snapshot of the store's counters.
 func (s *Store) Stats() Stats {
 	return Stats{

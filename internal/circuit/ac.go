@@ -9,28 +9,8 @@ import (
 
 // ACResult holds the complex phasor solution at one frequency.
 type ACResult struct {
-	circuit *Circuit
-	Freq    float64
-	x       []complex128
-}
-
-// Voltage returns the complex node-voltage phasor of the named node.
-func (r *ACResult) Voltage(node string) (complex128, error) {
-	idx, err := r.circuit.nodeIndex(node)
-	if err != nil {
-		return 0, err
-	}
-	return r.At(Probe{idx}), nil
-}
-
-// Current returns the complex branch-current phasor of the named inductor
-// or voltage source.
-func (r *ACResult) Current(name string) (complex128, error) {
-	idx, err := r.circuit.branchIndex(name)
-	if err != nil {
-		return 0, err
-	}
-	return r.At(Probe{idx}), nil
+	Freq float64
+	x    []complex128
 }
 
 // Probe is one unknown of an AC solution, a node voltage or a branch
@@ -119,7 +99,7 @@ func (c *Circuit) NewACSolver(stim ACStimulus) (*ACSolver, error) {
 		m:   linalg.NewCMatrix(n, n),
 		pat: linalg.NewPattern(n),
 		rhs: make([]complex128, n),
-		res: ACResult{circuit: c, x: make([]complex128, n)},
+		res: ACResult{x: make([]complex128, n)},
 	}
 	add := func(i, j int, re, coef float64) {
 		if i < 0 || j < 0 {
@@ -198,42 +178,4 @@ func (s *ACSolver) Solve(f float64) (*ACResult, error) {
 	}
 	s.res.Freq = f
 	return &s.res, nil
-}
-
-// Impedance returns the driving-point impedance seen from node to ground
-// at frequency f, for a solver whose stimulus is a unit AC current through
-// a current source connected to that node.
-func (s *ACSolver) Impedance(f float64, node string) (complex128, error) {
-	res, err := s.Solve(f)
-	if err != nil {
-		return 0, err
-	}
-	v, err := res.Voltage(node)
-	if err != nil {
-		return 0, err
-	}
-	// The source pulls current out of the node, so the driving-point
-	// impedance is -V/I with I = 1.
-	return -v, nil
-}
-
-// SolveAC solves the small-signal phasor system at frequency f (Hz): a
-// one-frequency ACSolver.
-func (c *Circuit) SolveAC(f float64, stim ACStimulus) (*ACResult, error) {
-	s, err := c.NewACSolver(stim)
-	if err != nil {
-		return nil, err
-	}
-	return s.Solve(f)
-}
-
-// Impedance returns the driving-point impedance seen from the named node
-// to ground at frequency f, by injecting a unit AC current through the
-// named current source (which must connect that node).
-func (c *Circuit) Impedance(f float64, isrcName, node string) (complex128, error) {
-	s, err := c.NewACSolver(ACStimulus{isrcName: 1})
-	if err != nil {
-		return 0, err
-	}
-	return s.Impedance(f, node)
 }

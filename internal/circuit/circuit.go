@@ -169,9 +169,6 @@ func (c *Circuit) I(name, a, b string, wave Waveform) {
 	c.is = append(c.is, isource{name, c.node(a), c.node(b), wave})
 }
 
-// NumNodes returns the number of non-ground nodes.
-func (c *Circuit) NumNodes() int { return len(c.nodeName) }
-
 // size returns the dimension of the MNA system and assigns branch indices.
 func (c *Circuit) size() int {
 	n := len(c.nodeName)

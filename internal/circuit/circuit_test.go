@@ -187,7 +187,7 @@ func TestACSeriesRLImpedance(t *testing.T) {
 	c.R("r", "n", "m", r)
 	c.L("l", "m", Ground, l)
 	f := 1e6
-	z, err := c.Impedance(f, "probe", "n")
+	z, err := impedance(c, f, "probe", "n")
 	if err != nil {
 		t.Fatalf("Impedance: %v", err)
 	}
@@ -210,7 +210,7 @@ func TestACParallelRLCResonance(t *testing.T) {
 	c.R("r", "n", Ground, r)
 	c.L("l", "n", Ground, l)
 	c.C("c", "n", Ground, ć)
-	z, err := c.Impedance(f0, "probe", "n")
+	z, err := impedance(c, f0, "probe", "n")
 	if err != nil {
 		t.Fatalf("Impedance: %v", err)
 	}
@@ -218,8 +218,8 @@ func TestACParallelRLCResonance(t *testing.T) {
 		t.Fatalf("Z(f0) = %v, want %v+0i", z, r)
 	}
 	// Off resonance the magnitude must be lower.
-	zLow, _ := c.Impedance(f0/3, "probe", "n")
-	zHigh, _ := c.Impedance(f0*3, "probe", "n")
+	zLow, _ := impedance(c, f0/3, "probe", "n")
+	zHigh, _ := impedance(c, f0*3, "probe", "n")
 	if cmplx.Abs(zLow) >= cmplx.Abs(z) || cmplx.Abs(zHigh) >= cmplx.Abs(z) {
 		t.Fatalf("resonance not a peak: |Z(f0/3)|=%v |Z(f0)|=%v |Z(3f0)|=%v",
 			cmplx.Abs(zLow), cmplx.Abs(z), cmplx.Abs(zHigh))
@@ -248,11 +248,7 @@ func TestACMatchesTransientProperty(t *testing.T) {
 		}
 
 		ac := build(DC(0))
-		res, err := ac.SolveAC(f, ACStimulus{"iload": 1})
-		if err != nil {
-			return false
-		}
-		h, err := res.Voltage("die")
+		h, err := acVoltage(ac, f, ACStimulus{"iload": 1}, "die")
 		if err != nil {
 			return false
 		}
@@ -331,10 +327,10 @@ func TestErrorPaths(t *testing.T) {
 	if _, err := c.RunTransient(TransientOptions{Dt: 1e-9, Steps: 0}); err == nil {
 		t.Error("zero-step transient succeeded")
 	}
-	if _, err := c.SolveAC(-1, nil); err == nil {
+	if _, err := solveAC(c, -1, nil); err == nil {
 		t.Error("negative-frequency AC succeeded")
 	}
-	if _, err := c.SolveAC(1e6, ACStimulus{"ghost": 1}); err == nil {
+	if _, err := solveAC(c, 1e6, ACStimulus{"ghost": 1}); err == nil {
 		t.Error("AC with unknown stimulus succeeded")
 	}
 	if _, err := New().OperatingPoint(); err == nil {
@@ -343,7 +339,7 @@ func TestErrorPaths(t *testing.T) {
 	if _, err := New().RunTransient(TransientOptions{Dt: 1e-9, Steps: 1}); err == nil {
 		t.Error("empty circuit transient succeeded")
 	}
-	if _, err := New().SolveAC(1, nil); err == nil {
+	if _, err := solveAC(New(), 1, nil); err == nil {
 		t.Error("empty circuit AC succeeded")
 	}
 }
@@ -355,10 +351,6 @@ func TestTransientCurrentsAndTimes(t *testing.T) {
 	tr, err := c.RunTransient(TransientOptions{Dt: 1e-9, Steps: 4, FromOP: true})
 	if err != nil {
 		t.Fatalf("RunTransient: %v", err)
-	}
-	ts := tr.Times()
-	if len(ts) != 5 || ts[4] != 4e-9 {
-		t.Fatalf("Times = %v", ts)
 	}
 	i, err := tr.Current("vs")
 	if err != nil {
@@ -378,14 +370,5 @@ func TestTransientCurrentsAndTimes(t *testing.T) {
 	}
 	if _, err := tr.Voltage("nope"); err == nil {
 		t.Error("Voltage of unknown node succeeded")
-	}
-}
-
-func TestNumNodes(t *testing.T) {
-	c := New()
-	c.R("r1", "a", "b", 1)
-	c.R("r2", "b", Ground, 1)
-	if n := c.NumNodes(); n != 2 {
-		t.Fatalf("NumNodes = %d, want 2", n)
 	}
 }

@@ -60,31 +60,3 @@ func (c *Circuit) OperatingPoint() (*OP, error) {
 	}
 	return &OP{circuit: c, x: x}, nil
 }
-
-// Voltage returns the DC voltage of the named node.
-func (op *OP) Voltage(node string) (float64, error) {
-	idx, err := op.circuit.nodeIndex(node)
-	if err != nil {
-		return 0, err
-	}
-	if idx < 0 {
-		return 0, nil // ground
-	}
-	return op.x[idx], nil
-}
-
-// Current returns the DC branch current of the named inductor or voltage
-// source.
-func (op *OP) Current(name string) (float64, error) {
-	for _, l := range op.circuit.ls {
-		if l.name == name {
-			return op.x[l.branch], nil
-		}
-	}
-	for _, v := range op.circuit.vs {
-		if v.name == name {
-			return op.x[v.branch], nil
-		}
-	}
-	return 0, fmt.Errorf("circuit: no inductor or vsource named %q", name)
-}

@@ -3,7 +3,6 @@ package circuit
 import (
 	"fmt"
 	"io"
-	"sort"
 )
 
 // WriteSpice emits the netlist in SPICE format so a PDN model built here
@@ -57,12 +56,4 @@ func (c *Circuit) WriteSpice(w io.Writer, title string) error {
 		}
 	}
 	return pr(".end")
-}
-
-// Nodes returns the non-ground node names in deterministic order.
-func (c *Circuit) Nodes() []string {
-	out := make([]string, len(c.nodeName))
-	copy(out, c.nodeName)
-	sort.Strings(out)
-	return out
 }

@@ -40,13 +40,3 @@ func TestWriteSpice(t *testing.T) {
 		t.Errorf("default title missing: %q", b2.String()[:20])
 	}
 }
-
-func TestNodes(t *testing.T) {
-	c := New()
-	c.R("r1", "b", "a", 1)
-	c.R("r2", "a", Ground, 1)
-	nodes := c.Nodes()
-	if len(nodes) != 2 || nodes[0] != "a" || nodes[1] != "b" {
-		t.Fatalf("Nodes = %v", nodes)
-	}
-}

@@ -43,15 +43,6 @@ func (tr *Transient) Current(name string) ([]float64, error) {
 	return tr.branchI[li], nil
 }
 
-// Times returns the sample instants.
-func (tr *Transient) Times() []float64 {
-	ts := make([]float64, tr.Steps)
-	for i := range ts {
-		ts[i] = float64(i) * tr.Dt
-	}
-	return ts
-}
-
 // TransientOptions configures RunTransient.
 type TransientOptions struct {
 	Dt    float64 // time step, seconds; must be > 0

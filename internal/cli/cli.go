@@ -400,14 +400,15 @@ func (a *App) ActiveCores(be backend.Backend, domain string) (int, error) {
 	return st.PoweredCores, nil
 }
 
-// MaybePrintStats prints the -v diagnostics: the rig's evaluation-cache
-// counters for a local backend, the transport counters for a remote one.
+// MaybePrintStats prints the -v diagnostics to stderr, so -v leaves a
+// command's stdout unchanged: the rig's evaluation-cache counters for a
+// local backend, the transport counters for a remote one.
 func (a *App) MaybePrintStats(be backend.Backend, domain string) {
 	if !*a.Verbose {
 		return
 	}
 	if r, ok := be.(*backend.Remote); ok {
-		fmt.Println(r.TransportStats().String())
+		fmt.Fprintln(os.Stderr, r.TransportStats().String())
 		return
 	}
 	stats, err := be.EvalStats(domain)
@@ -415,19 +416,19 @@ func (a *App) MaybePrintStats(be backend.Backend, domain string) {
 		fmt.Fprintf(os.Stderr, "%s: stats: %v\n", a.Name, err)
 		return
 	}
-	fmt.Println(stats)
+	fmt.Fprintln(os.Stderr, stats)
 }
 
-// MaybePrintStatsEach prints the -v diagnostics of a command that drives
-// several backends in one process (repro's experiment platforms): each
-// backend's own counters under its platform name, then once the
-// process-wide lines its local benches share (core.ProcessStats), which
-// would otherwise repeat under every backend.
+// MaybePrintStatsEach prints, to stderr, the -v diagnostics of a command
+// that drives several backends in one process (repro's experiment
+// platforms): each backend's own counters under its platform name, then
+// once the process-wide lines its local benches share
+// (core.ProcessStats), which would otherwise repeat under every backend.
 func (a *App) MaybePrintStatsEach(bes []backend.Backend) {
 	if !*a.Verbose {
 		return
 	}
-	if err := writeStatsEach(os.Stdout, bes); err != nil {
+	if err := writeStatsEach(os.Stderr, bes); err != nil {
 		fmt.Fprintf(os.Stderr, "%s: stats: %v\n", a.Name, err)
 	}
 }

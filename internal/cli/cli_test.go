@@ -4,7 +4,9 @@ import (
 	"bytes"
 	"flag"
 	"fmt"
+	"io"
 	"net"
+	"os"
 	"strconv"
 	"strings"
 	"testing"
@@ -224,5 +226,70 @@ func TestStatsEachPrintsProcessLinesOnce(t *testing.T) {
 		if n := strings.Count(got, line); n != want {
 			t.Errorf("%q appears %d times, want %d:\n%s", line, n, want, got)
 		}
+	}
+}
+
+// capture runs fn with os.Stdout and os.Stderr redirected to pipes and
+// returns what it wrote to each.
+func capture(t *testing.T, fn func()) (stdout, stderr string) {
+	t.Helper()
+	read := func(r *os.File, dst *string, done chan<- struct{}) {
+		b, _ := io.ReadAll(r)
+		*dst = string(b)
+		close(done)
+	}
+	or, ow, err := os.Pipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	er, ew, err := os.Pipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	oDone, eDone := make(chan struct{}), make(chan struct{})
+	go read(or, &stdout, oDone)
+	go read(er, &stderr, eDone)
+	saveOut, saveErr := os.Stdout, os.Stderr
+	os.Stdout, os.Stderr = ow, ew
+	defer func() {
+		os.Stdout, os.Stderr = saveOut, saveErr
+		ow.Close()
+		ew.Close()
+		<-oDone
+		<-eDone
+	}()
+	fn()
+	return
+}
+
+// TestStatsLeaveStdoutAlone: -v diagnostics go to stderr, so a command's
+// stdout is byte-identical with and without -v.
+func TestStatsLeaveStdoutAlone(t *testing.T) {
+	fs := flag.NewFlagSet("repro", flag.ContinueOnError)
+	app := New("repro", fs)
+	if err := fs.Parse([]string{"-v"}); err != nil {
+		t.Fatal(err)
+	}
+	p, err := platform.JunoR2()
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := core.NewBench(p, 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	be, err := backend.NewLocal(b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	stdout, stderr := capture(t, func() {
+		app.MaybePrintStats(be, platform.DomainA72)
+		app.MaybePrintStatsEach([]backend.Backend{be})
+	})
+	if stdout != "" {
+		t.Errorf("-v wrote to stdout:\n%s", stdout)
+	}
+	if !strings.Contains(stderr, "batch eval:") || !strings.Contains(stderr, "juno-r2: batch eval:") {
+		t.Errorf("-v diagnostics missing from stderr:\n%s", stderr)
 	}
 }

@@ -236,7 +236,7 @@ func TestMonitorAllShowsBothDomains(t *testing.T) {
 	// Both domains run their probe loops at different clocks, so their
 	// loop fundamentals appear as separate in-band spikes. Find the two
 	// strongest distinct peaks above the noise floor.
-	_, topDbm := sweep.Peak()
+	_, topDbm, _ := sweep.PeakInBand(math.Inf(-1), math.Inf(1))
 	if topDbm < -60 {
 		t.Fatalf("no emission visible: top peak %v dBm", topDbm)
 	}

@@ -140,7 +140,7 @@ func AssembleSweep(points []*SweepPoint) (*SweepResult, error) {
 	//
 	//   - The received power carries a known f_clk² scaling, which is
 	//     f_loop·f_clk up to the probe's fixed loop length L (f_clk =
-	//     L·f_loop). em.ReceivedPower grows as f_loop²·|I_L|², where I_L
+	//     L·f_loop). The received power grows as f_loop²·|I_L|², where I_L
 	//     is the package-inductor current. Near the first-order resonance
 	//     that current is the die voltage over the inductor's reactance,
 	//     |I_L| ≈ |Z|·|I_load|/(2π·f_loop·L_pkg), so the f_loop² cancels.

@@ -5,89 +5,6 @@ import (
 	"sort"
 )
 
-// Window identifies a window function applied before a transform.
-type Window int
-
-// Supported windows.
-const (
-	Rectangular Window = iota
-	Hann
-	Hamming
-	BlackmanHarris
-)
-
-// String returns the window's name.
-func (w Window) String() string {
-	switch w {
-	case Rectangular:
-		return "rectangular"
-	case Hann:
-		return "hann"
-	case Hamming:
-		return "hamming"
-	case BlackmanHarris:
-		return "blackman-harris"
-	default:
-		return "unknown"
-	}
-}
-
-// Coefficients returns the n window coefficients for w.
-func (w Window) Coefficients(n int) []float64 {
-	c := make([]float64, n)
-	if n == 1 {
-		c[0] = 1
-		return c
-	}
-	for i := 0; i < n; i++ {
-		x := 2 * math.Pi * float64(i) / float64(n-1)
-		switch w {
-		case Hann:
-			c[i] = 0.5 * (1 - math.Cos(x))
-		case Hamming:
-			c[i] = 0.54 - 0.46*math.Cos(x)
-		case BlackmanHarris:
-			c[i] = 0.35875 - 0.48829*math.Cos(x) + 0.14128*math.Cos(2*x) - 0.01168*math.Cos(3*x)
-		default:
-			c[i] = 1
-		}
-	}
-	return c
-}
-
-// CoherentGain returns the mean of the window coefficients; amplitude
-// spectra are divided by this to recover sinusoid amplitudes.
-func (w Window) CoherentGain(n int) float64 {
-	c := w.Coefficients(n)
-	var s float64
-	for _, v := range c {
-		s += v
-	}
-	return s / float64(n)
-}
-
-// Apply returns x multiplied elementwise by the window. x is not modified.
-func (w Window) Apply(x []float64) []float64 {
-	c := w.Coefficients(len(x))
-	out := make([]float64, len(x))
-	for i, v := range x {
-		out[i] = v * c[i]
-	}
-	return out
-}
-
-// RMS returns the root-mean-square of x; 0 for an empty slice.
-func RMS(x []float64) float64 {
-	if len(x) == 0 {
-		return 0
-	}
-	var s float64
-	for _, v := range x {
-		s += v * v
-	}
-	return math.Sqrt(s / float64(len(x)))
-}
-
 // Mean returns the arithmetic mean of x; 0 for an empty slice.
 func Mean(x []float64) float64 {
 	if len(x) == 0 {
@@ -135,14 +52,6 @@ func DBm(watts float64) float64 {
 // FromDBm converts dBm back to watts.
 func FromDBm(dbm float64) float64 {
 	return 1e-3 * math.Pow(10, dbm/10)
-}
-
-// DB20 converts an amplitude ratio to decibels (20·log10).
-func DB20(ratio float64) float64 {
-	if ratio <= 0 {
-		return math.Inf(-1)
-	}
-	return 20 * math.Log10(ratio)
 }
 
 // Peak describes a local maximum in a spectrum.

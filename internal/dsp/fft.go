@@ -166,19 +166,6 @@ func BinFreq(k, n int, fs float64) float64 {
 	return float64(k) * fs / float64(n)
 }
 
-// FreqBin returns the nearest bin index for frequency f in an N-point
-// transform at sample rate fs, clamped to [0, n/2].
-func FreqBin(f float64, n int, fs float64) int {
-	k := int(math.Round(f * float64(n) / fs))
-	if k < 0 {
-		k = 0
-	}
-	if k > n/2 {
-		k = n / 2
-	}
-	return k
-}
-
 // Validate panics unless the sample rate and length form a usable spectrum;
 // used by instruments to catch configuration errors early.
 func Validate(n int, fs float64) error {

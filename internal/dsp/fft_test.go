@@ -192,6 +192,12 @@ func TestAmplitudeSpectrumEmpty(t *testing.T) {
 	}
 }
 
+// FreqBin returns the nearest bin index for frequency f in an N-point
+// transform at sample rate fs, clamped to [0, n/2].
+func FreqBin(f float64, n int, fs float64) int {
+	return min(max(int(math.Round(f*float64(n)/fs)), 0), n/2)
+}
+
 func TestFreqBinClamps(t *testing.T) {
 	if k := FreqBin(-5, 100, 100); k != 0 {
 		t.Fatalf("negative freq bin = %d", k)

@@ -8,7 +8,6 @@ package experiments
 
 import (
 	"fmt"
-	"sort"
 	"sync"
 
 	"repro/internal/backend"
@@ -212,23 +211,4 @@ func ByID(id string) (Experiment, error) {
 		}
 	}
 	return Experiment{}, fmt.Errorf("experiments: unknown experiment %q", id)
-}
-
-// IDs lists the experiment identifiers in order.
-func IDs() []string {
-	var ids []string
-	for _, e := range All() {
-		ids = append(ids, e.ID)
-	}
-	return ids
-}
-
-// sortedKeys gives deterministic iteration over a values map.
-func sortedKeys(m map[string]float64) []string {
-	keys := make([]string, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return keys
 }

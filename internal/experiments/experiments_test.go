@@ -51,15 +51,14 @@ func val(t *testing.T, rs map[string]*Result, id, key string) float64 {
 	}
 	v, ok := r.Values[key]
 	if !ok {
-		t.Fatalf("%s has no value %q (have %v)", id, key, sortedKeys(r.Values))
+		t.Fatalf("%s has no value %q (have %v)", id, key, r.Values)
 	}
 	return v
 }
 
 func TestInventory(t *testing.T) {
-	ids := IDs()
-	if len(ids) != 19 {
-		t.Fatalf("%d experiments, want 19 (17 figures + 2 tables)", len(ids))
+	if n := len(All()); n != 19 {
+		t.Fatalf("%d experiments, want 19 (17 figures + 2 tables)", n)
 	}
 	if _, err := ByID("fig7"); err != nil {
 		t.Fatal(err)

@@ -248,16 +248,6 @@ func (f *Fleet) broadcast(op string, fn func(be backend.Backend) error) error {
 	return firstErr
 }
 
-// SetClock adjusts the domain's DVFS point on every rig.
-func (f *Fleet) SetClock(domain string, hz float64) error {
-	return f.broadcast("set clock", func(be backend.Backend) error { return be.SetClock(domain, hz) })
-}
-
-// SetSupply adjusts the domain's supply setpoint on every rig.
-func (f *Fleet) SetSupply(domain string, volts float64) error {
-	return f.broadcast("set supply", func(be backend.Backend) error { return be.SetSupply(domain, volts) })
-}
-
 // SetPoweredCores power-gates cores on every rig.
 func (f *Fleet) SetPoweredCores(domain string, n int) error {
 	return f.broadcast("set powered cores", func(be backend.Backend) error { return be.SetPoweredCores(domain, n) })
@@ -272,13 +262,6 @@ func (f *Fleet) Reset(domain string) error {
 func (f *Fleet) EMMeasure(domain string, load platform.Load) (*instrument.Measurement, error) {
 	return single(f, func(r *rig) (*instrument.Measurement, error) {
 		return r.be.EMMeasure(domain, load)
-	})
-}
-
-// EMMeasureN is EMMeasure with explicit averaging.
-func (f *Fleet) EMMeasureN(domain string, load platform.Load, samples int) (*instrument.Measurement, error) {
-	return single(f, func(r *rig) (*instrument.Measurement, error) {
-		return r.be.EMMeasureN(domain, load, samples)
 	})
 }
 

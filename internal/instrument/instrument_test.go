@@ -50,7 +50,7 @@ func TestCaptureFindsTone(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	f, dbm := sweep.Peak()
+	f, dbm, _ := sweep.PeakInBand(math.Inf(-1), math.Inf(1))
 	if math.Abs(f-67e6) > sa.RBWHz {
 		t.Fatalf("peak at %v, want ~67 MHz", f)
 	}
@@ -85,7 +85,7 @@ func TestPeakInBand(t *testing.T) {
 		t.Error("out-of-span band returned a peak")
 	}
 	empty := &Sweep{}
-	if _, dbm := empty.Peak(); !math.IsInf(dbm, -1) {
+	if _, dbm, _ := empty.PeakInBand(math.Inf(-1), math.Inf(1)); !math.IsInf(dbm, -1) {
 		t.Error("empty sweep peak not -inf")
 	}
 }

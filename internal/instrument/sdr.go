@@ -58,9 +58,6 @@ func (s *SDR) Tune(centerHz float64) error {
 	return nil
 }
 
-// Center returns the tuned centre frequency.
-func (s *SDR) Center() float64 { return s.centerHz }
-
 // CaptureIQ digitizes n complex baseband samples of the incident power
 // spectrum (freqs in Hz, powers in watts into 50 ohm). Spectral lines
 // within ±SampleRate/2 of the centre appear as complex tones; thermal noise

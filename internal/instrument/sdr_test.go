@@ -21,8 +21,8 @@ func TestSDRValidateAndTune(t *testing.T) {
 	if err := s.Tune(70e6); err != nil {
 		t.Fatal(err)
 	}
-	if s.Center() != 70e6 {
-		t.Fatalf("centre %v", s.Center())
+	if s.centerHz != 70e6 {
+		t.Fatalf("centre %v", s.centerHz)
 	}
 }
 
@@ -54,7 +54,7 @@ func TestSDRSliceFindsInBandTone(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	f, dbm := sweep.Peak()
+	f, dbm, _ := sweep.PeakInBand(math.Inf(-1), math.Inf(1))
 	if math.Abs(f-70.5e6) > 5e3 {
 		t.Fatalf("peak at %v, want 70.5 MHz", f)
 	}
@@ -79,7 +79,7 @@ func TestSDROutOfSliceToneInvisible(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, dbm := sweep.Peak()
+	_, dbm, _ := sweep.PeakInBand(math.Inf(-1), math.Inf(1))
 	if dbm > -45 {
 		t.Fatalf("out-of-slice tone leaked: %v dBm", dbm)
 	}

@@ -85,20 +85,6 @@ type Sweep struct {
 	DBm   []float64 // measured power per bin
 }
 
-// Peak returns the marker peak of the sweep.
-func (s *Sweep) Peak() (freq, dbm float64) {
-	if len(s.DBm) == 0 {
-		return 0, math.Inf(-1)
-	}
-	best := 0
-	for i, v := range s.DBm {
-		if v > s.DBm[best] {
-			best = i
-		}
-	}
-	return s.Freqs[best], s.DBm[best]
-}
-
 // PeakInBand returns the strongest bin within [lo, hi].
 func (s *Sweep) PeakInBand(lo, hi float64) (freq, dbm float64, ok bool) {
 	dbm = math.Inf(-1)

@@ -221,20 +221,6 @@ type Inst struct {
 	Addr int
 }
 
-// Sources returns the register sources actually read by the instance,
-// including the destination for two-operand forms.
-func (in Inst) Sources() []int {
-	n := in.Def.NSrc
-	srcs := make([]int, 0, 3)
-	for i := 0; i < n; i++ {
-		srcs = append(srcs, in.Srcs[i])
-	}
-	if in.Def.DestIsSrc && !in.Def.NoDest {
-		srcs = append(srcs, in.Dest)
-	}
-	return srcs
-}
-
 // Pool is the instruction universe the GA draws from, together with the
 // architectural resources operands are chosen over.
 type Pool struct {

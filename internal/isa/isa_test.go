@@ -155,27 +155,6 @@ func TestRandomSequenceLength(t *testing.T) {
 	}
 }
 
-func TestSources(t *testing.T) {
-	p := X86Pool()
-	add, _ := p.DefByMnemonic("add") // two-operand: dest is also a source
-	in := Inst{Def: add, Dest: 3, Srcs: [2]int{5, 0}}
-	srcs := in.Sources()
-	if len(srcs) != 2 || srcs[0] != 5 || srcs[1] != 3 {
-		t.Fatalf("Sources = %v, want [5 3]", srcs)
-	}
-	pa := ARM64Pool()
-	armAdd, _ := pa.DefByMnemonic("add") // three-operand
-	in2 := Inst{Def: armAdd, Dest: 1, Srcs: [2]int{2, 3}}
-	srcs2 := in2.Sources()
-	if len(srcs2) != 2 || srcs2[0] != 2 || srcs2[1] != 3 {
-		t.Fatalf("ARM Sources = %v, want [2 3]", srcs2)
-	}
-	b, _ := pa.DefByMnemonic("b")
-	if s := (Inst{Def: b}).Sources(); len(s) != 0 {
-		t.Fatalf("branch Sources = %v", s)
-	}
-}
-
 func TestMutateOperandStaysInRange(t *testing.T) {
 	p := ARM64Pool()
 	rng := rand.New(rand.NewSource(3))

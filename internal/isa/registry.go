@@ -16,7 +16,6 @@ package isa
 
 import (
 	"fmt"
-	"sort"
 	"sync"
 )
 
@@ -181,18 +180,6 @@ func InternArch(name string) (Arch, error) {
 	archsByName[name] = id
 	archsByID[id] = &archEntry{name: name}
 	return id, nil
-}
-
-// ArchNames lists every registered architecture name, sorted.
-func ArchNames() []string {
-	archMu.RLock()
-	defer archMu.RUnlock()
-	out := make([]string, 0, len(archsByName))
-	for name := range archsByName {
-		out = append(out, name)
-	}
-	sort.Strings(out)
-	return out
 }
 
 // archName returns the registered name of an arch ("" if unknown).

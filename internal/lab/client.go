@@ -57,18 +57,12 @@ func (o Options) withDefaults() Options {
 // all of them, and a reconnecting session never writes back a value
 // another session has since replaced or cleared.
 type setpoints struct {
-	mu     sync.Mutex
-	clocks map[string]float64
-	volts  map[string]float64
-	cores  map[string]int
+	mu    sync.Mutex
+	cores map[string]int
 }
 
 func newSetpoints() *setpoints {
-	return &setpoints{
-		clocks: make(map[string]float64),
-		volts:  make(map[string]float64),
-		cores:  make(map[string]int),
-	}
+	return &setpoints{cores: make(map[string]int)}
 }
 
 // update runs fn on the record with it locked.
@@ -78,20 +72,14 @@ func (sp *setpoints) update(fn func(sp *setpoints)) {
 	fn(sp)
 }
 
-// commands renders the record as the SET commands that restore it, in a
-// deterministic order: cores, then clocks, then supplies, each by domain.
+// commands renders the record as the SETCORES commands that restore it,
+// in domain order.
 func (sp *setpoints) commands() []command {
 	sp.mu.Lock()
 	defer sp.mu.Unlock()
 	var cmds []command
 	for _, dom := range sortedKeys(sp.cores) {
 		cmds = append(cmds, command{verb: "SETCORES", line: fmt.Sprintf("SETCORES %s %d", dom, sp.cores[dom])})
-	}
-	for _, dom := range sortedKeys(sp.clocks) {
-		cmds = append(cmds, command{verb: "SETCLOCK", line: fmt.Sprintf("SETCLOCK %s %g", dom, sp.clocks[dom])})
-	}
-	for _, dom := range sortedKeys(sp.volts) {
-		cmds = append(cmds, command{verb: "SETVOLTS", line: fmt.Sprintf("SETVOLTS %s %g", dom, sp.volts[dom])})
 	}
 	return cmds
 }
@@ -290,7 +278,7 @@ func (c *Client) exchange(cmd command) (string, error) {
 
 // reconnect re-dials and replays the recorded setpoints so the fresh
 // connection is indistinguishable from the broken one: per-domain
-// SETCORES, SETCLOCK and SETVOLTS.
+// SETCORES.
 func (c *Client) reconnect() error {
 	if err := c.connect(true); err != nil {
 		return err

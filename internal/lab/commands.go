@@ -462,18 +462,6 @@ func (c *Client) setpoint(cmd command, record func(sp *setpoints)) error {
 	return nil
 }
 
-// SetClock adjusts the target's DVFS point.
-func (c *Client) SetClock(domain string, hz float64) error {
-	return c.setpoint(command{verb: "SETCLOCK", line: fmt.Sprintf("SETCLOCK %s %g", domain, hz)},
-		func(sp *setpoints) { sp.clocks[domain] = hz })
-}
-
-// SetVolts adjusts the target's supply setpoint.
-func (c *Client) SetVolts(domain string, v float64) error {
-	return c.setpoint(command{verb: "SETVOLTS", line: fmt.Sprintf("SETVOLTS %s %g", domain, v)},
-		func(sp *setpoints) { sp.volts[domain] = v })
-}
-
 // SetCores power-gates cores on the target.
 func (c *Client) SetCores(domain string, n int) error {
 	return c.setpoint(command{verb: "SETCORES", line: fmt.Sprintf("SETCORES %s %d", domain, n)},
@@ -483,8 +471,6 @@ func (c *Client) SetCores(domain string, n int) error {
 // Reset restores a domain to nominal state.
 func (c *Client) Reset(domain string) error {
 	return c.setpoint(command{verb: "RESET", line: "RESET " + domain}, func(sp *setpoints) {
-		delete(sp.clocks, domain)
-		delete(sp.volts, domain)
 		delete(sp.cores, domain)
 	})
 }

@@ -46,13 +46,6 @@ func NewPool(addr string, size int, opts Options) (*Pool, error) {
 	return p, nil
 }
 
-// Size returns the number of pooled clients.
-func (p *Pool) Size() int {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return len(p.clients)
-}
-
 // Do checks a client out of the pool, runs fn on it, and returns it. A Do
 // racing Close either completes normally (Close waits for the client to
 // come back) or returns ErrClosed; it can never block forever — checkout

@@ -10,7 +10,7 @@
 // command runs under a read/write deadline, transport faults (dropped
 // connections, timeouts, corrupted replies) trigger a bounded
 // exponential-backoff reconnect that replays the recorded domain
-// setpoints (SETCLOCK/SETVOLTS/SETCORES) before retrying, and a Pool of
+// setpoints (SETCORES) before retrying, and a Pool of
 // concurrent clients lets the GA evaluate a whole population in parallel
 // against one daemon (`gahunt -remote -j N`). Target-side `ERR` replies
 // are never retried — the command reached the target and was rejected;

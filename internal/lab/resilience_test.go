@@ -113,10 +113,10 @@ func TestLoadDesyncRegression(t *testing.T) {
 	}
 }
 
-// TestReconnectReplay severs the connection after a SETCLOCK and checks
+// TestReconnectReplay severs the connection after a SETCORES and checks
 // that the next MEASURE, which carries its own program, transparently
-// reconnects, replays the clock and reads the exact value a fault-free
-// direct bench yields at that clock.
+// reconnects, replays the core count and reads the exact value a
+// fault-free direct bench yields with that many cores powered.
 func TestReconnectReplay(t *testing.T) {
 	addr, _ := startServer(t)
 	proxy, err := chaos.New(addr, chaos.Config{Seed: 1}) // no probabilistic faults
@@ -133,23 +133,24 @@ func TestReconnectReplay(t *testing.T) {
 
 	db, dd := directBench(t)
 	p, load := probePart(t, dd)
+	p.Cores, load.ActiveCores = 1, 1
 	nominal, err := db.EMMeasureN(dd, load, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := c.SetClock(platform.DomainA72, 600e6); err != nil {
+	if err := c.SetCores(platform.DomainA72, 1); err != nil {
 		t.Fatal(err)
 	}
 
 	// Kill the live connection: the MEASURE must reconnect and replay
-	// SETCLOCK before retrying, or it measures at the nominal clock.
+	// SETCORES before retrying, or it measures with every core powered.
 	proxy.KillActive()
 	m, err := c.Measure(p, 3)
 	if err != nil {
 		t.Fatalf("measure after severed connection: %v", err)
 	}
 
-	if err := dd.SetClockHz(600e6); err != nil {
+	if err := dd.SetPoweredCores(1); err != nil {
 		t.Fatal(err)
 	}
 	want, err := db.EMMeasureN(dd, load, 3)
@@ -157,7 +158,7 @@ func TestReconnectReplay(t *testing.T) {
 		t.Fatal(err)
 	}
 	if reflect.DeepEqual(want, nominal) {
-		t.Fatal("600 MHz and nominal readings agree; the replay check is vacuous")
+		t.Fatal("1-core and nominal readings agree; the replay check is vacuous")
 	}
 	if !reflect.DeepEqual(m, want) {
 		t.Fatalf("replayed measurement %+v != direct %+v", m, want)
@@ -403,8 +404,8 @@ func TestPoolBasics(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if pool.Size() != 3 {
-		t.Fatalf("size %d", pool.Size())
+	if n := len(pool.clients); n != 3 {
+		t.Fatalf("size %d", n)
 	}
 	for i := 0; i < 5; i++ {
 		if err := pool.Do(func(c *Client) error {
@@ -521,7 +522,7 @@ func TestPoolReplaySharesSetpoints(t *testing.T) {
 
 	err = pool.Do(func(a *Client) error {
 		return pool.Do(func(other *Client) error {
-			if err := a.SetClock(platform.DomainA72, 600e6); err != nil {
+			if err := a.SetCores(platform.DomainA72, 1); err != nil {
 				return err
 			}
 			if err := other.Reset(platform.DomainA72); err != nil {
@@ -535,8 +536,8 @@ func TestPoolReplaySharesSetpoints(t *testing.T) {
 			if a.Stats().Reconnects == 0 {
 				t.Error("session never reconnected; test is vacuous")
 			}
-			if st.ClockHz != d.Spec.MaxClockHz {
-				t.Errorf("clock %v after RESET on another session, want %v", st.ClockHz, d.Spec.MaxClockHz)
+			if st.PoweredCores != d.Spec.TotalCores {
+				t.Errorf("%d cores powered after RESET on another session, want %d", st.PoweredCores, d.Spec.TotalCores)
 			}
 			return nil
 		})

@@ -83,7 +83,7 @@ func TestCapsAndState(t *testing.T) {
 		t.Fatalf("caps %+v do not mirror spec %+v", caps, spec)
 	}
 
-	if err := c.SetClock(platform.DomainA72, 600e6); err != nil {
+	if err := setRaw(c, "SETCLOCK", platform.DomainA72, 600e6); err != nil {
 		t.Fatal(err)
 	}
 	st, err := c.State(platform.DomainA72)

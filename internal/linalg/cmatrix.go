@@ -22,22 +22,6 @@ func NewCMatrix(r, c int) *CMatrix {
 	return &CMatrix{Rows: r, Cols: c, Data: make([]complex128, r*c)}
 }
 
-// At returns the element at row i, column j.
-func (m *CMatrix) At(i, j int) complex128 { return m.Data[i*m.Cols+j] }
-
-// Set assigns the element at row i, column j.
-func (m *CMatrix) Set(i, j int, v complex128) { m.Data[i*m.Cols+j] = v }
-
-// Add accumulates v into the element at row i, column j.
-func (m *CMatrix) Add(i, j int, v complex128) { m.Data[i*m.Cols+j] += v }
-
-// Zero resets every element to 0 in place.
-func (m *CMatrix) Zero() {
-	for i := range m.Data {
-		m.Data[i] = 0
-	}
-}
-
 // Pattern is the structural pattern of a square system: for each row, the
 // set of columns whose entries may be nonzero, as a bitset. Every entry
 // outside the pattern must be zero. A Pattern built once serves every
@@ -91,19 +75,6 @@ func NewPattern(n int) *Pattern {
 func (p *Pattern) Add(i, j int) {
 	p.rows[i*p.w+j>>6] |= 1 << (j & 63)
 	p.steps, p.at = 0, -1
-}
-
-// PatternOf returns the pattern of a square matrix's nonzero entries.
-func PatternOf(a *CMatrix) *Pattern {
-	p := NewPattern(a.Rows)
-	for i := 0; i < a.Rows; i++ {
-		for j, v := range a.Data[i*a.Cols : (i+1)*a.Cols] {
-			if v != 0 {
-				p.Add(i, j)
-			}
-		}
-	}
-	return p
 }
 
 // cands returns step k's recorded candidate rows.
@@ -180,28 +151,6 @@ func (p *Pattern) recordPivot(k, piv int) {
 	}
 	p.off[2*k+2] = len(p.list)
 	p.steps, p.at = k+1, k+1
-}
-
-// CSolve solves A·x = b by Gaussian elimination with partial pivoting.
-// A and b are not modified: it copies them and runs CSolveInPlace.
-func CSolve(a *CMatrix, b []complex128) ([]complex128, error) {
-	m := &CMatrix{Rows: a.Rows, Cols: a.Cols, Data: append([]complex128(nil), a.Data...)}
-	x := append([]complex128(nil), b...)
-	if err := CSolveInPlace(m, x); err != nil {
-		return nil, err
-	}
-	return x, nil
-}
-
-// CSolveInPlace solves A·x = b by Gaussian elimination with partial
-// pivoting, overwriting a with its eliminated form and b with x. It scans
-// a's nonzero pattern and runs CSolvePattern; callers that solve many
-// systems with one pattern build it once and call CSolvePattern directly.
-func CSolveInPlace(a *CMatrix, b []complex128) error {
-	if a.Rows != a.Cols {
-		return fmt.Errorf("linalg: CSolve needs square matrix, got %dx%d", a.Rows, a.Cols)
-	}
-	return CSolvePattern(a, b, PatternOf(a))
 }
 
 // CSolvePattern solves A·x = b in place by Gaussian elimination with

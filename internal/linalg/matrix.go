@@ -31,55 +31,17 @@ func NewMatrix(r, c int) *Matrix {
 	return &Matrix{Rows: r, Cols: c, Data: make([]float64, r*c)}
 }
 
-// At returns the element at row i, column j.
-func (m *Matrix) At(i, j int) float64 { return m.Data[i*m.Cols+j] }
-
-// Set assigns the element at row i, column j.
-func (m *Matrix) Set(i, j int, v float64) { m.Data[i*m.Cols+j] = v }
-
 // Add accumulates v into the element at row i, column j. MNA stamping is a
 // sequence of such accumulations, so this is the hot write path.
 func (m *Matrix) Add(i, j int, v float64) { m.Data[i*m.Cols+j] += v }
-
-// Clone returns a deep copy of the matrix.
-func (m *Matrix) Clone() *Matrix {
-	out := NewMatrix(m.Rows, m.Cols)
-	copy(out.Data, m.Data)
-	return out
-}
-
-// Zero resets every element to 0 in place.
-func (m *Matrix) Zero() {
-	for i := range m.Data {
-		m.Data[i] = 0
-	}
-}
-
-// MulVec computes y = m·x. It panics if dimensions disagree.
-func (m *Matrix) MulVec(x []float64) []float64 {
-	if len(x) != m.Cols {
-		panic(fmt.Sprintf("linalg: MulVec dimension mismatch: %d cols vs %d vector", m.Cols, len(x)))
-	}
-	y := make([]float64, m.Rows)
-	for i := 0; i < m.Rows; i++ {
-		row := m.Data[i*m.Cols : (i+1)*m.Cols]
-		var s float64
-		for j, v := range row {
-			s += v * x[j]
-		}
-		y[i] = s
-	}
-	return y
-}
 
 // LU is an LU factorization with partial pivoting of a square real matrix,
 // suitable for repeated solves against different right-hand sides (the
 // fixed-step transient solver factors once per time-step size).
 type LU struct {
-	n    int
-	lu   []float64 // packed L (unit diagonal, below) and U (on/above diagonal)
-	piv  []int     // row permutation
-	sign int       // permutation parity, for Det
+	n   int
+	lu  []float64 // packed L (unit diagonal, below) and U (on/above diagonal)
+	piv []int     // row permutation
 }
 
 // Factor computes the LU factorization of m. The input is not modified.
@@ -88,7 +50,7 @@ func Factor(m *Matrix) (*LU, error) {
 		return nil, fmt.Errorf("linalg: cannot factor non-square %dx%d matrix", m.Rows, m.Cols)
 	}
 	n := m.Rows
-	f := &LU{n: n, lu: make([]float64, n*n), piv: make([]int, n), sign: 1}
+	f := &LU{n: n, lu: make([]float64, n*n), piv: make([]int, n)}
 	copy(f.lu, m.Data)
 	for i := range f.piv {
 		f.piv[i] = i
@@ -109,7 +71,6 @@ func Factor(m *Matrix) (*LU, error) {
 				f.lu[p*n+j], f.lu[k*n+j] = f.lu[k*n+j], f.lu[p*n+j]
 			}
 			f.piv[p], f.piv[k] = f.piv[k], f.piv[p]
-			f.sign = -f.sign
 		}
 		pivVal := f.lu[k*n+k]
 		for i := k + 1; i < n; i++ {
@@ -191,13 +152,4 @@ func (f *LU) SolveInto(x, b, scratch []float64) error {
 	}
 	copy(x, t)
 	return nil
-}
-
-// Det returns the determinant of the factored matrix.
-func (f *LU) Det() float64 {
-	d := float64(f.sign)
-	for i := 0; i < f.n; i++ {
-		d *= f.lu[i*f.n+i]
-	}
-	return d
 }

@@ -107,34 +107,6 @@ func TestSolveDimensionMismatch(t *testing.T) {
 	}
 }
 
-func TestDetIdentityAndSwap(t *testing.T) {
-	m := NewMatrix(3, 3)
-	for i := 0; i < 3; i++ {
-		m.Set(i, i, 1)
-	}
-	f, err := Factor(m)
-	if err != nil {
-		t.Fatalf("Factor: %v", err)
-	}
-	if d := f.Det(); !approxEq(d, 1, 1e-12) {
-		t.Fatalf("Det(I) = %v", d)
-	}
-	// Known 2x2 determinant.
-	m2 := NewMatrix(2, 2)
-	m2.Set(0, 0, 3)
-	m2.Set(0, 1, 8)
-	m2.Set(1, 0, 4)
-	m2.Set(1, 1, 6)
-	f2, err := Factor(m2)
-	if err != nil {
-		t.Fatalf("Factor: %v", err)
-	}
-	if d := f2.Det(); !approxEq(d, -14, 1e-12) {
-		t.Fatalf("Det = %v, want -14", d)
-	}
-}
-
-// Property: for random well-conditioned matrices, Solve recovers a known x.
 func TestSolveRoundTripProperty(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	prop := func(seed int64) bool {
@@ -225,15 +197,5 @@ func TestSolveIntoBadLengths(t *testing.T) {
 	f, _ := Factor(m)
 	if err := f.SolveInto(make([]float64, 2), make([]float64, 2), nil); err == nil {
 		t.Fatal("SolveInto with nil scratch succeeded")
-	}
-}
-
-func TestClone(t *testing.T) {
-	m := NewMatrix(2, 2)
-	m.Set(0, 0, 3)
-	c := m.Clone()
-	c.Set(0, 0, 9)
-	if m.At(0, 0) != 3 {
-		t.Fatal("Clone shares storage with original")
 	}
 }

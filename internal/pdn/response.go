@@ -89,7 +89,6 @@ type TransferSet struct {
 	absHI []float64
 
 	maxAbsHV float64 // the largest |HV| over the bins
-	rSeries  float64 // total DC series resistance, for the DC droop term
 }
 
 // Transfers computes the transfer set for n samples at spacing dt.
@@ -124,8 +123,6 @@ func (m *Model) Transfers(n int, dt float64) (*TransferSet, error) {
 		ts.absHI[k] = cmplx.Abs(hi)
 		ts.maxAbsHV = math.Max(ts.maxAbsHV, ts.absHV[k])
 	}
-	// At DC, HV is -R_series; remember it for reporting.
-	ts.rSeries = -real(ts.HV[0])
 	return ts, nil
 }
 
@@ -198,10 +195,6 @@ func (ts *TransferSet) SpectraInto(vAmp, iAmp, load []float64, spec, fftScratch 
 	}
 	return ts.freqs, nil
 }
-
-// RSeries returns the total DC series resistance of the network as seen by
-// the die (used for IR-drop reporting).
-func (ts *TransferSet) RSeries() float64 { return ts.rSeries }
 
 // MaxAbsHV returns the largest die-voltage transfer magnitude over the
 // bins: the 2-norm of the steady-state map from load current to die-voltage

@@ -119,7 +119,7 @@ func solveACRef(c *refElems, f float64) (hv, hi complex128) {
 		if i < 0 || j < 0 {
 			return
 		}
-		m.Add(i, j, v)
+		m.Data[i*n+j] += v
 	}
 	caddRHS := func(i int, v complex128) {
 		if i < 0 {

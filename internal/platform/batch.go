@@ -148,10 +148,9 @@ func (pe *PointEval) SpectraArena(supply float64, powered int, ar *slab.Arena) (
 // Ladder is the batched evaluator of one (load, clock) column of a V_MIN
 // campaign. Everything supply-invariant is frozen at construction: the
 // sized simulation, the resampled and slew-filtered base current waveform
-// (idle lift and supply scaling apply after the slew filter, exactly as in
-// currentAt), and the PDN transfer set. Each supply step then pays
-// only the scale + FFT + inverse-FFT remainder, streamed through the
-// owning arena's rows, and the (minV, droop) outcome is memoized per
+// (idle lift and supply scaling apply after the slew filter), and the PDN
+// transfer set. Each supply step then pays only the scale + FFT +
+// inverse-FFT remainder, streamed through the owning arena's rows, and the (minV, droop) outcome is memoized per
 // supply — the response is a pure function of (load, clock, supply,
 // powered), so the repeated descents of a Repeat campaign and the shared
 // nominal trial dedup to one evaluation.

@@ -243,17 +243,9 @@ func (d *Domain) modelAt(cores int, supply float64) (*pdn.Model, error) {
 	return pdn.NewModel(p, cores)
 }
 
-// transferSet returns (building and caching as needed) the PDN transfer
-// functions for the current domain state and the given sampling grid.
-func (d *Domain) transferSet(n int, dt float64) (*pdn.TransferSet, error) {
-	d.mu.Lock()
-	cores, supply := d.poweredCores, d.supplyVolts
-	d.mu.Unlock()
-	return d.transferSetAt(cores, supply, n, dt)
-}
-
-// transferSetAt is transferSet for an explicit powered-core count. The
-// cache key omits the supply (the transfers are supply-independent); under
+// transferSetAt returns (building and caching as needed) the PDN transfer
+// functions for a powered-core count and sampling grid. The cache key
+// omits the supply (the transfers are supply-independent); under
 // concurrent misses both goroutines build the same set and one copy wins.
 func (d *Domain) transferSetAt(cores int, supply float64, n int, dt float64) (*pdn.TransferSet, error) {
 	key := transferKey{cores: cores, n: n, dt: dt}

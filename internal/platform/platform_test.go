@@ -2,6 +2,7 @@ package platform
 
 import (
 	"math"
+	"repro/internal/dsp"
 	"strings"
 	"testing"
 
@@ -224,7 +225,7 @@ func TestCurrentIncludesIdleCoresAndSupplyScaling(t *testing.T) {
 		t.Fatal(err)
 	}
 	idle := power.IdleCurrent(d.Spec.Core, d.ClockHz()) * 3
-	diff := power.MeanCurrent(one) - power.MeanCurrent(alone)
+	diff := dsp.Mean(one) - dsp.Mean(alone)
 	if math.Abs(diff-idle) > 0.02*idle {
 		t.Errorf("idle-core current %v, want %v", diff, idle)
 	}
@@ -237,7 +238,7 @@ func TestCurrentIncludesIdleCoresAndSupplyScaling(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ratio := power.MeanCurrent(scaled) / power.MeanCurrent(one)
+	ratio := dsp.Mean(scaled) / dsp.Mean(one)
 	if math.Abs(ratio-0.9) > 0.01 {
 		t.Errorf("supply scaling ratio %v, want 0.9", ratio)
 	}
@@ -383,7 +384,7 @@ func TestSpecJSONRoundTrip(t *testing.T) {
 	if err := SaveSpecJSON(&buf, orig); err != nil {
 		t.Fatal(err)
 	}
-	back, err := LoadSpecJSON(strings.NewReader(buf.String()))
+	back, err := loadSpecV1([]byte(buf.String()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -413,7 +414,7 @@ func TestLoadSpecJSONErrors(t *testing.T) {
 		`{"isa": "arm64", "name": "x"}`, // missing everything else: invalid domain
 	}
 	for i, text := range cases {
-		if _, err := LoadSpecJSON(strings.NewReader(text)); err == nil {
+		if _, err := loadSpecV1([]byte(text)); err == nil {
 			t.Errorf("case %d accepted", i)
 		}
 	}

@@ -119,15 +119,6 @@ func (r *Registry) Source(name string) ([]byte, error) {
 	return append([]byte(nil), e.src...), nil
 }
 
-// Spec returns the parsed spec file for a registered platform.
-func (r *Registry) Spec(name string) (*File, error) {
-	e, ok := r.resolve(name)
-	if !ok {
-		return nil, fmt.Errorf("platform: registry has no %q", name)
-	}
-	return e.file, nil
-}
-
 // Build constructs a fresh platform from a registered spec.
 func (r *Registry) Build(name string) (*Platform, error) {
 	e, ok := r.resolve(name)

@@ -5,8 +5,6 @@ import (
 
 	"repro/internal/detrand"
 	"repro/internal/isa"
-	"repro/internal/pdn"
-	"repro/internal/power"
 	"repro/internal/slab"
 	"repro/internal/uarch"
 )
@@ -51,27 +49,6 @@ func (d *Domain) validateLoad(l Load) error {
 	return nil
 }
 
-// currentAt fills buf (length n) with the total load current drawn from
-// this domain's rail by the workload at an explicit operating point,
-// sampled at dt, and returns the micro-architectural result for the loop.
-// The current scales with the supply setting (dynamic charge is
-// proportional to voltage). No domain state is read or touched.
-func (d *Domain) currentAt(l Load, dt float64, n int, clock, supply float64, powered int, buf []float64) (*uarch.Result, error) {
-	if err := d.validateLoad(l); err != nil {
-		return nil, err
-	}
-	res, err := d.clusterLoad(l, clock).CurrentInto(buf, dt, n)
-	if err != nil {
-		return nil, err
-	}
-	idle := power.IdleCurrent(d.Spec.Core, clock) * float64(powered-l.ActiveCores)
-	scale := supply / d.Spec.PDN.VNominal
-	for i := range buf {
-		buf[i] = (buf[i] + idle) * scale
-	}
-	return res, nil
-}
-
 // SpectraArena returns the single-sided amplitude spectra of the die
 // voltage and package-inductor current under the workload at the domain's
 // current operating point. Every transient row — the current waveform, the
@@ -104,38 +81,4 @@ func (d *Domain) LoopHzAt(l Load, dt float64, n int, clockHz float64) (float64, 
 		return 0, nil, err
 	}
 	return d.clusterLoad(l, clockHz).LoopHz(dt, n)
-}
-
-// TransientResponse integrates the PDN under the workload's current
-// waveform with the full transient solver — the slower, reference path
-// (the fast steady-state path, SteadyVDie, must agree with it; see the
-// ablation benchmarks).
-func (d *Domain) TransientResponse(l Load, dt float64, n int) (*pdn.Response, *uarch.Result, error) {
-	d.mu.Lock()
-	clock, supply, powered := d.clockHz, d.supplyVolts, d.poweredCores
-	d.mu.Unlock()
-	wave := make([]float64, n)
-	res, err := d.currentAt(l, dt, n, clock, supply, powered, wave)
-	if err != nil {
-		return nil, nil, err
-	}
-	m, err := d.modelAt(powered, supply)
-	if err != nil {
-		return nil, nil, err
-	}
-	sampled := func(t float64) float64 {
-		idx := int(t / dt)
-		if idx < 0 {
-			idx = 0
-		}
-		if idx >= len(wave) {
-			idx = len(wave) - 1
-		}
-		return wave[idx]
-	}
-	resp, err := m.Transient(sampled, dt, n-1)
-	if err != nil {
-		return nil, nil, err
-	}
-	return resp, res, nil
 }

@@ -190,17 +190,9 @@ func SaveSpecJSON(w io.Writer, s Spec) error {
 	return nil
 }
 
-// LoadSpecJSON parses a v1 spec written by SaveSpecJSON (or by hand).
+// loadSpecV1 parses a v1 spec written by SaveSpecJSON (or by hand).
 // Unknown or misspelled fields are errors naming the offending key, and
 // the spec is validated by constructing a throwaway domain.
-func LoadSpecJSON(r io.Reader) (Spec, error) {
-	data, err := io.ReadAll(r)
-	if err != nil {
-		return Spec{}, fmt.Errorf("platform: reading spec: %w", err)
-	}
-	return loadSpecV1(data)
-}
-
 func loadSpecV1(data []byte) (Spec, error) {
 	var in specJSON
 	if err := decodeStrict(data, &in, "spec"); err != nil {

@@ -152,7 +152,7 @@ func TestLoadSpecJSONUnknownField(t *testing.T) {
 		t.Fatal(err)
 	}
 	bad := strings.Replace(buf.String(), `"max_clock_hz"`, `"max_clock_mhz"`, 1)
-	_, err = LoadSpecJSON(strings.NewReader(bad))
+	_, err = loadSpecV1([]byte(bad))
 	if err == nil {
 		t.Fatal("misspelled field accepted")
 	}

@@ -62,14 +62,13 @@ func (cl ClusterLoad) Validate() error {
 }
 
 // SteadySim is the sized simulation behind one evaluation of a load on a
-// dt×n sample window: the micro-architectural result CurrentInto resamples,
+// dt×n sample window: the micro-architectural result FillFromSim resamples,
 // the grid it was sized for, and the period-snap scale. Batched campaign
 // paths obtain one per operating point (optionally served from a primed
 // uarch.Trace) and share it between the loop-frequency prefilter and the
 // waveform resample, so no point pays the sizing twice.
 type SteadySim struct {
-	// Res is the micro-architectural result a CurrentInto call with the
-	// same grid would return.
+	// Res is the micro-architectural result of the loop on that grid.
 	Res *uarch.Result
 	// Dt and N are the sampling grid the simulation was sized for.
 	Dt float64
@@ -173,30 +172,8 @@ func (cl ClusterLoad) SteadySimTrace(dt float64, n int, tr *uarch.Trace) (Steady
 	return cl.steadySim(dt, n, tr)
 }
 
-// CurrentInto simulates the loop and writes the cluster current sampled at
-// dt over n samples into dst (length n, fully overwritten), returning the
-// micro-architectural result.
-func (cl ClusterLoad) CurrentInto(dst []float64, dt float64, n int) (*uarch.Result, error) {
-	if err := cl.Validate(); err != nil {
-		return nil, err
-	}
-	if dt <= 0 || n < 1 {
-		return nil, fmt.Errorf("power: invalid sampling dt=%v n=%d", dt, n)
-	}
-	if len(dst) != n {
-		return nil, fmt.Errorf("power: waveform buffer length %d, want %d", len(dst), n)
-	}
-	sim, err := cl.steadySim(dt, n, nil)
-	if err != nil {
-		return nil, err
-	}
-	cl.fillFromSim(sim, dst)
-	return sim.Res, nil
-}
-
-// FillFromSim resamples a prepared simulation into out (len sim.N),
-// exactly as a CurrentInto call that performed the sizing itself would —
-// the shared body is what keeps batched campaign points bit-identical to
+// FillFromSim resamples a prepared simulation into out (len sim.N). The
+// shared body is what keeps batched campaign points bit-identical to
 // per-point evaluation.
 func (cl ClusterLoad) FillFromSim(sim SteadySim, out []float64) error {
 	if sim.Res == nil {
@@ -249,10 +226,10 @@ func (cl ClusterLoad) fillFromSim(sim SteadySim, out []float64) {
 	applySlew(out, dt, cl.Core.CurrentSlewTau)
 }
 
-// LoopHz returns the loop fundamental frequency a CurrentInto call with
-// the same sampling grid would report, without resampling the waveform. It
-// shares CurrentInto's exact simulation sizing, so the underlying uarch result
-// is identical. It still pays that simulation; a campaign that
+// LoopHz returns the loop fundamental frequency SteadySimTrace's
+// simulation on the same sampling grid would report, without resampling
+// the waveform. It shares that exact sizing, so the underlying uarch
+// result is identical. It still pays that simulation; a campaign that
 // band-filters many clocks sizes its points from one primed trace instead
 // (SteadySimTrace).
 func (cl ClusterLoad) LoopHz(dt float64, n int) (float64, *uarch.Result, error) {
@@ -300,18 +277,6 @@ func applySlew(wave []float64, dt, tau float64) {
 // given clock: the base charge plus all issue slots idle.
 func IdleCurrent(cfg uarch.Config, clockHz float64) float64 {
 	return (cfg.BaseCharge + float64(cfg.IssueWidth)*cfg.IdleSlotCharge) * clockHz
-}
-
-// MeanCurrent returns the time average of a current waveform.
-func MeanCurrent(wave []float64) float64 {
-	if len(wave) == 0 {
-		return 0
-	}
-	var s float64
-	for _, v := range wave {
-		s += v
-	}
-	return s / float64(len(wave))
 }
 
 // LoopFrequency returns the stress loop's fundamental frequency, the

@@ -115,6 +115,3 @@ func Volts(v float64) string { return fmt.Sprintf("%.4g V", v) }
 
 // DBm formats a power level.
 func DBm(v float64) string { return fmt.Sprintf("%.1f dBm", v) }
-
-// Pct formats a fraction as a percentage.
-func Pct(f float64) string { return fmt.Sprintf("%.0f%%", f*100) }

@@ -71,7 +71,6 @@ func TestFormatters(t *testing.T) {
 		{MV(0.150), "150.0 mV"},
 		{Volts(1.3625), "1.363 V"},
 		{DBm(-30.25), "-30.2 dBm"},
-		{Pct(0.32), "32%"},
 	}
 	for _, c := range cases {
 		if c.got != c.want {

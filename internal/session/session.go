@@ -149,14 +149,6 @@ func (r *Report) AddVmin(workload string, res *vmin.Result) {
 	})
 }
 
-// VirusProgram parses the stored virus back into an instruction sequence.
-func (r *Report) VirusProgram(pool *isa.Pool) ([]isa.Inst, error) {
-	if r.Virus == nil {
-		return nil, fmt.Errorf("session: report has no virus")
-	}
-	return isa.ParseProgram(pool, r.Virus.Program)
-}
-
 // Save writes the report as indented JSON.
 func (r *Report) Save(w io.Writer) error {
 	enc := json.NewEncoder(w)

@@ -26,18 +26,11 @@ type Arena struct {
 	high  int64 // high-water mark of used, across the arena's lifetime
 }
 
-// Floats returns a zeroed row of n float64s from the arena.
-func (a *Arena) Floats(n int) []float64 {
-	row := a.FloatsUninit(n)
-	clear(row)
-	return row
-}
-
-// FloatsUninit is Floats without the zeroing pass: the row may carry stale
-// values from before the last Reset, so the caller must overwrite every
-// element before reading any. Destinations that are filled wholesale
-// (current waveforms, CombineInto outputs) use this to skip a memclr the
-// fill would immediately overwrite.
+// FloatsUninit returns a row of n float64s from the arena without zeroing
+// it: the row may carry stale values from before the last Reset, so the
+// caller must overwrite every element before reading any. Destinations
+// that are filled wholesale (current waveforms, CombineInto outputs) skip
+// a memclr the fill would immediately overwrite.
 func (a *Arena) FloatsUninit(n int) []float64 {
 	if n <= 0 {
 		return nil
@@ -59,16 +52,9 @@ func (a *Arena) FloatsUninit(n int) []float64 {
 	return row
 }
 
-// Complexes returns a zeroed row of n complex128s from the arena.
-func (a *Arena) Complexes(n int) []complex128 {
-	row := a.ComplexesUninit(n)
-	clear(row)
-	return row
-}
-
-// ComplexesUninit is Complexes without the zeroing pass; the same
-// overwrite-before-read contract as FloatsUninit applies (FFT outputs and
-// scratch are filled wholesale).
+// ComplexesUninit returns a row of n complex128s from the arena without
+// zeroing it; the same overwrite-before-read contract as FloatsUninit
+// applies (FFT outputs and scratch are filled wholesale).
 func (a *Arena) ComplexesUninit(n int) []complex128 {
 	if n <= 0 {
 		return nil

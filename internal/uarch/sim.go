@@ -12,9 +12,10 @@ import (
 
 // dinst is one statically decoded instruction of the loop body: everything
 // fetch and issue need, resolved once per simulation instead of once per
-// dynamic instruction. The decoded source list replicates isa.Inst.Sources
-// exactly (the NSrc register operands, then the destination when it is also
-// read), and the charge is pre-scaled by the core's ChargeScale.
+// dynamic instruction. The decoded source list holds the registers the
+// instance reads (the NSrc register operands, then the destination when a
+// two-operand form also reads it), and the charge is pre-scaled by the
+// core's ChargeScale.
 type dinst struct {
 	pos     int // index in the loop body
 	unit    isa.Unit

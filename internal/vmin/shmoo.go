@@ -99,16 +99,3 @@ func (t *Tester) Shmoo(load platform.Load, clocks []float64) ([]ShmooPoint, erro
 	}
 	return out, nil
 }
-
-// ShmooMonotone reports whether V_MIN is non-increasing as the clock drops
-// (the physically expected shape: slower clocks tolerate lower voltage),
-// allowing `slackV` of measurement jitter. The input must be ordered from
-// the highest clock to the lowest.
-func ShmooMonotone(points []ShmooPoint, slackV float64) bool {
-	for i := 1; i < len(points); i++ {
-		if points[i].VminV > points[i-1].VminV+slackV {
-			return false
-		}
-	}
-	return true
-}

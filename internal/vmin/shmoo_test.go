@@ -4,6 +4,19 @@ import (
 	"testing"
 )
 
+// ShmooMonotone reports whether V_MIN is non-increasing as the clock drops
+// (the physically expected shape: slower clocks tolerate lower voltage),
+// allowing `slackV` of measurement jitter. The input must be ordered from
+// the highest clock to the lowest.
+func ShmooMonotone(points []ShmooPoint, slackV float64) bool {
+	for i := 1; i < len(points); i++ {
+		if points[i].VminV > points[i-1].VminV+slackV {
+			return false
+		}
+	}
+	return true
+}
+
 func TestShmooCurve(t *testing.T) {
 	d := a72Domain(t)
 	tst := NewTester(d, 11)

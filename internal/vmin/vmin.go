@@ -119,9 +119,6 @@ func (t *Tester) trialRNG(load platform.Load, clockHz, supply float64, trial int
 	return detrand.Stream(t.seed, h.Sum(), uint64(int64(trial)))
 }
 
-// VCrit returns the domain's critical voltage at its current clock.
-func (t *Tester) VCrit() float64 { return t.vcritAt(t.Domain.ClockHz()) }
-
 // vcritAt returns the critical voltage at an explicit clock setting.
 func (t *Tester) vcritAt(clockHz float64) float64 {
 	spec := t.Domain.Spec

@@ -52,11 +52,11 @@ func TestFailureKindString(t *testing.T) {
 func TestVCritTracksClock(t *testing.T) {
 	d := a72Domain(t)
 	tst := NewTester(d, 1)
-	atMax := tst.VCrit()
+	atMax := tst.vcritAt(d.ClockHz())
 	if err := d.SetClockHz(600e6); err != nil {
 		t.Fatal(err)
 	}
-	atHalf := tst.VCrit()
+	atHalf := tst.vcritAt(d.ClockHz())
 	d.Reset()
 	if atHalf >= atMax {
 		t.Fatalf("vcrit did not drop with clock: %v vs %v", atHalf, atMax)
@@ -100,7 +100,7 @@ func TestRunAtClassifies(t *testing.T) {
 		t.Fatal("no droop recorded")
 	}
 	// Far below vcrit: certain system crash.
-	crash, crashMin, _, err := runAt(t, tst, l, tst.VCrit())
+	crash, crashMin, _, err := runAt(t, tst, l, tst.vcritAt(d.ClockHz()))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -45,8 +45,6 @@ func aliasLoad(p *isa.Pool) (*isa.Def, error)  { return want(p, "ldr", "movload"
 func aliasStore(p *isa.Pool) (*isa.Def, error) { return want(p, "str", "movstore", "sd") }
 func aliasFAdd(p *isa.Pool) (*isa.Def, error)  { return want(p, "fadd", "addsd", "fadd.d") }
 func aliasFMul(p *isa.Pool) (*isa.Def, error)  { return want(p, "fmul", "mulsd", "fmul.d") }
-func aliasFDiv(p *isa.Pool) (*isa.Def, error)  { return want(p, "fdiv", "divsd", "fdiv.d") }
-func aliasSqrt(p *isa.Pool) (*isa.Def, error)  { return want(p, "fsqrt", "sqrtsd", "fsqrt.d") }
 func aliasVAdd(p *isa.Pool) (*isa.Def, error)  { return want(p, "vadd", "addps", "vadd.vv") }
 func aliasVMul(p *isa.Pool) (*isa.Def, error)  { return want(p, "vmul", "mulps", "vmul.vv") }
 func aliasDiv(p *isa.Pool) (*isa.Def, error)   { return want(p, "sdiv", "idiv", "div") }

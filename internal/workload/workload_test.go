@@ -1,6 +1,7 @@
 package workload
 
 import (
+	"repro/internal/dsp"
 	"testing"
 
 	"repro/internal/isa"
@@ -81,11 +82,7 @@ func TestWorkloadCurrentOrdering(t *testing.T) {
 			t.Fatal(err)
 		}
 		cl := power.ClusterLoad{Core: cfg, Seq: seq, ClockHz: 1.2e9, ActiveCores: 1}
-		wave := make([]float64, 2048)
-		if _, err := cl.CurrentInto(wave, 0.5e-9, 2048); err != nil {
-			t.Fatal(err)
-		}
-		return power.MeanCurrent(wave)
+		return meanCurrent(t, cl, 0.5e-9, 2048)
 	}
 	idle := mean("idle")
 	mcf := mean("mcf")
@@ -141,11 +138,7 @@ func TestWorkloadCurrentOrderingX86(t *testing.T) {
 			t.Fatal(err)
 		}
 		cl := power.ClusterLoad{Core: cfg, Seq: seq, ClockHz: 3.1e9, ActiveCores: 1}
-		wave := make([]float64, 2048)
-		if _, err := cl.CurrentInto(wave, 0.25e-9, 2048); err != nil {
-			t.Fatal(err)
-		}
-		return power.MeanCurrent(wave)
+		return meanCurrent(t, cl, 0.25e-9, 2048)
 	}
 	idle := mean("idle")
 	prime := mean("prime95")
@@ -156,4 +149,19 @@ func TestWorkloadCurrentOrderingX86(t *testing.T) {
 	if prime <= webxprt {
 		t.Errorf("prime95 %v not above webxprt %v", prime, webxprt)
 	}
+}
+
+// meanCurrent returns the cluster's mean current over n samples at dt,
+// resampled from the steady-state simulation the platform evaluates.
+func meanCurrent(t *testing.T, cl power.ClusterLoad, dt float64, n int) float64 {
+	t.Helper()
+	sim, err := cl.SteadySimTrace(dt, n, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wave := make([]float64, n)
+	if err := cl.FillFromSim(sim, wave); err != nil {
+		t.Fatal(err)
+	}
+	return dsp.Mean(wave)
 }

@@ -144,13 +144,17 @@ func TestPersistentCacheCorruptionRecomputes(t *testing.T) {
 	run := func() *GAResult { return gaRun(t, JunoR2, DomainA72, 2, 4) }
 	want := run()
 
-	s := openCampaignStore(t)
+	dir := t.TempDir()
+	s, err := castore.Open(dir, castore.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
 	withPersist(t, s, func() { run() })
 
 	// Garble every entry: flip one byte in the middle and truncate the odd
 	// ones, covering both corruption shapes at campaign scale.
 	var garbled int
-	err := filepath.WalkDir(s.Dir(), func(path string, d fs.DirEntry, err error) error {
+	err = filepath.WalkDir(dir, func(path string, d fs.DirEntry, err error) error {
 		if err != nil || d.IsDir() || !strings.HasSuffix(path, ".e") {
 			return err
 		}
@@ -182,7 +186,7 @@ func TestPersistentCacheCorruptionRecomputes(t *testing.T) {
 	if st.Corrupt == 0 {
 		t.Errorf("no corruption detected across %d garbled entries: %+v", garbled, st)
 	}
-	if ents, err := os.ReadDir(filepath.Join(s.Dir(), "quarantine")); err != nil || len(ents) == 0 {
+	if ents, err := os.ReadDir(filepath.Join(dir, "quarantine")); err != nil || len(ents) == 0 {
 		t.Errorf("no quarantined entries (err %v)", err)
 	}
 }
