@@ -27,8 +27,9 @@ test: build
 # (the bounded descent against its exhaustive oracle, and the rung
 # prediction's rounding bound), the AC solve's bit-identity pins (the PDN
 # transfers against the original solve, the pattern elimination against
-# its dense oracle), and the persistent store's read-path, LRU-touch and
-# block-accounting tests. The persistent store is cross-process
+# its dense oracle), the assembler codec's reference oracle, the
+# multi-part MEASURE local/remote bit-identity pins, and the persistent
+# store's read-path, LRU-touch and block-accounting tests. The persistent store is cross-process
 # shared mutable state, so its whole suite runs under the race detector here.
 # Its read path works at the system-call level, so the module must also build
 # for darwin, windows and freebsd: a field of one GOOS's syscall types fails
@@ -43,6 +44,9 @@ tier1: build fmt vet reach specs-verify tier1-remote tier1-fleet
 	$(call require-tests,RungPredictionWithinBound,./internal/vmin)
 	$(call require-tests,TransfersMatchSolveACRef,./internal/pdn)
 	$(call require-tests,CSolvePatternMatchesDense,./internal/linalg)
+	$(call require-tests,CodecMatchesReference,./internal/isa)
+	$(call require-tests,MultiPartMeasureEquivalence,./internal/lab)
+	$(call require-tests,MeasureBatchEquivalence,./internal/backend)
 	$(call require-tests,GetReadPathEdges,./internal/castore)
 	$(call require-tests,GCEvictsUnreadBeforeTouched,./internal/castore)
 	$(call require-tests,BudgetChargesWholeBlocks,./internal/castore)
@@ -116,12 +120,12 @@ reach:
 # Hot-path benchmarks (sweep, shmoo, spectra and fitness evaluation,
 # batched and fleet generations, warm start) plus the stage benchmarks
 # kept next to their stage (the analyzer's MeasurePeak, the real-input
-# FFT, the PDN transfer solve and one V_MIN ladder rung), printed as plain
-# `go test -bench` output. The end-to-end benchmark is perfbench
-# (BENCHMARK.json).
+# FFT, the PDN transfer solve, one V_MIN ladder rung, and the lab wire's
+# assembler codec beside its reference), printed as plain `go test -bench`
+# output. The end-to-end benchmark is perfbench (BENCHMARK.json).
 bench:
-	$(GO) test -bench 'BenchmarkSpectraEvaluation|BenchmarkFitnessEvaluation|BenchmarkResonanceSweep|BenchmarkShmoo|BenchmarkGenerationBatch|BenchmarkFleetGeneration|BenchmarkWarmStart|BenchmarkMeasurePeak|BenchmarkRFFT8192|BenchmarkTransfers8192|BenchmarkLadderRung' \
-		-benchmem -benchtime 1s -run '^$$' . ./internal/instrument ./internal/dsp ./internal/pdn ./internal/platform
+	$(GO) test -bench 'BenchmarkSpectraEvaluation|BenchmarkFitnessEvaluation|BenchmarkResonanceSweep|BenchmarkShmoo|BenchmarkGenerationBatch|BenchmarkFleetGeneration|BenchmarkWarmStart|BenchmarkMeasurePeak|BenchmarkRFFT8192|BenchmarkTransfers8192|BenchmarkLadderRung|BenchmarkFormatParseProgram' \
+		-benchmem -benchtime 1s -run '^$$' . ./internal/instrument ./internal/dsp ./internal/pdn ./internal/platform ./internal/isa
 
 # Hammers the persistent store's concurrent surface (mixed Put/Get under
 # GC pressure, cross-handle sharing) repeatedly under the race detector.

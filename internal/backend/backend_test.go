@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"bytes"
 	"fmt"
+	"math/rand"
 	"net"
 	"reflect"
 	"strings"
@@ -410,6 +411,84 @@ func TestMeasurerEquivalence(t *testing.T) {
 					tc.name, lres.Best.Fitness, rres.Best.Fitness)
 			}
 		})
+	}
+}
+
+// TestMeasureBatchEquivalence: the remote measurer sends a generation as
+// multi-part MEASUREs, one per session in use and at most
+// lab.MaxMeasureParts parts each, and its results equal the local
+// backend's evaluation of the same generation and its per-item Measure bit
+// for bit at every parallelism; the voltage metrics stay one VMEASURE per
+// item.
+func TestMeasureBatchEquivalence(t *testing.T) {
+	const sessions = 3
+	local, remote := backends(t, sessions)
+	caps, err := local.Caps(platform.DomainA72)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(9))
+	items := make([]ga.BatchItem, lab.MaxMeasureParts+44)
+	for i := range items {
+		items[i] = ga.BatchItem{Seq: caps.Pool().RandomSequence(rng, 8)}
+	}
+	items[5], items[17] = items[3], items[3] // clones a batch dedups
+	em := backend.MeasurerSpec{Domain: platform.DomainA72, Metric: backend.MetricEM, ActiveCores: 2, Samples: 3}
+	droop := em
+	droop.Metric, droop.DSOSeed = backend.MetricDroop, 5
+	for _, tc := range []struct {
+		spec        backend.MeasurerSpec
+		items       []ga.BatchItem
+		parallelism int
+		verb        string
+		requests    int64
+	}{
+		{em, items[:40], 1, "MEASURE", 1},
+		{em, items[:40], 2, "MEASURE", 2},
+		{em, items[:40], 8, "MEASURE", sessions},
+		{em, items, 1, "MEASURE", 2},
+		{droop, items[:6], 8, "VMEASURE", 6},
+	} {
+		lm, err := local.Measurer(tc.spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rm, err := remote.Measurer(tc.spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pop := make([]ga.Individual, len(tc.items))
+		for i, it := range tc.items {
+			pop[i].Seq = it.Seq
+		}
+		if err := ga.EvaluatePopulation(pop, lm, tc.parallelism); err != nil {
+			t.Fatal(err)
+		}
+		want := make([]ga.BatchResult, len(pop))
+		for i, in := range pop {
+			want[i] = ga.BatchResult{Fitness: in.Fitness, DominantHz: in.DominantHz}
+		}
+		before := remote.TransportStats().Commands[tc.verb].Calls
+		got, err := rm.(ga.BatchMeasurer).MeasureBatch(tc.items, tc.parallelism)
+		if err != nil {
+			t.Fatal(err)
+		}
+		name := fmt.Sprintf("%s, %d items, parallelism %d", tc.spec.Metric, len(tc.items), tc.parallelism)
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s: remote batch differs from the local evaluation", name)
+		}
+		if n := remote.TransportStats().Commands[tc.verb].Calls - before; n != tc.requests {
+			t.Fatalf("%s: %d %s requests, want %d", name, n, tc.verb, tc.requests)
+		}
+		for _, i := range []int{0, 3, 5, len(tc.items) - 1} {
+			fit, hz, err := lm.Measure(tc.items[i].Seq)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got[i] != (ga.BatchResult{Fitness: fit, DominantHz: hz}) {
+				t.Fatalf("%s: item %d differs from a local Measure", name, i)
+			}
+		}
 	}
 }
 

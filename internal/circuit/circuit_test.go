@@ -17,7 +17,7 @@ func TestDCVoltageDivider(t *testing.T) {
 	if err != nil {
 		t.Fatalf("OperatingPoint: %v", err)
 	}
-	v, err := op.Voltage("mid")
+	v, err := opVoltage(c, op, "mid")
 	if err != nil {
 		t.Fatalf("Voltage: %v", err)
 	}
@@ -25,7 +25,7 @@ func TestDCVoltageDivider(t *testing.T) {
 		t.Fatalf("divider mid = %v, want 5", v)
 	}
 	// Source delivers 5mA; branch current flows a->b through the circuit.
-	i, err := op.Current("vs")
+	i, err := opCurrent(c, op, "vs")
 	if err != nil {
 		t.Fatalf("Current: %v", err)
 	}
@@ -33,7 +33,7 @@ func TestDCVoltageDivider(t *testing.T) {
 		t.Fatalf("source current = %v, want ±5mA", i)
 	}
 	// Ground voltage is zero by definition.
-	if v, _ := op.Voltage(Ground); v != 0 {
+	if v, _ := opVoltage(c, op, Ground); v != 0 {
 		t.Fatalf("ground voltage = %v", v)
 	}
 }
@@ -48,12 +48,12 @@ func TestDCInductorIsShort(t *testing.T) {
 	if err != nil {
 		t.Fatalf("OperatingPoint: %v", err)
 	}
-	va, _ := op.Voltage("a")
-	vb, _ := op.Voltage("b")
+	va, _ := opVoltage(c, op, "a")
+	vb, _ := opVoltage(c, op, "b")
 	if math.Abs(va-vb) > 1e-9 {
 		t.Fatalf("inductor not a DC short: %v vs %v", va, vb)
 	}
-	il, err := op.Current("l1")
+	il, err := opCurrent(c, op, "l1")
 	if err != nil {
 		t.Fatalf("Current: %v", err)
 	}
@@ -72,7 +72,7 @@ func TestDCCapacitorIsOpen(t *testing.T) {
 	if err != nil {
 		t.Fatalf("OperatingPoint: %v", err)
 	}
-	va, _ := op.Voltage("a")
+	va, _ := opVoltage(c, op, "a")
 	if math.Abs(va-3) > 1e-9 {
 		t.Fatalf("cap node = %v, want 3", va)
 	}
@@ -315,10 +315,10 @@ func TestErrorPaths(t *testing.T) {
 	if err != nil {
 		t.Fatalf("OperatingPoint: %v", err)
 	}
-	if _, err := op.Voltage("nope"); err == nil {
+	if _, err := opVoltage(c, op, "nope"); err == nil {
 		t.Error("Voltage of unknown node succeeded")
 	}
-	if _, err := op.Current("nope"); err == nil {
+	if _, err := opCurrent(c, op, "nope"); err == nil {
 		t.Error("Current of unknown branch succeeded")
 	}
 	if _, err := c.RunTransient(TransientOptions{Dt: 0, Steps: 10}); err == nil {

@@ -4,19 +4,19 @@ package circuit
 // production code reads a DC operating point through RunTransient and an
 // AC sweep through ACSolver probes.
 
-// Voltage returns the DC voltage of the named node.
-func (op *OP) Voltage(node string) (float64, error) {
-	idx, err := op.circuit.nodeIndex(node)
+// opVoltage returns the DC voltage of the named node of c at op.
+func opVoltage(c *Circuit, op *OP, node string) (float64, error) {
+	idx, err := c.nodeIndex(node)
 	if err != nil || idx < 0 {
 		return 0, err // ground reads 0
 	}
 	return op.x[idx], nil
 }
 
-// Current returns the DC branch current of the named inductor or voltage
-// source.
-func (op *OP) Current(name string) (float64, error) {
-	idx, err := op.circuit.branchIndex(name)
+// opCurrent returns the DC branch current of c's named inductor or voltage
+// source at op.
+func opCurrent(c *Circuit, op *OP, name string) (float64, error) {
+	idx, err := c.branchIndex(name)
 	if err != nil {
 		return 0, err
 	}

@@ -9,8 +9,7 @@ import (
 // OP holds a DC operating point: node voltages and source/inductor branch
 // currents.
 type OP struct {
-	circuit *Circuit
-	x       []float64
+	x []float64
 }
 
 // OperatingPoint solves the DC operating point: capacitors open, inductors
@@ -58,5 +57,5 @@ func (c *Circuit) OperatingPoint() (*OP, error) {
 	if err != nil {
 		return nil, fmt.Errorf("circuit: DC operating point: %w", err)
 	}
-	return &OP{circuit: c, x: x}, nil
+	return &OP{x: x}, nil
 }

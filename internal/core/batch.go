@@ -181,7 +181,7 @@ func (m emMeasurer) MeasureBatch(items []ga.BatchItem, parallelism int) ([]ga.Ba
 	for i, it := range items {
 		loads[i] = platform.Load{Seq: it.Seq, ActiveCores: m.activeCores}
 	}
-	meas, err := m.b.emMeasureBatch(m.d, loads, m.b.Samples, parallelism)
+	meas, err := m.b.EMMeasureBatch(m.d, loads, m.b.Samples, parallelism, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -192,11 +192,17 @@ func (m emMeasurer) MeasureBatch(items []ga.BatchItem, parallelism int) ([]ga.Ba
 	return results, nil
 }
 
-// emMeasureBatch is the bench's one EM measurement path: every load is
+// EMMeasureBatch is the bench's one EM measurement path: every load is
 // measured on domain d at its current operating point, with intra-batch
-// dedup, the in-memory memo and the disk tier in front of the pipeline.
-// EMMeasureN is a batch of one.
-func (b *Bench) emMeasureBatch(d *platform.Domain, loads []platform.Load, samples, parallelism int) ([]instrument.Measurement, error) {
+// dedup, the in-memory memo and the disk tier in front of the pipeline, on
+// up to parallelism workers. EMMeasureN is a batch of one.
+//
+// A non-nil emit receives every result in index order as soon as it and
+// all results before it are known, so a caller can stream a long batch
+// (the lab daemon answers a multi-part MEASURE one line per part); an
+// emit error stops the batch and is returned.
+func (b *Bench) EMMeasureBatch(d *platform.Domain, loads []platform.Load, samples, parallelism int,
+	emit func(i int, m instrument.Measurement) error) ([]instrument.Measurement, error) {
 	if err := b.Validate(); err != nil {
 		return nil, err
 	}
@@ -255,6 +261,26 @@ func (b *Bench) emMeasureBatch(d *platform.Domain, loads []platform.Load, sample
 		}
 		work = append(work, i)
 	}
+	// The counters are final once the batch is planned; counting before any
+	// result streams out keeps them current for whoever reads a reply.
+	st.batches.Add(1)
+	st.items.Add(uint64(len(loads)))
+	st.measured.Add(uint64(len(work)))
+	st.dedup.Add(dedup)
+	st.memoHits.Add(memoHits)
+	var order *inOrder
+	if emit != nil {
+		order = &inOrder{emit: emit, results: results, dupOf: dupOf, ready: make([]bool, len(loads))}
+		for i := range order.ready {
+			order.ready[i] = true
+		}
+		for _, i := range work {
+			order.ready[i] = false
+		}
+		if err := order.done(-1); err != nil {
+			return nil, err
+		}
+	}
 
 	// Each worker slot owns one arena for the whole batch: rows live for a
 	// single individual and the per-item Reset rewinds them in O(1), so the
@@ -297,7 +323,7 @@ func (b *Bench) emMeasureBatch(d *platform.Domain, loads []platform.Load, sample
 		results[i] = *meas
 		st.memoAdd(keys[i], *meas)
 		disk.put(keys[i], *meas)
-		return nil
+		return order.done(i)
 	})
 	var arenaTotal uint64
 	for _, ar := range arenas {
@@ -316,11 +342,6 @@ func (b *Bench) emMeasureBatch(d *platform.Domain, loads []platform.Load, sample
 			break
 		}
 	}
-	st.batches.Add(1)
-	st.items.Add(uint64(len(loads)))
-	st.measured.Add(uint64(len(work)))
-	st.dedup.Add(dedup)
-	st.memoHits.Add(memoHits)
 	for {
 		cur := st.arenaBytes.Load()
 		if arenaTotal <= cur || st.arenaBytes.CompareAndSwap(cur, arenaTotal) {
@@ -336,4 +357,42 @@ func (b *Bench) emMeasureBatch(d *platform.Domain, loads []platform.Load, sample
 		}
 	}
 	return results, nil
+}
+
+// inOrder streams a batch's results to an emit callback in index order.
+// Workers finish out of order; done marks one result final and emits the
+// longest run of final results from the cursor on, a duplicate being final
+// with its first occurrence, which always comes before it.
+type inOrder struct {
+	mu      sync.Mutex
+	emit    func(i int, m instrument.Measurement) error
+	results []instrument.Measurement
+	dupOf   []int
+	ready   []bool
+	next    int
+	err     error
+}
+
+// done marks results[i] final (i < 0 marks nothing) and emits what is now
+// ready. A nil receiver is a batch nobody streams.
+func (o *inOrder) done(i int) error {
+	if o == nil {
+		return nil
+	}
+	o.mu.Lock()
+	defer o.mu.Unlock()
+	if i >= 0 {
+		o.ready[i] = true
+	}
+	for o.err == nil && o.next < len(o.ready) {
+		k := o.next
+		if j := o.dupOf[k]; j >= 0 {
+			o.results[k] = o.results[j]
+		} else if !o.ready[k] {
+			break
+		}
+		o.err = o.emit(k, o.results[k])
+		o.next++
+	}
+	return o.err
 }

@@ -124,7 +124,7 @@ func (b *Bench) EMMeasure(d *platform.Domain, l platform.Load) (*instrument.Meas
 // command) without mutating — or copying — the shared bench. It is a batch
 // of one, served by the same memo and disk tier as MeasureBatch.
 func (b *Bench) EMMeasureN(d *platform.Domain, l platform.Load, samples int) (*instrument.Measurement, error) {
-	ms, err := b.emMeasureBatch(d, []platform.Load{l}, samples, 1)
+	ms, err := b.EMMeasureBatch(d, []platform.Load{l}, samples, 1, nil)
 	if err != nil {
 		return nil, err
 	}

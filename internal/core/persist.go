@@ -114,7 +114,7 @@ func decodeMeas(payload []byte, k batchMemoKey, analyzerHash uint64) (instrument
 	return m, true
 }
 
-// measDisk wraps the store with the analyzer identity so emMeasureBatch's
+// measDisk wraps the store with the analyzer identity so EMMeasureBatch's
 // hot loop carries one value instead of two.
 type measDisk struct {
 	s       *castore.Store

@@ -48,83 +48,152 @@ func loopBranch(arch Arch) string {
 	return "b loop"
 }
 
-// FormatInst renders one instruction instance.
-func FormatInst(p *Pool, in Inst) string {
+// AppendInst appends one instruction instance's text to dst.
+func AppendInst(dst []byte, p *Pool, in Inst) []byte {
 	d := in.Def
-	var ops []string
+	dst = append(dst, d.Mnemonic...)
+	prefix := regPrefix(p.Arch, d.RegFile)
+	k := 0 // operands written so far
 	if !d.NoDest {
-		ops = append(ops, regPrefix(p.Arch, d.RegFile)+strconv.Itoa(in.Dest))
+		dst = appendNumber(append(appendSep(dst, k), prefix...), in.Dest)
+		k++
 	}
 	for i := 0; i < d.NSrc; i++ {
-		ops = append(ops, regPrefix(p.Arch, d.RegFile)+strconv.Itoa(in.Srcs[i]))
+		dst = appendNumber(append(appendSep(dst, k), prefix...), in.Srcs[i])
+		k++
 	}
 	if d.Mem != MemNone {
-		ops = append(ops, "[m"+strconv.Itoa(in.Addr)+"]")
+		dst = append(appendNumber(append(appendSep(dst, k), "[m"...), in.Addr), ']')
+		k++
 	}
 	if d.Class == Branch {
-		ops = append(ops, "next")
+		dst = append(appendSep(dst, k), "next"...)
 	}
-	if len(ops) == 0 {
-		return d.Mnemonic
-	}
-	return d.Mnemonic + " " + strings.Join(ops, ", ")
+	return dst
 }
 
-// FormatProgram renders a full loop: header comment, label, body, closing
-// branch.
-func FormatProgram(p *Pool, seq []Inst) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "# pool: %s\n", p.Arch)
-	b.WriteString("loop:\n")
-	for _, in := range seq {
-		b.WriteString("\t")
-		b.WriteString(FormatInst(p, in))
-		b.WriteString("\n")
+// appendSep appends the text before the k-th operand.
+func appendSep(dst []byte, k int) []byte {
+	if k == 0 {
+		return append(dst, ' ')
 	}
-	b.WriteString("\t" + loopBranch(p.Arch) + "\n")
-	return b.String()
+	return append(dst, ',', ' ')
+}
+
+// appendNumber is strconv.AppendInt in base 10, with the one- and
+// two-digit operand numbers written directly.
+func appendNumber(dst []byte, n int) []byte {
+	switch {
+	case 0 <= n && n < 10:
+		return append(dst, byte('0'+n))
+	case 10 <= n && n < 100:
+		return append(dst, byte('0'+n/10), byte('0'+n%10))
+	}
+	return strconv.AppendInt(dst, int64(n), 10)
+}
+
+// AppendProgram appends a full loop to dst: header comment, label, body,
+// closing branch, one line each.
+func AppendProgram(dst []byte, p *Pool, seq []Inst) []byte {
+	dst = append(dst, "# pool: "...)
+	dst = append(dst, p.Arch.String()...)
+	dst = append(dst, "\nloop:\n"...)
+	for _, in := range seq {
+		dst = append(dst, '\t')
+		dst = AppendInst(dst, p, in)
+		dst = append(dst, '\n')
+	}
+	dst = append(dst, '\t')
+	dst = append(dst, loopBranch(p.Arch)...)
+	return append(dst, '\n')
+}
+
+// FormatProgram renders a full loop as AppendProgram does. A loop of the
+// GA's length formats in a stack buffer, so the returned string is its
+// only allocation.
+func FormatProgram(p *Pool, seq []Inst) string {
+	var buf [4096]byte
+	return string(AppendProgram(buf[:0], p, seq))
 }
 
 // ParseProgram parses text produced by FormatProgram (or hand-written in
-// the same syntax) back into an instruction sequence.
+// the same syntax) back into an instruction sequence. It scans the text in
+// place: the returned slice, sized on the first instruction from the lines
+// left, is its only allocation on success.
 func ParseProgram(p *Pool, text string) ([]Inst, error) {
 	var seq []Inst
-	for lineNo, raw := range strings.Split(text, "\n") {
-		line := strings.TrimSpace(raw)
-		if i := strings.IndexAny(line, "#;"); i >= 0 {
-			line = strings.TrimSpace(line[:i])
+	for lineNo := 1; ; lineNo++ {
+		line, rest, more := cutByte(text, '\n')
+		text = rest
+		// A comment never starts inside the space TrimSpace would cut, so
+		// cutting it first and trimming once is the same as trimming, cutting
+		// and trimming again.
+		if i := indexComment(line); i >= 0 {
+			line = line[:i]
 		}
-		if line == "" || strings.HasSuffix(line, ":") {
-			continue
+		line = strings.TrimSpace(line)
+		if line != "" && !strings.HasSuffix(line, ":") && line != loopBranch(p.Arch) {
+			in, err := ParseInst(p, line)
+			if err != nil {
+				return nil, fmt.Errorf("isa: line %d: %w", lineNo, err)
+			}
+			if seq == nil {
+				seq = make([]Inst, 0, 1+strings.Count(text, "\n"))
+			}
+			seq = append(seq, in)
 		}
-		if line == loopBranch(p.Arch) {
-			continue
+		if !more {
+			return seq, nil
 		}
-		in, err := ParseInst(p, line)
-		if err != nil {
-			return nil, fmt.Errorf("isa: line %d: %w", lineNo+1, err)
-		}
-		seq = append(seq, in)
 	}
-	return seq, nil
 }
+
+// cutByte is strings.Cut with a one-byte separator.
+func cutByte(s string, sep byte) (before, after string, found bool) {
+	if i := strings.IndexByte(s, sep); i >= 0 {
+		return s[:i], s[i+1:], true
+	}
+	return s, "", false
+}
+
+// indexComment is strings.IndexAny(line, "#;") without building the
+// character set on every call.
+func indexComment(line string) int {
+	for i := 0; i < len(line); i++ {
+		if line[i] == '#' || line[i] == ';' {
+			return i
+		}
+	}
+	return -1
+}
+
+// maxOperands bounds an instruction's operand list: a destination, two
+// sources, a memory slot and a branch target.
+const maxOperands = 5
 
 // ParseInst parses a single instruction line.
 func ParseInst(p *Pool, line string) (Inst, error) {
-	fields := strings.SplitN(line, " ", 2)
-	mnemonic := fields[0]
+	mnemonic, list, _ := cutByte(line, ' ')
 	d, ok := p.DefByMnemonic(mnemonic)
 	if !ok {
 		return Inst{}, fmt.Errorf("unknown mnemonic %q", mnemonic)
 	}
-	var ops []string
-	if len(fields) == 2 {
-		for _, op := range strings.Split(fields[1], ",") {
-			op = strings.TrimSpace(op)
-			if op != "" {
-				ops = append(ops, op)
-			}
+	// The operands are the comma-separated fields of the rest of the line,
+	// trimmed, with empty ones dropped; n counts them all, ops keeps the
+	// first maxOperands.
+	var ops [maxOperands]string
+	n := 0
+	for start, i := 0, 0; start < len(list); i++ {
+		if i < len(list) && list[i] != ',' {
+			continue
 		}
+		if op := strings.TrimSpace(list[start:i]); op != "" {
+			if n < len(ops) {
+				ops[n] = op
+			}
+			n++
+		}
+		start = i + 1
 	}
 	want := 0
 	if !d.NoDest {
@@ -137,13 +206,14 @@ func ParseInst(p *Pool, line string) (Inst, error) {
 	if d.Class == Branch {
 		want++
 	}
-	if len(ops) != want {
-		return Inst{}, fmt.Errorf("%s: got %d operands, want %d", mnemonic, len(ops), want)
+	if n != want {
+		return Inst{}, fmt.Errorf("%s: got %d operands, want %d", mnemonic, n, want)
 	}
 	in := Inst{Def: d}
 	idx := 0
+	prefix, limit := regPrefix(p.Arch, d.RegFile), p.regCount(d)
 	if !d.NoDest {
-		r, err := parseReg(p, d, ops[idx])
+		r, err := parseReg(prefix, limit, ops[idx])
 		if err != nil {
 			return Inst{}, fmt.Errorf("%s: dest: %w", mnemonic, err)
 		}
@@ -151,7 +221,7 @@ func ParseInst(p *Pool, line string) (Inst, error) {
 		idx++
 	}
 	for i := 0; i < d.NSrc; i++ {
-		r, err := parseReg(p, d, ops[idx])
+		r, err := parseReg(prefix, limit, ops[idx])
 		if err != nil {
 			return Inst{}, fmt.Errorf("%s: src %d: %w", mnemonic, i, err)
 		}
@@ -172,18 +242,15 @@ func ParseInst(p *Pool, line string) (Inst, error) {
 	return in, nil
 }
 
-func parseReg(p *Pool, d *Def, s string) (int, error) {
-	prefix := regPrefix(p.Arch, d.RegFile)
+// parseReg parses a register operand of the file with the given name
+// prefix and size.
+func parseReg(prefix string, limit int, s string) (int, error) {
 	if !strings.HasPrefix(s, prefix) {
 		return 0, fmt.Errorf("register %q does not match file prefix %q", s, prefix)
 	}
-	n, err := strconv.Atoi(s[len(prefix):])
+	n, err := atoi(s[len(prefix):])
 	if err != nil {
 		return 0, fmt.Errorf("register %q: %v", s, err)
-	}
-	limit := p.IntRegs
-	if d.RegFile == RegVec {
-		limit = p.VecRegs
 	}
 	if n < 0 || n >= limit {
 		return 0, fmt.Errorf("register %q out of range [0,%d)", s, limit)
@@ -195,7 +262,7 @@ func parseMemSlot(p *Pool, s string) (int, error) {
 	if !strings.HasPrefix(s, "[m") || !strings.HasSuffix(s, "]") {
 		return 0, fmt.Errorf("memory operand %q, want [mN]", s)
 	}
-	n, err := strconv.Atoi(s[2 : len(s)-1])
+	n, err := atoi(s[2 : len(s)-1])
 	if err != nil {
 		return 0, fmt.Errorf("memory operand %q: %v", s, err)
 	}
@@ -203,4 +270,17 @@ func parseMemSlot(p *Pool, s string) (int, error) {
 		return 0, fmt.Errorf("memory slot %q out of range [0,%d)", s, p.MemSlots)
 	}
 	return n, nil
+}
+
+// atoi is strconv.Atoi with a fast path for the one- and two-digit
+// numbers operands carry; anything else, errors included, is
+// strconv.Atoi's.
+func atoi(s string) (int, error) {
+	switch {
+	case len(s) == 1 && s[0]-'0' <= 9:
+		return int(s[0] - '0'), nil
+	case len(s) == 2 && s[0]-'0' <= 9 && s[1]-'0' <= 9:
+		return int(s[0]-'0')*10 + int(s[1]-'0'), nil
+	}
+	return strconv.Atoi(s)
 }

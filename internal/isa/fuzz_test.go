@@ -6,9 +6,10 @@ import (
 	"testing"
 )
 
-// FuzzParseProgram throws arbitrary text at the assembly parser: it must
-// never panic, and anything it accepts must survive a format/parse round
-// trip.
+// FuzzParseProgram throws arbitrary text at the assembly parser and holds
+// it to the reference codec in asm_ref_test.go: the same instructions or
+// the same error text, and anything accepted formats to the reference's
+// bytes and survives a format/parse round trip.
 func FuzzParseProgram(f *testing.F) {
 	pool := ARM64Pool()
 	rng := rand.New(rand.NewSource(1))
@@ -20,26 +21,12 @@ func FuzzParseProgram(f *testing.F) {
 	f.Add("ldr x1, [m1]\nstr")      // truncated
 	f.Add("b next\nb loop\nb next") // branches
 	f.Add(strings.Repeat("mov x1, x2\n", 100))
+	for _, text := range codecEdgeCases {
+		f.Add(text)
+	}
 
 	f.Fuzz(func(t *testing.T, text string) {
-		seq, err := ParseProgram(pool, text)
-		if err != nil {
-			return
-		}
-		out := FormatProgram(pool, seq)
-		back, err := ParseProgram(pool, out)
-		if err != nil {
-			t.Fatalf("formatted program does not re-parse: %v\n%s", err, out)
-		}
-		if len(back) != len(seq) {
-			t.Fatalf("round trip changed length %d -> %d", len(seq), len(back))
-		}
-		for i := range seq {
-			if seq[i].Dest != back[i].Dest || seq[i].Srcs != back[i].Srcs ||
-				seq[i].Addr != back[i].Addr || seq[i].Def.Mnemonic != back[i].Def.Mnemonic {
-				t.Fatalf("round trip changed instruction %d", i)
-			}
-		}
+		requireSameParse(t, pool, text)
 	})
 }
 

@@ -218,7 +218,7 @@ func TestFormatParseInstExamples(t *testing.T) {
 			t.Errorf("ParseInst(%q): %v", tc.text, err)
 			continue
 		}
-		if got := FormatInst(tc.pool, in); got != tc.text {
+		if got := formatInst(tc.pool, in); got != tc.text {
 			t.Errorf("round trip %q -> %q", tc.text, got)
 		}
 	}

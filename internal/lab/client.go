@@ -100,6 +100,10 @@ type Client struct {
 	setpoints *setpoints
 	stats     statsCollector
 	closed    bool
+
+	// req and prog are the reusable buffers a request body is formatted
+	// in (see Client.body).
+	req, prog []byte
 }
 
 // Dial connects to a lab daemon with default resilience options and the
@@ -159,7 +163,7 @@ func (c *Client) Close() error {
 		return nil
 	}
 	start := time.Now()
-	_, err := c.exchange(command{verb: "QUIT", line: "QUIT"})
+	err := c.exchange(command{verb: "QUIT", line: "QUIT"})
 	c.stats.done("QUIT", time.Since(start), err != nil)
 	cerr := c.conn.Close()
 	c.conn = nil
@@ -173,13 +177,15 @@ func (c *Client) Close() error {
 func (c *Client) Stats() Stats { return c.stats.snapshot() }
 
 // command is one protocol exchange: a request line, an optional body (the
-// program parts of a load-carrying verb) and a payload parser run on the
-// OK reply.
+// program parts of a load-carrying verb), the number of reply lines (0
+// means one) and a payload parser run on each OK line, k counting them
+// from 0.
 type command struct {
-	verb  string
-	line  string
-	body  string
-	parse func(payload string) error
+	verb    string
+	line    string
+	body    []byte
+	replies int
+	parse   func(k int, payload string) error
 }
 
 // do runs one command through the resilience loop: attempt, classify,
@@ -211,20 +217,8 @@ func (c *Client) attemptLoop(cmd command) error {
 				continue
 			}
 		}
-		payload, err := c.exchange(cmd)
-		if err == nil {
-			if cmd.parse != nil {
-				if perr := cmd.parse(payload); perr != nil {
-					// An OK reply whose payload does not parse means the
-					// stream is desynced or corrupted: transport fault.
-					lastErr = &transportError{op: cmd.verb, err: perr}
-					c.dropConn()
-					continue
-				}
-			}
-			return nil
-		}
-		if IsTargetError(err) {
+		err := c.exchange(cmd)
+		if err == nil || IsTargetError(err) {
 			return err
 		}
 		lastErr = err
@@ -242,38 +236,54 @@ func (c *Client) sleepBackoff(attempt int) {
 	time.Sleep(d)
 }
 
-// exchange performs one raw request/reply round trip under the I/O
-// deadline. It returns a *TargetError for ERR replies and a transport
-// error for anything else that goes wrong.
-func (c *Client) exchange(cmd command) (string, error) {
+// exchange performs one raw request/reply round trip. The I/O deadline
+// covers sending the request and the first reply line, and is re-armed
+// for every further line, so a streamed reply may take as long as its
+// lines need. It returns a *TargetError for an ERR line and a transport
+// error for anything else that goes wrong — an OK line whose payload does
+// not parse included, since that means the stream is desynced or
+// corrupted.
+func (c *Client) exchange(cmd command) error {
 	if c.conn == nil {
-		return "", &transportError{op: cmd.verb, err: fmt.Errorf("no connection")}
+		return &transportError{op: cmd.verb, err: fmt.Errorf("no connection")}
 	}
 	_ = c.conn.SetDeadline(time.Now().Add(c.opts.IOTimeout))
 	defer func() { _ = c.conn.SetDeadline(time.Time{}) }()
-	if _, err := c.w.WriteString(cmd.line + "\n"); err != nil {
-		return "", &transportError{op: cmd.verb + " send", err: err}
+	_, err := c.w.WriteString(cmd.line)
+	if err == nil {
+		err = c.w.WriteByte('\n')
 	}
-	if cmd.body != "" {
-		if _, err := c.w.WriteString(cmd.body); err != nil {
-			return "", &transportError{op: cmd.verb + " send body", err: err}
+	if err == nil {
+		_, err = c.w.Write(cmd.body)
+	}
+	if err == nil {
+		err = c.w.Flush()
+	}
+	if err != nil {
+		return &transportError{op: cmd.verb + " send", err: err}
+	}
+	for k := 0; k < max(cmd.replies, 1); k++ {
+		if k > 0 {
+			_ = c.conn.SetReadDeadline(time.Now().Add(c.opts.IOTimeout))
+		}
+		line, err := readLineN(c.r, maxReplyLen)
+		if err != nil {
+			return &transportError{op: cmd.verb + " receive", err: err}
+		}
+		ok, payload, err := parseReply(line)
+		if err != nil {
+			return &transportError{op: cmd.verb + " receive", err: err}
+		}
+		if !ok {
+			return &TargetError{Msg: payload}
+		}
+		if cmd.parse != nil {
+			if err := cmd.parse(k, payload); err != nil {
+				return &transportError{op: cmd.verb, err: err}
+			}
 		}
 	}
-	if err := c.w.Flush(); err != nil {
-		return "", &transportError{op: cmd.verb + " send", err: err}
-	}
-	line, err := readLineN(c.r, maxReplyLen)
-	if err != nil {
-		return "", &transportError{op: cmd.verb + " receive", err: err}
-	}
-	ok, payload, err := parseReply(line)
-	if err != nil {
-		return "", &transportError{op: cmd.verb + " receive", err: err}
-	}
-	if !ok {
-		return "", &TargetError{Msg: payload}
-	}
-	return payload, nil
+	return nil
 }
 
 // reconnect re-dials and replays the recorded setpoints so the fresh
@@ -297,7 +307,7 @@ func (c *Client) replay() error {
 	}
 	c.stats.replay()
 	for _, cmd := range cmds {
-		if _, err := c.exchange(cmd); err != nil {
+		if err := c.exchange(cmd); err != nil {
 			return err
 		}
 	}

@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"bytes"
 	"fmt"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -16,10 +17,11 @@ import (
 // FuzzDispatch feeds the daemon one request — a command line followed by
 // whatever bytes the client sent after it (the program parts of a
 // load-carrying verb) — on a fresh session. Invariants: no panic; the
-// request yields exactly one reply line that parseReply accepts, or a
-// clean close (after QUIT's reply, or with no output for a stream that
-// cannot be resynchronized); and a session that got ERR still answers
-// INFO.
+// request yields reply lines that parseReply accepts — exactly one, except
+// that MEASURE streams one OK line per part and may end early on one ERR
+// line — or a clean close (after QUIT's reply, or with no output for a
+// stream that cannot be resynchronized); and a session that got ERR still
+// answers INFO.
 func FuzzDispatch(f *testing.F) {
 	p, err := platform.JunoR2()
 	if err != nil {
@@ -46,23 +48,34 @@ func FuzzDispatch(f *testing.F) {
 	lines := strings.Count(text, "\n")
 	part := fmt.Sprintf("cortex-a72 2 %d 0\n%s", lines, text)
 	phased := fmt.Sprintf("cortex-a72 2 %d 2 0 37.5\n%s", lines, text)
+	a53 := fmt.Sprintf("cortex-a53 2 %d 0\n%s", lines, text)
+	bad := "cortex-a72 2 2 0\nbogus line\nnop\n"
 
 	for _, seed := range []struct{ line, body string }{
+		{"HELLO 7", ""},
 		{"HELLO 6", ""},
-		{"HELLO 5", ""},
 		{"HELLO", ""},
 		{"INFO", ""},
 		{"CAPS cortex-a72", ""},
 		{"CAPS", ""},
 		{"STATE cortex-a53", ""},
+		{"MEASURE 1 1", part},
+		{"MEASURE 1 1", phased},
+		{"MEASURE 1 3", part + phased + part},
 		{"MEASURE 1", part},
-		{"MEASURE 1", phased},
 		{"MEASURE", part},
-		{"MEASURE NaN", part},
-		{"MEASURE 1", "cortex-a72 2 2 0\nbogus line\nnop\n"},
-		{"MEASURE 1", "nope 2 1 0\nadd x1, x2, x3\n"},
-		{"MEASURE 1", "cortex-a72 2 -1 0\n"},
-		{"MEASURE 1", ""},
+		{"MEASURE NaN 1", part},
+		{"MEASURE 1 1", bad},
+		{"MEASURE 1 1", "nope 2 1 0\nadd x1, x2, x3\n"},
+		{"MEASURE 1 1", "cortex-a72 2 -1 0\n"},
+		{"MEASURE 1 1", ""},
+		{"MEASURE 1 0", ""},
+		{"MEASURE 1 0", part},
+		{fmt.Sprintf("MEASURE 1 %d", MaxMeasureParts+1), part},
+		{"MEASURE 1 2", part + a53},
+		{"MEASURE 1 3", part + part + part[:len(part)/2]},
+		{"MEASURE 1 3", part + part + "cortex-a72 2\n"},
+		{"MEASURE 1 3", part + bad + part},
 		{"VMEASURE droop 1 1", part},
 		{"VMEASURE em 1 1", part},
 		{"VMEASURE ptp Inf 1", part},
@@ -85,8 +98,6 @@ func FuzzDispatch(f *testing.F) {
 		{"MONITOR 1", "cortex-a72 2\n"},
 		{"MONITOR 2", "cortex-a72 2 1 0\nnop\n"},
 		{"SETCLOCK cortex-a72 6e8", ""},
-		{"SETCLOCK cortex-a72 NaN", ""},
-		{"SETVOLTS cortex-a72 Inf", ""},
 		{"SETVOLTS cortex-a72 0.95", ""},
 		{"SETCORES cortex-a53 2", ""},
 		{"RESET cortex-a72", ""},
@@ -118,12 +129,28 @@ func FuzzDispatch(f *testing.F) {
 			}
 			return
 		}
-		if strings.Count(reply, "\n") != 1 || !strings.HasSuffix(reply, "\n") {
-			t.Fatalf("%q: reply is not exactly one line: %q", line, reply)
+		if !strings.HasSuffix(reply, "\n") {
+			t.Fatalf("%q: reply does not end its line: %q", line, reply)
 		}
-		ok, _, err := parseReply(strings.TrimSuffix(reply, "\n"))
-		if err != nil {
-			t.Fatalf("%q: %v", line, err)
+		replies := strings.Split(strings.TrimSuffix(reply, "\n"), "\n")
+		first, _, _ := strings.Cut(line, "\n")
+		request := strings.Fields(first)
+		measure := len(request) == 3 && request[0] == "MEASURE"
+		if len(replies) > 1 && (!measure || len(replies) > atoiOr(request[2], 1)) {
+			t.Fatalf("%q: %d reply lines: %q", line, len(replies), reply)
+		}
+		var ok bool
+		for i, r := range replies {
+			var err error
+			if ok, _, err = parseReply(r); err != nil {
+				t.Fatalf("%q: %v", line, err)
+			}
+			if !ok && i < len(replies)-1 {
+				t.Fatalf("%q: reply goes on after ERR: %q", line, reply)
+			}
+		}
+		if ok && measure && len(replies) != atoiOr(request[2], -1) {
+			t.Fatalf("%q: %d OK lines for %s parts", line, len(replies), request[2])
 		}
 		if !more {
 			if reply != "OK bye\n" {
@@ -140,4 +167,12 @@ func FuzzDispatch(f *testing.F) {
 			t.Fatalf("%q: session stopped answering INFO after ERR: %q", line, out.String())
 		}
 	})
+}
+
+// atoiOr is strconv.Atoi with a fallback for text that is not a number.
+func atoiOr(s string, fallback int) int {
+	if n, err := strconv.Atoi(s); err == nil {
+		return n
+	}
+	return fallback
 }

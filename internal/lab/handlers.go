@@ -79,8 +79,8 @@ func (s *Server) cmdState(w *bufio.Writer, fields []string) error {
 
 // part is one domain's workload as a request carries it: a header
 // "<domain> <cores> <lines> <nphase> [phase...]" and <lines> program
-// lines. MEASURE, VMEASURE, VMIN and SHMOO are each followed by exactly
-// one part, MONITOR by one per domain.
+// lines. VMEASURE, VMIN and SHMOO are each followed by exactly one part,
+// MEASURE and MONITOR by the count their request line gives.
 type part struct {
 	domain string
 	cores  int
@@ -100,7 +100,9 @@ var errStreamLost = errors.New("lab: request stream lost")
 // the request, so a rejected request can never leave program lines in the
 // stream to be dispatched as commands. Only an unreadable line count is an
 // error here (errStreamLost); any other bad header field is kept in
-// part.err and reported once the body is read.
+// part.err and reported once the body is read. The program lines are
+// appended straight from the reader's buffer into the part's text, which
+// is the only string the body costs.
 func readPart(r *bufio.Reader) (part, error) {
 	hdr, err := readLine(r)
 	if err != nil {
@@ -127,12 +129,14 @@ func readPart(r *bufio.Reader) (part, error) {
 		}
 	}
 	var body strings.Builder
+	body.Grow(min(lines, 128) * 32)
+	var buf [256]byte
 	for i := 0; i < lines; i++ {
-		ln, err := readLine(r)
+		ln, err := appendLine(buf[:0], r, maxLineLen)
 		if err != nil {
 			return part{}, fmt.Errorf("%w: reading part program: %v", errStreamLost, err)
 		}
-		body.WriteString(ln)
+		body.Write(ln)
 		body.WriteByte('\n')
 	}
 	p.body = body.String()
@@ -186,29 +190,63 @@ func sampleCount(fields []string, i int) (int, error) {
 	return samples, nil
 }
 
-// cmdMeasure measures the part's averaged EM peak: Bench.EMMeasureN, the
-// GA's fitness observable.
+// cmdMeasure measures each part's averaged EM peak with one
+// Bench.EMMeasureBatch call, the GA's fitness observable, and streams one
+// reply line per part as the batch reaches it. Every part must name the
+// same domain; a rejected part is named in the ERR.
 func (s *Server) cmdMeasure(r *bufio.Reader, w *bufio.Writer, fields []string) error {
-	p, err := readRequestPart(r, len(fields) == 2, "MEASURE <samples> + part")
+	if len(fields) != 3 {
+		return fmt.Errorf("%w: usage: MEASURE <samples> <nparts> + parts", errStreamLost)
+	}
+	nparts, err := intField(fields, 2, "parts")
+	if err == nil && (nparts < 0 || nparts > MaxMeasureParts) {
+		err = fmt.Errorf("part count %d out of range [1, %d]", nparts, MaxMeasureParts)
+	}
 	if err != nil {
-		return err
+		return fmt.Errorf("%w: %v", errStreamLost, err)
+	}
+	parts := make([]part, nparts)
+	for i := range parts {
+		if parts[i], err = readPart(r); err != nil {
+			return err
+		}
 	}
 	samples, err := sampleCount(fields, 1)
 	if err != nil {
 		return err
 	}
-	d, load, err := s.load(p)
-	if err != nil {
-		return err
+	if nparts == 0 {
+		return fmt.Errorf("part count 0 out of range [1, %d]", MaxMeasureParts)
+	}
+	var d *platform.Domain
+	loads := make([]platform.Load, nparts)
+	for i, p := range parts {
+		dk, load, err := s.load(p)
+		if err != nil {
+			return fmt.Errorf("part %d: %w", i+1, err)
+		}
+		if d == nil {
+			d = dk
+		} else if dk != d {
+			return fmt.Errorf("part %d: domain %s, but part 1 names %s", i+1, dk.Spec.Name, d.Spec.Name)
+		}
+		loads[i] = load
 	}
 	l := s.domLock(d.Spec.Name)
 	l.RLock()
-	m, err := s.Bench.EMMeasureN(d, load, samples)
-	l.RUnlock()
-	if err != nil {
-		return err
-	}
-	return writeLine(w, "%s %g %g %g", replyOK, m.PeakDBm, m.PeakHz, m.StdevDBm)
+	defer l.RUnlock()
+	var line []byte
+	_, err = s.Bench.EMMeasureBatch(d, loads, samples, 1, func(_ int, m instrument.Measurement) error {
+		line = append(line[:0], replyOK...)
+		for _, v := range [3]float64{m.PeakDBm, m.PeakHz, m.StdevDBm} {
+			line = strconv.AppendFloat(append(line, ' '), v, 'g', -1, 64)
+		}
+		if _, err := w.Write(append(line, '\n')); err != nil {
+			return err
+		}
+		return w.Flush()
+	})
+	return err
 }
 
 // cmdVMeasure measures the part's voltage noise through the bench's DSO
@@ -440,28 +478,6 @@ func (s *Server) cmdMonitor(r *bufio.Reader, w *bufio.Writer, fields []string) e
 		fmt.Fprintf(&b, " %g", v)
 	}
 	return writeLine(w, "%s", b.String())
-}
-
-func (s *Server) cmdSet(w *bufio.Writer, fields []string, set func(*platform.Domain, float64) error) error {
-	if len(fields) != 3 {
-		return fmt.Errorf("usage: %s <domain> <value>", fields[0])
-	}
-	d, err := s.domain(fields[1])
-	if err != nil {
-		return err
-	}
-	v, err := floatField(fields, 2, "value")
-	if err != nil {
-		return err
-	}
-	l := s.domLock(d.Spec.Name)
-	l.Lock()
-	err = set(d, v)
-	l.Unlock()
-	if err != nil {
-		return err
-	}
-	return writeLine(w, "%s", replyOK)
 }
 
 func (s *Server) cmdSetCores(w *bufio.Writer, fields []string) error {

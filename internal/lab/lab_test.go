@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"fmt"
 	"math"
+	"math/rand"
 	"net"
 	"reflect"
 	"strings"
@@ -12,6 +13,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/ga"
+	"repro/internal/instrument"
 	"repro/internal/isa"
 	"repro/internal/platform"
 	"repro/internal/vmin"
@@ -94,7 +96,7 @@ func TestMeasureCarriesLoad(t *testing.T) {
 	c := dial(t, addr)
 	db, dd := directBench(t)
 	p, load := probePart(t, dd)
-	m, err := c.Measure(p, 3)
+	m, err := measureOne(c, p, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,11 +124,11 @@ func TestRepeatMeasureServedByMemo(t *testing.T) {
 	defer c.Close()
 	d, _ := b.Platform.Domain(platform.DomainA72)
 	p, _ := probePart(t, d)
-	first, err := c.Measure(p, 3)
+	first, err := measureOne(c, p, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	second, err := c.Measure(p, 3)
+	second, err := measureOne(c, p, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -143,10 +145,68 @@ func TestRepeatMeasureServedByMemo(t *testing.T) {
 	}
 }
 
-// setRaw sends a setpoint verb the client has no method for (SETCLOCK,
-// SETVOLTS); the client records only SETCORES for replay.
-func setRaw(c *Client, verb, domain string, v float64) error {
-	return c.do(command{verb: verb, line: fmt.Sprintf("%s %s %g", verb, domain, v)})
+// randomParts is n random A72 loops as parts on both cores, with the
+// loads they stand for.
+func randomParts(d *platform.Domain, n int, seed int64) ([]Part, []platform.Load) {
+	pool := d.Spec.Pool()
+	rng := rand.New(rand.NewSource(seed))
+	parts := make([]Part, n)
+	loads := make([]platform.Load, n)
+	for i := range parts {
+		seq := pool.RandomSequence(rng, 12)
+		parts[i] = Part{Domain: d.Spec.Name, Cores: 2, Pool: pool, Seq: seq}
+		loads[i] = platform.Load{Seq: seq, ActiveCores: 2}
+	}
+	return parts, loads
+}
+
+// TestMultiPartMeasureEquivalence: one MEASURE carries a chunk of parts,
+// clones included, and answers each with exactly what a direct bench
+// measures for its load, in one batch on the daemon's bench. Parts naming
+// different domains are one rejected request, its ERR naming the part.
+func TestMultiPartMeasureEquivalence(t *testing.T) {
+	addr, b := startServer(t)
+	c := dial(t, addr)
+	db, dd := directBench(t)
+	parts, loads := randomParts(dd, 9, 4)
+	parts[7], loads[7] = parts[2], loads[2]
+	got, err := c.Measure(parts, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, l := range loads {
+		want, err := db.EMMeasureN(dd, l, 3)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got[i], *want) {
+			t.Fatalf("part %d: remote %+v != direct %+v", i+1, got[i], *want)
+		}
+	}
+	if bs := b.BatchStats(); bs.Batches != 1 || bs.Items != 9 || bs.DedupHits != 1 {
+		t.Fatalf("daemon bench stats %+v, want one batch of 9 items with 1 dedup hit", bs)
+	}
+	mixed := append([]Part(nil), parts[:2]...)
+	mixed[1].Domain = platform.DomainA53
+	if _, err := c.Measure(mixed, 3); !IsTargetError(err) || !strings.Contains(err.Error(), "part 2: ") {
+		t.Fatalf("mixed-domain MEASURE: %v, want an ERR naming part 2", err)
+	}
+	if _, err := c.Measure(nil, 3); err == nil {
+		t.Fatal("MEASURE with no parts accepted")
+	}
+}
+
+// partBody renders one part in its wire form, as a request body carries
+// it.
+func partBody(p Part) string { return string((&Client{}).appendPart(nil, p)) }
+
+// measureOne measures one part through a one-part MEASURE.
+func measureOne(c *Client, p Part, samples int) (*instrument.Measurement, error) {
+	ms, err := c.Measure([]Part{p}, samples)
+	if err != nil {
+		return nil, err
+	}
+	return &ms[0], nil
 }
 
 func TestDomainControls(t *testing.T) {
@@ -154,23 +214,11 @@ func TestDomainControls(t *testing.T) {
 	c := dial(t, addr)
 	d, _ := b.Platform.Domain(platform.DomainA72)
 
-	if err := setRaw(c, "SETCLOCK", platform.DomainA72, 600e6); err != nil {
-		t.Fatal(err)
-	}
-	if d.ClockHz() != 600e6 {
-		t.Fatalf("clock = %v", d.ClockHz())
-	}
 	if err := c.SetCores(platform.DomainA72, 1); err != nil {
 		t.Fatal(err)
 	}
 	if d.PoweredCores() != 1 {
 		t.Fatalf("cores = %d", d.PoweredCores())
-	}
-	if err := setRaw(c, "SETVOLTS", platform.DomainA72, 0.95); err != nil {
-		t.Fatal(err)
-	}
-	if d.SupplyVolts() != 0.95 {
-		t.Fatalf("volts = %v", d.SupplyVolts())
 	}
 	if err := c.Reset(platform.DomainA72); err != nil {
 		t.Fatal(err)
@@ -182,7 +230,7 @@ func TestDomainControls(t *testing.T) {
 	if err := c.SetCores(platform.DomainA72, 99); err == nil {
 		t.Fatal("bad core count accepted")
 	}
-	if err := setRaw(c, "SETCLOCK", "nope", 1e9); err == nil {
+	if err := c.SetCores("nope", 1); err == nil {
 		t.Fatal("unknown domain accepted")
 	}
 	// The session stays usable after an error.
@@ -229,7 +277,7 @@ func emMeasurer(p *Pool, domain string, cores, samples int, ipool *isa.Pool) ga.
 	return ga.MeasurerFunc(func(seq []isa.Inst) (float64, float64, error) {
 		var fit, dom float64
 		err := p.Do(func(c *Client) error {
-			m, err := c.Measure(Part{Domain: domain, Cores: cores, Pool: ipool, Seq: seq}, samples)
+			m, err := measureOne(c, Part{Domain: domain, Cores: cores, Pool: ipool, Seq: seq}, samples)
 			if err != nil {
 				return err
 			}
@@ -293,13 +341,13 @@ func TestProtocolErrors(t *testing.T) {
 	}
 	for _, cmd := range []string{
 		"FROBNICATE",
-		"MEASURE 0\ncortex-a72 2 1 0\nnop", // bad sample count
-		"LOAD cortex-a72 2 1",              // the verb is gone
+		"MEASURE 0 1\ncortex-a72 2 1 0\nnop", // bad sample count
+		"LOAD cortex-a72 2 1",                // the verb is gone
 		"RUN",
-		"SWEEP",        // missing args
-		"SETCLOCK x",   // missing value
-		"SETCORES a b", // non-numeric
-		"RESET",        // missing domain
+		"SETCLOCK cortex-a72 6e8", // so is this one
+		"SWEEP",                   // missing args
+		"SETCORES a b",            // non-numeric
+		"RESET",                   // missing domain
 	} {
 		if reply := send(cmd); !strings.HasPrefix(reply, "ERR") {
 			t.Errorf("%q -> %q, want ERR", cmd, reply)
@@ -321,7 +369,7 @@ func TestLoadRejectsBadProgram(t *testing.T) {
 	defer conn.Close()
 	r := bufio.NewReader(conn)
 	w := bufio.NewWriter(conn)
-	if err := writeLine(w, "MEASURE 3\ncortex-a72 2 1 0\nbogus instruction here"); err != nil {
+	if err := writeLine(w, "MEASURE 3 1\ncortex-a72 2 1 0\nbogus instruction here"); err != nil {
 		t.Fatal(err)
 	}
 	reply, err := readLine(r)
@@ -422,7 +470,7 @@ func TestConcurrentClients(t *testing.T) {
 		}
 		defer c.Close()
 		for rep := 0; rep < 3; rep++ {
-			m, err := c.Measure(Part{Domain: platform.DomainA72, Cores: 2, Pool: pool, Seq: seq}, 2)
+			m, err := measureOne(c, Part{Domain: platform.DomainA72, Cores: 2, Pool: pool, Seq: seq}, 2)
 			if err != nil {
 				return err
 			}

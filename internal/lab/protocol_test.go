@@ -142,10 +142,12 @@ func TestDispatchMalformed(t *testing.T) {
 		// unknown / empty-ish
 		"FROBNICATE",
 		"   ",
-		// the deleted session verbs
+		// the deleted session and setpoint verbs
 		"LOAD cortex-a72 2 1",
 		"RUN",
 		"STOP",
+		"SETCLOCK cortex-a72 6e8",
+		"SETVOLTS cortex-a72 0.95",
 		// SWEEP: truncated, non-numeric, out-of-range and non-finite
 		"SWEEP",
 		"SWEEP cortex-a72",
@@ -160,12 +162,7 @@ func TestDispatchMalformed(t *testing.T) {
 		"SWEEP cortex-a72 2 3 +Inf",
 		"SWEEP cortex-a72 2 3 2e9",
 		"SWEEP cortex-a72 0 3 6e8",
-		// SET* / RESET: truncated, non-numeric and non-finite
-		"SETCLOCK x",
-		"SETCLOCK cortex-a72 fast",
-		"SETCLOCK cortex-a72 NaN",
-		"SETVOLTS cortex-a72",
-		"SETVOLTS cortex-a72 Inf",
+		// SETCORES / RESET: truncated and non-numeric
 		"SETCORES a b",
 		"RESET",
 		"RESET nope",
@@ -179,13 +176,11 @@ func TestDispatchMalformed(t *testing.T) {
 	p, _ := probePart(t, dd)
 	part := strings.TrimSuffix(partBody(p), "\n")
 	for _, req := range []string{
-		// MEASURE: missing, out-of-range and non-numeric sample counts
-		"MEASURE",
-		"MEASURE 0",
-		"MEASURE -3",
-		"MEASURE 1001",
-		"MEASURE many",
-		"MEASURE 3 extra",
+		// MEASURE: out-of-range and non-numeric sample counts
+		"MEASURE 0 1",
+		"MEASURE -3 1",
+		"MEASURE 1001 1",
+		"MEASURE many 1",
 		// VMIN: truncated, out-of-range and non-numeric seed/repeats
 		"VMIN",
 		"VMIN 1",
@@ -211,8 +206,8 @@ func TestDispatchMalformed(t *testing.T) {
 		fmt.Sprintf("cortex-a72 2 %d 1 5", lines),
 		fmt.Sprintf("cortex-a72 2 %d 2 0 x", lines),
 	} {
-		if reply := rc.send("MEASURE 3\n" + hdr + "\n" + body); !strings.HasPrefix(reply, "ERR") {
-			t.Errorf("MEASURE 3 + %q -> %q, want ERR", hdr, reply)
+		if reply := rc.send("MEASURE 3 1\n" + hdr + "\n" + body); !strings.HasPrefix(reply, "ERR") {
+			t.Errorf("MEASURE 3 1 + %q -> %q, want ERR", hdr, reply)
 		}
 	}
 	// The session survives all of it.
@@ -225,15 +220,20 @@ func TestDispatchMalformed(t *testing.T) {
 }
 
 // TestOversizedLineClosesConnection: a stream that cannot be
-// resynchronized — an oversized line, or a part header whose line count
-// cannot be read, so nothing tells where its program ends — must close the
+// resynchronized — an oversized line, a part header whose line count
+// cannot be read, or a MEASURE whose part count is missing or out of
+// range, so nothing tells where the request ends — must close the
 // connection rather than buffer without bound or dispatch program lines
 // as commands.
 func TestOversizedLineClosesConnection(t *testing.T) {
 	addr, _ := startServer(t)
 	for _, req := range []string{
 		strings.Repeat("x", maxLineLen+100),
-		"MEASURE 3\ncortex-a72 2 many 0\nnop",
+		"MEASURE 3 1\ncortex-a72 2 many 0\nnop",
+		"MEASURE 3\ncortex-a72 2 1 0\nnop",
+		"MEASURE 3 many\ncortex-a72 2 1 0\nnop",
+		"MEASURE 3 -1\ncortex-a72 2 1 0\nnop",
+		fmt.Sprintf("MEASURE 3 %d\ncortex-a72 2 1 0\nnop", MaxMeasureParts+1),
 		"VMIN 1 2\ncortex-a72 2 0 0\nnop",
 		"MONITOR 2\ncortex-a72 2 1 0\nnop\ncortex-a53 2\nnop",
 	} {
@@ -250,10 +250,11 @@ func TestOversizedLineClosesConnection(t *testing.T) {
 	}
 }
 
-// TestVerbSet pins the protocol's verbs: each one, sent bare (the
-// single-part verbs followed by their part), reaches its handler (a usage
-// error or a reply) rather than the unknown command branch, and the
-// deleted session verbs do not.
+// TestVerbSet pins the protocol's verbs: each one, sent bare (MEASURE
+// with a zero sample count and one part, the single-part verbs followed
+// by their part), reaches its handler (a usage error or a reply) rather
+// than the unknown command branch, and the deleted session and setpoint
+// verbs do not.
 func TestVerbSet(t *testing.T) {
 	addr, _ := startServer(t)
 	rc := rawDial(t, addr)
@@ -262,19 +263,20 @@ func TestVerbSet(t *testing.T) {
 	part := strings.TrimSuffix(partBody(p), "\n")
 	for _, verb := range []string{
 		"HELLO", "INFO", "CAPS", "STATE", "MEASURE", "VMEASURE", "SWEEP",
-		"VMIN", "SHMOO", "MONITOR", "SETCLOCK", "SETVOLTS", "SETCORES",
-		"RESET", "STATS",
+		"VMIN", "SHMOO", "MONITOR", "SETCORES", "RESET", "STATS",
 	} {
 		req := verb
 		switch verb {
-		case "MEASURE", "VMEASURE", "VMIN", "SHMOO":
+		case "MEASURE":
+			req += " 0 1\n" + part
+		case "VMEASURE", "VMIN", "SHMOO":
 			req += "\n" + part
 		}
 		if reply := rc.send(req); strings.Contains(reply, "unknown command") {
 			t.Errorf("%s -> %q", verb, reply)
 		}
 	}
-	for _, verb := range []string{"LOAD", "RUN", "STOP"} {
+	for _, verb := range []string{"LOAD", "RUN", "STOP", "SETCLOCK", "SETVOLTS"} {
 		if reply := rc.send(verb); !strings.Contains(reply, "unknown command") {
 			t.Errorf("deleted verb %s -> %q, want unknown command", verb, reply)
 		}

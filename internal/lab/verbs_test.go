@@ -83,15 +83,15 @@ func TestCapsAndState(t *testing.T) {
 		t.Fatalf("caps %+v do not mirror spec %+v", caps, spec)
 	}
 
-	if err := setRaw(c, "SETCLOCK", platform.DomainA72, 600e6); err != nil {
+	if err := c.SetCores(platform.DomainA72, 1); err != nil {
 		t.Fatal(err)
 	}
 	st, err := c.State(platform.DomainA72)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st.ClockHz != 600e6 || st.SupplyV != d.Spec.PDN.VNominal || st.PoweredCores != spec.TotalCores {
-		t.Fatalf("state %+v after SETCLOCK 600e6", st)
+	if st.ClockHz != spec.MaxClockHz || st.SupplyV != d.Spec.PDN.VNominal || st.PoweredCores != 1 {
+		t.Fatalf("state %+v after SETCORES 1", st)
 	}
 	if _, err := c.Caps("no-such-domain"); err == nil || !IsTargetError(err) {
 		t.Fatalf("CAPS on unknown domain: %v", err)
@@ -417,7 +417,7 @@ func TestStatsRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	p, _ := probePart(t, d)
-	if _, err := c.Measure(p, 3); err != nil {
+	if _, err := measureOne(c, p, 3); err != nil {
 		t.Fatal(err)
 	}
 
