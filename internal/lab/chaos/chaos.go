@@ -47,6 +47,10 @@ type Config struct {
 	// forwarding a reply: the target executed the command, the client
 	// never hears back.
 	DropRate float64
+	// DropAfter, when positive, severs every connection instead of
+	// forwarding its reply line number DropAfter+1: a target that dies in
+	// the middle of a streamed reply, at the same line on each session.
+	DropAfter int
 }
 
 // Stats counts injected faults and proxied connections.
@@ -194,12 +198,16 @@ func (p *Proxy) proxy(client net.Conn, index int64) {
 	rng := detrand.Stream(p.cfg.Seed, uint64(index))
 	r := bufio.NewReader(server)
 	w := bufio.NewWriter(client)
-	for {
+	for n := 0; ; n++ {
 		line, err := r.ReadString('\n')
 		if err != nil {
 			return
 		}
-		switch p.roll(rng) {
+		f := p.roll(rng)
+		if p.cfg.DropAfter > 0 && n == p.cfg.DropAfter {
+			f = faultDrop
+		}
+		switch f {
 		case faultGarble:
 			p.garbles.Add(1)
 			// 0x15 (NAK) can never begin "OK"/"ERR", so the client always

@@ -117,6 +117,25 @@ func TestDrop(t *testing.T) {
 	}
 }
 
+// TestDropAfter: the connection dies in place of the reply after the
+// first DropAfter, on every connection alike.
+func TestDropAfter(t *testing.T) {
+	upstream := echoServer(t)
+	p, err := New(upstream, Config{Seed: 1, DropAfter: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer p.Close()
+	for conn := 0; conn < 2; conn++ {
+		if _, received := runSession(t, p.Addr(), 5); received != 2 {
+			t.Fatalf("connection %d: received %d replies, want 2", conn, received)
+		}
+	}
+	if p.Stats().Drops != 2 {
+		t.Fatalf("drops = %d, want 2", p.Stats().Drops)
+	}
+}
+
 // TestDelay: delayed replies arrive late but intact.
 func TestDelay(t *testing.T) {
 	upstream := echoServer(t)
