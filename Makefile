@@ -29,7 +29,9 @@ test: build
 # transfers against the original solve, the pattern elimination against
 # its dense oracle), the assembler codec's reference oracle, the
 # multi-part MEASURE local/remote bit-identity pins, and the persistent
-# store's read-path, LRU-touch and block-accounting tests. The persistent store is cross-process
+# store's read-path, frame-cap, LRU-touch and block-accounting tests, the
+# batch memo's analyzer key, LRU reference and pinned identity (the name
+# of every meas record on disk), and MONITOR's stream-lost close. The persistent store is cross-process
 # shared mutable state, so its whole suite runs under the race detector here.
 # Its read path works at the system-call level, so the module must also build
 # for darwin, windows and freebsd: a field of one GOOS's syscall types fails
@@ -50,6 +52,12 @@ tier1: build fmt vet reach specs-verify tier1-remote tier1-fleet
 	$(call require-tests,GetReadPathEdges,./internal/castore)
 	$(call require-tests,GCEvictsUnreadBeforeTouched,./internal/castore)
 	$(call require-tests,BudgetChargesWholeBlocks,./internal/castore)
+	$(call require-tests,GetQuarantinesOversizedEntry,./internal/castore)
+	$(call require-tests,PutRefusesOversizedPayload,./internal/castore)
+	$(call require-tests,BatchMemoKeyedByAnalyzer,./internal/core)
+	$(call require-tests,BatchMemoMatchesReferenceLRU,./internal/core)
+	$(call require-tests,MeasDiskKeyPinned,./internal/core)
+	$(call require-tests,MonitorPartCountClosesSession,./internal/lab)
 	GOOS=darwin $(GO) build ./...
 	GOOS=windows $(GO) build ./...
 	GOOS=freebsd $(GO) build ./...
@@ -120,12 +128,12 @@ reach:
 # Hot-path benchmarks (sweep, shmoo, spectra and fitness evaluation,
 # batched and fleet generations, warm start) plus the stage benchmarks
 # kept next to their stage (the analyzer's MeasurePeak, the real-input
-# FFT, the PDN transfer solve, one V_MIN ladder rung, and the lab wire's
-# assembler codec beside its reference), printed as plain `go test -bench`
-# output. The end-to-end benchmark is perfbench (BENCHMARK.json).
+# FFT, the PDN transfer solve, one V_MIN ladder rung, the lab wire's
+# assembler codec beside its reference, and one persistent-store hit),
+# printed as plain `go test -bench` output. The end-to-end benchmark is perfbench (BENCHMARK.json).
 bench:
-	$(GO) test -bench 'BenchmarkSpectraEvaluation|BenchmarkFitnessEvaluation|BenchmarkResonanceSweep|BenchmarkShmoo|BenchmarkGenerationBatch|BenchmarkFleetGeneration|BenchmarkWarmStart|BenchmarkMeasurePeak|BenchmarkRFFT8192|BenchmarkTransfers8192|BenchmarkLadderRung|BenchmarkFormatParseProgram' \
-		-benchmem -benchtime 1s -run '^$$' . ./internal/instrument ./internal/dsp ./internal/pdn ./internal/platform ./internal/isa
+	$(GO) test -bench 'BenchmarkSpectraEvaluation|BenchmarkFitnessEvaluation|BenchmarkResonanceSweep|BenchmarkShmoo|BenchmarkGenerationBatch|BenchmarkFleetGeneration|BenchmarkWarmStart|BenchmarkMeasurePeak|BenchmarkRFFT8192|BenchmarkTransfers8192|BenchmarkLadderRung|BenchmarkFormatParseProgram|BenchmarkStoreGetHit' \
+		-benchmem -benchtime 1s -run '^$$' . ./internal/instrument ./internal/dsp ./internal/pdn ./internal/platform ./internal/isa ./internal/castore
 
 # Hammers the persistent store's concurrent surface (mixed Put/Get under
 # GC pressure, cross-handle sharing) repeatedly under the race detector.

@@ -31,7 +31,6 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
-	"io"
 	"io/fs"
 	"os"
 	"path/filepath"
@@ -39,7 +38,6 @@ import (
 	"strings"
 	"sync"
 	"sync/atomic"
-	"syscall"
 	"time"
 )
 
@@ -55,6 +53,12 @@ const (
 	// tmpPrefix marks in-flight temp files (skipped by reads, reaped by GC).
 	tmpPrefix = ".tmp-"
 )
+
+// maxFrameLen caps one entry file, framing included. Put refuses a larger
+// payload, and Get quarantines a larger file without reading it, so a
+// stray or sparse multi-GiB file at an entry path never sizes an
+// allocation. The meas tier's frames are 148 bytes.
+const maxFrameLen = 1 << 20
 
 // DefaultMaxBytes is the GC budget when Options.MaxBytes is zero: 1 GiB of
 // disk, which holds 262,144 one-block entries (a full
@@ -256,26 +260,30 @@ func decodeFrame(buf []byte, version uint16, key uint64) ([]byte, frameStatus) {
 // entry whose mtime is more than touchAge old re-touches it so GC
 // approximates LRU.
 //
-// A hit costs one open, one fstat, one read and one close, plus the one
-// fcntl os.NewFile makes to query the descriptor's flags. Opening through
-// syscall.Open and os.NewFile keeps a blocking descriptor out of the
-// runtime poller: os.Open would set it non-blocking, offer it to the
-// poller, which refuses a regular file, and set it blocking again, five
-// system calls for nothing. Sizing the buffer from the fstat makes one
-// full read replace os.ReadFile's read-until-EOF loop. The header's
-// length field never sizes an allocation; decodeFrame checks it against
-// the bytes actually read.
+// On Linux a hit costs four system calls: open, fstat, read and close on
+// the raw descriptor, with no os.File, finalizer or poller behind it
+// (read_linux.go); other systems read through an os.File
+// (read_other.go). The fstat sizes the buffer, so one full read replaces
+// os.ReadFile's read-until-EOF loop. Neither the header's length field
+// nor the file's size sizes an allocation beyond maxFrameLen: a larger
+// file is quarantined unread, and decodeFrame checks the length field
+// against the bytes actually read.
 func (s *Store) Get(ns string, version uint16, key uint64) ([]byte, bool) {
 	path := s.entryPath(ns, key)
-	buf, mtime, ok := readEntry(path)
+	buf, size, mtime, ok := readEntry(path)
 	if !ok {
+		s.misses.Add(1)
+		return nil, false
+	}
+	if size > maxFrameLen {
+		s.quarantine(path, size)
 		s.misses.Add(1)
 		return nil, false
 	}
 	payload, st := decodeFrame(buf, version, key)
 	switch st {
 	case frameCorrupt:
-		s.quarantine(path, int64(len(buf)))
+		s.quarantine(path, size)
 		s.misses.Add(1)
 		return nil, false
 	case frameStale:
@@ -289,31 +297,14 @@ func (s *Store) Get(ns string, version uint16, key uint64) ([]byte, bool) {
 	return payload, true
 }
 
-// readEntry reads one entry file whole and returns its bytes and mtime;
-// ok is false when the file is missing or cannot be read in full.
-func readEntry(path string) (buf []byte, mtime time.Time, ok bool) {
-	fd, err := syscall.Open(path, syscall.O_RDONLY|syscall.O_CLOEXEC, 0)
-	if err != nil {
-		return nil, time.Time{}, false
-	}
-	f := os.NewFile(uintptr(fd), path)
-	defer f.Close()
-	info, err := f.Stat()
-	if err != nil {
-		return nil, time.Time{}, false
-	}
-	buf = make([]byte, info.Size())
-	if _, err := io.ReadFull(f, buf); err != nil {
-		return nil, time.Time{}, false
-	}
-	return buf, info.ModTime(), true
-}
-
 // Put publishes a payload under (ns, version, key) via an atomic temp-file
 // write and rename, then triggers GC if the store is over budget. Errors
 // are swallowed after accounting — a cache that cannot write degrades to a
 // cache that misses — and reported via the return for tests.
 func (s *Store) Put(ns string, version uint16, key uint64, payload []byte) error {
+	if len(payload) > maxFrameLen-headerLen-crcLen {
+		return fmt.Errorf("castore: %d-byte payload exceeds the %d-byte frame cap", len(payload), maxFrameLen)
+	}
 	path := s.entryPath(ns, key)
 	shard := filepath.Dir(path)
 	if err := os.MkdirAll(shard, 0o755); err != nil {

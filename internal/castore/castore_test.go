@@ -411,6 +411,57 @@ func TestGetReadPathEdges(t *testing.T) {
 	}
 }
 
+// TestGetQuarantinesOversizedEntry: a sparse file just over the frame cap
+// at an entry path is quarantined without being read, so its size never
+// sizes an allocation.
+func TestGetQuarantinesOversizedEntry(t *testing.T) {
+	s := openT(t, Options{})
+	if err := s.Put("ns", 1, 5, []byte("payload under test")); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Truncate(s.entryPath("ns", 5), maxFrameLen+1); err != nil {
+		t.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, ok := s.Get("ns", 1, 5)
+	runtime.ReadMemStats(&after)
+	if ok {
+		t.Fatal("oversized entry read as a hit")
+	}
+	if alloc := after.TotalAlloc - before.TotalAlloc; alloc > 1<<16 {
+		t.Errorf("Get allocated %d bytes for an entry over the %d-byte cap", alloc, maxFrameLen)
+	}
+	if st := s.Stats(); st.Corrupt != 1 || st.Misses != 1 || quarantined(t, s) != 1 {
+		t.Errorf("%d corrupt, %d misses, %d quarantined; want 1 each", st.Corrupt, st.Misses, quarantined(t, s))
+	}
+	if _, err := os.Stat(s.entryPath("ns", 5)); !os.IsNotExist(err) {
+		t.Errorf("oversized entry still at its path: %v", err)
+	}
+}
+
+// TestPutRefusesOversizedPayload: Put writes nothing whose frame would
+// exceed the cap Get enforces, and accepts a payload that fills it.
+func TestPutRefusesOversizedPayload(t *testing.T) {
+	s := openT(t, Options{})
+	fits := make([]byte, maxFrameLen-headerLen-crcLen)
+	if err := s.Put("ns", 1, 6, fits); err != nil {
+		t.Fatalf("payload filling the frame cap refused: %v", err)
+	}
+	if got, ok := s.Get("ns", 1, 6); !ok || len(got) != len(fits) {
+		t.Fatalf("payload filling the frame cap: hit=%v, %d bytes", ok, len(got))
+	}
+	if err := s.Put("ns", 1, 7, make([]byte, len(fits)+1)); err == nil {
+		t.Fatal("payload one byte over the frame cap accepted")
+	}
+	if _, err := os.Stat(s.entryPath("ns", 7)); !os.IsNotExist(err) {
+		t.Errorf("refused payload left an entry: %v", err)
+	}
+	if st := s.Stats(); st.Puts != 1 {
+		t.Errorf("%d puts counted, want 1", st.Puts)
+	}
+}
+
 func TestGCDisabled(t *testing.T) {
 	payload := make([]byte, 1024)
 	s := openT(t, Options{MaxBytes: -1})

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"container/list"
 	"fmt"
 	"sync"
 	"sync/atomic"
@@ -53,7 +52,11 @@ type batchMemoKey struct {
 	// the domain's coupling path): a shallow bench copy with a retuned
 	// antenna shares batchState, and without this field it would be served
 	// another antenna's memoized fitness.
-	em             uint64
+	em uint64
+	// ana is the analyzer's content hash (model, span, RBW, noise
+	// parameters and noise seed): a shallow copy given another analyzer
+	// shares batchState too, and its readings carry its own noise.
+	ana            uint64
 	powered        int
 	clock, supply  float64
 	dt             float64
@@ -78,9 +81,90 @@ func emIdentity(ant em.Antenna, path em.Path) uint64 {
 	return h.Sum()
 }
 
-type batchMemoEnt struct {
-	key batchMemoKey
-	m   instrument.Measurement
+// batchMemo is an LRU map from a measurement's 64-bit identity
+// (measDiskKey, the disk tier's key) to its value, over at most
+// batchMemoCap entries. The entries live in one slice that grows on
+// demand, linked from most to least recently used by index. Each keeps its
+// full key, so a hit is verified and an identity two keys share reads as
+// a miss. The zero value is an empty memo.
+type batchMemo struct {
+	index      map[uint64]int32
+	ents       []memoEnt
+	head, tail int32 // most and least recently used; valid when ents is not empty
+}
+
+type memoEnt struct {
+	id         uint64
+	key        batchMemoKey
+	m          instrument.Measurement
+	prev, next int32 // -1 ends the list
+}
+
+// memoInitCap is the memo's first allocation: one generation of the
+// paper's GA population, so a fresh bench's first batch does not regrow.
+const memoInitCap = 64
+
+func (mm *batchMemo) get(id uint64, k batchMemoKey) (instrument.Measurement, bool) {
+	i, ok := mm.index[id]
+	if !ok || mm.ents[i].key != k {
+		return instrument.Measurement{}, false
+	}
+	mm.toFront(i)
+	return mm.ents[i].m, true
+}
+
+func (mm *batchMemo) add(id uint64, k batchMemoKey, m instrument.Measurement) {
+	if i, ok := mm.index[id]; ok {
+		// The same key is a pure value a concurrent worker measured too;
+		// keep the first. Another key under the same identity replaces it.
+		if mm.ents[i].key != k {
+			mm.ents[i].key, mm.ents[i].m = k, m
+		}
+		mm.toFront(i)
+		return
+	}
+	if mm.index == nil {
+		mm.index = make(map[uint64]int32, memoInitCap)
+		mm.ents = make([]memoEnt, 0, memoInitCap)
+	}
+	var i int32
+	if len(mm.ents) < batchMemoCap {
+		i = int32(len(mm.ents))
+		mm.ents = append(mm.ents, memoEnt{prev: -1, next: -1})
+		if i == 0 {
+			mm.head, mm.tail = 0, 0
+		} else {
+			mm.pushFront(i)
+		}
+	} else {
+		i = mm.tail
+		delete(mm.index, mm.ents[i].id)
+		mm.toFront(i)
+	}
+	mm.ents[i].id, mm.ents[i].key, mm.ents[i].m = id, k, m
+	mm.index[id] = i
+}
+
+// toFront makes entry i the most recently used.
+func (mm *batchMemo) toFront(i int32) {
+	if i == mm.head {
+		return
+	}
+	e := &mm.ents[i]
+	mm.ents[e.prev].next = e.next
+	if e.next >= 0 {
+		mm.ents[e.next].prev = e.prev
+	} else {
+		mm.tail = e.prev
+	}
+	mm.pushFront(i)
+}
+
+// pushFront links the unlinked entry i in front of the current head.
+func (mm *batchMemo) pushFront(i int32) {
+	mm.ents[i].prev, mm.ents[i].next = -1, mm.head
+	mm.ents[mm.head].prev = i
+	mm.head = i
 }
 
 // batchState is the per-bench state behind MeasureBatch: the measurement
@@ -89,8 +173,7 @@ type batchMemoEnt struct {
 // memo key carries the sample count).
 type batchState struct {
 	mu        sync.Mutex
-	memo      map[batchMemoKey]*list.Element
-	order     list.List // front = most recently used *batchMemoEnt
+	memo      batchMemo
 	arenaPool sync.Pool // *slab.Arena
 
 	// probeMu guards probes, the per-domain memo of the built probe loop
@@ -103,10 +186,6 @@ type batchState struct {
 	arenaBytes, workerSlots                   atomic.Uint64
 }
 
-func newBatchState() *batchState {
-	return &batchState{memo: make(map[batchMemoKey]*list.Element)}
-}
-
 // benchBatchMu guards lazy batch-state creation for benches that were not
 // built by NewBench (zero-value literals in tests).
 var benchBatchMu sync.Mutex
@@ -115,7 +194,7 @@ func (b *Bench) batchSt() *batchState {
 	benchBatchMu.Lock()
 	defer benchBatchMu.Unlock()
 	if b.batch == nil {
-		b.batch = newBatchState()
+		b.batch = &batchState{}
 	}
 	return b.batch
 }
@@ -134,31 +213,16 @@ func (b *Bench) BatchStats() BatchStats {
 	}
 }
 
-func (st *batchState) memoGet(k batchMemoKey) (instrument.Measurement, bool) {
+func (st *batchState) memoGet(id uint64, k batchMemoKey) (instrument.Measurement, bool) {
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	el, ok := st.memo[k]
-	if !ok {
-		return instrument.Measurement{}, false
-	}
-	st.order.MoveToFront(el)
-	return el.Value.(*batchMemoEnt).m, true
+	return st.memo.get(id, k)
 }
 
-func (st *batchState) memoAdd(k batchMemoKey, m instrument.Measurement) {
+func (st *batchState) memoAdd(id uint64, k batchMemoKey, m instrument.Measurement) {
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	if el, ok := st.memo[k]; ok {
-		// A concurrent worker measured the same pure value; keep the first.
-		st.order.MoveToFront(el)
-		return
-	}
-	st.memo[k] = st.order.PushFront(&batchMemoEnt{key: k, m: m})
-	for len(st.memo) > batchMemoCap {
-		back := st.order.Back()
-		st.order.Remove(back)
-		delete(st.memo, back.Value.(*batchMemoEnt).key)
-	}
+	st.memo.add(id, k, m)
 }
 
 func (st *batchState) getArena() *slab.Arena {
@@ -228,16 +292,16 @@ func (b *Bench) EMMeasureBatch(d *platform.Domain, loads []platform.Load, sample
 	// already-measured parents — under the same 64-bit content key.
 	emID := emIdentity(b.Platform.Antenna, d.Spec.EMPath)
 	specHash := d.SpecContentHash()
-	disk := newMeasDisk(b)
+	anaHash := b.Analyzer.ContentHash()
+	disk := measPersist.Load()
 	firstOf := make(map[uint64]int, len(loads))
 	dupOf := make([]int, len(loads))
 	keys := make([]batchMemoKey, len(loads))
+	ids := make([]uint64, len(loads))
 	work := make([]int, 0, len(loads))
 	var dedup, memoHits uint64
 	for i := range loads {
 		h := loads[i].Hash()
-		keys[i] = batchMemoKey{load: h, spec: specHash, em: emID, powered: powered, clock: clock, supply: supply,
-			dt: b.Dt, n: b.N, samples: samples, bandLo: b.Band.Lo, bandHi: b.Band.Hi}
 		if j, ok := firstOf[h]; ok {
 			dupOf[i] = j
 			dedup++
@@ -245,7 +309,12 @@ func (b *Bench) EMMeasureBatch(d *platform.Domain, loads []platform.Load, sample
 		}
 		firstOf[h] = i
 		dupOf[i] = -1
-		if m, ok := st.memoGet(keys[i]); ok {
+		// One identity per distinct load keys both tiers: the memo and
+		// the disk store.
+		keys[i] = batchMemoKey{load: h, spec: specHash, em: emID, ana: anaHash, powered: powered,
+			clock: clock, supply: supply, dt: b.Dt, n: b.N, samples: samples, bandLo: b.Band.Lo, bandHi: b.Band.Hi}
+		ids[i] = measDiskKey(keys[i])
+		if m, ok := st.memoGet(ids[i], keys[i]); ok {
 			results[i] = m
 			memoHits++
 			continue
@@ -253,9 +322,9 @@ func (b *Bench) EMMeasureBatch(d *platform.Domain, loads []platform.Load, sample
 		// The persistent tier holds measurements from earlier processes (or
 		// concurrent ones sharing the cache directory); a hit feeds the
 		// in-memory memo so the rest of the campaign never re-reads disk.
-		if m, ok := disk.get(keys[i]); ok {
+		if m, ok := measGet(disk, ids[i], keys[i]); ok {
 			results[i] = m
-			st.memoAdd(keys[i], m)
+			st.memoAdd(ids[i], keys[i], m)
 			memoHits++
 			continue
 		}
@@ -321,8 +390,8 @@ func (b *Bench) EMMeasureBatch(d *platform.Domain, loads []platform.Load, sample
 			return err
 		}
 		results[i] = *meas
-		st.memoAdd(keys[i], *meas)
-		disk.put(keys[i], *meas)
+		st.memoAdd(ids[i], keys[i], *meas)
+		measPut(disk, ids[i], keys[i], *meas)
 		return order.done(i)
 	})
 	var arenaTotal uint64

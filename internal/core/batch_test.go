@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"repro/internal/ga"
+	"repro/internal/instrument"
 	"repro/internal/platform"
 )
 
@@ -157,5 +158,142 @@ func TestBatchMemoKeyedByDomain(t *testing.T) {
 	}
 	if *got != *want {
 		t.Fatalf("shared memo served %+v for the A53, a fresh bench measures %+v", got, want)
+	}
+}
+
+// TestBatchMemoKeyedByAnalyzer: a shallow bench copy given a re-seeded
+// analyzer shares the batch state, and must measure its own reading for
+// a load the original has already memoized: the readings carry the
+// analyzer's seeded noise.
+func TestBatchMemoKeyedByAnalyzer(t *testing.T) {
+	reseed := func(b *Bench) *Bench {
+		a := b.Analyzer
+		ana, err := instrument.NewSpectrumAnalyzer(a.Model, a.StartHz, a.StopHz, a.RBWHz, a.Seed()+1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ana.NoiseFloorDBm, ana.NoiseSigmaDB = a.NoiseFloorDBm, a.NoiseSigmaDB
+		b2 := *b
+		b2.Analyzer = ana
+		return &b2
+	}
+	b1, p1 := testBench(t)
+	d1 := dom(t, p1, platform.DomainA72)
+	first, err := b1.EMMeasureN(d1, buildLoad(t, d1, "probe", 2), 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := reseed(b1).EMMeasureN(d1, buildLoad(t, d1, "probe", 2), 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	// Ground truth: a fresh bench (private batch state) with the same
+	// re-seeded analyzer.
+	b3, p3 := testBench(t)
+	d3 := dom(t, p3, platform.DomainA72)
+	want, err := reseed(b3).EMMeasureN(d3, buildLoad(t, d3, "probe", 2), 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if *first == *want {
+		t.Fatal("re-seeding the analyzer did not change the reading; the regression is unobservable")
+	}
+	if *got != *want {
+		t.Fatalf("shared batch state served %+v to the re-seeded bench, a fresh bench measures %+v", got, want)
+	}
+	if bs := b1.BatchStats(); bs.Measured != 2 || bs.MemoHits != 0 {
+		t.Fatalf("two analyzers over one load counted as %+v", bs)
+	}
+}
+
+// TestMeasDiskKeyPinned: the identity names every meas record in
+// existing cache directories, so a change to its value (field order,
+// hash, or a new field) would silently orphan them all.
+func TestMeasDiskKeyPinned(t *testing.T) {
+	if got, want := measDiskKey(fuzzMeasKey), uint64(0xd257ff944be39b33); got != want {
+		t.Fatalf("measDiskKey = %#x, want %#x: existing cache directories would all miss", got, want)
+	}
+}
+
+// TestBatchMemoMatchesReferenceLRU drives the index-linked memo and a
+// plain recency-ordered list through the same random gets and adds over
+// more identities than the memo holds, including identities shared by
+// two keys, and requires the same hits, values and residency throughout.
+func TestBatchMemoMatchesReferenceLRU(t *testing.T) {
+	type refEnt struct {
+		id  uint64
+		key batchMemoKey
+		m   instrument.Measurement
+	}
+	var ref []refEnt // most recently used first
+	refFind := func(id uint64) int {
+		for i, e := range ref {
+			if e.id == id {
+				return i
+			}
+		}
+		return -1
+	}
+	refFront := func(i int) {
+		e := ref[i]
+		copy(ref[1:i+1], ref[:i])
+		ref[0] = e
+	}
+
+	var mm batchMemo
+	rng := rand.New(rand.NewSource(3))
+	for op := 0; op < 20000; op++ {
+		id := uint64(rng.Intn(batchMemoCap * 3 / 2))
+		// Two keys per identity: a collision whenever they alternate.
+		k := batchMemoKey{load: id, samples: 1 + rng.Intn(2)}
+		if rng.Intn(2) == 0 {
+			got, ok := mm.get(id, k)
+			i := refFind(id)
+			want := i >= 0 && ref[i].key == k
+			if ok != want {
+				t.Fatalf("op %d: get(%d, %+v) hit=%v, reference %v", op, id, k, ok, want)
+			}
+			if want {
+				if got != ref[i].m {
+					t.Fatalf("op %d: get(%d) = %+v, reference %+v", op, id, got, ref[i].m)
+				}
+				refFront(i)
+			}
+			continue
+		}
+		m := instrument.Measurement{PeakDBm: float64(op)}
+		mm.add(id, k, m)
+		switch i := refFind(id); {
+		case i >= 0:
+			if ref[i].key != k {
+				ref[i].key, ref[i].m = k, m
+			}
+			refFront(i)
+		default:
+			if len(ref) == batchMemoCap {
+				ref = ref[:len(ref)-1]
+			}
+			ref = append([]refEnt{{id, k, m}}, ref...)
+		}
+		if len(mm.index) != len(ref) || len(mm.ents) != len(ref) {
+			t.Fatalf("op %d: memo holds %d/%d entries, reference %d", op, len(mm.index), len(mm.ents), len(ref))
+		}
+	}
+	// The links walk the reference's recency order both ways.
+	i := mm.head
+	for k, e := range ref {
+		if i < 0 || mm.ents[i].id != e.id {
+			t.Fatalf("recency position %d: memo entry %d, reference id %d", k, i, e.id)
+		}
+		if k == len(ref)-1 && i != mm.tail {
+			t.Fatalf("tail %d, last entry %d", mm.tail, i)
+		}
+		i = mm.ents[i].next
+	}
+	for k, i := len(ref)-1, mm.tail; k >= 0; k, i = k-1, mm.ents[i].prev {
+		if mm.ents[i].id != ref[k].id {
+			t.Fatalf("backward walk position %d: id %d, reference %d", k, mm.ents[i].id, ref[k].id)
+		}
 	}
 }

@@ -78,7 +78,7 @@ func NewBench(p *platform.Platform, seed int64) (*Bench, error) {
 		Samples:  30,
 		Dt:       0.25e-9,
 		N:        8192,
-		batch:    newBatchState(),
+		batch:    &batchState{},
 	}, nil
 }
 

@@ -7,11 +7,12 @@ package core
 // warm-start benchmark) therefore pays hash lookups where the first run
 // paid measurements.
 //
-// The in-memory batchMemoKey is scoped to one bench; the disk store is
-// shared, so the disk key additionally folds the analyzer's content hash
-// (model, span, RBW, noise parameters and the unexported noise seed —
-// measured values embed seeded instrument noise, so two analyzers differing
-// only in seed must never share persisted readings).
+// Both tiers key a measurement on one 64-bit identity, measDiskKey of its
+// batchMemoKey, which folds the analyzer's content hash (model, span, RBW,
+// noise parameters and the unexported noise seed — measured values embed
+// seeded instrument noise, so two analyzers differing only in seed must
+// never share readings). Its value names every file in existing cache
+// directories, so it must not drift.
 
 import (
 	"sync/atomic"
@@ -39,11 +40,11 @@ func SetPersistentStore(s *castore.Store) (prev *castore.Store) {
 // PersistentStore returns the installed disk tier, or nil.
 func PersistentStore() *castore.Store { return measPersist.Load() }
 
-// measDiskKey folds the analyzer identity into the in-memory memo key.
-func measDiskKey(k batchMemoKey, analyzerHash uint64) uint64 {
+// measDiskKey is a measurement's identity in the memo and the disk tier.
+func measDiskKey(k batchMemoKey) uint64 {
 	h := detrand.NewHash()
 	h.Uint64(k.spec)
-	h.Uint64(analyzerHash)
+	h.Uint64(k.ana)
 	h.Uint64(k.load)
 	h.Uint64(k.em)
 	h.Int(k.powered)
@@ -60,10 +61,10 @@ func measDiskKey(k batchMemoKey, analyzerHash uint64) uint64 {
 // encodeMeas flattens one measurement with its full identity echoed first
 // for verification on decode. The sample count is part of the identity, so
 // the record carries only the three measured values after it.
-func encodeMeas(k batchMemoKey, analyzerHash uint64, m instrument.Measurement) []byte {
+func encodeMeas(k batchMemoKey, m instrument.Measurement) []byte {
 	enc := castore.NewEnc(15 * 8)
 	enc.Uint64(k.spec)
-	enc.Uint64(analyzerHash)
+	enc.Uint64(k.ana)
 	enc.Uint64(k.load)
 	enc.Uint64(k.em)
 	enc.Int(k.powered)
@@ -82,7 +83,7 @@ func encodeMeas(k batchMemoKey, analyzerHash uint64, m instrument.Measurement) [
 
 // decodeMeas parses a stored measurement, returning ok=false on any
 // truncation or identity mismatch (a cross-bench key collision).
-func decodeMeas(payload []byte, k batchMemoKey, analyzerHash uint64) (instrument.Measurement, bool) {
+func decodeMeas(payload []byte, k batchMemoKey) (instrument.Measurement, bool) {
 	dec := castore.NewDec(payload)
 	sh := dec.Uint64()
 	ah := dec.Uint64()
@@ -105,7 +106,7 @@ func decodeMeas(payload []byte, k batchMemoKey, analyzerHash uint64) (instrument
 	if dec.Finish() != nil {
 		return instrument.Measurement{}, false
 	}
-	if sh != k.spec || ah != analyzerHash || load != k.load || em != k.em ||
+	if sh != k.spec || ah != k.ana || load != k.load || em != k.em ||
 		powered != k.powered || clock != k.clock || supply != k.supply ||
 		dt != k.dt || n != k.n || samples != k.samples ||
 		bandLo != k.bandLo || bandHi != k.bandHi {
@@ -114,38 +115,23 @@ func decodeMeas(payload []byte, k batchMemoKey, analyzerHash uint64) (instrument
 	return m, true
 }
 
-// measDisk wraps the store with the analyzer identity so EMMeasureBatch's
-// hot loop carries one value instead of two.
-type measDisk struct {
-	s       *castore.Store
-	anaHash uint64
-}
-
-// newMeasDisk returns the disk view for a batch on bench b, or a zero view
-// (get misses, put no-ops) when no store is installed.
-func newMeasDisk(b *Bench) measDisk {
-	s := measPersist.Load()
+// measGet reads the measurement under identity id (measDiskKey(k)) from
+// store s; a nil store misses.
+func measGet(s *castore.Store, id uint64, k batchMemoKey) (instrument.Measurement, bool) {
 	if s == nil {
-		return measDisk{}
-	}
-	return measDisk{s: s, anaHash: b.Analyzer.ContentHash()}
-}
-
-func (md measDisk) get(k batchMemoKey) (instrument.Measurement, bool) {
-	if md.s == nil {
 		return instrument.Measurement{}, false
 	}
-	payload, found := md.s.Get(measNS, measCodecVersion, measDiskKey(k, md.anaHash))
+	payload, found := s.Get(measNS, measCodecVersion, id)
 	if !found {
 		return instrument.Measurement{}, false
 	}
-	return decodeMeas(payload, k, md.anaHash)
+	return decodeMeas(payload, k)
 }
 
-func (md measDisk) put(k batchMemoKey, m instrument.Measurement) {
-	if md.s == nil {
+// measPut persists a measurement under identity id; a nil store drops it.
+func measPut(s *castore.Store, id uint64, k batchMemoKey, m instrument.Measurement) {
+	if s == nil {
 		return
 	}
-	_ = md.s.Put(measNS, measCodecVersion, measDiskKey(k, md.anaHash),
-		encodeMeas(k, md.anaHash, m))
+	_ = s.Put(measNS, measCodecVersion, id, encodeMeas(k, m))
 }

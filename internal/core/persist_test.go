@@ -133,20 +133,18 @@ func TestMeasV1RecordIsMiss(t *testing.T) {
 	sameMeasurement(t, "recomputed", got, want)
 }
 
-var fuzzMeasKey = batchMemoKey{load: 0x9e3779b97f4a7c15, spec: 0xfeedface, em: 0xc0ffee, powered: 2,
+var fuzzMeasKey = batchMemoKey{load: 0x9e3779b97f4a7c15, spec: 0xfeedface, em: 0xc0ffee, ana: 0x5eed, powered: 2,
 	clock: 1.2e9, supply: 0.9, dt: 0.25e-9, n: 8192, samples: 30, bandLo: 50e6, bandHi: 200e6}
-
-const fuzzMeasAnalyzer uint64 = 0x5eed
 
 // TestDecodeMeasRejectsV1Layout: a codec-1 payload (the identity words,
 // peak dBm and dominant Hz) is one word short of the current layout and
 // must not decode, even under its own key.
 func TestDecodeMeasRejectsV1Layout(t *testing.T) {
-	cur := encodeMeas(fuzzMeasKey, fuzzMeasAnalyzer, instrument.Measurement{PeakDBm: -40, PeakHz: 70e6, StdevDBm: 0.5})
-	if _, ok := decodeMeas(cur, fuzzMeasKey, fuzzMeasAnalyzer); !ok {
+	cur := encodeMeas(fuzzMeasKey, instrument.Measurement{PeakDBm: -40, PeakHz: 70e6, StdevDBm: 0.5})
+	if _, ok := decodeMeas(cur, fuzzMeasKey); !ok {
 		t.Fatal("current layout rejected")
 	}
-	if _, ok := decodeMeas(cur[:len(cur)-8], fuzzMeasKey, fuzzMeasAnalyzer); ok {
+	if _, ok := decodeMeas(cur[:len(cur)-8], fuzzMeasKey); ok {
 		t.Fatal("codec-1 layout decoded as a current record")
 	}
 }
@@ -155,27 +153,27 @@ func TestDecodeMeasRejectsV1Layout(t *testing.T) {
 // only when it echoes every identity field of the key, and an encoded
 // measurement decodes back bit for bit.
 func FuzzDecodeMeas(f *testing.F) {
-	key, ana := fuzzMeasKey, fuzzMeasAnalyzer
-	good := encodeMeas(key, ana, instrument.Measurement{PeakDBm: -41.25, PeakHz: 68.5e6, StdevDBm: 0.375})
+	key := fuzzMeasKey
+	good := encodeMeas(key, instrument.Measurement{PeakDBm: -41.25, PeakHz: 68.5e6, StdevDBm: 0.375})
 	f.Add(good, -41.25, 68.5e6, 0.375)
 	f.Add(good[:len(good)-8], 0.0, 0.0, 0.0) // codec-1 layout
 	f.Add(append(append([]byte(nil), good...), 0), math.NaN(), math.Inf(1), math.Copysign(0, -1))
 	f.Add([]byte{}, 1.0, 2.0, 3.0)
 	f.Fuzz(func(t *testing.T, payload []byte, dbm, hz, sd float64) {
-		if m, ok := decodeMeas(payload, key, ana); ok {
+		if m, ok := decodeMeas(payload, key); ok {
 			// Accepted: the payload must be exactly the key's identity
 			// followed by the three values it decoded to.
 			if m.Samples != key.samples {
 				t.Fatalf("samples %d, key holds %d", m.Samples, key.samples)
 			}
-			if re := encodeMeas(key, ana, m); !bytes.Equal(re, payload) {
+			if re := encodeMeas(key, m); !bytes.Equal(re, payload) {
 				t.Fatalf("accepted a payload that is not the key's encoding:\n% x\n% x", payload, re)
 			}
 		}
 
 		want := instrument.Measurement{PeakDBm: dbm, PeakHz: hz, Samples: key.samples, StdevDBm: sd}
-		enc := encodeMeas(key, ana, want)
-		got, ok := decodeMeas(enc, key, ana)
+		enc := encodeMeas(key, want)
+		got, ok := decodeMeas(enc, key)
 		if !ok {
 			t.Fatal("round trip rejected")
 		}
@@ -186,10 +184,12 @@ func FuzzDecodeMeas(f *testing.F) {
 		}
 		other := key
 		other.supply = math.Nextafter(key.supply, 2)
-		if _, ok := decodeMeas(enc, other, ana); ok {
+		if _, ok := decodeMeas(enc, other); ok {
 			t.Fatal("payload accepted under a key with another supply")
 		}
-		if _, ok := decodeMeas(enc, key, ana+1); ok {
+		other = key
+		other.ana++
+		if _, ok := decodeMeas(enc, other); ok {
 			t.Fatal("payload accepted under another analyzer")
 		}
 	})

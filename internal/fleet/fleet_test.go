@@ -285,19 +285,31 @@ func TestFleetVminAndShmooMatchSingle(t *testing.T) {
 	}
 }
 
-// killerRig forwards to the wrapped backend until its countdown reaches
-// zero, then assassinates the rig's transport (closing the chaos proxy, so
-// reconnects are refused) and lets the in-flight call fail naturally.
+// killerRig assassinates the rig's transport (closing the chaos proxy, so
+// reconnects are refused) once its countdown of calls has started, and
+// holds every call until then, so each in-flight call fails naturally.
+// The same gate holds the surviving rig (gatedRig): otherwise a fast
+// survivor could drain the queue before the doomed rig's slots all took
+// an item, and the kill would never fire.
 type killerRig struct {
 	backend.Backend
 	countdown atomic.Int64
 	kill      func()
+	gate      chan struct{} // closed at the kill
+}
+
+func newKillerRig(b backend.Backend, kill func(), countdown int64) *killerRig {
+	k := &killerRig{Backend: b, kill: kill, gate: make(chan struct{})}
+	k.countdown.Store(countdown)
+	return k
 }
 
 func (k *killerRig) tick() {
 	if k.countdown.Add(-1) == 0 {
 		k.kill()
+		close(k.gate)
 	}
+	<-k.gate
 }
 
 func (k *killerRig) SweepPoint(domain string, cores, samples int, clockHz float64) (*core.SweepPoint, error) {
@@ -323,6 +335,35 @@ func (k *killerRig) Measurer(spec backend.MeasurerSpec) (ga.Measurer, error) {
 	return killerMeasurer{k: k, m: m}, nil
 }
 
+// gatedRig holds every measurement until gate closes.
+type gatedRig struct {
+	backend.Backend
+	gate <-chan struct{}
+}
+
+func (g *gatedRig) SweepPoint(domain string, cores, samples int, clockHz float64) (*core.SweepPoint, error) {
+	<-g.gate
+	return g.Backend.SweepPoint(domain, cores, samples, clockHz)
+}
+
+type gatedMeasurer struct {
+	gate <-chan struct{}
+	m    ga.Measurer
+}
+
+func (gm gatedMeasurer) Measure(seq []isa.Inst) (float64, float64, error) {
+	<-gm.gate
+	return gm.m.Measure(seq)
+}
+
+func (g *gatedRig) Measurer(spec backend.MeasurerSpec) (ga.Measurer, error) {
+	m, err := g.Backend.Measurer(spec)
+	if err != nil {
+		return nil, err
+	}
+	return gatedMeasurer{gate: g.gate, m: m}, nil
+}
+
 // TestFleetChaosKillMidGeneration is the acceptance gate: a rig dies
 // partway through a GA generation (its proxy closed and daemon shut down
 // after a few measurements), and the campaign must fail over — requeueing
@@ -337,14 +378,13 @@ func TestFleetChaosKillMidGeneration(t *testing.T) {
 	}
 
 	remote, proxy := remoteRig(t)
-	// Both of the doomed rig's slots acquire an item the moment the
-	// campaign opens (the queue is far deeper than the slot count), so a
-	// countdown of 2 is guaranteed to fire while shards are in flight.
-	killer := &killerRig{Backend: remote, kill: func() { _ = proxy.Close() }}
-	killer.countdown.Store(2)
+	// The kill fires once both of the doomed rig's slots hold an item, and
+	// the local rig measures nothing before it, so both items are in
+	// flight when the rig dies whatever the scheduling.
+	killer := newKillerRig(remote, func() { _ = proxy.Close() }, 2)
 
 	f := newFleet(t, fleet.Options{Slots: 2},
-		fleet.Rig{Name: "local", Backend: localRig(t)},
+		fleet.Rig{Name: "local", Backend: &gatedRig{Backend: localRig(t), gate: killer.gate}},
 		fleet.Rig{Name: "doomed", Backend: killer})
 	got, err := batchMeasurer(t, f).MeasureBatch(items, 2)
 	if err != nil {
@@ -458,11 +498,10 @@ func TestFleetChaosKillMidSweep(t *testing.T) {
 	}
 
 	remote, proxy := remoteRig(t)
-	killer := &killerRig{Backend: remote, kill: func() { _ = proxy.Close() }}
-	killer.countdown.Store(2)
+	killer := newKillerRig(remote, func() { _ = proxy.Close() }, 2)
 
 	f := newFleet(t, fleet.Options{Slots: 2},
-		fleet.Rig{Name: "local", Backend: localRig(t)},
+		fleet.Rig{Name: "local", Backend: &gatedRig{Backend: localRig(t), gate: killer.gate}},
 		fleet.Rig{Name: "doomed", Backend: killer})
 	got, err := f.ResonanceSweep(testDomain, 2, 0)
 	if err != nil {

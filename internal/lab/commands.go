@@ -422,8 +422,8 @@ func (c *Client) Shmoo(p Part, seed int64, clocks []float64) ([]vmin.ShmooPoint,
 // with instrument.BinCenters, the same expression the analyzer itself
 // uses, so the sweep equals a local MonitorAll bit-for-bit.
 func (c *Client) Monitor(parts []Part) (*instrument.Sweep, error) {
-	if len(parts) == 0 {
-		return nil, fmt.Errorf("lab: no monitor parts")
+	if len(parts) == 0 || len(parts) > maxMonitorParts {
+		return nil, fmt.Errorf("lab: %d parts for one MONITOR, want 1 to %d", len(parts), maxMonitorParts)
 	}
 	var sw *instrument.Sweep
 	err := c.do(command{

@@ -97,6 +97,9 @@ func FuzzDispatch(f *testing.F) {
 		{"MONITOR 1", fmt.Sprintf("cortex-a72 2 %d 2 -5 1e300\n%s", lines, text)},
 		{"MONITOR 1", "cortex-a72 2\n"},
 		{"MONITOR 2", "cortex-a72 2 1 0\nnop\n"},
+		{"MONITOR", part},
+		{"MONITOR 17", part},
+		{"MONITOR 0", ""},
 		{"SETCLOCK cortex-a72 6e8", ""},
 		{"SETVOLTS cortex-a72 0.95", ""},
 		{"SETCORES cortex-a53 2", ""},

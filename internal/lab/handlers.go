@@ -430,17 +430,22 @@ func (s *Server) cmdShmoo(r *bufio.Reader, w *bufio.Writer, fields []string) err
 
 // cmdMonitor captures one combined spectrum over several domains' loads
 // (Figure 15), one part per domain. Every part is read before any is
-// validated.
+// validated; a part count that is missing, unreadable or over
+// maxMonitorParts leaves nothing to tell where the request ends, so it
+// closes the session as MEASURE's does.
 func (s *Server) cmdMonitor(r *bufio.Reader, w *bufio.Writer, fields []string) error {
 	if len(fields) != 2 {
-		return fmt.Errorf("usage: MONITOR <nparts> + parts")
+		return fmt.Errorf("%w: usage: MONITOR <nparts> + parts", errStreamLost)
 	}
 	nparts, err := intField(fields, 1, "parts")
-	if err != nil {
-		return err
+	if err == nil && (nparts < 0 || nparts > maxMonitorParts) {
+		err = fmt.Errorf("part count %d out of range [1, %d]", nparts, maxMonitorParts)
 	}
-	if nparts < 1 || nparts > 16 {
-		return fmt.Errorf("part count %d out of range [1, 16]", nparts)
+	if err != nil {
+		return fmt.Errorf("%w: %v", errStreamLost, err)
+	}
+	if nparts == 0 {
+		return fmt.Errorf("part count 0 out of range [1, %d]", maxMonitorParts)
 	}
 	parts := make([]part, nparts)
 	for i := range parts {

@@ -66,8 +66,8 @@
 // before it validates anything, so a rejected request never leaves
 // assembly lines in the stream. A line longer than the limit closes the
 // session, and so does a part header whose line count cannot be read, or
-// a MEASURE part count that cannot be read or exceeds MaxMeasureParts:
-// nothing then tells where the request ends.
+// a MEASURE or MONITOR part count that cannot be read or exceeds its cap
+// (MaxMeasureParts, 16): nothing then tells where the request ends.
 // Requests stay under maxLineLen; replies may carry a whole sweep or
 // spectrum on one line and are bounded by the larger maxReplyLen — a
 // reply is a fixed number of lines known from its request, so every
@@ -103,6 +103,9 @@ const ProtocolVersion = 7
 // MaxMeasureParts caps the parts one MEASURE carries: a generation-sized
 // chunk, small enough that a request stays a bounded amount of work.
 const MaxMeasureParts = 256
+
+// maxMonitorParts caps the parts one MONITOR carries, one per domain.
+const maxMonitorParts = 16
 
 // Protocol hard limits: a program part may declare at most
 // maxProgramLines lines, and no single request or program line may exceed

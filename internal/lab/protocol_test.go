@@ -251,10 +251,39 @@ func TestOversizedLineClosesConnection(t *testing.T) {
 }
 
 // TestVerbSet pins the protocol's verbs: each one, sent bare (MEASURE
-// with a zero sample count and one part, the single-part verbs followed
-// by their part), reaches its handler (a usage error or a reply) rather
-// than the unknown command branch, and the deleted session and setpoint
-// verbs do not.
+// with a zero sample count and one part, MONITOR with zero parts, the
+// single-part verbs followed by their part), reaches its handler (a usage
+// error or a reply) rather than the unknown command branch, and the
+// deleted session and setpoint verbs do not.
+// TestMonitorPartCountClosesSession: a MONITOR whose part count is
+// missing, unreadable or over the cap cannot tell where its parts end, so
+// the daemon closes the session without a reply, as it does for MEASURE.
+// Answering ERR and reading on would dispatch the part that follows as
+// commands: the next INFO used to read `ERR unknown command "cortex-a72"`.
+// MONITOR 0 reads no parts and stays an in-sync ERR.
+func TestMonitorPartCountClosesSession(t *testing.T) {
+	addr, _ := startServer(t)
+	_, dd := directBench(t)
+	p, _ := probePart(t, dd)
+	part := strings.TrimSuffix(partBody(p), "\n")
+	for _, line := range []string{"MONITOR", "MONITOR 17", "MONITOR many", "MONITOR -1", "MONITOR 1 2"} {
+		rc := rawDial(t, addr)
+		if err := writeLine(rc.w, "%s\n%s\nINFO", line, part); err != nil {
+			t.Fatal(err)
+		}
+		if reply, err := readLine(rc.r); err == nil {
+			t.Errorf("%s + one part: reply %q, want the session closed", line, reply)
+		}
+	}
+	rc := rawDial(t, addr)
+	if reply := rc.send("MONITOR 0"); !strings.HasPrefix(reply, "ERR part count 0") {
+		t.Errorf("MONITOR 0 -> %q, want ERR", reply)
+	}
+	if reply := rc.send("INFO"); !strings.HasPrefix(reply, "OK juno") {
+		t.Errorf("session desynced after MONITOR 0: INFO -> %q", reply)
+	}
+}
+
 func TestVerbSet(t *testing.T) {
 	addr, _ := startServer(t)
 	rc := rawDial(t, addr)
@@ -271,6 +300,8 @@ func TestVerbSet(t *testing.T) {
 			req += " 0 1\n" + part
 		case "VMEASURE", "VMIN", "SHMOO":
 			req += "\n" + part
+		case "MONITOR":
+			req += " 0"
 		}
 		if reply := rc.send(req); strings.Contains(reply, "unknown command") {
 			t.Errorf("%s -> %q", verb, reply)

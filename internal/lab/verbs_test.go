@@ -234,7 +234,8 @@ func TestVMeasureRejectsDomainWithoutScope(t *testing.T) {
 // (HELLO, CAPS, STATE, MONITOR, STATS) with malformed arguments over a
 // raw connection; each must produce a single ERR line and leave the
 // session aligned. The load-carrying verbs' rejections, each followed by
-// its part, are TestLoadDesyncRegression's table.
+// its part, are TestLoadDesyncRegression's table; a MONITOR part count
+// that closes the session is TestMonitorPartCountClosesSession's.
 func TestV2ProtocolErrors(t *testing.T) {
 	addr, _ := startServer(t)
 	rc := rawDial(t, addr)
@@ -248,10 +249,8 @@ func TestV2ProtocolErrors(t *testing.T) {
 		// per-domain queries
 		"CAPS",
 		"STATE",
-		// MONITOR headers
-		"MONITOR",
+		// MONITOR with zero parts
 		"MONITOR 0",
-		"MONITOR 17",
 		"STATS",
 		"STATS no-such-domain",
 	}
