@@ -25,7 +25,8 @@ type (
 	// single receiver antenna.
 	Platform = platform.Platform
 	// Domain is one voltage domain: PDN + core cluster + EM coupling path
-	// plus runtime state (clock, supply, powered cores).
+	// plus its one runtime setting, the powered cores. Clock and supply
+	// are per-call parameters of sweeps and V_MIN searches.
 	Domain = platform.Domain
 	// DomainSpec statically describes a domain.
 	DomainSpec = platform.Spec
@@ -264,8 +265,8 @@ func NewChaosProxy(upstream string, cfg ChaosConfig) (*ChaosProxy, error) {
 // lab, observationally equivalent bit for bit.
 type (
 	// MeasureBackend is the unified measurement surface every tool runs
-	// against: domain enumeration and control, EM measurement, measurer
-	// factories, capability flags, V_MIN campaigns.
+	// against: domain enumeration and power gating, measurer factories
+	// (EM and voltage), fast sweeps, capability flags, V_MIN campaigns.
 	MeasureBackend = backend.Backend
 	// LocalBackend adapts an in-process Bench to MeasureBackend.
 	LocalBackend = backend.Local
@@ -274,7 +275,7 @@ type (
 	// BackendCaps is a domain's capability record (cores, ISA, clock grid,
 	// voltage visibility, DSO kind).
 	BackendCaps = backend.Caps
-	// BackendDomainState is a domain's current operating point.
+	// BackendDomainState is a domain's live setting: its powered cores.
 	BackendDomainState = backend.DomainState
 	// BackendMeasurerSpec selects a measurer (domain, metric, cores,
 	// averaging, DSO seed).
@@ -301,6 +302,10 @@ func NewLocalBackend(b *Bench) (*LocalBackend, error) { return backend.NewLocal(
 func NewRemoteBackend(addr string, jobs int, opts LabOptions) (*RemoteBackend, error) {
 	return backend.NewRemote(addr, jobs, opts)
 }
+
+// BackendResonanceSweep runs the Section 5.3 fast resonance sweep on any
+// MeasureBackend: one Sweep over the domain's whole clock grid.
+var BackendResonanceSweep = backend.ResonanceSweep
 
 // IsCapabilityError reports whether err is a capability mismatch (for
 // example, the droop metric on a domain with no voltage visibility).

@@ -91,9 +91,8 @@ func BenchmarkFitnessEvaluation(b *testing.B) {
 
 // BenchmarkResonanceSweep times the Section 5.3 fast resonance sweep over
 // the full clock range. The platform (and its PDN transfer sets) is built
-// once outside the timer; the supply is nudged every iteration, as it was
-// when a spectra memo could serve a step. Every clock step synthesizes
-// from one primed probe-loop charge history instead of re-simulating it.
+// once outside the timer. Every clock step synthesizes from one primed
+// probe-loop charge history instead of re-simulating it.
 func BenchmarkResonanceSweep(b *testing.B) {
 	plat, err := AMDDesktop()
 	if err != nil {
@@ -110,7 +109,6 @@ func BenchmarkResonanceSweep(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	vnom := d.SupplyVolts()
 	// Warm the transfer cache.
 	if _, err := bench.FastResonanceSweep(d, 4); err != nil {
 		b.Fatal(err)
@@ -118,11 +116,6 @@ func BenchmarkResonanceSweep(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		b.StopTimer()
-		if err := d.SetSupplyVolts(vnom - float64(i%100000+1)*1e-7); err != nil {
-			b.Fatal(err)
-		}
-		b.StartTimer()
 		if _, err := bench.FastResonanceSweep(d, 4); err != nil {
 			b.Fatal(err)
 		}

@@ -76,16 +76,13 @@ func BenchmarkGenerationBatch(b *testing.B) {
 	}
 }
 
-// medianRepeatMeasure times k repeat measurements of the same sequence and
-// returns the median, bracketing each with the supplied tweak (used to
-// defeat the measurement memo in the cold variant).
-func medianRepeatMeasure(t *testing.T, m Measurer, seq []Inst, k int, tweak func(i int)) time.Duration {
+// medianRepeatMeasure times k repeat measurements of the same sequence,
+// each through the measurer the call returns, and returns the median.
+func medianRepeatMeasure(t *testing.T, measurer func() Measurer, seq []Inst, k int) time.Duration {
 	t.Helper()
 	times := make([]time.Duration, k)
 	for i := range times {
-		if tweak != nil {
-			tweak(i)
-		}
+		m := measurer()
 		start := time.Now()
 		if _, _, err := m.Measure(seq); err != nil {
 			t.Fatal(err)
@@ -125,16 +122,18 @@ func TestRepeatMeasurementCachedNotSlower(t *testing.T) {
 		t.Fatal(err)
 	}
 	const k = 7
-	warm := medianRepeatMeasure(t, m, seq, k, nil)
+	warm := medianRepeatMeasure(t, func() Measurer { return m }, seq, k)
 
-	// Cold repeats: measurement memo defeated by a per-repeat supply nudge
-	// (the memo key includes the supply).
-	vnom := d.SupplyVolts()
-	cold := medianRepeatMeasure(t, m, seq, k, func(i int) {
-		if err := d.SetSupplyVolts(vnom - float64(i+1)*1e-7); err != nil {
+	// Cold repeats: each on a fresh bench over the same platform and
+	// analyzer seed, whose empty measurement memo pays the full pipeline.
+	cold := medianRepeatMeasure(t, func() Measurer {
+		fresh, err := NewBench(plat, 3)
+		if err != nil {
 			t.Fatal(err)
 		}
-	})
+		fresh.Samples = 3
+		return fresh.EMMeasurer(d, 2)
+	}, seq, k)
 
 	if warm > cold {
 		t.Errorf("cached repeat measurement slower than cold: warm %v > cold %v", warm, cold)

@@ -168,7 +168,7 @@ func BenchmarkAblationSampleCount(b *testing.B) {
 						b.Fatal(err)
 					}
 					bench.Samples = samples
-					m, err := bench.EMMeasure(d, Load{Seq: seq, ActiveCores: 2})
+					m, err := bench.EMMeasureN(d, Load{Seq: seq, ActiveCores: 2}, bench.Samples)
 					if err != nil {
 						b.Fatal(err)
 					}

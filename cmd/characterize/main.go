@@ -72,7 +72,7 @@ func main() {
 
 	// 1. Resonance.
 	fmt.Fprintf(os.Stderr, "characterize: fast resonance sweep on %s/%s...\n", be.PlatformName(), domain)
-	sweep, err := be.ResonanceSweep(domain, active, 0)
+	sweep, err := backend.ResonanceSweep(be, domain, active, 0)
 	if err != nil {
 		fatal(err)
 	}

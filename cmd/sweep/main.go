@@ -16,6 +16,7 @@ import (
 	"fmt"
 	"time"
 
+	"repro/internal/backend"
 	"repro/internal/cli"
 	"repro/internal/fleet"
 	"repro/internal/report"
@@ -57,7 +58,7 @@ func main() {
 	if f, ok := be.(*fleet.Fleet); ok {
 		fmt.Printf("sweep: clock grid shards across a fleet of %d rigs\n", f.Size())
 	}
-	res, err := be.ResonanceSweep(domain, *active, 0)
+	res, err := backend.ResonanceSweep(be, domain, *active, 0)
 	if err != nil {
 		app.Fatal(err)
 	}

@@ -113,11 +113,11 @@ func main() {
 		emnoise.IsCapabilityError(err), err)
 
 	// Remote fast sweep vs the local reference.
-	rsw, err := remote.ResonanceSweep(emnoise.DomainA72, 2, 0)
+	rsw, err := emnoise.BackendResonanceSweep(remote, emnoise.DomainA72, 2, 0)
 	if err != nil {
 		log.Fatal(err)
 	}
-	lsw, err := local.ResonanceSweep(emnoise.DomainA72, 2, 0)
+	lsw, err := emnoise.BackendResonanceSweep(local, emnoise.DomainA72, 2, 0)
 	if err != nil {
 		log.Fatal(err)
 	}

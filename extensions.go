@@ -141,8 +141,8 @@ func NewSessionReport(p *Platform, d *Domain, now time.Time) *SessionReport {
 }
 
 // NewSessionReportFor starts a report through any measurement backend
-// (local or remote), capturing the domain's operating point as the
-// backend observes it.
+// (local or remote), capturing the domain's powered cores as the backend
+// observes them.
 func NewSessionReportFor(be MeasureBackend, domain string, now time.Time) (*SessionReport, error) {
 	return session.New(be, domain, now)
 }

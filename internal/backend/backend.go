@@ -1,11 +1,12 @@
 // Package backend defines the one measurement surface every layer above
-// the rig speaks: domain enumeration and control, EM measurement, GA
-// measurer factories, V_MIN campaigns and evaluation statistics. Two
-// implementations exist — Local wraps a core.Bench in-process, Remote
-// drives a lab daemon over TCP — and they are observationally equivalent:
-// the same seeds and workloads produce bit-identical results on either
-// (see DESIGN.md §12 for the argument), so backend choice is purely a
-// deployment decision, exactly the paper's workstation/target split.
+// the rig speaks: domain enumeration and power gating, GA measurer
+// factories (the EM measurement), fast sweeps, V_MIN campaigns and
+// evaluation statistics. Two implementations exist — Local wraps a
+// core.Bench in-process, Remote drives a lab daemon over TCP — and they
+// are observationally equivalent: the same seeds and workloads produce
+// bit-identical results on either (see DESIGN.md §12 for the argument),
+// so backend choice is purely a deployment decision, exactly the paper's
+// workstation/target split.
 //
 // Capabilities replace implicit assumptions: a caller asks Caps() whether
 // a domain has direct voltage visibility (and which scope provides it)
@@ -47,8 +48,8 @@ func ParseMetric(s string) (Metric, error) {
 	}
 }
 
-// Caps is a domain's capability record: what the rig can do, not what it
-// is currently set to (that is State).
+// Caps is a domain's capability record: what the rig can do, not how many
+// cores are currently powered (that is State).
 type Caps struct {
 	Domain      string
 	TotalCores  int
@@ -84,10 +85,10 @@ func (c Caps) SweepClockSteps() []float64 {
 	return steps
 }
 
-// DomainState is a domain's current operating point.
+// DomainState is a domain's one live setting: its powered cores. Clock
+// and supply are per-call parameters (Sweep, VminShmoo); every other
+// operation runs at the maximum clock and nominal supply.
 type DomainState struct {
-	ClockHz      float64
-	SupplyV      float64
 	PoweredCores int
 }
 
@@ -138,31 +139,25 @@ type Backend interface {
 	// Caps returns a domain's capability record.
 	Caps(domain string) (Caps, error)
 
-	// State returns a domain's current operating point.
+	// State returns a domain's powered cores.
 	State(domain string) (DomainState, error)
-	// SetPoweredCores writes an absolute setpoint; Reset restores the
-	// nominal operating point.
+	// SetPoweredCores writes an absolute setpoint; Reset powers every core
+	// again.
 	SetPoweredCores(domain string, n int) error
 	Reset(domain string) error
 
-	// EMMeasure takes an averaged EM peak measurement of a load at the
-	// backend's default sample count.
-	EMMeasure(domain string, load platform.Load) (*instrument.Measurement, error)
 	// Measurer builds a GA fitness function for the spec's metric. A
 	// droop/ptp request on a domain without voltage visibility returns a
 	// *CapabilityError.
 	Measurer(spec MeasurerSpec) (ga.Measurer, error)
 
-	// ResonanceSweep runs the Section 5.3 fast resonance sweep with the
-	// given per-point analyzer averaging.
-	ResonanceSweep(domain string, activeCores, samples int) (*core.SweepResult, error)
-	// SweepPoint measures one fast-sweep point at an explicit clock
-	// setting without touching the domain's live clock (nil point, nil
-	// error = the probe loop is out of band at that clock). It is the
-	// one-clock form of the batched sweep, so fleet coordinators shard
-	// Caps.SweepClockSteps over it and agree bit for bit with
-	// ResonanceSweep.
-	SweepPoint(domain string, activeCores, samples int, clockHz float64) (*core.SweepPoint, error)
+	// Sweep measures the Section 5.3 fast-sweep points at the given clock
+	// settings with the given per-point analyzer averaging (samples <= 0
+	// is the backend default). points[i] answers clocks[i] and is nil when
+	// the probe loop is out of band at that clock. Each point is a pure
+	// function of its snapped clock, so any split of a grid into calls
+	// agrees bit for bit; ResonanceSweep walks the whole grid.
+	Sweep(domain string, activeCores, samples int, clocks []float64) ([]*core.SweepPoint, error)
 	// MonitorAll captures one spectrum with every given domain's load
 	// emitting simultaneously (Figure 15).
 	MonitorAll(loads map[string]platform.Load) (*instrument.Sweep, error)
@@ -180,4 +175,19 @@ type Backend interface {
 	// Close releases the rig (network sessions, pools). The local backend
 	// is a no-op.
 	Close() error
+}
+
+// ResonanceSweep runs the Section 5.3 fast resonance sweep on a backend:
+// one Sweep over the domain's whole clock grid, assembled exactly as a
+// local core.Bench.FastResonanceSweep assembles its batch.
+func ResonanceSweep(be Backend, domain string, activeCores, samples int) (*core.SweepResult, error) {
+	caps, err := be.Caps(domain)
+	if err != nil {
+		return nil, err
+	}
+	points, err := be.Sweep(domain, activeCores, samples, caps.SweepClockSteps())
+	if err != nil {
+		return nil, err
+	}
+	return core.AssembleSweep(points)
 }

@@ -14,7 +14,6 @@ import (
 	"repro/internal/backend"
 	"repro/internal/core"
 	"repro/internal/ga"
-	"repro/internal/instrument"
 	"repro/internal/lab"
 	"repro/internal/platform"
 	"repro/internal/session"
@@ -72,16 +71,6 @@ func identityOpts() lab.Options {
 	o := fastOpts()
 	o.IOTimeout = 0
 	return o
-}
-
-// localEMN measures on the local backend's bench with explicit averaging,
-// the reference a Remote's EMMeasureN must match.
-func localEMN(l *backend.Local, domain string, load platform.Load, samples int) (*instrument.Measurement, error) {
-	d, err := l.Bench().Platform.Domain(domain)
-	if err != nil {
-		return nil, err
-	}
-	return l.Bench().EMMeasureN(d, load, samples)
 }
 
 func backends(t *testing.T, jobs int) (*backend.Local, *backend.Remote) {
@@ -178,28 +167,46 @@ func TestLocalRemoteEquivalence(t *testing.T) {
 
 	load := probeLoad(t, local, platform.DomainA72, 2)
 
-	lm, err := localEMN(local, platform.DomainA72, load, 3)
-	if err != nil {
-		t.Fatal(err)
+	var ems [2][2]float64
+	for i, be := range []backend.Backend{local, remote} {
+		m, err := be.Measurer(backend.MeasurerSpec{Domain: platform.DomainA72, Metric: backend.MetricEM, ActiveCores: 2, Samples: 3})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ems[i][0], ems[i][1], err = m.Measure(load.Seq); err != nil {
+			t.Fatal(err)
+		}
 	}
-	rm, err := remote.EMMeasureN(platform.DomainA72, load, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(lm, rm) {
-		t.Fatalf("EM measurement: local %+v remote %+v", lm, rm)
+	if ems[0] != ems[1] {
+		t.Fatalf("EM measurement: local %v remote %v", ems[0], ems[1])
 	}
 
-	lsw, err := local.ResonanceSweep(platform.DomainA72, 2, 0)
+	lsw, err := backend.ResonanceSweep(local, platform.DomainA72, 2, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rsw, err := remote.ResonanceSweep(platform.DomainA72, 2, 0)
+	rsw, err := backend.ResonanceSweep(remote, platform.DomainA72, 2, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(lsw, rsw) {
 		t.Fatal("resonance sweeps diverge")
+	}
+	// A clock list out of grid order, with the lowest step (probe loop out
+	// of band, a nil point) among them.
+	a72Caps, _ := local.Caps(platform.DomainA72)
+	grid := a72Caps.ClockSteps()
+	some := []float64{grid[len(grid)/2], grid[0], grid[len(grid)-1]}
+	lpts, err := local.Sweep(platform.DomainA72, 2, 0, some)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rpts, err := remote.Sweep(platform.DomainA72, 2, 0, some)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(lpts) != len(some) || lpts[1] != nil || !reflect.DeepEqual(lpts, rpts) {
+		t.Fatalf("sweep points: local %+v remote %+v", lpts, rpts)
 	}
 
 	lv, lruns, err := local.Vmin(platform.DomainA72, load, 9, 3)
@@ -267,25 +274,25 @@ func TestLocalRemoteEquivalence(t *testing.T) {
 
 // TestPhaseLoadEquivalence: a load with staggered cores crosses the wire
 // in its request part, so a Remote accepts every load a Local does and
-// answers it bit for bit: the EM peak, a repeated V_MIN search and a
+// answers it bit for bit: the EM spectrum, a repeated V_MIN search and a
 // two-clock shmoo.
 func TestPhaseLoadEquivalence(t *testing.T) {
 	local, remote := backends(t, 2)
 	load := probeLoad(t, local, platform.DomainA72, 2)
 	load.PhaseCycles = []float64{0, 37.5}
 
-	lm, err := localEMN(local, platform.DomainA72, load, 3)
+	lm, err := local.MonitorAll(map[string]platform.Load{platform.DomainA72: load})
 	if err != nil {
 		t.Fatal(err)
 	}
-	rm, err := remote.EMMeasureN(platform.DomainA72, load, 3)
+	rm, err := remote.MonitorAll(map[string]platform.Load{platform.DomainA72: load})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(lm, rm) {
-		t.Fatalf("phased EM measurement: local %+v remote %+v", lm, rm)
+		t.Fatal("phased EM spectra diverge")
 	}
-	aligned, err := localEMN(local, platform.DomainA72, probeLoad(t, local, platform.DomainA72, 2), 3)
+	aligned, err := local.MonitorAll(map[string]platform.Load{platform.DomainA72: probeLoad(t, local, platform.DomainA72, 2)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -520,7 +527,7 @@ func sessionBytes(t *testing.T, be backend.Backend) []byte {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sw, err := be.ResonanceSweep(platform.DomainA72, 2, 0)
+	sw, err := backend.ResonanceSweep(be, platform.DomainA72, 2, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -74,17 +74,13 @@ func specCaps(spec platform.Spec) Caps {
 	}
 }
 
-// State returns a domain's current operating point.
+// State returns a domain's powered cores.
 func (l *Local) State(name string) (DomainState, error) {
 	d, err := l.domain(name)
 	if err != nil {
 		return DomainState{}, err
 	}
-	return DomainState{
-		ClockHz:      d.ClockHz(),
-		SupplyV:      d.SupplyVolts(),
-		PoweredCores: d.PoweredCores(),
-	}, nil
+	return DomainState{PoweredCores: d.PoweredCores()}, nil
 }
 
 // SetPoweredCores power-gates cores.
@@ -96,7 +92,7 @@ func (l *Local) SetPoweredCores(name string, n int) error {
 	return d.SetPoweredCores(n)
 }
 
-// Reset restores a domain's nominal operating point.
+// Reset powers every core of a domain again.
 func (l *Local) Reset(name string) error {
 	d, err := l.domain(name)
 	if err != nil {
@@ -104,15 +100,6 @@ func (l *Local) Reset(name string) error {
 	}
 	d.Reset()
 	return nil
-}
-
-// EMMeasure measures a load's EM peak at the bench's default averaging.
-func (l *Local) EMMeasure(name string, load platform.Load) (*instrument.Measurement, error) {
-	d, err := l.domain(name)
-	if err != nil {
-		return nil, err
-	}
-	return l.bench.EMMeasure(d, load)
 }
 
 // Measurer builds a GA fitness function on the local bench. The em metric
@@ -142,27 +129,15 @@ func (l *Local) Measurer(spec MeasurerSpec) (ga.Measurer, error) {
 	}
 }
 
-// ResonanceSweep runs the fast resonance sweep. The whole clock grid goes
-// through core.Bench.SweepBatch: one probe build, one primed trace, one
-// band-prefilter pass, arena-backed spectra — bit-identical to the
-// per-point path a fleet shard handler drives via SweepPoint.
-func (l *Local) ResonanceSweep(name string, activeCores, samples int) (*core.SweepResult, error) {
+// Sweep measures fast-sweep points with one core.Bench.SweepBatch: one
+// probe build, one primed trace, one band-prefilter pass and arena-backed
+// spectra for the whole clock list.
+func (l *Local) Sweep(name string, activeCores, samples int, clocks []float64) ([]*core.SweepPoint, error) {
 	d, err := l.domain(name)
 	if err != nil {
 		return nil, err
 	}
-	return l.bench.WithSamples(samples).FastResonanceSweep(d, activeCores)
-}
-
-// SweepPoint measures one fast-sweep point at an explicit clock setting
-// (the single-point form of the batched sweep, so a sharded grid and a
-// local batch agree bit for bit).
-func (l *Local) SweepPoint(name string, activeCores, samples int, clockHz float64) (*core.SweepPoint, error) {
-	d, err := l.domain(name)
-	if err != nil {
-		return nil, err
-	}
-	return l.bench.WithSamples(samples).SweepPointAt(d, activeCores, clockHz)
+	return l.bench.WithSamples(samples).SweepBatch(d, activeCores, clocks)
 }
 
 // MonitorAll captures one combined spectrum over several domains' loads.

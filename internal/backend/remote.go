@@ -27,9 +27,8 @@ import (
 // bit-identical to a Local on that bench — dropped connections, retries
 // and pool scheduling included.
 type Remote struct {
-	// Samples is the default analyzer averaging for EMMeasure and for
-	// Measurer specs that leave Samples zero (default 30, matching
-	// core.NewBench).
+	// Samples is the default analyzer averaging for Measurer specs and
+	// sweeps that leave it zero (default 30, matching core.NewBench).
 	Samples int
 
 	pool         *lab.Pool
@@ -160,7 +159,7 @@ func (r *Remote) Caps(domain string) (Caps, error) {
 	return caps, nil
 }
 
-// State queries a domain's current operating point.
+// State queries a domain's powered cores.
 func (r *Remote) State(domain string) (DomainState, error) {
 	var st DomainState
 	err := r.pool.Do(func(c *lab.Client) error {
@@ -168,7 +167,7 @@ func (r *Remote) State(domain string) (DomainState, error) {
 		if err != nil {
 			return err
 		}
-		st = DomainState{ClockHz: rs.ClockHz, SupplyV: rs.SupplyV, PoweredCores: rs.PoweredCores}
+		st = DomainState{PoweredCores: rs.PoweredCores}
 		return nil
 	})
 	return st, err
@@ -179,7 +178,7 @@ func (r *Remote) SetPoweredCores(domain string, n int) error {
 	return r.pool.Do(func(c *lab.Client) error { return c.SetCores(domain, n) })
 }
 
-// Reset restores the remote domain's nominal operating point.
+// Reset powers every core of the remote domain again.
 func (r *Remote) Reset(domain string) error {
 	return r.pool.Do(func(c *lab.Client) error { return c.Reset(domain) })
 }
@@ -195,30 +194,6 @@ func (r *Remote) part(domain string, load platform.Load) (lab.Part, error) {
 		return lab.Part{}, err
 	}
 	return lab.Part{Domain: domain, Cores: load.ActiveCores, Pool: ipool, Seq: load.Seq, Phases: load.PhaseCycles}, nil
-}
-
-// EMMeasure measures a load's EM peak at the backend's default averaging.
-func (r *Remote) EMMeasure(domain string, load platform.Load) (*instrument.Measurement, error) {
-	return r.EMMeasureN(domain, load, r.Samples)
-}
-
-// EMMeasureN measures a load's EM peak with explicit averaging: a
-// one-part MEASURE.
-func (r *Remote) EMMeasureN(domain string, load platform.Load, samples int) (*instrument.Measurement, error) {
-	p, err := r.part(domain, load)
-	if err != nil {
-		return nil, err
-	}
-	var ms []instrument.Measurement
-	err = r.pool.Do(func(c *lab.Client) error {
-		var err error
-		ms, err = c.Measure([]lab.Part{p}, samples)
-		return err
-	})
-	if err != nil {
-		return nil, err
-	}
-	return &ms[0], nil
 }
 
 // Measurer builds a GA fitness function that evaluates individuals on the
@@ -318,32 +293,9 @@ func (m *remoteMeasurer) MeasureBatch(items []ga.BatchItem, parallelism int) ([]
 	return out, nil
 }
 
-// ResonanceSweep runs the fast resonance sweep on the daemon: one SWEEP
-// over the domain's whole clock grid, assembled here exactly as a local
-// FastResonanceSweep assembles its batch.
-func (r *Remote) ResonanceSweep(domain string, activeCores, samples int) (*core.SweepResult, error) {
-	caps, err := r.Caps(domain)
-	if err != nil {
-		return nil, err
-	}
-	points, err := r.sweep(domain, activeCores, samples, caps.SweepClockSteps())
-	if err != nil {
-		return nil, err
-	}
-	return core.AssembleSweep(points)
-}
-
-// SweepPoint measures one fast-sweep point at an explicit clock setting on
-// the daemon: a SWEEP with one clock.
-func (r *Remote) SweepPoint(domain string, activeCores, samples int, clockHz float64) (*core.SweepPoint, error) {
-	points, err := r.sweep(domain, activeCores, samples, []float64{clockHz})
-	if err != nil {
-		return nil, err
-	}
-	return points[0], nil
-}
-
-func (r *Remote) sweep(domain string, activeCores, samples int, clocks []float64) ([]*core.SweepPoint, error) {
+// Sweep measures fast-sweep points on the daemon: one SWEEP over the
+// listed clocks.
+func (r *Remote) Sweep(domain string, activeCores, samples int, clocks []float64) ([]*core.SweepPoint, error) {
 	if samples <= 0 {
 		samples = r.Samples
 	}

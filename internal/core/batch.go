@@ -257,9 +257,10 @@ func (m emMeasurer) MeasureBatch(items []ga.BatchItem, parallelism int) ([]ga.Ba
 }
 
 // EMMeasureBatch is the bench's one EM measurement path: every load is
-// measured on domain d at its current operating point, with intra-batch
-// dedup, the in-memory memo and the disk tier in front of the pipeline, on
-// up to parallelism workers. EMMeasureN is a batch of one.
+// measured on domain d at its powered cores, maximum clock and nominal
+// supply, with intra-batch dedup, the in-memory memo and the disk tier in
+// front of the pipeline, on up to parallelism workers. EMMeasureN is a
+// batch of one.
 //
 // A non-nil emit receives every result in index order as soon as it and
 // all results before it are known, so a caller can stream a long batch
@@ -279,9 +280,10 @@ func (b *Bench) EMMeasureBatch(d *platform.Domain, loads []platform.Load, sample
 		return results, nil
 	}
 
-	// One operating-point snapshot keys the whole batch. The GA holds the
-	// domain fixed across a generation; re-tuning it mid-batch is outside
-	// the contract, just as it is for a half-measured scalar generation.
+	// One powered-core snapshot keys the whole batch. The GA holds the
+	// domain fixed across a generation; re-gating cores mid-batch is
+	// outside the contract, just as it is for a half-measured scalar
+	// generation. Clock and supply are the spec's maximum and nominal.
 	clock, supply, powered := d.ClockHz(), d.SupplyVolts(), d.PoweredCores()
 
 	// Dedup identical loads by content hash: at a fixed operating point the

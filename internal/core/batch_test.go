@@ -117,23 +117,18 @@ func TestBatchMemoKeyedByReceiveChain(t *testing.T) {
 // still key apart. Without the domain's spec hash in the key, the second
 // domain was served the first domain's reading.
 func TestBatchMemoKeyedByDomain(t *testing.T) {
-	// setup aligns the A53 with the A72: same EM path, clock, supply and
-	// powered cores, so only the domain itself tells the two apart.
+	// setup aligns the A53 with the A72 through its spec: same EM path,
+	// clock and supply, and the same powered cores, so only the domain
+	// itself tells the two apart.
 	setup := func() (*Bench, *platform.Domain, *platform.Domain) {
 		b, p := testBench(t)
 		a72 := dom(t, p, platform.DomainA72)
 		a53 := dom(t, p, platform.DomainA53)
 		a53.Spec.EMPath = a72.Spec.EMPath
-		for _, d := range []*platform.Domain{a72, a53} {
-			if err := d.SetClockHz(800e6); err != nil {
-				t.Fatal(err)
-			}
-			if err := d.SetSupplyVolts(0.9); err != nil {
-				t.Fatal(err)
-			}
-			if err := d.SetPoweredCores(2); err != nil {
-				t.Fatal(err)
-			}
+		a53.Spec.MaxClockHz = a72.Spec.MaxClockHz
+		a53.Spec.PDN.VNominal = a72.Spec.PDN.VNominal
+		if err := a53.SetPoweredCores(2); err != nil {
+			t.Fatal(err)
 		}
 		return b, a72, a53
 	}

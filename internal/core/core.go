@@ -113,16 +113,10 @@ func (b *Bench) WithSamples(n int) *Bench {
 	return &b2
 }
 
-// EMMeasure runs a workload on one domain and measures the received EM
-// peak in the bench band: the paper's GA fitness observable.
-func (b *Bench) EMMeasure(d *platform.Domain, l platform.Load) (*instrument.Measurement, error) {
-	return b.EMMeasureN(d, l, b.Samples)
-}
-
-// EMMeasureN is EMMeasure with an explicit averaging count, for callers
-// that vary the sample count per request (the lab daemon's MEASURE
-// command) without mutating — or copying — the shared bench. It is a batch
-// of one, served by the same memo and disk tier as MeasureBatch.
+// EMMeasureN runs a workload on one domain and measures the received EM
+// peak in the bench band, averaged over samples sweeps: the paper's GA
+// fitness observable. It is a batch of one, served by the same memo and
+// disk tier as MeasureBatch.
 func (b *Bench) EMMeasureN(d *platform.Domain, l platform.Load, samples int) (*instrument.Measurement, error) {
 	ms, err := b.EMMeasureBatch(d, []platform.Load{l}, samples, 1, nil)
 	if err != nil {
@@ -155,7 +149,7 @@ func ProcessStats() string {
 	return stats
 }
 
-// emMeasurer adapts EMMeasure into a GA fitness function: fitness is the
+// emMeasurer adapts EMMeasureN into a GA fitness function: fitness is the
 // averaged peak power in dBm (tournament selection only needs ranks, so
 // the dB compression is harmless), and the dominant frequency is the
 // per-sweep modal peak bin.

@@ -75,11 +75,11 @@ func TestNewBenchValidation(t *testing.T) {
 func TestEMMeasureOrdersWorkloadsByNoise(t *testing.T) {
 	b, p := testBench(t)
 	d := dom(t, p, platform.DomainA72)
-	idle, err := b.EMMeasure(d, buildLoad(t, d, "idle", 2))
+	idle, err := b.EMMeasureN(d, buildLoad(t, d, "idle", 2), b.Samples)
 	if err != nil {
 		t.Fatal(err)
 	}
-	probe, err := b.EMMeasure(d, buildLoad(t, d, "probe", 2))
+	probe, err := b.EMMeasureN(d, buildLoad(t, d, "probe", 2), b.Samples)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,10 +102,6 @@ func TestFastResonanceSweepA72(t *testing.T) {
 	}
 	if len(res.Points) < 10 {
 		t.Fatalf("only %d sweep points", len(res.Points))
-	}
-	// Clock restored.
-	if d.ClockHz() != d.Spec.MaxClockHz {
-		t.Fatalf("sweep left clock at %v", d.ClockHz())
 	}
 }
 

@@ -76,24 +76,6 @@ func (b *Bench) cachedProbe(d *platform.Domain) ([]isa.Inst, error) {
 	return probe, nil
 }
 
-// SweepPointAt evaluates one step of the Section 5.3 fast sweep at an
-// explicit clock setting: the probe loop's frequency at that clock, and
-// the received EM amplitude at the loop fundamental. It returns nil (and
-// no error) when the loop frequency falls outside the bench's search band
-// — only in-band points can reveal the resonance. It is the single-point
-// form of SweepBatch (what a one-clock lab SWEEP runs, and so what a
-// fleet's per-point shards measure), so the evaluation is stateless — the
-// domain's live clock setting is never touched and concurrent points
-// cannot interfere — and bit-identical to any batched or sharded layout
-// that includes the same snapped clock.
-func (b *Bench) SweepPointAt(d *platform.Domain, activeCores int, clockHz float64) (*SweepPoint, error) {
-	pts, err := b.SweepBatch(d, activeCores, []float64{clockHz})
-	if err != nil {
-		return nil, err
-	}
-	return pts[0], nil
-}
-
 // FastResonanceSweep implements the Section 5.3 method: run the fixed
 // two-phase probe loop on activeCores cores, step the CPU clock across its
 // full range (which modulates the loop frequency proportionally), and at

@@ -10,7 +10,7 @@ import (
 )
 
 // SweepBatch evaluates a set of sweep clock steps as one batched campaign,
-// bit-identical to calling SweepPointAt per clock at any parallelism. The
+// bit-identical to one-clock batches per clock at any parallelism. The
 // clock-invariant work is hoisted out of the per-point loop:
 //
 //   - the bench validates once and the probe loop builds once, not per point;
@@ -87,9 +87,8 @@ func (b *Bench) SweepBatch(d *platform.Domain, activeCores int, clocks []float64
 		return points, nil
 	}
 
-	// One operating-point snapshot serves the whole batch, exactly as in
-	// MeasureBatch: the campaign holds the domain's supply and power state
-	// fixed; re-tuning it mid-sweep is outside the contract.
+	// One powered-core snapshot serves the whole batch, exactly as in
+	// EMMeasureBatch: re-gating cores mid-sweep is outside the contract.
 	supply, powered := d.SupplyVolts(), d.PoweredCores()
 
 	st := b.batchSt()

@@ -10,8 +10,8 @@ import (
 )
 
 // scalarSweepPointAt is the pre-batch reference implementation of one
-// sweep point — the exact per-point pipeline SweepPointAt ran before it
-// was rebased onto SweepBatch — kept here as the bit-identity baseline.
+// sweep point — the exact per-point pipeline the scalar sweep ran before
+// it was rebased onto SweepBatch — kept here as the bit-identity baseline.
 func scalarSweepPointAt(t *testing.T, b *Bench, d *platform.Domain, activeCores int, clockHz float64) *SweepPoint {
 	t.Helper()
 	if err := b.Validate(); err != nil {
@@ -110,11 +110,11 @@ func TestSweepBatchEmptyAndSinglePoint(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i, clock := range steps {
-		pt, err := b.SweepPointAt(d, 2, clock)
+		pt, err := b.SweepBatch(d, 2, []float64{clock})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !reflect.DeepEqual(pt, whole[i]) {
+		if !reflect.DeepEqual(pt[0], whole[i]) {
 			t.Fatalf("single-point batch at %v diverges from whole-grid batch", clock)
 		}
 	}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"strings"
 
+	"repro/internal/backend"
 	"repro/internal/platform"
 	"repro/internal/report"
 )
@@ -43,7 +44,7 @@ func runFig13(c *Context) (*Result, error) {
 		if err := c.JunoBE.SetPoweredCores(platform.DomainA53, cores); err != nil {
 			return nil, err
 		}
-		res, err := c.JunoBE.ResonanceSweep(platform.DomainA53, 1, 0)
+		res, err := backend.ResonanceSweep(c.JunoBE, platform.DomainA53, 1, 0)
 		if err != nil {
 			_ = c.JunoBE.Reset(platform.DomainA53)
 			return nil, err
@@ -154,7 +155,7 @@ func runFig15(c *Context) (*Result, error) {
 // runFig16 reproduces Figure 16: the fast EM sweep on the Athlon II finds
 // the resonance near 78 MHz.
 func runFig16(c *Context) (*Result, error) {
-	res, err := c.AMDBE.ResonanceSweep(platform.DomainAthlon, 4, 0)
+	res, err := backend.ResonanceSweep(c.AMDBE, platform.DomainAthlon, 4, 0)
 	if err != nil {
 		return nil, err
 	}

@@ -4,6 +4,7 @@ import (
 	"math"
 	"strings"
 
+	"repro/internal/backend"
 	"repro/internal/instrument"
 	"repro/internal/platform"
 	"repro/internal/report"
@@ -129,9 +130,15 @@ func runFig9(c *Context) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	// Spectrum analyzer view through the antenna (via the backend, so a
-	// remote rig feeds the same comparison).
-	m, err := c.JunoBE.EMMeasure(platform.DomainA72, virus)
+	// Spectrum analyzer view through the antenna (via the backend's EM
+	// measurer, so a remote rig feeds the same comparison).
+	analyzer, err := c.JunoBE.Measurer(backend.MeasurerSpec{
+		Domain: platform.DomainA72, Metric: backend.MetricEM, ActiveCores: virus.ActiveCores,
+	})
+	if err != nil {
+		return nil, err
+	}
+	_, analyzerHz, err := analyzer.Measure(virus.Seq)
 	if err != nil {
 		return nil, err
 	}
@@ -158,14 +165,14 @@ func runFig9(c *Context) (*Result, error) {
 	loopHz := d.ClockHz() / ur.LoopCycles
 
 	tb := report.NewTable("Frequency-domain agreement", "instrument", "dominant spike")
-	tb.AddRow("spectrum analyzer (antenna)", report.MHz(m.PeakHz))
+	tb.AddRow("spectrum analyzer (antenna)", report.MHz(analyzerHz))
 	tb.AddRow("OC-DSO FFT", report.MHz(dsoHz))
 	tb.AddRow("virus loop fundamental", report.MHz(loopHz))
-	delta := absF(m.PeakHz - dsoHz)
+	delta := absF(analyzerHz - dsoHz)
 	return &Result{
 		ID: "fig9", Title: "Spectrum analyzer vs OC-DSO FFT", Text: tb.String(),
 		Values: map[string]float64{
-			"analyzer_hz":  m.PeakHz,
+			"analyzer_hz":  analyzerHz,
 			"dso_fft_hz":   dsoHz,
 			"agreement_hz": delta,
 			"loop_hz":      loopHz,
@@ -232,14 +239,14 @@ func runFig10(c *Context) (*Result, error) {
 // runFig11 reproduces Figure 11: the fast EM sweep on the A72 peaks around
 // 70 MHz with both cores powered and ~85 MHz with one.
 func runFig11(c *Context) (*Result, error) {
-	both, err := c.JunoBE.ResonanceSweep(platform.DomainA72, 2, 0)
+	both, err := backend.ResonanceSweep(c.JunoBE, platform.DomainA72, 2, 0)
 	if err != nil {
 		return nil, err
 	}
 	if err := c.JunoBE.SetPoweredCores(platform.DomainA72, 1); err != nil {
 		return nil, err
 	}
-	one, err := c.JunoBE.ResonanceSweep(platform.DomainA72, 1, 0)
+	one, err := backend.ResonanceSweep(c.JunoBE, platform.DomainA72, 1, 0)
 	if rerr := c.JunoBE.Reset(platform.DomainA72); err == nil {
 		err = rerr
 	}

@@ -8,7 +8,7 @@ import (
 // campaign is one shardable unit of fleet work: a GA generation, a sweep
 // grid, a shmoo lattice, or a workload list. Its identity is content, not
 // position — key hashes everything a shard's result depends on except the
-// item itself (kind, platform, domain, operating point, seeds, averaging
+// item itself (kind, platform, domain, powered cores, seeds, averaging
 // depth, coordinator salt), and items[i] hashes shard i's own content. The
 // run function must be a pure function of (rig equivalence class, item):
 // every live rig returns the same bytes for the same item, which is what

@@ -19,21 +19,13 @@ type sweepShard struct {
 	PeakDBm float64 `json:"peak_dbm,omitempty"`
 }
 
-// ResonanceSweep runs the Section 5.3 fast sweep with the clock grid
-// sharded across the fleet: each DVFS step is one campaign item, measured
-// on whichever rig gets to it first, then assembled in grid order — the
-// same argmax/centroid reduction FastResonanceSweep applies locally, so
-// the fleet sweep is bit-identical to a single-rig sweep. Every item is a
-// one-clock SweepPoint, and SweepPoint is the one-clock form of the same
-// core.Bench.SweepBatch a whole-grid sweep runs, so every point is the
-// same pure function of its snapped clock regardless of layout.
-func (f *Fleet) ResonanceSweep(domain string, activeCores, samples int) (*core.SweepResult, error) {
-	caps, err := f.Caps(domain)
-	if err != nil {
-		return nil, err
-	}
-	steps := caps.SweepClockSteps()
-
+// Sweep measures fast-sweep points with the given clocks sharded across
+// the fleet: each clock is one campaign item, measured on whichever rig
+// gets to it first as a one-clock Sweep, and merged in input order. Every
+// point is the same pure function of its snapped clock on any rig and in
+// any batch, so backend.ResonanceSweep over a fleet is bit-identical to a
+// single-rig sweep.
+func (f *Fleet) Sweep(domain string, activeCores, samples int, clocks []float64) ([]*core.SweepPoint, error) {
 	st, err := f.State(domain)
 	if err != nil {
 		return nil, err
@@ -42,11 +34,10 @@ func (f *Fleet) ResonanceSweep(domain string, activeCores, samples int) (*core.S
 		h.String(domain)
 		h.Int(activeCores)
 		h.Int(samples)
-		h.Float64(st.SupplyV)
 		h.Int(st.PoweredCores)
 	})
-	items := make([]uint64, len(steps))
-	for i, clock := range steps {
+	items := make([]uint64, len(clocks))
+	for i, clock := range clocks {
 		h := detrand.NewHash()
 		h.Float64(clock)
 		items[i] = h.Sum()
@@ -57,10 +48,11 @@ func (f *Fleet) ResonanceSweep(domain string, activeCores, samples int) (*core.S
 		key:   key,
 		items: items,
 		run: func(r *rig, i int) (sweepShard, error) {
-			pt, err := r.be.SweepPoint(domain, activeCores, samples, steps[i])
+			pts, err := r.be.Sweep(domain, activeCores, samples, clocks[i:i+1])
 			if err != nil {
 				return sweepShard{}, err
 			}
+			pt := pts[0]
 			if pt == nil {
 				return sweepShard{}, nil
 			}
@@ -77,7 +69,7 @@ func (f *Fleet) ResonanceSweep(domain string, activeCores, samples int) (*core.S
 			points[i] = &core.SweepPoint{ClockHz: sh.ClockHz, LoopHz: sh.LoopHz, PeakDBm: sh.PeakDBm}
 		}
 	}
-	return core.AssembleSweep(points)
+	return points, nil
 }
 
 // vminShard is one V_MIN search result in checkpoint/JSON form.
@@ -136,8 +128,6 @@ func (f *Fleet) vminMany(kind, domain string, loads []platform.Load, seed int64,
 		h.String(domain)
 		h.Uint64(uint64(seed))
 		h.Int(repeats)
-		h.Float64(st.ClockHz)
-		h.Float64(st.SupplyV)
 		h.Int(st.PoweredCores)
 	})
 	items := make([]uint64, len(loads))
@@ -200,7 +190,6 @@ func (f *Fleet) ShmooGrid(domain string, loads []platform.Load, seed int64, cloc
 	key := f.keyHash("shmoo", func(h *detrand.Hash) {
 		h.String(domain)
 		h.Uint64(uint64(seed))
-		h.Float64(st.SupplyV)
 		h.Int(st.PoweredCores)
 	})
 	type cell struct {

@@ -13,11 +13,11 @@ import (
 // Checkpoint is the fleet coordinator's durable campaign journal: one JSON
 // line per completed shard, keyed by content. A record names the campaign
 // (a 64-bit hash of everything the result depends on except the item
-// itself: kind, platform, domain, operating point, seeds, sample depth) and
+// itself: kind, platform, domain, powered cores, seeds, sample depth) and
 // the item (the same 64-bit content key the bench measurement memo
 // already trusts), so a resumed
 // coordinator replays a hit only when both hashes match — a changed
-// operating point or a mutated workload misses cleanly and re-measures.
+// powered-core count or a mutated workload misses cleanly and re-measures.
 //
 // The journal is append-only, and a record counts only once its newline
 // is on disk. A torn final line (coordinator killed mid-write) has none: it

@@ -22,7 +22,6 @@ import (
 	"sync/atomic"
 
 	"repro/internal/backend"
-	"repro/internal/core"
 	"repro/internal/detrand"
 	"repro/internal/instrument"
 	"repro/internal/lab"
@@ -141,7 +140,7 @@ func (f *Fleet) LiveRigs() int {
 }
 
 // firstLive returns the first rig still accepting work. Single-shot
-// operations (EMMeasure, MonitorAll, State) route here: any live rig gives
+// operations (MonitorAll, State) route here: any live rig gives
 // the same bytes, so "first live" is both deterministic and failover-safe.
 func (f *Fleet) firstLive() (*rig, error) {
 	for _, r := range f.rigs {
@@ -177,8 +176,8 @@ func single[T any](f *Fleet, fn func(r *rig) (T, error)) (T, error) {
 }
 
 // keyHash builds a campaign key: the campaign kind, the platform, the
-// coordinator salt, then whatever the caller folds in (domain, operating
-// point, seeds, sample depth).
+// coordinator salt, then whatever the caller folds in (domain, powered
+// cores, seeds, sample depth).
 func (f *Fleet) keyHash(kind string, fold func(h *detrand.Hash)) uint64 {
 	h := detrand.NewHash()
 	h.String("fleet:" + kind)
@@ -208,7 +207,7 @@ func (f *Fleet) Caps(domain string) (backend.Caps, error) {
 	return r.be.Caps(domain)
 }
 
-// State returns the domain's operating point (identical on every rig, so
+// State returns the domain's powered cores (identical on every rig, so
 // the first live one answers).
 func (f *Fleet) State(domain string) (backend.DomainState, error) {
 	return single(f, func(r *rig) (backend.DomainState, error) {
@@ -216,8 +215,8 @@ func (f *Fleet) State(domain string) (backend.DomainState, error) {
 	})
 }
 
-// broadcast applies a setter to every live rig, so the fleet's operating
-// point moves in lockstep. The first error wins but every rig is still
+// broadcast applies a setter to every live rig, so the fleet's powered
+// cores move in lockstep. The first error wins but every rig is still
 // attempted; a transport failure condemns that rig rather than desyncing
 // the survivors.
 func (f *Fleet) broadcast(op string, fn func(be backend.Backend) error) error {
@@ -253,23 +252,9 @@ func (f *Fleet) SetPoweredCores(domain string, n int) error {
 	return f.broadcast("set powered cores", func(be backend.Backend) error { return be.SetPoweredCores(domain, n) })
 }
 
-// Reset restores the nominal operating point on every rig.
+// Reset powers every core again on every rig.
 func (f *Fleet) Reset(domain string) error {
 	return f.broadcast("reset", func(be backend.Backend) error { return be.Reset(domain) })
-}
-
-// EMMeasure takes one averaged EM measurement on the first live rig.
-func (f *Fleet) EMMeasure(domain string, load platform.Load) (*instrument.Measurement, error) {
-	return single(f, func(r *rig) (*instrument.Measurement, error) {
-		return r.be.EMMeasure(domain, load)
-	})
-}
-
-// SweepPoint measures one fast-sweep point on the first live rig.
-func (f *Fleet) SweepPoint(domain string, activeCores, samples int, clockHz float64) (*core.SweepPoint, error) {
-	return single(f, func(r *rig) (*core.SweepPoint, error) {
-		return r.be.SweepPoint(domain, activeCores, samples, clockHz)
-	})
 }
 
 // MonitorAll captures one combined spectrum on the first live rig.

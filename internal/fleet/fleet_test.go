@@ -1,11 +1,16 @@
 package fleet_test
 
 import (
+	"bufio"
+	"io"
 	"math/rand"
 	"net"
 	"os"
 	"path/filepath"
 	"reflect"
+	"strconv"
+	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -204,7 +209,7 @@ func TestFleetGAMatchesSingle(t *testing.T) {
 // single-backend sweep, bit for bit.
 func TestFleetSweepMatchesSingle(t *testing.T) {
 	single := localRig(t)
-	want, err := single.ResonanceSweep(testDomain, 2, 0)
+	want, err := backend.ResonanceSweep(single, testDomain, 2, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -213,7 +218,7 @@ func TestFleetSweepMatchesSingle(t *testing.T) {
 	f := newFleet(t, fleet.Options{Slots: 2},
 		fleet.Rig{Name: "local", Backend: localRig(t)},
 		fleet.Rig{Name: "remote", Backend: remote})
-	got, err := f.ResonanceSweep(testDomain, 2, 0)
+	got, err := backend.ResonanceSweep(f, testDomain, 2, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -312,9 +317,9 @@ func (k *killerRig) tick() {
 	<-k.gate
 }
 
-func (k *killerRig) SweepPoint(domain string, cores, samples int, clockHz float64) (*core.SweepPoint, error) {
+func (k *killerRig) Sweep(domain string, cores, samples int, clocks []float64) ([]*core.SweepPoint, error) {
 	k.tick()
-	return k.Backend.SweepPoint(domain, cores, samples, clockHz)
+	return k.Backend.Sweep(domain, cores, samples, clocks)
 }
 
 type killerMeasurer struct {
@@ -341,9 +346,9 @@ type gatedRig struct {
 	gate <-chan struct{}
 }
 
-func (g *gatedRig) SweepPoint(domain string, cores, samples int, clockHz float64) (*core.SweepPoint, error) {
+func (g *gatedRig) Sweep(domain string, cores, samples int, clocks []float64) ([]*core.SweepPoint, error) {
 	<-g.gate
-	return g.Backend.SweepPoint(domain, cores, samples, clockHz)
+	return g.Backend.Sweep(domain, cores, samples, clocks)
 }
 
 type gatedMeasurer struct {
@@ -492,7 +497,7 @@ func TestFleetOneSlotSendsOneRequest(t *testing.T) {
 // answer.
 func TestFleetChaosKillMidSweep(t *testing.T) {
 	single := localRig(t)
-	want, err := single.ResonanceSweep(testDomain, 2, 0)
+	want, err := backend.ResonanceSweep(single, testDomain, 2, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -503,7 +508,7 @@ func TestFleetChaosKillMidSweep(t *testing.T) {
 	f := newFleet(t, fleet.Options{Slots: 2},
 		fleet.Rig{Name: "local", Backend: &gatedRig{Backend: localRig(t), gate: killer.gate}},
 		fleet.Rig{Name: "doomed", Backend: killer})
-	got, err := f.ResonanceSweep(testDomain, 2, 0)
+	got, err := backend.ResonanceSweep(f, testDomain, 2, 0)
 	if err != nil {
 		t.Fatalf("sweep failed instead of failing over: %v", err)
 	}
@@ -744,7 +749,7 @@ func TestFleetCapabilityPlacement(t *testing.T) {
 // check that batch economics never leak into values at any shard layout.
 func TestFleetThreeRigShardLayout(t *testing.T) {
 	single := localRig(t)
-	wantSweep, err := single.ResonanceSweep(testDomain, 2, 0)
+	wantSweep, err := backend.ResonanceSweep(single, testDomain, 2, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -772,7 +777,7 @@ func TestFleetThreeRigShardLayout(t *testing.T) {
 		fleet.Rig{Name: "l1", Backend: localRig(t)},
 		fleet.Rig{Name: "remote", Backend: remote})
 
-	gotSweep, err := f.ResonanceSweep(testDomain, 2, 0)
+	gotSweep, err := backend.ResonanceSweep(f, testDomain, 2, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -795,5 +800,141 @@ func TestFleetThreeRigShardLayout(t *testing.T) {
 	}
 	if !reflect.DeepEqual(results[0], wantVmin) || !reflect.DeepEqual(runs[0], wantRuns) {
 		t.Fatal("3-rig vmin differs from single-backend search")
+	}
+}
+
+// shortShmooProxy forwards a lab session to upstream, except that it
+// answers every SHMOO itself with "OK 0" (no points, whatever the clock
+// count) after swallowing the request's program part: a daemon whose
+// SHMOO replies are short.
+func shortShmooProxy(t *testing.T, upstream string) string {
+	t.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { ln.Close() })
+	go func() {
+		for {
+			client, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			server, err := net.Dial("tcp", upstream)
+			if err != nil {
+				client.Close()
+				return
+			}
+			go func() {
+				defer server.Close()
+				_, _ = io.Copy(client, server)
+			}()
+			go func() {
+				defer client.Close()
+				defer server.Close()
+				r := bufio.NewReader(client)
+				for {
+					line, err := r.ReadString('\n')
+					if err != nil {
+						return
+					}
+					if !strings.HasPrefix(line, "SHMOO ") {
+						if _, err := io.WriteString(server, line); err != nil {
+							return
+						}
+						continue
+					}
+					hdr, err := r.ReadString('\n')
+					if err != nil {
+						return
+					}
+					lines, err := strconv.Atoi(strings.Fields(hdr)[2])
+					if err != nil {
+						return
+					}
+					for i := 0; i < lines; i++ {
+						if _, err := r.ReadString('\n'); err != nil {
+							return
+						}
+					}
+					if _, err := io.WriteString(client, "OK 0\n"); err != nil {
+						return
+					}
+				}
+			}()
+		}
+	}()
+	return ln.Addr().String()
+}
+
+// failSignalRig closes failed once a shmoo on it has returned an error.
+type failSignalRig struct {
+	backend.Backend
+	once   sync.Once
+	failed chan struct{}
+}
+
+func (r *failSignalRig) VminShmoo(domain string, load platform.Load, seed int64, clocks []float64) ([]vmin.ShmooPoint, error) {
+	pts, err := r.Backend.VminShmoo(domain, load, seed, clocks)
+	if err != nil {
+		r.once.Do(func() { close(r.failed) })
+	}
+	return pts, err
+}
+
+// waitRig holds every shmoo until gate closes.
+type waitRig struct {
+	backend.Backend
+	gate <-chan struct{}
+}
+
+func (w *waitRig) VminShmoo(domain string, load platform.Load, seed int64, clocks []float64) ([]vmin.ShmooPoint, error) {
+	<-w.gate
+	return w.Backend.VminShmoo(domain, load, seed, clocks)
+}
+
+// TestFleetShortShmooReplyCondemnsRig: a rig whose daemon answers a SHMOO
+// with fewer points than clocks fails its shard as a malformed reply
+// instead of handing the shard fewer points than it indexes. The fleet
+// condemns the rig, and the survivor finishes the lattice bit-identical
+// to a single backend.
+func TestFleetShortShmooReplyCondemnsRig(t *testing.T) {
+	single := localRig(t)
+	caps, err := single.Caps(testDomain)
+	if err != nil {
+		t.Fatal(err)
+	}
+	load := platform.Load{Seq: caps.Pool().RandomSequence(rand.New(rand.NewSource(5)), 24), ActiveCores: 2}
+	steps := caps.ClockSteps()
+	clocks := []float64{steps[len(steps)-1], steps[len(steps)/2]}
+	want, err := single.VminShmoo(testDomain, load, 3, clocks)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	addr, _ := startDaemon(t)
+	opts := fastOpts()
+	opts.MaxAttempts = 2
+	short, err := backend.NewRemote(shortShmooProxy(t, addr), 1, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = short.Close() })
+	// The survivor holds its shard until the short rig has failed one, so
+	// the short rig is sure to take a shard.
+	shortRig := &failSignalRig{Backend: short, failed: make(chan struct{})}
+	f := newFleet(t, fleet.Options{Slots: 1},
+		fleet.Rig{Name: "short", Backend: shortRig},
+		fleet.Rig{Name: "local", Backend: &waitRig{Backend: localRig(t), gate: shortRig.failed}})
+
+	got, err := f.VminShmoo(testDomain, load, 3, clocks)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if f.LiveRigs() != 1 {
+		t.Fatalf("%d live rigs after a short SHMOO reply, want the short rig condemned", f.LiveRigs())
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("fleet shmoo %+v, single backend %+v", got, want)
 	}
 }

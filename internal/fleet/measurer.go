@@ -85,8 +85,6 @@ func (m *fleetMeasurer) MeasureBatch(items []ga.BatchItem, parallelism int) ([]g
 		h.Int(m.spec.ActiveCores)
 		h.Int(m.spec.Samples)
 		h.Uint64(uint64(m.spec.DSOSeed))
-		h.Float64(st.ClockHz)
-		h.Float64(st.SupplyV)
 		h.Int(st.PoweredCores)
 	})
 

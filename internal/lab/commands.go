@@ -121,15 +121,13 @@ func (c *Client) Caps(domain string) (*RemoteCaps, error) {
 	return caps, nil
 }
 
-// RemoteState is a domain's current operating point as reported by STATE,
-// the wire twin of backend.DomainState (lab cannot import backend).
+// RemoteState is a domain's live setting as reported by STATE, the wire
+// twin of backend.DomainState (lab cannot import backend).
 type RemoteState struct {
-	ClockHz      float64
-	SupplyV      float64
 	PoweredCores int
 }
 
-// State queries a domain's current setpoints.
+// State queries a domain's powered cores.
 func (c *Client) State(domain string) (*RemoteState, error) {
 	st := &RemoteState{}
 	err := c.do(command{
@@ -137,17 +135,12 @@ func (c *Client) State(domain string) (*RemoteState, error) {
 		line: "STATE " + domain,
 		parse: func(_ int, payload string) error {
 			fields := strings.Fields(payload)
+			if len(fields) != 1 {
+				return fmt.Errorf("malformed STATE reply %q", payload)
+			}
 			var err error
-			if st.ClockHz, err = floatField(fields, 0, "clock"); err != nil {
-				return err
-			}
-			if st.SupplyV, err = floatField(fields, 1, "supply"); err != nil {
-				return err
-			}
-			if st.PoweredCores, err = intField(fields, 2, "powered"); err != nil {
-				return err
-			}
-			return nil
+			st.PoweredCores, err = intField(fields, 0, "powered")
+			return err
 		},
 	})
 	if err != nil {
@@ -357,8 +350,8 @@ func (c *Client) Vmin(p Part, seed int64, repeats int) (*vmin.Result, []float64,
 			if err != nil {
 				return err
 			}
-			if n < 0 || len(fields) != 5+n {
-				return fmt.Errorf("malformed VMIN reply: %d runs, %d fields", n, len(fields))
+			if n != repeats || len(fields) != 5+n {
+				return fmt.Errorf("malformed VMIN reply: %d runs for %d repeats, %d fields", n, repeats, len(fields))
 			}
 			runs, err = floatFields(fields[5:], "run")
 			return err
@@ -388,8 +381,8 @@ func (c *Client) Shmoo(p Part, seed int64, clocks []float64) ([]vmin.ShmooPoint,
 			if err != nil {
 				return err
 			}
-			if n < 0 || len(fields) != 1+4*n {
-				return fmt.Errorf("malformed SHMOO reply: %d points, %d fields", n, len(fields))
+			if n != len(clocks) || len(fields) != 1+4*n {
+				return fmt.Errorf("malformed SHMOO reply: %d points for %d clocks, %d fields", n, len(clocks), len(fields))
 			}
 			points = make([]vmin.ShmooPoint, n)
 			for i := 0; i < n; i++ {

@@ -72,9 +72,9 @@ func (s *Server) cmdState(w *bufio.Writer, fields []string) error {
 	}
 	l := s.domLock(d.Spec.Name)
 	l.RLock()
-	clock, supply, powered := d.ClockHz(), d.SupplyVolts(), d.PoweredCores()
+	powered := d.PoweredCores()
 	l.RUnlock()
-	return writeLine(w, "%s %g %g %d", replyOK, clock, supply, powered)
+	return writeLine(w, "%s %d", replyOK, powered)
 }
 
 // part is one domain's workload as a request carries it: a header
@@ -302,8 +302,7 @@ func (s *Server) cmdVMeasure(r *bufio.Reader, w *bufio.Writer, fields []string) 
 
 // cmdSweep measures the Section 5.3 fast sweep's probe loop at every
 // listed clock as one core.Bench.SweepBatch campaign (one probe build, one
-// primed trace, one band-prefilter pass). The evaluation is stateless —
-// the domain's live clock is untouched — and each point is a pure function
+// primed trace, one band-prefilter pass). Each point is a pure function
 // of its snapped clock, so a whole grid in one request, one clock per
 // request, or any fleet shard layout agree bit for bit. Each point is a
 // fixed four-field group; an out-of-band step is "0 0 0 0".

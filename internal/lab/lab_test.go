@@ -223,7 +223,7 @@ func TestDomainControls(t *testing.T) {
 	if err := c.Reset(platform.DomainA72); err != nil {
 		t.Fatal(err)
 	}
-	if d.PoweredCores() != 2 || d.ClockHz() != d.Spec.MaxClockHz {
+	if d.PoweredCores() != 2 {
 		t.Fatal("reset did not restore state")
 	}
 	// Errors surface as ERR replies, not dropped connections.

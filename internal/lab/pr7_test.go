@@ -69,7 +69,7 @@ func TestPoolCloseUnderLoad(t *testing.T) {
 }
 
 // TestSweepPointMatchesDirect drives SWEEP one clock at a time and checks
-// each wire answer against the bench's own SweepPointAt: same clock grid,
+// each wire answer against the bench's own one-clock SweepBatch: same clock grid,
 // bit-identical in-band points, and the out-of-band clocks (probe loop
 // below the band at low DVFS steps) reported as such rather than faked.
 func TestSweepPointMatchesDirect(t *testing.T) {
@@ -91,14 +91,14 @@ func TestSweepPointMatchesDirect(t *testing.T) {
 		if err != nil {
 			t.Fatalf("SWEEP %g: %v", clock, err)
 		}
-		want, err := bench.SweepPointAt(d, 2, clock)
+		want, err := bench.SweepBatch(d, 2, []float64{clock})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !reflect.DeepEqual(points, []*core.SweepPoint{want}) {
-			t.Fatalf("SWEEP %g: wire %+v != direct %+v", clock, points[0], want)
+		if !reflect.DeepEqual(points, want) {
+			t.Fatalf("SWEEP %g: wire %+v != direct %+v", clock, points[0], want[0])
 		}
-		if want != nil {
+		if want[0] != nil {
 			inBand++
 		}
 	}

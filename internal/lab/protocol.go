@@ -28,7 +28,10 @@
 //	INFO                            → OK <platform> <domain>/<cores>...
 //	CAPS <domain>                   → OK <cores> <arch> <maxHz> <stepHz>
 //	                                     <visibility> <dsoKind>
-//	STATE <domain>                  → OK <clockHz> <supplyV> <powered>
+//	STATE <domain>                  → OK <powered>  (the domain's one live
+//	                                  setting; every verb without a clock
+//	                                  runs at the maximum clock and
+//	                                  nominal supply)
 //	MEASURE <samples> <nparts>
 //	                       + parts  → nparts × "OK <peakDBm> <peakHz>
 //	                                  <stdevDBm>", one line per part in
@@ -51,7 +54,7 @@
 //	                                     <margin> <outcome>"
 //	MONITOR <nparts>       + parts  → OK <n> <startHz> <rbwHz> <dbm...>
 //	SETCORES <domain> <n>           power-gate cores via the SCP
-//	RESET <domain>                  restore nominal domain state
+//	RESET <domain>                  power every core again
 //	STATS <domain>                  → OK <quoted eval-stats string>
 //	QUIT                            close the session (replies "OK bye")
 //
@@ -98,7 +101,7 @@ const (
 // ProtocolVersion is the protocol revision this package speaks. Daemon and
 // workstation are built from the same tree, so there is nothing to
 // negotiate: HELLO with any other version is a hard error on both sides.
-const ProtocolVersion = 7
+const ProtocolVersion = 8
 
 // MaxMeasureParts caps the parts one MEASURE carries: a generation-sized
 // chunk, small enough that a request stays a bounded amount of work.

@@ -295,19 +295,22 @@ func TestTransfersMatchSolveACRef(t *testing.T) {
 	dt := 0.25e-9
 	fs := 1 / dt // at run time, as Transfers computes it
 	for key, m := range builtinModels(t) {
-		ref := resolve(refNetlist(m))
-		for _, n := range []int{8192, 4096, 1000} {
-			ts, err := m.Transfers(n, dt)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for k := range ts.HV {
-				hv, hi := solveACRef(ref, float64(k)*fs/float64(n))
-				if !sameComplex(ts.HV[k], hv) || !sameComplex(ts.HI[k], hi) {
-					t.Fatalf("%s n=%d bin %d: HV %v HI %v, reference %v %v", key, n, k, ts.HV[k], ts.HI[k], hv, hi)
+		t.Run(key, func(t *testing.T) {
+			t.Parallel()
+			ref := resolve(refNetlist(m))
+			for _, n := range []int{8192, 4096, 1000} {
+				ts, err := m.Transfers(n, dt)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for k := range ts.HV {
+					hv, hi := solveACRef(ref, float64(k)*fs/float64(n))
+					if !sameComplex(ts.HV[k], hv) || !sameComplex(ts.HI[k], hi) {
+						t.Fatalf("n=%d bin %d: HV %v HI %v, reference %v %v", n, k, ts.HV[k], ts.HI[k], hv, hi)
+					}
 				}
 			}
-		}
+		})
 	}
 }
 

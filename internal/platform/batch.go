@@ -116,7 +116,7 @@ func (d *Domain) PreparePointAt(l Load, dt float64, n int, clockHz float64, tr *
 // (supply, powered) snapshot, drawing every transient row — including the
 // amplitude outputs — from the caller's arena, so the results die at the
 // arena's next Reset. Domain.SpectraArena is this call on an unprimed
-// point at the domain's current operating point.
+// point at the maximum clock and nominal supply.
 func (pe *PointEval) SpectraArena(supply float64, powered int, ar *slab.Arena) (freqs, vAmp, iAmp []float64, err error) {
 	d := pe.d
 	n := pe.sim.N
@@ -130,7 +130,7 @@ func (pe *PointEval) SpectraArena(supply float64, powered int, ar *slab.Arena) (
 	for i := range wave {
 		wave[i] = (wave[i] + idle) * scale
 	}
-	ts, err := d.transferSetAt(powered, supply, n, pe.sim.Dt)
+	ts, err := d.transferSetAt(powered, n, pe.sim.Dt)
 	if err != nil {
 		return nil, nil, nil, err
 	}
@@ -205,7 +205,7 @@ func (d *Domain) ladderAt(l Load, dt float64, n int, clockHz float64, powered in
 	}
 	// The transfer set is supply-independent (the network is linear); the
 	// nominal supply here only seeds a cache miss's model build.
-	ts, err := d.transferSetAt(powered, d.Spec.PDN.VNominal, n, dt)
+	ts, err := d.transferSetAt(powered, n, dt)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -229,20 +229,16 @@ func (d *Domain) ladderAt(l Load, dt float64, n int, clockHz float64, powered in
 }
 
 // SteadyVDie returns the exact periodic steady-state die voltage under the
-// workload at the domain's current operating point, plus the
+// workload at the maximum clock and nominal supply, plus the
 // micro-architectural result for the loop: one rung of a fresh ladder.
-// The clock, supply and powered-core count are snapshotted together. The
-// response's VDie row lives in the caller's arena and dies at its next
+// The response's VDie row lives in the caller's arena and dies at its next
 // Reset; IDie is not computed.
 func (d *Domain) SteadyVDie(l Load, dt float64, n int, ar *slab.Arena) (*pdn.Response, *uarch.Result, error) {
-	d.mu.Lock()
-	clock, supply, powered := d.clockHz, d.supplyVolts, d.poweredCores
-	d.mu.Unlock()
-	ld, res, err := d.ladderAt(l, dt, n, clock, powered, nil, ar)
+	ld, res, err := d.ladderAt(l, dt, n, d.ClockHz(), d.PoweredCores(), nil, ar)
 	if err != nil {
 		return nil, nil, err
 	}
-	if err := ld.rung(supply); err != nil {
+	if err := ld.rung(d.SupplyVolts()); err != nil {
 		return nil, nil, err
 	}
 	return &pdn.Response{Dt: dt, VDie: ld.vdie}, res, nil

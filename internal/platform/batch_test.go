@@ -23,8 +23,8 @@ func requireSameFloats(t *testing.T, label string, got, want []float64) {
 	}
 }
 
-// current is currentAt at the domain's current operating point into a
-// freshly allocated row.
+// current is currentAt at the maximum clock, nominal supply and the
+// domain's powered cores into a freshly allocated row.
 func current(d *Domain, l Load, dt float64, n int) ([]float64, *uarch.Result, error) {
 	wave := make([]float64, n)
 	res, err := d.currentAt(l, dt, n, d.ClockHz(), d.SupplyVolts(), d.PoweredCores(), wave)
@@ -40,7 +40,7 @@ func steadyRef(t *testing.T, d *Domain, l Load, dt float64, n int, clock, supply
 	if _, err := d.currentAt(l, dt, n, clock, supply, powered, wave); err != nil {
 		t.Fatal(err)
 	}
-	ts, err := d.transferSetAt(powered, supply, n, dt)
+	ts, err := d.transferSetAt(powered, n, dt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,7 +61,7 @@ func spectraRef(t *testing.T, d *Domain, l Load, dt float64, n int, clock, suppl
 	if _, err := d.currentAt(l, dt, n, clock, supply, powered, wave); err != nil {
 		t.Fatal(err)
 	}
-	ts, err := d.transferSetAt(powered, supply, n, dt)
+	ts, err := d.transferSetAt(powered, n, dt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,9 +130,10 @@ func TestSpectraAtArenaMatchesSpectraAt(t *testing.T) {
 // the plain-buffer reference: at nominal and three descending supplies, for
 // an aligned load (one active core beside a powered idle one, so the idle
 // lift is non-zero) and a phase-staggered one, every Ladder rung's whole
-// VDie row and SteadyVDie's row at the same operating point must match bit
-// for bit, (minV, droop) must be the row's, the per-supply memo must be
-// transparent, and the out-of-range error must be the domain setter's.
+// VDie row must match bit for bit, as must SteadyVDie's row at the maximum
+// clock and nominal supply, (minV, droop) must be the row's, the
+// per-supply memo must be transparent, and an out-of-range supply must be
+// rejected.
 func TestLadderMatchesSteadyResponseAt(t *testing.T) {
 	d := domain(t, juno(t), DomainA72)
 	seq := probeLoop(t, d.Spec.Pool())
@@ -143,7 +144,6 @@ func TestLadderMatchesSteadyResponseAt(t *testing.T) {
 	}
 	nominal := d.Spec.PDN.VNominal
 	powered := d.PoweredCores()
-	defer d.Reset()
 
 	for _, l := range []Load{
 		{Seq: seq, ActiveCores: 1},
@@ -175,29 +175,24 @@ func TestLadderMatchesSteadyResponseAt(t *testing.T) {
 			if math.Float64bits(minV2) != math.Float64bits(minV) || math.Float64bits(droop2) != math.Float64bits(droop) {
 				t.Fatalf("%s: memoized revisit diverges", label)
 			}
-
-			if err := d.SetClockHz(clock); err != nil {
-				t.Fatal(err)
-			}
-			if err := d.SetSupplyVolts(supply); err != nil {
-				t.Fatal(err)
-			}
-			one.Reset()
-			resp, res, err := d.SteadyVDie(l, dt, n, &one)
-			if err != nil {
-				t.Fatalf("%s: SteadyVDie: %v", label, err)
-			}
-			if res == nil || resp.Dt != dt || resp.IDie != nil {
-				t.Fatalf("%s: SteadyVDie response %+v / result %v", label, resp, res)
-			}
-			requireSameFloats(t, label+" SteadyVDie", resp.VDie, want)
-			d.Reset()
 		}
 
+		// SteadyVDie is one rung at the maximum clock and nominal supply.
+		one.Reset()
+		resp, res, err := d.SteadyVDie(l, dt, n, &one)
+		if err != nil {
+			t.Fatalf("phases %v: SteadyVDie: %v", l.PhaseCycles, err)
+		}
+		if res == nil || resp.Dt != dt || resp.IDie != nil {
+			t.Fatalf("phases %v: SteadyVDie response %+v / result %v", l.PhaseCycles, resp, res)
+		}
+		requireSameFloats(t, fmt.Sprintf("phases %v SteadyVDie", l.PhaseCycles), resp.VDie,
+			steadyRef(t, d, l, dt, n, d.ClockHz(), nominal, powered))
+
 		_, _, gotErr := ld.MinVDroop(-0.1)
-		wantErr := d.SetSupplyVolts(-0.1)
-		if gotErr == nil || wantErr == nil || gotErr.Error() != wantErr.Error() {
-			t.Fatalf("out-of-range error mismatch: ladder %v, domain %v", gotErr, wantErr)
+		wantErr := fmt.Sprintf("platform: %s: supply -0.1 out of range", d.Spec.Name)
+		if gotErr == nil || gotErr.Error() != wantErr {
+			t.Fatalf("out-of-range error %v, want %q", gotErr, wantErr)
 		}
 
 		// A ladder served from a primed trace must agree with the untraced one.

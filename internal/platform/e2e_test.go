@@ -43,14 +43,20 @@ func runPlatform(t *testing.T, p *platform.Platform) {
 			t.Fatal(err)
 		}
 		load := platform.Load{Seq: seq, ActiveCores: caps.TotalCores}
-		m, err := be.EMMeasure(name, load)
+		em, err := be.Measurer(backend.MeasurerSpec{
+			Domain: name, Metric: backend.MetricEM, ActiveCores: load.ActiveCores,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, peakHz, err := em.Measure(load.Seq)
 		if err != nil {
 			t.Fatalf("%s: EM measure: %v", name, err)
 		}
-		if m.PeakHz <= 0 {
-			t.Errorf("%s: non-positive EM peak frequency %g", name, m.PeakHz)
+		if peakHz <= 0 {
+			t.Errorf("%s: non-positive EM peak frequency %g", name, peakHz)
 		}
-		sw, err := be.ResonanceSweep(name, caps.TotalCores, 1)
+		sw, err := backend.ResonanceSweep(be, name, caps.TotalCores, 1)
 		if err != nil {
 			t.Fatalf("%s: resonance sweep: %v", name, err)
 		}

@@ -62,15 +62,15 @@ type Spec struct {
 	OS string
 }
 
-// Domain is a voltage domain with runtime state: supply voltage, clock,
-// and the set of powered cores.
+// Domain is a voltage domain whose one runtime setting is the number of
+// powered cores. Clock and supply are experiment parameters: the campaign
+// paths take them explicitly (PreparePointAt, LadderAt, MinVDroop), and
+// everything else runs at the maximum clock and nominal supply.
 type Domain struct {
 	Spec Spec
 
 	mu           sync.Mutex
 	poweredCores int
-	clockHz      float64
-	supplyVolts  float64
 	transfers    map[transferKey]*pdn.TransferSet
 
 	// specHashV caches SpecContentHash — the Spec is immutable after
@@ -111,8 +111,6 @@ func NewDomain(spec Spec) (*Domain, error) {
 	return &Domain{
 		Spec:         spec,
 		poweredCores: spec.TotalCores,
-		clockHz:      spec.MaxClockHz,
-		supplyVolts:  spec.PDN.VNominal,
 		transfers:    make(map[transferKey]*pdn.TransferSet),
 	}, nil
 }
@@ -148,29 +146,13 @@ func (d *Domain) SetPoweredCores(n int) error {
 	return nil
 }
 
-// ClockHz returns the current core clock.
-func (d *Domain) ClockHz() float64 {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.clockHz
-}
-
-// SetClockHz sets the core clock, snapping to the domain's step size.
-func (d *Domain) SetClockHz(hz float64) error {
-	snapped, err := d.SnapClock(hz)
-	if err != nil {
-		return err
-	}
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	d.clockHz = snapped
-	return nil
-}
+// ClockHz returns the clock every evaluation without an explicit clock
+// runs at: the domain's maximum.
+func (d *Domain) ClockHz() float64 { return d.Spec.MaxClockHz }
 
 // SnapClock validates a clock request and returns the setting the domain
-// would actually run at (quantized to ClockStepHz), without changing any
-// state. The stateless campaign paths (PreparePointAt, LadderAt) take
-// snapped clocks so concurrent sweeps never touch the shared clock setting.
+// would actually run at (quantized to ClockStepHz). The campaign paths
+// (PreparePointAt, LadderAt) take snapped clocks.
 func (d *Domain) SnapClock(hz float64) (float64, error) {
 	if !(hz > 0 && hz <= d.Spec.MaxClockHz) { // negated so NaN is rejected
 		return 0, fmt.Errorf("platform: %s: clock %v outside (0, %v]", d.Spec.Name, hz, d.Spec.MaxClockHz)
@@ -198,56 +180,29 @@ func ClockStepsFor(stepHz, maxHz float64) []float64 {
 	return out
 }
 
-// SupplyVolts returns the current supply setting.
-func (d *Domain) SupplyVolts() float64 {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.supplyVolts
-}
+// SupplyVolts returns the supply every evaluation without an explicit
+// supply runs at: the domain's nominal voltage.
+func (d *Domain) SupplyVolts() float64 { return d.Spec.PDN.VNominal }
 
-// SetSupplyVolts adjusts the regulator setpoint (the paper steps in 10 mV).
-func (d *Domain) SetSupplyVolts(v float64) error {
-	if !(v > 0 && v <= 2*d.Spec.PDN.VNominal) { // negated so NaN is rejected
-		return fmt.Errorf("platform: %s: supply %v out of range", d.Spec.Name, v)
-	}
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	d.supplyVolts = v
-	return nil
-}
-
-// Reset returns the domain to nominal voltage, maximum clock and all cores
-// powered.
+// Reset powers every core again.
 func (d *Domain) Reset() {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	d.poweredCores = d.Spec.TotalCores
-	d.clockHz = d.Spec.MaxClockHz
-	d.supplyVolts = d.Spec.PDN.VNominal
 }
 
-// Model returns the PDN model for the current powered-core count and
-// supply setting.
+// Model returns the PDN model for the current powered-core count at the
+// nominal supply.
 func (d *Domain) Model() (*pdn.Model, error) {
-	d.mu.Lock()
-	cores, supply := d.poweredCores, d.supplyVolts
-	d.mu.Unlock()
-	return d.modelAt(cores, supply)
-}
-
-// modelAt builds the PDN model for an explicit powered-core count and
-// supply setting, independent of the domain's mutable state.
-func (d *Domain) modelAt(cores int, supply float64) (*pdn.Model, error) {
-	p := d.Spec.PDN
-	p.VNominal = supply
-	return pdn.NewModel(p, cores)
+	return pdn.NewModel(d.Spec.PDN, d.PoweredCores())
 }
 
 // transferSetAt returns (building and caching as needed) the PDN transfer
-// functions for a powered-core count and sampling grid. The cache key
-// omits the supply (the transfers are supply-independent); under
-// concurrent misses both goroutines build the same set and one copy wins.
-func (d *Domain) transferSetAt(cores int, supply float64, n int, dt float64) (*pdn.TransferSet, error) {
+// functions for a powered-core count and sampling grid, solved at the
+// nominal supply: the network is linear, so its small-signal transfers
+// serve every supply. Under concurrent misses both goroutines build the
+// same set and one copy wins.
+func (d *Domain) transferSetAt(cores, n int, dt float64) (*pdn.TransferSet, error) {
 	key := transferKey{cores: cores, n: n, dt: dt}
 	d.mu.Lock()
 	ts, ok := d.transfers[key]
@@ -256,7 +211,7 @@ func (d *Domain) transferSetAt(cores int, supply float64, n int, dt float64) (*p
 		return ts, nil
 	}
 
-	m, err := d.modelAt(cores, supply)
+	m, err := pdn.NewModel(d.Spec.PDN, cores)
 	if err != nil {
 		return nil, err
 	}

@@ -134,56 +134,31 @@ func TestDomainStateControls(t *testing.T) {
 	if d.PoweredCores() != 2 {
 		t.Errorf("PoweredCores = %d", d.PoweredCores())
 	}
-	if err := d.SetClockHz(0); err == nil {
+	if _, err := d.SnapClock(0); err == nil {
 		t.Error("clock 0 accepted")
 	}
-	if err := d.SetClockHz(2e9); err == nil {
+	if _, err := d.SnapClock(2e9); err == nil {
 		t.Error("clock above max accepted")
 	}
-	if err := d.SetClockHz(510e6); err != nil {
-		t.Errorf("SetClockHz: %v", err)
-	}
 	// Snapped to the 25 MHz grid.
-	if got := d.ClockHz(); math.Abs(got-500e6) > 1 {
-		t.Errorf("clock snapped to %v, want 500 MHz", got)
-	}
-	if err := d.SetSupplyVolts(0); err == nil {
-		t.Error("supply 0 accepted")
-	}
-	if err := d.SetSupplyVolts(5); err == nil {
-		t.Error("supply 5V accepted")
-	}
-	if err := d.SetSupplyVolts(0.9); err != nil {
-		t.Errorf("SetSupplyVolts: %v", err)
+	if got, err := d.SnapClock(510e6); err != nil || math.Abs(got-500e6) > 1 {
+		t.Errorf("SnapClock(510 MHz) = %v, %v, want 500 MHz", got, err)
 	}
 	d.Reset()
-	if d.PoweredCores() != 4 || d.ClockHz() != d.Spec.MaxClockHz || d.SupplyVolts() != d.Spec.PDN.VNominal {
-		t.Error("Reset did not restore nominal state")
+	if d.PoweredCores() != 4 {
+		t.Error("Reset did not power every core")
 	}
 }
 
 // TestSetpointsRejectNonFinite: NaN compares false against both range
-// bounds, so the checks must be written to reject it; neither it nor ±Inf
-// may reach the domain state.
+// bounds, so the clock check must be written to reject it; neither it nor
+// ±Inf may snap to a clock.
 func TestSetpointsRejectNonFinite(t *testing.T) {
 	d := domain(t, juno(t), DomainA72)
-	if err := d.SetClockHz(600e6); err != nil {
-		t.Fatal(err)
-	}
-	clock, supply := d.ClockHz(), d.SupplyVolts()
 	for _, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
 		if _, err := d.SnapClock(v); err == nil {
 			t.Errorf("SnapClock(%v) accepted", v)
 		}
-		if err := d.SetClockHz(v); err == nil {
-			t.Errorf("SetClockHz(%v) accepted", v)
-		}
-		if err := d.SetSupplyVolts(v); err == nil {
-			t.Errorf("SetSupplyVolts(%v) accepted", v)
-		}
-	}
-	if d.ClockHz() != clock || d.SupplyVolts() != supply {
-		t.Fatalf("state moved to clock %v supply %v, want %v %v", d.ClockHz(), d.SupplyVolts(), clock, supply)
 	}
 }
 
@@ -231,18 +206,14 @@ func TestCurrentIncludesIdleCoresAndSupplyScaling(t *testing.T) {
 	}
 	// Supply scaling: 10%% lower supply, 10%% lower current.
 	d.Reset()
-	if err := d.SetSupplyVolts(0.9); err != nil {
-		t.Fatal(err)
-	}
-	scaled, _, err := current(d, Load{Seq: seq, ActiveCores: 1}, 1e-9, 512)
-	if err != nil {
+	scaled := make([]float64, 512)
+	if _, err := d.currentAt(Load{Seq: seq, ActiveCores: 1}, 1e-9, 512, d.ClockHz(), 0.9, d.PoweredCores(), scaled); err != nil {
 		t.Fatal(err)
 	}
 	ratio := dsp.Mean(scaled) / dsp.Mean(one)
 	if math.Abs(ratio-0.9) > 0.01 {
 		t.Errorf("supply scaling ratio %v, want 0.9", ratio)
 	}
-	d.Reset()
 }
 
 func TestSteadyResponseDroops(t *testing.T) {

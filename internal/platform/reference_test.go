@@ -39,17 +39,16 @@ func (d *Domain) currentAt(l Load, dt float64, n int, clock, supply float64, pow
 }
 
 // TransientResponse integrates the PDN under the workload's current
-// waveform with the full transient solver at the domain's operating point.
+// waveform with the full transient solver at the maximum clock and nominal
+// supply.
 func (d *Domain) TransientResponse(l Load, dt float64, n int) (*pdn.Response, *uarch.Result, error) {
-	d.mu.Lock()
-	clock, supply, powered := d.clockHz, d.supplyVolts, d.poweredCores
-	d.mu.Unlock()
+	clock, supply, powered := d.ClockHz(), d.SupplyVolts(), d.PoweredCores()
 	wave := make([]float64, n)
 	res, err := d.currentAt(l, dt, n, clock, supply, powered, wave)
 	if err != nil {
 		return nil, nil, err
 	}
-	m, err := d.modelAt(powered, supply)
+	m, err := pdn.NewModel(d.Spec.PDN, powered)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -63,13 +62,9 @@ func (d *Domain) TransientResponse(l Load, dt float64, n int) (*pdn.Response, *u
 	return resp, res, nil
 }
 
-// transferSet is transferSetAt at the domain's powered-core count and
-// supply.
+// transferSet is transferSetAt at the domain's powered-core count.
 func (d *Domain) transferSet(n int, dt float64) (*pdn.TransferSet, error) {
-	d.mu.Lock()
-	cores, supply := d.poweredCores, d.supplyVolts
-	d.mu.Unlock()
-	return d.transferSetAt(cores, supply, n, dt)
+	return d.transferSetAt(d.PoweredCores(), n, dt)
 }
 
 // BenchmarkAblationFreqVsTransient measures the frequency-domain

@@ -50,20 +50,17 @@ func (d *Domain) validateLoad(l Load) error {
 }
 
 // SpectraArena returns the single-sided amplitude spectra of the die
-// voltage and package-inductor current under the workload at the domain's
-// current operating point. Every transient row — the current waveform, the
+// voltage and package-inductor current under the workload at the maximum
+// clock and nominal supply. Every transient row — the current waveform, the
 // half spectrum, the FFT scratch and the amplitude outputs — is drawn from
 // the caller's arena, so the outputs die at its next Reset; freqs is the
 // transfer set's shared grid and must be treated as read-only.
 func (d *Domain) SpectraArena(l Load, dt float64, n int, ar *slab.Arena) (freqs, vAmp, iAmp []float64, res *uarch.Result, err error) {
-	d.mu.Lock()
-	clock, supply, powered := d.clockHz, d.supplyVolts, d.poweredCores
-	d.mu.Unlock()
-	pe, err := d.PreparePointAt(l, dt, n, clock, nil)
+	pe, err := d.PreparePointAt(l, dt, n, d.ClockHz(), nil)
 	if err != nil {
 		return nil, nil, nil, nil, err
 	}
-	freqs, vAmp, iAmp, err = pe.SpectraArena(supply, powered, ar)
+	freqs, vAmp, iAmp, err = pe.SpectraArena(d.SupplyVolts(), d.PoweredCores(), ar)
 	if err != nil {
 		return nil, nil, nil, nil, err
 	}

@@ -1,6 +1,6 @@
 // Package session records characterization results as versioned JSON
 // documents — the artifact a margining campaign actually ships: which
-// board, which domain, at what operating point, what the resonance was,
+// board, which domain, how many cores powered, what the resonance was,
 // which virus was evolved (as assembly, re-runnable anywhere), and the
 // V_MIN table it produced.
 package session
@@ -29,10 +29,9 @@ type Report struct {
 	Platform  string `json:"platform"`
 	Domain    string `json:"domain"`
 
-	// Operating point at capture time.
-	ClockHz      float64 `json:"clock_hz"`
-	SupplyV      float64 `json:"supply_v"`
-	PoweredCores int     `json:"powered_cores"`
+	// PoweredCores is the domain's live setting at capture time; the
+	// platform and domain determine the clock and supply.
+	PoweredCores int `json:"powered_cores"`
 
 	Resonance *ResonanceRecord `json:"resonance,omitempty"`
 	Virus     *VirusRecord     `json:"virus,omitempty"`
@@ -76,7 +75,7 @@ type VminRecord struct {
 
 // New starts a report for a domain's current state as observed through a
 // backend — local bench or remote lab alike, and with identical bytes:
-// the identity and operating-point fields all round-trip the wire
+// the identity and powered-core fields all round-trip the wire
 // losslessly.
 func New(be backend.Backend, domain string, now time.Time) (*Report, error) {
 	st, err := be.State(domain)
@@ -88,8 +87,6 @@ func New(be backend.Backend, domain string, now time.Time) (*Report, error) {
 		CreatedAt:    now.UTC().Format(time.RFC3339),
 		Platform:     be.PlatformName(),
 		Domain:       domain,
-		ClockHz:      st.ClockHz,
-		SupplyV:      st.SupplyV,
 		PoweredCores: st.PoweredCores,
 	}, nil
 }
@@ -102,8 +99,6 @@ func NewLocal(p *platform.Platform, d *platform.Domain, now time.Time) *Report {
 		CreatedAt:    now.UTC().Format(time.RFC3339),
 		Platform:     p.Name,
 		Domain:       d.Spec.Name,
-		ClockHz:      d.ClockHz(),
-		SupplyV:      d.SupplyVolts(),
 		PoweredCores: d.PoweredCores(),
 	}
 }
@@ -159,7 +154,9 @@ func (r *Report) Save(w io.Writer) error {
 	return nil
 }
 
-// Load parses a report and checks its schema version.
+// Load parses a report and checks its schema version. Fields the schema
+// no longer carries are ignored, so reports that still record clock_hz
+// and supply_v load.
 func Load(rd io.Reader) (*Report, error) {
 	var r Report
 	if err := json.NewDecoder(rd).Decode(&r); err != nil {

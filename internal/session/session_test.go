@@ -111,6 +111,19 @@ func TestLoadErrors(t *testing.T) {
 	}
 }
 
+// TestLoadAcceptsOperatingPointFields: reports written while the schema
+// still recorded the clock and supply load, with the rest intact.
+func TestLoadAcceptsOperatingPointFields(t *testing.T) {
+	r, err := Load(strings.NewReader(`{"version": 1, "platform": "juno-r2", "domain": "cortex-a72",
+		"clock_hz": 1.2e9, "supply_v": 0.9, "powered_cores": 2}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r.Platform != "juno-r2" || r.Domain != "cortex-a72" || r.PoweredCores != 2 {
+		t.Fatalf("loaded %+v", r)
+	}
+}
+
 func TestVirusProgramMissing(t *testing.T) {
 	r := &Report{Version: Version}
 	if _, err := r.VirusProgram(nil); err == nil {

@@ -112,11 +112,30 @@ func sameResult(a, b *Result) bool {
 // middle one and the lower quartile. Half the powered cores (rounded up)
 // run the load, so every count above one carries an idle lift.
 type descentCase struct {
-	name    string
-	d       *platform.Domain
-	powered int
-	load    platform.Load
-	clocks  []float64
+	name     string
+	platform string
+	domain   string
+	powered  int
+	load     platform.Load
+	clocks   []float64
+}
+
+// fresh builds the case's domain on a platform of its own, with the case's
+// cores powered, so cases can run in parallel.
+func (c descentCase) fresh(t *testing.T) *platform.Domain {
+	t.Helper()
+	p, err := platform.Build(c.platform)
+	if err != nil {
+		t.Fatal(err)
+	}
+	d, err := p.Domain(c.domain)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := d.SetPoweredCores(c.powered); err != nil {
+		t.Fatal(err)
+	}
+	return d
 }
 
 // descentCases enumerates every domain of every registry platform (the
@@ -139,11 +158,12 @@ func descentCases(t *testing.T) []descentCase {
 			clocks := []float64{steps[len(steps)-1], steps[len(steps)/2], steps[len(steps)/4]}
 			for powered := 1; powered <= d.Spec.TotalCores; powered++ {
 				out = append(out, descentCase{
-					name:    fmt.Sprintf("%s/%s/powered=%d", pname, d.Spec.Name, powered),
-					d:       d,
-					powered: powered,
-					load:    platform.Load{Seq: seq, ActiveCores: (powered + 1) / 2},
-					clocks:  clocks,
+					name:     fmt.Sprintf("%s/%s/powered=%d", pname, d.Spec.Name, powered),
+					platform: pname,
+					domain:   d.Spec.Name,
+					powered:  powered,
+					load:     platform.Load{Seq: seq, ActiveCores: (powered + 1) / 2},
+					clocks:   clocks,
 				})
 			}
 		}
@@ -159,11 +179,8 @@ func descentCases(t *testing.T) []descentCase {
 func TestBoundedDescentMatchesExhaustive(t *testing.T) {
 	for _, c := range descentCases(t) {
 		t.Run(c.name, func(t *testing.T) {
-			d := c.d
-			if err := d.SetPoweredCores(c.powered); err != nil {
-				t.Fatal(err)
-			}
-			defer d.Reset()
+			t.Parallel()
+			d := c.fresh(t)
 			for seed := int64(1); seed <= 4; seed++ {
 				tst := NewTester(d, seed)
 
@@ -225,10 +242,7 @@ func TestRungPredictionWithinBound(t *testing.T) {
 	var maxGap, maxRatio, maxDelta float64
 	rungs := 0
 	for _, c := range descentCases(t) {
-		d := c.d
-		if err := d.SetPoweredCores(c.powered); err != nil {
-			t.Fatal(err)
-		}
+		d := c.fresh(t)
 		tst := NewTester(d, 1)
 		spec := d.Spec
 		step := spec.VminStepVolts()
@@ -263,7 +277,6 @@ func TestRungPredictionWithinBound(t *testing.T) {
 				rungs++
 			}
 		}
-		d.Reset()
 	}
 	t.Logf("%d rungs: largest |solved − predicted| %g V, at most %.3g of delta/%d; largest delta %g V",
 		rungs, maxGap, maxRatio, platform.PredictSafety, maxDelta)

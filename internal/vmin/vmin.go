@@ -140,7 +140,7 @@ type Result struct {
 
 // Search lowers the supply from the domain's nominal voltage in the
 // board's V_MIN step size until a deviation is observed. The search runs at
-// the domain's current clock without mutating any domain state, descending
+// the domain's maximum clock without mutating any domain state, descending
 // a batched supply ladder: the simulation, base waveform and PDN transfers
 // freeze once per search, the nominal rung is solved once, and each lower
 // step is decided from the nominal rung's prediction unless its outcome is
