@@ -76,30 +76,41 @@ specs-verify:
 # Local/remote backend equivalence: the lab protocol suite and the Backend
 # interface tests, which drive every command's measurement path against an
 # in-process labtarget (including through the chaos proxy) and require
-# bit-identical output to a local bench.
-REMOTE_TESTS = Hello|Caps|Verb|Dispatch|ProtocolErrors|Sweep|Vmin|Setpoints|Chaos|Monitor|Stats|Equivalence|Capability|Determinism|FlagInventory
+# bit-identical output to a local bench, bad powered-core fields included
+# and powered cores carried per request (no rig state to leak between
+# concurrent callers).
+REMOTE_TESTS = Hello|Caps|Verb|Dispatch|ProtocolErrors|Sweep|Vmin|BadV9Headers|PoweredCoresPerRequest|Chaos|Monitor|Stats|Equivalence|Capability|Determinism|FlagInventory
 REMOTE_PKGS = ./internal/lab ./internal/backend ./internal/cli
 tier1-remote:
 	$(call require-tests,$(REMOTE_TESTS),$(REMOTE_PKGS))
+	$(call require-tests,BadV9HeadersRejected,./internal/lab)
+	$(call require-tests,PoweredCoresPerRequest,./internal/backend)
 	GOFLAGS=-count=1 $(GO) test -run '$(REMOTE_TESTS)' $(REMOTE_PKGS)
 
 # Fleet: the campaign orchestrator's chaos suite under the race detector —
 # bit-identity of sharded GA generations / sweeps / shmoo lattices against
 # a single backend at several layouts, a rig killed mid-campaign failing
 # over onto survivors, checkpoint restart replaying without re-measuring,
-# and the pool close-under-load and batch-parallelism regressions the
-# orchestrator leans on.
+# campaign keys pinned so older checkpoint journals stay resumable, one
+# lab round trip per remote generation, concurrent requests at different
+# powered-core counts through a pooled Remote and a fleet, and the pool
+# close-under-load and batch-parallelism regressions the orchestrator
+# leans on.
 tier1-fleet:
 	$(call require-tests,PoolCloseUnderLoad|SweepPointMatchesDirect,./internal/lab)
 	$(call require-tests,MeasureBatchParallelismZero|BatchMemoKeyedByReceiveChain,./internal/core)
+	$(call require-tests,FleetKeysPinned,./internal/fleet)
+	$(call require-tests,FleetRemoteGenerationOneRoundTrip,./internal/fleet)
+	$(call require-tests,PoweredCoresPerRequest,./internal/backend)
 	GOFLAGS=-count=1 $(GO) test -race ./internal/fleet
+	GOFLAGS=-count=1 $(GO) test -race -run 'PoweredCoresPerRequest' ./internal/backend
 	GOFLAGS=-count=1 $(GO) test -race -run 'PoolCloseUnderLoad|SweepPointMatchesDirect' ./internal/lab
 	GOFLAGS=-count=1 $(GO) test -race -run 'MeasureBatchParallelismZero|BatchMemoKeyedByReceiveChain' ./internal/core
 
 # Chaos: the remote-lab fault-injection suite (deterministic drop/delay/
-# garble proxy, reconnect-and-replay, pooled GA vs direct equivalence)
+# garble proxy, reconnect-and-retry, pooled GA vs direct equivalence)
 # under the race detector. The transport's retry loop, the per-session
-# server state and the pool checkout all run concurrently here.
+# server goroutines and the pool checkout all run concurrently here.
 CHAOS_TESTS = Chaos|Reconnect|Deadline|Pool|Concurrent|Shutdown|Desync|Garbled
 chaos:
 	$(call require-tests,$(CHAOS_TESTS),./internal/lab)

@@ -229,7 +229,7 @@ type (
 	// measurement (gahunt -remote -j N).
 	LabPool = lab.Pool
 	// LabStats is a snapshot of transport counters (dials, reconnects,
-	// replays, per-command latency/retries).
+	// per-command latency/retries).
 	LabStats = lab.Stats
 	// ChaosProxy is a deterministic fault-injection TCP proxy for
 	// exercising the transport's failure handling.
@@ -265,8 +265,9 @@ func NewChaosProxy(upstream string, cfg ChaosConfig) (*ChaosProxy, error) {
 // lab, observationally equivalent bit for bit.
 type (
 	// MeasureBackend is the unified measurement surface every tool runs
-	// against: domain enumeration and power gating, measurer factories
-	// (EM and voltage), fast sweeps, capability flags, V_MIN campaigns.
+	// against: domain enumeration, measurer factories (EM and voltage),
+	// fast sweeps, capability flags, V_MIN campaigns. Powered cores are an
+	// argument of each request, never rig state.
 	MeasureBackend = backend.Backend
 	// LocalBackend adapts an in-process Bench to MeasureBackend.
 	LocalBackend = backend.Local
@@ -275,10 +276,8 @@ type (
 	// BackendCaps is a domain's capability record (cores, ISA, clock grid,
 	// voltage visibility, DSO kind).
 	BackendCaps = backend.Caps
-	// BackendDomainState is a domain's live setting: its powered cores.
-	BackendDomainState = backend.DomainState
-	// BackendMeasurerSpec selects a measurer (domain, metric, cores,
-	// averaging, DSO seed).
+	// BackendMeasurerSpec selects a measurer (domain, metric, active and
+	// powered cores, averaging, DSO seed).
 	BackendMeasurerSpec = backend.MeasurerSpec
 	// BackendMetric names a fitness metric (em, droop, ptp).
 	BackendMetric = backend.Metric

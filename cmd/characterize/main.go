@@ -65,14 +65,14 @@ func main() {
 		fatal(err)
 	}
 	pool := caps.Pool()
-	rep, err := app.NewSession(be, domain, time.Now())
+	rep, err := app.NewSession(be, domain, 0, time.Now())
 	if err != nil {
 		fatal(err)
 	}
 
 	// 1. Resonance.
 	fmt.Fprintf(os.Stderr, "characterize: fast resonance sweep on %s/%s...\n", be.PlatformName(), domain)
-	sweep, err := backend.ResonanceSweep(be, domain, active, 0)
+	sweep, err := backend.ResonanceSweep(be, domain, active, 0, 0)
 	if err != nil {
 		fatal(err)
 	}
@@ -104,7 +104,7 @@ func main() {
 
 	// 3. V_MIN campaign.
 	runVmin := func(label string, load platform.Load) {
-		res, _, err := be.Vmin(domain, load, *app.Seed+1, 1)
+		res, _, err := be.Vmin(domain, load, 0, *app.Seed+1, 1)
 		if err != nil {
 			fatal(fmt.Errorf("vmin of %s: %w", label, err))
 		}

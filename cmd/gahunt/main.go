@@ -114,7 +114,7 @@ func main() {
 		time.Since(start).Round(time.Millisecond), res.Best.Fitness, res.Best.DominantHz/1e6)
 	app.MaybePrintStats(be, domain)
 	if *app.Session != "" {
-		rep, err := app.NewSession(be, domain, time.Now())
+		rep, err := app.NewSession(be, domain, 0, time.Now())
 		if err != nil {
 			fatal(err)
 		}

@@ -45,12 +45,11 @@ func main() {
 	if err != nil {
 		app.Fatal(err)
 	}
-	if *powered > 0 {
-		if err := be.SetPoweredCores(domain, *powered); err != nil {
-			app.Fatal(err)
-		}
+	caps, err := be.Caps(domain)
+	if err != nil {
+		app.Fatal(err)
 	}
-	st, err := be.State(domain)
+	nPowered, err := caps.Powered(*powered)
 	if err != nil {
 		app.Fatal(err)
 	}
@@ -58,7 +57,7 @@ func main() {
 	if f, ok := be.(*fleet.Fleet); ok {
 		fmt.Printf("sweep: clock grid shards across a fleet of %d rigs\n", f.Size())
 	}
-	res, err := backend.ResonanceSweep(be, domain, *active, 0)
+	res, err := backend.ResonanceSweep(be, domain, *active, nPowered, 0)
 	if err != nil {
 		app.Fatal(err)
 	}
@@ -70,12 +69,12 @@ func main() {
 	}
 	fmt.Print(report.Series(
 		fmt.Sprintf("Fast EM sweep: %s/%s, %d powered / %d active cores",
-			be.PlatformName(), domain, st.PoweredCores, *active),
+			be.PlatformName(), domain, nPowered, *active),
 		"loop freq (MHz)", "peak (dBm)", xs, ys))
 	fmt.Printf("\nfirst-order resonance estimate: %s (peak %s)\n",
 		report.MHz(res.ResonanceHz), report.DBm(res.PeakDBm))
 	if *app.Session != "" {
-		rep, err := app.NewSession(be, domain, time.Now())
+		rep, err := app.NewSession(be, domain, nPowered, time.Now())
 		if err != nil {
 			app.Fatal(err)
 		}

@@ -77,7 +77,7 @@ func main() {
 	}
 	var rep *session.Report
 	if *app.Session != "" {
-		rep, err = app.NewSession(be, domain, time.Now())
+		rep, err = app.NewSession(be, domain, 0, time.Now())
 		if err != nil {
 			app.Fatal(err)
 		}
@@ -90,14 +90,14 @@ func main() {
 	if f, ok := be.(*fleet.Fleet); ok {
 		// One campaign for the whole workload list: searches shard across
 		// the rigs instead of running one by one.
-		rs, _, err := f.VminMany(domain, loads, *app.Seed, *repeats)
+		rs, _, err := f.VminMany(domain, loads, 0, *app.Seed, *repeats)
 		if err != nil {
 			app.Fatal(err)
 		}
 		results = rs
 	} else {
 		for i, load := range loads {
-			res, _, err := be.Vmin(domain, load, *app.Seed, *repeats)
+			res, _, err := be.Vmin(domain, load, 0, *app.Seed, *repeats)
 			if err != nil {
 				app.Fatal(fmt.Errorf("%s: %w", wnames[i], err))
 			}
@@ -157,14 +157,14 @@ func runShmoo(app *cli.App, be backend.Backend, caps backend.Caps, domain string
 	wnames, loads := buildLoads(app, caps, list, active)
 	var grid [][]vmin.ShmooPoint
 	if f, ok := be.(*fleet.Fleet); ok {
-		g, err := f.ShmooGrid(domain, loads, *app.Seed, clocks)
+		g, err := f.ShmooGrid(domain, loads, 0, *app.Seed, clocks)
 		if err != nil {
 			app.Fatal(err)
 		}
 		grid = g
 	} else {
 		for i, load := range loads {
-			points, err := be.VminShmoo(domain, load, *app.Seed, clocks)
+			points, err := be.VminShmoo(domain, load, 0, *app.Seed, clocks)
 			if err != nil {
 				app.Fatal(fmt.Errorf("%s: %w", wnames[i], err))
 			}

@@ -64,7 +64,8 @@ func ExampleFormatProgram() {
 
 // Power-gating cores removes die capacitance and raises the resonance —
 // the Section 6 effect the EM sweep observes from outside the package.
-func ExampleDomain_SetPoweredCores() {
+// Each powered-core count is its own view of the domain.
+func ExampleDomain_Gated() {
 	plat, err := emnoise.JunoR2()
 	if err != nil {
 		panic(err)
@@ -74,10 +75,11 @@ func ExampleDomain_SetPoweredCores() {
 		panic(err)
 	}
 	for _, cores := range []int{4, 1} {
-		if err := a53.SetPoweredCores(cores); err != nil {
+		gated, err := a53.Gated(cores)
+		if err != nil {
 			panic(err)
 		}
-		m, err := a53.Model()
+		m, err := gated.Model()
 		if err != nil {
 			panic(err)
 		}

@@ -113,11 +113,11 @@ func main() {
 		emnoise.IsCapabilityError(err), err)
 
 	// Remote fast sweep vs the local reference.
-	rsw, err := emnoise.BackendResonanceSweep(remote, emnoise.DomainA72, 2, 0)
+	rsw, err := emnoise.BackendResonanceSweep(remote, emnoise.DomainA72, 2, 0, 0)
 	if err != nil {
 		log.Fatal(err)
 	}
-	lsw, err := emnoise.BackendResonanceSweep(local, emnoise.DomainA72, 2, 0)
+	lsw, err := emnoise.BackendResonanceSweep(local, emnoise.DomainA72, 2, 0, 0)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -158,11 +158,11 @@ func main() {
 
 	// V_MIN of the evolved virus, worst of 3, on both backends.
 	load := emnoise.Load{Seq: res.Best.Seq, ActiveCores: 2}
-	vres, _, err := remote.Vmin(emnoise.DomainA72, load, 3, 3)
+	vres, _, err := remote.Vmin(emnoise.DomainA72, load, 0, 3, 3)
 	if err != nil {
 		log.Fatal(err)
 	}
-	lvres, _, err := local.Vmin(emnoise.DomainA72, load, 3, 3)
+	lvres, _, err := local.Vmin(emnoise.DomainA72, load, 0, 3, 3)
 	if err != nil {
 		log.Fatal(err)
 	}

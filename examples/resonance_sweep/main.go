@@ -53,15 +53,15 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		if err := d.SetPoweredCores(r.powered); err != nil {
+		gated, err := d.Gated(r.powered)
+		if err != nil {
 			log.Fatal(err)
 		}
-		res, err := r.bench.FastResonanceSweep(d, 1)
+		res, err := r.bench.FastResonanceSweep(gated, 1)
 		if err != nil {
 			log.Fatal(err)
 		}
 		fmt.Printf("%-18s %7d   %6.1f MHz\n", r.domain, r.powered, res.ResonanceHz/1e6)
-		d.Reset()
 	}
 	fmt.Println("\nnote how gating cores raises each cluster's resonance: less die")
 	fmt.Println("capacitance means a faster (and harder to mitigate) oscillation.")

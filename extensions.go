@@ -135,16 +135,17 @@ type (
 	SessionReport = session.Report
 )
 
-// NewSessionReport starts a report for a domain's current state.
+// NewSessionReport starts a report for a domain view (its powered cores
+// come from the view; see Domain.Gated).
 func NewSessionReport(p *Platform, d *Domain, now time.Time) *SessionReport {
 	return session.NewLocal(p, d, now)
 }
 
 // NewSessionReportFor starts a report through any measurement backend
-// (local or remote), capturing the domain's powered cores as the backend
-// observes them.
-func NewSessionReportFor(be MeasureBackend, domain string, now time.Time) (*SessionReport, error) {
-	return session.New(be, domain, now)
+// (local or remote) for a domain measured with powered cores powered
+// (0 = every core).
+func NewSessionReportFor(be MeasureBackend, domain string, powered int, now time.Time) (*SessionReport, error) {
+	return session.New(be, domain, powered, now)
 }
 
 // LoadSessionReport parses a stored report.

@@ -1,7 +1,8 @@
 // Package backend defines the one measurement surface every layer above
-// the rig speaks: domain enumeration and power gating, GA measurer
-// factories (the EM measurement), fast sweeps, V_MIN campaigns and
-// evaluation statistics. Two implementations exist — Local wraps a
+// the rig speaks: domain enumeration, GA measurer factories (the EM
+// measurement), fast sweeps, V_MIN campaigns and evaluation statistics.
+// No method changes the rig: power gating, like clock and supply, is an
+// argument of each request. Two implementations exist — Local wraps a
 // core.Bench in-process, Remote drives a lab daemon over TCP — and they
 // are observationally equivalent: the same seeds and workloads produce
 // bit-identical results on either (see DESIGN.md §12 for the argument),
@@ -48,8 +49,7 @@ func ParseMetric(s string) (Metric, error) {
 	}
 }
 
-// Caps is a domain's capability record: what the rig can do, not how many
-// cores are currently powered (that is State).
+// Caps is a domain's capability record: what the rig can do.
 type Caps struct {
 	Domain      string
 	TotalCores  int
@@ -85,11 +85,16 @@ func (c Caps) SweepClockSteps() []float64 {
 	return steps
 }
 
-// DomainState is a domain's one live setting: its powered cores. Clock
-// and supply are per-call parameters (Sweep, VminShmoo); every other
-// operation runs at the maximum clock and nominal supply.
-type DomainState struct {
-	PoweredCores int
+// Powered resolves a powered-core argument against the domain: 0 means
+// every core, and anything else must lie in [1, TotalCores].
+func (c Caps) Powered(n int) (int, error) {
+	if n == 0 {
+		return c.TotalCores, nil
+	}
+	if n < 1 || n > c.TotalCores {
+		return 0, fmt.Errorf("backend: %s: cannot power %d of %d cores", c.Domain, n, c.TotalCores)
+	}
+	return n, nil
 }
 
 // MeasurerSpec configures a GA measurer factory call.
@@ -97,6 +102,9 @@ type MeasurerSpec struct {
 	Domain      string
 	Metric      Metric
 	ActiveCores int
+	// PoweredCores is the number of cores powered while the individuals
+	// run (0 = every core); the rest are power-gated.
+	PoweredCores int
 	// Samples is the analyzer averaging depth per evaluation (0 = backend
 	// default).
 	Samples int
@@ -127,10 +135,14 @@ func IsCapabilityError(err error) bool {
 }
 
 // Backend is one measurement rig: a platform with one or more voltage
-// domains, the instruments attached to it, and the controls the paper's
-// methodology needs. Implementations must be content-deterministic — the
-// same (seed, workload, operating point) always yields the same bytes —
-// and safe for concurrent use by multiple goroutines.
+// domains and the instruments attached to it. Every operating-point
+// parameter the paper's methodology varies (powered and active cores,
+// clocks) is an argument of the call that uses it, so no method changes
+// the rig and concurrent callers cannot disturb one another. Wherever a
+// method takes powered, 0 means every core. Implementations must be
+// content-deterministic — the same (seed, workload, operating point)
+// always yields the same bytes — and safe for concurrent use by multiple
+// goroutines.
 type Backend interface {
 	// PlatformName identifies the rig ("juno-r2", "amd-desktop", ...).
 	PlatformName() string
@@ -139,35 +151,30 @@ type Backend interface {
 	// Caps returns a domain's capability record.
 	Caps(domain string) (Caps, error)
 
-	// State returns a domain's powered cores.
-	State(domain string) (DomainState, error)
-	// SetPoweredCores writes an absolute setpoint; Reset powers every core
-	// again.
-	SetPoweredCores(domain string, n int) error
-	Reset(domain string) error
-
 	// Measurer builds a GA fitness function for the spec's metric. A
 	// droop/ptp request on a domain without voltage visibility returns a
 	// *CapabilityError.
 	Measurer(spec MeasurerSpec) (ga.Measurer, error)
 
 	// Sweep measures the Section 5.3 fast-sweep points at the given clock
-	// settings with the given per-point analyzer averaging (samples <= 0
-	// is the backend default). points[i] answers clocks[i] and is nil when
-	// the probe loop is out of band at that clock. Each point is a pure
-	// function of its snapped clock, so any split of a grid into calls
-	// agrees bit for bit; ResonanceSweep walks the whole grid.
-	Sweep(domain string, activeCores, samples int, clocks []float64) ([]*core.SweepPoint, error)
+	// settings, with the probe loop on activeCores of powered cores and
+	// the given per-point analyzer averaging (samples <= 0 is the backend
+	// default). points[i] answers clocks[i] and is nil when the probe loop
+	// is out of band at that clock; no clocks is no points. Each point is
+	// a pure function of its snapped clock, so any split of a grid into
+	// calls agrees bit for bit; ResonanceSweep walks the whole grid.
+	Sweep(domain string, activeCores, powered, samples int, clocks []float64) ([]*core.SweepPoint, error)
 	// MonitorAll captures one spectrum with every given domain's load
-	// emitting simultaneously (Figure 15).
+	// emitting simultaneously, every core powered (Figure 15).
 	MonitorAll(loads map[string]platform.Load) (*instrument.Sweep, error)
 
-	// Vmin runs a repeated V_MIN search and returns the worst result plus
-	// every per-run V_MIN; repeats=1 is a single search.
-	Vmin(domain string, load platform.Load, seed int64, repeats int) (*vmin.Result, []float64, error)
-	// VminShmoo traces the frequency/voltage failure boundary at the given
-	// clocks.
-	VminShmoo(domain string, load platform.Load, seed int64, clocks []float64) ([]vmin.ShmooPoint, error)
+	// Vmin runs a repeated V_MIN search of the load with powered cores
+	// powered and returns the worst result plus every per-run V_MIN;
+	// repeats=1 is a single search.
+	Vmin(domain string, load platform.Load, powered int, seed int64, repeats int) (*vmin.Result, []float64, error)
+	// VminShmoo traces the frequency/voltage failure boundary of the load
+	// with powered cores powered at the given clocks.
+	VminShmoo(domain string, load platform.Load, powered int, seed int64, clocks []float64) ([]vmin.ShmooPoint, error)
 
 	// EvalStats returns the rig-side evaluation-cache counters for -v
 	// output.
@@ -178,14 +185,15 @@ type Backend interface {
 }
 
 // ResonanceSweep runs the Section 5.3 fast resonance sweep on a backend:
-// one Sweep over the domain's whole clock grid, assembled exactly as a
-// local core.Bench.FastResonanceSweep assembles its batch.
-func ResonanceSweep(be Backend, domain string, activeCores, samples int) (*core.SweepResult, error) {
+// one Sweep over the domain's whole clock grid with powered cores powered
+// (0 = every core), assembled exactly as a local
+// core.Bench.FastResonanceSweep assembles its batch.
+func ResonanceSweep(be Backend, domain string, activeCores, powered, samples int) (*core.SweepResult, error) {
 	caps, err := be.Caps(domain)
 	if err != nil {
 		return nil, err
 	}
-	points, err := be.Sweep(domain, activeCores, samples, caps.SweepClockSteps())
+	points, err := be.Sweep(domain, activeCores, powered, samples, caps.SweepClockSteps())
 	if err != nil {
 		return nil, err
 	}

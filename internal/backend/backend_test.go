@@ -105,9 +105,9 @@ func probeLoad(t *testing.T, be backend.Backend, domain string, cores int) platf
 
 // TestLocalRemoteEquivalence drives the whole Backend surface against a
 // Local and a Remote built from identical benches and requires
-// bit-identical answers: identity, capabilities, state, EM measurement,
-// sweeps, V_MIN campaigns, shmoos, multi-domain monitoring and the
-// evaluation counters.
+// bit-identical answers: identity, capabilities, EM measurement, sweeps
+// (power-gated and empty ones included), V_MIN campaigns, shmoos,
+// multi-domain monitoring and the evaluation counters.
 func TestLocalRemoteEquivalence(t *testing.T) {
 	local, remote := backends(t, 4)
 
@@ -132,37 +132,6 @@ func TestLocalRemoteEquivalence(t *testing.T) {
 		if !reflect.DeepEqual(lc.ClockSteps(), rc.ClockSteps()) {
 			t.Fatalf("%s clock grids diverge", dom)
 		}
-		ls, err := local.State(dom)
-		if err != nil {
-			t.Fatal(err)
-		}
-		rs, err := remote.State(dom)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if ls != rs {
-			t.Fatalf("%s state: local %+v remote %+v", dom, ls, rs)
-		}
-	}
-
-	// Setpoints propagate identically.
-	for _, be := range []backend.Backend{local, remote} {
-		if err := be.SetPoweredCores(platform.DomainA53, 2); err != nil {
-			t.Fatal(err)
-		}
-	}
-	ls, _ := local.State(platform.DomainA53)
-	rs, _ := remote.State(platform.DomainA53)
-	if ls != rs || ls.PoweredCores != 2 {
-		t.Fatalf("post-setpoint state: local %+v remote %+v", ls, rs)
-	}
-	for _, be := range []backend.Backend{local, remote} {
-		if err := be.Reset(platform.DomainA72); err != nil {
-			t.Fatal(err)
-		}
-		if err := be.Reset(platform.DomainA53); err != nil {
-			t.Fatal(err)
-		}
 	}
 
 	load := probeLoad(t, local, platform.DomainA72, 2)
@@ -181,39 +150,57 @@ func TestLocalRemoteEquivalence(t *testing.T) {
 		t.Fatalf("EM measurement: local %v remote %v", ems[0], ems[1])
 	}
 
-	lsw, err := backend.ResonanceSweep(local, platform.DomainA72, 2, 0)
+	lsw, err := backend.ResonanceSweep(local, platform.DomainA72, 2, 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rsw, err := backend.ResonanceSweep(remote, platform.DomainA72, 2, 0)
+	rsw, err := backend.ResonanceSweep(remote, platform.DomainA72, 2, 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(lsw, rsw) {
 		t.Fatal("resonance sweeps diverge")
 	}
+	// Power gating is a request argument: the A53 with 2 of 4 cores powered.
+	lg, err := backend.ResonanceSweep(local, platform.DomainA53, 1, 2, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rg, err := backend.ResonanceSweep(remote, platform.DomainA53, 1, 2, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(lg, rg) {
+		t.Fatal("power-gated resonance sweeps diverge")
+	}
 	// A clock list out of grid order, with the lowest step (probe loop out
 	// of band, a nil point) among them.
 	a72Caps, _ := local.Caps(platform.DomainA72)
 	grid := a72Caps.ClockSteps()
 	some := []float64{grid[len(grid)/2], grid[0], grid[len(grid)-1]}
-	lpts, err := local.Sweep(platform.DomainA72, 2, 0, some)
+	lpts, err := local.Sweep(platform.DomainA72, 2, 0, 0, some)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rpts, err := remote.Sweep(platform.DomainA72, 2, 0, some)
+	rpts, err := remote.Sweep(platform.DomainA72, 2, 0, 0, some)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(lpts) != len(some) || lpts[1] != nil || !reflect.DeepEqual(lpts, rpts) {
 		t.Fatalf("sweep points: local %+v remote %+v", lpts, rpts)
 	}
+	// No clocks: no points and no error on either backend.
+	for _, be := range []backend.Backend{local, remote} {
+		if pts, err := be.Sweep(platform.DomainA72, 2, 0, 0, nil); err != nil || len(pts) != 0 {
+			t.Fatalf("%T: empty sweep = %v, %v; want no points and no error", be, pts, err)
+		}
+	}
 
-	lv, lruns, err := local.Vmin(platform.DomainA72, load, 9, 3)
+	lv, lruns, err := local.Vmin(platform.DomainA72, load, 0, 9, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rv, rruns, err := remote.Vmin(platform.DomainA72, load, 9, 3)
+	rv, rruns, err := remote.Vmin(platform.DomainA72, load, 0, 9, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -228,11 +215,11 @@ func TestLocalRemoteEquivalence(t *testing.T) {
 	caps, _ := local.Caps(platform.DomainA72)
 	steps := caps.ClockSteps()
 	clocks := []float64{steps[len(steps)-1], steps[0]}
-	lsh, err := local.VminShmoo(platform.DomainA72, load, 9, clocks)
+	lsh, err := local.VminShmoo(platform.DomainA72, load, 0, 9, clocks)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rsh, err := remote.VminShmoo(platform.DomainA72, load, 9, clocks)
+	rsh, err := remote.VminShmoo(platform.DomainA72, load, 0, 9, clocks)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -300,11 +287,11 @@ func TestPhaseLoadEquivalence(t *testing.T) {
 		t.Fatal("phased and aligned loads measure the same; the test is vacuous")
 	}
 
-	lv, lruns, err := local.Vmin(platform.DomainA72, load, 9, 2)
+	lv, lruns, err := local.Vmin(platform.DomainA72, load, 0, 9, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rv, rruns, err := remote.Vmin(platform.DomainA72, load, 9, 2)
+	rv, rruns, err := remote.Vmin(platform.DomainA72, load, 0, 9, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -318,11 +305,11 @@ func TestPhaseLoadEquivalence(t *testing.T) {
 	}
 	steps := caps.ClockSteps()
 	clocks := []float64{steps[len(steps)-1], steps[0]}
-	lsh, err := local.VminShmoo(platform.DomainA72, load, 9, clocks)
+	lsh, err := local.VminShmoo(platform.DomainA72, load, 0, 9, clocks)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rsh, err := remote.VminShmoo(platform.DomainA72, load, 9, clocks)
+	rsh, err := remote.VminShmoo(platform.DomainA72, load, 0, 9, clocks)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -518,21 +505,21 @@ func TestCapabilityError(t *testing.T) {
 	}
 }
 
-// sessionBytes runs the report flow every CLI shares — capture state,
-// record a sweep and a V_MIN row — and serializes it with a pinned
-// timestamp.
+// sessionBytes runs the report flow every CLI shares — start a report with
+// every core powered, record a sweep and a V_MIN row — and serializes it
+// with a pinned timestamp.
 func sessionBytes(t *testing.T, be backend.Backend) []byte {
 	t.Helper()
-	rep, err := session.New(be, platform.DomainA72, time.Date(2026, 8, 5, 12, 0, 0, 0, time.UTC))
+	rep, err := session.New(be, platform.DomainA72, 0, time.Date(2026, 8, 5, 12, 0, 0, 0, time.UTC))
 	if err != nil {
 		t.Fatal(err)
 	}
-	sw, err := backend.ResonanceSweep(be, platform.DomainA72, 2, 0)
+	sw, err := backend.ResonanceSweep(be, platform.DomainA72, 2, 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	rep.SetSweep(sw)
-	res, _, err := be.Vmin(platform.DomainA72, probeLoad(t, be, platform.DomainA72, 2), 11, 2)
+	res, _, err := be.Vmin(platform.DomainA72, probeLoad(t, be, platform.DomainA72, 2), 0, 11, 2)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -11,9 +11,9 @@ import (
 )
 
 // Local adapts an in-process core.Bench to the Backend interface. It adds
-// no behavior of its own: every method delegates to the bench (or the
-// domain), so code rebased from *core.Bench onto Backend produces the
-// same bytes it did before.
+// no behavior of its own: every method delegates to the bench on the
+// domain view at the request's powered cores, so code rebased from
+// *core.Bench onto Backend produces the same bytes it did before.
 type Local struct {
 	bench *core.Bench
 }
@@ -35,6 +35,16 @@ func (l *Local) Bench() *core.Bench { return l.bench }
 
 func (l *Local) domain(name string) (*platform.Domain, error) {
 	return l.bench.Platform.Domain(name)
+}
+
+// view returns a domain's view with powered cores powered (0 = every
+// core, the view Platform.Domain returns).
+func (l *Local) view(name string, powered int) (*platform.Domain, error) {
+	d, err := l.domain(name)
+	if err != nil || powered == 0 {
+		return d, err
+	}
+	return d.Gated(powered)
 }
 
 // PlatformName identifies the wrapped platform.
@@ -74,38 +84,10 @@ func specCaps(spec platform.Spec) Caps {
 	}
 }
 
-// State returns a domain's powered cores.
-func (l *Local) State(name string) (DomainState, error) {
-	d, err := l.domain(name)
-	if err != nil {
-		return DomainState{}, err
-	}
-	return DomainState{PoweredCores: d.PoweredCores()}, nil
-}
-
-// SetPoweredCores power-gates cores.
-func (l *Local) SetPoweredCores(name string, n int) error {
-	d, err := l.domain(name)
-	if err != nil {
-		return err
-	}
-	return d.SetPoweredCores(n)
-}
-
-// Reset powers every core of a domain again.
-func (l *Local) Reset(name string) error {
-	d, err := l.domain(name)
-	if err != nil {
-		return err
-	}
-	d.Reset()
-	return nil
-}
-
 // Measurer builds a GA fitness function on the local bench. The em metric
 // returns the bench's own batch-capable measurer unchanged.
 func (l *Local) Measurer(spec MeasurerSpec) (ga.Measurer, error) {
-	d, err := l.domain(spec.Domain)
+	d, err := l.view(spec.Domain, spec.PoweredCores)
 	if err != nil {
 		return nil, err
 	}
@@ -132,8 +114,8 @@ func (l *Local) Measurer(spec MeasurerSpec) (ga.Measurer, error) {
 // Sweep measures fast-sweep points with one core.Bench.SweepBatch: one
 // probe build, one primed trace, one band-prefilter pass and arena-backed
 // spectra for the whole clock list.
-func (l *Local) Sweep(name string, activeCores, samples int, clocks []float64) ([]*core.SweepPoint, error) {
-	d, err := l.domain(name)
+func (l *Local) Sweep(name string, activeCores, powered, samples int, clocks []float64) ([]*core.SweepPoint, error) {
+	d, err := l.view(name, powered)
 	if err != nil {
 		return nil, err
 	}
@@ -148,8 +130,8 @@ func (l *Local) MonitorAll(loads map[string]platform.Load) (*instrument.Sweep, e
 // Vmin runs a repeated V_MIN search. All repeats descend one batched
 // supply ladder (vmin.Tester.Repeat), so the electrical evaluation of
 // revisited voltage steps amortizes across runs.
-func (l *Local) Vmin(name string, load platform.Load, seed int64, repeats int) (*vmin.Result, []float64, error) {
-	d, err := l.domain(name)
+func (l *Local) Vmin(name string, load platform.Load, powered int, seed int64, repeats int) (*vmin.Result, []float64, error) {
+	d, err := l.view(name, powered)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -163,8 +145,8 @@ func (l *Local) Vmin(name string, load platform.Load, seed int64, repeats int) (
 // same DVFS step, and descends per-column supply ladders — results are
 // bit-identical to per-clock searches, which is what the fleet's one-cell
 // ShmooGrid shards rely on.
-func (l *Local) VminShmoo(name string, load platform.Load, seed int64, clocks []float64) ([]vmin.ShmooPoint, error) {
-	d, err := l.domain(name)
+func (l *Local) VminShmoo(name string, load platform.Load, powered int, seed int64, clocks []float64) ([]vmin.ShmooPoint, error) {
+	d, err := l.view(name, powered)
 	if err != nil {
 		return nil, err
 	}

@@ -159,41 +159,21 @@ func (r *Remote) Caps(domain string) (Caps, error) {
 	return caps, nil
 }
 
-// State queries a domain's powered cores.
-func (r *Remote) State(domain string) (DomainState, error) {
-	var st DomainState
-	err := r.pool.Do(func(c *lab.Client) error {
-		rs, err := c.State(domain)
-		if err != nil {
-			return err
-		}
-		st = DomainState{PoweredCores: rs.PoweredCores}
-		return nil
-	})
-	return st, err
-}
-
-// SetPoweredCores power-gates cores on the remote domain.
-func (r *Remote) SetPoweredCores(domain string, n int) error {
-	return r.pool.Do(func(c *lab.Client) error { return c.SetCores(domain, n) })
-}
-
-// Reset powers every core of the remote domain again.
-func (r *Remote) Reset(domain string) error {
-	return r.pool.Do(func(c *lab.Client) error { return c.Reset(domain) })
-}
-
-// part renders a load on a domain as the program part a request carries.
-func (r *Remote) part(domain string, load platform.Load) (lab.Part, error) {
+// part renders a load on a domain with powered cores powered (0 = every
+// core) as the program part a request carries.
+func (r *Remote) part(domain string, load platform.Load, powered int) (lab.Part, error) {
 	caps, err := r.Caps(domain)
 	if err != nil {
+		return lab.Part{}, err
+	}
+	if powered, err = caps.Powered(powered); err != nil {
 		return lab.Part{}, err
 	}
 	ipool, err := capsPool(caps)
 	if err != nil {
 		return lab.Part{}, err
 	}
-	return lab.Part{Domain: domain, Cores: load.ActiveCores, Pool: ipool, Seq: load.Seq, Phases: load.PhaseCycles}, nil
+	return lab.Part{Domain: domain, Powered: powered, Cores: load.ActiveCores, Pool: ipool, Seq: load.Seq, Phases: load.PhaseCycles}, nil
 }
 
 // Measurer builds a GA fitness function that evaluates individuals on the
@@ -208,6 +188,9 @@ func (r *Remote) Measurer(spec MeasurerSpec) (ga.Measurer, error) {
 	}
 	if spec.Samples <= 0 {
 		spec.Samples = r.Samples
+	}
+	if spec.PoweredCores, err = caps.Powered(spec.PoweredCores); err != nil {
+		return nil, err
 	}
 	switch spec.Metric {
 	case MetricEM:
@@ -265,7 +248,8 @@ func (m *remoteMeasurer) MeasureBatch(items []ga.BatchItem, parallelism int) ([]
 		lo, hi := k*size, min((k+1)*size, len(items))
 		parts := make([]lab.Part, hi-lo)
 		for i := range parts {
-			parts[i] = lab.Part{Domain: m.spec.Domain, Cores: m.spec.ActiveCores, Pool: m.pool, Seq: items[lo+i].Seq}
+			parts[i] = lab.Part{Domain: m.spec.Domain, Powered: m.spec.PoweredCores, Cores: m.spec.ActiveCores,
+				Pool: m.pool, Seq: items[lo+i].Seq}
 		}
 		return m.r.pool.Do(func(c *lab.Client) error {
 			if m.spec.Metric != MetricEM {
@@ -295,14 +279,21 @@ func (m *remoteMeasurer) MeasureBatch(items []ga.BatchItem, parallelism int) ([]
 
 // Sweep measures fast-sweep points on the daemon: one SWEEP over the
 // listed clocks.
-func (r *Remote) Sweep(domain string, activeCores, samples int, clocks []float64) ([]*core.SweepPoint, error) {
+func (r *Remote) Sweep(domain string, activeCores, powered, samples int, clocks []float64) ([]*core.SweepPoint, error) {
 	if samples <= 0 {
 		samples = r.Samples
 	}
+	caps, err := r.Caps(domain)
+	if err != nil {
+		return nil, err
+	}
+	if powered, err = caps.Powered(powered); err != nil {
+		return nil, err
+	}
 	var points []*core.SweepPoint
-	err := r.pool.Do(func(c *lab.Client) error {
+	err = r.pool.Do(func(c *lab.Client) error {
 		var err error
-		points, err = c.Sweep(domain, activeCores, samples, clocks)
+		points, err = c.Sweep(domain, powered, activeCores, samples, clocks)
 		return err
 	})
 	return points, err
@@ -324,7 +315,7 @@ func (r *Remote) MonitorAll(loads map[string]platform.Load) (*instrument.Sweep, 
 	parts := make([]lab.Part, len(names))
 	for i, name := range names {
 		var err error
-		if parts[i], err = r.part(name, loads[name]); err != nil {
+		if parts[i], err = r.part(name, loads[name], 0); err != nil {
 			return nil, err
 		}
 	}
@@ -342,8 +333,8 @@ func (r *Remote) MonitorAll(loads map[string]platform.Load) (*instrument.Sweep, 
 
 // Vmin runs a repeated V_MIN search on the daemon with the workstation's
 // tester seed: one VMIN carrying the load.
-func (r *Remote) Vmin(domain string, load platform.Load, seed int64, repeats int) (*vmin.Result, []float64, error) {
-	p, err := r.part(domain, load)
+func (r *Remote) Vmin(domain string, load platform.Load, powered int, seed int64, repeats int) (*vmin.Result, []float64, error) {
+	p, err := r.part(domain, load, powered)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -362,8 +353,8 @@ func (r *Remote) Vmin(domain string, load platform.Load, seed int64, repeats int
 
 // VminShmoo traces the frequency/voltage failure boundary on the daemon:
 // one SHMOO carrying the load.
-func (r *Remote) VminShmoo(domain string, load platform.Load, seed int64, clocks []float64) ([]vmin.ShmooPoint, error) {
-	p, err := r.part(domain, load)
+func (r *Remote) VminShmoo(domain string, load platform.Load, powered int, seed int64, clocks []float64) ([]vmin.ShmooPoint, error) {
+	p, err := r.part(domain, load, powered)
 	if err != nil {
 		return nil, err
 	}

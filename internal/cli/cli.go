@@ -388,16 +388,16 @@ func (a *App) Domain(be backend.Backend) (string, error) {
 }
 
 // ActiveCores resolves the -cores flag: an explicit value passes through,
-// 0 means every currently powered core.
+// 0 means every core of the domain.
 func (a *App) ActiveCores(be backend.Backend, domain string) (int, error) {
 	if a.Cores != nil && *a.Cores > 0 {
 		return *a.Cores, nil
 	}
-	st, err := be.State(domain)
+	caps, err := be.Caps(domain)
 	if err != nil {
 		return 0, err
 	}
-	return st.PoweredCores, nil
+	return caps.TotalCores, nil
 }
 
 // MaybePrintStats prints the -v diagnostics to stderr, so -v leaves a
@@ -464,10 +464,10 @@ func writeStatsEach(w io.Writer, bes []backend.Backend) error {
 	return nil
 }
 
-// NewSession starts a session report for the domain's current state as
-// the backend observes it.
-func (a *App) NewSession(be backend.Backend, domain string, now time.Time) (*session.Report, error) {
-	return session.New(be, domain, now)
+// NewSession starts a session report for the domain measured with powered
+// cores powered (0 = every core).
+func (a *App) NewSession(be backend.Backend, domain string, powered int, now time.Time) (*session.Report, error) {
+	return session.New(be, domain, powered, now)
 }
 
 // SaveSession writes a session report to the -session file when one was

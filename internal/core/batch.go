@@ -280,10 +280,8 @@ func (b *Bench) EMMeasureBatch(d *platform.Domain, loads []platform.Load, sample
 		return results, nil
 	}
 
-	// One powered-core snapshot keys the whole batch. The GA holds the
-	// domain fixed across a generation; re-gating cores mid-batch is
-	// outside the contract, just as it is for a half-measured scalar
-	// generation. Clock and supply are the spec's maximum and nominal.
+	// The view's powered cores key the whole batch; clock and supply are
+	// the spec's maximum and nominal.
 	clock, supply, powered := d.ClockHz(), d.SupplyVolts(), d.PoweredCores()
 
 	// Dedup identical loads by content hash: at a fixed operating point the

@@ -123,11 +123,15 @@ func TestBatchMemoKeyedByDomain(t *testing.T) {
 	setup := func() (*Bench, *platform.Domain, *platform.Domain) {
 		b, p := testBench(t)
 		a72 := dom(t, p, platform.DomainA72)
-		a53 := dom(t, p, platform.DomainA53)
-		a53.Spec.EMPath = a72.Spec.EMPath
-		a53.Spec.MaxClockHz = a72.Spec.MaxClockHz
-		a53.Spec.PDN.VNominal = a72.Spec.PDN.VNominal
-		if err := a53.SetPoweredCores(2); err != nil {
+		spec := dom(t, p, platform.DomainA53).Spec
+		spec.EMPath = a72.Spec.EMPath
+		spec.MaxClockHz = a72.Spec.MaxClockHz
+		spec.PDN.VNominal = a72.Spec.PDN.VNominal
+		a53, err := platform.NewDomain(spec)
+		if err == nil {
+			a53, err = a53.Gated(2)
+		}
+		if err != nil {
 			t.Fatal(err)
 		}
 		return b, a72, a53

@@ -137,11 +137,11 @@ func TestFastResonanceSweepSingleCoreShiftsUp(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := d.SetPoweredCores(1); err != nil {
+	gated, err := d.Gated(1)
+	if err != nil {
 		t.Fatal(err)
 	}
-	defer d.Reset()
-	one, err := b.FastResonanceSweep(d, 1)
+	one, err := b.FastResonanceSweep(gated, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

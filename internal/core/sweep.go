@@ -51,8 +51,9 @@ func buildProbe(d *platform.Domain) ([]isa.Inst, error) {
 	return workload.Probe().Build(d.Spec.Pool())
 }
 
-// cachedProbe is buildProbe memoized per domain on the bench's batch
-// state. The probe is a pure function of the domain spec, so fleet shard
+// cachedProbe is buildProbe memoized per domain view on the bench's batch
+// state (at most one entry per powered-core count, since views are
+// interned). The probe is a pure function of the domain spec, so fleet shard
 // handlers issuing many single-point SweepBatch calls against one domain
 // build the ISA pool and chain the sequence exactly once.
 func (b *Bench) cachedProbe(d *platform.Domain) ([]isa.Inst, error) {

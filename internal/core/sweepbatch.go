@@ -87,8 +87,6 @@ func (b *Bench) SweepBatch(d *platform.Domain, activeCores int, clocks []float64
 		return points, nil
 	}
 
-	// One powered-core snapshot serves the whole batch, exactly as in
-	// EMMeasureBatch: re-gating cores mid-sweep is outside the contract.
 	supply, powered := d.SupplyVolts(), d.PoweredCores()
 
 	st := b.batchSt()

@@ -119,3 +119,35 @@ func TestSweepBatchEmptyAndSinglePoint(t *testing.T) {
 		}
 	}
 }
+
+// TestProbeMemoOneEntryPerView: the probe memo is keyed by domain view,
+// and views are interned (platform.Domain.Gated), so sweeps and
+// measurements alternating over every powered-core count — each resolving
+// its view afresh, as the lab daemon does per request — leave at most one
+// probe per powered-core count.
+func TestProbeMemoOneEntryPerView(t *testing.T) {
+	b, p := testBench(t)
+	d := dom(t, p, platform.DomainA53)
+	load := buildLoad(t, d, "probe", 1)
+	clocks := SweepClockSteps(d)[:2]
+	for rep := 0; rep < 2; rep++ {
+		for n := 1; n <= d.Spec.TotalCores; n++ {
+			view, err := d.Gated(n)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := b.SweepBatch(view, 1, clocks); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := b.EMMeasureN(view, load, 1); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	st := b.batchSt()
+	st.probeMu.Lock()
+	defer st.probeMu.Unlock()
+	if len(st.probes) != d.Spec.TotalCores {
+		t.Fatalf("probe memo holds %d entries for %d powered-core counts", len(st.probes), d.Spec.TotalCores)
+	}
+}

@@ -41,12 +41,8 @@ func runFig13(c *Context) (*Result, error) {
 	vals := make(map[string]float64)
 	var amp1, amp4 float64
 	for cores := 4; cores >= 1; cores-- {
-		if err := c.JunoBE.SetPoweredCores(platform.DomainA53, cores); err != nil {
-			return nil, err
-		}
-		res, err := backend.ResonanceSweep(c.JunoBE, platform.DomainA53, 1, 0)
+		res, err := backend.ResonanceSweep(c.JunoBE, platform.DomainA53, 1, cores, 0)
 		if err != nil {
-			_ = c.JunoBE.Reset(platform.DomainA53)
 			return nil, err
 		}
 		tb.AddRow(labels[cores], report.MHz(res.ResonanceHz), report.DBm(res.PeakDBm))
@@ -58,9 +54,6 @@ func runFig13(c *Context) (*Result, error) {
 		if cores == 4 {
 			amp4 = res.PeakDBm
 		}
-	}
-	if err := c.JunoBE.Reset(platform.DomainA53); err != nil {
-		return nil, err
 	}
 	vals["amp_gain_1_vs_4_db"] = amp1 - amp4
 	return &Result{ID: "fig13", Title: "Power-gating resonance shifts on Cortex-A53", Text: tb.String(), Values: vals}, nil
@@ -155,7 +148,7 @@ func runFig15(c *Context) (*Result, error) {
 // runFig16 reproduces Figure 16: the fast EM sweep on the Athlon II finds
 // the resonance near 78 MHz.
 func runFig16(c *Context) (*Result, error) {
-	res, err := backend.ResonanceSweep(c.AMDBE, platform.DomainAthlon, 4, 0)
+	res, err := backend.ResonanceSweep(c.AMDBE, platform.DomainAthlon, 4, 0, 0)
 	if err != nil {
 		return nil, err
 	}

@@ -77,11 +77,11 @@ func runFig8(c *Context) (*Result, error) {
 	dso := instrument.NewOCDSO(c.Opts.Seed + 51)
 
 	sweepFor := func(cores int) ([]instrument.SweepPoint, instrument.SweepPoint, error) {
-		if err := d.SetPoweredCores(cores); err != nil {
+		gated, err := d.Gated(cores)
+		if err != nil {
 			return nil, instrument.SweepPoint{}, err
 		}
-		defer d.Reset()
-		m, err := d.Model()
+		m, err := gated.Model()
 		if err != nil {
 			return nil, instrument.SweepPoint{}, err
 		}
@@ -239,17 +239,11 @@ func runFig10(c *Context) (*Result, error) {
 // runFig11 reproduces Figure 11: the fast EM sweep on the A72 peaks around
 // 70 MHz with both cores powered and ~85 MHz with one.
 func runFig11(c *Context) (*Result, error) {
-	both, err := backend.ResonanceSweep(c.JunoBE, platform.DomainA72, 2, 0)
+	both, err := backend.ResonanceSweep(c.JunoBE, platform.DomainA72, 2, 0, 0)
 	if err != nil {
 		return nil, err
 	}
-	if err := c.JunoBE.SetPoweredCores(platform.DomainA72, 1); err != nil {
-		return nil, err
-	}
-	one, err := backend.ResonanceSweep(c.JunoBE, platform.DomainA72, 1, 0)
-	if rerr := c.JunoBE.Reset(platform.DomainA72); err == nil {
-		err = rerr
-	}
+	one, err := backend.ResonanceSweep(c.JunoBE, platform.DomainA72, 1, 1, 0)
 	if err != nil {
 		return nil, err
 	}

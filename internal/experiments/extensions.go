@@ -49,11 +49,11 @@ func runExtGPU(c *Context) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	if err := d.SetPoweredCores(2); err != nil {
+	two, err := d.Gated(2)
+	if err != nil {
 		return nil, err
 	}
-	gated, err := b.FastResonanceSweep(d, 1)
-	d.Reset()
+	gated, err := b.FastResonanceSweep(two, 1)
 	if err != nil {
 		return nil, err
 	}
@@ -215,23 +215,21 @@ func runExtMitigate(c *Context) (*Result, error) {
 		"powered cores", "resonance", "max workable latency")
 	vals := make(map[string]float64)
 	for _, cores := range []int{4, 2, 1} {
-		if err := d.SetPoweredCores(cores); err != nil {
+		gated, err := d.Gated(cores)
+		if err != nil {
 			return nil, err
 		}
-		m, err := d.Model()
+		m, err := gated.Model()
 		if err != nil {
-			d.Reset()
 			return nil, err
 		}
 		fRes, _, err := m.ResonancePeak(40e6, 150e6)
 		if err != nil {
-			d.Reset()
 			return nil, err
 		}
 		scl := instrument.NewSCL(1.2)
 		resp, err := scl.Excite(m, fRes)
 		if err != nil {
-			d.Reset()
 			return nil, err
 		}
 		ptp := resp.PeakToPeak()
@@ -242,7 +240,6 @@ func runExtMitigate(c *Context) (*Result, error) {
 		}
 		points, err := mitigate.LatencySweep(ac, resp, m.Params.VNominal, lats)
 		if err != nil {
-			d.Reset()
 			return nil, err
 		}
 		budget := mitigate.CriticalLatency(points)
@@ -250,7 +247,6 @@ func runExtMitigate(c *Context) (*Result, error) {
 		vals[fmt.Sprintf("budget_%dcores_ns", cores)] = budget * 1e9
 		vals[fmt.Sprintf("resonance_%dcores_hz", cores)] = fRes
 	}
-	d.Reset()
 	return &Result{ID: "ext-mitigate", Title: "Adaptive-clocking latency budget vs power gating",
 		Text: tb.String(), Values: vals}, nil
 }

@@ -83,7 +83,7 @@ func (c *Context) vminCampaign(be backend.Backend, domain string, loads map[stri
 					group = append(group, loadOf[j])
 				}
 			}
-			rs, _, err := f.VminMany(domain, group, c.Opts.Seed+30, repeatsOf[i])
+			rs, _, err := f.VminMany(domain, group, 0, c.Opts.Seed+30, repeatsOf[i])
 			if err != nil {
 				return nil, fmt.Errorf("experiments: vmin campaign: %w", err)
 			}
@@ -93,7 +93,7 @@ func (c *Context) vminCampaign(be backend.Backend, domain string, loads map[stri
 		}
 	} else {
 		for i, name := range order {
-			res, _, err := be.Vmin(domain, loadOf[i], c.Opts.Seed+30, repeatsOf[i])
+			res, _, err := be.Vmin(domain, loadOf[i], 0, c.Opts.Seed+30, repeatsOf[i])
 			if err != nil {
 				return nil, fmt.Errorf("experiments: vmin of %q: %w", name, err)
 			}

@@ -25,8 +25,8 @@ type sweepShard struct {
 // point is the same pure function of its snapped clock on any rig and in
 // any batch, so backend.ResonanceSweep over a fleet is bit-identical to a
 // single-rig sweep.
-func (f *Fleet) Sweep(domain string, activeCores, samples int, clocks []float64) ([]*core.SweepPoint, error) {
-	st, err := f.State(domain)
+func (f *Fleet) Sweep(domain string, activeCores, powered, samples int, clocks []float64) ([]*core.SweepPoint, error) {
+	powered, err := f.powered(domain, powered)
 	if err != nil {
 		return nil, err
 	}
@@ -34,7 +34,7 @@ func (f *Fleet) Sweep(domain string, activeCores, samples int, clocks []float64)
 		h.String(domain)
 		h.Int(activeCores)
 		h.Int(samples)
-		h.Int(st.PoweredCores)
+		h.Int(powered)
 	})
 	items := make([]uint64, len(clocks))
 	for i, clock := range clocks {
@@ -48,7 +48,7 @@ func (f *Fleet) Sweep(domain string, activeCores, samples int, clocks []float64)
 		key:   key,
 		items: items,
 		run: func(r *rig, i int) (sweepShard, error) {
-			pts, err := r.be.Sweep(domain, activeCores, samples, clocks[i:i+1])
+			pts, err := r.be.Sweep(domain, activeCores, powered, samples, clocks[i:i+1])
 			if err != nil {
 				return sweepShard{}, err
 			}
@@ -92,8 +92,8 @@ func (s vminShard) result() (*vmin.Result, []float64) {
 
 // Vmin runs one repeated V_MIN search as a single-item campaign: it lands
 // on one rig, but inherits failover and checkpoint replay.
-func (f *Fleet) Vmin(domain string, load platform.Load, seed int64, repeats int) (*vmin.Result, []float64, error) {
-	res, err := f.vminMany("vmin", domain, []platform.Load{load}, seed, repeats)
+func (f *Fleet) Vmin(domain string, load platform.Load, powered int, seed int64, repeats int) (*vmin.Result, []float64, error) {
+	res, err := f.vminMany("vmin", domain, []platform.Load{load}, powered, seed, repeats)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -101,10 +101,11 @@ func (f *Fleet) Vmin(domain string, load platform.Load, seed int64, repeats int)
 	return r, runs, nil
 }
 
-// VminMany runs an independent V_MIN search per workload, sharded across
-// the fleet. Results are index-aligned with loads.
-func (f *Fleet) VminMany(domain string, loads []platform.Load, seed int64, repeats int) ([]*vmin.Result, [][]float64, error) {
-	shards, err := f.vminMany("vmin", domain, loads, seed, repeats)
+// VminMany runs an independent V_MIN search per workload, with powered
+// cores powered (0 = every core), sharded across the fleet. Results are
+// index-aligned with loads.
+func (f *Fleet) VminMany(domain string, loads []platform.Load, powered int, seed int64, repeats int) ([]*vmin.Result, [][]float64, error) {
+	shards, err := f.vminMany("vmin", domain, loads, powered, seed, repeats)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -116,11 +117,11 @@ func (f *Fleet) VminMany(domain string, loads []platform.Load, seed int64, repea
 	return results, runs, nil
 }
 
-func (f *Fleet) vminMany(kind, domain string, loads []platform.Load, seed int64, repeats int) ([]vminShard, error) {
+func (f *Fleet) vminMany(kind, domain string, loads []platform.Load, powered int, seed int64, repeats int) ([]vminShard, error) {
 	if len(loads) == 0 {
 		return nil, fmt.Errorf("fleet: no workloads")
 	}
-	st, err := f.State(domain)
+	powered, err := f.powered(domain, powered)
 	if err != nil {
 		return nil, err
 	}
@@ -128,7 +129,7 @@ func (f *Fleet) vminMany(kind, domain string, loads []platform.Load, seed int64,
 		h.String(domain)
 		h.Uint64(uint64(seed))
 		h.Int(repeats)
-		h.Int(st.PoweredCores)
+		h.Int(powered)
 	})
 	items := make([]uint64, len(loads))
 	for i, l := range loads {
@@ -139,7 +140,7 @@ func (f *Fleet) vminMany(kind, domain string, loads []platform.Load, seed int64,
 		key:   key,
 		items: items,
 		run: func(r *rig, i int) (vminShard, error) {
-			res, runs, err := r.be.Vmin(domain, loads[i], seed, repeats)
+			res, runs, err := r.be.Vmin(domain, loads[i], powered, seed, repeats)
 			if err != nil {
 				return vminShard{}, err
 			}
@@ -168,29 +169,30 @@ type shmooShard struct {
 // point's search is independent of its neighbours — same trial nonce,
 // same jitter stream — so single-clock shards are exactly the lattice
 // columns), merged in input order.
-func (f *Fleet) VminShmoo(domain string, load platform.Load, seed int64, clocks []float64) ([]vmin.ShmooPoint, error) {
-	grid, err := f.ShmooGrid(domain, []platform.Load{load}, seed, clocks)
+func (f *Fleet) VminShmoo(domain string, load platform.Load, powered int, seed int64, clocks []float64) ([]vmin.ShmooPoint, error) {
+	grid, err := f.ShmooGrid(domain, []platform.Load{load}, powered, seed, clocks)
 	if err != nil {
 		return nil, err
 	}
 	return grid[0], nil
 }
 
-// ShmooGrid shards a full workloads × clocks shmoo lattice across the
-// fleet, one campaign item per (load, clock) cell. The result is
-// index-aligned: grid[i][j] is loads[i] at clocks[j].
-func (f *Fleet) ShmooGrid(domain string, loads []platform.Load, seed int64, clocks []float64) ([][]vmin.ShmooPoint, error) {
+// ShmooGrid shards a full workloads × clocks shmoo lattice, with powered
+// cores powered (0 = every core), across the fleet, one campaign item per
+// (load, clock) cell. The result is index-aligned: grid[i][j] is loads[i]
+// at clocks[j].
+func (f *Fleet) ShmooGrid(domain string, loads []platform.Load, powered int, seed int64, clocks []float64) ([][]vmin.ShmooPoint, error) {
 	if len(loads) == 0 || len(clocks) == 0 {
 		return nil, fmt.Errorf("fleet: shmoo needs at least one workload and one clock")
 	}
-	st, err := f.State(domain)
+	powered, err := f.powered(domain, powered)
 	if err != nil {
 		return nil, err
 	}
 	key := f.keyHash("shmoo", func(h *detrand.Hash) {
 		h.String(domain)
 		h.Uint64(uint64(seed))
-		h.Int(st.PoweredCores)
+		h.Int(powered)
 	})
 	type cell struct {
 		load  platform.Load
@@ -213,7 +215,7 @@ func (f *Fleet) ShmooGrid(domain string, loads []platform.Load, seed int64, cloc
 		key:   key,
 		items: items,
 		run: func(r *rig, i int) (shmooShard, error) {
-			pts, err := r.be.VminShmoo(domain, cells[i].load, seed, []float64{cells[i].clock})
+			pts, err := r.be.VminShmoo(domain, cells[i].load, powered, seed, []float64{cells[i].clock})
 			if err != nil {
 				return shmooShard{}, err
 			}

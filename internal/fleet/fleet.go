@@ -140,7 +140,7 @@ func (f *Fleet) LiveRigs() int {
 }
 
 // firstLive returns the first rig still accepting work. Single-shot
-// operations (MonitorAll, State) route here: any live rig gives
+// operations (Caps, MonitorAll) route here: any live rig gives
 // the same bytes, so "first live" is both deterministic and failover-safe.
 func (f *Fleet) firstLive() (*rig, error) {
 	for _, r := range f.rigs {
@@ -177,7 +177,10 @@ func single[T any](f *Fleet, fn func(r *rig) (T, error)) (T, error) {
 
 // keyHash builds a campaign key: the campaign kind, the platform, the
 // coordinator salt, then whatever the caller folds in (domain, powered
-// cores, seeds, sample depth).
+// cores, seeds, sample depth). Powered cores are always folded resolved
+// (powered), never as the 0 that means every core, so a key is the same
+// however the caller spelled the count — and the same as a journal
+// written when the count was rig state.
 func (f *Fleet) keyHash(kind string, fold func(h *detrand.Hash)) uint64 {
 	h := detrand.NewHash()
 	h.String("fleet:" + kind)
@@ -207,54 +210,15 @@ func (f *Fleet) Caps(domain string) (backend.Caps, error) {
 	return r.be.Caps(domain)
 }
 
-// State returns the domain's powered cores (identical on every rig, so
-// the first live one answers).
-func (f *Fleet) State(domain string) (backend.DomainState, error) {
-	return single(f, func(r *rig) (backend.DomainState, error) {
-		return r.be.State(domain)
-	})
-}
-
-// broadcast applies a setter to every live rig, so the fleet's powered
-// cores move in lockstep. The first error wins but every rig is still
-// attempted; a transport failure condemns that rig rather than desyncing
-// the survivors.
-func (f *Fleet) broadcast(op string, fn func(be backend.Backend) error) error {
-	var firstErr error
-	any := false
-	for _, r := range f.rigs {
-		if r.dead.Load() {
-			continue
-		}
-		any = true
-		err := fn(r.be)
-		if err == nil {
-			continue
-		}
-		if !isDeterministicError(err) {
-			r.failed.Add(1)
-			if !r.dead.Swap(true) {
-				f.failovers.Add(1)
-			}
-		}
-		if firstErr == nil {
-			firstErr = fmt.Errorf("fleet: %s on rig %s: %w", op, r.name, err)
-		}
+// powered resolves a powered-core argument (0 = every core) against the
+// domain's capability record: the count a campaign sends every rig and
+// folds into its key.
+func (f *Fleet) powered(domain string, n int) (int, error) {
+	caps, err := single(f, func(r *rig) (backend.Caps, error) { return r.be.Caps(domain) })
+	if err != nil {
+		return 0, err
 	}
-	if !any {
-		return fmt.Errorf("fleet: no live rigs")
-	}
-	return firstErr
-}
-
-// SetPoweredCores power-gates cores on every rig.
-func (f *Fleet) SetPoweredCores(domain string, n int) error {
-	return f.broadcast("set powered cores", func(be backend.Backend) error { return be.SetPoweredCores(domain, n) })
-}
-
-// Reset powers every core again on every rig.
-func (f *Fleet) Reset(domain string) error {
-	return f.broadcast("reset", func(be backend.Backend) error { return be.Reset(domain) })
+	return caps.Powered(n)
 }
 
 // MonitorAll captures one combined spectrum on the first live rig.

@@ -209,7 +209,7 @@ func TestFleetGAMatchesSingle(t *testing.T) {
 // single-backend sweep, bit for bit.
 func TestFleetSweepMatchesSingle(t *testing.T) {
 	single := localRig(t)
-	want, err := backend.ResonanceSweep(single, testDomain, 2, 0)
+	want, err := backend.ResonanceSweep(single, testDomain, 2, 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -218,7 +218,7 @@ func TestFleetSweepMatchesSingle(t *testing.T) {
 	f := newFleet(t, fleet.Options{Slots: 2},
 		fleet.Rig{Name: "local", Backend: localRig(t)},
 		fleet.Rig{Name: "remote", Backend: remote})
-	got, err := backend.ResonanceSweep(f, testDomain, 2, 0)
+	got, err := backend.ResonanceSweep(f, testDomain, 2, 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -249,11 +249,11 @@ func TestFleetVminAndShmooMatchSingle(t *testing.T) {
 		fleet.Rig{Name: "local", Backend: localRig(t)},
 		fleet.Rig{Name: "remote", Backend: remote})
 
-	wantShmoo, err := single.VminShmoo(testDomain, loads[0], 3, clocks)
+	wantShmoo, err := single.VminShmoo(testDomain, loads[0], 0, 3, clocks)
 	if err != nil {
 		t.Fatal(err)
 	}
-	gotShmoo, err := f.VminShmoo(testDomain, loads[0], 3, clocks)
+	gotShmoo, err := f.VminShmoo(testDomain, loads[0], 0, 3, clocks)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -261,12 +261,12 @@ func TestFleetVminAndShmooMatchSingle(t *testing.T) {
 		t.Fatal("fleet shmoo differs from single-backend shmoo")
 	}
 
-	grid, err := f.ShmooGrid(testDomain, loads, 3, clocks)
+	grid, err := f.ShmooGrid(testDomain, loads, 0, 3, clocks)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i, l := range loads {
-		want, err := single.VminShmoo(testDomain, l, 3, clocks)
+		want, err := single.VminShmoo(testDomain, l, 0, 3, clocks)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -275,12 +275,12 @@ func TestFleetVminAndShmooMatchSingle(t *testing.T) {
 		}
 	}
 
-	results, runs, err := f.VminMany(testDomain, loads, 3, 2)
+	results, runs, err := f.VminMany(testDomain, loads, 0, 3, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i, l := range loads {
-		wres, wruns, err := single.Vmin(testDomain, l, 3, 2)
+		wres, wruns, err := single.Vmin(testDomain, l, 0, 3, 2)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -317,9 +317,9 @@ func (k *killerRig) tick() {
 	<-k.gate
 }
 
-func (k *killerRig) Sweep(domain string, cores, samples int, clocks []float64) ([]*core.SweepPoint, error) {
+func (k *killerRig) Sweep(domain string, cores, powered, samples int, clocks []float64) ([]*core.SweepPoint, error) {
 	k.tick()
-	return k.Backend.Sweep(domain, cores, samples, clocks)
+	return k.Backend.Sweep(domain, cores, powered, samples, clocks)
 }
 
 type killerMeasurer struct {
@@ -346,9 +346,9 @@ type gatedRig struct {
 	gate <-chan struct{}
 }
 
-func (g *gatedRig) Sweep(domain string, cores, samples int, clocks []float64) ([]*core.SweepPoint, error) {
+func (g *gatedRig) Sweep(domain string, cores, powered, samples int, clocks []float64) ([]*core.SweepPoint, error) {
 	<-g.gate
-	return g.Backend.Sweep(domain, cores, samples, clocks)
+	return g.Backend.Sweep(domain, cores, powered, samples, clocks)
 }
 
 type gatedMeasurer struct {
@@ -497,7 +497,7 @@ func TestFleetOneSlotSendsOneRequest(t *testing.T) {
 // answer.
 func TestFleetChaosKillMidSweep(t *testing.T) {
 	single := localRig(t)
-	want, err := backend.ResonanceSweep(single, testDomain, 2, 0)
+	want, err := backend.ResonanceSweep(single, testDomain, 2, 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -508,7 +508,7 @@ func TestFleetChaosKillMidSweep(t *testing.T) {
 	f := newFleet(t, fleet.Options{Slots: 2},
 		fleet.Rig{Name: "local", Backend: &gatedRig{Backend: localRig(t), gate: killer.gate}},
 		fleet.Rig{Name: "doomed", Backend: killer})
-	got, err := backend.ResonanceSweep(f, testDomain, 2, 0)
+	got, err := backend.ResonanceSweep(f, testDomain, 2, 0, 0)
 	if err != nil {
 		t.Fatalf("sweep failed instead of failing over: %v", err)
 	}
@@ -545,9 +545,9 @@ func (c *countingRig) Measurer(spec backend.MeasurerSpec) (ga.Measurer, error) {
 	return countingMeasurer{c: c, m: m}, nil
 }
 
-func (c *countingRig) Vmin(domain string, load platform.Load, seed int64, repeats int) (*vmin.Result, []float64, error) {
+func (c *countingRig) Vmin(domain string, load platform.Load, powered int, seed int64, repeats int) (*vmin.Result, []float64, error) {
 	c.calls.Add(1)
-	return c.Backend.Vmin(domain, load, seed, repeats)
+	return c.Backend.Vmin(domain, load, powered, seed, repeats)
 }
 
 // unevenRig is a countingRig whose V_MIN runs on some loads are slow.
@@ -556,11 +556,11 @@ type unevenRig struct {
 	slow map[uint64]bool
 }
 
-func (u *unevenRig) Vmin(domain string, load platform.Load, seed int64, repeats int) (*vmin.Result, []float64, error) {
+func (u *unevenRig) Vmin(domain string, load platform.Load, powered int, seed int64, repeats int) (*vmin.Result, []float64, error) {
 	if u.slow[load.Hash()] {
 		time.Sleep(100 * time.Millisecond)
 	}
-	return u.countingRig.Vmin(domain, load, seed, repeats)
+	return u.countingRig.Vmin(domain, load, powered, seed, repeats)
 }
 
 // TestFleetVminStealsOnlyTheTail: two one-slot rigs run a V_MIN
@@ -585,7 +585,7 @@ func TestFleetVminStealsOnlyTheTail(t *testing.T) {
 	f := newFleet(t, fleet.Options{Slots: 1},
 		fleet.Rig{Name: "a", Backend: a}, fleet.Rig{Name: "b", Backend: b})
 	defer f.Close()
-	if _, _, err := f.VminMany(testDomain, loads, 3, 1); err != nil {
+	if _, _, err := f.VminMany(testDomain, loads, 0, 3, 1); err != nil {
 		t.Fatal(err)
 	}
 	if n := a.calls.Load() + b.calls.Load(); n > int64(len(loads))+1 {
@@ -616,7 +616,7 @@ func TestFleetCheckpointResume(t *testing.T) {
 			t.Fatal(err)
 		}
 		load := platform.Load{Seq: items[0].Seq, ActiveCores: 2}
-		vres, _, err := f.Vmin(testDomain, load, 3, 2)
+		vres, _, err := f.Vmin(testDomain, load, 0, 3, 2)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -749,7 +749,7 @@ func TestFleetCapabilityPlacement(t *testing.T) {
 // check that batch economics never leak into values at any shard layout.
 func TestFleetThreeRigShardLayout(t *testing.T) {
 	single := localRig(t)
-	wantSweep, err := backend.ResonanceSweep(single, testDomain, 2, 0)
+	wantSweep, err := backend.ResonanceSweep(single, testDomain, 2, 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -762,11 +762,11 @@ func TestFleetThreeRigShardLayout(t *testing.T) {
 	steps := caps.ClockSteps()
 	// Duplicates included: the lattice dedup must survive sharding.
 	clocks := []float64{steps[len(steps)-1], steps[len(steps)/2], steps[len(steps)-1]}
-	wantShmoo, err := single.VminShmoo(testDomain, load, 3, clocks)
+	wantShmoo, err := single.VminShmoo(testDomain, load, 0, 3, clocks)
 	if err != nil {
 		t.Fatal(err)
 	}
-	wantVmin, wantRuns, err := single.Vmin(testDomain, load, 3, 3)
+	wantVmin, wantRuns, err := single.Vmin(testDomain, load, 0, 3, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -777,14 +777,14 @@ func TestFleetThreeRigShardLayout(t *testing.T) {
 		fleet.Rig{Name: "l1", Backend: localRig(t)},
 		fleet.Rig{Name: "remote", Backend: remote})
 
-	gotSweep, err := backend.ResonanceSweep(f, testDomain, 2, 0)
+	gotSweep, err := backend.ResonanceSweep(f, testDomain, 2, 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(gotSweep, wantSweep) {
 		t.Fatal("3-rig sweep differs from single-backend sweep")
 	}
-	gotShmoo, err := f.VminShmoo(testDomain, load, 3, clocks)
+	gotShmoo, err := f.VminShmoo(testDomain, load, 0, 3, clocks)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -794,7 +794,7 @@ func TestFleetThreeRigShardLayout(t *testing.T) {
 	if !reflect.DeepEqual(gotShmoo[0], gotShmoo[2]) {
 		t.Fatal("duplicate clock requests diverged across the shard layout")
 	}
-	results, runs, err := f.VminMany(testDomain, []platform.Load{load}, 3, 3)
+	results, runs, err := f.VminMany(testDomain, []platform.Load{load}, 0, 3, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -874,8 +874,8 @@ type failSignalRig struct {
 	failed chan struct{}
 }
 
-func (r *failSignalRig) VminShmoo(domain string, load platform.Load, seed int64, clocks []float64) ([]vmin.ShmooPoint, error) {
-	pts, err := r.Backend.VminShmoo(domain, load, seed, clocks)
+func (r *failSignalRig) VminShmoo(domain string, load platform.Load, powered int, seed int64, clocks []float64) ([]vmin.ShmooPoint, error) {
+	pts, err := r.Backend.VminShmoo(domain, load, powered, seed, clocks)
 	if err != nil {
 		r.once.Do(func() { close(r.failed) })
 	}
@@ -888,9 +888,9 @@ type waitRig struct {
 	gate <-chan struct{}
 }
 
-func (w *waitRig) VminShmoo(domain string, load platform.Load, seed int64, clocks []float64) ([]vmin.ShmooPoint, error) {
+func (w *waitRig) VminShmoo(domain string, load platform.Load, powered int, seed int64, clocks []float64) ([]vmin.ShmooPoint, error) {
 	<-w.gate
-	return w.Backend.VminShmoo(domain, load, seed, clocks)
+	return w.Backend.VminShmoo(domain, load, powered, seed, clocks)
 }
 
 // TestFleetShortShmooReplyCondemnsRig: a rig whose daemon answers a SHMOO
@@ -907,7 +907,7 @@ func TestFleetShortShmooReplyCondemnsRig(t *testing.T) {
 	load := platform.Load{Seq: caps.Pool().RandomSequence(rand.New(rand.NewSource(5)), 24), ActiveCores: 2}
 	steps := caps.ClockSteps()
 	clocks := []float64{steps[len(steps)-1], steps[len(steps)/2]}
-	want, err := single.VminShmoo(testDomain, load, 3, clocks)
+	want, err := single.VminShmoo(testDomain, load, 0, 3, clocks)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -927,7 +927,7 @@ func TestFleetShortShmooReplyCondemnsRig(t *testing.T) {
 		fleet.Rig{Name: "short", Backend: shortRig},
 		fleet.Rig{Name: "local", Backend: &waitRig{Backend: localRig(t), gate: shortRig.failed}})
 
-	got, err := f.VminShmoo(testDomain, load, 3, clocks)
+	got, err := f.VminShmoo(testDomain, load, 0, 3, clocks)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -28,6 +28,10 @@ type fleetMeasurer struct {
 // routes such shards), and a rig that cannot even answer is condemned
 // rather than fatal.
 func (f *Fleet) Measurer(spec backend.MeasurerSpec) (ga.Measurer, error) {
+	var err error
+	if spec.PoweredCores, err = f.powered(spec.Domain, spec.PoweredCores); err != nil {
+		return nil, err
+	}
 	ms := make(map[*rig]ga.Measurer, len(f.rigs))
 	var lastErr error
 	for _, r := range f.rigs {
@@ -75,17 +79,13 @@ func (m *fleetMeasurer) MeasureBatch(items []ga.BatchItem, parallelism int) ([]g
 	if len(items) == 0 {
 		return nil, nil
 	}
-	st, err := m.f.State(m.spec.Domain)
-	if err != nil {
-		return nil, err
-	}
 	key := m.f.keyHash("ga", func(h *detrand.Hash) {
 		h.String(m.spec.Domain)
 		h.String(string(m.spec.Metric))
 		h.Int(m.spec.ActiveCores)
 		h.Int(m.spec.Samples)
 		h.Uint64(uint64(m.spec.DSOSeed))
-		h.Int(st.PoweredCores)
+		h.Int(m.spec.PoweredCores)
 	})
 
 	// Dedup identical children: one shard per distinct sequence, every

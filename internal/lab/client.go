@@ -4,8 +4,6 @@ import (
 	"bufio"
 	"fmt"
 	"net"
-	"sort"
-	"sync"
 	"time"
 )
 
@@ -48,46 +46,11 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
-// setpoints records the domain setpoints written to one daemon: the only
-// state a client establishes on the target that a fresh connection (or a
-// restarted daemon) would lack, since every measurement request carries
-// its own program. It is replayed after every reconnect. Domain state
-// lives on the daemon, shared by every session, so all clients of a Pool
-// share one record: a RESET sent on any session clears the setting for
-// all of them, and a reconnecting session never writes back a value
-// another session has since replaced or cleared.
-type setpoints struct {
-	mu    sync.Mutex
-	cores map[string]int
-}
-
-func newSetpoints() *setpoints {
-	return &setpoints{cores: make(map[string]int)}
-}
-
-// update runs fn on the record with it locked.
-func (sp *setpoints) update(fn func(sp *setpoints)) {
-	sp.mu.Lock()
-	defer sp.mu.Unlock()
-	fn(sp)
-}
-
-// commands renders the record as the SETCORES commands that restore it,
-// in domain order.
-func (sp *setpoints) commands() []command {
-	sp.mu.Lock()
-	defer sp.mu.Unlock()
-	var cmds []command
-	for _, dom := range sortedKeys(sp.cores) {
-		cmds = append(cmds, command{verb: "SETCORES", line: fmt.Sprintf("SETCORES %s %d", dom, sp.cores[dom])})
-	}
-	return cmds
-}
-
 // Client is the workstation side: it drives a remote lab daemon over TCP
 // and exposes the measurement loop the GA needs. Every command runs under
-// Options.IOTimeout; transport faults trigger reconnect + setpoint replay +
-// retry with exponential backoff. A Client serves one goroutine at a time;
+// Options.IOTimeout; transport faults trigger reconnect + retry with
+// exponential backoff. Every request carries everything it depends on, so
+// a fresh connection needs nothing restored. A Client serves one goroutine at a time;
 // use Pool for concurrent evaluation.
 type Client struct {
 	addr string
@@ -97,9 +60,8 @@ type Client struct {
 	r    *bufio.Reader
 	w    *bufio.Writer
 
-	setpoints *setpoints
-	stats     statsCollector
-	closed    bool
+	stats  statsCollector
+	closed bool
 
 	// req and prog are the reusable buffers a request body is formatted
 	// in (see Client.body).
@@ -114,16 +76,7 @@ func Dial(addr string, timeout time.Duration) (*Client, error) {
 
 // DialOptions connects to a lab daemon with explicit resilience options.
 func DialOptions(addr string, opts Options) (*Client, error) {
-	return dialShared(addr, opts, newSetpoints())
-}
-
-// dialShared connects a client that records its setpoints in sp.
-func dialShared(addr string, opts Options, sp *setpoints) (*Client, error) {
-	c := &Client{
-		addr:      addr,
-		opts:      opts.withDefaults(),
-		setpoints: sp,
-	}
+	c := &Client{addr: addr, opts: opts.withDefaults()}
 	if err := c.connect(false); err != nil {
 		return nil, err
 	}
@@ -189,7 +142,7 @@ type command struct {
 }
 
 // do runs one command through the resilience loop: attempt, classify,
-// back off, reconnect (replaying setpoints), retry. Target ERR
+// back off, reconnect, retry. Target ERR
 // replies return immediately; only stream-integrity faults are retried.
 func (c *Client) do(cmd command) error {
 	if c.closed {
@@ -209,10 +162,7 @@ func (c *Client) attemptLoop(cmd command) error {
 			c.sleepBackoff(attempt)
 		}
 		if c.conn == nil {
-			if err := c.reconnect(); err != nil {
-				if IsTargetError(err) {
-					return err // replay rejected by the target: not transient
-				}
+			if err := c.connect(true); err != nil {
 				lastErr = err
 				continue
 			}
@@ -284,41 +234,4 @@ func (c *Client) exchange(cmd command) error {
 		}
 	}
 	return nil
-}
-
-// reconnect re-dials and replays the recorded setpoints so the fresh
-// connection is indistinguishable from the broken one: per-domain
-// SETCORES.
-func (c *Client) reconnect() error {
-	if err := c.connect(true); err != nil {
-		return err
-	}
-	if err := c.replay(); err != nil {
-		c.dropConn()
-		return err
-	}
-	return nil
-}
-
-func (c *Client) replay() error {
-	cmds := c.setpoints.commands()
-	if len(cmds) == 0 {
-		return nil
-	}
-	c.stats.replay()
-	for _, cmd := range cmds {
-		if err := c.exchange(cmd); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-func sortedKeys[V any](m map[string]V) []string {
-	keys := make([]string, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return keys
 }

@@ -14,8 +14,8 @@ import (
 
 // The client's protocol verbs. All of them ride the same resilience loop:
 // one request (a line, plus the program parts of a load-carrying verb),
-// one reply line, retried on transport faults after a reconnect and
-// setpoint replay, never retried on target ERR replies.
+// one reply line, retried on transport faults after a reconnect, never
+// retried on target ERR replies.
 
 // Hello checks that the daemon speaks this package's protocol version and
 // returns the target's platform name and analyzer seed. A daemon that
@@ -121,55 +121,31 @@ func (c *Client) Caps(domain string) (*RemoteCaps, error) {
 	return caps, nil
 }
 
-// RemoteState is a domain's live setting as reported by STATE, the wire
-// twin of backend.DomainState (lab cannot import backend).
-type RemoteState struct {
-	PoweredCores int
-}
-
-// State queries a domain's powered cores.
-func (c *Client) State(domain string) (*RemoteState, error) {
-	st := &RemoteState{}
-	err := c.do(command{
-		verb: "STATE",
-		line: "STATE " + domain,
-		parse: func(_ int, payload string) error {
-			fields := strings.Fields(payload)
-			if len(fields) != 1 {
-				return fmt.Errorf("malformed STATE reply %q", payload)
-			}
-			var err error
-			st.PoweredCores, err = intField(fields, 0, "powered")
-			return err
-		},
-	})
-	if err != nil {
-		return nil, err
-	}
-	return st, nil
-}
-
-// Part is one domain's workload as a request carries it. VMEASURE, VMIN
-// and SHMOO each send exactly one, MEASURE a chunk of individuals on one
-// domain, MONITOR one per domain, so every measurement request is
-// self-contained: the paper's loop (ship the source, run it, measure,
-// kill it) is one round trip for a whole chunk, and a reconnect has no
-// workload to restore.
+// Part is one domain's workload as a request carries it: the program, the
+// cores running it and the cores powered (1 ≤ Cores ≤ Powered ≤ the
+// domain's total; the client sends the count as given, so a caller
+// resolves "every core" first). VMEASURE, VMIN and SHMOO each send exactly
+// one, MEASURE a chunk of individuals on one domain, MONITOR one per
+// domain, so every measurement request is self-contained: the paper's loop
+// (ship the source, run it, measure, kill it) is one round trip for a
+// whole chunk, and a reconnect has nothing to restore.
 type Part struct {
-	Domain string
-	Cores  int
-	Pool   *isa.Pool
-	Seq    []isa.Inst
-	Phases []float64
+	Domain  string
+	Powered int
+	Cores   int
+	Pool    *isa.Pool
+	Seq     []isa.Inst
+	Phases  []float64
 }
 
 // appendPart appends a part in its wire form to dst: the header
-// "<domain> <cores> <lines> <nphase> [phase...]", then the assembly text,
-// formatted into the client's scratch buffer so its lines can be counted
-// first.
+// "<domain> <powered> <cores> <lines> <nphase> [phase...]", then the
+// assembly text, formatted into the client's scratch buffer so its lines
+// can be counted first.
 func (c *Client) appendPart(dst []byte, p Part) []byte {
 	c.prog = isa.AppendProgram(c.prog[:0], p.Pool, p.Seq)
 	dst = append(dst, p.Domain...)
+	dst = strconv.AppendInt(append(dst, ' '), int64(p.Powered), 10)
 	dst = strconv.AppendInt(append(dst, ' '), int64(p.Cores), 10)
 	dst = strconv.AppendInt(append(dst, ' '), int64(bytes.Count(c.prog, []byte{'\n'})), 10)
 	dst = strconv.AppendInt(append(dst, ' '), int64(len(p.Phases)), 10)
@@ -264,16 +240,14 @@ func appendFloats(dst []byte, vs []float64) []byte {
 	return dst
 }
 
-// Sweep measures the fast sweep's probe loop at every listed clock in one
-// SWEEP request (Section 5.3). points[i] answers clocks[i] and is nil when
-// the loop falls outside the daemon bench's search band at that clock —
-// the contract of core.Bench.SweepBatch, whose values the reply carries
-// bit-exactly.
-func (c *Client) Sweep(domain string, cores, samples int, clocks []float64) ([]*core.SweepPoint, error) {
-	if len(clocks) == 0 {
-		return nil, fmt.Errorf("lab: no sweep clocks")
-	}
-	line := appendFloats(fmt.Appendf(nil, "SWEEP %s %d %d", domain, cores, samples), clocks)
+// Sweep measures the fast sweep's probe loop on cores active cores with
+// powered cores powered, at every listed clock, in one SWEEP request
+// (Section 5.3). points[i] answers clocks[i] and is nil when the loop
+// falls outside the daemon bench's search band at that clock — the
+// contract of core.Bench.SweepBatch, whose values the reply carries
+// bit-exactly (no clocks, no points).
+func (c *Client) Sweep(domain string, powered, cores, samples int, clocks []float64) ([]*core.SweepPoint, error) {
+	line := appendFloats(fmt.Appendf(nil, "SWEEP %s %d %d %d", domain, powered, cores, samples), clocks)
 	var points []*core.SweepPoint
 	err := c.do(command{
 		verb: "SWEEP",
@@ -457,29 +431,6 @@ func (c *Client) Monitor(parts []Part) (*instrument.Sweep, error) {
 		return nil, err
 	}
 	return sw, nil
-}
-
-// setpoint sends a SET or RESET command and, once the target has
-// acknowledged it, records its effect for replay.
-func (c *Client) setpoint(cmd command, record func(sp *setpoints)) error {
-	if err := c.do(cmd); err != nil {
-		return err
-	}
-	c.setpoints.update(record)
-	return nil
-}
-
-// SetCores power-gates cores on the target.
-func (c *Client) SetCores(domain string, n int) error {
-	return c.setpoint(command{verb: "SETCORES", line: fmt.Sprintf("SETCORES %s %d", domain, n)},
-		func(sp *setpoints) { sp.cores[domain] = n })
-}
-
-// Reset restores a domain to nominal state.
-func (c *Client) Reset(domain string) error {
-	return c.setpoint(command{verb: "RESET", line: "RESET " + domain}, func(sp *setpoints) {
-		delete(sp.cores, domain)
-	})
 }
 
 // DomainStats fetches a domain's evaluation counters (the string a local

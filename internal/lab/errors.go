@@ -27,7 +27,7 @@ func IsTargetError(err error) bool {
 // transportError marks a failure where the integrity of the byte stream is
 // suspect — an I/O error, a deadline expiry, a malformed reply line or an
 // unparseable payload. The only safe recovery is dropping the connection,
-// reconnecting and replaying session state, which is exactly what the
+// reconnecting and resending the request, which is exactly what the
 // client's retry loop does for these.
 type transportError struct {
 	op  string

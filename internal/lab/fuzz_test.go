@@ -46,60 +46,78 @@ func FuzzDispatch(f *testing.F) {
 	}
 	text := isa.FormatProgram(a72.Spec.Pool(), probe)
 	lines := strings.Count(text, "\n")
-	part := fmt.Sprintf("cortex-a72 2 %d 0\n%s", lines, text)
-	phased := fmt.Sprintf("cortex-a72 2 %d 2 0 37.5\n%s", lines, text)
-	a53 := fmt.Sprintf("cortex-a53 2 %d 0\n%s", lines, text)
-	bad := "cortex-a72 2 2 0\nbogus line\nnop\n"
+	part := fmt.Sprintf("cortex-a72 2 2 %d 0\n%s", lines, text)
+	phased := fmt.Sprintf("cortex-a72 2 2 %d 2 0 37.5\n%s", lines, text)
+	gated := fmt.Sprintf("cortex-a72 1 1 %d 0\n%s", lines, text)
+	a53 := fmt.Sprintf("cortex-a53 4 2 %d 0\n%s", lines, text)
+	bad := "cortex-a72 2 2 2 0\nbogus line\nnop\n"
+	// v9 headers whose powered-core field is wrong: zero, negative, over
+	// the total, not an integer, or below the active cores.
+	var badPowered []string
+	for _, powered := range []string{"0", "-1", "3", "2.5", "1"} {
+		badPowered = append(badPowered, fmt.Sprintf("cortex-a72 %s 2 %d 0\n%s", powered, lines, text))
+	}
 
-	for _, seed := range []struct{ line, body string }{
-		{"HELLO 7", ""},
-		{"HELLO 6", ""},
+	seeds := []struct{ line, body string }{
+		{"HELLO 9", ""},
+		{"HELLO 8", ""},
 		{"HELLO", ""},
 		{"INFO", ""},
 		{"CAPS cortex-a72", ""},
 		{"CAPS", ""},
-		{"STATE cortex-a53", ""},
 		{"MEASURE 1 1", part},
 		{"MEASURE 1 1", phased},
+		{"MEASURE 1 1", gated},
 		{"MEASURE 1 3", part + phased + part},
+		{"MEASURE 1 2", part + gated},
 		{"MEASURE 1", part},
 		{"MEASURE", part},
 		{"MEASURE NaN 1", part},
 		{"MEASURE 1 1", bad},
-		{"MEASURE 1 1", "nope 2 1 0\nadd x1, x2, x3\n"},
-		{"MEASURE 1 1", "cortex-a72 2 -1 0\n"},
+		{"MEASURE 1 1", "nope 2 2 1 0\nadd x1, x2, x3\n"},
+		{"MEASURE 1 1", "cortex-a72 2 2 -1 0\n"},
+		{"MEASURE 1 1", "cortex-a72 2 2 0\nnop\n"}, // a v8 header: its line count is read from the phase field
 		{"MEASURE 1 1", ""},
 		{"MEASURE 1 0", ""},
 		{"MEASURE 1 0", part},
 		{fmt.Sprintf("MEASURE 1 %d", MaxMeasureParts+1), part},
 		{"MEASURE 1 2", part + a53},
 		{"MEASURE 1 3", part + part + part[:len(part)/2]},
-		{"MEASURE 1 3", part + part + "cortex-a72 2\n"},
+		{"MEASURE 1 3", part + part + "cortex-a72 2 2\n"},
 		{"MEASURE 1 3", part + bad + part},
 		{"VMEASURE droop 1 1", part},
+		{"VMEASURE droop 1 1", gated},
 		{"VMEASURE em 1 1", part},
 		{"VMEASURE ptp Inf 1", part},
 		{"VMEASURE droop 1 1", phased},
-		{"SWEEP cortex-a72 2 1 6e8", ""},
-		{"SWEEP cortex-a72 2 1 1.2e9 2e7", ""},
-		{"SWEEP cortex-a72 2 1 NaN", ""},
-		{"SWEEP cortex-a72 2 1 -Inf", ""},
-		{"SWEEP cortex-a72 2 1", ""},
+		{"SWEEP cortex-a72 2 2 1 6e8", ""},
+		{"SWEEP cortex-a72 1 1 1 6e8", ""},
+		{"SWEEP cortex-a72 2 2 1 1.2e9 2e7", ""},
+		{"SWEEP cortex-a72 2 2 1 NaN", ""},
+		{"SWEEP cortex-a72 2 2 1 -Inf", ""},
+		{"SWEEP cortex-a72 2 2 1", ""},
+		{"SWEEP cortex-a72 0 2 1 6e8", ""},
+		{"SWEEP cortex-a72 3 2 1 6e8", ""},
+		{"SWEEP cortex-a72 1 2 1 6e8", ""},
+		{"SWEEP cortex-a72 2 1 6e8", ""}, // a v8 SWEEP
 		{"VMIN 1 1", part},
+		{"VMIN 1 1", gated},
 		{"VMIN 1 1", phased},
 		{"VMIN 1 NaN", part},
-		{"VMIN 1 1", "cortex-a72 99 1 0\nnop\n"},
+		{"VMIN 1 1", "cortex-a72 2 99 1 0\nnop\n"},
 		{"SHMOO 1 1.2e9", part},
 		{"SHMOO 1 NaN", part},
-		{"SHMOO 1 1.2e9", "cortex-a72 2 1 1 5\nnop\n"},
+		{"SHMOO 1 1.2e9", "cortex-a72 2 2 1 1 5\nnop\n"},
 		{"MONITOR 1", part},
-		{"MONITOR 1", fmt.Sprintf("cortex-a72 2 %d 2 10 NaN\n%s", lines, text)},
-		{"MONITOR 1", fmt.Sprintf("cortex-a72 2 %d 2 -5 1e300\n%s", lines, text)},
-		{"MONITOR 1", "cortex-a72 2\n"},
-		{"MONITOR 2", "cortex-a72 2 1 0\nnop\n"},
+		{"MONITOR 1", gated},
+		{"MONITOR 1", fmt.Sprintf("cortex-a72 2 2 %d 2 10 NaN\n%s", lines, text)},
+		{"MONITOR 1", fmt.Sprintf("cortex-a72 2 2 %d 2 -5 1e300\n%s", lines, text)},
+		{"MONITOR 1", "cortex-a72 2 2\n"},
+		{"MONITOR 2", "cortex-a72 2 2 1 0\nnop\n"},
 		{"MONITOR", part},
 		{"MONITOR 17", part},
 		{"MONITOR 0", ""},
+		{"STATE cortex-a53", ""},
 		{"SETCLOCK cortex-a72 6e8", ""},
 		{"SETVOLTS cortex-a72 0.95", ""},
 		{"SETCORES cortex-a53 2", ""},
@@ -110,16 +128,18 @@ func FuzzDispatch(f *testing.F) {
 		{"\x00\x15", ""},
 		{fmt.Sprintf("LOAD cortex-a72 2 %d", lines), text},
 		{"RUN", ""},
-	} {
+	}
+	for _, hdr := range badPowered {
+		seeds = append(seeds,
+			struct{ line, body string }{"MEASURE 1 1", hdr},
+			struct{ line, body string }{"VMIN 1 1", hdr},
+			struct{ line, body string }{"MONITOR 1", hdr})
+	}
+	for _, seed := range seeds {
 		f.Add(seed.line, seed.body)
 	}
 
 	f.Fuzz(func(t *testing.T, line, body string) {
-		defer func() {
-			for _, d := range p.Domains() {
-				d.Reset()
-			}
-		}()
 		var out bytes.Buffer
 		w := bufio.NewWriter(&out)
 		r := bufio.NewReader(strings.NewReader(line + "\n" + body))

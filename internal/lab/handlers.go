@@ -4,7 +4,6 @@ import (
 	"bufio"
 	"errors"
 	"fmt"
-	"sort"
 	"strconv"
 	"strings"
 
@@ -48,7 +47,7 @@ func (s *Server) cmdCaps(w *bufio.Writer, fields []string) error {
 	if len(fields) != 2 {
 		return fmt.Errorf("usage: CAPS <domain>")
 	}
-	d, err := s.domain(fields[1])
+	d, err := s.Bench.Platform.Domain(fields[1])
 	if err != nil {
 		return err
 	}
@@ -62,31 +61,17 @@ func (s *Server) cmdCaps(w *bufio.Writer, fields []string) error {
 		spec.VoltageVisibility, kind)
 }
 
-func (s *Server) cmdState(w *bufio.Writer, fields []string) error {
-	if len(fields) != 2 {
-		return fmt.Errorf("usage: STATE <domain>")
-	}
-	d, err := s.domain(fields[1])
-	if err != nil {
-		return err
-	}
-	l := s.domLock(d.Spec.Name)
-	l.RLock()
-	powered := d.PoweredCores()
-	l.RUnlock()
-	return writeLine(w, "%s %d", replyOK, powered)
-}
-
 // part is one domain's workload as a request carries it: a header
-// "<domain> <cores> <lines> <nphase> [phase...]" and <lines> program
-// lines. VMEASURE, VMIN and SHMOO are each followed by exactly one part,
-// MEASURE and MONITOR by the count their request line gives.
+// "<domain> <powered> <cores> <lines> <nphase> [phase...]" and <lines>
+// program lines. VMEASURE, VMIN and SHMOO are each followed by exactly one
+// part, MEASURE and MONITOR by the count their request line gives.
 type part struct {
-	domain string
-	cores  int
-	phases []float64
-	body   string
-	err    error // first bad header field, reported once the body is read
+	domain  string
+	powered int
+	cores   int
+	phases  []float64
+	body    string
+	err     error // first bad header field, reported once the body is read
 }
 
 // errStreamLost marks a request whose remaining bytes cannot be located: a
@@ -109,7 +94,7 @@ func readPart(r *bufio.Reader) (part, error) {
 		return part{}, fmt.Errorf("%w: reading part header: %v", errStreamLost, err)
 	}
 	hf := strings.Fields(hdr)
-	lines, err := intField(hf, 2, "lines")
+	lines, err := intField(hf, 3, "lines")
 	if err == nil && (lines < 1 || lines > maxProgramLines) {
 		err = fmt.Errorf("line count %d out of range", lines)
 	}
@@ -117,15 +102,19 @@ func readPart(r *bufio.Reader) (part, error) {
 		return part{}, fmt.Errorf("%w: part header %q: %v", errStreamLost, hdr, err)
 	}
 	p := part{domain: hf[0]}
-	nphase, err := intField(hf, 3, "phases")
+	nphase, err := intField(hf, 4, "phases")
 	switch {
 	case err != nil:
 		p.err = err
-	case nphase < 0 || nphase > 64 || len(hf) != 4+nphase:
+	case nphase < 0 || nphase > 64 || len(hf) != 5+nphase:
 		p.err = fmt.Errorf("phase count mismatch in part header %q", hdr)
 	default:
-		if p.cores, p.err = intField(hf, 1, "cores"); p.err == nil {
-			p.phases, p.err = floatFields(hf[4:], "phase")
+		p.powered, p.err = intField(hf, 1, "powered")
+		if p.err == nil {
+			p.cores, p.err = intField(hf, 2, "cores")
+		}
+		if p.err == nil {
+			p.phases, p.err = floatFields(hf[5:], "phase")
 		}
 	}
 	var body strings.Builder
@@ -143,19 +132,32 @@ func readPart(r *bufio.Reader) (part, error) {
 	return p, nil
 }
 
-// load resolves a part on the daemon's platform: a known domain, a core
-// count within it and a non-empty program in the domain's instruction
-// pool.
+// view resolves a request's domain at its powered-core count and checks
+// its active cores against it: 1 ≤ active ≤ powered ≤ the domain's total.
+func (s *Server) view(name string, powered, active int) (*platform.Domain, error) {
+	d, err := s.Bench.Platform.Domain(name)
+	if err != nil {
+		return nil, err
+	}
+	if d, err = d.Gated(powered); err != nil {
+		return nil, err
+	}
+	if active < 1 || active > powered {
+		return nil, fmt.Errorf("core count %d out of range [1, %d]", active, powered)
+	}
+	return d, nil
+}
+
+// load resolves a part on the daemon's platform: a known domain at a valid
+// powered-core count, an active-core count within it and a non-empty
+// program in the domain's instruction pool.
 func (s *Server) load(p part) (*platform.Domain, platform.Load, error) {
 	if p.err != nil {
 		return nil, platform.Load{}, p.err
 	}
-	d, err := s.domain(p.domain)
+	d, err := s.view(p.domain, p.powered, p.cores)
 	if err != nil {
 		return nil, platform.Load{}, err
-	}
-	if p.cores < 1 || p.cores > d.Spec.TotalCores {
-		return nil, platform.Load{}, fmt.Errorf("core count %d out of range [1, %d]", p.cores, d.Spec.TotalCores)
 	}
 	seq, err := isa.ParseProgram(d.Spec.Pool(), p.body)
 	if err != nil {
@@ -193,7 +195,7 @@ func sampleCount(fields []string, i int) (int, error) {
 // cmdMeasure measures each part's averaged EM peak with one
 // Bench.EMMeasureBatch call, the GA's fitness observable, and streams one
 // reply line per part as the batch reaches it. Every part must name the
-// same domain; a rejected part is named in the ERR.
+// same domain and powered cores; a rejected part is named in the ERR.
 func (s *Server) cmdMeasure(r *bufio.Reader, w *bufio.Writer, fields []string) error {
 	if len(fields) != 3 {
 		return fmt.Errorf("%w: usage: MEASURE <samples> <nparts> + parts", errStreamLost)
@@ -228,13 +230,11 @@ func (s *Server) cmdMeasure(r *bufio.Reader, w *bufio.Writer, fields []string) e
 		if d == nil {
 			d = dk
 		} else if dk != d {
-			return fmt.Errorf("part %d: domain %s, but part 1 names %s", i+1, dk.Spec.Name, d.Spec.Name)
+			return fmt.Errorf("part %d: %s with %d powered, but part 1 names %s with %d powered",
+				i+1, dk.Spec.Name, dk.PoweredCores(), d.Spec.Name, d.PoweredCores())
 		}
 		loads[i] = load
 	}
-	l := s.domLock(d.Spec.Name)
-	l.RLock()
-	defer l.RUnlock()
 	var line []byte
 	_, err = s.Bench.EMMeasureBatch(d, loads, samples, 1, func(_ int, m instrument.Measurement) error {
 		line = append(line[:0], replyOK...)
@@ -290,10 +290,7 @@ func (s *Server) cmdVMeasure(r *bufio.Reader, w *bufio.Writer, fields []string) 
 	if metric == "ptp" {
 		m = bench.PtpMeasurer(d, load.ActiveCores, dso)
 	}
-	l := s.domLock(d.Spec.Name)
-	l.RLock()
 	fitness, domHz, err := m.Measure(load.Seq)
-	l.RUnlock()
 	if err != nil {
 		return err
 	}
@@ -305,31 +302,33 @@ func (s *Server) cmdVMeasure(r *bufio.Reader, w *bufio.Writer, fields []string) 
 // primed trace, one band-prefilter pass). Each point is a pure function
 // of its snapped clock, so a whole grid in one request, one clock per
 // request, or any fleet shard layout agree bit for bit. Each point is a
-// fixed four-field group; an out-of-band step is "0 0 0 0".
+// fixed four-field group; an out-of-band step is "0 0 0 0". No clocks is
+// no points, as on a local bench.
 func (s *Server) cmdSweep(w *bufio.Writer, fields []string) error {
 	if len(fields) < 5 {
-		return fmt.Errorf("usage: SWEEP <domain> <cores> <samples> <clockHz>...")
+		return fmt.Errorf("usage: SWEEP <domain> <powered> <cores> <samples> [clockHz...]")
 	}
-	d, err := s.domain(fields[1])
+	powered, err := intField(fields, 2, "powered")
 	if err != nil {
 		return err
 	}
-	cores, err := intField(fields, 2, "cores")
+	cores, err := intField(fields, 3, "cores")
 	if err != nil {
 		return err
 	}
-	samples, err := sampleCount(fields, 3)
+	d, err := s.view(fields[1], powered, cores)
 	if err != nil {
 		return err
 	}
-	clocks, err := floatFields(fields[4:], "clock")
+	samples, err := sampleCount(fields, 4)
 	if err != nil {
 		return err
 	}
-	l := s.domLock(d.Spec.Name)
-	l.RLock()
+	clocks, err := floatFields(fields[5:], "clock")
+	if err != nil {
+		return err
+	}
 	points, err := s.Bench.WithSamples(samples).SweepBatch(d, cores, clocks)
-	l.RUnlock()
 	if err != nil {
 		return err
 	}
@@ -369,12 +368,9 @@ func (s *Server) cmdVmin(r *bufio.Reader, w *bufio.Writer, fields []string) erro
 	if err != nil {
 		return err
 	}
-	l := s.domLock(d.Spec.Name)
-	l.RLock()
 	tester := vmin.NewTester(d, seed)
 	tester.Parallelism = s.Bench.Parallelism
 	res, runs, err := tester.Repeat(load, repeats)
-	l.RUnlock()
 	if err != nil {
 		return err
 	}
@@ -410,12 +406,9 @@ func (s *Server) cmdShmoo(r *bufio.Reader, w *bufio.Writer, fields []string) err
 	if err != nil {
 		return err
 	}
-	l := s.domLock(d.Spec.Name)
-	l.RLock()
 	tester := vmin.NewTester(d, seed)
 	tester.Parallelism = s.Bench.Parallelism
 	points, err := tester.Shmoo(load, clocks)
-	l.RUnlock()
 	if err != nil {
 		return err
 	}
@@ -428,7 +421,8 @@ func (s *Server) cmdShmoo(r *bufio.Reader, w *bufio.Writer, fields []string) err
 }
 
 // cmdMonitor captures one combined spectrum over several domains' loads
-// (Figure 15), one part per domain. Every part is read before any is
+// (Figure 15), one part per domain, each with every core powered (the
+// capture the bench's MonitorAll takes). Every part is read before any is
 // validated; a part count that is missing, unreadable or over
 // maxMonitorParts leaves nothing to tell where the request ends, so it
 // closes the session as MEASURE's does.
@@ -453,24 +447,20 @@ func (s *Server) cmdMonitor(r *bufio.Reader, w *bufio.Writer, fields []string) e
 		}
 	}
 	loads := make(map[string]platform.Load, len(parts))
-	var names []string
 	for _, p := range parts {
 		d, load, err := s.load(p)
 		if err != nil {
 			return err
 		}
 		name := d.Spec.Name
+		if d.PoweredCores() != d.Spec.TotalCores {
+			return fmt.Errorf("MONITOR part for domain %s powers %d of %d cores; it captures with every core powered",
+				name, d.PoweredCores(), d.Spec.TotalCores)
+		}
 		if _, dup := loads[name]; dup {
 			return fmt.Errorf("duplicate MONITOR part for domain %s", name)
 		}
 		loads[name] = load
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	for _, name := range names {
-		l := s.domLock(name)
-		l.RLock()
-		defer l.RUnlock()
 	}
 	sw, err := s.Bench.MonitorAll(loads)
 	if err != nil {
@@ -484,43 +474,6 @@ func (s *Server) cmdMonitor(r *bufio.Reader, w *bufio.Writer, fields []string) e
 	return writeLine(w, "%s", b.String())
 }
 
-func (s *Server) cmdSetCores(w *bufio.Writer, fields []string) error {
-	if len(fields) != 3 {
-		return fmt.Errorf("usage: SETCORES <domain> <n>")
-	}
-	d, err := s.domain(fields[1])
-	if err != nil {
-		return err
-	}
-	n, err := intField(fields, 2, "cores")
-	if err != nil {
-		return err
-	}
-	l := s.domLock(d.Spec.Name)
-	l.Lock()
-	err = d.SetPoweredCores(n)
-	l.Unlock()
-	if err != nil {
-		return err
-	}
-	return writeLine(w, "%s", replyOK)
-}
-
-func (s *Server) cmdReset(w *bufio.Writer, fields []string) error {
-	if len(fields) != 2 {
-		return fmt.Errorf("usage: RESET <domain>")
-	}
-	d, err := s.domain(fields[1])
-	if err != nil {
-		return err
-	}
-	l := s.domLock(d.Spec.Name)
-	l.Lock()
-	d.Reset()
-	l.Unlock()
-	return writeLine(w, "%s", replyOK)
-}
-
 // cmdStats ships a domain's evaluation counters (the -v output, rendered by
 // core.Bench.EvalStats exactly as a local backend renders them) as one
 // quoted string.
@@ -528,7 +481,7 @@ func (s *Server) cmdStats(w *bufio.Writer, fields []string) error {
 	if len(fields) != 2 {
 		return fmt.Errorf("usage: STATS <domain>")
 	}
-	if _, err := s.domain(fields[1]); err != nil {
+	if _, err := s.Bench.Platform.Domain(fields[1]); err != nil {
 		return err
 	}
 	return writeLine(w, "%s %s", replyOK, strconv.Quote(s.Bench.EvalStats()))

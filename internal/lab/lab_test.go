@@ -85,7 +85,7 @@ func probePart(t *testing.T, d *platform.Domain) (Part, platform.Load) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return Part{Domain: d.Spec.Name, Cores: 2, Pool: pool, Seq: seq}, platform.Load{Seq: seq, ActiveCores: 2}
+	return Part{Domain: d.Spec.Name, Powered: 2, Cores: 2, Pool: pool, Seq: seq}, platform.Load{Seq: seq, ActiveCores: 2}
 }
 
 // TestMeasureCarriesLoad: one MEASURE ships its program with the request
@@ -154,7 +154,7 @@ func randomParts(d *platform.Domain, n int, seed int64) ([]Part, []platform.Load
 	loads := make([]platform.Load, n)
 	for i := range parts {
 		seq := pool.RandomSequence(rng, 12)
-		parts[i] = Part{Domain: d.Spec.Name, Cores: 2, Pool: pool, Seq: seq}
+		parts[i] = Part{Domain: d.Spec.Name, Powered: 2, Cores: 2, Pool: pool, Seq: seq}
 		loads[i] = platform.Load{Seq: seq, ActiveCores: 2}
 	}
 	return parts, loads
@@ -191,6 +191,11 @@ func TestMultiPartMeasureEquivalence(t *testing.T) {
 	if _, err := c.Measure(mixed, 3); !IsTargetError(err) || !strings.Contains(err.Error(), "part 2: ") {
 		t.Fatalf("mixed-domain MEASURE: %v, want an ERR naming part 2", err)
 	}
+	mixed[1].Domain, mixed[1].Powered = platform.DomainA72, 1
+	mixed[1].Cores = 1
+	if _, err := c.Measure(mixed, 3); !IsTargetError(err) || !strings.Contains(err.Error(), "part 2: ") {
+		t.Fatalf("mixed-powered MEASURE: %v, want an ERR naming part 2", err)
+	}
 	if _, err := c.Measure(nil, 3); err == nil {
 		t.Fatal("MEASURE with no parts accepted")
 	}
@@ -209,29 +214,51 @@ func measureOne(c *Client, p Part, samples int) (*instrument.Measurement, error)
 	return &ms[0], nil
 }
 
+// TestDomainControls: power gating is the part's powered-core field. A
+// part with one of two A72 cores powered reads what a direct bench reads
+// on the domain's one-core view, the daemon's domain is left as it was,
+// and an out-of-range count is an ERR reply on a session that stays
+// usable.
 func TestDomainControls(t *testing.T) {
 	addr, b := startServer(t)
 	c := dial(t, addr)
 	d, _ := b.Platform.Domain(platform.DomainA72)
+	db, dd := directBench(t)
+	p, load := probePart(t, dd)
+	p.Powered, p.Cores, load.ActiveCores = 1, 1, 1
 
-	if err := c.SetCores(platform.DomainA72, 1); err != nil {
+	got, err := measureOne(c, p, 3)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if d.PoweredCores() != 1 {
-		t.Fatalf("cores = %d", d.PoweredCores())
-	}
-	if err := c.Reset(platform.DomainA72); err != nil {
+	one, err := dd.Gated(1)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if d.PoweredCores() != 2 {
-		t.Fatal("reset did not restore state")
+	want, err := db.EMMeasureN(one, load, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	all, err := db.EMMeasureN(dd, load, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, want) || reflect.DeepEqual(want, all) {
+		t.Fatalf("one powered core: remote %+v, direct %+v, every core powered %+v", got, want, all)
+	}
+	if d.PoweredCores() != d.Spec.TotalCores {
+		t.Fatalf("a gated request left the daemon's domain at %d cores", d.PoweredCores())
 	}
 	// Errors surface as ERR replies, not dropped connections.
-	if err := c.SetCores(platform.DomainA72, 99); err == nil {
-		t.Fatal("bad core count accepted")
+	for _, powered := range []int{0, 99} {
+		p.Powered = powered
+		if _, err := measureOne(c, p, 3); !IsTargetError(err) {
+			t.Fatalf("%d powered cores: %v, want an ERR", powered, err)
+		}
 	}
-	if err := c.SetCores("nope", 1); err == nil {
-		t.Fatal("unknown domain accepted")
+	p.Domain, p.Powered = "nope", 1
+	if _, err := measureOne(c, p, 3); !IsTargetError(err) {
+		t.Fatalf("unknown domain: %v, want an ERR", err)
 	}
 	// The session stays usable after an error.
 	if _, _, err := c.Info(); err != nil {
@@ -249,7 +276,7 @@ func TestRemoteSweep(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	points, err := c.Sweep(platform.DomainA72, 2, db.Samples, core.SweepClockSteps(dd))
+	points, err := c.Sweep(platform.DomainA72, 2, 2, db.Samples, core.SweepClockSteps(dd))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -266,8 +293,8 @@ func TestRemoteSweep(t *testing.T) {
 	if len(got.Points) < 10 || got.PeakDBm > 0 {
 		t.Fatalf("sweep stats %v %d", got.PeakDBm, len(got.Points))
 	}
-	if _, err := c.Sweep(platform.DomainA72, 2, 3, nil); err == nil {
-		t.Fatal("sweep with no clocks accepted")
+	if points, err := c.Sweep(platform.DomainA72, 2, 2, 3, nil); err != nil || len(points) != 0 {
+		t.Fatalf("sweep with no clocks: %v, %v; want no points and no error", points, err)
 	}
 }
 
@@ -277,7 +304,7 @@ func emMeasurer(p *Pool, domain string, cores, samples int, ipool *isa.Pool) ga.
 	return ga.MeasurerFunc(func(seq []isa.Inst) (float64, float64, error) {
 		var fit, dom float64
 		err := p.Do(func(c *Client) error {
-			m, err := measureOne(c, Part{Domain: domain, Cores: cores, Pool: ipool, Seq: seq}, samples)
+			m, err := measureOne(c, Part{Domain: domain, Powered: cores, Cores: cores, Pool: ipool, Seq: seq}, samples)
 			if err != nil {
 				return err
 			}
@@ -341,13 +368,14 @@ func TestProtocolErrors(t *testing.T) {
 	}
 	for _, cmd := range []string{
 		"FROBNICATE",
-		"MEASURE 0 1\ncortex-a72 2 1 0\nnop", // bad sample count
-		"LOAD cortex-a72 2 1",                // the verb is gone
+		"MEASURE 0 1\ncortex-a72 2 2 1 0\nnop", // bad sample count
+		"LOAD cortex-a72 2 1",                  // the verb is gone
 		"RUN",
 		"SETCLOCK cortex-a72 6e8", // so is this one
 		"SWEEP",                   // missing args
-		"SETCORES a b",            // non-numeric
-		"RESET",                   // missing domain
+		"STATE cortex-a72",        // the rig has no state to query,
+		"SETCORES cortex-a72 1",   // to set
+		"RESET cortex-a72",        // or to reset
 	} {
 		if reply := send(cmd); !strings.HasPrefix(reply, "ERR") {
 			t.Errorf("%q -> %q, want ERR", cmd, reply)
@@ -369,7 +397,7 @@ func TestLoadRejectsBadProgram(t *testing.T) {
 	defer conn.Close()
 	r := bufio.NewReader(conn)
 	w := bufio.NewWriter(conn)
-	if err := writeLine(w, "MEASURE 3 1\ncortex-a72 2 1 0\nbogus instruction here"); err != nil {
+	if err := writeLine(w, "MEASURE 3 1\ncortex-a72 2 2 1 0\nbogus instruction here"); err != nil {
 		t.Fatal(err)
 	}
 	reply, err := readLine(r)
@@ -422,8 +450,8 @@ func TestVminCarriesLoad(t *testing.T) {
 // MEASURE carries its own program, so both clients interleave requests
 // on the SAME domain with DIFFERENT programs — and each must read back
 // exactly the measurement its own program produces on a fault-free
-// serial bench. A third client hammers domain
-// setpoints and sweeps at the same time on the other domain.
+// serial bench. A third client sweeps the other domain at alternating
+// powered-core counts at the same time.
 func TestConcurrentClients(t *testing.T) {
 	addr, b := startServer(t)
 	d, err := b.Platform.Domain(platform.DomainA72)
@@ -470,7 +498,7 @@ func TestConcurrentClients(t *testing.T) {
 		}
 		defer c.Close()
 		for rep := 0; rep < 3; rep++ {
-			m, err := measureOne(c, Part{Domain: platform.DomainA72, Cores: 2, Pool: pool, Seq: seq}, 2)
+			m, err := measureOne(c, Part{Domain: platform.DomainA72, Powered: 2, Cores: 2, Pool: pool, Seq: seq}, 2)
 			if err != nil {
 				return err
 			}
@@ -498,17 +526,11 @@ func TestConcurrentClients(t *testing.T) {
 		}
 		defer c.Close()
 		for rep := 0; rep < 2; rep++ {
-			if err := c.SetCores(platform.DomainA53, 2); err != nil {
-				done <- err
-				return
-			}
-			if _, err := c.Sweep(platform.DomainA53, 1, 2, a53Steps); err != nil {
-				done <- err
-				return
-			}
-			if err := c.Reset(platform.DomainA53); err != nil {
-				done <- err
-				return
+			for _, powered := range []int{2, 4} {
+				if _, err := c.Sweep(platform.DomainA53, powered, 1, 2, a53Steps); err != nil {
+					done <- err
+					return
+				}
 			}
 		}
 		done <- nil

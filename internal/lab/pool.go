@@ -33,9 +33,8 @@ func NewPool(addr string, size int, opts Options) (*Pool, error) {
 		size = 1
 	}
 	p := &Pool{free: make(chan *Client, size), done: make(chan struct{})}
-	sp := newSetpoints()
 	for i := 0; i < size; i++ {
-		c, err := dialShared(addr, opts, sp)
+		c, err := DialOptions(addr, opts)
 		if err != nil {
 			_ = p.Close()
 			return nil, fmt.Errorf("lab: pool client %d: %w", i, err)

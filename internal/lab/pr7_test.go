@@ -87,7 +87,7 @@ func TestSweepPointMatchesDirect(t *testing.T) {
 	steps := core.SweepClockSteps(d)
 	inBand := 0
 	for _, clock := range steps {
-		points, err := c.Sweep("cortex-a72", 2, bench.Samples, []float64{clock})
+		points, err := c.Sweep("cortex-a72", 2, 2, bench.Samples, []float64{clock})
 		if err != nil {
 			t.Fatalf("SWEEP %g: %v", clock, err)
 		}

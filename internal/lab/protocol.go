@@ -4,23 +4,25 @@
 // take the measurement, and then kills the binary. Here the transport is a
 // line-oriented TCP protocol instead of SSH plus an instrument bus, and
 // that whole loop is one request: every measurement verb carries the
-// programs it measures (MEASURE a chunk of a generation's individuals), so
-// the daemon keeps no per-connection state. The failure modes a distributed measurement loop must tolerate
-// are the same, and the workstation side is built to tolerate them: every
-// command runs under a read/write deadline, transport faults (dropped
-// connections, timeouts, corrupted replies) trigger a bounded
-// exponential-backoff reconnect that replays the recorded domain
-// setpoints (SETCORES) before retrying, and a Pool of
-// concurrent clients lets the GA evaluate a whole population in parallel
-// against one daemon (`gahunt -remote -j N`). Target-side `ERR` replies
-// are never retried — the command reached the target and was rejected;
-// only stream integrity failures are.
+// programs it measures (MEASURE a chunk of a generation's individuals) and
+// the operating point it measures them at, so neither a connection nor the
+// rig holds any state between requests. The failure modes a distributed
+// measurement loop must tolerate are the same, and the workstation side is
+// built to tolerate them: every command runs under a read/write deadline,
+// transport faults (dropped connections, timeouts, corrupted replies)
+// trigger a bounded exponential-backoff reconnect before the request is
+// retried, and a Pool of concurrent clients lets the GA evaluate a whole
+// population in parallel against one daemon (`gahunt -remote -j N`).
+// Target-side `ERR` replies are never retried — the command reached the
+// target and was rejected; only stream integrity failures are.
 //
 // The grammar (requests are single lines, each load-carrying verb
-// followed by its program parts). A part is a header "<domain> <cores>
-// <lines> <nphase> [phase...]" and <lines> lines of assembly; VMEASURE,
-// VMIN and SHMOO are each followed by exactly one, MEASURE and MONITOR by
-// <nparts>:
+// followed by its program parts). A part is a header "<domain> <powered>
+// <cores> <lines> <nphase> [phase...]" and <lines> lines of assembly: the
+// load runs on <cores> active cores with <powered> cores powered and the
+// rest power-gated, 1 ≤ cores ≤ powered ≤ the domain's total. VMEASURE,
+// VMIN and SHMOO are each followed by exactly one part, MEASURE and
+// MONITOR by <nparts>:
 //
 //	HELLO <version>                 → OK <version> <platform> <seed>
 //	                                  (the analyzer seed); a version other
@@ -28,21 +30,17 @@
 //	INFO                            → OK <platform> <domain>/<cores>...
 //	CAPS <domain>                   → OK <cores> <arch> <maxHz> <stepHz>
 //	                                     <visibility> <dsoKind>
-//	STATE <domain>                  → OK <powered>  (the domain's one live
-//	                                  setting; every verb without a clock
-//	                                  runs at the maximum clock and
-//	                                  nominal supply)
 //	MEASURE <samples> <nparts>
 //	                       + parts  → nparts × "OK <peakDBm> <peakHz>
 //	                                  <stdevDBm>", one line per part in
 //	                                  part order: the averaged EM peak of
 //	                                  each part's load; every part names
-//	                                  the same domain, 1 ≤ nparts ≤
-//	                                  MaxMeasureParts
+//	                                  the same domain and powered cores,
+//	                                  1 ≤ nparts ≤ MaxMeasureParts
 //	VMEASURE <metric> <samples> <dsoseed>
 //	                       + part   → OK <fitness> <domHz>  (metric
 //	                                     droop|ptp; the part has no phases)
-//	SWEEP <domain> <cores> <samples> <clockHz>...
+//	SWEEP <domain> <powered> <cores> <samples> [clockHz...]
 //	                                → OK <n> then n × "<inBand> <clock>
 //	                                     <loop> <dbm>", one per listed
 //	                                     clock (Section 5.3 fast sweep;
@@ -53,36 +51,34 @@
 //	                                → OK <n> then n × "<clock> <vmin>
 //	                                     <margin> <outcome>"
 //	MONITOR <nparts>       + parts  → OK <n> <startHz> <rbwHz> <dbm...>
-//	SETCORES <domain> <n>           power-gate cores via the SCP
-//	RESET <domain>                  power every core again
+//	                                  (every part with all cores powered)
 //	STATS <domain>                  → OK <quoted eval-stats string>
 //	QUIT                            close the session (replies "OK bye")
 //
+// Every verb without a clock runs at the maximum clock and nominal supply.
 // Responses are "OK ..." or "ERR <message>". Every verb but MEASURE
 // replies with one line. MEASURE streams one line per part as each result
 // is known, so the client's per-line I/O deadline bounds the wait for one
 // part's measurement, never the batch's length; an ERR line ends the
 // reply early, and a rejected part is named ("part 3: ..."). Each reply
 // write has its own deadline on the daemon, so a session that stops
-// reading is closed rather than holding its domain. An ERR reply
+// reading is closed rather than left blocked in a write. An ERR reply
 // leaves the session usable: the daemon reads a request's parts in full
 // before it validates anything, so a rejected request never leaves
 // assembly lines in the stream. A line longer than the limit closes the
-// session, and so does a part header whose line count cannot be read, or
-// a MEASURE or MONITOR part count that cannot be read or exceeds its cap
-// (MaxMeasureParts, 16): nothing then tells where the request ends.
-// Requests stay under maxLineLen; replies may carry a whole sweep or
-// spectrum on one line and are bounded by the larger maxReplyLen — a
-// reply is a fixed number of lines known from its request, so every
-// command stays a strict request/response exchange, which is what makes
-// retry-after-reconnect trivially safe.
+// session, and so does a part header whose line count (its fourth field)
+// cannot be read, or a MEASURE or MONITOR part count that cannot be read
+// or exceeds its cap (MaxMeasureParts; 16 for MONITOR): nothing then
+// tells where the request ends. Requests stay under maxLineLen; replies
+// may carry a whole sweep or spectrum on one line and are bounded by the
+// larger maxReplyLen — a reply is a fixed number of lines known from its
+// request, so every command stays a strict request/response exchange.
 //
 // Every measurement verb maps to one backend operation with the same
-// arguments, and all commands are idempotent (SETCORES and RESET write
-// absolute setpoints, the measurement verbs are content-deterministic
-// reads — see internal/detrand), which is what makes the client's
-// retry-after-reconnect safe even when a reply was lost after the target
-// executed the command.
+// arguments, and every command is a content-deterministic read that
+// changes nothing on the rig (see internal/detrand), which is what makes
+// the client's retry-after-reconnect safe even when a reply was lost
+// after the target executed the command.
 package lab
 
 import (
@@ -101,7 +97,7 @@ const (
 // ProtocolVersion is the protocol revision this package speaks. Daemon and
 // workstation are built from the same tree, so there is nothing to
 // negotiate: HELLO with any other version is a hard error on both sides.
-const ProtocolVersion = 8
+const ProtocolVersion = 9
 
 // MaxMeasureParts caps the parts one MEASURE carries: a generation-sized
 // chunk, small enough that a request stays a bounded amount of work.

@@ -142,30 +142,33 @@ func TestDispatchMalformed(t *testing.T) {
 		// unknown / empty-ish
 		"FROBNICATE",
 		"   ",
-		// the deleted session and setpoint verbs
+		// the deleted session, setpoint and state verbs
 		"LOAD cortex-a72 2 1",
 		"RUN",
 		"STOP",
 		"SETCLOCK cortex-a72 6e8",
 		"SETVOLTS cortex-a72 0.95",
+		"STATE cortex-a72",
+		"SETCORES cortex-a72 1",
+		"RESET cortex-a72",
 		// SWEEP: truncated, non-numeric, out-of-range and non-finite
 		"SWEEP",
 		"SWEEP cortex-a72",
 		"SWEEP cortex-a72 2",
-		"SWEEP cortex-a72 2 3",
-		"SWEEP cortex-a72 two 3 6e8",
-		"SWEEP nope 2 3 6e8",
-		"SWEEP cortex-a72 2 0 6e8",
-		"SWEEP cortex-a72 2 1001 6e8",
-		"SWEEP cortex-a72 2 3 fast",
-		"SWEEP cortex-a72 2 3 6e8 NaN",
-		"SWEEP cortex-a72 2 3 +Inf",
-		"SWEEP cortex-a72 2 3 2e9",
-		"SWEEP cortex-a72 0 3 6e8",
-		// SETCORES / RESET: truncated and non-numeric
-		"SETCORES a b",
-		"RESET",
-		"RESET nope",
+		"SWEEP cortex-a72 2 2",
+		"SWEEP cortex-a72 2 3 6e8", // a v8 SWEEP: powered 2, 3 active
+		"SWEEP cortex-a72 2 two 3 6e8",
+		"SWEEP cortex-a72 two 2 3 6e8",
+		"SWEEP nope 2 2 3 6e8",
+		"SWEEP cortex-a72 2 2 0 6e8",
+		"SWEEP cortex-a72 2 2 1001 6e8",
+		"SWEEP cortex-a72 2 2 3 fast",
+		"SWEEP cortex-a72 2 2 3 6e8 NaN",
+		"SWEEP cortex-a72 2 2 3 +Inf",
+		"SWEEP cortex-a72 2 2 3 2e9",
+		"SWEEP cortex-a72 2 0 3 6e8",
+		"SWEEP cortex-a72 0 1 3 6e8",
+		"SWEEP cortex-a72 3 2 3 6e8",
 	}
 	for _, cmd := range cases {
 		if reply := rc.send(cmd); !strings.HasPrefix(reply, "ERR") {
@@ -194,17 +197,18 @@ func TestDispatchMalformed(t *testing.T) {
 			t.Errorf("%q + part -> %q, want ERR", req, reply)
 		}
 	}
-	// Part headers whose line count is sane but whose domain, cores or
-	// phases are not: the body must still be drained.
+	// Part headers whose line count is sane but whose domain, cores,
+	// powered cores or phases are not: the body must still be drained.
 	body := strings.TrimSuffix(strings.SplitN(partBody(p), "\n", 2)[1], "\n")
 	lines := strings.Count(body, "\n") + 1
 	for _, hdr := range []string{
-		fmt.Sprintf("cortex-a72 two %d 0", lines),
-		fmt.Sprintf("cortex-a72 0 %d 0", lines),
-		fmt.Sprintf("cortex-a72 99 %d 0", lines),
-		fmt.Sprintf("nope 2 %d 0", lines),
-		fmt.Sprintf("cortex-a72 2 %d 1 5", lines),
-		fmt.Sprintf("cortex-a72 2 %d 2 0 x", lines),
+		fmt.Sprintf("cortex-a72 2 two %d 0", lines),
+		fmt.Sprintf("cortex-a72 2 0 %d 0", lines),
+		fmt.Sprintf("cortex-a72 2 99 %d 0", lines),
+		fmt.Sprintf("cortex-a72 two 2 %d 0", lines),
+		fmt.Sprintf("nope 2 2 %d 0", lines),
+		fmt.Sprintf("cortex-a72 2 2 %d 1 5", lines),
+		fmt.Sprintf("cortex-a72 2 2 %d 2 0 x", lines),
 	} {
 		if reply := rc.send("MEASURE 3 1\n" + hdr + "\n" + body); !strings.HasPrefix(reply, "ERR") {
 			t.Errorf("MEASURE 3 1 + %q -> %q, want ERR", hdr, reply)
@@ -220,22 +224,23 @@ func TestDispatchMalformed(t *testing.T) {
 }
 
 // TestOversizedLineClosesConnection: a stream that cannot be
-// resynchronized — an oversized line, a part header whose line count
-// cannot be read, or a MEASURE whose part count is missing or out of
-// range, so nothing tells where the request ends — must close the
-// connection rather than buffer without bound or dispatch program lines
-// as commands.
+// resynchronized — an oversized line, a part header whose line count (its
+// fourth field) cannot be read, or a MEASURE whose part count is missing
+// or out of range, so nothing tells where the request ends — must close
+// the connection rather than buffer without bound or dispatch program
+// lines as commands.
 func TestOversizedLineClosesConnection(t *testing.T) {
 	addr, _ := startServer(t)
 	for _, req := range []string{
 		strings.Repeat("x", maxLineLen+100),
-		"MEASURE 3 1\ncortex-a72 2 many 0\nnop",
-		"MEASURE 3\ncortex-a72 2 1 0\nnop",
-		"MEASURE 3 many\ncortex-a72 2 1 0\nnop",
-		"MEASURE 3 -1\ncortex-a72 2 1 0\nnop",
-		fmt.Sprintf("MEASURE 3 %d\ncortex-a72 2 1 0\nnop", MaxMeasureParts+1),
-		"VMIN 1 2\ncortex-a72 2 0 0\nnop",
-		"MONITOR 2\ncortex-a72 2 1 0\nnop\ncortex-a53 2\nnop",
+		"MEASURE 3 1\ncortex-a72 2 2 many 0\nnop",
+		"MEASURE 3 1\ncortex-a72 2 1 0\nnop", // a v8 header: no line count at the fourth field
+		"MEASURE 3\ncortex-a72 2 2 1 0\nnop",
+		"MEASURE 3 many\ncortex-a72 2 2 1 0\nnop",
+		"MEASURE 3 -1\ncortex-a72 2 2 1 0\nnop",
+		fmt.Sprintf("MEASURE 3 %d\ncortex-a72 2 2 1 0\nnop", MaxMeasureParts+1),
+		"VMIN 1 2\ncortex-a72 2 2 0 0\nnop",
+		"MONITOR 2\ncortex-a72 2 2 1 0\nnop\ncortex-a53 4 2\nnop",
 	} {
 		rc := rawDial(t, addr)
 		if _, err := rc.w.WriteString(req + "\n"); err != nil {
@@ -254,7 +259,7 @@ func TestOversizedLineClosesConnection(t *testing.T) {
 // with a zero sample count and one part, MONITOR with zero parts, the
 // single-part verbs followed by their part), reaches its handler (a usage
 // error or a reply) rather than the unknown command branch, and the
-// deleted session and setpoint verbs do not.
+// deleted session, setpoint and state verbs do not.
 // TestMonitorPartCountClosesSession: a MONITOR whose part count is
 // missing, unreadable or over the cap cannot tell where its parts end, so
 // the daemon closes the session without a reply, as it does for MEASURE.
@@ -291,8 +296,8 @@ func TestVerbSet(t *testing.T) {
 	p, _ := probePart(t, dd)
 	part := strings.TrimSuffix(partBody(p), "\n")
 	for _, verb := range []string{
-		"HELLO", "INFO", "CAPS", "STATE", "MEASURE", "VMEASURE", "SWEEP",
-		"VMIN", "SHMOO", "MONITOR", "SETCORES", "RESET", "STATS",
+		"HELLO", "INFO", "CAPS", "MEASURE", "VMEASURE", "SWEEP",
+		"VMIN", "SHMOO", "MONITOR", "STATS",
 	} {
 		req := verb
 		switch verb {
@@ -307,7 +312,7 @@ func TestVerbSet(t *testing.T) {
 			t.Errorf("%s -> %q", verb, reply)
 		}
 	}
-	for _, verb := range []string{"LOAD", "RUN", "STOP", "SETCLOCK", "SETVOLTS"} {
+	for _, verb := range []string{"LOAD", "RUN", "STOP", "SETCLOCK", "SETVOLTS", "STATE", "SETCORES", "RESET"} {
 		if reply := rc.send(verb); !strings.Contains(reply, "unknown command") {
 			t.Errorf("deleted verb %s -> %q, want unknown command", verb, reply)
 		}

@@ -3,6 +3,7 @@ package lab
 import (
 	"bufio"
 	"fmt"
+	"io"
 	"net"
 	"reflect"
 	"strings"
@@ -76,13 +77,13 @@ func TestLoadDesyncRegression(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	good := partBody(Part{Domain: platform.DomainA72, Cores: 2, Pool: pool, Seq: seq})
+	good := partBody(Part{Domain: platform.DomainA72, Powered: 2, Cores: 2, Pool: pool, Seq: seq})
 	if strings.Count(good, "\n") < 3 {
 		t.Fatalf("probe part has too few lines to show a desync: %q", good)
 	}
-	unknownDomain := partBody(Part{Domain: "no-such-domain", Cores: 2, Pool: pool, Seq: seq})
-	tooManyCores := partBody(Part{Domain: platform.DomainA72, Cores: 99, Pool: pool, Seq: seq})
-	badProgram := "cortex-a72 2 3 0\nADD R1, R2\nMUL R3, R4\nADD R5, R6\n"
+	unknownDomain := partBody(Part{Domain: "no-such-domain", Powered: 2, Cores: 2, Pool: pool, Seq: seq})
+	tooManyCores := partBody(Part{Domain: platform.DomainA72, Powered: 2, Cores: 99, Pool: pool, Seq: seq})
+	badProgram := "cortex-a72 2 2 3 0\nADD R1, R2\nMUL R3, R4\nADD R5, R6\n"
 	for _, tc := range []struct {
 		request, body, want string
 	}{
@@ -267,11 +268,10 @@ func (l *pipeListener) Close() error {
 
 func (l *pipeListener) Addr() net.Addr { return &net.UnixAddr{Name: "pipe", Net: "pipe"} }
 
-// TestStalledReaderReleasesDomain: a session that stops reading cannot
-// hold its domain. Its MEASURE writes the reply line while holding the
-// domain's read lock; the daemon's write deadline fails the write, the
-// batch ends, and a SETCORES on the same domain from another session goes
-// through.
+// TestStalledReaderReleasesDomain: a session that stops reading holds
+// nothing another session needs. Its MEASURE's reply write blocks until
+// the daemon's write deadline fails it and closes the session; meanwhile
+// another session's MEASURE on the same domain completes.
 func TestStalledReaderReleasesDomain(t *testing.T) {
 	p, err := platform.JunoR2()
 	if err != nil {
@@ -300,6 +300,7 @@ func TestStalledReaderReleasesDomain(t *testing.T) {
 	pl.conns <- end
 	_, dd := directBench(t)
 	part, _ := probePart(t, dd)
+	start := time.Now()
 	if _, err := stalled.Write([]byte("MEASURE 1 1\n" + partBody(part))); err != nil {
 		t.Fatal(err)
 	}
@@ -313,17 +314,44 @@ func TestStalledReaderReleasesDomain(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	start := time.Now()
-	if err := c.SetCores(platform.DomainA72, 1); err != nil {
-		t.Fatalf("SETCORES behind a session that stopped reading: %v", err)
+	part.Seq = part.Seq[1:] // a load the stalled batch has not memoized
+	if _, err := measureOne(c, part, 3); err != nil {
+		t.Fatalf("MEASURE beside a session that stopped reading: %v", err)
 	}
-	t.Logf("SETCORES went through after %v", time.Since(start))
+	took := time.Since(start)
+	if took >= srv.writeTimeout {
+		t.Fatalf("the other session's MEASURE took %v, past the stalled write's %v deadline", took, srv.writeTimeout)
+	}
+	t.Logf("the other session's MEASURE completed %v after the stalled one", took)
+
+	// The daemon closes the stalled session once the write deadline
+	// fails its reply, and the reply never reaches the stalled reader.
+	for srv.tracks(end) {
+		if time.Since(start) > srv.writeTimeout+2*time.Second {
+			t.Fatalf("stalled session still open %v after its MEASURE, past its %v write deadline", time.Since(start), srv.writeTimeout)
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+	t.Logf("stalled session closed %v after its MEASURE", time.Since(start))
+	_ = stalled.SetReadDeadline(time.Now().Add(time.Second))
+	if n, err := stalled.Read(make([]byte, 64)); n != 0 || err != io.EOF {
+		t.Fatalf("stalled session after its write deadline: read %d bytes, %v; want it closed", n, err)
+	}
 }
 
-// TestReconnectReplay severs the connection after a SETCORES and checks
-// that the next MEASURE, which carries its own program, transparently
-// reconnects, replays the core count and reads the exact value a
-// fault-free direct bench yields with that many cores powered.
+// tracks reports whether the server still serves conn.
+func (s *Server) tracks(conn net.Conn) bool {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	_, ok := s.conns[conn]
+	return ok
+}
+
+// TestReconnectReplay severs the connection before a MEASURE whose part
+// has one of two cores powered and checks that the MEASURE transparently
+// reconnects and reads the exact value a fault-free direct bench yields
+// with one core powered. The part carries its powered cores, so nothing
+// is replayed: MEASURE is the only verb the client sends.
 func TestReconnectReplay(t *testing.T) {
 	addr, _ := startServer(t)
 	proxy, err := chaos.New(addr, chaos.Config{Seed: 1}) // no probabilistic faults
@@ -340,46 +368,43 @@ func TestReconnectReplay(t *testing.T) {
 
 	db, dd := directBench(t)
 	p, load := probePart(t, dd)
-	p.Cores, load.ActiveCores = 1, 1
+	p.Powered, p.Cores, load.ActiveCores = 1, 1, 1
 	nominal, err := db.EMMeasureN(dd, load, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := c.SetCores(platform.DomainA72, 1); err != nil {
-		t.Fatal(err)
-	}
 
-	// Kill the live connection: the MEASURE must reconnect and replay
-	// SETCORES before retrying, or it measures with every core powered.
+	// Kill the live connection: the MEASURE must reconnect and retry.
 	proxy.KillActive()
 	m, err := measureOne(c, p, 3)
 	if err != nil {
 		t.Fatalf("measure after severed connection: %v", err)
 	}
 
-	if err := dd.SetPoweredCores(1); err != nil {
+	one, err := dd.Gated(1)
+	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := db.EMMeasureN(dd, load, 3)
+	want, err := db.EMMeasureN(one, load, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if reflect.DeepEqual(want, nominal) {
-		t.Fatal("1-core and nominal readings agree; the replay check is vacuous")
+		t.Fatal("1-core and nominal readings agree; the check is vacuous")
 	}
 	if !reflect.DeepEqual(m, want) {
-		t.Fatalf("replayed measurement %+v != direct %+v", m, want)
+		t.Fatalf("retried measurement %+v != direct %+v", m, want)
 	}
 
 	st := c.Stats()
 	if st.Reconnects < 1 {
 		t.Fatalf("stats: %d reconnects, want >= 1", st.Reconnects)
 	}
-	if st.Replays < 1 {
-		t.Fatalf("stats: %d replays, want >= 1", st.Replays)
-	}
 	if st.Commands["MEASURE"].Retries < 1 {
 		t.Fatalf("stats: MEASURE retries = %d, want >= 1", st.Commands["MEASURE"].Retries)
+	}
+	if len(st.Commands) != 1 {
+		t.Fatalf("stats: the client sent %v, want MEASURE alone", st.Commands)
 	}
 }
 
@@ -438,16 +463,19 @@ func TestTargetErrorNotRetried(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	err = c.SetCores(platform.DomainA72, 99)
+	_, dd := directBench(t)
+	p, _ := probePart(t, dd)
+	p.Powered = 99
+	_, err = measureOne(c, p, 3)
 	if err == nil {
-		t.Fatal("bad core count accepted")
+		t.Fatal("bad powered-core count accepted")
 	}
 	if !IsTargetError(err) {
 		t.Fatalf("ERR reply not classified as target error: %v", err)
 	}
 	st := c.Stats()
-	if st.Commands["SETCORES"].Retries != 0 {
-		t.Fatalf("target error was retried: %+v", st.Commands["SETCORES"])
+	if st.Commands["MEASURE"].Retries != 0 {
+		t.Fatalf("target error was retried: %+v", st.Commands["MEASURE"])
 	}
 	// The session is still healthy.
 	if _, _, err := c.Info(); err != nil {
@@ -702,54 +730,5 @@ func TestPoolChaosGAMatchesDirect(t *testing.T) {
 	if st.Reconnects == 0 {
 		t.Fatal("transport never reconnected; test is vacuous")
 	}
-	t.Logf("chaos: %+v; transport: %d dials, %d reconnects, %d replays",
-		cs, st.Dials, st.Reconnects, st.Replays)
-}
-
-// TestPoolReplaySharesSetpoints: domain setpoints live on the daemon,
-// shared by every session, so a RESET sent on one pooled session must
-// stop every other session from writing the cleared setting back when it
-// reconnects.
-func TestPoolReplaySharesSetpoints(t *testing.T) {
-	addr, b := startServer(t)
-	proxy, err := chaos.New(addr, chaos.Config{Seed: 1}) // no probabilistic faults
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer proxy.Close()
-	pool, err := NewPool(proxy.Addr(), 2, fastOpts())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer pool.Close()
-	d, err := b.Platform.Domain(platform.DomainA72)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	err = pool.Do(func(a *Client) error {
-		return pool.Do(func(other *Client) error {
-			if err := a.SetCores(platform.DomainA72, 1); err != nil {
-				return err
-			}
-			if err := other.Reset(platform.DomainA72); err != nil {
-				return err
-			}
-			proxy.KillActive()
-			st, err := a.State(platform.DomainA72) // reconnects first
-			if err != nil {
-				return err
-			}
-			if a.Stats().Reconnects == 0 {
-				t.Error("session never reconnected; test is vacuous")
-			}
-			if st.PoweredCores != d.Spec.TotalCores {
-				t.Errorf("%d cores powered after RESET on another session, want %d", st.PoweredCores, d.Spec.TotalCores)
-			}
-			return nil
-		})
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	t.Logf("chaos: %+v; transport: %d dials, %d reconnects", cs, st.Dials, st.Reconnects)
 }

@@ -11,22 +11,18 @@ import (
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/platform"
 )
 
 // Server is the target-machine daemon: it owns the platform under test and
 // the instruments physically attached to the bench, and executes the
 // workstation's commands.
 //
-// Connections hold no state of their own: every measurement request
-// carries its program, so pooled workstation clients can interleave
-// requests freely (the daemon time-slices the one physical target; the
-// simulated instruments are content-deterministic, so the interleaving
-// cannot change any reading). Domain state is guarded by a per-domain
-// reader/writer lock: measurements (MEASURE/SWEEP/VMIN/...) share the
-// domain, setpoint changes (SETCORES/RESET) take it
-// exclusively — a setpoint can never change in the middle of a
-// measurement.
+// Neither connections nor the rig hold state: every measurement request
+// carries its program and its operating point (powered and active cores;
+// clocks where the verb takes them), so pooled workstation clients can
+// interleave requests freely (the daemon time-slices the one physical
+// target; the simulated instruments are content-deterministic, so the
+// interleaving cannot change any reading).
 type Server struct {
 	Bench *core.Bench
 
@@ -34,17 +30,15 @@ type Server struct {
 	closed    bool
 	listeners map[net.Listener]struct{}
 	conns     map[net.Conn]struct{}
-	domLocks  map[string]*sync.RWMutex
 	stats     map[string]*ServerCommandStats
 	// writeTimeout bounds each write of a reply (replyWriteTimeout).
 	writeTimeout time.Duration
 }
 
 // replyWriteTimeout is how long one reply write may block on a session
-// that has stopped reading. A streaming MEASURE writes while it holds its
-// domain's read lock, so a write that never returned would hold off every
-// SETCORES/RESET on the domain and, behind that waiting writer, every
-// other session's measurements there; instead the write fails and the
+// that has stopped reading. A streaming MEASURE writes from inside its
+// batch, so a write that never returned would keep the batch's workers
+// and the session's goroutine forever; instead the write fails and the
 // session closes.
 const replyWriteTimeout = 10 * time.Second
 
@@ -66,7 +60,6 @@ func NewServer(b *core.Bench) (*Server, error) {
 		Bench:     b,
 		listeners: make(map[net.Listener]struct{}),
 		conns:     make(map[net.Conn]struct{}),
-		domLocks:  make(map[string]*sync.RWMutex),
 		stats:     make(map[string]*ServerCommandStats),
 
 		writeTimeout: replyWriteTimeout,
@@ -212,18 +205,6 @@ func (s *Server) countCmd(verb string, failed bool) {
 	}
 }
 
-// domLock returns the reader/writer lock guarding one domain's state.
-func (s *Server) domLock(name string) *sync.RWMutex {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	l := s.domLocks[name]
-	if l == nil {
-		l = &sync.RWMutex{}
-		s.domLocks[name] = l
-	}
-	return l
-}
-
 func (s *Server) handle(conn net.Conn) {
 	defer func() {
 		s.untrackConn(conn)
@@ -279,8 +260,6 @@ func (s *Server) dispatch(r *bufio.Reader, w *bufio.Writer, line string) (quit b
 		return false, s.cmdInfo(w)
 	case "CAPS":
 		return false, s.cmdCaps(w, fields)
-	case "STATE":
-		return false, s.cmdState(w, fields)
 	case "MEASURE":
 		return false, s.cmdMeasure(r, w, fields)
 	case "VMEASURE":
@@ -293,10 +272,6 @@ func (s *Server) dispatch(r *bufio.Reader, w *bufio.Writer, line string) (quit b
 		return false, s.cmdShmoo(r, w, fields)
 	case "MONITOR":
 		return false, s.cmdMonitor(r, w, fields)
-	case "SETCORES":
-		return false, s.cmdSetCores(w, fields)
-	case "RESET":
-		return false, s.cmdReset(w, fields)
 	case "STATS":
 		return false, s.cmdStats(w, fields)
 	case "QUIT":
@@ -305,8 +280,4 @@ func (s *Server) dispatch(r *bufio.Reader, w *bufio.Writer, line string) (quit b
 	default:
 		return false, fmt.Errorf("unknown command %q", verb)
 	}
-}
-
-func (s *Server) domain(name string) (*platform.Domain, error) {
-	return s.Bench.Platform.Domain(name)
 }

@@ -25,13 +25,11 @@ func (c CommandStats) Avg() time.Duration {
 }
 
 // Stats is a snapshot of a Client's (or a Pool's aggregated) transport
-// counters: how often it dialed, how often a fault forced a reconnect, how
-// many setpoint replays those reconnects performed, and per-command
-// latency/retry/error tallies. Surfaced by `gahunt -v`.
+// counters: how often it dialed, how often a fault forced a reconnect, and
+// per-command latency/retry/error tallies. Surfaced by `gahunt -v`.
 type Stats struct {
 	Dials      int64 // connections established (including the first)
 	Reconnects int64 // connections re-established after a transport fault
-	Replays    int64 // setpoint replay passes run on reconnect
 	Commands   map[string]CommandStats
 }
 
@@ -39,7 +37,6 @@ type Stats struct {
 func (s *Stats) merge(other Stats) {
 	s.Dials += other.Dials
 	s.Reconnects += other.Reconnects
-	s.Replays += other.Replays
 	if s.Commands == nil {
 		s.Commands = make(map[string]CommandStats)
 	}
@@ -56,8 +53,7 @@ func (s *Stats) merge(other Stats) {
 // String renders the snapshot as a small human-readable table.
 func (s Stats) String() string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "lab transport: %d dial(s), %d reconnect(s), %d replay(s)",
-		s.Dials, s.Reconnects, s.Replays)
+	fmt.Fprintf(&b, "lab transport: %d dial(s), %d reconnect(s)", s.Dials, s.Reconnects)
 	verbs := make([]string, 0, len(s.Commands))
 	for v := range s.Commands {
 		verbs = append(verbs, v)
@@ -85,12 +81,6 @@ func (sc *statsCollector) dial(reconnect bool) {
 	if reconnect {
 		sc.s.Reconnects++
 	}
-}
-
-func (sc *statsCollector) replay() {
-	sc.mu.Lock()
-	defer sc.mu.Unlock()
-	sc.s.Replays++
 }
 
 func (sc *statsCollector) retry(verb string) {

@@ -63,7 +63,8 @@ func TestHelloVersionMismatch(t *testing.T) {
 }
 
 // TestCapsAndState: CAPS must mirror the domain spec exactly, with every
-// float round-tripping the wire, and STATE the powered cores.
+// float round-tripping the wire. The rig holds no state, so STATE — and
+// SETCORES and RESET, which once wrote it — are unknown commands.
 func TestCapsAndState(t *testing.T) {
 	addr, b := startServer(t)
 	c := dial(t, addr)
@@ -84,21 +85,18 @@ func TestCapsAndState(t *testing.T) {
 		t.Fatalf("caps %+v do not mirror spec %+v", caps, spec)
 	}
 
-	if err := c.SetCores(platform.DomainA72, 1); err != nil {
-		t.Fatal(err)
-	}
-	st, err := c.State(platform.DomainA72)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.PoweredCores != 1 {
-		t.Fatalf("state %+v after SETCORES 1", st)
-	}
 	if _, err := c.Caps("no-such-domain"); err == nil || !IsTargetError(err) {
 		t.Fatalf("CAPS on unknown domain: %v", err)
 	}
-	if _, err := c.State("no-such-domain"); err == nil || !IsTargetError(err) {
-		t.Fatalf("STATE on unknown domain: %v", err)
+	rc := rawDial(t, addr)
+	for _, cmd := range []string{"STATE cortex-a72", "SETCORES cortex-a72 1", "RESET cortex-a72"} {
+		verb, _, _ := strings.Cut(cmd, " ")
+		if reply := rc.send(cmd); reply != fmt.Sprintf("ERR unknown command %q", verb) {
+			t.Errorf("%q -> %q, want an unknown-command ERR", cmd, reply)
+		}
+	}
+	if d.PoweredCores() != d.Spec.TotalCores {
+		t.Fatalf("the daemon's domain reads %d powered cores", d.PoweredCores())
 	}
 }
 
@@ -170,7 +168,7 @@ func TestCapsReplyFieldCount(t *testing.T) {
 func TestShortShmooVminRepliesRejected(t *testing.T) {
 	opts := fastOpts()
 	opts.MaxAttempts = 2
-	p := Part{Domain: platform.DomainA72, Cores: 1, Pool: isa.ARM64Pool()}
+	p := Part{Domain: platform.DomainA72, Powered: 1, Cores: 1, Pool: isa.ARM64Pool()}
 	dialReply := func(reply string) *Client {
 		c, err := DialOptions(replyServer(t, reply), opts)
 		if err != nil {
@@ -201,28 +199,48 @@ func TestShortShmooVminRepliesRejected(t *testing.T) {
 	}
 }
 
-// TestSetpointsRejectNaN: NaN and ±Inf setpoints parse as floats, so the
-// domain's own range checks must reject them, and STATE must read back
-// the untouched operating point.
-func TestSetpointsRejectNaN(t *testing.T) {
-	addr, _ := startServer(t)
+// TestBadV9HeadersRejected: every verb that names an operating point
+// checks 1 ≤ active ≤ powered ≤ total. A powered-core field that is zero,
+// negative, over the domain's total or not an integer, or below the
+// active cores, is one ERR reply to MEASURE, VMEASURE, SWEEP, VMIN, SHMOO
+// and MONITOR alike, and the session stays usable.
+func TestBadV9HeadersRejected(t *testing.T) {
+	addr, b := startServer(t)
+	d, err := b.Platform.Domain(platform.DomainA72)
+	if err != nil {
+		t.Fatal(err)
+	}
+	seq, err := workload.Probe().Build(d.Spec.Pool())
+	if err != nil {
+		t.Fatal(err)
+	}
+	program := strings.TrimSuffix(isa.FormatProgram(d.Spec.Pool(), seq), "\n")
+	lines := strings.Count(program, "\n") + 1
 	rc := rawDial(t, addr)
-	before := rc.send("STATE cortex-a72")
-	if !strings.HasPrefix(before, "OK ") {
-		t.Fatalf("STATE -> %q", before)
-	}
-	for _, cmd := range []string{
-		"SETCLOCK cortex-a72 NaN",
-		"SETVOLTS cortex-a72 NaN",
-		"SETCLOCK cortex-a72 +Inf",
-		"SETVOLTS cortex-a72 -Inf",
+	for _, bad := range []struct{ name, powered, cores string }{
+		{"zero", "0", "1"},
+		{"negative", "-1", "1"},
+		{"over the total", "3", "1"},
+		{"not an integer", "1.5", "1"},
+		{"below the active cores", "1", "2"},
 	} {
-		if reply := rc.send(cmd); !strings.HasPrefix(reply, "ERR") {
-			t.Errorf("%q -> %q, want ERR", cmd, reply)
+		part := fmt.Sprintf("cortex-a72 %s %s %d 0\n%s", bad.powered, bad.cores, lines, program)
+		for _, req := range []string{
+			"MEASURE 3 1\n" + part,
+			"VMEASURE droop 3 1\n" + part,
+			fmt.Sprintf("SWEEP cortex-a72 %s %s 3 6e8", bad.powered, bad.cores),
+			"VMIN 1 1\n" + part,
+			"SHMOO 1 6e8\n" + part,
+			"MONITOR 1\n" + part,
+		} {
+			verb, _, _ := strings.Cut(req, " ")
+			if reply := rc.send(req); !strings.HasPrefix(reply, "ERR ") {
+				t.Errorf("%s, powered %s: %s -> %q, want ERR", bad.name, bad.powered, verb, reply)
+			}
+			if reply := rc.send("INFO"); !strings.HasPrefix(reply, "OK juno") {
+				t.Fatalf("%s, powered %s: session desynced after %s: INFO -> %q", bad.name, bad.powered, verb, reply)
+			}
 		}
-	}
-	if after := rc.send("STATE cortex-a72"); after != before {
-		t.Fatalf("STATE moved from %q to %q", before, after)
 	}
 }
 
@@ -262,15 +280,15 @@ func TestVMeasureRejectsDomainWithoutScope(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, _, err = c.VMeasure(Part{Domain: platform.DomainA53, Cores: 1, Pool: d.Spec.Pool(), Seq: seq}, "droop", 3, 1)
+	_, _, err = c.VMeasure(Part{Domain: platform.DomainA53, Powered: 4, Cores: 1, Pool: d.Spec.Pool(), Seq: seq}, "droop", 3, 1)
 	if err == nil || !IsTargetError(err) || !strings.Contains(err.Error(), "no voltage visibility") {
 		t.Fatalf("VMEASURE droop on %s: err = %v, want the no-visibility target error", platform.DomainA53, err)
 	}
 }
 
 // TestV2ProtocolErrors drives the verbs the multi-domain protocol added
-// (HELLO, CAPS, STATE, MONITOR, STATS) with malformed arguments over a
-// raw connection; each must produce a single ERR line and leave the
+// (HELLO, CAPS, MONITOR, STATS; STATE is gone and answers as unknown)
+// with malformed arguments over a raw connection; each must produce a single ERR line and leave the
 // session aligned. The load-carrying verbs' rejections, each followed by
 // its part, are TestLoadDesyncRegression's table; a MONITOR part count
 // that closes the session is TestMonitorPartCountClosesSession's.
@@ -360,7 +378,7 @@ func TestChaosSweepAndShmooMatchDirect(t *testing.T) {
 	}
 	defer c.Close()
 
-	points, err := c.Sweep(platform.DomainA72, 2, 3, core.SweepClockSteps(dd))
+	points, err := c.Sweep(platform.DomainA72, 2, 2, 3, core.SweepClockSteps(dd))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -372,7 +390,7 @@ func TestChaosSweepAndShmooMatchDirect(t *testing.T) {
 		t.Fatalf("chaos sweep diverged:\n got %+v\nwant %+v", got, want)
 	}
 
-	part := Part{Domain: platform.DomainA72, Cores: 2, Pool: pool, Seq: seq}
+	part := Part{Domain: platform.DomainA72, Powered: 2, Cores: 2, Pool: pool, Seq: seq}
 	gotShmoo, err := c.Shmoo(part, 7, clocks)
 	if err != nil {
 		t.Fatal(err)
@@ -429,8 +447,8 @@ func TestMonitorMatchesDirect(t *testing.T) {
 	c := dial(t, addr)
 	defer c.Close()
 	got, err := c.Monitor([]Part{
-		{Domain: platform.DomainA53, Cores: 4, Pool: pool, Seq: idleSeq},
-		{Domain: platform.DomainA72, Cores: 2, Pool: pool, Seq: probe, Phases: []float64{10, 10}},
+		{Domain: platform.DomainA53, Powered: 4, Cores: 4, Pool: pool, Seq: idleSeq},
+		{Domain: platform.DomainA72, Powered: 2, Cores: 2, Pool: pool, Seq: probe, Phases: []float64{10, 10}},
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -127,11 +127,11 @@ func TestPowerGatingShrinksLatencyBudget(t *testing.T) {
 		t.Fatal(err)
 	}
 	budget := func(cores int) float64 {
-		if err := d.SetPoweredCores(cores); err != nil {
+		gated, err := d.Gated(cores)
+		if err != nil {
 			t.Fatal(err)
 		}
-		defer d.Reset()
-		m, err := d.Model()
+		m, err := gated.Model()
 		if err != nil {
 			t.Fatal(err)
 		}

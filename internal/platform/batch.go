@@ -22,8 +22,8 @@ package platform
 //     PredictMinV predicts any rung's minimum die voltage from the
 //     nominal rung (the network is linear in the supply) with a rounding
 //     bound, so a V_MIN descent solves only the steps it cannot decide.
-//     SteadyVDie is a one-rung ladder at the domain's current operating
-//     point: every steady-state die-voltage reading runs this body.
+//     SteadyVDie is a one-rung ladder at the maximum clock and nominal
+//     supply: every steady-state die-voltage reading runs this body.
 //
 // All transient rows live in caller-owned slab arenas (one per batch
 // worker; see internal/slab lifetime rules) and are never retained past the
@@ -185,8 +185,8 @@ type ladderPoint struct {
 
 // LadderAt prepares the supply-invariant parts of one V_MIN column at an
 // explicit (snapped) clock, serving the simulation from tr when it covers
-// the window (nil falls back to per-point sizing). The powered-core count
-// snapshots the domain.
+// the window (nil falls back to per-point sizing), at the view's
+// powered-core count.
 func (d *Domain) LadderAt(l Load, dt float64, n int, clockHz float64, tr *uarch.Trace, ar *slab.Arena) (*Ladder, error) {
 	ld, _, err := d.ladderAt(l, dt, n, clockHz, d.PoweredCores(), tr, ar)
 	return ld, err

@@ -56,14 +56,14 @@ func runPlatform(t *testing.T, p *platform.Platform) {
 		if peakHz <= 0 {
 			t.Errorf("%s: non-positive EM peak frequency %g", name, peakHz)
 		}
-		sw, err := backend.ResonanceSweep(be, name, caps.TotalCores, 1)
+		sw, err := backend.ResonanceSweep(be, name, caps.TotalCores, 0, 1)
 		if err != nil {
 			t.Fatalf("%s: resonance sweep: %v", name, err)
 		}
 		if sw.ResonanceHz <= 0 {
 			t.Errorf("%s: sweep found no resonant clock", name)
 		}
-		res, _, err := be.Vmin(name, load, 7, 2)
+		res, _, err := be.Vmin(name, load, 0, 7, 2)
 		if err != nil {
 			t.Fatalf("%s: vmin: %v", name, err)
 		}

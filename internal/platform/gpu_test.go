@@ -48,11 +48,11 @@ func TestGPUResonanceCalibration(t *testing.T) {
 		t.Fatalf("GPU resonance %.1f MHz, want ~56", f/1e6)
 	}
 	// Gating SMs raises the resonance, as on the CPU clusters.
-	if err := d.SetPoweredCores(2); err != nil {
+	two, err := d.Gated(2)
+	if err != nil {
 		t.Fatal(err)
 	}
-	defer d.Reset()
-	m2, err := d.Model()
+	m2, err := two.Model()
 	if err != nil {
 		t.Fatal(err)
 	}

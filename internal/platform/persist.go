@@ -17,11 +17,13 @@ func PersistentStore() *castore.Store { return nil }
 
 // SpecContentHash returns a content hash of the domain's full static Spec
 // (PDN, core model, EM path, failure model, clocking — every field that
-// shapes an electrical result). Computed once per domain from the canonical
+// shapes an electrical result), shared by every powered-core view of the
+// domain. Computed once per domain from the canonical
 // JSON encoding of the Spec, which covers every exported field without a
 // hand-maintained fold that could silently fall behind a Spec change.
 func (d *Domain) SpecContentHash() uint64 {
-	d.specHashOnce.Do(func() {
+	sh := d.shared
+	sh.specHashOnce.Do(func() {
 		buf, err := json.Marshal(d.Spec)
 		if err != nil {
 			// Marshal of a pure-value Spec cannot fail; if it ever does,
@@ -31,7 +33,7 @@ func (d *Domain) SpecContentHash() uint64 {
 		}
 		h := detrand.NewHash()
 		h.String(string(buf))
-		d.specHashV = h.Sum()
+		sh.specHashV = h.Sum()
 	})
-	return d.specHashV
+	return sh.specHashV
 }

@@ -5,9 +5,12 @@
 //
 // A Domain couples a calibrated PDN model, a core model, an instruction
 // pool and an EM coupling path, and exposes the electrical responses the
-// simulated instruments measure. Expensive PDN transfer functions are
-// cached per (powered cores, supply, sampling) configuration, since GA runs
-// evaluate thousands of individuals against the same domain state.
+// simulated instruments measure. Power gating is a view, not a setting:
+// NewDomain builds one immutable Domain per powered-core count, and
+// Domain.Gated selects one. Expensive PDN transfer functions are cached per
+// (powered cores, sampling grid), shared by every view of the domain, since
+// GA runs evaluate thousands of individuals against the same domain; the
+// network is linear, so one transfer set serves every supply.
 package platform
 
 import (
@@ -62,21 +65,33 @@ type Spec struct {
 	OS string
 }
 
-// Domain is a voltage domain whose one runtime setting is the number of
-// powered cores. Clock and supply are experiment parameters: the campaign
-// paths take them explicitly (PreparePointAt, LadderAt, MinVDroop), and
-// everything else runs at the maximum clock and nominal supply.
+// Domain is a voltage domain at one powered-core count. It holds no
+// runtime setting: clock and supply are experiment parameters (the campaign
+// paths take them explicitly: PreparePointAt, LadderAt, MinVDroop, and
+// everything else runs at the maximum clock and nominal supply), and power
+// gating selects another view of the same domain (Gated). The views of a
+// domain share its transfer cache and spec hash and are pointer-stable, so
+// a *Domain identifies (domain, powered cores) everywhere it keys a memo.
+// Spec must not be changed once NewDomain has returned.
 type Domain struct {
 	Spec Spec
 
-	mu           sync.Mutex
-	poweredCores int
-	transfers    map[transferKey]*pdn.TransferSet
+	powered int
+	shared  *domainShared
+}
+
+// domainShared is what every powered-core view of one domain shares.
+type domainShared struct {
+	mu        sync.Mutex
+	transfers map[transferKey]*pdn.TransferSet
 
 	// specHashV caches SpecContentHash — the Spec is immutable after
 	// NewDomain, so the JSON canonicalization runs at most once.
 	specHashOnce sync.Once
 	specHashV    uint64
+
+	// views[n-1] is the view with n cores powered.
+	views []*Domain
 }
 
 // transferKey omits the supply setting: the network is linear, so its
@@ -88,7 +103,10 @@ type transferKey struct {
 	dt    float64
 }
 
-// NewDomain returns a domain at nominal conditions with all cores powered.
+// NewDomain builds a domain's views, one per powered-core count, and
+// returns the one with every core powered. Building a view costs one small
+// struct: transfer sets are solved on first use and the spec hash is
+// computed once for all views.
 func NewDomain(spec Spec) (*Domain, error) {
 	if err := spec.PDN.Validate(); err != nil {
 		return nil, err
@@ -108,11 +126,16 @@ func NewDomain(spec Spec) (*Domain, error) {
 	if spec.Pool() == nil {
 		return nil, fmt.Errorf("platform: domain %s has no instruction pool", spec.Name)
 	}
-	return &Domain{
-		Spec:         spec,
-		poweredCores: spec.TotalCores,
-		transfers:    make(map[transferKey]*pdn.TransferSet),
-	}, nil
+	sh := &domainShared{
+		transfers: make(map[transferKey]*pdn.TransferSet),
+		views:     make([]*Domain, spec.TotalCores),
+	}
+	views := make([]Domain, spec.TotalCores)
+	for i := range views {
+		views[i] = Domain{Spec: spec, powered: i + 1, shared: sh}
+		sh.views[i] = &views[i]
+	}
+	return sh.views[spec.TotalCores-1], nil
 }
 
 // Pool returns the instruction pool for the domain's ISA.
@@ -128,21 +151,28 @@ func (s Spec) VminStepVolts() float64 {
 }
 
 // PoweredCores returns the number of powered (not power-gated) cores.
-func (d *Domain) PoweredCores() int {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.poweredCores
+func (d *Domain) PoweredCores() int { return d.powered }
+
+// Gated returns the view of the domain with n cores powered and the rest
+// power-gated (the SCP operation the paper drives through the DS-5
+// debugger). The same n always returns the same pointer.
+func (d *Domain) Gated(n int) (*Domain, error) {
+	if n < 1 || n > d.Spec.TotalCores {
+		return nil, fmt.Errorf("platform: %s: cannot power %d of %d cores", d.Spec.Name, n, d.Spec.TotalCores)
+	}
+	return d.shared.views[n-1], nil
 }
 
-// SetPoweredCores power-gates all but n cores (the SCP operation the paper
-// drives through the DS-5 debugger).
+// SetPoweredCores rewrites this view's powered-core count in place. It is
+// a shim kept only for the perfbench module, which gates a domain of a
+// freshly built platform before anything else has seen it; the view then
+// no longer matches its slot in Gated. Everything else selects a view with
+// Gated.
 func (d *Domain) SetPoweredCores(n int) error {
 	if n < 1 || n > d.Spec.TotalCores {
 		return fmt.Errorf("platform: %s: cannot power %d of %d cores", d.Spec.Name, n, d.Spec.TotalCores)
 	}
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	d.poweredCores = n
+	d.powered = n
 	return nil
 }
 
@@ -184,14 +214,7 @@ func ClockStepsFor(stepHz, maxHz float64) []float64 {
 // supply runs at: the domain's nominal voltage.
 func (d *Domain) SupplyVolts() float64 { return d.Spec.PDN.VNominal }
 
-// Reset powers every core again.
-func (d *Domain) Reset() {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	d.poweredCores = d.Spec.TotalCores
-}
-
-// Model returns the PDN model for the current powered-core count at the
+// Model returns the PDN model for the view's powered-core count at the
 // nominal supply.
 func (d *Domain) Model() (*pdn.Model, error) {
 	return pdn.NewModel(d.Spec.PDN, d.PoweredCores())
@@ -204,9 +227,10 @@ func (d *Domain) Model() (*pdn.Model, error) {
 // same set and one copy wins.
 func (d *Domain) transferSetAt(cores, n int, dt float64) (*pdn.TransferSet, error) {
 	key := transferKey{cores: cores, n: n, dt: dt}
-	d.mu.Lock()
-	ts, ok := d.transfers[key]
-	d.mu.Unlock()
+	sh := d.shared
+	sh.mu.Lock()
+	ts, ok := sh.transfers[key]
+	sh.mu.Unlock()
 	if ok {
 		return ts, nil
 	}
@@ -219,12 +243,12 @@ func (d *Domain) transferSetAt(cores, n int, dt float64) (*pdn.TransferSet, erro
 	if err != nil {
 		return nil, err
 	}
-	d.mu.Lock()
-	if ts, ok = d.transfers[key]; !ok {
-		d.transfers[key] = built
+	sh.mu.Lock()
+	if ts, ok = sh.transfers[key]; !ok {
+		sh.transfers[key] = built
 		ts = built
 	}
-	d.mu.Unlock()
+	sh.mu.Unlock()
 	return ts, nil
 }
 

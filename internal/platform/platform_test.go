@@ -39,6 +39,16 @@ func domain(t *testing.T, p *Platform, name string) *Domain {
 	return d
 }
 
+// gated returns d's view with n cores powered.
+func gated(t *testing.T, d *Domain, n int) *Domain {
+	t.Helper()
+	g, err := d.Gated(n)
+	if err != nil {
+		t.Fatalf("Gated(%d): %v", n, err)
+	}
+	return g
+}
+
 // probeLoop is the Section 5.3 two-phase loop: a burst of adds then a
 // divide.
 func probeLoop(t testing.TB, pool *isa.Pool) []isa.Inst {
@@ -100,10 +110,7 @@ func TestCalibratedResonances(t *testing.T) {
 	}
 	plats := map[string]*Platform{"juno": juno(t), "amd": amd(t)}
 	for _, tc := range cases {
-		d := domain(t, plats[tc.plat], tc.dom)
-		if err := d.SetPoweredCores(tc.cores); err != nil {
-			t.Fatalf("SetPoweredCores: %v", err)
-		}
+		d := gated(t, domain(t, plats[tc.plat], tc.dom), tc.cores)
 		m, err := d.Model()
 		if err != nil {
 			t.Fatalf("Model: %v", err)
@@ -116,23 +123,27 @@ func TestCalibratedResonances(t *testing.T) {
 			t.Errorf("%s/%d cores: peak %.2f MHz, want %.1f±%.1f MHz",
 				tc.dom, tc.cores, f/1e6, tc.target/1e6, tc.tolMH/1e6)
 		}
-		d.Reset()
 	}
 }
 
+// TestDomainStateControls: a domain's powered-core views are interned,
+// range-checked and immutable, and clocks validate and snap.
 func TestDomainStateControls(t *testing.T) {
 	d := domain(t, juno(t), DomainA53)
-	if err := d.SetPoweredCores(0); err == nil {
-		t.Error("0 powered cores accepted")
+	for _, n := range []int{-1, 0, 5} {
+		if _, err := d.Gated(n); err == nil {
+			t.Errorf("Gated(%d) accepted", n)
+		}
 	}
-	if err := d.SetPoweredCores(5); err == nil {
-		t.Error("5 powered cores accepted")
+	two := gated(t, d, 2)
+	if two.PoweredCores() != 2 || d.PoweredCores() != 4 {
+		t.Errorf("PoweredCores = %d (view) and %d (domain), want 2 and 4", two.PoweredCores(), d.PoweredCores())
 	}
-	if err := d.SetPoweredCores(2); err != nil {
-		t.Errorf("SetPoweredCores(2): %v", err)
+	if gated(t, d, 2) != two || gated(t, two, 2) != two || gated(t, two, 4) != d {
+		t.Error("Gated is not interned: the same count returned different views")
 	}
-	if d.PoweredCores() != 2 {
-		t.Errorf("PoweredCores = %d", d.PoweredCores())
+	if two.SpecContentHash() != d.SpecContentHash() {
+		t.Error("views of one domain hash their spec differently")
 	}
 	if _, err := d.SnapClock(0); err == nil {
 		t.Error("clock 0 accepted")
@@ -143,10 +154,6 @@ func TestDomainStateControls(t *testing.T) {
 	// Snapped to the 25 MHz grid.
 	if got, err := d.SnapClock(510e6); err != nil || math.Abs(got-500e6) > 1 {
 		t.Errorf("SnapClock(510 MHz) = %v, %v, want 500 MHz", got, err)
-	}
-	d.Reset()
-	if d.PoweredCores() != 4 {
-		t.Error("Reset did not power every core")
 	}
 }
 
@@ -192,10 +199,7 @@ func TestCurrentIncludesIdleCoresAndSupplyScaling(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Same single active core with fewer powered cores: less idle current.
-	if err := d.SetPoweredCores(1); err != nil {
-		t.Fatal(err)
-	}
-	alone, _, err := current(d, Load{Seq: seq, ActiveCores: 1}, 1e-9, 512)
+	alone, _, err := current(gated(t, d, 1), Load{Seq: seq, ActiveCores: 1}, 1e-9, 512)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -205,7 +209,6 @@ func TestCurrentIncludesIdleCoresAndSupplyScaling(t *testing.T) {
 		t.Errorf("idle-core current %v, want %v", diff, idle)
 	}
 	// Supply scaling: 10%% lower supply, 10%% lower current.
-	d.Reset()
 	scaled := make([]float64, 512)
 	if _, err := d.currentAt(Load{Seq: seq, ActiveCores: 1}, 1e-9, 512, d.ClockHz(), 0.9, d.PoweredCores(), scaled); err != nil {
 		t.Fatal(err)
@@ -312,17 +315,19 @@ func TestTransferCaching(t *testing.T) {
 	if ts1 != ts2 {
 		t.Error("transfer set not cached")
 	}
-	if err := d.SetPoweredCores(1); err != nil {
-		t.Fatal(err)
-	}
-	ts3, err := d.transferSet(256, 1e-9)
+	one := gated(t, d, 1)
+	ts3, err := one.transferSet(256, 1e-9)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if ts3 == ts1 {
 		t.Error("cache ignored powered-core change")
 	}
-	d.Reset()
+	// The views share one cache: the one-core set, built through its view,
+	// is the one the all-powered view's key for one core finds.
+	if ts4, err := d.transferSetAt(1, 256, 1e-9); err != nil || ts4 != ts3 {
+		t.Errorf("views keep separate transfer caches (%v)", err)
+	}
 }
 
 func TestVminStepVolts(t *testing.T) {

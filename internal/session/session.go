@@ -29,8 +29,9 @@ type Report struct {
 	Platform  string `json:"platform"`
 	Domain    string `json:"domain"`
 
-	// PoweredCores is the domain's live setting at capture time; the
-	// platform and domain determine the clock and supply.
+	// PoweredCores is the number of cores powered during the session's
+	// measurements; the platform and domain determine the clock and
+	// supply.
 	PoweredCores int `json:"powered_cores"`
 
 	Resonance *ResonanceRecord `json:"resonance,omitempty"`
@@ -73,13 +74,16 @@ type VminRecord struct {
 	Outcome  string  `json:"outcome"`
 }
 
-// New starts a report for a domain's current state as observed through a
-// backend — local bench or remote lab alike, and with identical bytes:
-// the identity and powered-core fields all round-trip the wire
-// losslessly.
-func New(be backend.Backend, domain string, now time.Time) (*Report, error) {
-	st, err := be.State(domain)
+// New starts a report for a domain measured through a backend with powered
+// cores powered (0 = every core) — local bench or remote lab alike, and
+// with identical bytes: the identity and capability fields all round-trip
+// the wire losslessly.
+func New(be backend.Backend, domain string, powered int, now time.Time) (*Report, error) {
+	caps, err := be.Caps(domain)
 	if err != nil {
+		return nil, err
+	}
+	if powered, err = caps.Powered(powered); err != nil {
 		return nil, err
 	}
 	return &Report{
@@ -87,12 +91,13 @@ func New(be backend.Backend, domain string, now time.Time) (*Report, error) {
 		CreatedAt:    now.UTC().Format(time.RFC3339),
 		Platform:     be.PlatformName(),
 		Domain:       domain,
-		PoweredCores: st.PoweredCores,
+		PoweredCores: powered,
 	}, nil
 }
 
 // NewLocal starts a report directly from an in-process platform/domain
-// pair; it is New over a Local backend without needing one constructed.
+// pair, at the domain view's powered cores; it is New over a Local
+// backend without needing one constructed.
 func NewLocal(p *platform.Platform, d *platform.Domain, now time.Time) *Report {
 	return &Report{
 		Version:      Version,

@@ -132,7 +132,7 @@ func (c descentCase) fresh(t *testing.T) *platform.Domain {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := d.SetPoweredCores(c.powered); err != nil {
+	if d, err = d.Gated(c.powered); err != nil {
 		t.Fatal(err)
 	}
 	return d

@@ -202,13 +202,20 @@ func TestRepeat(t *testing.T) {
 	}
 }
 
+// TestSearchRestoresDomainState: a search on a power-gated view leaves
+// every view of the domain as it was built — there is no setting for a
+// search to move and so none to restore.
 func TestSearchRestoresDomainState(t *testing.T) {
 	d := a72Domain(t)
-	tst := NewTester(d, 6)
-	if _, err := tst.Search(load(t, d, "idle", 1)); err != nil {
+	one, err := d.Gated(1)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if d.PoweredCores() != d.Spec.TotalCores {
-		t.Fatalf("powered cores left at %d", d.PoweredCores())
+	if _, err := NewTester(one, 6).Search(load(t, one, "idle", 1)); err != nil {
+		t.Fatal(err)
+	}
+	if one.PoweredCores() != 1 || d.PoweredCores() != d.Spec.TotalCores {
+		t.Fatalf("powered cores %d (gated view) and %d (domain) after a search, want 1 and %d",
+			one.PoweredCores(), d.PoweredCores(), d.Spec.TotalCores)
 	}
 }
