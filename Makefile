@@ -26,13 +26,16 @@ test: build
 # would otherwise leave tier-1 silently; so must the V_MIN descent fences
 # (the bounded descent against its exhaustive oracle, and the rung
 # prediction's rounding bound), the AC solve's bit-identity pins (the PDN
-# transfers against the original solve, the pattern elimination against
-# its dense oracle), the assembler codec's reference oracle, the
+# transfers against the original solve and across worker counts, the
+# pattern elimination against its dense oracle), the transfer cache's one
+# build per key, the assembler codec's reference oracle, the
 # multi-part MEASURE local/remote bit-identity pins, and the persistent
 # store's read-path, frame-cap, LRU-touch and block-accounting tests, the
 # batch memo's analyzer key, LRU reference and pinned identity (the name
 # of every meas record on disk), and MONITOR's stream-lost close. The persistent store is cross-process
-# shared mutable state, so its whole suite runs under the race detector here.
+# shared mutable state, so its whole suite runs under the race detector here;
+# so do the transfer solve's fan-out and its one-build cache, which share a
+# transfer set across goroutines.
 # Its read path works at the system-call level, so the module must also build
 # for darwin, windows and freebsd: a field of one GOOS's syscall types fails
 # here rather than on a user's machine. The perfbench
@@ -45,6 +48,8 @@ tier1: build fmt vet reach specs-verify tier1-remote tier1-fleet
 	$(call require-tests,BoundedDescentMatchesExhaustive,./internal/vmin)
 	$(call require-tests,RungPredictionWithinBound,./internal/vmin)
 	$(call require-tests,TransfersMatchSolveACRef,./internal/pdn)
+	$(call require-tests,TransfersWorkerCountInvariant,./internal/pdn)
+	$(call require-tests,TransferSetBuiltOnce,./internal/platform)
 	$(call require-tests,CSolvePatternMatchesDense,./internal/linalg)
 	$(call require-tests,CodecMatchesReference,./internal/isa)
 	$(call require-tests,MultiPartMeasureEquivalence,./internal/lab)
@@ -62,6 +67,7 @@ tier1: build fmt vet reach specs-verify tier1-remote tier1-fleet
 	GOOS=windows $(GO) build ./...
 	GOOS=freebsd $(GO) build ./...
 	GOFLAGS=-count=1 $(GO) test -race ./internal/castore
+	GOFLAGS=-count=1 $(GO) test -race -run 'WorkerCountInvariant|BuiltOnce|TransfersMatchSolveACRef' ./internal/pdn ./internal/platform
 	GOFLAGS=-count=1 $(GO) test ./...
 	cd perfbench && GOFLAGS='-mod=readonly -count=1' GOPROXY=off GOTOOLCHAIN=local GOWORK=off $(GO) test ./...
 

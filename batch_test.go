@@ -23,7 +23,7 @@ import (
 // the batch tests compare against this instead.
 func emMeasureRef(b *Bench, d *Domain, activeCores int) Measurer {
 	return MeasurerFunc(func(seq []Inst) (float64, float64, error) {
-		freqs, _, iAmp, _, err := d.SpectraArena(platform.Load{Seq: seq, ActiveCores: activeCores}, b.Dt, b.N, &slab.Arena{})
+		freqs, iAmp, _, err := d.SpectraArena(platform.Load{Seq: seq, ActiveCores: activeCores}, b.Dt, b.N, &slab.Arena{})
 		if err != nil {
 			return 0, 0, err
 		}

@@ -41,7 +41,7 @@ func BenchmarkSpectraEvaluation(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		if _, _, _, err := pe.SpectraArena(supply, powered, &ar); err != nil {
+		if _, _, err := pe.SpectraArena(supply, powered, &ar); err != nil {
 			b.Fatal(err)
 		}
 	}

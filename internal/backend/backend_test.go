@@ -189,10 +189,17 @@ func TestLocalRemoteEquivalence(t *testing.T) {
 	if len(lpts) != len(some) || lpts[1] != nil || !reflect.DeepEqual(lpts, rpts) {
 		t.Fatalf("sweep points: local %+v remote %+v", lpts, rpts)
 	}
-	// No clocks: no points and no error on either backend.
+	// No clocks: no points and no error on either backend, and the same
+	// error for an active-core count the powered cores cannot hold.
 	for _, be := range []backend.Backend{local, remote} {
 		if pts, err := be.Sweep(platform.DomainA72, 2, 0, 0, nil); err != nil || len(pts) != 0 {
 			t.Fatalf("%T: empty sweep = %v, %v; want no points and no error", be, pts, err)
+		}
+		for _, active := range []int{0, 5} {
+			want := fmt.Sprintf("core count %d out of range [1, 2]", active)
+			if pts, err := be.Sweep(platform.DomainA72, active, 0, 0, nil); err == nil || !strings.Contains(err.Error(), want) {
+				t.Fatalf("%T: empty sweep on %d active cores = %v, %v; want %q", be, active, pts, err, want)
+			}
 		}
 	}
 

@@ -375,7 +375,7 @@ func (b *Bench) EMMeasureBatch(d *platform.Domain, loads []platform.Load, sample
 		used[w].Store(true)
 		ar := arenas[w]
 		ar.Reset()
-		freqs, _, iAmp, _, err := d.SpectraArena(loads[i], b.Dt, b.N, ar)
+		freqs, iAmp, _, err := d.SpectraArena(loads[i], b.Dt, b.N, ar)
 		if err != nil {
 			return err
 		}

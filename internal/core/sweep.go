@@ -190,7 +190,7 @@ func (b *Bench) MonitorAll(loads map[string]platform.Load) (*instrument.Sweep, e
 		if err != nil {
 			return nil, err
 		}
-		freqs, _, iAmp, _, err := d.SpectraArena(loads[name], b.Dt, b.N, ar)
+		freqs, iAmp, _, err := d.SpectraArena(loads[name], b.Dt, b.N, ar)
 		if err != nil {
 			return nil, err
 		}

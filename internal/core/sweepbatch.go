@@ -31,6 +31,11 @@ func (b *Bench) SweepBatch(d *platform.Domain, activeCores int, clocks []float64
 	if err := b.Validate(); err != nil {
 		return nil, err
 	}
+	// The active-core check precedes the empty-grid return, in the lab
+	// daemon's words, so an empty sweep fails the same way on every backend.
+	if powered := d.PoweredCores(); activeCores < 1 || activeCores > powered {
+		return nil, fmt.Errorf("core count %d out of range [1, %d]", activeCores, powered)
+	}
 	points := make([]*SweepPoint, len(clocks))
 	if len(clocks) == 0 {
 		return points, nil
@@ -108,7 +113,7 @@ func (b *Bench) SweepBatch(d *platform.Domain, activeCores int, clocks []float64
 		ar := arenas[w]
 		ar.Reset()
 		pe := &evals[i]
-		freqs, _, iAmp, err := pe.SpectraArena(supply, powered, ar)
+		freqs, iAmp, err := pe.SpectraArena(supply, powered, ar)
 		if err != nil {
 			return err
 		}

@@ -40,7 +40,7 @@ func scalarSweepPointAt(t *testing.T, b *Bench, d *platform.Domain, activeCores 
 	if err != nil {
 		t.Fatal(err)
 	}
-	freqs, _, iAmp, err := pe.SpectraArena(d.SupplyVolts(), d.PoweredCores(), &slab.Arena{})
+	freqs, iAmp, err := pe.SpectraArena(d.SupplyVolts(), d.PoweredCores(), &slab.Arena{})
 	if err != nil {
 		t.Fatal(err)
 	}

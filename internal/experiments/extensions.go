@@ -259,7 +259,7 @@ func runExtSDR(c *Context) (*Result, error) {
 		return nil, err
 	}
 	// Incident spectrum at the antenna.
-	freqs, _, iAmp, _, err := d.SpectraArena(virusLoad, c.JunoBench.Dt, c.JunoBench.N, &slab.Arena{})
+	freqs, iAmp, _, err := d.SpectraArena(virusLoad, c.JunoBench.Dt, c.JunoBench.N, &slab.Arena{})
 	if err != nil {
 		return nil, err
 	}

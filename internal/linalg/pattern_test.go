@@ -235,47 +235,83 @@ func solveBoth(t *testing.T, what string, a *CMatrix, b []complex128, pat *Patte
 // Pattern reused four times: on the same values, whose recorded
 // elimination replays whole, and on re-drawn values of the same
 // structure, which replay the steps whose pivots repeat and record anew
-// from the first that does not.
+// from the first that does not. Every system is drawn from the one seeded
+// stream first; the orders then solve in parallel subtests.
 func TestCSolvePatternMatchesDense(t *testing.T) {
+	type system struct {
+		a *CMatrix
+		b []complex128
+	}
+	type solveCase struct {
+		what string
+		n    int
+		reps [4]system // the values of each reuse of one pattern
+	}
 	r := rand.New(rand.NewSource(25))
-	var solved, swapped, singular, whole, partial int
+	byOrder := make([][]solveCase, 71)
 	for n := 1; n <= 70; n++ {
 		for _, density := range []float64{0.08, 0.25, 0.6, 1} {
 			for fam := 0; fam < famCount; fam++ {
 				sing := r.Intn(5) == 0
+				c := solveCase{what: fmt.Sprintf("n=%d density=%v family=%d singular=%v", n, density, fam, sing), n: n}
 				a, b := randSystem(r, n, density, fam, sing)
-				what := fmt.Sprintf("n=%d density=%v family=%d singular=%v", n, density, fam, sing)
-				solveBoth(t, what, a, b, nil)
-				pat := PatternOf(a)
-				for rep := 0; rep < 4; rep++ {
+				for rep := range c.reps {
 					if rep > 1 {
 						a, b = revalue(r, a, (fam+rep)%famCount)
 					}
-					prev := append([]int(nil), pat.piv[:pat.steps]...)
-					if solveBoth(t, fmt.Sprintf("%s reuse %d", what, rep), a, b, pat) != nil {
-						singular++
-						continue
-					}
-					solved++
-					same := 0
-					for same < len(prev) && prev[same] == pat.piv[same] {
-						same++
-					}
-					switch {
-					case same == n:
-						whole++
-					case same > 0:
-						partial++
-					}
-					for k := 0; k < n; k++ {
-						if pat.piv[k] != k {
-							swapped++
-							break
+					c.reps[rep] = system{a, b}
+				}
+				byOrder[n] = append(byOrder[n], c)
+			}
+		}
+	}
+
+	// counts[n] holds order n's solved, swapped, singular, whole and
+	// partial tallies.
+	counts := make([][5]int, len(byOrder))
+	t.Run("orders", func(t *testing.T) {
+		for n := 1; n < len(byOrder); n++ {
+			t.Run(fmt.Sprint(n), func(t *testing.T) {
+				t.Parallel()
+				tally := &counts[n]
+				for _, c := range byOrder[n] {
+					solveBoth(t, c.what, c.reps[0].a, c.reps[0].b, nil)
+					pat := PatternOf(c.reps[0].a)
+					for rep, sys := range c.reps {
+						prev := append([]int(nil), pat.piv[:pat.steps]...)
+						if solveBoth(t, fmt.Sprintf("%s reuse %d", c.what, rep), sys.a, sys.b, pat) != nil {
+							tally[2]++
+							continue
+						}
+						tally[0]++
+						same := 0
+						for same < len(prev) && prev[same] == pat.piv[same] {
+							same++
+						}
+						switch {
+						case same == n:
+							tally[3]++
+						case same > 0:
+							tally[4]++
+						}
+						for k := 0; k < n; k++ {
+							if pat.piv[k] != k {
+								tally[1]++
+								break
+							}
 						}
 					}
 				}
-			}
+			})
 		}
+	})
+	var solved, swapped, singular, whole, partial int
+	for _, c := range counts {
+		solved += c[0]
+		swapped += c[1]
+		singular += c[2]
+		whole += c[3]
+		partial += c[4]
 	}
 	t.Logf("%d solved (%d with row swaps; %d replayed whole, %d in part), %d singular", solved, swapped, whole, partial, singular)
 	if swapped < 1000 || solved-swapped < 30 || whole < 500 || partial < 100 || singular < 500 {

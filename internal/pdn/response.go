@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/circuit"
 	"repro/internal/dsp"
+	"repro/internal/par"
 )
 
 // Response holds a time-domain PDN response.
@@ -80,24 +81,35 @@ type TransferSet struct {
 	HV []complex128 // len N/2+1
 	HI []complex128 // len N/2+1
 
-	// freqs, absHV and absHI are per-bin values that depend only on (N, Dt)
-	// and the model: the bin frequencies and transfer magnitudes. They are
-	// computed once here rather than on every SpectraInto call, and shared
-	// read-only with every caller.
+	// freqs and absHI are per-bin values that depend only on (N, Dt) and
+	// the model: the bin frequencies and current-transfer magnitudes. They
+	// are computed once here rather than on every SpectraInto call, and
+	// shared read-only with every caller.
 	freqs []float64
-	absHV []float64
 	absHI []float64
 
 	maxAbsHV float64 // the largest |HV| over the bins
 }
 
-// Transfers computes the transfer set for n samples at spacing dt.
+// transferChunk is the number of consecutive bins a Transfers worker
+// claims at a time: 33 chunks at N = 8192, each a few hundred
+// microseconds of solves, so a worker that loses its CPU holds up one
+// chunk rather than a static share of the set.
+const transferChunk = 128
+
+// Transfers computes the transfer set for n samples at spacing dt. The
+// bins are independent solves, fanned out over one worker per CPU; each
+// worker keeps its own solver, and every bin is a fresh one-frequency
+// solve, so the set is bit for bit the same at any worker count.
 func (m *Model) Transfers(n int, dt float64) (*TransferSet, error) {
+	return m.transfers(n, dt, par.Workers(0))
+}
+
+// transfers is Transfers on at most workers (≥ 1) goroutines. A failing bin
+// stops its chunk, and the error reported names the lowest failing bin,
+// as a serial loop's would.
+func (m *Model) transfers(n int, dt float64, workers int) (*TransferSet, error) {
 	if err := dsp.Validate(n, 1/dt); err != nil {
-		return nil, err
-	}
-	s, err := m.newLoadSolver()
-	if err != nil {
 		return nil, err
 	}
 	half := n/2 + 1
@@ -106,22 +118,36 @@ func (m *Model) Transfers(n int, dt float64) (*TransferSet, error) {
 		HV:    make([]complex128, half),
 		HI:    make([]complex128, half),
 		freqs: make([]float64, half),
-		absHV: make([]float64, half),
 		absHI: make([]float64, half),
 	}
 	fs := 1 / dt
-	for k := 0; k < half; k++ {
-		f := dsp.BinFreq(k, n, fs)
-		hv, hi, err := s.transfer(f)
-		if err != nil {
-			return nil, fmt.Errorf("pdn: transfer at bin %d (%g Hz): %w", k, f, err)
+	chunks := (half + transferChunk - 1) / transferChunk
+	solvers := make([]*loadSolver, min(workers, chunks)) // one per worker slot, built on first use
+	err := par.ForEachWorker(workers, chunks, func(w, c int) error {
+		s := solvers[w]
+		if s == nil {
+			var err error
+			if s, err = m.newLoadSolver(); err != nil {
+				return err
+			}
+			solvers[w] = s
 		}
-		ts.HV[k] = hv
-		ts.HI[k] = hi
-		ts.freqs[k] = f
-		ts.absHV[k] = cmplx.Abs(hv)
-		ts.absHI[k] = cmplx.Abs(hi)
-		ts.maxAbsHV = math.Max(ts.maxAbsHV, ts.absHV[k])
+		for k := c * transferChunk; k < min((c+1)*transferChunk, half); k++ {
+			f := dsp.BinFreq(k, n, fs)
+			hv, hi, err := s.transfer(f)
+			if err != nil {
+				return fmt.Errorf("pdn: transfer at bin %d (%g Hz): %w", k, f, err)
+			}
+			ts.HV[k], ts.HI[k], ts.freqs[k] = hv, hi, f
+			ts.absHI[k] = cmplx.Abs(hi)
+		}
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	for _, hv := range ts.HV {
+		ts.maxAbsHV = math.Max(ts.maxAbsHV, cmplx.Abs(hv))
 	}
 	return ts, nil
 }
@@ -162,19 +188,21 @@ func (ts *TransferSet) SteadyStateInto(vdie, load []float64, vnominal float64, s
 	return nil
 }
 
-// SpectraInto fills the single-sided amplitude spectra of the die voltage
-// and inductor current under the given load waveform (len N): freqs[k] in
-// Hz, amplitudes in volts and amps. vAmp, iAmp and spec must have length
-// N/2+1 and fftScratch at least dsp.RFFTScratchLen(N) (batch slab rows).
-// The returned freqs slice is shared across calls (it depends only on the
-// transfer set) and must not be modified.
+// SpectraInto fills the single-sided amplitude spectrum of the inductor
+// current under the given load waveform (len N), and of the die voltage
+// when vAmp is not nil: freqs[k] in Hz, amplitudes in amps and volts. The
+// EM path reads only the current, so its callers pass a nil vAmp. iAmp,
+// spec and a non-nil vAmp must have length N/2+1 and fftScratch at least
+// dsp.RFFTScratchLen(N) (batch slab rows). The returned freqs slice is
+// shared across calls (it depends only on the transfer set) and must not
+// be modified.
 func (ts *TransferSet) SpectraInto(vAmp, iAmp, load []float64, spec, fftScratch []complex128) (freqs []float64, err error) {
 	n := ts.N
 	if len(load) != n {
 		return nil, fmt.Errorf("pdn: spectra load length %d, want %d", len(load), n)
 	}
 	half := n/2 + 1
-	if len(vAmp) != half || len(iAmp) != half || len(spec) != half {
+	if vAmp != nil && len(vAmp) != half || len(iAmp) != half || len(spec) != half {
 		return nil, fmt.Errorf("pdn: spectra destinations %d/%d/%d bins, want %d",
 			len(vAmp), len(iAmp), len(spec), half)
 	}
@@ -190,8 +218,10 @@ func (ts *TransferSet) SpectraInto(vAmp, iAmp, load []float64, spec, fftScratch 
 			scale = scale0
 		}
 		mag := dsp.CAbs(spec[k]) * scale
-		vAmp[k] = mag * ts.absHV[k]
 		iAmp[k] = mag * ts.absHI[k]
+		if vAmp != nil {
+			vAmp[k] = mag * cmplx.Abs(ts.HV[k])
+		}
 	}
 	return ts.freqs, nil
 }

@@ -112,18 +112,19 @@ func (d *Domain) PreparePointAt(l Load, dt float64, n int, clockHz float64, tr *
 	}, nil
 }
 
-// SpectraArena evaluates the prepared point's spectra at an explicit
-// (supply, powered) snapshot, drawing every transient row — including the
-// amplitude outputs — from the caller's arena, so the results die at the
-// arena's next Reset. Domain.SpectraArena is this call on an unprimed
-// point at the maximum clock and nominal supply.
-func (pe *PointEval) SpectraArena(supply float64, powered int, ar *slab.Arena) (freqs, vAmp, iAmp []float64, err error) {
+// SpectraArena evaluates the prepared point's package-inductor current
+// spectrum (what the EM path radiates) at an explicit (supply, powered)
+// snapshot, drawing every transient row — including the amplitude output —
+// from the caller's arena, so the results die at the arena's next Reset.
+// Domain.SpectraArena is this call on an unprimed point at the maximum
+// clock and nominal supply.
+func (pe *PointEval) SpectraArena(supply float64, powered int, ar *slab.Arena) (freqs, iAmp []float64, err error) {
 	d := pe.d
 	n := pe.sim.N
 	wave := ar.FloatsUninit(n) // FillFromSim overwrites (or clears) all n
 	cl := d.clusterLoad(pe.load, pe.clock)
 	if err := cl.FillFromSim(pe.sim, wave); err != nil {
-		return nil, nil, nil, err
+		return nil, nil, err
 	}
 	idle := power.IdleCurrent(d.Spec.Core, pe.clock) * float64(powered-pe.load.ActiveCores)
 	scale := supply / d.Spec.PDN.VNominal
@@ -132,17 +133,16 @@ func (pe *PointEval) SpectraArena(supply float64, powered int, ar *slab.Arena) (
 	}
 	ts, err := d.transferSetAt(powered, n, pe.sim.Dt)
 	if err != nil {
-		return nil, nil, nil, err
+		return nil, nil, err
 	}
 	half := n/2 + 1
-	vAmp = ar.FloatsUninit(half) // the amplitude fold overwrites every bin
-	iAmp = ar.FloatsUninit(half)
-	freqs, err = ts.SpectraInto(vAmp, iAmp, wave,
+	iAmp = ar.FloatsUninit(half) // the amplitude fold overwrites every bin
+	freqs, err = ts.SpectraInto(nil, iAmp, wave,
 		ar.ComplexesUninit(half), ar.ComplexesUninit(dsp.RFFTScratchLen(n)))
 	if err != nil {
-		return nil, nil, nil, err
+		return nil, nil, err
 	}
-	return freqs, vAmp, iAmp, nil
+	return freqs, iAmp, nil
 }
 
 // Ladder is the batched evaluator of one (load, clock) column of a V_MIN

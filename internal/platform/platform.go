@@ -17,6 +17,7 @@ import (
 	"fmt"
 	"math"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/em"
 	"repro/internal/isa"
@@ -83,7 +84,8 @@ type Domain struct {
 // domainShared is what every powered-core view of one domain shares.
 type domainShared struct {
 	mu        sync.Mutex
-	transfers map[transferKey]*pdn.TransferSet
+	transfers map[transferKey]*transferEntry
+	builds    atomic.Int64 // transfer sets solved, for the tests
 
 	// specHashV caches SpecContentHash — the Spec is immutable after
 	// NewDomain, so the JSON canonicalization runs at most once.
@@ -101,6 +103,15 @@ type transferKey struct {
 	cores int
 	n     int
 	dt    float64
+}
+
+// transferEntry is one key's transfer set, built once: the first miss
+// solves it and concurrent misses wait on once. A build error is kept,
+// since the same key would fail the same way again.
+type transferEntry struct {
+	once sync.Once
+	ts   *pdn.TransferSet
+	err  error
 }
 
 // NewDomain builds a domain's views, one per powered-core count, and
@@ -127,7 +138,7 @@ func NewDomain(spec Spec) (*Domain, error) {
 		return nil, fmt.Errorf("platform: domain %s has no instruction pool", spec.Name)
 	}
 	sh := &domainShared{
-		transfers: make(map[transferKey]*pdn.TransferSet),
+		transfers: make(map[transferKey]*transferEntry),
 		views:     make([]*Domain, spec.TotalCores),
 	}
 	views := make([]Domain, spec.TotalCores)
@@ -223,33 +234,29 @@ func (d *Domain) Model() (*pdn.Model, error) {
 // transferSetAt returns (building and caching as needed) the PDN transfer
 // functions for a powered-core count and sampling grid, solved at the
 // nominal supply: the network is linear, so its small-signal transfers
-// serve every supply. Under concurrent misses both goroutines build the
-// same set and one copy wins.
+// serve every supply. Each key is solved once: concurrent misses (the
+// first batch of a -j N campaign) wait for the first one's build, which
+// already spreads its bins over every CPU.
 func (d *Domain) transferSetAt(cores, n int, dt float64) (*pdn.TransferSet, error) {
 	key := transferKey{cores: cores, n: n, dt: dt}
 	sh := d.shared
 	sh.mu.Lock()
-	ts, ok := sh.transfers[key]
-	sh.mu.Unlock()
-	if ok {
-		return ts, nil
-	}
-
-	m, err := pdn.NewModel(d.Spec.PDN, cores)
-	if err != nil {
-		return nil, err
-	}
-	built, err := m.Transfers(n, dt)
-	if err != nil {
-		return nil, err
-	}
-	sh.mu.Lock()
-	if ts, ok = sh.transfers[key]; !ok {
-		sh.transfers[key] = built
-		ts = built
+	e, ok := sh.transfers[key]
+	if !ok {
+		e = new(transferEntry)
+		sh.transfers[key] = e
 	}
 	sh.mu.Unlock()
-	return ts, nil
+	e.once.Do(func() {
+		sh.builds.Add(1)
+		m, err := pdn.NewModel(d.Spec.PDN, cores)
+		if err != nil {
+			e.err = err
+			return
+		}
+		e.ts, e.err = m.Transfers(n, dt)
+	})
+	return e.ts, e.err
 }
 
 // SpectraCacheStats always reports zeros: the domain keeps no in-memory

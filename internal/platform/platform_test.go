@@ -4,9 +4,11 @@ import (
 	"math"
 	"repro/internal/dsp"
 	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/isa"
+	"repro/internal/pdn"
 	"repro/internal/power"
 	"repro/internal/slab"
 	"repro/internal/workload"
@@ -237,24 +239,24 @@ func TestSteadyResponseDroops(t *testing.T) {
 
 func TestSpectraDominantInBand(t *testing.T) {
 	// The probe loop at full clock puts energy into 50-200 MHz; the
-	// spectra must show it.
+	// current spectrum must show it.
 	d := domain(t, juno(t), DomainA72)
 	seq := probeLoop(t, d.Spec.Pool())
-	freqs, vAmp, iAmp, _, err := d.SpectraArena(Load{Seq: seq, ActiveCores: 2}, 0.25e-9, 8192, &slab.Arena{})
+	freqs, iAmp, _, err := d.SpectraArena(Load{Seq: seq, ActiveCores: 2}, 0.25e-9, 8192, &slab.Arena{})
 	if err != nil {
 		t.Fatal(err)
 	}
+	if len(iAmp) != len(freqs) {
+		t.Fatal("spectra length mismatch")
+	}
 	var inBand float64
 	for i, f := range freqs {
-		if f >= 20e6 && f <= 300e6 && vAmp[i] > inBand {
-			inBand = vAmp[i]
+		if f >= 20e6 && f <= 300e6 && iAmp[i] > inBand {
+			inBand = iAmp[i]
 		}
 	}
-	if inBand < 1e-4 {
-		t.Errorf("no in-band voltage spectral content: max %v", inBand)
-	}
-	if len(iAmp) != len(vAmp) {
-		t.Error("spectra length mismatch")
+	if inBand < 1e-3 {
+		t.Errorf("no in-band current spectral content: max %v", inBand)
 	}
 }
 
@@ -327,6 +329,49 @@ func TestTransferCaching(t *testing.T) {
 	// is the one the all-powered view's key for one core finds.
 	if ts4, err := d.transferSetAt(1, 256, 1e-9); err != nil || ts4 != ts3 {
 		t.Errorf("views keep separate transfer caches (%v)", err)
+	}
+}
+
+// TestTransferSetBuiltOnce: goroutines that first use a fresh domain view
+// at once all get the one transfer set, solved once; the others wait for
+// it rather than solving their own copy. A key whose build fails keeps its
+// error without another attempt.
+func TestTransferSetBuiltOnce(t *testing.T) {
+	d := gated(t, domain(t, juno(t), DomainA72), 1)
+	const goroutines = 8
+	got := make([]*pdn.TransferSet, goroutines)
+	errs := make([]error, goroutines)
+	start := make(chan struct{})
+	var wg sync.WaitGroup
+	wg.Add(goroutines)
+	for g := 0; g < goroutines; g++ {
+		go func(g int) {
+			defer wg.Done()
+			<-start
+			got[g], errs[g] = d.transferSet(8192, 0.25e-9)
+		}(g)
+	}
+	close(start)
+	wg.Wait()
+	for g := range got {
+		if errs[g] != nil {
+			t.Fatalf("goroutine %d: %v", g, errs[g])
+		}
+		if got[g] != got[0] {
+			t.Fatalf("goroutine %d got another transfer set", g)
+		}
+	}
+	if n := d.shared.builds.Load(); n != 1 {
+		t.Fatalf("%d transfer-set builds for one key, want 1", n)
+	}
+
+	_, err1 := d.transferSet(0, 0.25e-9)
+	_, err2 := d.transferSet(0, 0.25e-9)
+	if err1 == nil || err2 != err1 {
+		t.Fatalf("bad grid: errors %v, %v; want one error, kept", err1, err2)
+	}
+	if n := d.shared.builds.Load(); n != 2 {
+		t.Fatalf("%d builds after a failing key asked twice, want 2", n)
 	}
 }
 

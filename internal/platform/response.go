@@ -49,22 +49,23 @@ func (d *Domain) validateLoad(l Load) error {
 	return nil
 }
 
-// SpectraArena returns the single-sided amplitude spectra of the die
-// voltage and package-inductor current under the workload at the maximum
-// clock and nominal supply. Every transient row — the current waveform, the
-// half spectrum, the FFT scratch and the amplitude outputs — is drawn from
-// the caller's arena, so the outputs die at its next Reset; freqs is the
-// transfer set's shared grid and must be treated as read-only.
-func (d *Domain) SpectraArena(l Load, dt float64, n int, ar *slab.Arena) (freqs, vAmp, iAmp []float64, res *uarch.Result, err error) {
+// SpectraArena returns the single-sided amplitude spectrum of the
+// package-inductor current (the EM path's input) under the workload at the
+// maximum clock and nominal supply. Every transient row — the current
+// waveform, the half spectrum, the FFT scratch and the amplitude output —
+// is drawn from the caller's arena, so the outputs die at its next Reset;
+// freqs is the transfer set's shared grid and must be treated as
+// read-only. The die voltage is SteadyVDie's.
+func (d *Domain) SpectraArena(l Load, dt float64, n int, ar *slab.Arena) (freqs, iAmp []float64, res *uarch.Result, err error) {
 	pe, err := d.PreparePointAt(l, dt, n, d.ClockHz(), nil)
 	if err != nil {
-		return nil, nil, nil, nil, err
+		return nil, nil, nil, err
 	}
-	freqs, vAmp, iAmp, err = pe.SpectraArena(d.SupplyVolts(), d.PoweredCores(), ar)
+	freqs, iAmp, err = pe.SpectraArena(d.SupplyVolts(), d.PoweredCores(), ar)
 	if err != nil {
-		return nil, nil, nil, nil, err
+		return nil, nil, nil, err
 	}
-	return freqs, vAmp, iAmp, pe.sim.Res, nil
+	return freqs, iAmp, pe.sim.Res, nil
 }
 
 // LoopHzAt returns the workload's loop fundamental frequency at an explicit

@@ -46,7 +46,7 @@ func Extract(b *core.Bench, d *platform.Domain, l platform.Load) (Features, erro
 	if err := b.Validate(); err != nil {
 		return Features{}, err
 	}
-	freqs, _, iAmp, _, err := d.SpectraArena(l, b.Dt, b.N, &slab.Arena{})
+	freqs, iAmp, _, err := d.SpectraArena(l, b.Dt, b.N, &slab.Arena{})
 	if err != nil {
 		return Features{}, err
 	}

@@ -82,7 +82,7 @@ func steadyAndCurrent(ts *pdn.TransferSet, load []float64, vnom float64) (vdie, 
 		return nil, nil, err
 	}
 	iAmp = make([]float64, half)
-	if _, err := ts.SpectraInto(make([]float64, half), iAmp, load, make([]complex128, half),
+	if _, err := ts.SpectraInto(nil, iAmp, load, make([]complex128, half),
 		make([]complex128, dsp.RFFTScratchLen(n))); err != nil {
 		return nil, nil, err
 	}
