@@ -29,7 +29,10 @@ test: build
 # transfers against the original solve and across worker counts, the
 # pattern elimination against its dense oracle), the transfer cache's one
 # build per key, the assembler codec's reference oracle, the
-# multi-part MEASURE local/remote bit-identity pins, and the persistent
+# multi-part MEASURE local/remote bit-identity pins, the droop/ptp batch
+# against its batch-of-one Measure, MEASURE's metric field (an unknown
+# metric, a voltage-blind domain's capability error, a phased droop part
+# against the local batch), and the persistent
 # store's read-path, frame-cap, LRU-touch and block-accounting tests, the
 # batch memo's analyzer key, LRU reference and pinned identity (the name
 # of every meas record on disk), and MONITOR's stream-lost close. The persistent store is cross-process
@@ -62,6 +65,10 @@ tier1: build fmt vet reach specs-verify tier1-remote tier1-fleet
 	$(call require-tests,BatchMemoKeyedByAnalyzer,./internal/core)
 	$(call require-tests,BatchMemoMatchesReferenceLRU,./internal/core)
 	$(call require-tests,MeasDiskKeyPinned,./internal/core)
+	$(call require-tests,VoltageBatchMatchesMeasure,./internal/core)
+	$(call require-tests,MeasureUnknownMetric,./internal/lab)
+	$(call require-tests,MeasureCapabilityError,./internal/lab)
+	$(call require-tests,MeasurePhasedVoltageEquivalence,./internal/lab)
 	$(call require-tests,MonitorPartCountClosesSession,./internal/lab)
 	GOOS=darwin $(GO) build ./...
 	GOOS=windows $(GO) build ./...

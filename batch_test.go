@@ -19,8 +19,8 @@ import (
 
 // emMeasureRef is the EM fitness computed straight down the pipeline —
 // spectra into a fresh arena, antenna fold, analyzer peak — with no memo,
-// dedup or recycled arena. Bench.EMMeasureN is itself a batch of one, so
-// the batch tests compare against this instead.
+// dedup or recycled arena. A bench's own Measure is itself a batch of
+// one, so the batch tests compare against this instead.
 func emMeasureRef(b *Bench, d *Domain, activeCores int) Measurer {
 	return MeasurerFunc(func(seq []Inst) (float64, float64, error) {
 		freqs, iAmp, _, err := d.SpectraArena(platform.Load{Seq: seq, ActiveCores: activeCores}, b.Dt, b.N, &slab.Arena{})

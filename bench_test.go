@@ -168,11 +168,11 @@ func BenchmarkAblationSampleCount(b *testing.B) {
 						b.Fatal(err)
 					}
 					bench.Samples = samples
-					m, err := bench.EMMeasureN(d, Load{Seq: seq, ActiveCores: 2}, bench.Samples)
+					ms, err := bench.EMMeasureBatch(d, []Load{{Seq: seq, ActiveCores: 2}}, bench.Samples, 1, nil)
 					if err != nil {
 						b.Fatal(err)
 					}
-					vals[r] = m.PeakDBm
+					vals[r] = ms[0].PeakDBm
 				}
 				var mean float64
 				for _, v := range vals {

@@ -10,6 +10,13 @@
 //
 // It exits non-zero when it prints an unreached function missing from the
 // allowlist, or a stale entry: one whose function is gone or now reached.
+//
+// What it cannot see is a dead body behind a live interface method. Once
+// any program calls a method through an interface, the linker keeps that
+// method on every type converted to the interface, so an implementation
+// that no program routes the call to (a forwarding wrapper that never
+// serves it, say) passes. A method no program calls through any interface
+// is still reported, on every implementation.
 package main
 
 import (

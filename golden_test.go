@@ -156,10 +156,12 @@ func TestGAGolden(t *testing.T) {
 	checkGolden(t, gaGoldenPath, got)
 }
 
-// TestVoltageGAGolden pins the direct-voltage fitness: a DroopMeasurer GA
-// through the Juno A72's OC-DSO and a PtpMeasurer GA through the Athlon's
-// bench scope. Both scopes draw their noise from a hash of the captured
-// rail, so a single moved bit of the steady-state die voltage shows up.
+// TestVoltageGAGolden pins the direct-voltage fitness: a droop GA through
+// the Juno A72's OC-DSO and a ptp GA through the Athlon's bench scope, both
+// built by Bench.Measurer, which picks the scope from the domain's voltage
+// visibility and seeds it (seed+20 and seed+21). Both scopes draw their
+// noise from a hash of the captured rail, so a single moved bit of the
+// steady-state die voltage shows up.
 func TestVoltageGAGolden(t *testing.T) {
 	juno, err := JunoR2()
 	if err != nil {
@@ -169,12 +171,21 @@ func TestVoltageGAGolden(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	voltage := func(metric BackendMetric, cores int, dsoSeed int64) func(*Bench, *Domain) Measurer {
+		return func(b *Bench, d *Domain) Measurer {
+			m, err := b.Measurer(d, metric, cores, dsoSeed)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return m
+		}
+	}
 	got := map[string]gaGolden{}
 	for _, seed := range []int64{1, 7} {
 		got[fmt.Sprintf("juno-r2/A72/droop/oc-dso/cores=2/pop=16/gens=6/seed=%d", seed)] = goldenGARun(t, juno, DomainA72, seed,
-			func(b *Bench, d *Domain) Measurer { return b.DroopMeasurer(d, 2, NewOCDSO(seed+20)) })
+			voltage(MetricDroop, 2, seed+20))
 		got[fmt.Sprintf("amd-desktop/Athlon/ptp/bench-scope/cores=4/pop=16/gens=6/seed=%d", seed)] = goldenGARun(t, amd, DomainAthlon, seed,
-			func(b *Bench, d *Domain) Measurer { return b.PtpMeasurer(d, 4, NewBenchScope(seed+21)) })
+			voltage(MetricPtp, 4, seed+21))
 	}
 	checkGolden(t, voltageGAGoldenPath, got)
 }

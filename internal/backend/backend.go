@@ -28,26 +28,24 @@ import (
 	"repro/internal/vmin"
 )
 
-// Metric names a GA fitness observable: the EM peak (the paper's default,
-// works on every domain), the DSO droop depth, or the peak-to-peak swing.
-type Metric string
+// The metric vocabulary is core's; backend names it for its callers.
+type (
+	// Metric names a GA fitness observable (em, droop or ptp).
+	Metric = core.Metric
+	// CapabilityError reports a metric a domain's instrumentation cannot
+	// provide.
+	CapabilityError = core.CapabilityError
+)
 
 // The three measurer metrics.
 const (
-	MetricEM    Metric = "em"
-	MetricDroop Metric = "droop"
-	MetricPtp   Metric = "ptp"
+	MetricEM    = core.MetricEM
+	MetricDroop = core.MetricDroop
+	MetricPtp   = core.MetricPtp
 )
 
 // ParseMetric validates a metric name (e.g. from a -metric flag).
-func ParseMetric(s string) (Metric, error) {
-	switch Metric(s) {
-	case MetricEM, MetricDroop, MetricPtp:
-		return Metric(s), nil
-	default:
-		return "", fmt.Errorf("backend: unknown metric %q (want em, droop or ptp)", s)
-	}
-}
+var ParseMetric = core.ParseMetric
 
 // Caps is a domain's capability record: what the rig can do.
 type Caps struct {
@@ -112,20 +110,6 @@ type MeasurerSpec struct {
 	// historical experiment seeds reproduce on any backend. Ignored for em
 	// (the analyzer seed is rig-owned).
 	DSOSeed int64
-}
-
-// CapabilityError reports a measurement request a domain cannot satisfy,
-// with enough context to act on.
-type CapabilityError struct {
-	Domain     string
-	Metric     Metric
-	Visibility string
-}
-
-func (e *CapabilityError) Error() string {
-	return fmt.Sprintf(
-		"backend: metric %q needs direct voltage visibility, but domain %s has %q — use the em metric (no voltage access required), or target a domain with an OC-DSO or Kelvin pads",
-		e.Metric, e.Domain, e.Visibility)
 }
 
 // IsCapabilityError reports whether err is (or wraps) a *CapabilityError.

@@ -417,10 +417,10 @@ func TestMeasurerEquivalence(t *testing.T) {
 
 // TestMeasureBatchEquivalence: the remote measurer sends a generation as
 // multi-part MEASUREs, one per session in use and at most
-// lab.MaxMeasureParts parts each, and its results equal the local
-// backend's evaluation of the same generation and its per-item Measure bit
-// for bit at every parallelism; the voltage metrics stay one VMEASURE per
-// item.
+// lab.MaxMeasureParts parts each, under every metric, and its results
+// equal the local backend's evaluation of the same generation and its
+// per-item Measure bit for bit at every parallelism, batches holding the
+// items[5]/items[17] clones included.
 func TestMeasureBatchEquivalence(t *testing.T) {
 	const sessions = 3
 	local, remote := backends(t, sessions)
@@ -437,6 +437,8 @@ func TestMeasureBatchEquivalence(t *testing.T) {
 	em := backend.MeasurerSpec{Domain: platform.DomainA72, Metric: backend.MetricEM, ActiveCores: 2, Samples: 3}
 	droop := em
 	droop.Metric, droop.DSOSeed = backend.MetricDroop, 5
+	ptp := droop
+	ptp.Metric = backend.MetricPtp
 	for _, tc := range []struct {
 		spec        backend.MeasurerSpec
 		items       []ga.BatchItem
@@ -448,7 +450,10 @@ func TestMeasureBatchEquivalence(t *testing.T) {
 		{em, items[:40], 2, "MEASURE", 2},
 		{em, items[:40], 8, "MEASURE", sessions},
 		{em, items, 1, "MEASURE", 2},
-		{droop, items[:6], 8, "VMEASURE", 6},
+		{droop, items[:6], 8, "MEASURE", sessions},
+		{ptp, items[:6], 2, "MEASURE", 2},
+		{droop, items[:40], 1, "MEASURE", 1},
+		{ptp, items[:40], 8, "MEASURE", sessions},
 	} {
 		lm, err := local.Measurer(tc.spec)
 		if err != nil {

@@ -84,31 +84,15 @@ func specCaps(spec platform.Spec) Caps {
 	}
 }
 
-// Measurer builds a GA fitness function on the local bench. The em metric
-// returns the bench's own batch-capable measurer unchanged.
+// Measurer builds a GA fitness function on the local bench: the bench's
+// own batch-capable measurer (core.Bench.Measurer) on the domain view at
+// the spec's powered cores, re-sampled to the spec's averaging depth.
 func (l *Local) Measurer(spec MeasurerSpec) (ga.Measurer, error) {
 	d, err := l.view(spec.Domain, spec.PoweredCores)
 	if err != nil {
 		return nil, err
 	}
-	b := l.bench.WithSamples(spec.Samples)
-	switch spec.Metric {
-	case MetricEM:
-		return b.EMMeasurer(d, spec.ActiveCores), nil
-	case MetricDroop, MetricPtp:
-		vis := d.Spec.VoltageVisibility
-		_, newScope := instrument.ScopeFor(vis)
-		if newScope == nil {
-			return nil, &CapabilityError{Domain: spec.Domain, Metric: spec.Metric, Visibility: vis}
-		}
-		dso := newScope(spec.DSOSeed)
-		if spec.Metric == MetricDroop {
-			return b.DroopMeasurer(d, spec.ActiveCores, dso), nil
-		}
-		return b.PtpMeasurer(d, spec.ActiveCores, dso), nil
-	default:
-		return nil, fmt.Errorf("backend: unknown metric %q", spec.Metric)
-	}
+	return l.bench.WithSamples(spec.Samples).Measurer(d, spec.Metric, spec.ActiveCores, spec.DSOSeed)
 }
 
 // Sweep measures fast-sweep points with one core.Bench.SweepBatch: one

@@ -177,10 +177,10 @@ func (r *Remote) part(domain string, load platform.Load, powered int) (lab.Part,
 }
 
 // Measurer builds a GA fitness function that evaluates individuals on the
-// remote target. It is a ga.BatchMeasurer: for the em metric a generation
-// goes out as multi-part MEASUREs, one per session in use; droop and ptp
-// send one VMEASURE per individual and fail client-side with a
-// *CapabilityError when the domain is voltage-blind.
+// remote target. It is a ga.BatchMeasurer: a generation goes out as
+// multi-part MEASUREs naming the spec's metric, one per session in use. A
+// droop/ptp request on a voltage-blind domain fails here, client-side,
+// with a *CapabilityError.
 func (r *Remote) Measurer(spec MeasurerSpec) (ga.Measurer, error) {
 	caps, err := r.Caps(spec.Domain)
 	if err != nil {
@@ -226,22 +226,18 @@ func (m *remoteMeasurer) Measure(seq []isa.Inst) (float64, float64, error) {
 
 // MeasureBatch implements ga.BatchMeasurer. The items are split into
 // contiguous chunks, one per session the call may use (min(parallelism,
-// pool sessions)) and at most lab.MaxMeasureParts each, and every em chunk
-// is one MEASURE; the daemon's batch dedups and memoizes exactly as a
-// local bench does, so the results are bit-identical to Measure per item.
-// Voltage metrics send one VMEASURE per item on the same sessions. With
-// an error it returns the results of the leading items that were
-// measured.
+// pool sessions)) and at most lab.MaxMeasureParts each, and every chunk is
+// one MEASURE; the daemon's batch dedups (and, for em, memoizes) exactly
+// as a local bench does, so the results are bit-identical to Measure per
+// item. With an error it returns the results of the leading items that
+// were measured.
 func (m *remoteMeasurer) MeasureBatch(items []ga.BatchItem, parallelism int) ([]ga.BatchResult, error) {
 	if len(items) == 0 {
 		return nil, nil
 	}
 	out := make([]ga.BatchResult, len(items))
 	workers := min(par.Workers(parallelism), m.r.sessions)
-	size := 1
-	if m.spec.Metric == MetricEM {
-		size = min((len(items)+workers-1)/workers, lab.MaxMeasureParts)
-	}
+	size := min((len(items)+workers-1)/workers, lab.MaxMeasureParts)
 	chunks := (len(items) + size - 1) / size
 	got := make([]int, chunks) // results each chunk returned
 	err := par.ForEach(workers, chunks, func(k int) error {
@@ -252,18 +248,8 @@ func (m *remoteMeasurer) MeasureBatch(items []ga.BatchItem, parallelism int) ([]
 				Pool: m.pool, Seq: items[lo+i].Seq}
 		}
 		return m.r.pool.Do(func(c *lab.Client) error {
-			if m.spec.Metric != MetricEM {
-				fitness, domHz, err := c.VMeasure(parts[0], string(m.spec.Metric), m.spec.Samples, m.spec.DSOSeed)
-				if err == nil {
-					out[lo], got[k] = ga.BatchResult{Fitness: fitness, DominantHz: domHz}, 1
-				}
-				return err
-			}
-			ms, err := c.Measure(parts, m.spec.Samples)
-			for i, meas := range ms {
-				out[lo+i] = ga.BatchResult{Fitness: meas.PeakDBm, DominantHz: meas.PeakHz}
-			}
-			got[k] = len(ms)
+			res, err := c.Measure(parts, m.spec.Metric, m.spec.Samples, m.spec.DSOSeed)
+			got[k] = copy(out[lo:], res)
 			return err
 		})
 	})

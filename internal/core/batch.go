@@ -7,7 +7,6 @@ import (
 
 	"repro/internal/detrand"
 	"repro/internal/em"
-	"repro/internal/ga"
 	"repro/internal/instrument"
 	"repro/internal/isa"
 	"repro/internal/par"
@@ -237,35 +236,13 @@ func (st *batchState) putArena(ar *slab.Arena) {
 	st.arenaPool.Put(ar)
 }
 
-// MeasureBatch implements ga.BatchMeasurer: one call evaluates the whole
-// generation with intra-batch dedup, the cross-generation memo and slab
-// arenas, bit-identical to per-individual Measure calls at any parallelism.
-func (m emMeasurer) MeasureBatch(items []ga.BatchItem, parallelism int) ([]ga.BatchResult, error) {
-	loads := make([]platform.Load, len(items))
-	for i, it := range items {
-		loads[i] = platform.Load{Seq: it.Seq, ActiveCores: m.activeCores}
-	}
-	meas, err := m.b.EMMeasureBatch(m.d, loads, m.b.Samples, parallelism, nil)
-	if err != nil {
-		return nil, err
-	}
-	results := make([]ga.BatchResult, len(meas))
-	for i, r := range meas {
-		results[i] = ga.BatchResult{Fitness: r.PeakDBm, DominantHz: r.PeakHz}
-	}
-	return results, nil
-}
-
 // EMMeasureBatch is the bench's one EM measurement path: every load is
 // measured on domain d at its powered cores, maximum clock and nominal
-// supply, with intra-batch dedup, the in-memory memo and the disk tier in
-// front of the pipeline, on up to parallelism workers. EMMeasureN is a
-// batch of one.
-//
-// A non-nil emit receives every result in index order as soon as it and
-// all results before it are known, so a caller can stream a long batch
-// (the lab daemon answers a multi-part MEASURE one line per part); an
-// emit error stops the batch and is returned.
+// supply, through runBatch with the in-memory memo and the disk tier in
+// front of the pipeline, on up to parallelism workers; a GA measurer's
+// Measure is a batch of one. A non-nil emit streams the results as
+// runBatch's does (the lab daemon answers a multi-part MEASURE one line
+// per part).
 func (b *Bench) EMMeasureBatch(d *platform.Domain, loads []platform.Load, samples, parallelism int,
 	emit func(i int, m instrument.Measurement) error) ([]instrument.Measurement, error) {
 	if err := b.Validate(); err != nil {
@@ -275,29 +252,77 @@ func (b *Bench) EMMeasureBatch(d *platform.Domain, loads []platform.Load, sample
 		return nil, fmt.Errorf("core: %d samples", samples)
 	}
 	st := b.batchSt()
-	results := make([]instrument.Measurement, len(loads))
-	if len(loads) == 0 {
-		return results, nil
-	}
 
 	// The view's powered cores key the whole batch; clock and supply are
-	// the spec's maximum and nominal.
+	// the spec's maximum and nominal. The memo carries results across
+	// calls — elites re-measured every generation, clones of
+	// already-measured parents — under one 64-bit identity per distinct
+	// load, which keys both tiers: the memo and the disk store.
 	clock, supply, powered := d.ClockHz(), d.SupplyVolts(), d.PoweredCores()
-
-	// Dedup identical loads by content hash: at a fixed operating point the
-	// measured value is a pure function of the load (instrument noise is
-	// content-derived, never order- or index-derived), so one measurement
-	// fans out to every duplicate bit-identically. The memo then carries
-	// results across calls — elites re-measured every generation, clones of
-	// already-measured parents — under the same 64-bit content key.
 	emID := emIdentity(b.Platform.Antenna, d.Spec.EMPath)
 	specHash := d.SpecContentHash()
 	anaHash := b.Analyzer.ContentHash()
 	disk := measPersist.Load()
-	firstOf := make(map[uint64]int, len(loads))
-	dupOf := make([]int, len(loads))
 	keys := make([]batchMemoKey, len(loads))
 	ids := make([]uint64, len(loads))
+	known := func(i int, h uint64) (instrument.Measurement, bool) {
+		keys[i] = batchMemoKey{load: h, spec: specHash, em: emID, ana: anaHash, powered: powered,
+			clock: clock, supply: supply, dt: b.Dt, n: b.N, samples: samples, bandLo: b.Band.Lo, bandHi: b.Band.Hi}
+		ids[i] = measDiskKey(keys[i])
+		if m, ok := st.memoGet(ids[i], keys[i]); ok {
+			return m, true
+		}
+		// The persistent tier holds measurements from earlier processes (or
+		// concurrent ones sharing the cache directory); a hit feeds the
+		// in-memory memo so the rest of the campaign never re-reads disk.
+		if m, ok := measGet(disk, ids[i], keys[i]); ok {
+			st.memoAdd(ids[i], keys[i], m)
+			return m, true
+		}
+		return instrument.Measurement{}, false
+	}
+	return runBatch(st, loads, parallelism, known, func(ar *slab.Arena, i int) (instrument.Measurement, error) {
+		freqs, iAmp, _, err := d.SpectraArena(loads[i], b.Dt, b.N, ar)
+		if err != nil {
+			return instrument.Measurement{}, err
+		}
+		watts := ar.FloatsUninit(len(freqs)) // CombineInto clears before folding
+		if _, err := em.CombineInto(watts, b.Platform.Antenna, []em.Emitter{
+			{Freqs: freqs, IAmp: iAmp, Path: d.Spec.EMPath},
+		}); err != nil {
+			return instrument.Measurement{}, err
+		}
+		meas, err := b.Analyzer.MeasurePeak(freqs, watts, b.Band.Lo, b.Band.Hi, samples)
+		if err != nil {
+			return instrument.Measurement{}, err
+		}
+		st.memoAdd(ids[i], keys[i], *meas)
+		measPut(disk, ids[i], keys[i], *meas)
+		return *meas, nil
+	}, emit)
+}
+
+// runBatch is the bench's one batch driver, every metric's: it dedups the
+// loads by content hash, serves a distinct load (index i, hash h) from
+// known when that reports one (the EM memo and disk tier; nil serves
+// none), and runs measure on the rest, on up to parallelism workers, each
+// with one recycled arena for the whole batch. Dedup is exact because at
+// a fixed operating point a reading is a pure function of the load
+// (instrument noise is content-derived, never order- or index-derived),
+// so one measurement fans out to every duplicate bit-identically.
+//
+// A non-nil emit receives every result in index order as soon as it and
+// all results before it are known, so a caller can stream a long batch;
+// an emit error stops the batch and is returned.
+func runBatch[T any](st *batchState, loads []platform.Load, parallelism int,
+	known func(i int, h uint64) (T, bool), measure func(ar *slab.Arena, i int) (T, error),
+	emit func(i int, v T) error) ([]T, error) {
+	results := make([]T, len(loads))
+	if len(loads) == 0 {
+		return results, nil
+	}
+	firstOf := make(map[uint64]int, len(loads))
+	dupOf := make([]int, len(loads))
 	work := make([]int, 0, len(loads))
 	var dedup, memoHits uint64
 	for i := range loads {
@@ -309,24 +334,12 @@ func (b *Bench) EMMeasureBatch(d *platform.Domain, loads []platform.Load, sample
 		}
 		firstOf[h] = i
 		dupOf[i] = -1
-		// One identity per distinct load keys both tiers: the memo and
-		// the disk store.
-		keys[i] = batchMemoKey{load: h, spec: specHash, em: emID, ana: anaHash, powered: powered,
-			clock: clock, supply: supply, dt: b.Dt, n: b.N, samples: samples, bandLo: b.Band.Lo, bandHi: b.Band.Hi}
-		ids[i] = measDiskKey(keys[i])
-		if m, ok := st.memoGet(ids[i], keys[i]); ok {
-			results[i] = m
-			memoHits++
-			continue
-		}
-		// The persistent tier holds measurements from earlier processes (or
-		// concurrent ones sharing the cache directory); a hit feeds the
-		// in-memory memo so the rest of the campaign never re-reads disk.
-		if m, ok := measGet(disk, ids[i], keys[i]); ok {
-			results[i] = m
-			st.memoAdd(ids[i], keys[i], m)
-			memoHits++
-			continue
+		if known != nil {
+			if v, ok := known(i, h); ok {
+				results[i] = v
+				memoHits++
+				continue
+			}
 		}
 		work = append(work, i)
 	}
@@ -337,9 +350,9 @@ func (b *Bench) EMMeasureBatch(d *platform.Domain, loads []platform.Load, sample
 	st.measured.Add(uint64(len(work)))
 	st.dedup.Add(dedup)
 	st.memoHits.Add(memoHits)
-	var order *inOrder
+	var order *inOrder[T]
 	if emit != nil {
-		order = &inOrder{emit: emit, results: results, dupOf: dupOf, ready: make([]bool, len(loads))}
+		order = &inOrder[T]{emit: emit, results: results, dupOf: dupOf, ready: make([]bool, len(loads))}
 		for i := range order.ready {
 			order.ready[i] = true
 		}
@@ -375,23 +388,11 @@ func (b *Bench) EMMeasureBatch(d *platform.Domain, loads []platform.Load, sample
 		used[w].Store(true)
 		ar := arenas[w]
 		ar.Reset()
-		freqs, iAmp, _, err := d.SpectraArena(loads[i], b.Dt, b.N, ar)
+		v, err := measure(ar, i)
 		if err != nil {
 			return err
 		}
-		watts := ar.FloatsUninit(len(freqs)) // CombineInto clears before folding
-		if _, err := em.CombineInto(watts, b.Platform.Antenna, []em.Emitter{
-			{Freqs: freqs, IAmp: iAmp, Path: d.Spec.EMPath},
-		}); err != nil {
-			return err
-		}
-		meas, err := b.Analyzer.MeasurePeak(freqs, watts, b.Band.Lo, b.Band.Hi, samples)
-		if err != nil {
-			return err
-		}
-		results[i] = *meas
-		st.memoAdd(ids[i], keys[i], *meas)
-		measPut(disk, ids[i], keys[i], *meas)
+		results[i] = v
 		return order.done(i)
 	})
 	var arenaTotal uint64
@@ -432,10 +433,10 @@ func (b *Bench) EMMeasureBatch(d *platform.Domain, loads []platform.Load, sample
 // Workers finish out of order; done marks one result final and emits the
 // longest run of final results from the cursor on, a duplicate being final
 // with its first occurrence, which always comes before it.
-type inOrder struct {
+type inOrder[T any] struct {
 	mu      sync.Mutex
-	emit    func(i int, m instrument.Measurement) error
-	results []instrument.Measurement
+	emit    func(i int, v T) error
+	results []T
 	dupOf   []int
 	ready   []bool
 	next    int
@@ -444,7 +445,7 @@ type inOrder struct {
 
 // done marks results[i] final (i < 0 marks nothing) and emits what is now
 // ready. A nil receiver is a batch nobody streams.
-func (o *inOrder) done(i int) error {
+func (o *inOrder[T]) done(i int) error {
 	if o == nil {
 		return nil
 	}

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"fmt"
+	"math"
 	"math/rand"
 	"reflect"
 	"runtime"
@@ -138,17 +140,17 @@ func TestBatchMemoKeyedByDomain(t *testing.T) {
 	}
 	b, a72, a53 := setup()
 	l := buildLoad(t, a72, "probe", 2)
-	m72, err := b.EMMeasureN(a72, l, 3)
+	m72, err := emMeasure(b, a72, l, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := b.EMMeasureN(a53, l, 3)
+	got, err := emMeasure(b, a53, l, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	b2, _, a53fresh := setup()
-	want, err := b2.EMMeasureN(a53fresh, l, 3)
+	want, err := emMeasure(b2, a53fresh, l, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -178,11 +180,11 @@ func TestBatchMemoKeyedByAnalyzer(t *testing.T) {
 	}
 	b1, p1 := testBench(t)
 	d1 := dom(t, p1, platform.DomainA72)
-	first, err := b1.EMMeasureN(d1, buildLoad(t, d1, "probe", 2), 3)
+	first, err := emMeasure(b1, d1, buildLoad(t, d1, "probe", 2), 3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := reseed(b1).EMMeasureN(d1, buildLoad(t, d1, "probe", 2), 3)
+	got, err := emMeasure(reseed(b1), d1, buildLoad(t, d1, "probe", 2), 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -191,7 +193,7 @@ func TestBatchMemoKeyedByAnalyzer(t *testing.T) {
 	// re-seeded analyzer.
 	b3, p3 := testBench(t)
 	d3 := dom(t, p3, platform.DomainA72)
-	want, err := reseed(b3).EMMeasureN(d3, buildLoad(t, d3, "probe", 2), 3)
+	want, err := emMeasure(reseed(b3), d3, buildLoad(t, d3, "probe", 2), 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -293,6 +295,68 @@ func TestBatchMemoMatchesReferenceLRU(t *testing.T) {
 	for k, i := len(ref)-1, mm.tail; k >= 0; k, i = k-1, mm.ents[i].prev {
 		if mm.ents[i].id != ref[k].id {
 			t.Fatalf("backward walk position %d: id %d, reference %d", k, mm.ents[i].id, ref[k].id)
+		}
+	}
+}
+
+// TestVoltageBatchMatchesMeasure: droop and ptp batches run through the
+// EM batch driver. On the OC-DSO A72 and the Athlon's bench scope, at
+// parallelism 1, 2 and 8, every result of a batch holding two clones
+// equals the batch-of-one Measure of its item bit for bit, the clones are
+// dedup hits, and nothing is served by a memo (voltage readings have
+// none).
+func TestVoltageBatchMatchesMeasure(t *testing.T) {
+	juno, err := platform.JunoR2()
+	if err != nil {
+		t.Fatal(err)
+	}
+	amd, err := platform.AMDDesktop()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		plat   *platform.Platform
+		domain string
+		cores  int
+	}{{juno, platform.DomainA72, 2}, {amd, platform.DomainAthlon, 4}} {
+		d := dom(t, tc.plat, tc.domain)
+		rng := rand.New(rand.NewSource(5))
+		items := make([]ga.BatchItem, 8)
+		for i := range items {
+			items[i] = ga.BatchItem{Seq: d.Spec.Pool().RandomSequence(rng, 16)}
+		}
+		items[4], items[7] = items[1], items[1]
+		for _, metric := range []Metric{MetricDroop, MetricPtp} {
+			for _, parallelism := range []int{1, 2, 8} {
+				name := fmt.Sprintf("%s %s parallelism %d", tc.domain, metric, parallelism)
+				b, err := NewBench(tc.plat, 1)
+				if err != nil {
+					t.Fatal(err)
+				}
+				m, err := b.Measurer(d, metric, tc.cores, 11)
+				if err != nil {
+					t.Fatal(err)
+				}
+				got, err := m.MeasureBatch(items, parallelism)
+				if err != nil {
+					t.Fatal(err)
+				}
+				want := BatchStats{Batches: 1, Items: 8, Measured: 6, DedupHits: 2}
+				if bs := b.BatchStats(); bs.Batches != want.Batches || bs.Items != want.Items ||
+					bs.Measured != want.Measured || bs.DedupHits != want.DedupHits || bs.MemoHits != 0 {
+					t.Fatalf("%s: stats %+v, want 1 batch of 8 items, 6 measured, 2 dedup hits, 0 memo hits", name, bs)
+				}
+				for i, it := range items {
+					fit, hz, err := m.Measure(it.Seq)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if math.Float64bits(got[i].Fitness) != math.Float64bits(fit) ||
+						math.Float64bits(got[i].DominantHz) != math.Float64bits(hz) {
+						t.Fatalf("%s: item %d batch %+v, Measure (%v, %v)", name, i, got[i], fit, hz)
+					}
+				}
+			}
 		}
 	}
 }

@@ -23,6 +23,7 @@ import (
 	"repro/internal/instrument"
 	"repro/internal/isa"
 	"repro/internal/platform"
+	"repro/internal/slab"
 	"repro/internal/uarch"
 )
 
@@ -113,18 +114,6 @@ func (b *Bench) WithSamples(n int) *Bench {
 	return &b2
 }
 
-// EMMeasureN runs a workload on one domain and measures the received EM
-// peak in the bench band, averaged over samples sweeps: the paper's GA
-// fitness observable. It is a batch of one, served by the same memo and
-// disk tier as MeasureBatch.
-func (b *Bench) EMMeasureN(d *platform.Domain, l platform.Load, samples int) (*instrument.Measurement, error) {
-	ms, err := b.EMMeasureBatch(d, []platform.Load{l}, samples, 1, nil)
-	if err != nil {
-		return nil, err
-	}
-	return &ms[0], nil
-}
-
 // EvalStats renders the evaluation counters behind the bench's
 // measurements: the process-wide lines (ProcessStats) and, once any
 // measurement has run, the bench's batch line. Local backends and the lab
@@ -149,87 +138,171 @@ func ProcessStats() string {
 	return stats
 }
 
-// emMeasurer adapts EMMeasureN into a GA fitness function: fitness is the
-// averaged peak power in dBm (tournament selection only needs ranks, so
-// the dB compression is harmless), and the dominant frequency is the
-// per-sweep modal peak bin.
-type emMeasurer struct {
-	b           *Bench
-	d           *platform.Domain
-	activeCores int
-}
+// Metric names a GA fitness observable: the EM peak (the paper's default,
+// works on every domain), the DSO droop depth, or the peak-to-peak swing.
+type Metric string
 
-// Measure implements ga.Measurer.
-func (m emMeasurer) Measure(seq []isa.Inst) (float64, float64, error) {
-	meas, err := m.b.EMMeasureN(m.d, platform.Load{Seq: seq, ActiveCores: m.activeCores}, m.b.Samples)
-	if err != nil {
-		return 0, 0, err
+// The three measurer metrics.
+const (
+	MetricEM    Metric = "em"
+	MetricDroop Metric = "droop"
+	MetricPtp   Metric = "ptp"
+)
+
+// ParseMetric validates a metric name (e.g. from a -metric flag or a
+// MEASURE request).
+func ParseMetric(s string) (Metric, error) {
+	switch Metric(s) {
+	case MetricEM, MetricDroop, MetricPtp:
+		return Metric(s), nil
+	default:
+		return "", fmt.Errorf("core: unknown metric %q (want em, droop or ptp)", s)
 	}
-	return meas.PeakDBm, meas.PeakHz, nil
 }
 
-// EMMeasurer returns the GA fitness measurer for one domain.
-func (b *Bench) EMMeasurer(d *platform.Domain, activeCores int) ga.Measurer {
-	return emMeasurer{b: b, d: d, activeCores: activeCores}
+// CapabilityError reports a measurement request a domain cannot satisfy,
+// with enough context to act on.
+type CapabilityError struct {
+	Domain     string
+	Metric     Metric
+	Visibility string
 }
 
-// DroopMeasurer is the validation fitness of Section 5.1: maximum voltage
-// droop observed through a scope on a direct-visibility domain (the Juno
-// OC-DSO or the AMD Kelvin pads).
-func (b *Bench) DroopMeasurer(d *platform.Domain, activeCores int, dso *instrument.DSO) ga.Measurer {
-	return b.voltageMeasurer(d, activeCores, dso, func(tr *instrument.VoltageTrace, nominal float64) float64 {
-		return tr.MaxDroop(nominal)
-	})
+func (e *CapabilityError) Error() string {
+	return fmt.Sprintf(
+		"core: metric %q needs direct voltage visibility, but domain %s has %q — use the em metric (no voltage access required), or target a domain with an OC-DSO or Kelvin pads",
+		e.Metric, e.Domain, e.Visibility)
 }
 
-// PtpMeasurer optimizes peak-to-peak rail swing instead of droop.
-func (b *Bench) PtpMeasurer(d *platform.Domain, activeCores int, dso *instrument.DSO) ga.Measurer {
-	return b.voltageMeasurer(d, activeCores, dso, func(tr *instrument.VoltageTrace, _ float64) float64 {
-		return tr.PeakToPeak()
-	})
-}
-
-func (b *Bench) voltageMeasurer(d *platform.Domain, activeCores int, dso *instrument.DSO,
-	metric func(*instrument.VoltageTrace, float64) float64) ga.Measurer {
-	return vMeasurer{b: b, d: d, activeCores: activeCores, dso: dso, metric: metric}
-}
-
-// vMeasurer is the direct-voltage fitness backend.
-type vMeasurer struct {
+// measurer is the GA fitness function of one metric on one domain view,
+// its individuals running on activeCores. With no dso it is the EM
+// metric: fitness is the averaged peak power in dBm (tournament selection
+// only needs ranks, so the dB compression is harmless) and the dominant
+// frequency is the per-sweep modal peak bin. With a dso it is a
+// direct-voltage metric (Section 5.1's validation viruses): the
+// steady-state die voltage captured by the domain's scope, reduced by
+// value, with the trace spectrum's strongest in-band bin as the dominant
+// frequency.
+type measurer struct {
 	b           *Bench
 	d           *platform.Domain
 	activeCores int
 	dso         *instrument.DSO
-	metric      func(*instrument.VoltageTrace, float64) float64
+	value       func(tr *instrument.VoltageTrace, nominal float64) float64
 }
 
-// Measure implements ga.Measurer.
-func (m vMeasurer) Measure(seq []isa.Inst) (float64, float64, error) {
-	if m.dso == nil || m.d.Spec.VoltageVisibility == "none" {
-		return 0, 0, fmt.Errorf("core: domain %s has no voltage visibility", m.d.Spec.Name)
+// EMMeasurer returns the GA fitness measurer for one domain.
+func (b *Bench) EMMeasurer(d *platform.Domain, activeCores int) ga.Measurer {
+	return measurer{b: b, d: d, activeCores: activeCores}
+}
+
+// Measurer builds the GA fitness function of metric on domain d, its
+// individuals running on activeCores: em is EMMeasurer's; droop and ptp
+// read the rail through the scope the domain's voltage visibility implies
+// (the Juno OC-DSO or a bench scope on the AMD Kelvin pads), seeded with
+// dsoSeed so a campaign's scope noise reproduces anywhere. A domain with
+// no scope gets a *CapabilityError.
+func (b *Bench) Measurer(d *platform.Domain, metric Metric, activeCores int, dsoSeed int64) (ga.BatchMeasurer, error) {
+	m := measurer{b: b, d: d, activeCores: activeCores}
+	switch metric {
+	case MetricEM:
+		return m, nil
+	case MetricDroop:
+		m.value = func(tr *instrument.VoltageTrace, nominal float64) float64 { return tr.MaxDroop(nominal) }
+	case MetricPtp:
+		m.value = func(tr *instrument.VoltageTrace, _ float64) float64 { return tr.PeakToPeak() }
+	default:
+		return nil, fmt.Errorf("core: unknown metric %q", metric)
 	}
-	st := m.b.batchSt()
-	ar := st.getArena()
-	defer st.putArena(ar)
-	resp, _, err := m.d.SteadyVDie(platform.Load{Seq: seq, ActiveCores: m.activeCores}, m.b.Dt, m.b.N, ar)
+	vis := d.Spec.VoltageVisibility
+	_, newScope := instrument.ScopeFor(vis)
+	if newScope == nil {
+		return nil, &CapabilityError{Domain: d.Spec.Name, Metric: metric, Visibility: vis}
+	}
+	m.dso = newScope(dsoSeed)
+	return m, nil
+}
+
+// MeasureLoads measures every load on domain d under metric through
+// Measurer's batch path, at the bench's sample count, on up to
+// parallelism workers. Unlike a GA batch, each load keeps its own active
+// cores and phases. A non-nil emit receives every result in index order
+// as soon as it and all results before it are known.
+func (b *Bench) MeasureLoads(d *platform.Domain, metric Metric, dsoSeed int64, loads []platform.Load, parallelism int,
+	emit func(i int, r ga.BatchResult) error) ([]ga.BatchResult, error) {
+	m, err := b.Measurer(d, metric, 0, dsoSeed)
+	if err != nil {
+		return nil, err
+	}
+	return m.(measurer).measureLoads(loads, parallelism, emit)
+}
+
+// Measure implements ga.Measurer: a batch of one.
+func (m measurer) Measure(seq []isa.Inst) (float64, float64, error) {
+	res, err := m.MeasureBatch([]ga.BatchItem{{Seq: seq}}, 1)
 	if err != nil {
 		return 0, 0, err
 	}
-	trace, err := m.dso.Capture(resp)
-	if err != nil {
-		return 0, 0, err
+	return res[0].Fitness, res[0].DominantHz, nil
+}
+
+// MeasureBatch implements ga.BatchMeasurer: one call evaluates the whole
+// generation through the bench's batch driver (intra-batch dedup, slab
+// arenas and, for em, the cross-generation memo), bit-identical to
+// per-individual Measure calls at any parallelism.
+func (m measurer) MeasureBatch(items []ga.BatchItem, parallelism int) ([]ga.BatchResult, error) {
+	loads := make([]platform.Load, len(items))
+	for i, it := range items {
+		loads[i] = platform.Load{Seq: it.Seq, ActiveCores: m.activeCores}
 	}
-	freqs, amps := trace.Spectrum()
-	var domHz, domAmp float64
-	for i, f := range freqs {
-		if f < m.b.Band.Lo || f > m.b.Band.Hi {
-			continue
+	return m.measureLoads(loads, parallelism, nil)
+}
+
+func (m measurer) measureLoads(loads []platform.Load, parallelism int, emit func(int, ga.BatchResult) error) ([]ga.BatchResult, error) {
+	if m.dso == nil {
+		var emitEM func(int, instrument.Measurement) error
+		if emit != nil {
+			emitEM = func(i int, r instrument.Measurement) error { return emit(i, emResult(r)) }
 		}
-		if amps[i] > domAmp {
-			domHz, domAmp = f, amps[i]
+		meas, err := m.b.EMMeasureBatch(m.d, loads, m.b.Samples, parallelism, emitEM)
+		if err != nil {
+			return nil, err
 		}
+		results := make([]ga.BatchResult, len(meas))
+		for i, r := range meas {
+			results[i] = emResult(r)
+		}
+		return results, nil
 	}
-	return m.metric(trace, m.d.SupplyVolts()), domHz, nil
+	// Scope noise is keyed by the seed and the captured rail, so a voltage
+	// reading is a pure function of the load and the batch dedups it
+	// exactly; it keeps no memo.
+	if err := m.b.Validate(); err != nil {
+		return nil, err
+	}
+	return runBatch(m.b.batchSt(), loads, parallelism, nil, func(ar *slab.Arena, i int) (ga.BatchResult, error) {
+		resp, _, err := m.d.SteadyVDie(loads[i], m.b.Dt, m.b.N, ar)
+		if err != nil {
+			return ga.BatchResult{}, err
+		}
+		trace, err := m.dso.Capture(resp)
+		if err != nil {
+			return ga.BatchResult{}, err
+		}
+		freqs, amps := trace.Spectrum()
+		var domHz, domAmp float64
+		for k, f := range freqs {
+			if f >= m.b.Band.Lo && f <= m.b.Band.Hi && amps[k] > domAmp {
+				domHz, domAmp = f, amps[k]
+			}
+		}
+		return ga.BatchResult{Fitness: m.value(trace, m.d.SupplyVolts()), DominantHz: domHz}, nil
+	}, emit)
+}
+
+// emResult is an EM measurement as GA fitness.
+func emResult(m instrument.Measurement) ga.BatchResult {
+	return ga.BatchResult{Fitness: m.PeakDBm, DominantHz: m.PeakHz}
 }
 
 // GenerateVirus runs the GA against the EM fitness on one domain and

@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"strings"
 	"testing"
 
 	"repro/internal/ga"
@@ -31,6 +32,15 @@ func dom(t *testing.T, p *platform.Platform, name string) *platform.Domain {
 		t.Fatal(err)
 	}
 	return d
+}
+
+// emMeasure is one EM reading: a batch of one.
+func emMeasure(b *Bench, d *platform.Domain, l platform.Load, samples int) (*instrument.Measurement, error) {
+	ms, err := b.EMMeasureBatch(d, []platform.Load{l}, samples, 1, nil)
+	if err != nil {
+		return nil, err
+	}
+	return &ms[0], nil
 }
 
 func buildLoad(t *testing.T, d *platform.Domain, name string, cores int) platform.Load {
@@ -75,11 +85,11 @@ func TestNewBenchValidation(t *testing.T) {
 func TestEMMeasureOrdersWorkloadsByNoise(t *testing.T) {
 	b, p := testBench(t)
 	d := dom(t, p, platform.DomainA72)
-	idle, err := b.EMMeasureN(d, buildLoad(t, d, "idle", 2), b.Samples)
+	idle, err := emMeasure(b, d, buildLoad(t, d, "idle", 2), b.Samples)
 	if err != nil {
 		t.Fatal(err)
 	}
-	probe, err := b.EMMeasureN(d, buildLoad(t, d, "probe", 2), b.Samples)
+	probe, err := emMeasure(b, d, buildLoad(t, d, "probe", 2), b.Samples)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -178,11 +188,13 @@ func TestGenerateVirusConvergesToResonance(t *testing.T) {
 func TestDroopAndPtpMeasurers(t *testing.T) {
 	b, p := testBench(t)
 	d := dom(t, p, platform.DomainA72)
-	dso := instrument.NewOCDSO(3)
 	probe := buildLoad(t, d, "probe", 2)
 	idle := buildLoad(t, d, "idle", 2)
 
-	droop := b.DroopMeasurer(d, 2, dso)
+	droop, err := b.Measurer(d, MetricDroop, 2, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
 	fProbe, domHz, err := droop.Measure(probe.Seq)
 	if err != nil {
 		t.Fatal(err)
@@ -198,7 +210,10 @@ func TestDroopAndPtpMeasurers(t *testing.T) {
 		t.Fatal("no dominant frequency from DSO spectrum")
 	}
 
-	ptp := b.PtpMeasurer(d, 2, dso)
+	ptp, err := b.Measurer(d, MetricPtp, 2, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
 	pProbe, _, err := ptp.Measure(probe.Seq)
 	if err != nil {
 		t.Fatal(err)
@@ -208,12 +223,24 @@ func TestDroopAndPtpMeasurers(t *testing.T) {
 	}
 }
 
+// TestVoltageMeasurerRequiresVisibility: the factory refuses a voltage
+// metric on the voltage-blind A53 with a *CapabilityError naming it, and
+// an unknown metric with a plain error, before anything is measured.
 func TestVoltageMeasurerRequiresVisibility(t *testing.T) {
 	b, p := testBench(t)
 	a53 := dom(t, p, platform.DomainA53)
-	m := b.DroopMeasurer(a53, 4, instrument.NewOCDSO(1))
-	if _, _, err := m.Measure(buildLoad(t, a53, "probe", 4).Seq); err == nil {
-		t.Fatal("droop measurement on a no-visibility domain succeeded")
+	for _, metric := range []Metric{MetricDroop, MetricPtp} {
+		_, err := b.Measurer(a53, metric, 4, 1)
+		ce, ok := err.(*CapabilityError)
+		if !ok || ce.Domain != platform.DomainA53 || ce.Metric != metric || ce.Visibility != a53.Spec.VoltageVisibility {
+			t.Fatalf("%s on a no-visibility domain: err = %v, want a *CapabilityError naming it", metric, err)
+		}
+	}
+	if _, err := b.Measurer(a53, "vdd", 4, 1); err == nil || !strings.Contains(err.Error(), "unknown metric") {
+		t.Fatalf("unknown metric: err = %v", err)
+	}
+	if _, err := b.Measurer(a53, MetricEM, 4, 1); err != nil {
+		t.Fatalf("em on the A53: %v", err)
 	}
 }
 

@@ -65,7 +65,7 @@ func TestMeasTierKeepsStdev(t *testing.T) {
 	withMeasStore(t, openStore(t, dir))
 	b1, p1 := testBench(t)
 	d1 := dom(t, p1, platform.DomainA72)
-	want, err := b1.EMMeasureN(d1, buildLoad(t, d1, "probe", 2), 4)
+	want, err := emMeasure(b1, d1, buildLoad(t, d1, "probe", 2), 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,7 +77,7 @@ func TestMeasTierKeepsStdev(t *testing.T) {
 	withMeasStore(t, s2)
 	b2, p2 := testBench(t)
 	d2 := dom(t, p2, platform.DomainA72)
-	got, err := b2.EMMeasureN(d2, buildLoad(t, d2, "probe", 2), 4)
+	got, err := emMeasure(b2, d2, buildLoad(t, d2, "probe", 2), 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,7 +99,7 @@ func TestMeasV1RecordIsMiss(t *testing.T) {
 	withMeasStore(t, s)
 	b1, p1 := testBench(t)
 	d1 := dom(t, p1, platform.DomainA72)
-	want, err := b1.EMMeasureN(d1, buildLoad(t, d1, "probe", 2), 4)
+	want, err := emMeasure(b1, d1, buildLoad(t, d1, "probe", 2), 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -120,7 +120,7 @@ func TestMeasV1RecordIsMiss(t *testing.T) {
 	b2, p2 := testBench(t)
 	d2 := dom(t, p2, platform.DomainA72)
 	hits := s.Stats().Hits
-	got, err := b2.EMMeasureN(d2, buildLoad(t, d2, "probe", 2), 4)
+	got, err := emMeasure(b2, d2, buildLoad(t, d2, "probe", 2), 4)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -139,7 +139,7 @@ func TestProbeMemoOneEntryPerView(t *testing.T) {
 			if _, err := b.SweepBatch(view, 1, clocks); err != nil {
 				t.Fatal(err)
 			}
-			if _, err := b.EMMeasureN(view, load, 1); err != nil {
+			if _, err := emMeasure(b, view, load, 1); err != nil {
 				t.Fatal(err)
 			}
 		}

@@ -12,10 +12,11 @@ import (
 
 // fleetMeasurer shards GA fitness evaluation across the fleet. Each
 // individual is one campaign item keyed by its load content hash (the same
-// key the rig-side measurement memo uses), deduplicated before
-// placement so identical post-mutation children cost one measurement
-// fleet-wide. A generation on a single slot goes to its rig's
-// ga.BatchMeasurer in one call.
+// key the rig-side batch dedups by), deduplicated before placement so
+// identical post-mutation children cost one measurement fleet-wide. Local
+// and Remote rigs build a ga.BatchMeasurer for every metric, em, droop and
+// ptp alike, so a generation on a single slot goes to its rig in one call:
+// over a Remote, one MEASURE per session.
 type fleetMeasurer struct {
 	f    *Fleet
 	spec backend.MeasurerSpec

@@ -7,6 +7,7 @@ import (
 	"strings"
 
 	"repro/internal/core"
+	"repro/internal/ga"
 	"repro/internal/instrument"
 	"repro/internal/isa"
 	"repro/internal/vmin"
@@ -124,11 +125,11 @@ func (c *Client) Caps(domain string) (*RemoteCaps, error) {
 // Part is one domain's workload as a request carries it: the program, the
 // cores running it and the cores powered (1 ≤ Cores ≤ Powered ≤ the
 // domain's total; the client sends the count as given, so a caller
-// resolves "every core" first). VMEASURE, VMIN and SHMOO each send exactly
-// one, MEASURE a chunk of individuals on one domain, MONITOR one per
-// domain, so every measurement request is self-contained: the paper's loop
-// (ship the source, run it, measure, kill it) is one round trip for a
-// whole chunk, and a reconnect has nothing to restore.
+// resolves "every core" first). VMIN and SHMOO each send exactly one,
+// MEASURE a chunk of individuals on one domain, MONITOR one per domain,
+// so every measurement request is self-contained: the paper's loop (ship
+// the source, run it, measure, kill it) is one round trip for a whole
+// chunk, and a reconnect has nothing to restore.
 type Part struct {
 	Domain  string
 	Powered int
@@ -164,71 +165,40 @@ func (c *Client) body(parts ...Part) []byte {
 }
 
 // Measure ships up to MaxMeasureParts parts, all on one domain, to the
-// target in one MEASURE and takes each one's averaged EM peak measurement
-// (one core.Bench.EMMeasureBatch on the daemon's bench). The reply
-// streams one line per part, each read under its own I/O deadline. With
-// an error it returns the measurements of the leading parts whose reply
-// lines did arrive (the most any attempt read).
-func (c *Client) Measure(parts []Part, samples int) ([]instrument.Measurement, error) {
+// target in one MEASURE and takes each one's fitness and dominant
+// frequency under the metric (one core.Bench.MeasureLoads on the daemon's
+// bench). dsoSeed seeds the target-side droop/ptp scope; em ignores it.
+// The reply streams one line per part, each read under its own I/O
+// deadline. With an error it returns the results of the leading parts
+// whose reply lines did arrive (the most any attempt read).
+func (c *Client) Measure(parts []Part, metric core.Metric, samples int, dsoSeed int64) ([]ga.BatchResult, error) {
 	if len(parts) == 0 || len(parts) > MaxMeasureParts {
 		return nil, fmt.Errorf("lab: %d parts for one MEASURE, want 1 to %d", len(parts), MaxMeasureParts)
 	}
-	ms := make([]instrument.Measurement, len(parts))
+	out := make([]ga.BatchResult, len(parts))
 	got := 0
 	err := c.do(command{
 		verb:    "MEASURE",
-		line:    fmt.Sprintf("MEASURE %d %d", samples, len(parts)),
+		line:    fmt.Sprintf("MEASURE %s %d %d %d", metric, samples, dsoSeed, len(parts)),
 		body:    c.body(parts...),
 		replies: len(parts),
 		parse: func(k int, payload string) error {
 			fields := strings.Fields(payload)
-			m := instrument.Measurement{Samples: samples}
 			var err error
-			if m.PeakDBm, err = floatField(fields, 0, "peak dBm"); err != nil {
+			if out[k].Fitness, err = floatField(fields, 0, "fitness"); err != nil {
 				return err
 			}
-			if m.PeakHz, err = floatField(fields, 1, "peak Hz"); err != nil {
+			if out[k].DominantHz, err = floatField(fields, 1, "dominant Hz"); err != nil {
 				return err
 			}
-			if m.StdevDBm, err = floatField(fields, 2, "stdev"); err != nil {
-				return err
-			}
-			ms[k] = m
 			got = max(got, k+1)
 			return nil
 		},
 	})
 	if err != nil {
-		return ms[:got], err
+		return out[:got], err
 	}
-	return ms, nil
-}
-
-// VMeasure measures a part's voltage noise under the given metric
-// ("droop" or "ptp") and returns the GA observable: fitness and dominant
-// frequency. dsoSeed fixes the target-side scope noise stream; the part
-// carries no phases.
-func (c *Client) VMeasure(p Part, metric string, samples int, dsoSeed int64) (fitness, domHz float64, err error) {
-	err = c.do(command{
-		verb: "VMEASURE",
-		line: fmt.Sprintf("VMEASURE %s %d %d", metric, samples, dsoSeed),
-		body: c.body(p),
-		parse: func(_ int, payload string) error {
-			fields := strings.Fields(payload)
-			var err error
-			if fitness, err = floatField(fields, 0, "fitness"); err != nil {
-				return err
-			}
-			if domHz, err = floatField(fields, 1, "dominant Hz"); err != nil {
-				return err
-			}
-			return nil
-		},
-	})
-	if err != nil {
-		return 0, 0, err
-	}
-	return fitness, domHz, nil
+	return out, nil
 }
 
 // appendFloats appends " %g" per value: the wire form every float takes,

@@ -59,37 +59,40 @@ func FuzzDispatch(f *testing.F) {
 	}
 
 	seeds := []struct{ line, body string }{
+		{"HELLO 10", ""},
 		{"HELLO 9", ""},
-		{"HELLO 8", ""},
 		{"HELLO", ""},
 		{"INFO", ""},
 		{"CAPS cortex-a72", ""},
 		{"CAPS", ""},
-		{"MEASURE 1 1", part},
-		{"MEASURE 1 1", phased},
-		{"MEASURE 1 1", gated},
-		{"MEASURE 1 3", part + phased + part},
-		{"MEASURE 1 2", part + gated},
-		{"MEASURE 1", part},
+		{"MEASURE em 1 0 1", part},
+		{"MEASURE em 1 0 1", phased},
+		{"MEASURE em 1 0 1", gated},
+		{"MEASURE em 1 0 3", part + phased + part},
+		{"MEASURE em 1 0 2", part + gated},
+		{"MEASURE em 1 0", part},
 		{"MEASURE", part},
-		{"MEASURE NaN 1", part},
-		{"MEASURE 1 1", bad},
-		{"MEASURE 1 1", "nope 2 2 1 0\nadd x1, x2, x3\n"},
-		{"MEASURE 1 1", "cortex-a72 2 2 -1 0\n"},
-		{"MEASURE 1 1", "cortex-a72 2 2 0\nnop\n"}, // a v8 header: its line count is read from the phase field
-		{"MEASURE 1 1", ""},
-		{"MEASURE 1 0", ""},
-		{"MEASURE 1 0", part},
-		{fmt.Sprintf("MEASURE 1 %d", MaxMeasureParts+1), part},
-		{"MEASURE 1 2", part + a53},
-		{"MEASURE 1 3", part + part + part[:len(part)/2]},
-		{"MEASURE 1 3", part + part + "cortex-a72 2 2\n"},
-		{"MEASURE 1 3", part + bad + part},
-		{"VMEASURE droop 1 1", part},
-		{"VMEASURE droop 1 1", gated},
-		{"VMEASURE em 1 1", part},
-		{"VMEASURE ptp Inf 1", part},
-		{"VMEASURE droop 1 1", phased},
+		{"MEASURE 1 1", part}, // a v9 MEASURE: no metric or scope seed
+		{"MEASURE em NaN 0 1", part},
+		{"MEASURE em 1 0 1", bad},
+		{"MEASURE em 1 0 1", "nope 2 2 1 0\nadd x1, x2, x3\n"},
+		{"MEASURE em 1 0 1", "cortex-a72 2 2 -1 0\n"},
+		{"MEASURE em 1 0 1", "cortex-a72 2 2 0\nnop\n"}, // a v8 header: its line count is read from the phase field
+		{"MEASURE em 1 0 1", ""},
+		{"MEASURE em 1 0 0", ""},
+		{"MEASURE em 1 0 0", part},
+		{fmt.Sprintf("MEASURE em 1 0 %d", MaxMeasureParts+1), part},
+		{"MEASURE em 1 0 2", part + a53},
+		{"MEASURE em 1 0 3", part + part + part[:len(part)/2]},
+		{"MEASURE em 1 0 3", part + part + "cortex-a72 2 2\n"},
+		{"MEASURE em 1 0 3", part + bad + part},
+		{"MEASURE droop 1 1 1", part},
+		{"MEASURE ptp 1 -7 2", gated + gated},
+		{"MEASURE droop 1 1 2", phased + part},
+		{"MEASURE ptp 1 1 1", a53},
+		{"MEASURE droop 1 x 1", part},
+		{"MEASURE ptp Inf 1 1", part},
+		{"MEASURE vdd 1 1 1", part},
 		{"SWEEP cortex-a72 2 2 1 6e8", ""},
 		{"SWEEP cortex-a72 1 1 1 6e8", ""},
 		{"SWEEP cortex-a72 2 2 1 1.2e9 2e7", ""},
@@ -131,7 +134,7 @@ func FuzzDispatch(f *testing.F) {
 	}
 	for _, hdr := range badPowered {
 		seeds = append(seeds,
-			struct{ line, body string }{"MEASURE 1 1", hdr},
+			struct{ line, body string }{"MEASURE em 1 0 1", hdr},
 			struct{ line, body string }{"VMIN 1 1", hdr},
 			struct{ line, body string }{"MONITOR 1", hdr})
 	}
@@ -158,8 +161,8 @@ func FuzzDispatch(f *testing.F) {
 		replies := strings.Split(strings.TrimSuffix(reply, "\n"), "\n")
 		first, _, _ := strings.Cut(line, "\n")
 		request := strings.Fields(first)
-		measure := len(request) == 3 && request[0] == "MEASURE"
-		if len(replies) > 1 && (!measure || len(replies) > atoiOr(request[2], 1)) {
+		measure := len(request) == 5 && request[0] == "MEASURE"
+		if len(replies) > 1 && (!measure || len(replies) > atoiOr(request[4], 1)) {
 			t.Fatalf("%q: %d reply lines: %q", line, len(replies), reply)
 		}
 		var ok bool
@@ -172,8 +175,8 @@ func FuzzDispatch(f *testing.F) {
 				t.Fatalf("%q: reply goes on after ERR: %q", line, reply)
 			}
 		}
-		if ok && measure && len(replies) != atoiOr(request[2], -1) {
-			t.Fatalf("%q: %d OK lines for %s parts", line, len(replies), request[2])
+		if ok && measure && len(replies) != atoiOr(request[4], -1) {
+			t.Fatalf("%q: %d OK lines for %s parts", line, len(replies), request[4])
 		}
 		if !more {
 			if reply != "OK bye\n" {

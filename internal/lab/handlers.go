@@ -7,6 +7,8 @@ import (
 	"strconv"
 	"strings"
 
+	"repro/internal/core"
+	"repro/internal/ga"
 	"repro/internal/instrument"
 	"repro/internal/isa"
 	"repro/internal/platform"
@@ -63,8 +65,8 @@ func (s *Server) cmdCaps(w *bufio.Writer, fields []string) error {
 
 // part is one domain's workload as a request carries it: a header
 // "<domain> <powered> <cores> <lines> <nphase> [phase...]" and <lines>
-// program lines. VMEASURE, VMIN and SHMOO are each followed by exactly one
-// part, MEASURE and MONITOR by the count their request line gives.
+// program lines. VMIN and SHMOO are each followed by exactly one part,
+// MEASURE and MONITOR by the count their request line gives.
 type part struct {
 	domain  string
 	powered int
@@ -192,15 +194,18 @@ func sampleCount(fields []string, i int) (int, error) {
 	return samples, nil
 }
 
-// cmdMeasure measures each part's averaged EM peak with one
-// Bench.EMMeasureBatch call, the GA's fitness observable, and streams one
-// reply line per part as the batch reaches it. Every part must name the
-// same domain and powered cores; a rejected part is named in the ERR.
+// cmdMeasure measures every part under the request's metric with one
+// core.Bench.MeasureLoads call — the GA's fitness path for em, droop and
+// ptp alike — and streams one "OK <fitness> <domHz>" line per part as the
+// batch reaches it. dsoseed seeds the droop/ptp scope (em ignores it), so
+// a remote reading reuses the noise stream a local one would. Every part
+// must name the same domain and powered cores; a rejected part is named in
+// the ERR.
 func (s *Server) cmdMeasure(r *bufio.Reader, w *bufio.Writer, fields []string) error {
-	if len(fields) != 3 {
-		return fmt.Errorf("%w: usage: MEASURE <samples> <nparts> + parts", errStreamLost)
+	if len(fields) != 5 {
+		return fmt.Errorf("%w: usage: MEASURE <metric> <samples> <dsoseed> <nparts> + parts", errStreamLost)
 	}
-	nparts, err := intField(fields, 2, "parts")
+	nparts, err := intField(fields, 4, "parts")
 	if err == nil && (nparts < 0 || nparts > MaxMeasureParts) {
 		err = fmt.Errorf("part count %d out of range [1, %d]", nparts, MaxMeasureParts)
 	}
@@ -213,7 +218,15 @@ func (s *Server) cmdMeasure(r *bufio.Reader, w *bufio.Writer, fields []string) e
 			return err
 		}
 	}
-	samples, err := sampleCount(fields, 1)
+	metric, err := core.ParseMetric(fields[1])
+	if err != nil {
+		return err
+	}
+	samples, err := sampleCount(fields, 2)
+	if err != nil {
+		return err
+	}
+	dsoSeed, err := int64Field(fields, 3, "dsoseed")
 	if err != nil {
 		return err
 	}
@@ -236,65 +249,14 @@ func (s *Server) cmdMeasure(r *bufio.Reader, w *bufio.Writer, fields []string) e
 		loads[i] = load
 	}
 	var line []byte
-	_, err = s.Bench.EMMeasureBatch(d, loads, samples, 1, func(_ int, m instrument.Measurement) error {
-		line = append(line[:0], replyOK...)
-		for _, v := range [3]float64{m.PeakDBm, m.PeakHz, m.StdevDBm} {
-			line = strconv.AppendFloat(append(line, ' '), v, 'g', -1, 64)
-		}
+	_, err = s.Bench.WithSamples(samples).MeasureLoads(d, metric, dsoSeed, loads, 1, func(_ int, res ga.BatchResult) error {
+		line = appendFloats(append(line[:0], replyOK...), []float64{res.Fitness, res.DominantHz})
 		if _, err := w.Write(append(line, '\n')); err != nil {
 			return err
 		}
 		return w.Flush()
 	})
 	return err
-}
-
-// cmdVMeasure measures the part's voltage noise through the bench's DSO
-// measurers (droop depth or peak-to-peak swing), which reject domains
-// without voltage visibility with the same typed error a local bench
-// raises. The measurers take a bare program, so a phased part is
-// rejected. EM fitness goes through MEASURE.
-func (s *Server) cmdVMeasure(r *bufio.Reader, w *bufio.Writer, fields []string) error {
-	p, err := readRequestPart(r, len(fields) == 4, "VMEASURE <droop|ptp> <samples> <dsoseed> + part")
-	if err != nil {
-		return err
-	}
-	metric := fields[1]
-	if metric != "droop" && metric != "ptp" {
-		return fmt.Errorf("unknown metric %q", metric)
-	}
-	samples, err := sampleCount(fields, 2)
-	if err != nil {
-		return err
-	}
-	dsoSeed, err := int64Field(fields, 3, "dsoseed")
-	if err != nil {
-		return err
-	}
-	d, load, err := s.load(p)
-	if err != nil {
-		return err
-	}
-	if len(load.PhaseCycles) > 0 {
-		return fmt.Errorf("VMEASURE takes no phase annotations")
-	}
-	bench := s.Bench.WithSamples(samples)
-	// The scope is seeded by the workstation so a remote droop/ptp
-	// measurement reuses the exact noise stream a local one would; a domain
-	// without one leaves dso nil and the measurer rejects it.
-	var dso *instrument.DSO
-	if _, newScope := instrument.ScopeFor(d.Spec.VoltageVisibility); newScope != nil {
-		dso = newScope(dsoSeed)
-	}
-	m := bench.DroopMeasurer(d, load.ActiveCores, dso)
-	if metric == "ptp" {
-		m = bench.PtpMeasurer(d, load.ActiveCores, dso)
-	}
-	fitness, domHz, err := m.Measure(load.Seq)
-	if err != nil {
-		return err
-	}
-	return writeLine(w, "%s %g %g", replyOK, fitness, domHz)
 }
 
 // cmdSweep measures the Section 5.3 fast sweep's probe loop at every

@@ -100,24 +100,24 @@ func TestMeasureCarriesLoad(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if m.PeakDBm > 0 || m.PeakDBm < -100 {
-		t.Fatalf("implausible peak %v dBm", m.PeakDBm)
+	if m.Fitness > 0 || m.Fitness < -100 {
+		t.Fatalf("implausible peak %v dBm", m.Fitness)
 	}
-	if m.PeakHz < 50e6 || m.PeakHz > 200e6 {
-		t.Fatalf("peak frequency %v outside band", m.PeakHz)
+	if m.DominantHz < 50e6 || m.DominantHz > 200e6 {
+		t.Fatalf("peak frequency %v outside band", m.DominantHz)
 	}
-	want, err := db.EMMeasureN(dd, load, 3)
+	want, err := emMeasure(db, dd, load, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(m, want) {
+	if m != emFitness(want) {
 		t.Fatalf("remote MEASURE %+v != direct %+v", m, want)
 	}
 }
 
 // TestRepeatMeasureServedByMemo: MEASURE is a batch of one on the daemon's
 // bench, so a second MEASURE of the same load is a memo hit that returns
-// the first reading bit for bit, stdev included.
+// the first reading bit for bit.
 func TestRepeatMeasureServedByMemo(t *testing.T) {
 	addr, b := startServer(t)
 	c := dial(t, addr)
@@ -132,13 +132,9 @@ func TestRepeatMeasureServedByMemo(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if math.Float64bits(first.PeakDBm) != math.Float64bits(second.PeakDBm) ||
-		math.Float64bits(first.PeakHz) != math.Float64bits(second.PeakHz) ||
-		math.Float64bits(first.StdevDBm) != math.Float64bits(second.StdevDBm) {
+	if math.Float64bits(first.Fitness) != math.Float64bits(second.Fitness) ||
+		math.Float64bits(first.DominantHz) != math.Float64bits(second.DominantHz) {
 		t.Fatalf("repeat MEASURE diverged: %+v then %+v", first, second)
-	}
-	if first.StdevDBm == 0 {
-		t.Fatal("MEASURE lost its stdev")
 	}
 	if bs := b.BatchStats(); bs.Batches != 2 || bs.Measured != 1 || bs.MemoHits != 1 {
 		t.Fatalf("daemon bench stats %+v, want 2 batches, 1 measured, 1 memo hit", bs)
@@ -170,16 +166,16 @@ func TestMultiPartMeasureEquivalence(t *testing.T) {
 	db, dd := directBench(t)
 	parts, loads := randomParts(dd, 9, 4)
 	parts[7], loads[7] = parts[2], loads[2]
-	got, err := c.Measure(parts, 3)
+	got, err := c.Measure(parts, core.MetricEM, 3, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i, l := range loads {
-		want, err := db.EMMeasureN(dd, l, 3)
+		want, err := emMeasure(db, dd, l, 3)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !reflect.DeepEqual(got[i], *want) {
+		if got[i] != emFitness(want) {
 			t.Fatalf("part %d: remote %+v != direct %+v", i+1, got[i], *want)
 		}
 	}
@@ -188,15 +184,15 @@ func TestMultiPartMeasureEquivalence(t *testing.T) {
 	}
 	mixed := append([]Part(nil), parts[:2]...)
 	mixed[1].Domain = platform.DomainA53
-	if _, err := c.Measure(mixed, 3); !IsTargetError(err) || !strings.Contains(err.Error(), "part 2: ") {
+	if _, err := c.Measure(mixed, core.MetricEM, 3, 0); !IsTargetError(err) || !strings.Contains(err.Error(), "part 2: ") {
 		t.Fatalf("mixed-domain MEASURE: %v, want an ERR naming part 2", err)
 	}
 	mixed[1].Domain, mixed[1].Powered = platform.DomainA72, 1
 	mixed[1].Cores = 1
-	if _, err := c.Measure(mixed, 3); !IsTargetError(err) || !strings.Contains(err.Error(), "part 2: ") {
+	if _, err := c.Measure(mixed, core.MetricEM, 3, 0); !IsTargetError(err) || !strings.Contains(err.Error(), "part 2: ") {
 		t.Fatalf("mixed-powered MEASURE: %v, want an ERR naming part 2", err)
 	}
-	if _, err := c.Measure(nil, 3); err == nil {
+	if _, err := c.Measure(nil, core.MetricEM, 3, 0); err == nil {
 		t.Fatal("MEASURE with no parts accepted")
 	}
 }
@@ -205,9 +201,24 @@ func TestMultiPartMeasureEquivalence(t *testing.T) {
 // it.
 func partBody(p Part) string { return string((&Client{}).appendPart(nil, p)) }
 
-// measureOne measures one part through a one-part MEASURE.
-func measureOne(c *Client, p Part, samples int) (*instrument.Measurement, error) {
-	ms, err := c.Measure([]Part{p}, samples)
+// measureOne measures one part's em fitness through a one-part MEASURE.
+func measureOne(c *Client, p Part, samples int) (ga.BatchResult, error) {
+	res, err := c.Measure([]Part{p}, core.MetricEM, samples, 0)
+	if err != nil {
+		return ga.BatchResult{}, err
+	}
+	return res[0], nil
+}
+
+// emFitness is a direct EM measurement as the fitness a MEASURE reply
+// carries for it.
+func emFitness(m *instrument.Measurement) ga.BatchResult {
+	return ga.BatchResult{Fitness: m.PeakDBm, DominantHz: m.PeakHz}
+}
+
+// emMeasure is one direct EM reading on a bench: a batch of one.
+func emMeasure(b *core.Bench, d *platform.Domain, l platform.Load, samples int) (*instrument.Measurement, error) {
+	ms, err := b.EMMeasureBatch(d, []platform.Load{l}, samples, 1, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -235,15 +246,15 @@ func TestDomainControls(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := db.EMMeasureN(one, load, 3)
+	want, err := emMeasure(db, one, load, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	all, err := db.EMMeasureN(dd, load, 3)
+	all, err := emMeasure(db, dd, load, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(got, want) || reflect.DeepEqual(want, all) {
+	if got != emFitness(want) || reflect.DeepEqual(want, all) {
 		t.Fatalf("one powered core: remote %+v, direct %+v, every core powered %+v", got, want, all)
 	}
 	if d.PoweredCores() != d.Spec.TotalCores {
@@ -308,7 +319,7 @@ func emMeasurer(p *Pool, domain string, cores, samples int, ipool *isa.Pool) ga.
 			if err != nil {
 				return err
 			}
-			fit, dom = m.PeakDBm, m.PeakHz
+			fit, dom = m.Fitness, m.DominantHz
 			return nil
 		})
 		return fit, dom, err
@@ -368,8 +379,8 @@ func TestProtocolErrors(t *testing.T) {
 	}
 	for _, cmd := range []string{
 		"FROBNICATE",
-		"MEASURE 0 1\ncortex-a72 2 2 1 0\nnop", // bad sample count
-		"LOAD cortex-a72 2 1",                  // the verb is gone
+		"MEASURE em 0 0 1\ncortex-a72 2 2 1 0\nnop", // bad sample count
+		"LOAD cortex-a72 2 1",                       // the verb is gone
 		"RUN",
 		"SETCLOCK cortex-a72 6e8", // so is this one
 		"SWEEP",                   // missing args
@@ -397,7 +408,7 @@ func TestLoadRejectsBadProgram(t *testing.T) {
 	defer conn.Close()
 	r := bufio.NewReader(conn)
 	w := bufio.NewWriter(conn)
-	if err := writeLine(w, "MEASURE 3 1\ncortex-a72 2 2 1 0\nbogus instruction here"); err != nil {
+	if err := writeLine(w, "MEASURE em 3 0 1\ncortex-a72 2 2 1 0\nbogus instruction here"); err != nil {
 		t.Fatal(err)
 	}
 	reply, err := readLine(r)
@@ -483,7 +494,7 @@ func TestConcurrentClients(t *testing.T) {
 		t.Fatal(err)
 	}
 	expect := func(seq []isa.Inst) float64 {
-		m, err := refBench.EMMeasureN(refDom, platform.Load{Seq: seq, ActiveCores: 2}, 2)
+		m, err := emMeasure(refBench, refDom, platform.Load{Seq: seq, ActiveCores: 2}, 2)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -502,8 +513,8 @@ func TestConcurrentClients(t *testing.T) {
 			if err != nil {
 				return err
 			}
-			if m.PeakDBm != want {
-				return fmt.Errorf("session measured %v, want its own program's %v", m.PeakDBm, want)
+			if m.Fitness != want {
+				return fmt.Errorf("session measured %v, want its own program's %v", m.Fitness, want)
 			}
 		}
 		return nil

@@ -20,9 +20,9 @@
 // followed by its program parts). A part is a header "<domain> <powered>
 // <cores> <lines> <nphase> [phase...]" and <lines> lines of assembly: the
 // load runs on <cores> active cores with <powered> cores powered and the
-// rest power-gated, 1 ≤ cores ≤ powered ≤ the domain's total. VMEASURE,
-// VMIN and SHMOO are each followed by exactly one part, MEASURE and
-// MONITOR by <nparts>:
+// rest power-gated, 1 ≤ cores ≤ powered ≤ the domain's total. VMIN and
+// SHMOO are each followed by exactly one part, MEASURE and MONITOR by
+// <nparts>:
 //
 //	HELLO <version>                 → OK <version> <platform> <seed>
 //	                                  (the analyzer seed); a version other
@@ -30,16 +30,17 @@
 //	INFO                            → OK <platform> <domain>/<cores>...
 //	CAPS <domain>                   → OK <cores> <arch> <maxHz> <stepHz>
 //	                                     <visibility> <dsoKind>
-//	MEASURE <samples> <nparts>
-//	                       + parts  → nparts × "OK <peakDBm> <peakHz>
-//	                                  <stdevDBm>", one line per part in
-//	                                  part order: the averaged EM peak of
-//	                                  each part's load; every part names
-//	                                  the same domain and powered cores,
+//	MEASURE <metric> <samples> <dsoseed> <nparts>
+//	                       + parts  → nparts × "OK <fitness> <domHz>", one
+//	                                  line per part in part order: each
+//	                                  part's GA fitness under the metric
+//	                                  (em: the averaged EM peak in dBm;
+//	                                  droop|ptp: the rail read through the
+//	                                  domain's scope, seeded with dsoseed,
+//	                                  which em ignores) and its dominant
+//	                                  frequency; every part names the same
+//	                                  domain and powered cores,
 //	                                  1 ≤ nparts ≤ MaxMeasureParts
-//	VMEASURE <metric> <samples> <dsoseed>
-//	                       + part   → OK <fitness> <domHz>  (metric
-//	                                     droop|ptp; the part has no phases)
 //	SWEEP <domain> <powered> <cores> <samples> [clockHz...]
 //	                                → OK <n> then n × "<inBand> <clock>
 //	                                     <loop> <dbm>", one per listed
@@ -97,7 +98,7 @@ const (
 // ProtocolVersion is the protocol revision this package speaks. Daemon and
 // workstation are built from the same tree, so there is nothing to
 // negotiate: HELLO with any other version is a hard error on both sides.
-const ProtocolVersion = 9
+const ProtocolVersion = 10
 
 // MaxMeasureParts caps the parts one MEASURE carries: a generation-sized
 // chunk, small enough that a request stays a bounded amount of work.

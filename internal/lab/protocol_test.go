@@ -179,11 +179,15 @@ func TestDispatchMalformed(t *testing.T) {
 	p, _ := probePart(t, dd)
 	part := strings.TrimSuffix(partBody(p), "\n")
 	for _, req := range []string{
-		// MEASURE: out-of-range and non-numeric sample counts
-		"MEASURE 0 1",
-		"MEASURE -3 1",
-		"MEASURE 1001 1",
-		"MEASURE many 1",
+		// MEASURE: out-of-range and non-numeric sample counts, a
+		// non-numeric scope seed, unknown metrics
+		"MEASURE em 0 0 1",
+		"MEASURE em -3 0 1",
+		"MEASURE droop 1001 0 1",
+		"MEASURE ptp many 0 1",
+		"MEASURE droop 3 x 1",
+		"MEASURE EM 3 0 1",
+		"MEASURE 3 0 0 1",
 		// VMIN: truncated, out-of-range and non-numeric seed/repeats
 		"VMIN",
 		"VMIN 1",
@@ -210,8 +214,10 @@ func TestDispatchMalformed(t *testing.T) {
 		fmt.Sprintf("cortex-a72 2 2 %d 1 5", lines),
 		fmt.Sprintf("cortex-a72 2 2 %d 2 0 x", lines),
 	} {
-		if reply := rc.send("MEASURE 3 1\n" + hdr + "\n" + body); !strings.HasPrefix(reply, "ERR") {
-			t.Errorf("MEASURE 3 1 + %q -> %q, want ERR", hdr, reply)
+		for _, req := range []string{"MEASURE em 3 0 1", "MEASURE droop 3 0 1"} {
+			if reply := rc.send(req + "\n" + hdr + "\n" + body); !strings.HasPrefix(reply, "ERR") {
+				t.Errorf("%s + %q -> %q, want ERR", req, hdr, reply)
+			}
 		}
 	}
 	// The session survives all of it.
@@ -233,12 +239,13 @@ func TestOversizedLineClosesConnection(t *testing.T) {
 	addr, _ := startServer(t)
 	for _, req := range []string{
 		strings.Repeat("x", maxLineLen+100),
-		"MEASURE 3 1\ncortex-a72 2 2 many 0\nnop",
-		"MEASURE 3 1\ncortex-a72 2 1 0\nnop", // a v8 header: no line count at the fourth field
-		"MEASURE 3\ncortex-a72 2 2 1 0\nnop",
-		"MEASURE 3 many\ncortex-a72 2 2 1 0\nnop",
-		"MEASURE 3 -1\ncortex-a72 2 2 1 0\nnop",
-		fmt.Sprintf("MEASURE 3 %d\ncortex-a72 2 2 1 0\nnop", MaxMeasureParts+1),
+		"MEASURE em 3 0 1\ncortex-a72 2 2 many 0\nnop",
+		"MEASURE em 3 0 1\ncortex-a72 2 1 0\nnop", // a v8 header: no line count at the fourth field
+		"MEASURE em 3 0\ncortex-a72 2 2 1 0\nnop",
+		"MEASURE 3 1\ncortex-a72 2 2 1 0\nnop", // a v9 MEASURE: no metric or scope seed
+		"MEASURE em 3 0 many\ncortex-a72 2 2 1 0\nnop",
+		"MEASURE em 3 0 -1\ncortex-a72 2 2 1 0\nnop",
+		fmt.Sprintf("MEASURE droop 3 0 %d\ncortex-a72 2 2 1 0\nnop", MaxMeasureParts+1),
 		"VMIN 1 2\ncortex-a72 2 2 0 0\nnop",
 		"MONITOR 2\ncortex-a72 2 2 1 0\nnop\ncortex-a53 4 2\nnop",
 	} {
@@ -255,11 +262,6 @@ func TestOversizedLineClosesConnection(t *testing.T) {
 	}
 }
 
-// TestVerbSet pins the protocol's verbs: each one, sent bare (MEASURE
-// with a zero sample count and one part, MONITOR with zero parts, the
-// single-part verbs followed by their part), reaches its handler (a usage
-// error or a reply) rather than the unknown command branch, and the
-// deleted session, setpoint and state verbs do not.
 // TestMonitorPartCountClosesSession: a MONITOR whose part count is
 // missing, unreadable or over the cap cannot tell where its parts end, so
 // the daemon closes the session without a reply, as it does for MEASURE.
@@ -289,6 +291,11 @@ func TestMonitorPartCountClosesSession(t *testing.T) {
 	}
 }
 
+// TestVerbSet pins the protocol's verbs: each one, sent bare (MEASURE
+// with a zero sample count and one part, MONITOR with zero parts, the
+// single-part verbs followed by their part), reaches its handler (a usage
+// error or a reply) rather than the unknown command branch, and the
+// deleted session, setpoint, state and VMEASURE verbs do not.
 func TestVerbSet(t *testing.T) {
 	addr, _ := startServer(t)
 	rc := rawDial(t, addr)
@@ -296,14 +303,14 @@ func TestVerbSet(t *testing.T) {
 	p, _ := probePart(t, dd)
 	part := strings.TrimSuffix(partBody(p), "\n")
 	for _, verb := range []string{
-		"HELLO", "INFO", "CAPS", "MEASURE", "VMEASURE", "SWEEP",
+		"HELLO", "INFO", "CAPS", "MEASURE", "SWEEP",
 		"VMIN", "SHMOO", "MONITOR", "STATS",
 	} {
 		req := verb
 		switch verb {
 		case "MEASURE":
-			req += " 0 1\n" + part
-		case "VMEASURE", "VMIN", "SHMOO":
+			req += " em 0 0 1\n" + part
+		case "VMIN", "SHMOO":
 			req += "\n" + part
 		case "MONITOR":
 			req += " 0"
@@ -312,7 +319,7 @@ func TestVerbSet(t *testing.T) {
 			t.Errorf("%s -> %q", verb, reply)
 		}
 	}
-	for _, verb := range []string{"LOAD", "RUN", "STOP", "SETCLOCK", "SETVOLTS", "STATE", "SETCORES", "RESET"} {
+	for _, verb := range []string{"LOAD", "RUN", "STOP", "SETCLOCK", "SETVOLTS", "STATE", "SETCORES", "RESET", "VMEASURE"} {
 		if reply := rc.send(verb); !strings.Contains(reply, "unknown command") {
 			t.Errorf("deleted verb %s -> %q, want unknown command", verb, reply)
 		}

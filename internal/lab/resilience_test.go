@@ -87,12 +87,14 @@ func TestLoadDesyncRegression(t *testing.T) {
 	for _, tc := range []struct {
 		request, body, want string
 	}{
-		{"MEASURE 0 1", good, "sample count"},
-		{"MEASURE 3 1", unknownDomain, "no domain"},
-		{"MEASURE 3 2", good + unknownDomain, "part 2: "},
-		{"MEASURE 3 2", good + badProgram, "part 2: "},
-		{"VMEASURE em 3 1", good, "unknown metric"},
-		{"VMEASURE droop 3 1", tooManyCores, "core count"},
+		{"MEASURE em 0 0 1", good, "sample count"},
+		{"MEASURE em 3 0 1", unknownDomain, "no domain"},
+		{"MEASURE em 3 0 2", good + unknownDomain, "part 2: "},
+		{"MEASURE em 3 0 2", good + badProgram, "part 2: "},
+		{"MEASURE vdd 3 1 1", good, "unknown metric"},
+		{"MEASURE droop 3 x 1", good, "bad dsoseed"},
+		{"MEASURE droop 3 1 1", tooManyCores, "core count"},
+		{"MEASURE ptp 3 1 2", good + badProgram, "part 2: "},
 		{"VMIN 1 0", good, "repeat count"},
 		{"VMIN 1 2", badProgram, "ADD"},
 		{"SHMOO 1 fast", good, "bad clock"},
@@ -140,7 +142,7 @@ func TestMeasureStreamDeadline(t *testing.T) {
 	db, dd := directBench(t)
 	parts, loads := randomParts(dd, 6, 8)
 	start := time.Now()
-	got, err := c.Measure(parts, 3)
+	got, err := c.Measure(parts, core.MetricEM, 3, 0)
 	if err != nil {
 		t.Fatalf("streamed MEASURE failed: %v", err)
 	}
@@ -148,11 +150,11 @@ func TestMeasureStreamDeadline(t *testing.T) {
 		t.Fatalf("the batch took %v, less than two deadlines: the test shows nothing", elapsed)
 	}
 	for i, l := range loads {
-		want, err := db.EMMeasureN(dd, l, 3)
+		want, err := emMeasure(db, dd, l, 3)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !reflect.DeepEqual(got[i], *want) {
+		if got[i] != emFitness(want) {
 			t.Fatalf("part %d: remote %+v != direct %+v", i+1, got[i], *want)
 		}
 	}
@@ -170,7 +172,7 @@ func TestMeasureBatchOutlastsDeadline(t *testing.T) {
 	calib, _ := randomParts(dd, 8, 11)
 	c := dial(t, addr)
 	start := time.Now()
-	if _, err := c.Measure(calib, samples); err != nil {
+	if _, err := c.Measure(calib, core.MetricEM, samples, 0); err != nil {
 		t.Fatal(err)
 	}
 	perPart := time.Since(start) / time.Duration(len(calib))
@@ -185,7 +187,7 @@ func TestMeasureBatchOutlastsDeadline(t *testing.T) {
 	defer sc.Close()
 	parts, _ := randomParts(dd, n, 12)
 	start = time.Now()
-	if _, err := sc.Measure(parts, samples); err != nil {
+	if _, err := sc.Measure(parts, core.MetricEM, samples, 0); err != nil {
 		t.Fatalf("%d-part MEASURE under a %v deadline (%v a part): %v", n, opts.IOTimeout, perPart, err)
 	}
 	t.Logf("%d parts in %v under a %v deadline", n, time.Since(start), opts.IOTimeout)
@@ -217,7 +219,7 @@ func TestMeasureKeepsPartialReply(t *testing.T) {
 				}
 			}
 			for k := 0; k < lines && err == nil; k++ {
-				_, err = fmt.Fprintf(conn, "OK %d 1e+06 0.5\n", -k)
+				_, err = fmt.Fprintf(conn, "OK %d 1e+06\n", -k)
 			}
 			conn.Close()
 		}
@@ -229,7 +231,7 @@ func TestMeasureKeepsPartialReply(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	ms, err := c.Measure(parts, 3)
+	ms, err := c.Measure(parts, core.MetricEM, 3, 0)
 	if err == nil {
 		t.Fatal("a MEASURE no attempt completed succeeded")
 	}
@@ -237,7 +239,7 @@ func TestMeasureKeepsPartialReply(t *testing.T) {
 		t.Fatalf("%d measurements kept, want 3", len(ms))
 	}
 	for k, m := range ms {
-		if m.PeakDBm != float64(-k) || m.PeakHz != 1e6 || m.Samples != 3 {
+		if m.Fitness != float64(-k) || m.DominantHz != 1e6 {
 			t.Fatalf("part %d: %+v", k+1, m)
 		}
 	}
@@ -301,7 +303,7 @@ func TestStalledReaderReleasesDomain(t *testing.T) {
 	_, dd := directBench(t)
 	part, _ := probePart(t, dd)
 	start := time.Now()
-	if _, err := stalled.Write([]byte("MEASURE 1 1\n" + partBody(part))); err != nil {
+	if _, err := stalled.Write([]byte("MEASURE em 1 0 1\n" + partBody(part))); err != nil {
 		t.Fatal(err)
 	}
 	time.Sleep(100 * time.Millisecond) // the reply write is blocked by now
@@ -369,7 +371,7 @@ func TestReconnectReplay(t *testing.T) {
 	db, dd := directBench(t)
 	p, load := probePart(t, dd)
 	p.Powered, p.Cores, load.ActiveCores = 1, 1, 1
-	nominal, err := db.EMMeasureN(dd, load, 3)
+	nominal, err := emMeasure(db, dd, load, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -385,14 +387,14 @@ func TestReconnectReplay(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := db.EMMeasureN(one, load, 3)
+	want, err := emMeasure(db, one, load, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if reflect.DeepEqual(want, nominal) {
 		t.Fatal("1-core and nominal readings agree; the check is vacuous")
 	}
-	if !reflect.DeepEqual(m, want) {
+	if m != emFitness(want) {
 		t.Fatalf("retried measurement %+v != direct %+v", m, want)
 	}
 
@@ -518,7 +520,7 @@ func TestGarbledPayloadRetried(t *testing.T) {
 							return
 						}
 					}
-					reply := "OK -40.5 7e+07 0.25"
+					reply := "OK -40.5 7e+07"
 					if id == 1 {
 						reply = "OK -40.5" // truncated payload
 					}
@@ -541,7 +543,7 @@ func TestGarbledPayloadRetried(t *testing.T) {
 	if err != nil {
 		t.Fatalf("measure through garbled payload: %v", err)
 	}
-	if m.PeakDBm != -40.5 || m.PeakHz != 7e7 || m.StdevDBm != 0.25 || m.Samples != 3 {
+	if m.Fitness != -40.5 || m.DominantHz != 7e7 {
 		t.Fatalf("measurement %+v", m)
 	}
 	st := c.Stats()

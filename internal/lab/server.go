@@ -262,8 +262,6 @@ func (s *Server) dispatch(r *bufio.Reader, w *bufio.Writer, line string) (quit b
 		return false, s.cmdCaps(w, fields)
 	case "MEASURE":
 		return false, s.cmdMeasure(r, w, fields)
-	case "VMEASURE":
-		return false, s.cmdVMeasure(r, w, fields)
 	case "SWEEP":
 		return false, s.cmdSweep(w, fields)
 	case "VMIN":

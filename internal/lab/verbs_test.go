@@ -202,8 +202,8 @@ func TestShortShmooVminRepliesRejected(t *testing.T) {
 // TestBadV9HeadersRejected: every verb that names an operating point
 // checks 1 ≤ active ≤ powered ≤ total. A powered-core field that is zero,
 // negative, over the domain's total or not an integer, or below the
-// active cores, is one ERR reply to MEASURE, VMEASURE, SWEEP, VMIN, SHMOO
-// and MONITOR alike, and the session stays usable.
+// active cores, is one ERR reply to MEASURE (em and droop), SWEEP, VMIN,
+// SHMOO and MONITOR alike, and the session stays usable.
 func TestBadV9HeadersRejected(t *testing.T) {
 	addr, b := startServer(t)
 	d, err := b.Platform.Domain(platform.DomainA72)
@@ -226,8 +226,8 @@ func TestBadV9HeadersRejected(t *testing.T) {
 	} {
 		part := fmt.Sprintf("cortex-a72 %s %s %d 0\n%s", bad.powered, bad.cores, lines, program)
 		for _, req := range []string{
-			"MEASURE 3 1\n" + part,
-			"VMEASURE droop 3 1\n" + part,
+			"MEASURE em 3 0 1\n" + part,
+			"MEASURE droop 3 1 1\n" + part,
 			fmt.Sprintf("SWEEP cortex-a72 %s %s 3 6e8", bad.powered, bad.cores),
 			"VMIN 1 1\n" + part,
 			"SHMOO 1 6e8\n" + part,
@@ -244,9 +244,10 @@ func TestBadV9HeadersRejected(t *testing.T) {
 	}
 }
 
-// TestVMeasureRejectsEM: VMEASURE serves the DSO metrics only; EM fitness
-// goes through MEASURE.
-func TestVMeasureRejectsEM(t *testing.T) {
+// TestMeasureUnknownMetric: MEASURE names its metric, and one it does not
+// know is a target error once the parts are read, on a session that stays
+// usable.
+func TestMeasureUnknownMetric(t *testing.T) {
 	addr, b := startServer(t)
 	c := dial(t, addr)
 	d, err := b.Platform.Domain(platform.DomainA72)
@@ -254,22 +255,19 @@ func TestVMeasureRejectsEM(t *testing.T) {
 		t.Fatal(err)
 	}
 	p, _ := probePart(t, d)
-	if _, _, err := c.VMeasure(p, "em", 3, 1); err == nil || !IsTargetError(err) {
-		t.Fatalf("VMEASURE em: err = %v, want a target error", err)
+	if _, err := c.Measure([]Part{p, p}, "vdd", 3, 1); err == nil || !IsTargetError(err) || !strings.Contains(err.Error(), "unknown metric") {
+		t.Fatalf("MEASURE vdd: err = %v, want an unknown-metric target error", err)
 	}
-	if _, _, err := c.VMeasure(p, "droop", 3, 1); err != nil {
-		t.Fatalf("VMEASURE droop: %v", err)
-	}
-	// The voltage measurers take a bare program: a phased part is rejected.
-	p.Phases = []float64{0, 37.5}
-	if _, _, err := c.VMeasure(p, "droop", 3, 1); err == nil || !IsTargetError(err) {
-		t.Fatalf("VMEASURE with phases: err = %v, want a target error", err)
+	for _, metric := range []core.Metric{core.MetricEM, core.MetricDroop, core.MetricPtp} {
+		if _, err := c.Measure([]Part{p}, metric, 3, 1); err != nil {
+			t.Fatalf("MEASURE %s after the rejection: %v", metric, err)
+		}
 	}
 }
 
-// TestVMeasureRejectsDomainWithoutScope: a domain whose visibility maps to
-// no scope answers VMEASURE with the bench measurer's own target error.
-func TestVMeasureRejectsDomainWithoutScope(t *testing.T) {
+// TestMeasureCapabilityError: droop on the voltage-blind A53 is a target
+// error carrying the bench's *core.CapabilityError text.
+func TestMeasureCapabilityError(t *testing.T) {
 	addr, b := startServer(t)
 	c := dial(t, addr)
 	d, err := b.Platform.Domain(platform.DomainA53)
@@ -280,9 +278,39 @@ func TestVMeasureRejectsDomainWithoutScope(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, _, err = c.VMeasure(Part{Domain: platform.DomainA53, Powered: 4, Cores: 1, Pool: d.Spec.Pool(), Seq: seq}, "droop", 3, 1)
-	if err == nil || !IsTargetError(err) || !strings.Contains(err.Error(), "no voltage visibility") {
-		t.Fatalf("VMEASURE droop on %s: err = %v, want the no-visibility target error", platform.DomainA53, err)
+	_, err = c.Measure([]Part{{Domain: platform.DomainA53, Powered: 4, Cores: 1, Pool: d.Spec.Pool(), Seq: seq}}, core.MetricDroop, 3, 1)
+	want := (&core.CapabilityError{Domain: platform.DomainA53, Metric: core.MetricDroop, Visibility: d.Spec.VoltageVisibility}).Error()
+	if err == nil || !IsTargetError(err) || !strings.Contains(err.Error(), want) {
+		t.Fatalf("MEASURE droop on %s: err = %v, want the target error %q", platform.DomainA53, err, want)
+	}
+}
+
+// TestMeasurePhasedVoltageEquivalence: a phased part is measured as sent
+// under every metric. Droop and ptp over the wire equal the local core
+// batch of the same phased loads bit for bit, and the phases matter.
+func TestMeasurePhasedVoltageEquivalence(t *testing.T) {
+	addr, _ := startServer(t)
+	c := dial(t, addr)
+	db, dd := directBench(t)
+	p, load := probePart(t, dd)
+	p.Phases = []float64{0, 37.5}
+	phased := load
+	phased.PhaseCycles = p.Phases
+	for _, metric := range []core.Metric{core.MetricDroop, core.MetricPtp} {
+		got, err := c.Measure([]Part{p}, metric, 3, 5)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := db.WithSamples(3).MeasureLoads(dd, metric, 5, []platform.Load{phased, load}, 1, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got[0] != want[0] {
+			t.Fatalf("%s: remote %+v != local %+v", metric, got[0], want[0])
+		}
+		if want[0] == want[1] {
+			t.Fatalf("%s: the phased and aligned loads read alike; the check is vacuous", metric)
+		}
 	}
 }
 
