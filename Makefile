@@ -34,8 +34,9 @@ test: build
 # metric, a voltage-blind domain's capability error, a phased droop part
 # against the local batch), and the persistent
 # store's read-path, frame-cap, LRU-touch and block-accounting tests, the
-# batch memo's analyzer key, LRU reference and pinned identity (the name
-# of every meas record on disk), and MONITOR's stream-lost close. The persistent store is cross-process
+# meas record key's analyzer field and pinned identity (the name of every
+# meas record on disk), the GA's carried readings against a fresh
+# measurement, and MONITOR's stream-lost close. The persistent store is cross-process
 # shared mutable state, so its whole suite runs under the race detector here;
 # so do the transfer solve's fan-out and its one-build cache, which share a
 # transfer set across goroutines.
@@ -62,9 +63,9 @@ tier1: build fmt vet reach specs-verify tier1-remote tier1-fleet
 	$(call require-tests,BudgetChargesWholeBlocks,./internal/castore)
 	$(call require-tests,GetQuarantinesOversizedEntry,./internal/castore)
 	$(call require-tests,PutRefusesOversizedPayload,./internal/castore)
-	$(call require-tests,BatchMemoKeyedByAnalyzer,./internal/core)
-	$(call require-tests,BatchMemoMatchesReferenceLRU,./internal/core)
+	$(call require-tests,MeasStoreKeyedByAnalyzer,./internal/core)
 	$(call require-tests,MeasDiskKeyPinned,./internal/core)
+	$(call require-tests,CarriedReadingsMatchFreshMeasurement,./internal/ga)
 	$(call require-tests,VoltageBatchMatchesMeasure,./internal/core)
 	$(call require-tests,MeasureUnknownMetric,./internal/lab)
 	$(call require-tests,MeasureCapabilityError,./internal/lab)
@@ -104,21 +105,23 @@ tier1-remote:
 # bit-identity of sharded GA generations / sweeps / shmoo lattices against
 # a single backend at several layouts, a rig killed mid-campaign failing
 # over onto survivors, checkpoint restart replaying without re-measuring,
-# campaign keys pinned so older checkpoint journals stay resumable, one
+# campaign keys pinned so older checkpoint journals stay resumable (and a
+# droop campaign's key blind to the analyzer's sample count), one
 # lab round trip per remote generation, concurrent requests at different
 # powered-core counts through a pooled Remote and a fleet, and the pool
 # close-under-load and batch-parallelism regressions the orchestrator
 # leans on.
 tier1-fleet:
 	$(call require-tests,PoolCloseUnderLoad|SweepPointMatchesDirect,./internal/lab)
-	$(call require-tests,MeasureBatchParallelismZero|BatchMemoKeyedByReceiveChain,./internal/core)
+	$(call require-tests,MeasureBatchParallelismZero|MeasStoreKeyedByReceiveChain,./internal/core)
 	$(call require-tests,FleetKeysPinned,./internal/fleet)
+	$(call require-tests,FleetDroopKeyIgnoresSamples,./internal/fleet)
 	$(call require-tests,FleetRemoteGenerationOneRoundTrip,./internal/fleet)
 	$(call require-tests,PoweredCoresPerRequest,./internal/backend)
 	GOFLAGS=-count=1 $(GO) test -race ./internal/fleet
 	GOFLAGS=-count=1 $(GO) test -race -run 'PoweredCoresPerRequest' ./internal/backend
 	GOFLAGS=-count=1 $(GO) test -race -run 'PoolCloseUnderLoad|SweepPointMatchesDirect' ./internal/lab
-	GOFLAGS=-count=1 $(GO) test -race -run 'MeasureBatchParallelismZero|BatchMemoKeyedByReceiveChain' ./internal/core
+	GOFLAGS=-count=1 $(GO) test -race -run 'MeasureBatchParallelismZero|MeasStoreKeyedByReceiveChain' ./internal/core
 
 # Chaos: the remote-lab fault-injection suite (deterministic drop/delay/
 # garble proxy, reconnect-and-retry, pooled GA vs direct equivalence)
@@ -131,7 +134,7 @@ chaos:
 	$(GO) test -race -run '$(CHAOS_TESTS)' ./internal/lab
 
 # Tier-2: vet plus the race detector over the full module. The concurrent
-# paths (GA worker pool, parallel sweeps/shmoos, the measurement memo, the
+# paths (GA worker pool, parallel sweeps/shmoos, the batch driver, the
 # FFT plan caches and the remote-lab client pool) must stay race-clean.
 # The local/remote bit-identity tests use the lab's default 10 s I/O
 # deadline, because one remote SHMOO can take half a second under -race;

@@ -1,7 +1,7 @@
 package emnoise
 
 // Bit-identity tests for generation-batched evaluation: the batch path
-// (dedup + measurement memo + slab arenas) must produce exactly the bytes
+// (dedup + persistent store + slab arenas) must produce exactly the bytes
 // an independent per-individual reference produces, at any parallelism.
 // `go test -race` over this file also drives the batch workers under the
 // race detector.
@@ -107,7 +107,8 @@ func TestBatchMatchesScalarGA(t *testing.T) {
 // test: random populations salted with exact duplicates and with bred
 // children must come back element-for-element identical to the reference
 // measurer, at -j 1 and -j 8, with every duplicate fanned out from one
-// measurement — and so must the bench's scalar Measure, a batch of one.
+// measurement and the -j 8 repeat served by the persistent store — and so
+// must the bench's scalar Measure, a batch of one.
 func TestMeasureBatchMatchesScalarRandomPopulations(t *testing.T) {
 	plat, err := JunoR2()
 	if err != nil {
@@ -130,8 +131,9 @@ func TestMeasureBatchMatchesScalarRandomPopulations(t *testing.T) {
 	}
 
 	ref := emMeasureRef(bench, d, 2)
-	// The scalar Measure runs on a bench of its own, so its batch of one
-	// computes rather than reading the batch runs' memo.
+	store := openCampaignStore(t)
+	// The scalar Measure runs on a bench of its own, outside the store, so
+	// its batch of one computes.
 	scalarBench, err := NewBench(plat, 3)
 	if err != nil {
 		t.Fatal(err)
@@ -164,21 +166,25 @@ func TestMeasureBatchMatchesScalarRandomPopulations(t *testing.T) {
 			}
 			want[i] = ga.BatchResult{Fitness: fit, DominantHz: dom}
 		}
-		for _, parallelism := range []int{1, 8} {
-			got, err := bm.MeasureBatch(items, parallelism)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if len(got) != len(items) {
-				t.Fatalf("trial %d j=%d: %d results for %d items", trial, parallelism, len(got), len(items))
-			}
-			for i := range got {
-				if got[i] != want[i] {
-					t.Errorf("trial %d j=%d item %d: batch %+v, reference %+v",
-						trial, parallelism, i, got[i], want[i])
+		// The batches run over a persistent store: the -j 1 batch fills
+		// it, and the -j 8 repeat is served from it.
+		withPersist(t, store, func() {
+			for _, parallelism := range []int{1, 8} {
+				got, err := bm.MeasureBatch(items, parallelism)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if len(got) != len(items) {
+					t.Fatalf("trial %d j=%d: %d results for %d items", trial, parallelism, len(got), len(items))
+				}
+				for i := range got {
+					if got[i] != want[i] {
+						t.Errorf("trial %d j=%d item %d: batch %+v, reference %+v",
+							trial, parallelism, i, got[i], want[i])
+					}
 				}
 			}
-		}
+		})
 		for i, it := range items {
 			fit, dom, err := scalar.Measure(it.Seq)
 			if err != nil {
@@ -194,7 +200,7 @@ func TestMeasureBatchMatchesScalarRandomPopulations(t *testing.T) {
 		t.Errorf("duplicate-salted populations produced no dedup hits: %+v", bs)
 	}
 	if bs.MemoHits == 0 {
-		t.Errorf("repeated batches produced no memo hits: %+v", bs)
+		t.Errorf("repeated batches produced no store hits: %+v", bs)
 	}
 	if bs.Measured+bs.DedupHits+bs.MemoHits != bs.Items {
 		t.Errorf("batch accounting leak: %+v", bs)

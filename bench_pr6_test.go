@@ -2,9 +2,9 @@ package emnoise
 
 // Generation-batched evaluation benchmarks and the cached-vs-cold repeat
 // guarantee. BenchmarkGenerationBatch is the PR6 headline number: one
-// converged GA generation evaluated through the batch path (dedup +
-// measurement memo + slab arenas) against the per-individual scalar path,
-// normalized per individual so it reads against BenchmarkFitnessEvaluation.
+// converged GA generation evaluated through the batch path (dedup + slab
+// arenas) against the per-individual scalar path, normalized per
+// individual so it reads against BenchmarkFitnessEvaluation.
 
 import (
 	"math/rand"
@@ -47,10 +47,12 @@ func convergedPopulation(b *testing.B) (ga.Config, []ga.Individual, Measurer, *B
 }
 
 // BenchmarkGenerationBatch evaluates successive bred generations of a
-// converged 64-individual population; ns/op is per individual. The scalar64
-// variant hides MeasureBatch so every individual pays a full per-individual
-// measurement; batch64 routes through MeasureBatch, where clone children
-// dedup against batchmates and elites hit the cross-generation memo.
+// converged 64-individual population; ns/op is per individual of the
+// generation. Elites and children bred unchanged carry their readings and
+// cost nothing on either variant. The scalar64 variant hides MeasureBatch,
+// so every other individual pays a full per-individual measurement, clones
+// included; batch64 routes through MeasureBatch, where clone children
+// dedup against batchmates.
 func BenchmarkGenerationBatch(b *testing.B) {
 	for _, v := range []struct {
 		name   string
@@ -93,47 +95,51 @@ func medianRepeatMeasure(t *testing.T, measurer func() Measurer, seq []Inst, k i
 	return times[k/2]
 }
 
-// TestRepeatMeasurementCachedNotSlower pins the PR6 cached-path guarantee
-// where it actually pays: re-measuring a sequence the rig has already seen.
-// With the memo warm a repeat is a measurement-memo hit; with the memo
-// defeated it pays the full pipeline. The cached median must not exceed the
-// cold median (the real margin is several fold, so this is robust to
-// container timing noise).
+// TestRepeatMeasurementCachedNotSlower pins the cached-path guarantee
+// where it actually pays: re-measuring a sequence the persistent store
+// already holds. With the store installed a repeat on a fresh bench is a
+// store hit; without it the repeat pays the full pipeline. The cached
+// median must not exceed the cold median (the real margin is several
+// fold, so this is robust to container timing noise).
 func TestRepeatMeasurementCachedNotSlower(t *testing.T) {
 	plat, err := JunoR2()
 	if err != nil {
 		t.Fatal(err)
 	}
-	bench, err := NewBench(plat, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	bench.Samples = 3
 	d, err := plat.Domain(DomainA72)
 	if err != nil {
 		t.Fatal(err)
 	}
 	pool := d.Spec.Pool()
 	seq := pool.RandomSequence(rand.New(rand.NewSource(31)), 50)
-	m := bench.EMMeasurer(d, 2)
-
-	// Prime every cache layer, then time warm repeats.
-	if _, _, err := m.Measure(seq); err != nil {
-		t.Fatal(err)
-	}
-	const k = 7
-	warm := medianRepeatMeasure(t, func() Measurer { return m }, seq, k)
-
-	// Cold repeats: each on a fresh bench over the same platform and
-	// analyzer seed, whose empty measurement memo pays the full pipeline.
-	cold := medianRepeatMeasure(t, func() Measurer {
-		fresh, err := NewBench(plat, 3)
+	// Each repeat runs on a fresh bench over the same platform and
+	// analyzer seed, so only the store can serve it.
+	fresh := func() Measurer {
+		b, err := NewBench(plat, 3)
 		if err != nil {
 			t.Fatal(err)
 		}
-		fresh.Samples = 3
-		return fresh.EMMeasurer(d, 2)
-	}, seq, k)
+		b.Samples = 3
+		return b.EMMeasurer(d, 2)
+	}
+
+	const k = 7
+	store := openCampaignStore(t)
+	var warm time.Duration
+	withPersist(t, store, func() {
+		// Prime the store and every in-memory layer, then time repeats the
+		// store serves.
+		if _, _, err := fresh().Measure(seq); err != nil {
+			t.Fatal(err)
+		}
+		hits := store.Stats().Hits
+		warm = medianRepeatMeasure(t, fresh, seq, k)
+		if got := store.Stats().Hits - hits; got != k {
+			t.Fatalf("%d store hits over %d warm repeats", got, k)
+		}
+	})
+	// Cold repeats: no store, so each pays the full pipeline.
+	cold := medianRepeatMeasure(t, fresh, seq, k)
 
 	if warm > cold {
 		t.Errorf("cached repeat measurement slower than cold: warm %v > cold %v", warm, cold)

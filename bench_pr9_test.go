@@ -18,7 +18,7 @@ import (
 	"repro/internal/ga"
 )
 
-// withBenchPersist installs s under the measurement memo for the duration
+// withBenchPersist installs s as the measurement tier for the duration
 // of the benchmark, as `-cache-dir` does, restoring the previous store on
 // cleanup.
 func withBenchPersist(b *testing.B, s *castore.Store) {
@@ -50,9 +50,14 @@ func warmStartPopulation(b *testing.B) []ga.Individual {
 }
 
 // evaluateFreshProcess stands in for one cold process: fresh platform,
-// fresh bench (empty measurement memo), then one batch evaluation of pop.
+// fresh bench, then one batch evaluation of pop's sequences, none of
+// which carries a reading yet.
 func evaluateFreshProcess(b *testing.B, pop []ga.Individual) {
 	b.Helper()
+	fresh := make([]ga.Individual, len(pop))
+	for i, in := range pop {
+		fresh[i] = ga.Individual{Seq: in.Seq}
+	}
 	plat, err := JunoR2()
 	if err != nil {
 		b.Fatal(err)
@@ -66,7 +71,7 @@ func evaluateFreshProcess(b *testing.B, pop []ga.Individual) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	if err := ga.EvaluatePopulation(pop, bench.EMMeasurer(d, 2), 1); err != nil {
+	if err := ga.EvaluatePopulation(fresh, bench.EMMeasurer(d, 2), 1); err != nil {
 		b.Fatal(err)
 	}
 }

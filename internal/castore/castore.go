@@ -1,7 +1,7 @@
 // Package castore is a crash-safe, disk-backed, content-addressed artifact
-// store: the persistent tier of the evaluation pipeline, under the bench
-// measurement memo. Entries are keyed by the same 64-bit content hashes the
-// in-memory memo already trusts, laid out in a sharded two-level directory
+// store: the persistent tier of the evaluation pipeline, in front of the
+// bench's EM measurements. Entries are keyed by 64-bit content hashes of
+// everything a reading depends on, laid out in a sharded two-level directory
 // tree, and written atomically (temp file + rename) so concurrent processes
 // over one directory see only whole entries. A truncated or garbled entry
 // is detected by length/checksum framing, quarantined, and treated as a

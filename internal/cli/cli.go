@@ -152,8 +152,8 @@ func BuildPlatform(name string) (*platform.Platform, error) {
 }
 
 // InstallCache opens the persistent result store named by -cache-dir (or
-// $REPRO_CACHE_DIR) and installs it as the disk tier of the bench
-// measurement memo, so this process warm-starts from the finished
+// $REPRO_CACHE_DIR) and installs it as the disk tier in front of the
+// bench's EM measurements, so this process warm-starts from the finished
 // measurements of earlier runs and co-located processes share each
 // other's work. A no-op when no directory is configured; idempotent
 // otherwise. Backend calls it, and commands that construct their own
@@ -170,8 +170,8 @@ func (a *App) InstallCache() (*castore.Store, error) {
 	return s, nil
 }
 
-// InstallCacheDir opens a persistent store at dir and installs it under
-// the bench measurement memo; an empty dir is a no-op returning nil.
+// InstallCacheDir opens a persistent store at dir and installs it as the
+// bench's measurement tier; an empty dir is a no-op returning nil.
 // Shared by App.InstallCache and commands with their own flag sets
 // (labtarget), so every entry point installs the tier the same way.
 func InstallCacheDir(dir string) (*castore.Store, error) {

@@ -19,42 +19,36 @@ import (
 type BatchStats struct {
 	Batches    uint64 // MeasureBatch calls
 	Items      uint64 // individuals across all batches
-	Measured   uint64 // individuals actually measured after dedup + memo
+	Measured   uint64 // individuals actually measured after dedup and the store
 	DedupHits  uint64 // individuals served by an identical batchmate
-	MemoHits   uint64 // individuals served by the cross-generation memo
+	MemoHits   uint64 // individuals served by the persistent store (SetPersistentStore)
 	ArenaBytes uint64 // high-water slab bytes across one batch's workers
 	Workers    uint64 // distinct worker slots exercised by the widest batch
 }
 
 // String renders the stats as the one-line summary the CLIs print.
 func (s BatchStats) String() string {
-	return fmt.Sprintf("batch eval: %d batches / %d items (%d measured), %d dedup hits / %d memo hits, arena high-water %d B, %d worker slots",
+	return fmt.Sprintf("batch eval: %d batches / %d items (%d measured), %d dedup hits / %d store hits, arena high-water %d B, %d worker slots",
 		s.Batches, s.Items, s.Measured, s.DedupHits, s.MemoHits, s.ArenaBytes, s.Workers)
 }
 
-// batchMemoCap bounds the measurement memo: a few generations of a large
-// population.
-const batchMemoCap = 512
-
 // batchMemoKey identifies a finished EM measurement by content: the load's
-// content hash plus everything else the measured value depends on. Entries
-// are tiny (three floats), so memoized repeats — elites re-measured every
-// generation, converged clones, a lab client's repeated MEASURE of one
-// running load — skip the whole pipeline, including the simulator.
+// content hash plus everything else the measured value depends on. It is
+// the persistent store's identity (measDiskKey), so a record written by
+// one process serves every bench, in any process, that would measure the
+// same value, and no other.
 type batchMemoKey struct {
 	load uint64
-	// spec is the domain's Spec content hash: one bench's domains share the
-	// memo, so two domains with equal EM paths and operating points must
-	// still key apart.
+	// spec is the domain's Spec content hash: two domains with equal EM
+	// paths and operating points must still key apart.
 	spec uint64
 	// em is the content hash of the receive chain (antenna parameters and
-	// the domain's coupling path): a shallow bench copy with a retuned
-	// antenna shares batchState, and without this field it would be served
-	// another antenna's memoized fitness.
+	// the domain's coupling path): a bench with a retuned antenna must not
+	// be served another antenna's fitness.
 	em uint64
 	// ana is the analyzer's content hash (model, span, RBW, noise
-	// parameters and noise seed): a shallow copy given another analyzer
-	// shares batchState too, and its readings carry its own noise.
+	// parameters and noise seed): another analyzer's readings carry its
+	// own noise.
 	ana            uint64
 	powered        int
 	clock, supply  float64
@@ -66,7 +60,7 @@ type batchMemoKey struct {
 // emIdentity content-hashes everything between the domain's feed current
 // and the analyzer input: the antenna's response parameters and the
 // domain's radiating path. Together with the key's band and sample fields
-// it pins the memoized value to the full receive chain.
+// it pins the stored value to the full receive chain.
 func emIdentity(ant em.Antenna, path em.Path) uint64 {
 	h := detrand.NewHash()
 	h.Float64(ant.SelfResonanceHz)
@@ -80,99 +74,10 @@ func emIdentity(ant em.Antenna, path em.Path) uint64 {
 	return h.Sum()
 }
 
-// batchMemo is an LRU map from a measurement's 64-bit identity
-// (measDiskKey, the disk tier's key) to its value, over at most
-// batchMemoCap entries. The entries live in one slice that grows on
-// demand, linked from most to least recently used by index. Each keeps its
-// full key, so a hit is verified and an identity two keys share reads as
-// a miss. The zero value is an empty memo.
-type batchMemo struct {
-	index      map[uint64]int32
-	ents       []memoEnt
-	head, tail int32 // most and least recently used; valid when ents is not empty
-}
-
-type memoEnt struct {
-	id         uint64
-	key        batchMemoKey
-	m          instrument.Measurement
-	prev, next int32 // -1 ends the list
-}
-
-// memoInitCap is the memo's first allocation: one generation of the
-// paper's GA population, so a fresh bench's first batch does not regrow.
-const memoInitCap = 64
-
-func (mm *batchMemo) get(id uint64, k batchMemoKey) (instrument.Measurement, bool) {
-	i, ok := mm.index[id]
-	if !ok || mm.ents[i].key != k {
-		return instrument.Measurement{}, false
-	}
-	mm.toFront(i)
-	return mm.ents[i].m, true
-}
-
-func (mm *batchMemo) add(id uint64, k batchMemoKey, m instrument.Measurement) {
-	if i, ok := mm.index[id]; ok {
-		// The same key is a pure value a concurrent worker measured too;
-		// keep the first. Another key under the same identity replaces it.
-		if mm.ents[i].key != k {
-			mm.ents[i].key, mm.ents[i].m = k, m
-		}
-		mm.toFront(i)
-		return
-	}
-	if mm.index == nil {
-		mm.index = make(map[uint64]int32, memoInitCap)
-		mm.ents = make([]memoEnt, 0, memoInitCap)
-	}
-	var i int32
-	if len(mm.ents) < batchMemoCap {
-		i = int32(len(mm.ents))
-		mm.ents = append(mm.ents, memoEnt{prev: -1, next: -1})
-		if i == 0 {
-			mm.head, mm.tail = 0, 0
-		} else {
-			mm.pushFront(i)
-		}
-	} else {
-		i = mm.tail
-		delete(mm.index, mm.ents[i].id)
-		mm.toFront(i)
-	}
-	mm.ents[i].id, mm.ents[i].key, mm.ents[i].m = id, k, m
-	mm.index[id] = i
-}
-
-// toFront makes entry i the most recently used.
-func (mm *batchMemo) toFront(i int32) {
-	if i == mm.head {
-		return
-	}
-	e := &mm.ents[i]
-	mm.ents[e.prev].next = e.next
-	if e.next >= 0 {
-		mm.ents[e.next].prev = e.prev
-	} else {
-		mm.tail = e.prev
-	}
-	mm.pushFront(i)
-}
-
-// pushFront links the unlinked entry i in front of the current head.
-func (mm *batchMemo) pushFront(i int32) {
-	mm.ents[i].prev, mm.ents[i].next = -1, mm.head
-	mm.ents[mm.head].prev = i
-	mm.head = i
-}
-
-// batchState is the per-bench state behind MeasureBatch: the measurement
-// memo, the recycled worker arenas, and the stats counters. It hangs off
-// the Bench as a pointer so re-sampled shallow bench copies share it (the
-// memo key carries the sample count).
+// batchState is the per-bench state behind MeasureBatch: the recycled
+// worker arenas and the stats counters. It hangs off the Bench as a
+// pointer so re-sampled shallow bench copies share it.
 type batchState struct {
-	mu        sync.Mutex
-	memo      batchMemo
 	arenaPool sync.Pool // *slab.Arena
 
 	// probeMu guards probes, the per-domain memo of the built probe loop
@@ -181,8 +86,8 @@ type batchState struct {
 	probeMu sync.Mutex
 	probes  map[*platform.Domain][]isa.Inst
 
-	batches, items, measured, dedup, memoHits atomic.Uint64
-	arenaBytes, workerSlots                   atomic.Uint64
+	batches, items, measured, dedup, storeHits atomic.Uint64
+	arenaBytes, workerSlots                    atomic.Uint64
 }
 
 // benchBatchMu guards lazy batch-state creation for benches that were not
@@ -206,22 +111,10 @@ func (b *Bench) BatchStats() BatchStats {
 		Items:      st.items.Load(),
 		Measured:   st.measured.Load(),
 		DedupHits:  st.dedup.Load(),
-		MemoHits:   st.memoHits.Load(),
+		MemoHits:   st.storeHits.Load(),
 		ArenaBytes: st.arenaBytes.Load(),
 		Workers:    st.workerSlots.Load(),
 	}
-}
-
-func (st *batchState) memoGet(id uint64, k batchMemoKey) (instrument.Measurement, bool) {
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	return st.memo.get(id, k)
-}
-
-func (st *batchState) memoAdd(id uint64, k batchMemoKey, m instrument.Measurement) {
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	st.memo.add(id, k, m)
 }
 
 func (st *batchState) getArena() *slab.Arena {
@@ -238,11 +131,11 @@ func (st *batchState) putArena(ar *slab.Arena) {
 
 // EMMeasureBatch is the bench's one EM measurement path: every load is
 // measured on domain d at its powered cores, maximum clock and nominal
-// supply, through runBatch with the in-memory memo and the disk tier in
-// front of the pipeline, on up to parallelism workers; a GA measurer's
-// Measure is a batch of one. A non-nil emit streams the results as
-// runBatch's does (the lab daemon answers a multi-part MEASURE one line
-// per part).
+// supply, through runBatch with the persistent store (when one is
+// installed) in front of the pipeline, on up to parallelism workers; a GA
+// measurer's Measure is a batch of one. A non-nil emit streams the
+// results as runBatch's does (the lab daemon answers a multi-part MEASURE
+// one line per part).
 func (b *Bench) EMMeasureBatch(d *platform.Domain, loads []platform.Load, samples, parallelism int,
 	emit func(i int, m instrument.Measurement) error) ([]instrument.Measurement, error) {
 	if err := b.Validate(); err != nil {
@@ -254,10 +147,8 @@ func (b *Bench) EMMeasureBatch(d *platform.Domain, loads []platform.Load, sample
 	st := b.batchSt()
 
 	// The view's powered cores key the whole batch; clock and supply are
-	// the spec's maximum and nominal. The memo carries results across
-	// calls — elites re-measured every generation, clones of
-	// already-measured parents — under one 64-bit identity per distinct
-	// load, which keys both tiers: the memo and the disk store.
+	// the spec's maximum and nominal. Each distinct load has one 64-bit
+	// identity in the store.
 	clock, supply, powered := d.ClockHz(), d.SupplyVolts(), d.PoweredCores()
 	emID := emIdentity(b.Platform.Antenna, d.Spec.EMPath)
 	specHash := d.SpecContentHash()
@@ -269,17 +160,9 @@ func (b *Bench) EMMeasureBatch(d *platform.Domain, loads []platform.Load, sample
 		keys[i] = batchMemoKey{load: h, spec: specHash, em: emID, ana: anaHash, powered: powered,
 			clock: clock, supply: supply, dt: b.Dt, n: b.N, samples: samples, bandLo: b.Band.Lo, bandHi: b.Band.Hi}
 		ids[i] = measDiskKey(keys[i])
-		if m, ok := st.memoGet(ids[i], keys[i]); ok {
-			return m, true
-		}
-		// The persistent tier holds measurements from earlier processes (or
-		// concurrent ones sharing the cache directory); a hit feeds the
-		// in-memory memo so the rest of the campaign never re-reads disk.
-		if m, ok := measGet(disk, ids[i], keys[i]); ok {
-			st.memoAdd(ids[i], keys[i], m)
-			return m, true
-		}
-		return instrument.Measurement{}, false
+		// The store holds measurements from earlier processes, or
+		// concurrent ones sharing the cache directory.
+		return measGet(disk, ids[i], keys[i])
 	}
 	return runBatch(st, loads, parallelism, known, func(ar *slab.Arena, i int) (instrument.Measurement, error) {
 		freqs, iAmp, _, err := d.SpectraArena(loads[i], b.Dt, b.N, ar)
@@ -296,7 +179,6 @@ func (b *Bench) EMMeasureBatch(d *platform.Domain, loads []platform.Load, sample
 		if err != nil {
 			return instrument.Measurement{}, err
 		}
-		st.memoAdd(ids[i], keys[i], *meas)
 		measPut(disk, ids[i], keys[i], *meas)
 		return *meas, nil
 	}, emit)
@@ -304,7 +186,7 @@ func (b *Bench) EMMeasureBatch(d *platform.Domain, loads []platform.Load, sample
 
 // runBatch is the bench's one batch driver, every metric's: it dedups the
 // loads by content hash, serves a distinct load (index i, hash h) from
-// known when that reports one (the EM memo and disk tier; nil serves
+// known when that reports one (the EM persistent store; nil serves
 // none), and runs measure on the rest, on up to parallelism workers, each
 // with one recycled arena for the whole batch. Dedup is exact because at
 // a fixed operating point a reading is a pure function of the load
@@ -324,7 +206,7 @@ func runBatch[T any](st *batchState, loads []platform.Load, parallelism int,
 	firstOf := make(map[uint64]int, len(loads))
 	dupOf := make([]int, len(loads))
 	work := make([]int, 0, len(loads))
-	var dedup, memoHits uint64
+	var dedup, stored uint64
 	for i := range loads {
 		h := loads[i].Hash()
 		if j, ok := firstOf[h]; ok {
@@ -337,7 +219,7 @@ func runBatch[T any](st *batchState, loads []platform.Load, parallelism int,
 		if known != nil {
 			if v, ok := known(i, h); ok {
 				results[i] = v
-				memoHits++
+				stored++
 				continue
 			}
 		}
@@ -349,7 +231,7 @@ func runBatch[T any](st *batchState, loads []platform.Load, parallelism int,
 	st.items.Add(uint64(len(loads)))
 	st.measured.Add(uint64(len(work)))
 	st.dedup.Add(dedup)
-	st.memoHits.Add(memoHits)
+	st.storeHits.Add(stored)
 	var order *inOrder[T]
 	if emit != nil {
 		order = &inOrder[T]{emit: emit, results: results, dupOf: dupOf, ready: make([]bool, len(loads))}

@@ -62,26 +62,33 @@ func TestMeasureBatchParallelismZero(t *testing.T) {
 	}
 }
 
-// TestBatchMemoKeyedByReceiveChain is the stale-memo regression: a shallow
-// bench copy with a retuned antenna shares the batch state (that sharing
-// is the point — re-sampled copies reuse the memo), and before the em
-// field joined the memo key, the copy was served the original antenna's
-// fitness values verbatim.
-func TestBatchMemoKeyedByReceiveChain(t *testing.T) {
-	b1, p1 := testBench(t)
-	d1 := dom(t, p1, "cortex-a72")
-	rng := rand.New(rand.NewSource(17))
-	pool := d1.Spec.Pool()
-	var items []ga.BatchItem
-	for i := 0; i < 8; i++ {
-		items = append(items, ga.BatchItem{Seq: pool.RandomSequence(rng, 30)})
+// storeServesTwin requires the installed store to serve a fresh bench,
+// built like the one that measured want, every one of want's readings bit
+// for bit: the retargeted-key tests below would pass vacuously if the
+// store served nothing.
+func storeServesTwin(t *testing.T, want []instrument.Measurement, measure func(*Bench, *platform.Platform) []instrument.Measurement) {
+	t.Helper()
+	b, p := testBench(t)
+	if got := measure(b, p); !reflect.DeepEqual(got, want) {
+		t.Fatalf("store-served readings %+v, measured %+v", got, want)
 	}
-	first, err := b1.EMMeasurer(d1, 2).(ga.BatchMeasurer).MeasureBatch(items, 2)
-	if err != nil {
-		t.Fatal(err)
+	if bs := b.BatchStats(); bs.Measured != 0 || bs.MemoHits != uint64(len(want)) {
+		t.Fatalf("a twin bench's repeat counted as %+v, want %d store hits", bs, len(want))
 	}
+}
 
-	// Shallow copy sharing b1's batch state, with a retuned antenna.
+// TestMeasStoreKeyedByReceiveChain is the stale-reading regression: the
+// persistent store serves every bench in the process, so a bench with a
+// retuned antenna must miss the original antenna's records. Before the em
+// field joined the key, it was served their fitness values verbatim.
+func TestMeasStoreKeyedByReceiveChain(t *testing.T) {
+	b0, p0 := testBench(t)
+	rng := rand.New(rand.NewSource(17))
+	pool := dom(t, p0, platform.DomainA72).Spec.Pool()
+	var loads []platform.Load
+	for i := 0; i < 8; i++ {
+		loads = append(loads, platform.Load{Seq: pool.RandomSequence(rng, 30), ActiveCores: 2})
+	}
 	retune := func(b *Bench) *Bench {
 		b2 := *b
 		plat := *b.Platform
@@ -90,35 +97,37 @@ func TestBatchMemoKeyedByReceiveChain(t *testing.T) {
 		b2.Platform = &plat
 		return &b2
 	}
-	b2 := retune(b1)
-	got, err := b2.EMMeasurer(d1, 2).(ga.BatchMeasurer).MeasureBatch(items, 2)
-	if err != nil {
-		t.Fatal(err)
+	measure := func(b *Bench, p *platform.Platform) []instrument.Measurement {
+		ms, err := b.EMMeasureBatch(dom(t, p, platform.DomainA72), loads, b.Samples, 2, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return ms
 	}
+	// Ground truth, measured before any store is installed.
+	want := measure(retune(b0), p0)
 
-	// Ground truth: a fresh bench (private batch state) with the same
-	// retuned antenna.
-	b3, p3 := testBench(t)
-	d3 := dom(t, p3, "cortex-a72")
-	b3r := retune(b3)
-	want, err := b3r.EMMeasurer(d3, 2).(ga.BatchMeasurer).MeasureBatch(items, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-
+	withMeasStore(t, openStore(t, t.TempDir()))
+	b1, p1 := testBench(t)
+	first := measure(b1, p1)
+	got := measure(retune(b1), p1)
 	if reflect.DeepEqual(first, want) {
 		t.Fatal("retuning the antenna did not change any measured value; the regression is unobservable")
 	}
 	if !reflect.DeepEqual(got, want) {
-		t.Fatal("shared batch state served the original antenna's memoized results to the retuned bench")
+		t.Fatal("the store served the original antenna's readings to the retuned bench")
 	}
+	if bs := b1.BatchStats(); bs.MemoHits != 0 {
+		t.Fatalf("two antennas over one population counted as %+v", bs)
+	}
+	storeServesTwin(t, first, measure)
 }
 
-// TestBatchMemoKeyedByDomain: one bench's domains share its measurement
-// memo, so two domains whose EM paths and operating points coincide must
-// still key apart. Without the domain's spec hash in the key, the second
-// domain was served the first domain's reading.
-func TestBatchMemoKeyedByDomain(t *testing.T) {
+// TestMeasStoreKeyedByDomain: the persistent store serves every domain, so
+// two domains whose EM paths and operating points coincide must still key
+// apart. Without the domain's spec hash in the key, the second domain was
+// served the first domain's reading.
+func TestMeasStoreKeyedByDomain(t *testing.T) {
 	// setup aligns the A53 with the A72 through its spec: same EM path,
 	// clock and supply, and the same powered cores, so only the domain
 	// itself tells the two apart.
@@ -138,8 +147,16 @@ func TestBatchMemoKeyedByDomain(t *testing.T) {
 		}
 		return b, a72, a53
 	}
-	b, a72, a53 := setup()
+	// Ground truth, measured before any store is installed.
+	b0, a72, a53fresh := setup()
 	l := buildLoad(t, a72, "probe", 2)
+	want, err := emMeasure(b0, a53fresh, l, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	withMeasStore(t, openStore(t, t.TempDir()))
+	b, a72, a53 := setup()
 	m72, err := emMeasure(b, a72, l, 3)
 	if err != nil {
 		t.Fatal(err)
@@ -148,25 +165,25 @@ func TestBatchMemoKeyedByDomain(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-
-	b2, _, a53fresh := setup()
-	want, err := emMeasure(b2, a53fresh, l, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
 	if *want == *m72 {
 		t.Fatal("the two domains measure alike; the regression is unobservable")
 	}
 	if *got != *want {
-		t.Fatalf("shared memo served %+v for the A53, a fresh bench measures %+v", got, want)
+		t.Fatalf("the store served %+v for the A53, a bench without one measures %+v", got, want)
 	}
+	storeServesTwin(t, []instrument.Measurement{*m72}, func(b *Bench, p *platform.Platform) []instrument.Measurement {
+		m, err := emMeasure(b, dom(t, p, platform.DomainA72), l, 3)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return []instrument.Measurement{*m}
+	})
 }
 
-// TestBatchMemoKeyedByAnalyzer: a shallow bench copy given a re-seeded
-// analyzer shares the batch state, and must measure its own reading for
-// a load the original has already memoized: the readings carry the
-// analyzer's seeded noise.
-func TestBatchMemoKeyedByAnalyzer(t *testing.T) {
+// TestMeasStoreKeyedByAnalyzer: a bench given a re-seeded analyzer must
+// measure its own reading for a load the store already holds under the
+// original analyzer: the readings carry the analyzer's seeded noise.
+func TestMeasStoreKeyedByAnalyzer(t *testing.T) {
 	reseed := func(b *Bench) *Bench {
 		a := b.Analyzer
 		ana, err := instrument.NewSpectrumAnalyzer(a.Model, a.StartHz, a.StopHz, a.RBWHz, a.Seed()+1)
@@ -178,34 +195,32 @@ func TestBatchMemoKeyedByAnalyzer(t *testing.T) {
 		b2.Analyzer = ana
 		return &b2
 	}
-	b1, p1 := testBench(t)
-	d1 := dom(t, p1, platform.DomainA72)
-	first, err := emMeasure(b1, d1, buildLoad(t, d1, "probe", 2), 3)
-	if err != nil {
-		t.Fatal(err)
+	measure := func(b *Bench, p *platform.Platform) []instrument.Measurement {
+		d := dom(t, p, platform.DomainA72)
+		m, err := emMeasure(b, d, buildLoad(t, d, "probe", 2), 3)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return []instrument.Measurement{*m}
 	}
-	got, err := emMeasure(reseed(b1), d1, buildLoad(t, d1, "probe", 2), 3)
-	if err != nil {
-		t.Fatal(err)
-	}
+	// Ground truth, measured before any store is installed.
+	b0, p0 := testBench(t)
+	want := measure(reseed(b0), p0)
 
-	// Ground truth: a fresh bench (private batch state) with the same
-	// re-seeded analyzer.
-	b3, p3 := testBench(t)
-	d3 := dom(t, p3, platform.DomainA72)
-	want, err := emMeasure(reseed(b3), d3, buildLoad(t, d3, "probe", 2), 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if *first == *want {
+	withMeasStore(t, openStore(t, t.TempDir()))
+	b1, p1 := testBench(t)
+	first := measure(b1, p1)
+	got := measure(reseed(b1), p1)
+	if reflect.DeepEqual(first, want) {
 		t.Fatal("re-seeding the analyzer did not change the reading; the regression is unobservable")
 	}
-	if *got != *want {
-		t.Fatalf("shared batch state served %+v to the re-seeded bench, a fresh bench measures %+v", got, want)
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("the store served %+v to the re-seeded bench, a bench without one measures %+v", got, want)
 	}
 	if bs := b1.BatchStats(); bs.Measured != 2 || bs.MemoHits != 0 {
 		t.Fatalf("two analyzers over one load counted as %+v", bs)
 	}
+	storeServesTwin(t, first, measure)
 }
 
 // TestMeasDiskKeyPinned: the identity names every meas record in
@@ -217,94 +232,12 @@ func TestMeasDiskKeyPinned(t *testing.T) {
 	}
 }
 
-// TestBatchMemoMatchesReferenceLRU drives the index-linked memo and a
-// plain recency-ordered list through the same random gets and adds over
-// more identities than the memo holds, including identities shared by
-// two keys, and requires the same hits, values and residency throughout.
-func TestBatchMemoMatchesReferenceLRU(t *testing.T) {
-	type refEnt struct {
-		id  uint64
-		key batchMemoKey
-		m   instrument.Measurement
-	}
-	var ref []refEnt // most recently used first
-	refFind := func(id uint64) int {
-		for i, e := range ref {
-			if e.id == id {
-				return i
-			}
-		}
-		return -1
-	}
-	refFront := func(i int) {
-		e := ref[i]
-		copy(ref[1:i+1], ref[:i])
-		ref[0] = e
-	}
-
-	var mm batchMemo
-	rng := rand.New(rand.NewSource(3))
-	for op := 0; op < 20000; op++ {
-		id := uint64(rng.Intn(batchMemoCap * 3 / 2))
-		// Two keys per identity: a collision whenever they alternate.
-		k := batchMemoKey{load: id, samples: 1 + rng.Intn(2)}
-		if rng.Intn(2) == 0 {
-			got, ok := mm.get(id, k)
-			i := refFind(id)
-			want := i >= 0 && ref[i].key == k
-			if ok != want {
-				t.Fatalf("op %d: get(%d, %+v) hit=%v, reference %v", op, id, k, ok, want)
-			}
-			if want {
-				if got != ref[i].m {
-					t.Fatalf("op %d: get(%d) = %+v, reference %+v", op, id, got, ref[i].m)
-				}
-				refFront(i)
-			}
-			continue
-		}
-		m := instrument.Measurement{PeakDBm: float64(op)}
-		mm.add(id, k, m)
-		switch i := refFind(id); {
-		case i >= 0:
-			if ref[i].key != k {
-				ref[i].key, ref[i].m = k, m
-			}
-			refFront(i)
-		default:
-			if len(ref) == batchMemoCap {
-				ref = ref[:len(ref)-1]
-			}
-			ref = append([]refEnt{{id, k, m}}, ref...)
-		}
-		if len(mm.index) != len(ref) || len(mm.ents) != len(ref) {
-			t.Fatalf("op %d: memo holds %d/%d entries, reference %d", op, len(mm.index), len(mm.ents), len(ref))
-		}
-	}
-	// The links walk the reference's recency order both ways.
-	i := mm.head
-	for k, e := range ref {
-		if i < 0 || mm.ents[i].id != e.id {
-			t.Fatalf("recency position %d: memo entry %d, reference id %d", k, i, e.id)
-		}
-		if k == len(ref)-1 && i != mm.tail {
-			t.Fatalf("tail %d, last entry %d", mm.tail, i)
-		}
-		i = mm.ents[i].next
-	}
-	for k, i := len(ref)-1, mm.tail; k >= 0; k, i = k-1, mm.ents[i].prev {
-		if mm.ents[i].id != ref[k].id {
-			t.Fatalf("backward walk position %d: id %d, reference %d", k, mm.ents[i].id, ref[k].id)
-		}
-	}
-}
-
 // TestVoltageBatchMatchesMeasure: droop and ptp batches run through the
 // EM batch driver. On the OC-DSO A72 and the Athlon's bench scope, at
 // parallelism 1, 2 and 8, every result of a batch holding two clones
 // equals the batch-of-one Measure of its item bit for bit, the clones are
-// dedup hits, and nothing is served by a memo (voltage readings have
-// none).
+// dedup hits, and nothing is served by the store (voltage readings are
+// never stored).
 func TestVoltageBatchMatchesMeasure(t *testing.T) {
 	juno, err := platform.JunoR2()
 	if err != nil {
@@ -344,7 +277,7 @@ func TestVoltageBatchMatchesMeasure(t *testing.T) {
 				want := BatchStats{Batches: 1, Items: 8, Measured: 6, DedupHits: 2}
 				if bs := b.BatchStats(); bs.Batches != want.Batches || bs.Items != want.Items ||
 					bs.Measured != want.Measured || bs.DedupHits != want.DedupHits || bs.MemoHits != 0 {
-					t.Fatalf("%s: stats %+v, want 1 batch of 8 items, 6 measured, 2 dedup hits, 0 memo hits", name, bs)
+					t.Fatalf("%s: stats %+v, want 1 batch of 8 items, 6 measured, 2 dedup hits, 0 store hits", name, bs)
 				}
 				for i, it := range items {
 					fit, hz, err := m.Measure(it.Seq)

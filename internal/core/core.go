@@ -54,8 +54,8 @@ type Bench struct {
 	// any setting.
 	Parallelism int
 
-	// batch holds the generation-batched evaluation state (measurement memo,
-	// worker arenas, counters). A pointer so shallow bench copies — the
+	// batch holds the generation-batched evaluation state (worker arenas,
+	// counters). A pointer so shallow bench copies — the
 	// per-request re-sampled views of WithSamples — share one state; see
 	// batch.go.
 	batch *batchState
@@ -248,7 +248,7 @@ func (m measurer) Measure(seq []isa.Inst) (float64, float64, error) {
 
 // MeasureBatch implements ga.BatchMeasurer: one call evaluates the whole
 // generation through the bench's batch driver (intra-batch dedup, slab
-// arenas and, for em, the cross-generation memo), bit-identical to
+// arenas and, for em, the persistent store), bit-identical to
 // per-individual Measure calls at any parallelism.
 func (m measurer) MeasureBatch(items []ga.BatchItem, parallelism int) ([]ga.BatchResult, error) {
 	loads := make([]platform.Load, len(items))
@@ -276,7 +276,7 @@ func (m measurer) measureLoads(loads []platform.Load, parallelism int, emit func
 	}
 	// Scope noise is keyed by the seed and the captured rail, so a voltage
 	// reading is a pure function of the load and the batch dedups it
-	// exactly; it keeps no memo.
+	// exactly; it is never stored.
 	if err := m.b.Validate(); err != nil {
 		return nil, err
 	}

@@ -1,13 +1,13 @@
 package core
 
-// Disk tier under the bench's measurement memo. A memoized entry is one
+// Disk tier in front of the bench's EM pipeline. A stored entry is one
 // finished EM measurement (peak dBm, dominant Hz, sweep-to-sweep stdev), but
 // a disk hit for one skips the entire pipeline: simulator, PDN, FFT, antenna
 // fold and analyzer sweeps. A repeat campaign from a cold process (the
 // warm-start benchmark) therefore pays hash lookups where the first run
 // paid measurements.
 //
-// Both tiers key a measurement on one 64-bit identity, measDiskKey of its
+// The tier keys a measurement on one 64-bit identity, measDiskKey of its
 // batchMemoKey, which folds the analyzer's content hash (model, span, RBW,
 // noise parameters and the unexported noise seed — measured values embed
 // seeded instrument noise, so two analyzers differing only in seed must
@@ -31,8 +31,8 @@ const measCodecVersion = 2
 
 var measPersist atomic.Pointer[castore.Store]
 
-// SetPersistentStore installs (nil removes) the disk-backed tier under the
-// measurement memo and returns the previous store.
+// SetPersistentStore installs (nil removes) the disk-backed tier in front
+// of the EM pipeline and returns the previous store.
 func SetPersistentStore(s *castore.Store) (prev *castore.Store) {
 	return measPersist.Swap(s)
 }
@@ -40,7 +40,7 @@ func SetPersistentStore(s *castore.Store) (prev *castore.Store) {
 // PersistentStore returns the installed disk tier, or nil.
 func PersistentStore() *castore.Store { return measPersist.Load() }
 
-// measDiskKey is a measurement's identity in the memo and the disk tier.
+// measDiskKey is a measurement's identity in the disk tier.
 func measDiskKey(k batchMemoKey) uint64 {
 	h := detrand.NewHash()
 	h.Uint64(k.spec)

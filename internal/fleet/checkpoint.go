@@ -14,8 +14,8 @@ import (
 // line per completed shard, keyed by content. A record names the campaign
 // (a 64-bit hash of everything the result depends on except the item
 // itself: kind, platform, domain, powered cores, seeds, sample depth) and
-// the item (the same 64-bit content key the bench measurement memo
-// already trusts), so a resumed
+// the item (the same 64-bit load content key the bench's batch dedup and
+// persistent store trust), so a resumed
 // coordinator replays a hit only when both hashes match — a changed
 // powered-core count or a mutated workload misses cleanly and re-measures.
 //

@@ -40,6 +40,63 @@ func TestFleetKeysPinned(t *testing.T) {
 	}
 }
 
+// TestFleetDroopKeyIgnoresSamples: a droop reading never reads the
+// analyzer's sample count, so two droop measurers that differ only in
+// Samples (3 and 300) journal under one campaign key, and a coordinator
+// resumed with the second replays the first one's checkpoint without
+// measuring anything.
+func TestFleetDroopKeyIgnoresSamples(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "droop.ckpt")
+	items := population(t, localRig(t), 6)
+	run := func(samples int) ([]ga.BatchResult, int64) {
+		ckpt, err := fleet.OpenCheckpoint(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rig := &countingRig{Backend: localRig(t)}
+		f := newFleet(t, fleet.Options{Slots: 1, Salt: 7, Checkpoint: ckpt}, fleet.Rig{Name: "local", Backend: rig})
+		m, err := f.Measurer(backend.MeasurerSpec{Domain: testDomain, Metric: backend.MetricDroop,
+			ActiveCores: 2, Samples: samples, DSOSeed: 11})
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := m.(ga.BatchMeasurer).MeasureBatch(items, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := f.Close(); err != nil { // flushes the journal
+			t.Fatal(err)
+		}
+		return res, rig.calls.Load()
+	}
+	first, calls := run(3)
+	if calls == 0 {
+		t.Fatal("first run measured nothing; the journal cannot have content")
+	}
+	second, calls := run(300)
+	if calls != 0 {
+		t.Fatalf("a droop run at 300 samples re-measured %d shards journaled at 3, want 0", calls)
+	}
+	if !reflect.DeepEqual(second, first) {
+		t.Fatal("replayed droop results differ from the measured ones")
+	}
+	buf, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	keys := map[string]bool{}
+	for _, line := range strings.Split(strings.TrimSpace(string(buf)), "\n") {
+		var rec struct{ Campaign string }
+		if err := json.Unmarshal([]byte(line), &rec); err != nil {
+			t.Fatal(err)
+		}
+		keys[rec.Campaign] = true
+	}
+	if len(keys) != 1 {
+		t.Fatalf("droop records journaled under %d campaign keys, want 1", len(keys))
+	}
+}
+
 // journaledKeys runs one single-item campaign of each kind (ga, sweep,
 // vmin, shmoo) through a one-rig fleet with a checkpoint and returns the
 // campaign key of each journal record in order.

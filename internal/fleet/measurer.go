@@ -80,11 +80,15 @@ func (m *fleetMeasurer) MeasureBatch(items []ga.BatchItem, parallelism int) ([]g
 	if len(items) == 0 {
 		return nil, nil
 	}
+	// Only an em reading averages analyzer sweeps; droop and ptp read the
+	// scope, so their sample count keys nothing.
 	key := m.f.keyHash("ga", func(h *detrand.Hash) {
 		h.String(m.spec.Domain)
 		h.String(string(m.spec.Metric))
 		h.Int(m.spec.ActiveCores)
-		h.Int(m.spec.Samples)
+		if m.spec.Metric == backend.MetricEM {
+			h.Int(m.spec.Samples)
+		}
 		h.Uint64(uint64(m.spec.DSOSeed))
 		h.Int(m.spec.PoweredCores)
 	})

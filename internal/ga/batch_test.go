@@ -45,11 +45,18 @@ func (s *batchSpy) MeasureBatch(items []BatchItem, parallelism int) ([]BatchResu
 }
 
 // TestRunPrefersBatchMeasurer checks measureAll's routing: a BatchMeasurer
-// gets one MeasureBatch call per generation covering every individual,
-// never a scalar call, and the
-// run's outcome matches the scalar path bit-for-bit.
+// gets one MeasureBatch call per generation covering every individual
+// that enters it without a reading, never a scalar call, and the run's
+// outcome matches the scalar path bit-for-bit.
 func TestRunPrefersBatchMeasurer(t *testing.T) {
-	cfg := testConfig()
+	carried := 0
+	cfg := Observed(testConfig(), func(pop []Individual) {
+		for _, in := range pop {
+			if in.measured {
+				carried++
+			}
+		}
+	})
 	spy := &batchSpy{}
 	batched, err := Run(cfg, spy, nil)
 	if err != nil {
@@ -58,12 +65,15 @@ func TestRunPrefersBatchMeasurer(t *testing.T) {
 	if spy.scalarCalls != 0 {
 		t.Errorf("%d scalar Measure calls despite MeasureBatch", spy.scalarCalls)
 	}
-	wantBatches := cfg.Generations // one full-population batch per generation
+	wantBatches := cfg.Generations // one batch per generation
 	if spy.batches != wantBatches {
 		t.Errorf("MeasureBatch called %d times, want %d", spy.batches, wantBatches)
 	}
-	if want := wantBatches * cfg.PopulationSize; spy.batchItems != want {
-		t.Errorf("batched %d individuals, want %d", spy.batchItems, want)
+	if carried == 0 {
+		t.Error("no individual carried its reading into a later generation")
+	}
+	if want := wantBatches*cfg.PopulationSize - carried; spy.batchItems != want {
+		t.Errorf("batched %d individuals, want %d (%d carried)", spy.batchItems, want, carried)
 	}
 
 	scalar, err := Run(cfg, MeasurerFunc(countSIMD), nil)
@@ -101,7 +111,8 @@ func TestBatchMeasurerErrorPropagates(t *testing.T) {
 }
 
 // TestEvaluatePopulationBatchAndScalar checks the exported stepper feeds
-// both paths: results land in place and the batch path is preferred.
+// both paths: results land in place, the batch path is preferred, and a
+// population that already carries its readings is not submitted again.
 func TestEvaluatePopulationBatchAndScalar(t *testing.T) {
 	pool := isa.ARM64Pool()
 	defOf := func(class isa.Class) *isa.Def {
@@ -136,6 +147,13 @@ func TestEvaluatePopulationBatchAndScalar(t *testing.T) {
 	}
 	if spy.batches != 1 || spy.scalarCalls != 0 {
 		t.Fatalf("batch routing: %d batches, %d scalar calls", spy.batches, spy.scalarCalls)
+	}
+	// A measured population submits nothing.
+	if err := EvaluatePopulation(viaBatch, spy, 4); err != nil {
+		t.Fatal(err)
+	}
+	if spy.batches != 1 || spy.batchItems != len(viaBatch) {
+		t.Fatalf("re-evaluation: %d batches, %d items", spy.batches, spy.batchItems)
 	}
 	viaScalar := mk()
 	if err := EvaluatePopulation(viaScalar, MeasurerFunc(countSIMD), 4); err != nil {

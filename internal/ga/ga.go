@@ -9,6 +9,7 @@ package ga
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 
 	"repro/internal/isa"
 	"repro/internal/par"
@@ -60,6 +61,10 @@ type Config struct {
 	// population from a previous run, per Section 3.1); remaining slots
 	// are filled randomly.
 	InitialPopulation [][]isa.Inst
+
+	// observe, when set, sees every generation's population before it is
+	// measured, carried readings included (tests check them through it).
+	observe func(pop []Individual)
 }
 
 // DefaultConfig returns the paper's GA configuration for the given pool.
@@ -117,13 +122,32 @@ type Individual struct {
 	Seq        []isa.Inst
 	Fitness    float64
 	DominantHz float64
+	// measured marks Fitness and DominantHz as Seq's reading. Elites and
+	// children bred unchanged from a measured parent keep it, so a
+	// generation submits only the individuals it has not seen; the zero
+	// value is unmeasured.
+	measured bool
 }
 
 // clone deep-copies an individual's sequence.
 func (in Individual) clone() Individual {
-	seq := make([]isa.Inst, len(in.Seq))
-	copy(seq, in.Seq)
-	return Individual{Seq: seq, Fitness: in.Fitness, DominantHz: in.DominantHz}
+	out := in
+	out.Seq = make([]isa.Inst, len(in.Seq))
+	copy(out.Seq, in.Seq)
+	return out
+}
+
+// inherit gives child the reading of the first measured parent it equals
+// gene for gene: a reading is a pure function of the sequence, so the
+// child needs no measurement of its own.
+func (child Individual) inherit(parents ...Individual) Individual {
+	for _, p := range parents {
+		if p.measured && slices.Equal(child.Seq, p.Seq) {
+			child.Fitness, child.DominantHz, child.measured = p.Fitness, p.DominantHz, true
+			break
+		}
+	}
+	return child
 }
 
 // GenerationStats summarizes one generation (the per-generation series the
@@ -155,7 +179,12 @@ func Run(cfg Config, m Measurer, progress func(GenerationStats)) (*Result, error
 		return nil, fmt.Errorf("ga: nil measurer")
 	}
 	rng := rand.New(rand.NewSource(cfg.Seed))
+	return evolve(cfg, rng, m, initialPopulation(cfg, rng), progress)
+}
 
+// initialPopulation is cfg's first generation: the InitialPopulation
+// sequences, then random ones drawn from rng.
+func initialPopulation(cfg Config, rng *rand.Rand) []Individual {
 	pop := make([]Individual, cfg.PopulationSize)
 	for i := range pop {
 		if i < len(cfg.InitialPopulation) {
@@ -166,9 +195,17 @@ func Run(cfg Config, m Measurer, progress func(GenerationStats)) (*Result, error
 			pop[i] = Individual{Seq: cfg.Pool.RandomSequence(rng, cfg.SeqLen)}
 		}
 	}
+	return pop
+}
 
+// evolve runs cfg.Generations generations from pop, breeding with rng.
+// Each generation measures only the individuals without a reading.
+func evolve(cfg Config, rng *rand.Rand, m Measurer, pop []Individual, progress func(GenerationStats)) (*Result, error) {
 	res := &Result{}
 	for gen := 0; gen < cfg.Generations; gen++ {
+		if cfg.observe != nil {
+			cfg.observe(pop)
+		}
 		if err := measureAll(pop, m, cfg.Parallelism); err != nil {
 			return nil, fmt.Errorf("ga: generation %d: %w", gen, err)
 		}
@@ -192,40 +229,51 @@ func Run(cfg Config, m Measurer, progress func(GenerationStats)) (*Result, error
 	return res, nil
 }
 
-// measureAll evaluates the population's fitness on up to parallelism
-// workers. Each worker writes only its own index, and the instruments'
-// noise is order-independent, so the measured population is identical at
-// any worker count. A BatchMeasurer takes the whole generation in one call instead (dedup,
-// slab scratch); its contract pins the results to the per-individual path.
+// measureAll measures the individuals of pop that carry no reading, in
+// one batch on up to parallelism workers. Each result lands at its own
+// index, and the instruments' noise is order-independent, so the measured
+// population is identical at any worker count.
 func measureAll(pop []Individual, m Measurer, parallelism int) error {
-	if bm, ok := m.(BatchMeasurer); ok {
-		items := make([]BatchItem, len(pop))
-		for i := range pop {
-			items[i] = BatchItem{Seq: pop[i].Seq}
+	var todo []int
+	var items []BatchItem
+	for i := range pop {
+		if !pop[i].measured {
+			todo = append(todo, i)
+			items = append(items, BatchItem{Seq: pop[i].Seq})
 		}
-		results, err := bm.MeasureBatch(items, parallelism)
-		if err != nil {
-			return err
-		}
-		if len(results) != len(pop) {
-			return fmt.Errorf("ga: batch measurer returned %d results for %d individuals",
-				len(results), len(pop))
-		}
-		for i := range pop {
-			pop[i].Fitness = results[i].Fitness
-			pop[i].DominantHz = results[i].DominantHz
-		}
+	}
+	if len(items) == 0 {
 		return nil
 	}
-	return par.ForEach(parallelism, len(pop), func(i int) error {
-		fit, dom, err := m.Measure(pop[i].Seq)
-		if err != nil {
-			return err
-		}
-		pop[i].Fitness = fit
-		pop[i].DominantHz = dom
-		return nil
+	results, err := measureBatch(m, items, parallelism)
+	if err != nil {
+		return err
+	}
+	if len(results) != len(items) {
+		return fmt.Errorf("ga: batch measurer returned %d results for %d individuals",
+			len(results), len(items))
+	}
+	for k, i := range todo {
+		pop[i].Fitness, pop[i].DominantHz, pop[i].measured = results[k].Fitness, results[k].DominantHz, true
+	}
+	return nil
+}
+
+// measureBatch evaluates items through m's MeasureBatch when m is a
+// BatchMeasurer (dedup, slab scratch; its contract pins the results to
+// Measure's), otherwise as one Measure call per item on up to parallelism
+// workers.
+func measureBatch(m Measurer, items []BatchItem, parallelism int) ([]BatchResult, error) {
+	if bm, ok := m.(BatchMeasurer); ok {
+		return bm.MeasureBatch(items, parallelism)
+	}
+	results := make([]BatchResult, len(items))
+	err := par.ForEach(parallelism, len(items), func(i int) error {
+		fit, dom, err := m.Measure(items[i].Seq)
+		results[i] = BatchResult{Fitness: fit, DominantHz: dom}
+		return err
 	})
+	return results, err
 }
 
 func summarize(gen int, pop []Individual) GenerationStats {
@@ -248,6 +296,7 @@ func summarize(gen int, pop []Individual) GenerationStats {
 
 // nextGeneration breeds a new population: elites survive unchanged, the
 // rest are bred by tournament selection, one-point crossover and mutation.
+// Elites, and children equal to a measured parent, keep their reading.
 func nextGeneration(cfg Config, rng *rand.Rand, pop []Individual) []Individual {
 	next := make([]Individual, 0, cfg.PopulationSize)
 	for _, e := range elites(pop, cfg.Elites) {
@@ -264,9 +313,9 @@ func nextGeneration(cfg Config, rng *rand.Rand, pop []Individual) []Individual {
 	for len(next) < cfg.PopulationSize {
 		a := selectParent(cfg, rng, pop, ranked)
 		b := selectParent(cfg, rng, pop, ranked)
-		child := recombine(cfg, rng, a, b)
-		mutate(cfg, rng, child)
-		next = append(next, Individual{Seq: child})
+		child := Individual{Seq: recombine(cfg, rng, a.Seq, b.Seq)}
+		mutate(cfg, rng, child.Seq)
+		next = append(next, child.inherit(a, b))
 	}
 	return next
 }
@@ -297,8 +346,8 @@ func elites(pop []Individual, n int) []Individual {
 	return out
 }
 
-// tournament picks k random individuals and returns the fittest's sequence.
-func tournament(rng *rand.Rand, pop []Individual, k int) []isa.Inst {
+// tournament picks k random individuals and returns the fittest.
+func tournament(rng *rand.Rand, pop []Individual, k int) Individual {
 	best := rng.Intn(len(pop))
 	for i := 1; i < k; i++ {
 		c := rng.Intn(len(pop))
@@ -306,7 +355,7 @@ func tournament(rng *rand.Rand, pop []Individual, k int) []isa.Inst {
 			best = c
 		}
 	}
-	return pop[best].Seq
+	return pop[best]
 }
 
 // crossover performs one-point crossover between two parents.

@@ -2,9 +2,9 @@ package ga
 
 import (
 	"fmt"
+	"math/rand"
 	"sort"
 
-	"repro/internal/isa"
 	"repro/internal/par"
 )
 
@@ -99,10 +99,14 @@ func RunIslands(cfg IslandConfig, m Measurer, progress func(IslandStats)) (*Resu
 			sub.Parallelism = innerParallelism
 			// Decorrelate the islands' random streams per epoch.
 			sub.Seed = cfg.Base.Seed + int64(epoch*cfg.Islands+i+1)*7919
-			if pops[i] != nil {
-				sub.InitialPopulation = seqsOf(pops[i], sub.SeqLen)
+			rng := rand.New(rand.NewSource(sub.Seed))
+			// An island resumes from its measured population, migrants
+			// included; only the first epoch draws one.
+			pop := pops[i]
+			if pop == nil {
+				pop = initialPopulation(sub, rng)
 			}
-			res, err := Run(sub, m, nil)
+			res, err := evolve(sub, rng, m, pop, nil)
 			if err != nil {
 				return fmt.Errorf("ga: island %d epoch %d: %w", i, epoch, err)
 			}
@@ -143,18 +147,6 @@ func RunIslands(cfg IslandConfig, m Measurer, progress func(IslandStats)) (*Resu
 		History:         histories[bestIsland],
 		FinalPopulation: pops[bestIsland],
 	}, nil
-}
-
-// seqsOf extracts the instruction sequences of a population, truncating or
-// skipping individuals that do not match the expected length.
-func seqsOf(pop []Individual, seqLen int) [][]isa.Inst {
-	out := make([][]isa.Inst, 0, len(pop))
-	for _, ind := range pop {
-		if len(ind.Seq) == seqLen {
-			out = append(out, ind.Seq)
-		}
-	}
-	return out
 }
 
 // migrate sends each island's top Migrants to the next island in the ring,

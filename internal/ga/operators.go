@@ -67,14 +67,14 @@ func (c Crossover) String() string {
 }
 
 // selectParent applies the configured selection scheme.
-func selectParent(cfg Config, rng *rand.Rand, pop []Individual, ranked []int) []isa.Inst {
+func selectParent(cfg Config, rng *rand.Rand, pop []Individual, ranked []int) Individual {
 	switch cfg.Selection {
 	case Truncation:
 		top := len(ranked) / 4
 		if top < 1 {
 			top = 1
 		}
-		return pop[ranked[rng.Intn(top)]].Seq
+		return pop[ranked[rng.Intn(top)]]
 	case Roulette:
 		// Rank-based: weight n for the best, 1 for the worst.
 		n := len(ranked)
@@ -84,10 +84,10 @@ func selectParent(cfg Config, rng *rand.Rand, pop []Individual, ranked []int) []
 		for i, idx := range ranked {
 			acc += n - i
 			if pick < acc {
-				return pop[idx].Seq
+				return pop[idx]
 			}
 		}
-		return pop[ranked[n-1]].Seq
+		return pop[ranked[n-1]]
 	default:
 		return tournament(rng, pop, cfg.TournamentSize)
 	}

@@ -116,7 +116,7 @@ func TestSelectParentProperty(t *testing.T) {
 		for _, sel := range []Selection{Tournament, Truncation, Roulette} {
 			cfg := DefaultConfig(pool)
 			cfg.Selection = sel
-			seq := selectParent(cfg, rng, pop, ranked)
+			seq := selectParent(cfg, rng, pop, ranked).Seq
 			found := -1
 			for i := range pop {
 				if &pop[i].Seq[0] == &seq[0] {

@@ -11,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/castore"
 	"repro/internal/core"
 	"repro/internal/ga"
 	"repro/internal/instrument"
@@ -116,9 +117,16 @@ func TestMeasureCarriesLoad(t *testing.T) {
 }
 
 // TestRepeatMeasureServedByMemo: MEASURE is a batch of one on the daemon's
-// bench, so a second MEASURE of the same load is a memo hit that returns
-// the first reading bit for bit.
+// bench, so with a persistent store installed (labtarget -cache-dir) a
+// second MEASURE of the same load is a store hit, counted in MemoHits,
+// that returns the first reading bit for bit.
 func TestRepeatMeasureServedByMemo(t *testing.T) {
+	s, err := castore.Open(t.TempDir(), castore.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	prev := core.SetPersistentStore(s)
+	t.Cleanup(func() { core.SetPersistentStore(prev) })
 	addr, b := startServer(t)
 	c := dial(t, addr)
 	defer c.Close()
@@ -137,7 +145,7 @@ func TestRepeatMeasureServedByMemo(t *testing.T) {
 		t.Fatalf("repeat MEASURE diverged: %+v then %+v", first, second)
 	}
 	if bs := b.BatchStats(); bs.Batches != 2 || bs.Measured != 1 || bs.MemoHits != 1 {
-		t.Fatalf("daemon bench stats %+v, want 2 batches, 1 measured, 1 memo hit", bs)
+		t.Fatalf("daemon bench stats %+v, want 2 batches, 1 measured, 1 store hit", bs)
 	}
 }
 

@@ -2,8 +2,8 @@ package platform
 
 import "testing"
 
-// TestSpecContentHashSeparatesDomains: the measurement memo and the
-// persistent `meas` key fold SpecContentHash, so two different boards
+// TestSpecContentHashSeparatesDomains: the persistent `meas` key folds
+// SpecContentHash, so two different boards
 // must hash apart while one board built twice hashes the same.
 func TestSpecContentHashSeparatesDomains(t *testing.T) {
 	dJuno := domain(t, juno(t), DomainA72)

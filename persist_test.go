@@ -21,8 +21,8 @@ import (
 	"repro/internal/core"
 )
 
-// withPersist installs s (which may be nil) as the disk tier under the
-// measurement memo — exactly what `-cache-dir` wires up — and restores the
+// withPersist installs s (which may be nil) as the bench's measurement
+// tier — exactly what `-cache-dir` wires up — and restores the
 // previous store afterwards.
 func withPersist(t *testing.T, s *castore.Store, fn func()) {
 	t.Helper()
@@ -46,7 +46,7 @@ func openCampaignStore(t *testing.T) *castore.Store {
 // store) and disk-warm (a fresh bench over a store populated by a prior
 // run). The store holds finished measurements only: the GA's disk-warm run
 // must hit it, while the sweep and the shmoo (which measure through the
-// sweep path, not the measurement memo) must write nothing to it.
+// sweep path, not the EM measurement path) must write nothing to it.
 func TestPersistentCacheBitIdenticalCampaigns(t *testing.T) {
 	sweep := func(jobs int) any {
 		plat, err := JunoR2()
@@ -103,7 +103,7 @@ func TestPersistentCacheBitIdenticalCampaigns(t *testing.T) {
 	campaigns := []struct {
 		name   string
 		run    func(jobs int) any
-		stores bool // whether the campaign's readings go through the memo
+		stores bool // whether the campaign's readings go through the store
 	}{
 		{"sweep", sweep, false},
 		{"ga", gah, true},
