@@ -36,7 +36,8 @@ test: build
 # store's read-path, frame-cap, LRU-touch and block-accounting tests, the
 # meas record key's analyzer field and pinned identity (the name of every
 # meas record on disk), the GA's carried readings against a fresh
-# measurement, and MONITOR's stream-lost close. The persistent store is cross-process
+# measurement, the islands' breeding every generation, and MONITOR's
+# stream-lost close. The persistent store is cross-process
 # shared mutable state, so its whole suite runs under the race detector here;
 # so do the transfer solve's fan-out and its one-build cache, which share a
 # transfer set across goroutines.
@@ -48,7 +49,7 @@ test: build
 # the same module settings as perfbench/run.sh. Non-test code no program
 # links fails the gate (reach).
 tier1: build fmt vet reach specs-verify tier1-remote tier1-fleet
-	$(call require-tests,GAGolden|SweepGolden|VoltageGAGolden,.)
+	$(call require-tests,GAGolden|SweepGolden|VoltageGAGolden|IslandGolden,.)
 	$(call require-tests,BoundedDescentMatchesExhaustive,./internal/vmin)
 	$(call require-tests,RungPredictionWithinBound,./internal/vmin)
 	$(call require-tests,TransfersMatchSolveACRef,./internal/pdn)
@@ -66,6 +67,7 @@ tier1: build fmt vet reach specs-verify tier1-remote tier1-fleet
 	$(call require-tests,MeasStoreKeyedByAnalyzer,./internal/core)
 	$(call require-tests,MeasDiskKeyPinned,./internal/core)
 	$(call require-tests,CarriedReadingsMatchFreshMeasurement,./internal/ga)
+	$(call require-tests,IslandsBreedEveryGeneration,./internal/ga)
 	$(call require-tests,VoltageBatchMatchesMeasure,./internal/core)
 	$(call require-tests,MeasureUnknownMetric,./internal/lab)
 	$(call require-tests,MeasureCapabilityError,./internal/lab)

@@ -37,7 +37,7 @@ func main() {
 		gens    = flag.Int("gens", 60, "generations")
 		seqLen  = flag.Int("len", 50, "instructions per individual")
 		out     = flag.String("out", "", "write the winning virus as assembly to this file")
-		islands = flag.Int("islands", 1, "island-model populations (1 = classic single population)")
+		islands = flag.Int("islands", 1, "island-model populations, >= 1 (1 = classic single population); every max(1, gens/6) generations each island sends its 2 best to the next around a ring")
 	)
 	flag.Parse()
 
@@ -83,30 +83,25 @@ func main() {
 		fatal(err)
 	}
 
+	icfg := ga.IslandConfig{
+		Base:              cfg,
+		Islands:           *islands,
+		MigrationInterval: max(1, *gens/6),
+		Migrants:          2,
+	}
 	fmt.Printf("gahunt: %s/%s, %d cores, metric=%s, %dx%d, %d island(s)\n",
 		be.PlatformName(), domain, *app.Cores, *metric, *pop, *gens, *islands)
 	if f, ok := be.(*fleet.Fleet); ok {
 		fmt.Printf("gahunt: generations shard across a fleet of %d rigs\n", f.Size())
 	}
 	start := time.Now()
-	var res *ga.Result
-	if *islands > 1 {
-		icfg := ga.IslandConfig{
-			Base:              cfg,
-			Islands:           *islands,
-			MigrationInterval: max(1, *gens/6),
-			Migrants:          2,
+	res, err := ga.RunIslands(icfg, measurer, func(s ga.IslandStats) {
+		if *islands > 1 {
+			fmt.Printf("isl %d ", s.Island)
 		}
-		res, err = ga.RunIslands(icfg, measurer, func(s ga.IslandStats) {
-			fmt.Printf("isl %d gen %3d: best %8.2f  dominant %7.2f MHz\n",
-				s.Island, s.Gen, s.BestFitness, s.BestDominant/1e6)
-		})
-	} else {
-		res, err = ga.Run(cfg, measurer, func(s ga.GenerationStats) {
-			fmt.Printf("gen %3d: best %8.2f  mean %8.2f  dominant %7.2f MHz\n",
-				s.Gen, s.BestFitness, s.MeanFitness, s.BestDominant/1e6)
-		})
-	}
+		fmt.Printf("gen %3d: best %8.2f  mean %8.2f  dominant %7.2f MHz\n",
+			s.Gen, s.BestFitness, s.MeanFitness, s.BestDominant/1e6)
+	})
 	if err != nil {
 		fatal(err)
 	}

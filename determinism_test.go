@@ -104,6 +104,9 @@ func TestIslandGADeterministicAcrossParallelism(t *testing.T) {
 	if !reflect.DeepEqual(serial.History, parallel.History) {
 		t.Error("island history differs between parallelism 1 and 8")
 	}
+	if !reflect.DeepEqual(serial.FinalPopulation, parallel.FinalPopulation) {
+		t.Error("island final population differs between parallelism 1 and 8")
+	}
 }
 
 func TestFastSweepDeterministicAcrossParallelism(t *testing.T) {

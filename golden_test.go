@@ -6,11 +6,13 @@ package emnoise
 // shows up. TestGAGolden pins the GA virus search on the Juno A72 cluster;
 // TestVoltageGAGolden pins the scope-driven GAs (OC-DSO droop on the A72,
 // bench-scope peak-to-peak on the Athlon), whose scope noise is keyed by
-// the captured rail; TestSweepGolden pins the batched resonance sweep and
-// a probe shmoo, which reach the analyzer with other bands than the GA
-// does. Regenerate after an intentional change with:
+// the captured rail; TestIslandGolden pins the island-model GA, whose
+// islands breed, migrate and share one batch per generation;
+// TestSweepGolden pins the batched resonance sweep and a probe shmoo,
+// which reach the analyzer with other bands than the GA does. Regenerate
+// after an intentional change with:
 //
-//	go test -run 'TestGAGolden|TestVoltageGAGolden|TestSweepGolden' -update .
+//	go test -run 'TestGAGolden|TestVoltageGAGolden|TestIslandGolden|TestSweepGolden' -update .
 
 import (
 	"encoding/json"
@@ -21,6 +23,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 
 	"repro/internal/core"
@@ -31,6 +34,7 @@ var updateGolden = flag.Bool("update", false, "rewrite testdata/golden instead o
 const (
 	gaGoldenPath        = "testdata/golden/ga.json"
 	voltageGAGoldenPath = "testdata/golden/voltage_ga.json"
+	islandGoldenPath    = "testdata/golden/islands.json"
 	sweepGoldenPath     = "testdata/golden/sweep.json"
 )
 
@@ -110,12 +114,13 @@ func gaGoldenRun(t *testing.T, seed int64) gaGolden {
 	})
 }
 
-// goldenGARun runs a population-16, 6-generation serial GA on one domain
-// of plat against the measurer fitness builds, and digests the outcome.
-func goldenGARun(t *testing.T, plat *Platform, domain string, seed int64,
-	fitness func(*Bench, *Domain) Measurer) gaGolden {
+// goldenGAConfig is the fenced GA on one domain of plat: population 16,
+// 6 generations, serial evaluation, against the measurer fitness builds
+// on a bench seeded benchSeed at 3 samples.
+func goldenGAConfig(t *testing.T, plat *Platform, domain string, benchSeed, seed int64,
+	fitness func(*Bench, *Domain) Measurer) (GAConfig, Measurer) {
 	t.Helper()
-	bench, err := NewBench(plat, 3)
+	bench, err := NewBench(plat, benchSeed)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -124,16 +129,29 @@ func goldenGARun(t *testing.T, plat *Platform, domain string, seed int64,
 	if err != nil {
 		t.Fatal(err)
 	}
-	pool := d.Spec.Pool()
-	cfg := DefaultGAConfig(pool)
+	cfg := DefaultGAConfig(d.Spec.Pool())
 	cfg.PopulationSize = 16
 	cfg.Generations = 6
 	cfg.Seed = seed
 	cfg.Parallelism = 1
-	res, err := RunGA(cfg, fitness(bench, d), nil)
+	return cfg, fitness(bench, d)
+}
+
+// goldenGARun runs the fenced GA and digests the outcome.
+func goldenGARun(t *testing.T, plat *Platform, domain string, seed int64,
+	fitness func(*Bench, *Domain) Measurer) gaGolden {
+	t.Helper()
+	cfg, m := goldenGAConfig(t, plat, domain, 3, seed, fitness)
+	res, err := RunGA(cfg, m, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
+	return digestGA(cfg.Pool, res)
+}
+
+// digestGA folds every generation's BestFitness, MeanFitness and
+// BestDominant bits plus the best program into a gaGolden.
+func digestGA(pool *Pool, res *GAResult) gaGolden {
 	h := fnv.New64a()
 	for _, g := range res.History {
 		digestFloats(h, g.BestFitness, g.MeanFitness, g.BestDominant)
@@ -188,6 +206,83 @@ func TestVoltageGAGolden(t *testing.T) {
 			voltage(MetricPtp, 4, seed+21))
 	}
 	checkGolden(t, voltageGAGoldenPath, got)
+}
+
+// TestRunIsIslandOfOne: RunGA is RunIslandGA with one island, bit for bit,
+// on TestGAGolden's configs, even at a migration interval that would
+// migrate a ring of two.
+func TestRunIsIslandOfOne(t *testing.T) {
+	plat, err := JunoR2()
+	if err != nil {
+		t.Fatal(err)
+	}
+	em := func(b *Bench, d *Domain) Measurer { return b.EMMeasurer(d, 2) }
+	for _, seed := range []int64{1, 7} {
+		cfg, m := goldenGAConfig(t, plat, DomainA72, 3, seed, em)
+		run, err := RunGA(cfg, m, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		isl, err := RunIslandGA(IslandGAConfig{Base: cfg, Islands: 1, MigrationInterval: 2, Migrants: 2}, m, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(run.Best, isl.Best) {
+			t.Errorf("seed %d: best differs:\nRunGA       %+v\nRunIslandGA %+v", seed, run.Best, isl.Best)
+		}
+		if !reflect.DeepEqual(run.History, isl.History) {
+			t.Errorf("seed %d: history differs", seed)
+		}
+		if !reflect.DeepEqual(run.FinalPopulation, isl.FinalPopulation) {
+			t.Errorf("seed %d: final population differs", seed)
+		}
+	}
+}
+
+// islandGoldenRun runs a serial island GA on the Juno A72 (population 12,
+// 8 generations, 2 migrants, bench and GA seeded alike) and digests the
+// winning island.
+func islandGoldenRun(t *testing.T, seed int64, cfg IslandGAConfig,
+	fitness func(*Bench, *Domain) Measurer) gaGolden {
+	t.Helper()
+	plat, err := JunoR2()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var m Measurer
+	cfg.Base, m = goldenGAConfig(t, plat, DomainA72, seed, seed, fitness)
+	cfg.Base.PopulationSize = 12
+	cfg.Base.Generations = 8
+	cfg.Migrants = 2
+	res, err := RunIslandGA(cfg, m, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return digestGA(cfg.Base.Pool, res)
+}
+
+// TestIslandGolden pins the island-model GA: three em islands migrating
+// every 2 generations at seeds 1 and 7, and the droop islands of
+// `gahunt -islands 3 -metric droop -pop 12 -gens 8 -samples 3 -seed 2`
+// (bench and OC-DSO seeded 2, 2 active cores, a migration every
+// generation).
+func TestIslandGolden(t *testing.T) {
+	got := map[string]gaGolden{}
+	for _, seed := range []int64{1, 7} {
+		got[fmt.Sprintf("juno-r2/A72/cores=2/islands=3/interval=2/pop=12/gens=8/seed=%d", seed)] = islandGoldenRun(t, seed,
+			IslandGAConfig{Islands: 3, MigrationInterval: 2},
+			func(b *Bench, d *Domain) Measurer { return b.EMMeasurer(d, 2) })
+	}
+	got["juno-r2/A72/droop/oc-dso/cores=2/islands=3/interval=1/pop=12/gens=8/seed=2"] = islandGoldenRun(t, 2,
+		IslandGAConfig{Islands: 3, MigrationInterval: 1},
+		func(b *Bench, d *Domain) Measurer {
+			m, err := b.Measurer(d, MetricDroop, 2, 2)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return m
+		})
+	checkGolden(t, islandGoldenPath, got)
 }
 
 // sweepGolden is one domain's pinned operating-point campaign. Digest

@@ -45,8 +45,8 @@ func carryBench(t *testing.T) (*core.Bench, *platform.Domain) {
 }
 
 // TestCarriedReadingsMatchFreshMeasurement: an individual the GA does not
-// resubmit (an elite, a child bred unchanged, an island's population and
-// its migrants at the next epoch) enters its generation with a reading.
+// resubmit (an elite, a migrant kept as an elite, a child bred unchanged)
+// enters its generation with a reading.
 // Before every generation of a Run and of a RunIslands on the simulated
 // bench, each carried reading must equal, bit for bit, what a measurer on
 // a fresh bench reads for the same sequence, and the individuals

@@ -1,7 +1,7 @@
 package ga
 
 // Observed returns cfg with f called on every generation's population
-// before it is measured, in Run and in each island of RunIslands.
+// before it is measured: in RunIslands once per island, in island order.
 func Observed(cfg Config, f func(pop []Individual)) Config {
 	cfg.observe = f
 	return cfg

@@ -63,7 +63,8 @@ type Config struct {
 	InitialPopulation [][]isa.Inst
 
 	// observe, when set, sees every generation's population before it is
-	// measured, carried readings included (tests check them through it).
+	// measured, carried readings included, island by island (tests check
+	// them through it).
 	observe func(pop []Individual)
 }
 
@@ -169,17 +170,15 @@ type Result struct {
 	FinalPopulation []Individual
 }
 
-// Run executes the GA. The optional progress callback receives each
-// generation's statistics as it completes.
+// Run executes the GA: it is RunIslands with one island, which never
+// migrates. The optional progress callback receives each generation's
+// statistics as it completes.
 func Run(cfg Config, m Measurer, progress func(GenerationStats)) (*Result, error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, err
+	var report func(IslandStats)
+	if progress != nil {
+		report = func(s IslandStats) { progress(s.GenerationStats) }
 	}
-	if m == nil {
-		return nil, fmt.Errorf("ga: nil measurer")
-	}
-	rng := rand.New(rand.NewSource(cfg.Seed))
-	return evolve(cfg, rng, m, initialPopulation(cfg, rng), progress)
+	return RunIslands(IslandConfig{Base: cfg, Islands: 1, MigrationInterval: cfg.Generations, Migrants: 1}, m, report)
 }
 
 // initialPopulation is cfg's first generation: the InitialPopulation
@@ -196,37 +195,6 @@ func initialPopulation(cfg Config, rng *rand.Rand) []Individual {
 		}
 	}
 	return pop
-}
-
-// evolve runs cfg.Generations generations from pop, breeding with rng.
-// Each generation measures only the individuals without a reading.
-func evolve(cfg Config, rng *rand.Rand, m Measurer, pop []Individual, progress func(GenerationStats)) (*Result, error) {
-	res := &Result{}
-	for gen := 0; gen < cfg.Generations; gen++ {
-		if cfg.observe != nil {
-			cfg.observe(pop)
-		}
-		if err := measureAll(pop, m, cfg.Parallelism); err != nil {
-			return nil, fmt.Errorf("ga: generation %d: %w", gen, err)
-		}
-		stats := summarize(gen, pop)
-		res.History = append(res.History, stats)
-		if stats.Best.Fitness >= res.Best.Fitness || gen == 0 {
-			res.Best = stats.Best.clone()
-		}
-		if progress != nil {
-			progress(stats)
-		}
-		if gen == cfg.Generations-1 {
-			break
-		}
-		pop = nextGeneration(cfg, rng, pop)
-	}
-	res.FinalPopulation = make([]Individual, len(pop))
-	for i := range pop {
-		res.FinalPopulation[i] = pop[i].clone()
-	}
-	return res, nil
 }
 
 // measureAll measures the individuals of pop that carry no reading, in

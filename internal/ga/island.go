@@ -4,8 +4,6 @@ import (
 	"fmt"
 	"math/rand"
 	"sort"
-
-	"repro/internal/par"
 )
 
 // IslandConfig runs several semi-isolated populations ("islands") that
@@ -16,9 +14,9 @@ import (
 // that into a standing topology.
 type IslandConfig struct {
 	// Base is the per-island GA configuration; Base.Generations is the
-	// total generation budget per island across all epochs.
+	// number of generations every island runs.
 	Base Config
-	// Islands is the number of populations (>= 2).
+	// Islands is the number of populations (>= 1; one island is Run).
 	Islands int
 	// MigrationInterval is how many generations each island evolves
 	// between migrations.
@@ -34,8 +32,8 @@ func (c IslandConfig) Validate() error {
 		return err
 	}
 	switch {
-	case c.Islands < 2:
-		return fmt.Errorf("ga: island model needs >= 2 islands, got %d", c.Islands)
+	case c.Islands < 1:
+		return fmt.Errorf("ga: island model needs >= 1 island, got %d", c.Islands)
 	case c.MigrationInterval < 1:
 		return fmt.Errorf("ga: migration interval %d", c.MigrationInterval)
 	case c.Migrants < 1 || c.Migrants >= c.Base.PopulationSize:
@@ -47,15 +45,20 @@ func (c IslandConfig) Validate() error {
 	return nil
 }
 
-// IslandStats reports one island's progress for one epoch.
+// IslandStats reports one island's statistics for one generation.
 type IslandStats struct {
 	Island int
 	GenerationStats
 }
 
-// RunIslands evolves the islands in round-robin epochs with ring migration
-// and returns the globally best individual plus the winning island's
-// history.
+// RunIslands evolves the islands side by side, one generation at a time.
+// Each generation measures every island's unmeasured individuals in one
+// batch, reports each island's statistics in island order, migrates every
+// MigrationInterval generations (never after the last) and breeds every
+// island with its own RNG: island 0 draws from Base.Seed, so one island is
+// exactly Run. The Result is the island holding the best individual seen
+// (the lowest such island on a tie): its best, history and final
+// population.
 func RunIslands(cfg IslandConfig, m Measurer, progress func(IslandStats)) (*Result, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -63,96 +66,71 @@ func RunIslands(cfg IslandConfig, m Measurer, progress func(IslandStats)) (*Resu
 	if m == nil {
 		return nil, fmt.Errorf("ga: nil measurer")
 	}
-	epochs := cfg.Base.Generations / cfg.MigrationInterval
-
-	pops := make([][]Individual, cfg.Islands)
+	base, size := cfg.Base, cfg.Base.PopulationSize
+	rngs := make([]*rand.Rand, cfg.Islands)
+	pop := make([]Individual, 0, cfg.Islands*size)
+	for i := range rngs {
+		rngs[i] = rand.New(rand.NewSource(base.Seed + int64(i)*7919))
+		pop = append(pop, initialPopulation(base, rngs[i])...)
+	}
+	// The islands are slices of one population, so one batch measures them
+	// all; migration and breeding write back in place.
+	islands := make([][]Individual, cfg.Islands)
+	for i := range islands {
+		islands[i] = pop[i*size : (i+1)*size]
+	}
 	histories := make([][]GenerationStats, cfg.Islands)
-	genOffset := 0
-
-	// Islands within an epoch are independent until migration, so run them
-	// concurrently. The parallelism budget is split: up to Islands workers
-	// run whole islands, and any surplus parallelizes fitness evaluation
-	// inside each island. Results land in per-island slots and progress is
-	// emitted after the epoch in island order, so callbacks and Results are
-	// identical to the serial schedule.
-	islandWorkers := par.Workers(cfg.Base.Parallelism)
-	if islandWorkers > cfg.Islands {
-		islandWorkers = cfg.Islands
-	}
-	innerParallelism := 1
-	if islandWorkers > 0 {
-		innerParallelism = par.Workers(cfg.Base.Parallelism) / islandWorkers
-	}
-	if innerParallelism < 1 {
-		innerParallelism = 1
-	}
-	if cfg.Base.Parallelism <= 1 {
-		// An explicitly serial config stays serial all the way down.
-		islandWorkers, innerParallelism = 1, 1
-	}
-
-	for epoch := 0; epoch < epochs; epoch++ {
-		results := make([]*Result, cfg.Islands)
-		err := par.ForEach(islandWorkers, cfg.Islands, func(i int) error {
-			sub := cfg.Base
-			sub.Generations = cfg.MigrationInterval
-			sub.Parallelism = innerParallelism
-			// Decorrelate the islands' random streams per epoch.
-			sub.Seed = cfg.Base.Seed + int64(epoch*cfg.Islands+i+1)*7919
-			rng := rand.New(rand.NewSource(sub.Seed))
-			// An island resumes from its measured population, migrants
-			// included; only the first epoch draws one.
-			pop := pops[i]
-			if pop == nil {
-				pop = initialPopulation(sub, rng)
-			}
-			res, err := evolve(sub, rng, m, pop, nil)
-			if err != nil {
-				return fmt.Errorf("ga: island %d epoch %d: %w", i, epoch, err)
-			}
-			results[i] = res
-			return nil
-		})
-		if err != nil {
-			return nil, err
-		}
-		for i, res := range results {
-			pops[i] = res.FinalPopulation
-			for _, g := range res.History {
-				g.Gen += genOffset
-				histories[i] = append(histories[i], g)
-				if progress != nil {
-					progress(IslandStats{Island: i, GenerationStats: g})
-				}
+	bests := make([]Individual, cfg.Islands)
+	for gen := 0; gen < base.Generations; gen++ {
+		if base.observe != nil {
+			for _, isl := range islands {
+				base.observe(isl)
 			}
 		}
-		genOffset += cfg.MigrationInterval
-		if epoch < epochs-1 {
-			migrate(pops, cfg.Migrants)
+		if err := measureAll(pop, m, base.Parallelism); err != nil {
+			return nil, fmt.Errorf("ga: generation %d: %w", gen, err)
 		}
-	}
-
-	// Pick the best across islands.
-	bestIsland, best := 0, Individual{}
-	for i, pop := range pops {
-		for _, ind := range pop {
-			if best.Seq == nil || ind.Fitness > best.Fitness {
-				best = ind.clone()
-				bestIsland = i
+		for i, isl := range islands {
+			stats := summarize(gen, isl)
+			histories[i] = append(histories[i], stats)
+			if stats.Best.Fitness >= bests[i].Fitness || gen == 0 {
+				bests[i] = stats.Best.clone()
+			}
+			if progress != nil {
+				progress(IslandStats{Island: i, GenerationStats: stats})
 			}
 		}
+		if gen == base.Generations-1 {
+			break
+		}
+		if (gen+1)%cfg.MigrationInterval == 0 {
+			migrate(islands, cfg.Migrants)
+		}
+		for i, isl := range islands {
+			copy(isl, nextGeneration(base, rngs[i], isl))
+		}
 	}
-	return &Result{
-		Best:            best,
-		History:         histories[bestIsland],
-		FinalPopulation: pops[bestIsland],
-	}, nil
+	win := 0
+	for i := range bests {
+		if bests[i].Fitness > bests[win].Fitness {
+			win = i
+		}
+	}
+	final := make([]Individual, size)
+	for i := range final {
+		final[i] = islands[win][i].clone()
+	}
+	return &Result{Best: bests[win], History: histories[win], FinalPopulation: final}, nil
 }
 
 // migrate sends each island's top Migrants to the next island in the ring,
-// replacing that island's worst individuals.
+// replacing that island's worst individuals. A ring of one has no
+// neighbour, so a single island is left as it is.
 func migrate(pops [][]Individual, migrants int) {
 	n := len(pops)
+	if n < 2 {
+		return
+	}
 	// Collect emigrants first so a chain of migrations in one round does
 	// not relay an individual across multiple islands.
 	emigrants := make([][]Individual, n)

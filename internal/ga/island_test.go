@@ -2,6 +2,7 @@ package ga
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/isa"
@@ -24,7 +25,7 @@ func TestIslandConfigValidate(t *testing.T) {
 	}
 	cases := []func(*IslandConfig){
 		func(c *IslandConfig) { c.Base.PopulationSize = 0 },
-		func(c *IslandConfig) { c.Islands = 1 },
+		func(c *IslandConfig) { c.Islands = 0 },
 		func(c *IslandConfig) { c.MigrationInterval = 0 },
 		func(c *IslandConfig) { c.Migrants = 0 },
 		func(c *IslandConfig) { c.Migrants = 100 },
@@ -50,7 +51,7 @@ func TestRunIslandsOptimizes(t *testing.T) {
 	if len(res.History) != 24 {
 		t.Fatalf("history %d generations, want 24", len(res.History))
 	}
-	// Generation numbering is contiguous across epochs.
+	// Generation numbering is contiguous across migrations.
 	for i, g := range res.History {
 		if g.Gen != i {
 			t.Fatalf("generation %d numbered %d", i, g.Gen)
@@ -81,6 +82,42 @@ func TestRunIslandsProgress(t *testing.T) {
 	for i := 0; i < cfg.Islands; i++ {
 		if seen[i] != 12 {
 			t.Fatalf("island %d reported %d generations, want 12", i, seen[i])
+		}
+	}
+}
+
+// TestIslandsBreedEveryGeneration: every island breeds after each
+// generation but the last, at any migration interval. At mutation rate 1
+// every child differs from its parents, so a bred island enters its
+// generation with unmeasured children; an island that was not bred is its
+// last population again (plus migrants), every individual carried.
+func TestIslandsBreedEveryGeneration(t *testing.T) {
+	const gens = 6
+	for _, interval := range []int{1, 2, gens} {
+		cfg := islandConfig()
+		cfg.Base.Generations = gens
+		cfg.Base.MutationRate = 1
+		cfg.MigrationInterval = interval
+		// The hook sees each generation's islands in island order.
+		seen := 0
+		bred := make([]int, cfg.Islands)
+		cfg.Base.observe = func(pop []Individual) {
+			island, gen := seen%cfg.Islands, seen/cfg.Islands
+			seen++
+			if gen > 0 && slices.ContainsFunc(pop, func(in Individual) bool { return !in.measured }) {
+				bred[island]++
+			}
+		}
+		if _, err := RunIslands(cfg, MeasurerFunc(countSIMD), nil); err != nil {
+			t.Fatal(err)
+		}
+		if seen != cfg.Islands*gens {
+			t.Fatalf("interval %d: observed %d island generations, want %d", interval, seen, cfg.Islands*gens)
+		}
+		for i, n := range bred {
+			if n != gens-1 {
+				t.Errorf("interval %d: island %d bred %d times in %d generations, want %d", interval, i, n, gens, gens-1)
+			}
 		}
 	}
 }
